@@ -1,10 +1,9 @@
 //! # fabric-power-bench
 //!
 //! Experiment harness for the `fabric-power` workspace: the binaries in
-//! `src/bin/` regenerate every table and figure of the DAC 2002 paper, and
-//! the Criterion benches in `benches/` measure the cost of the underlying
-//! kernels (characterization, memory model, simulation sweeps, analytic
-//! equations).
+//! `src/bin/` regenerate every table and figure of the DAC 2002 paper.
+//! Performance is measured by the separate `perfbench` crate at the
+//! repository root.
 //!
 //! | target | reproduces |
 //! |---|---|

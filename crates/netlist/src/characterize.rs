@@ -8,21 +8,21 @@
 //!
 //! # Bit-parallel measurement
 //!
-//! With `lanes > 1` (the default is 64) the measurement runs on the
-//! bit-parallel [`PackedSimulator`]: `lanes` independent Monte-Carlo streams
-//! advance simultaneously, one bit per lane in a `u64` word per net.  The
-//! stimulus is drawn *net-major* from one [`StimulusRng`] stream per
-//! measurement, seeded with `seed ^ active_ports`: every bus cycle consumes
-//! one `u64` word per driven input net, in a fixed order (routing control
-//! first, then each active port's payload bits low-to-high), and bit `L` of
-//! every drawn word belongs to lane `L`.  The packed engine writes the draws
-//! verbatim; a scalar run of lane `L` reads bit `L` of the very same draws —
-//! that shared-draw decomposition is what makes the packed measurement equal
-//! the sum of `lanes` scalar measurements bit-exactly (both engines reduce
-//! integer per-net toggle counts through the same
-//! [`crate::sim::EnergyTables`]).  The `measure_cycles` budget is split
-//! across lanes: each lane measures `measure_cycles / lanes` cycles and the
-//! first `measure_cycles % lanes` lanes measure one more in a final
+//! Measurements run on the bit-parallel [`PackedSimulator`]: [`LANES`]
+//! independent Monte-Carlo streams advance simultaneously, one bit per lane
+//! in a `u64` word per net.  The stimulus is drawn *net-major* from one
+//! [`StimulusRng`] stream per measurement, seeded with
+//! `seed ^ active_ports`: every bus cycle consumes one `u64` word per driven
+//! input net, in a fixed order (routing control first, then each active
+//! port's payload bits low-to-high), and bit `L` of every drawn word belongs
+//! to lane `L`.  The packed engine writes the draws verbatim; the scalar
+//! [`crate::sim::Simulator`] oracle for lane `L` reads bit `L` of the very
+//! same draws — that shared-draw decomposition is what makes the packed
+//! measurement equal the sum of the per-lane scalar measurements
+//! bit-exactly (both engines reduce integer per-net toggle counts through
+//! the same [`crate::sim::EnergyTables`]).  The `measure_cycles` budget is
+//! split across lanes: each lane measures `measure_cycles / LANES` cycles and
+//! the first `measure_cycles % LANES` lanes measure one more in a final
 //! partially-masked step, so exactly `measure_cycles` lane-cycles are
 //! counted.
 
@@ -40,9 +40,8 @@ use crate::circuits::{
 use crate::library::CellLibrary;
 use crate::lut::{LutSource, SwitchEnergyLut};
 use crate::netlist::{NetId, NetlistError};
-use crate::packed::PackedSimulator;
-use crate::passes::{PassPipeline, PipelineMode};
-use crate::sim::{ActivityReport, Simulator};
+use crate::packed::{PackedSimulator, LANES};
+use crate::sim::ActivityReport;
 
 /// Parameters of a characterization run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -52,21 +51,10 @@ pub struct CharacterizationConfig {
     /// up for this many cycles.
     pub warmup_cycles: u64,
     /// Total measured lane-cycles over which energy is averaged (split
-    /// across lanes when `lanes > 1`).
+    /// across the [`LANES`] lanes).
     pub measure_cycles: u64,
     /// Seed of the payload random number generator (reproducible runs).
     pub seed: u64,
-    /// Independent simulation lanes driven at once (1..=64).  `1` selects
-    /// the scalar engine; anything else the bit-parallel engine.  Part of
-    /// the model-cache key: changing it re-derives models.
-    pub lanes: u32,
-    /// Whether the simulated netlist is first run through the optimization
-    /// pass pipeline ([`PipelineMode::Optimized`], the default) or simulated
-    /// raw.  Both modes produce bit-identical energies (see
-    /// [`crate::passes`]); the mode is still part of the model-cache key so
-    /// the two derivations never alias.
-    #[serde(default)]
-    pub pipeline: PipelineMode,
 }
 
 impl Default for CharacterizationConfig {
@@ -75,8 +63,6 @@ impl Default for CharacterizationConfig {
             warmup_cycles: 16,
             measure_cycles: 512,
             seed: 0xDAC_2002,
-            lanes: 64,
-            pipeline: PipelineMode::Optimized,
         }
     }
 }
@@ -89,23 +75,7 @@ impl CharacterizationConfig {
             warmup_cycles: 4,
             measure_cycles: 64,
             seed: 0xDAC_2002,
-            lanes: 64,
-            pipeline: PipelineMode::Optimized,
         }
-    }
-
-    /// Returns the same configuration with a different lane count.
-    #[must_use]
-    pub fn with_lanes(mut self, lanes: u32) -> Self {
-        self.lanes = lanes;
-        self
-    }
-
-    /// Returns the same configuration with a different pipeline mode.
-    #[must_use]
-    pub fn with_pipeline(mut self, pipeline: PipelineMode) -> Self {
-        self.pipeline = pipeline;
-        self
     }
 }
 
@@ -165,34 +135,12 @@ pub fn characterize_switch(
     library: &CellLibrary,
     config: &CharacterizationConfig,
 ) -> Result<SwitchEnergyLut, NetlistError> {
-    obs::metrics::gauge(obs::metrics::names::CHARACTERIZE_LANES).set(i64::from(config.lanes));
-    // The pass pipeline runs once per circuit and is amortized over all
-    // `ports + 1` occupancy measurements.
-    let optimized = match config.pipeline {
-        PipelineMode::Raw => None,
-        PipelineMode::Optimized => Some(PassPipeline::standard().run(&circuit.netlist)?),
-    };
     // One simulator serves every occupancy measurement: construction
-    // (energy tables, topological order, schedule-sized buffers) is paid
-    // once per circuit and `reset()` restores fresh-construction semantics
-    // between occupancies.
-    let mut sim = if config.lanes == 1 {
-        OccupancySim::Scalar(match optimized.as_ref() {
-            Some(optimized) => Simulator::with_passes(&circuit.netlist, optimized, library)?,
-            None => Simulator::new(&circuit.netlist, library)?,
-        })
-    } else {
-        OccupancySim::Packed(match optimized.as_ref() {
-            Some(optimized) => {
-                PackedSimulator::with_passes(&circuit.netlist, optimized, library, config.lanes)?
-            }
-            None => PackedSimulator::new(&circuit.netlist, library, config.lanes)?,
-        })
-    };
-    let mut by_active_count = Vec::with_capacity(circuit.ports + 1);
-    for active in 0..=circuit.ports {
-        by_active_count.push(measure_occupancy(circuit, &mut sim, config, active));
-    }
+    // (schedule compilation, energy tables) is paid once per circuit.
+    let mut sim = PackedSimulator::new(&circuit.netlist, library)?;
+    let by_active_count = (0..=circuit.ports)
+        .map(|active| measure_occupancy(circuit, &mut sim, config, active))
+        .collect();
     Ok(SwitchEnergyLut::from_active_counts(
         circuit.class,
         circuit.ports,
@@ -226,25 +174,14 @@ pub fn characterize_class(
     characterize_switch(&circuit, library, config)
 }
 
-/// The engine characterization drives: scalar for single-lane configs,
-/// bit-parallel otherwise.  Built once per circuit and carried warm across
-/// the ascending occupancy sweep (see [`measure_scalar`]).
-enum OccupancySim<'a> {
-    Scalar(Simulator<'a>),
-    Packed(PackedSimulator<'a>),
-}
-
 fn measure_occupancy(
     circuit: &SwitchCircuit,
-    sim: &mut OccupancySim<'_>,
+    sim: &mut PackedSimulator<'_>,
     config: &CharacterizationConfig,
     active_ports: usize,
 ) -> Energy {
     let timer = Instant::now();
-    let report = match sim {
-        OccupancySim::Scalar(sim) => measure_scalar(circuit, sim, config, active_ports),
-        OccupancySim::Packed(sim) => measure_packed(circuit, sim, config, active_ports),
-    };
+    let report = measure(circuit, sim, config, active_ports);
     let elapsed = timer.elapsed().as_secs_f64();
     obs::metrics::counter(obs::metrics::names::CHARACTERIZE_LANE_CYCLES).add(config.measure_cycles);
     #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
@@ -255,65 +192,31 @@ fn measure_occupancy(
     report.total_energy() / bit_slots
 }
 
-/// Single-lane measurement on the scalar [`Simulator`].
-///
-/// Measurements warm-start: each call continues from whatever state the
-/// simulator reached before (the characterization protocol sweeps
-/// occupancies in ascending order on one simulator).  The warm-up cycles
-/// wash in the new static configuration before counters are reset, and the
-/// same state carries through both engines and both pipeline modes, so
-/// bit-exactness across them is preserved.  Warm-starting is what lets the
-/// level-scheduled engine stay in its steady-state sweep instead of paying
-/// a full re-evaluation walk per occupancy.
-fn measure_scalar(
-    circuit: &SwitchCircuit,
-    sim: &mut Simulator<'_>,
-    config: &CharacterizationConfig,
-    active_ports: usize,
-) -> ActivityReport {
-    // A scalar measurement is lane 0 of the net-major protocol: the same
-    // shared draw sequence, reading bit 0 of every word.
-    let mut rng = StimulusRng::seed_from_u64(config.seed ^ active_ports as u64);
-    let layout = StimulusLayout::new(circuit, active_ports);
-    // The input vector and everything in it that does not change per cycle
-    // (presence flags, static routing control) are written exactly once.
-    let mut vector = circuit.blank_input_vector();
-    write_static_inputs(circuit, active_ports, &mut |pos, value| {
-        vector[pos] = value;
-    });
-    for _ in 0..config.warmup_cycles {
-        layout.drive(&mut rng, &mut |pos, word| vector[pos] = word & 1 == 1);
-        sim.step(&vector);
-    }
-    sim.reset_counters();
-    for _ in 0..config.measure_cycles {
-        layout.drive(&mut rng, &mut |pos, word| vector[pos] = word & 1 == 1);
-        sim.step(&vector);
-    }
-    sim.report()
-}
-
-/// Multi-lane measurement on the bit-parallel [`PackedSimulator`].
+/// One occupancy measurement on the bit-parallel [`PackedSimulator`].
 ///
 /// The net-major draws are written verbatim as the engine's 64-lane net
 /// words; lane `L` thereby consumes exactly the vector stream a scalar run
 /// reading bit `L` of the same draws would, so summing per-lane scalar
 /// toggle counts reproduces this measurement bit-exactly.  Each lane warms
-/// up for `warmup_cycles`; the measured budget is `measure_cycles / lanes`
+/// up for `warmup_cycles`; the measured budget is `measure_cycles / LANES`
 /// full-mask steps plus, when it does not divide evenly, one final step
-/// counting only the first `measure_cycles % lanes` lanes — masked lanes
+/// counting only the first `measure_cycles % LANES` lanes — masked lanes
 /// still evolve, they are just not measured.
 ///
-/// Like [`measure_scalar`], measurements warm-start from the simulator's
-/// current state; the per-lane oracle equivalence then holds against scalar
-/// runs carried through the same occupancy sequence.
-fn measure_packed(
+/// Measurements warm-start: each call continues from whatever state the
+/// simulator reached before (the characterization protocol sweeps
+/// occupancies in ascending order on one simulator).  The warm-up cycles
+/// wash in the new static configuration before counters are reset, and the
+/// per-lane oracle equivalence holds against scalar runs carried through
+/// the same occupancy sequence.  Warm-starting keeps the engine in its
+/// steady-state sweep instead of paying a full schedule pass per
+/// occupancy.
+fn measure(
     circuit: &SwitchCircuit,
     sim: &mut PackedSimulator<'_>,
     config: &CharacterizationConfig,
     active_ports: usize,
 ) -> ActivityReport {
-    let lanes = config.lanes;
     let mut rng = StimulusRng::seed_from_u64(config.seed ^ active_ports as u64);
     let layout = StimulusLayout::new(circuit, active_ports);
 
@@ -327,9 +230,8 @@ fn measure_packed(
         sim.step(&words);
     }
     sim.reset_counters();
-    let full_steps = config.measure_cycles / u64::from(lanes);
-    #[allow(clippy::cast_possible_truncation)]
-    let remainder_lanes = (config.measure_cycles % u64::from(lanes)) as u32;
+    let full_steps = config.measure_cycles / u64::from(LANES);
+    let remainder_lanes = config.measure_cycles % u64::from(LANES);
     for _ in 0..full_steps {
         layout.drive(&mut rng, &mut |pos, word| words[pos] = word);
         sim.step(&words);
@@ -397,10 +299,10 @@ fn write_static_inputs(
 ///   random destination address per lane and cycle (the compare-exchange
 ///   logic is exercised exactly once per packet).
 ///
-/// Both engines drive through this one routine: the packed simulator writes
-/// the words verbatim, the scalar engine (and the per-lane oracle) extracts
-/// its lane's bit.  Identical RNG states thus yield identical vector
-/// streams — and identical toggle counts — across engines.
+/// The packed simulator writes the words verbatim, the per-lane scalar
+/// oracle extracts its lane's bit.  Identical RNG states thus yield
+/// identical vector streams — and identical toggle counts — across the
+/// two engines.
 struct StimulusLayout {
     class: SwitchClass,
     active_ports: usize,
@@ -545,6 +447,7 @@ impl Table1 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::Simulator;
 
     fn quick() -> CharacterizationConfig {
         CharacterizationConfig::quick()
@@ -618,17 +521,14 @@ mod tests {
 
     #[test]
     fn packed_measurement_matches_scalar_per_lane_oracle_bit_exactly() {
-        // lanes = 5 with measure_cycles = 17 exercises the remainder mask:
-        // three full-mask steps plus one final step counting only lanes 0–1.
-        // The packed engine runs the *optimized* schedule while the per-lane
-        // oracle walks the raw netlist, so this doubles as the end-to-end
-        // energy-exactness check for the pass pipeline.
+        // measure_cycles = 81 exercises the remainder mask: one full-mask
+        // step plus one final step counting only lanes 0–16.  The packed
+        // engine sweeps its compiled schedule, skipping quiet cells, while
+        // the per-lane oracle walks every cell every cycle.
         let config = CharacterizationConfig {
             warmup_cycles: 3,
-            measure_cycles: 17,
+            measure_cycles: 81,
             seed: 0xDAC_2002,
-            lanes: 5,
-            pipeline: PipelineMode::Optimized,
         };
         let lib = CellLibrary::calibrated_018um();
         let circuits = [
@@ -638,21 +538,18 @@ mod tests {
             n_input_mux(4, 4).unwrap(),
         ];
         for circuit in &circuits {
-            let optimized = PassPipeline::standard().run(&circuit.netlist).unwrap();
             // One reused simulator across occupancies, exactly like
             // `characterize_switch`.  Measurements warm-start, so the
             // per-lane oracle simulators are carried across occupancies too
             // (lane `L` of the packed run reads bit `L` of the same shared
             // net-major draws through the same ascending occupancy
             // sequence).
-            let mut packed_sim =
-                PackedSimulator::with_passes(&circuit.netlist, &optimized, &lib, config.lanes)
-                    .unwrap();
-            let mut oracle_sims: Vec<Simulator<'_>> = (0..config.lanes)
+            let mut packed_sim = PackedSimulator::new(&circuit.netlist, &lib).unwrap();
+            let mut oracle_sims: Vec<Simulator<'_>> = (0..LANES)
                 .map(|_| Simulator::new(&circuit.netlist, &lib).unwrap())
                 .collect();
             for active in 0..=circuit.ports {
-                let packed = measure_packed(circuit, &mut packed_sim, &config, active);
+                let packed = measure(circuit, &mut packed_sim, &config, active);
 
                 let tables = Simulator::new(&circuit.netlist, &lib)
                     .unwrap()
@@ -691,8 +588,8 @@ mod tests {
                 for sim in &mut oracle_sims {
                     sim.reset_counters();
                 }
-                let full_steps = config.measure_cycles / u64::from(config.lanes);
-                let remainder = config.measure_cycles % u64::from(config.lanes);
+                let full_steps = config.measure_cycles / u64::from(LANES);
+                let remainder = config.measure_cycles % u64::from(LANES);
                 for _ in 0..full_steps {
                     cycle(&mut rng, &mut oracle_sims, &mut vectors, &mut drives);
                 }
@@ -735,43 +632,6 @@ mod tests {
                     circuit.class
                 );
             }
-        }
-    }
-
-    #[test]
-    fn single_lane_config_reproduces_the_scalar_engine() {
-        let circuit = banyan_binary_switch(8).unwrap();
-        let lib = CellLibrary::calibrated_018um();
-        let config = quick().with_lanes(1);
-        let optimized = PassPipeline::standard().run(&circuit.netlist).unwrap();
-        let mut dispatch_sim = OccupancySim::Scalar(
-            Simulator::with_passes(&circuit.netlist, &optimized, &lib).unwrap(),
-        );
-        let mut scalar_sim = Simulator::with_passes(&circuit.netlist, &optimized, &lib).unwrap();
-        for active in 0..=circuit.ports {
-            let via_dispatch = measure_occupancy(&circuit, &mut dispatch_sim, &config, active);
-            let scalar = measure_scalar(&circuit, &mut scalar_sim, &config, active);
-            let bit_slots = config.measure_cycles as f64 * circuit.bus_width as f64;
-            assert_eq!(via_dispatch, scalar.total_energy() / bit_slots);
-        }
-    }
-
-    #[test]
-    fn raw_and_optimized_pipelines_produce_identical_luts() {
-        let lib = CellLibrary::calibrated_018um();
-        // Packed engine (64 lanes) and scalar engine (1 lane), both across
-        // every occupancy state: the LUT floats must agree to the last bit.
-        for config in [quick(), quick().with_lanes(1)] {
-            let circuit = banyan_binary_switch(8).unwrap();
-            let raw = characterize_switch(&circuit, &lib, &config.with_pipeline(PipelineMode::Raw))
-                .unwrap();
-            let optimized = characterize_switch(
-                &circuit,
-                &lib,
-                &config.with_pipeline(PipelineMode::Optimized),
-            )
-            .unwrap();
-            assert_eq!(raw, optimized);
         }
     }
 

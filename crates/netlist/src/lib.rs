@@ -10,14 +10,14 @@
 //! * [`cells`] / [`library`] — a minimal 0.18 µm standard-cell set with
 //!   calibrated switching energies;
 //! * [`netlist`] — the netlist graph and structural validation;
-//! * [`sim`] — cycle-driven logic simulation with per-toggle energy
-//!   accounting;
-//! * [`packed`] — 64-lane bit-parallel simulation: one `u64` per net, lane
-//!   toggles counted with popcounts, energies bit-identical to per-lane
-//!   scalar runs;
-//! * [`passes`] — energy-exact netlist optimization passes (constant
-//!   folding, dead-net pruning, structural hashing) plus levelization into a
-//!   precomputed evaluation schedule both simulators can execute directly;
+//! * [`sim`] — per-toggle energy accounting ([`EnergyTables`]) and the
+//!   scalar cycle-driven [`Simulator`], the bool-per-net reference oracle;
+//! * [`schedule`] — levelization of a netlist into the flat, level-ordered
+//!   [`EvalSchedule`] the characterization engine executes;
+//! * [`packed`] — the characterization engine: 64-lane bit-parallel
+//!   simulation from the compiled schedule, one `u64` per net, lane toggles
+//!   counted with popcounts, quiet cells skipped, energies bit-identical to
+//!   per-lane scalar runs;
 //! * [`circuits`] — generators for the four node-switch circuits the paper
 //!   characterizes (crossbar crosspoint, Banyan 2×2 binary switch, Batcher
 //!   2×2 sorting switch, N-input MUX);
@@ -60,7 +60,7 @@ pub mod library;
 pub mod lut;
 pub mod netlist;
 pub mod packed;
-pub mod passes;
+pub mod schedule;
 pub mod sim;
 
 pub use cells::CellKind;
@@ -70,9 +70,7 @@ pub use library::{CellLibrary, CellParameters};
 pub use lut::{InputVector, LutSource, SwitchEnergyLut};
 pub use netlist::{CellId, NetId, Netlist, NetlistError};
 pub use packed::PackedSimulator;
-pub use passes::{
-    EvalSchedule, NetFate, OptimizedNetlist, PassPipeline, PipelineMode, PipelineReport,
-};
+pub use schedule::EvalSchedule;
 pub use sim::{ActivityReport, EnergyBreakdown, EnergyTables, Simulator};
 
 #[cfg(test)]

@@ -484,8 +484,8 @@ impl Netlist {
 
     /// [`Netlist::validate`] plus the requirement that *every* net has a
     /// driver, even nets nothing reads.  Circuit generators run this under
-    /// `debug_assertions`: a generated circuit must not leave floating nets
-    /// behind (the optimization passes would silently prune them).
+    /// `debug_assertions`: a floating net in a generated circuit is a
+    /// generator bug, even when no simulation would ever notice it.
     ///
     /// # Errors
     ///

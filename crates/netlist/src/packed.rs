@@ -1,11 +1,14 @@
 //! Bit-parallel (bit-sliced) gate-level simulation: 64 lanes per `u64`.
 //!
-//! [`PackedSimulator`] evaluates up to 64 *independent* simulations of the
-//! same netlist at once by packing one lane per bit of a `u64` word per net.
-//! Every [`CellKind`] evaluates as word-wide boolean operations
-//! ([`CellKind::evaluate_word`]), tri-state and flip-flop state are held as
-//! per-lane words, and toggle activity is accumulated per net with
-//! `(prev ^ new).count_ones()`.
+//! [`PackedSimulator`] evaluates 64 *independent* simulations of the same
+//! netlist at once by packing one lane per bit of a `u64` word per net.
+//! Every [`CellKind`](crate::cells::CellKind) evaluates as word-wide boolean
+//! operations, tri-state and flip-flop state are held as per-lane words, and
+//! toggle activity is accumulated per net with `(prev ^ new).count_ones()`.
+//!
+//! Evaluation runs from an [`EvalSchedule`] compiled once in
+//! [`PackedSimulator::new`], skipping every cell none of whose inputs has
+//! ever changed (see [`PackedSimulator::step_masked`]).
 //!
 //! Energy accounting goes through the same [`EnergyTables`] as the scalar
 //! [`crate::sim::Simulator`]: integer per-net toggle counts are converted to
@@ -14,15 +17,18 @@
 //!
 //! Lanes are numbered from bit 0: lane `L` of net `n` is
 //! `(word(n) >> L) & 1`. A *lane-cycle* is one lane advancing one clock
-//! cycle; a full-mask [`PackedSimulator::step`] with `lanes` active lanes
-//! contributes `lanes` lane-cycles. Per-cycle clock and leakage energy are
-//! charged per lane-cycle, which keeps totals comparable with a scalar run
-//! of the same number of (scalar) cycles.
+//! cycle; a full-mask [`PackedSimulator::step`] contributes [`LANES`]
+//! lane-cycles. Per-cycle clock and leakage energy are charged per
+//! lane-cycle, which keeps totals comparable with a scalar run of the same
+//! number of (scalar) cycles.
 
 use crate::library::CellLibrary;
-use crate::netlist::{CellId, Driver, Netlist, NetlistError};
-use crate::passes::{NetFate, OptimizedNetlist};
+use crate::netlist::{NetId, Netlist, NetlistError};
+use crate::schedule::{EvalSchedule, ScheduledCell};
 use crate::sim::{ActivityReport, EnergyTables};
+
+/// Lanes every [`PackedSimulator`] step advances: one per bit of a `u64`.
+pub const LANES: u32 = 64;
 
 /// Bit-parallel simulator holding one `u64` of lane values per net.
 ///
@@ -42,222 +48,121 @@ use crate::sim::{ActivityReport, EnergyTables};
 /// n.mark_output(y)?;
 ///
 /// let library = CellLibrary::calibrated_018um();
-/// let mut sim = PackedSimulator::new(&n, &library, 64)?;
-/// // Lane 0 drives a=1, lane 1 drives a=0.
+/// let mut sim = PackedSimulator::new(&n, &library)?;
+/// // Lane 0 drives a=1, every other lane drives a=0.
 /// sim.step(&[0b01]);
-/// assert_eq!(sim.output_words(), vec![!0b01_u64 & sim.lane_mask()]);
+/// assert_eq!(sim.output_words(), vec![!0b01_u64]);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone)]
 pub struct PackedSimulator<'a> {
     netlist: &'a Netlist,
-    /// Combinational evaluation order (walk mode; empty in scheduled mode).
-    order: Vec<CellId>,
-    /// Current lane values of every net, one bit per lane (nets of the
-    /// optimized netlist when running in scheduled mode).
-    net_words: Vec<u64>,
-    /// Stored per-lane state of sequential cells: indexed by cell id in walk
-    /// mode, by schedule state slot in scheduled mode.
+    schedule: EvalSchedule,
+    /// Current lane words and activity bookkeeping of every net.
+    nets: NetState,
+    /// Stored per-lane state of sequential cells, by schedule state slot.
     state: Vec<u64>,
-    /// Number of active lanes (1..=64).
-    lanes: u32,
-    /// Mask selecting the active lanes: low `lanes` bits set.
-    lane_mask: u64,
-    /// Measured lane-cycles since the last counter reset.
-    lane_cycles: u64,
-    /// Toggles observed per net (summed over counted lanes) since the last
-    /// counter reset, always in *original* net-id space.
-    net_toggles: Vec<u64>,
-    /// Per-net energy tables shared with the scalar engine, built over the
-    /// original netlist.
-    tables: EnergyTables,
-    /// Level-scheduled execution state when driving an [`OptimizedNetlist`].
-    scheduled: Option<ScheduledState<'a>>,
-}
-
-/// Execution state of the level-scheduled engine.
-#[derive(Debug, Clone)]
-struct ScheduledState<'a> {
-    opt: &'a OptimizedNetlist,
     /// Scheduled cells that have ever seen an input change (in any lane),
     /// sorted by index (index order is level order).  The steady-state
     /// sweep evaluates exactly these; cells of cones that never toggled
     /// cost nothing.
     active_cells: Vec<u32>,
-    /// Membership flags for `active_cells` / `newly`.
-    is_active: Vec<bool>,
-    /// Cells activated since the last merge into `active_cells`.  Non-empty
-    /// only on the rare steps when a previously quiet net first toggles.
-    newly: Vec<u32>,
+    /// Whether the first full-evaluation step has run.  Not reset by
+    /// [`PackedSimulator::reset_counters`]: the circuit stays settled.
+    settled: bool,
+    /// Measured lane-cycles since the last counter reset.
+    lane_cycles: u64,
+    /// Per-net energy tables shared with the scalar engine.
+    tables: EnergyTables,
+}
+
+/// The per-net half of the engine state, kept apart from the schedule so a
+/// step can walk the schedule while writing nets.
+#[derive(Debug, Clone)]
+struct NetState {
+    /// Lane values of every net, one bit per lane.
+    words: Vec<u64>,
+    /// Toggles observed per net (summed over counted lanes) since the last
+    /// counter reset.
+    toggles: Vec<u64>,
     /// Per net: all of the net's consumer cells are already active, so a
     /// flip needs no activation walk (set the first time the net flips,
     /// which activates every consumer).
     fanout_active: Vec<bool>,
-    /// Whether the pipeline left every net in place (1:1 alias map, nothing
-    /// folded) — enables the direct toggle-crediting fast path.
-    identity: bool,
-    /// Whether the first full-evaluation step has run.  Not reset by
-    /// [`PackedSimulator::reset_counters`]: the circuit stays settled.
-    settled: bool,
+    /// Per scheduled cell: member of `active_cells` or `newly`.
+    is_active: Vec<bool>,
+    /// Cells activated since the last merge into `active_cells`.  Non-empty
+    /// only on the rare steps when a previously quiet net first toggles.
+    newly: Vec<u32>,
 }
 
-/// Writes `word` to optimized net `net`, crediting counted-lane toggles to
-/// every aliased original net and activating the net's consumer cells.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn scheduled_write(
-    opt: &OptimizedNetlist,
-    net_words: &mut [u64],
-    net_toggles: &mut [u64],
-    is_active: &mut [bool],
-    newly: &mut Vec<u32>,
-    fanout_active: &mut [bool],
-    identity: bool,
-    lane_mask: u64,
-    count_mask: u64,
-    net: u32,
-    word: u64,
-) {
-    let idx = net as usize;
-    let word = word & lane_mask;
-    let flipped = net_words[idx] ^ word;
-    if flipped == 0 {
-        return;
-    }
-    net_words[idx] = word;
-    let counted = u64::from((flipped & count_mask).count_ones());
-    if counted != 0 {
-        if identity {
-            net_toggles[idx] += counted;
-        } else {
-            for &original in opt.alias_targets_of(idx) {
-                net_toggles[original as usize] += counted;
+impl NetState {
+    /// Writes `word` to `net`, crediting counted-lane toggles and
+    /// activating the net's consumer cells on its first flip.
+    #[inline(always)]
+    fn write(&mut self, schedule: &EvalSchedule, count_mask: u64, net: u32, word: u64) {
+        let idx = net as usize;
+        let flipped = self.words[idx] ^ word;
+        if flipped == 0 {
+            return;
+        }
+        self.words[idx] = word;
+        self.toggles[idx] += u64::from((flipped & count_mask).count_ones());
+        if !self.fanout_active[idx] {
+            self.fanout_active[idx] = true;
+            for &cell in schedule.load_cells(idx) {
+                let c = cell as usize;
+                if !self.is_active[c] {
+                    self.is_active[c] = true;
+                    self.newly.push(cell);
+                }
             }
         }
     }
-    if !fanout_active[idx] {
-        fanout_active[idx] = true;
-        for &cell in opt.schedule().load_cells(idx) {
-            let c = cell as usize;
-            if !is_active[c] {
-                is_active[c] = true;
-                newly.push(cell);
-            }
+
+    /// Evaluates one scheduled cell word-wide and writes its output.
+    #[inline(always)]
+    fn evaluate(&mut self, schedule: &EvalSchedule, count_mask: u64, cell: ScheduledCell) {
+        let arity = cell.arity as usize;
+        let mut words = [0_u64; 3];
+        for (slot, &net) in words.iter_mut().zip(&cell.inputs[..arity]) {
+            *slot = self.words[net as usize];
         }
+        let previous = self.words[cell.output as usize];
+        let value = cell.kind.evaluate_word(&words[..arity], previous);
+        self.write(schedule, count_mask, cell.output, value);
     }
 }
 
 impl<'a> PackedSimulator<'a> {
-    /// Creates a packed simulator with `lanes` independent lanes.
+    /// Creates a packed simulator, compiling `netlist`'s evaluation
+    /// schedule.
     ///
     /// All nets start at logic `0` in every lane, all flip-flops start
     /// cleared.
     ///
     /// # Errors
     ///
-    /// Propagates any [`NetlistError`] from [`Netlist::validate`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is not in `1..=64`.
-    pub fn new(
-        netlist: &'a Netlist,
-        library: &CellLibrary,
-        lanes: u32,
-    ) -> Result<Self, NetlistError> {
-        assert!(
-            (1..=64).contains(&lanes),
-            "lane count must be in 1..=64, got {lanes}"
-        );
-        let order = netlist.validate()?;
-        let lane_mask = if lanes == 64 { !0 } else { (1 << lanes) - 1 };
+    /// Propagates any [`NetlistError`] from [`EvalSchedule::compile`].
+    pub fn new(netlist: &'a Netlist, library: &CellLibrary) -> Result<Self, NetlistError> {
+        let schedule = EvalSchedule::compile(netlist)?;
         Ok(Self {
             netlist,
-            order,
-            net_words: vec![0; netlist.net_count()],
-            state: vec![0; netlist.cell_count()],
-            lanes,
-            lane_mask,
-            lane_cycles: 0,
-            net_toggles: vec![0; netlist.net_count()],
-            tables: EnergyTables::new(netlist, library),
-            scheduled: None,
-        })
-    }
-
-    /// Creates a packed simulator that executes `optimized`'s level schedule
-    /// while reporting activity and energy in `netlist`'s (the original's)
-    /// net-id space — bit-identical to [`PackedSimulator::new`] over
-    /// `netlist` (see the [`crate::passes`] docs for the exactness
-    /// argument).
-    ///
-    /// # Errors
-    ///
-    /// Propagates any structural [`NetlistError`] (undriven nets,
-    /// inconsistent load lists).  Acyclicity needs no re-check: `optimized`
-    /// carries a compiled level schedule, which only exists for acyclic
-    /// logic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is not in `1..=64` or if `optimized` was not
-    /// produced from `netlist`.
-    pub fn with_passes(
-        netlist: &'a Netlist,
-        optimized: &'a OptimizedNetlist,
-        library: &CellLibrary,
-        lanes: u32,
-    ) -> Result<Self, NetlistError> {
-        assert!(
-            (1..=64).contains(&lanes),
-            "lane count must be in 1..=64, got {lanes}"
-        );
-        assert_eq!(
-            optimized.original_net_count(),
-            netlist.net_count(),
-            "optimized netlist was built from a different original"
-        );
-        assert_eq!(
-            optimized.primary_input_count(),
-            netlist.primary_inputs().len(),
-            "optimized netlist must preserve primary inputs"
-        );
-        netlist.check_structure()?;
-        let lane_mask = if lanes == 64 { !0 } else { (1 << lanes) - 1 };
-        let schedule = optimized.schedule();
-        Ok(Self {
-            netlist,
-            order: Vec::new(),
-            net_words: vec![0; optimized.net_count()],
-            state: vec![0; schedule.state_slots()],
-            lanes,
-            lane_mask,
-            lane_cycles: 0,
-            net_toggles: vec![0; netlist.net_count()],
-            tables: EnergyTables::new(netlist, library),
-            scheduled: Some(ScheduledState {
-                opt: optimized,
-                active_cells: Vec::new(),
+            nets: NetState {
+                words: vec![0; netlist.net_count()],
+                toggles: vec![0; netlist.net_count()],
+                fanout_active: vec![false; netlist.net_count()],
                 is_active: vec![false; schedule.cell_count()],
                 newly: Vec::new(),
-                fanout_active: vec![false; optimized.net_count()],
-                identity: optimized.identity_aliases(),
-                settled: false,
-            }),
+            },
+            state: vec![0; schedule.state_slots()],
+            active_cells: Vec::new(),
+            settled: false,
+            lane_cycles: 0,
+            tables: EnergyTables::new(netlist, library),
+            schedule,
         })
-    }
-
-    /// Number of active lanes.
-    #[must_use]
-    pub fn lanes(&self) -> u32 {
-        self.lanes
-    }
-
-    /// Mask with one bit set per active lane (bits `0..lanes`).
-    #[must_use]
-    pub fn lane_mask(&self) -> u64 {
-        self.lane_mask
     }
 
     /// Measured lane-cycles since the last counter reset (the sum over
@@ -267,8 +172,8 @@ impl<'a> PackedSimulator<'a> {
         self.lane_cycles
     }
 
-    /// Simulates one clock cycle in every active lane, counting activity in
-    /// all of them.
+    /// Simulates one clock cycle in every lane, counting activity in all of
+    /// them.
     ///
     /// The order of `inputs` matches [`Netlist::primary_inputs`]; bit `L` of
     /// `inputs[i]` is the value of primary input `i` in lane `L`.
@@ -277,17 +182,25 @@ impl<'a> PackedSimulator<'a> {
     ///
     /// Panics if `inputs.len()` differs from the number of primary inputs.
     pub fn step(&mut self, inputs: &[u64]) {
-        self.step_masked(inputs, self.lane_mask);
+        self.step_masked(inputs, !0);
     }
 
-    /// Simulates one clock cycle in every active lane, but only counts
-    /// toggles, lane-cycles, clock and leakage for lanes selected by
-    /// `count_mask`.
+    /// Simulates one clock cycle in every lane, but only counts toggles,
+    /// lane-cycles, clock and leakage for lanes selected by `count_mask`.
     ///
     /// All lanes still *evolve* (state advances) regardless of the mask;
     /// masking only excludes lanes from the measurement. This is how a
-    /// measurement total that is not a multiple of the lane count is
-    /// realised: a final partial step counts only the remainder lanes.
+    /// measurement total that is not a multiple of [`LANES`] is realised: a
+    /// final partial step counts only the remainder lanes.
+    ///
+    /// The first step evaluates every scheduled cell (the all-zero reset
+    /// words are not yet consistent with the cell functions).  Later steps
+    /// sweep only the *active* cells — those that have ever seen an input
+    /// change in any lane — in level order; quiet cones are never visited.
+    /// On the rare step that activates a new cell, the sweep stops and one
+    /// full level-ordered pass over the schedule follows, which is
+    /// idempotent for every cell already evaluated this step (unchanged
+    /// inputs reproduce the same word, so no toggle is double-counted).
     ///
     /// # Panics
     ///
@@ -300,218 +213,55 @@ impl<'a> PackedSimulator<'a> {
             self.netlist.primary_inputs().len(),
             inputs.len()
         );
-        let count_mask = count_mask & self.lane_mask;
         self.lane_cycles += u64::from(count_mask.count_ones());
-        if self.scheduled.is_some() {
-            self.step_scheduled(inputs, count_mask);
-            return;
-        }
-
-        let netlist = self.netlist;
+        let schedule = &self.schedule;
+        let nets = &mut self.nets;
 
         // 1. Drive primary inputs, constants and sequential outputs.
-        for (net_id, net) in netlist.nets() {
-            match net.driver() {
-                Some(Driver::PrimaryInput(pi)) => {
-                    self.write_net(net_id.index(), inputs[pi], count_mask);
-                }
-                Some(Driver::Constant(value)) => {
-                    let word = if value { self.lane_mask } else { 0 };
-                    self.write_net(net_id.index(), word, count_mask);
-                }
-                Some(Driver::Cell(cell_id)) if netlist.cell(cell_id).kind().is_sequential() => {
-                    let q = self.state[cell_id.index()];
-                    self.write_net(net_id.index(), q, count_mask);
-                }
-                _ => {}
-            }
+        for &(net, pi) in &schedule.input_drives {
+            nets.write(schedule, count_mask, net, inputs[pi as usize]);
+        }
+        for &(net, value) in &schedule.constant_drives {
+            nets.write(schedule, count_mask, net, if value { !0 } else { 0 });
+        }
+        for &(net, slot) in &schedule.seq_drives {
+            nets.write(schedule, count_mask, net, self.state[slot as usize]);
         }
 
-        // 2. Evaluate combinational logic in topological order, word-wide.
-        let mut scratch_inputs = [0_u64; 4];
-        for idx in 0..self.order.len() {
-            let cell_id = self.order[idx];
-            let cell = netlist.cell(cell_id);
-            let arity = cell.inputs().len();
-            for (slot, net) in scratch_inputs.iter_mut().zip(cell.inputs()) {
-                *slot = self.net_words[net.index()];
+        // 2. Evaluate combinational logic word-wide, in level order.
+        let mut full_pass = !self.settled || !nets.newly.is_empty();
+        self.settled = true;
+        if !full_pass {
+            for &cell in &self.active_cells {
+                nets.evaluate(schedule, count_mask, schedule.cells[cell as usize]);
+                // A quiet net toggled for the first time: its newly
+                // activated consumers sit at strictly higher levels than
+                // everything swept so far, so every evaluation up to here
+                // used correct inputs.  Stop and catch up with a full pass.
+                if !nets.newly.is_empty() {
+                    full_pass = true;
+                    break;
+                }
             }
-            let previous = self.net_words[cell.output().index()];
-            let value = cell
-                .kind()
-                .evaluate_word(&scratch_inputs[..arity], previous);
-            self.write_net(cell.output().index(), value, count_mask);
+        }
+        if full_pass {
+            for &cell in &schedule.cells {
+                nets.evaluate(schedule, count_mask, cell);
+            }
+        }
+        if !nets.newly.is_empty() {
+            self.active_cells.append(&mut nets.newly);
+            self.active_cells.sort_unstable();
         }
 
         // 3. Capture the next state of sequential cells (D sampled at the
         //    end of the cycle, visible on Q at the start of the next cycle).
-        for (cell_id, cell) in netlist.cells() {
-            if cell.kind().is_sequential() {
-                self.state[cell_id.index()] = self.net_words[cell.inputs()[0].index()];
-            }
-        }
-    }
-
-    /// One cycle of the level-scheduled engine.
-    ///
-    /// The first step ever evaluates every cell unconditionally (the
-    /// all-zero reset words are not yet consistent with the cell functions)
-    /// and credits the one-shot toggles of nets folded to `true`, once per
-    /// counted lane.  Subsequent steps sweep only the *active* cells —
-    /// those that have ever seen an input change in any lane — in level
-    /// order; quiet cones are never visited.  On the rare step that
-    /// activates a new cell, the engine falls back to one full
-    /// level-ordered walk, which is idempotent for every cell already
-    /// evaluated this step (unchanged inputs reproduce the same word, so no
-    /// toggle is double-counted).
-    fn step_scheduled(&mut self, inputs: &[u64], count_mask: u64) {
-        let mut st = self.scheduled.take().expect("scheduled mode");
-        let opt = st.opt;
-        let schedule = opt.schedule();
-        let first = !st.settled;
-        if first {
-            st.settled = true;
-            let counted = u64::from(count_mask.count_ones());
-            if counted != 0 {
-                for &net in opt.one_shot_toggles() {
-                    self.net_toggles[net as usize] += counted;
-                }
-            }
-        }
-
-        // 1. Drive primary inputs, constants and sequential outputs.
-        for &(net, pi) in &schedule.input_drives {
-            scheduled_write(
-                opt,
-                &mut self.net_words,
-                &mut self.net_toggles,
-                &mut st.is_active,
-                &mut st.newly,
-                &mut st.fanout_active,
-                st.identity,
-                self.lane_mask,
-                count_mask,
-                net,
-                inputs[pi as usize],
-            );
-        }
-        for &(net, value) in &schedule.constant_drives {
-            scheduled_write(
-                opt,
-                &mut self.net_words,
-                &mut self.net_toggles,
-                &mut st.is_active,
-                &mut st.newly,
-                &mut st.fanout_active,
-                st.identity,
-                self.lane_mask,
-                count_mask,
-                net,
-                if value { self.lane_mask } else { 0 },
-            );
-        }
-        for &(net, slot) in &schedule.seq_drives {
-            scheduled_write(
-                opt,
-                &mut self.net_words,
-                &mut self.net_toggles,
-                &mut st.is_active,
-                &mut st.newly,
-                &mut st.fanout_active,
-                st.identity,
-                self.lane_mask,
-                count_mask,
-                net,
-                self.state[slot as usize],
-            );
-        }
-
-        // 2. Evaluate combinational logic word-wide, in level order.
-        let mut full_walk = first || !st.newly.is_empty();
-        if !full_walk {
-            for i in 0..st.active_cells.len() {
-                let cell = schedule.cells[st.active_cells[i] as usize];
-                let arity = cell.arity as usize;
-                let mut words = [0_u64; 3];
-                for (slot, &net) in words.iter_mut().zip(&cell.inputs[..arity]) {
-                    *slot = self.net_words[net as usize];
-                }
-                let previous = self.net_words[cell.output as usize];
-                let value = cell.kind.evaluate_word(&words[..arity], previous);
-                scheduled_write(
-                    opt,
-                    &mut self.net_words,
-                    &mut self.net_toggles,
-                    &mut st.is_active,
-                    &mut st.newly,
-                    &mut st.fanout_active,
-                    st.identity,
-                    self.lane_mask,
-                    count_mask,
-                    cell.output,
-                    value,
-                );
-                // A quiet net toggled for the first time: its newly
-                // activated consumers sit at strictly higher levels than
-                // everything swept so far, so every evaluation up to here
-                // used correct inputs.  Stop and catch up with a full walk
-                // (idempotent for the already-evaluated prefix, and it
-                // evaluates the activated cells in correct level order).
-                if !st.newly.is_empty() {
-                    break;
-                }
-            }
-            full_walk = !st.newly.is_empty();
-        }
-        if full_walk {
-            for ci in 0..schedule.cells.len() {
-                let cell = schedule.cells[ci];
-                let arity = cell.arity as usize;
-                let mut words = [0_u64; 3];
-                for (slot, &net) in words.iter_mut().zip(&cell.inputs[..arity]) {
-                    *slot = self.net_words[net as usize];
-                }
-                let previous = self.net_words[cell.output as usize];
-                let value = cell.kind.evaluate_word(&words[..arity], previous);
-                scheduled_write(
-                    opt,
-                    &mut self.net_words,
-                    &mut self.net_toggles,
-                    &mut st.is_active,
-                    &mut st.newly,
-                    &mut st.fanout_active,
-                    st.identity,
-                    self.lane_mask,
-                    count_mask,
-                    cell.output,
-                    value,
-                );
-            }
-        }
-        if !st.newly.is_empty() {
-            st.active_cells.append(&mut st.newly);
-            st.active_cells.sort_unstable();
-        }
-
-        // 3. Capture the next state of sequential cells.
         for &(slot, d) in &schedule.seq_captures {
-            self.state[slot as usize] = self.net_words[d as usize];
+            self.state[slot as usize] = nets.words[d as usize];
         }
-        self.scheduled = Some(st);
     }
 
-    fn write_net(&mut self, net_index: usize, word: u64, count_mask: u64) {
-        let word = word & self.lane_mask;
-        let flipped = self.net_words[net_index] ^ word;
-        if flipped == 0 {
-            return;
-        }
-        self.net_words[net_index] = word;
-        self.net_toggles[net_index] += u64::from((flipped & count_mask).count_ones());
-    }
-
-    /// Current lane words of the primary outputs, in declaration order
-    /// (always the *original* netlist's outputs, also in scheduled mode).
+    /// Current lane words of the primary outputs, in declaration order.
     #[must_use]
     pub fn output_words(&self) -> Vec<u64> {
         self.netlist
@@ -521,29 +271,17 @@ impl<'a> PackedSimulator<'a> {
             .collect()
     }
 
-    /// Current lane word of an arbitrary net of the original netlist.
+    /// Current lane word of an arbitrary net.
     #[must_use]
-    pub fn net_word(&self, net: crate::netlist::NetId) -> u64 {
-        match &self.scheduled {
-            None => self.net_words[net.index()],
-            Some(st) => match st.opt.fate(net) {
-                NetFate::Kept(kept) => self.net_words[kept.index()],
-                NetFate::Folded { settles_to } => {
-                    if st.settled && settles_to {
-                        self.lane_mask
-                    } else {
-                        0
-                    }
-                }
-            },
-        }
+    pub fn net_word(&self, net: NetId) -> u64 {
+        self.nets.words[net.index()]
     }
 
     /// Toggle counts per net (summed over counted lanes) since the last
     /// counter reset, indexed by net.
     #[must_use]
     pub fn net_toggle_counts(&self) -> &[u64] {
-        &self.net_toggles
+        &self.nets.toggles
     }
 
     /// Snapshot of the accumulated activity and energy.
@@ -554,61 +292,14 @@ impl<'a> PackedSimulator<'a> {
     #[must_use]
     pub fn report(&self) -> ActivityReport {
         self.tables
-            .report_from_counts(&self.net_toggles, self.lane_cycles)
+            .report_from_counts(&self.nets.toggles, self.lane_cycles)
     }
 
     /// Resets activity counters (but keeps the current logic state), so a
     /// warm-up phase can be excluded from measurements.
     pub fn reset_counters(&mut self) {
         self.lane_cycles = 0;
-        self.net_toggles.fill(0);
-    }
-
-    /// Resets the simulator to its freshly-constructed state: all lane words
-    /// and sequential state back to zero, counters cleared.
-    ///
-    /// A reset simulator is observably identical to a newly constructed one
-    /// — the first step after a reset re-settles constants and re-credits
-    /// the pass pipeline's one-shot toggles, exactly like a fresh instance.
-    /// The scheduled engine's activation sets are deliberately *kept*:
-    /// activity skipping is monotone-safe (evaluating an already-active cell
-    /// whose inputs did not change reproduces its word and counts nothing),
-    /// so a warm active set only affects speed, never results.  This makes
-    /// one simulator reusable across independent measurements without paying
-    /// construction cost per run.
-    pub fn reset(&mut self) {
-        self.net_words.fill(0);
-        self.state.fill(0);
-        self.reset_counters();
-        if let Some(st) = self.scheduled.as_mut() {
-            st.settled = false;
-        }
-    }
-}
-
-/// Transposes a 64×64 bit matrix in place: bit `c` of `a[r]` moves to bit
-/// `r` of `a[c]`.
-///
-/// This is the bridge between lane-major data (one word per lane, e.g. a
-/// random payload drawn per lane) and the net-major layout the packed
-/// simulator wants (one word per net, one bit per lane): transposing a
-/// block of 64 lane payload words yields, for each payload bit position,
-/// the `u64` to drive into that bit's input net.  Recursive block-swap
-/// (Hacker's Delight §7-3), ~6·64 word operations instead of 64×64
-/// single-bit moves.
-pub fn transpose64(a: &mut [u64; 64]) {
-    let mut j = 32_usize;
-    let mut m: u64 = 0x0000_0000_FFFF_FFFF;
-    while j != 0 {
-        let mut k = 0;
-        while k < 64 {
-            let t = ((a[k] >> j) ^ a[k + j]) & m;
-            a[k + j] ^= t;
-            a[k] ^= t << j;
-            k = (k + j + 1) & !j;
-        }
-        j >>= 1;
-        m ^= m << j;
+        self.nets.toggles.fill(0);
     }
 }
 
@@ -617,40 +308,6 @@ mod tests {
     use super::*;
     use crate::cells::CellKind;
     use crate::sim::Simulator;
-    use rand::{Rng, SeedableRng};
-    use rand_chacha::ChaCha8Rng;
-
-    #[test]
-    fn transpose64_matches_naive_definition() {
-        let mut rng = ChaCha8Rng::seed_from_u64(0x7A05);
-        for _ in 0..16 {
-            let mut a = [0_u64; 64];
-            for word in &mut a {
-                *word = rng.gen::<u64>();
-            }
-            let mut expected = [0_u64; 64];
-            for (r, &row) in a.iter().enumerate() {
-                for (c, out) in expected.iter_mut().enumerate() {
-                    *out |= ((row >> c) & 1) << r;
-                }
-            }
-            let mut actual = a;
-            transpose64(&mut actual);
-            assert_eq!(actual, expected);
-        }
-    }
-
-    #[test]
-    fn transpose64_is_an_involution() {
-        let mut a = [0_u64; 64];
-        for (i, word) in a.iter_mut().enumerate() {
-            *word = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        }
-        let original = a;
-        transpose64(&mut a);
-        transpose64(&mut a);
-        assert_eq!(a, original);
-    }
 
     fn xor_netlist() -> Netlist {
         let mut n = Netlist::new("xor");
@@ -666,8 +323,7 @@ mod tests {
     fn packed_xor_matches_scalar_lanes() {
         let n = xor_netlist();
         let lib = CellLibrary::default();
-        let lanes = 8_u32;
-        let mut packed = PackedSimulator::new(&n, &lib, lanes).unwrap();
+        let mut packed = PackedSimulator::new(&n, &lib).unwrap();
         let vectors: Vec<[u64; 2]> = vec![[0b1010_1010, 0b0110_0110], [0b0011_1100, 0b1111_0000]];
         for v in &vectors {
             packed.step(v);
@@ -675,7 +331,7 @@ mod tests {
 
         let mut summed = vec![0_u64; n.net_count()];
         let mut scalar_cycles = 0_u64;
-        for lane in 0..lanes {
+        for lane in 0..LANES {
             let mut scalar = Simulator::new(&n, &lib).unwrap();
             for v in &vectors {
                 let bits: Vec<bool> = v.iter().map(|word| (word >> lane) & 1 == 1).collect();
@@ -702,7 +358,7 @@ mod tests {
         n.add_cell("u_ff", CellKind::Dff, &[d], q).unwrap();
         n.mark_output(q).unwrap();
         let lib = CellLibrary::default();
-        let mut sim = PackedSimulator::new(&n, &lib, 4).unwrap();
+        let mut sim = PackedSimulator::new(&n, &lib).unwrap();
         sim.step(&[0b0101]);
         // Q still shows the reset value during the first cycle.
         assert_eq!(sim.output_words(), vec![0]);
@@ -722,7 +378,7 @@ mod tests {
         n.add_cell("u_tri", CellKind::TriBuf, &[a, en], y).unwrap();
         n.mark_output(y).unwrap();
         let lib = CellLibrary::default();
-        let mut sim = PackedSimulator::new(&n, &lib, 2).unwrap();
+        let mut sim = PackedSimulator::new(&n, &lib).unwrap();
         // Lane 0: enabled with a=1. Lane 1: enabled with a=0.
         sim.step(&[0b01, 0b11]);
         assert_eq!(sim.output_words(), vec![0b01]);
@@ -735,7 +391,7 @@ mod tests {
     fn masked_lanes_evolve_but_do_not_count() {
         let n = xor_netlist();
         let lib = CellLibrary::default();
-        let mut sim = PackedSimulator::new(&n, &lib, 2).unwrap();
+        let mut sim = PackedSimulator::new(&n, &lib).unwrap();
         // Count only lane 0; lane 1 toggles a and y but must not be counted.
         sim.step_masked(&[0b10, 0b00], 0b01);
         assert_eq!(sim.lane_cycles(), 1);
@@ -745,35 +401,16 @@ mod tests {
         assert_eq!(sim.output_words(), vec![0b10]);
         // A fully counted step that returns lane 1 to 0 counts those toggles.
         sim.step(&[0b00, 0b00]);
-        assert_eq!(sim.lane_cycles(), 3);
+        assert_eq!(sim.lane_cycles(), 1 + u64::from(LANES));
         let toggles: u64 = sim.net_toggle_counts().iter().sum();
         assert_eq!(toggles, 2, "a and y fall in lane 1");
-    }
-
-    #[test]
-    fn lanes_above_the_mask_are_ignored() {
-        let n = xor_netlist();
-        let lib = CellLibrary::default();
-        let mut sim = PackedSimulator::new(&n, &lib, 2).unwrap();
-        // Garbage bits above the lane mask must not reach state or counts.
-        sim.step(&[!0b01, 0b00]);
-        assert_eq!(sim.output_words(), vec![0b10]);
-        assert_eq!(sim.lane_cycles(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "lane count")]
-    fn zero_lanes_panics() {
-        let n = xor_netlist();
-        let lib = CellLibrary::default();
-        let _ = PackedSimulator::new(&n, &lib, 0);
     }
 
     #[test]
     fn reset_counters_keeps_state() {
         let n = xor_netlist();
         let lib = CellLibrary::default();
-        let mut sim = PackedSimulator::new(&n, &lib, 64).unwrap();
+        let mut sim = PackedSimulator::new(&n, &lib).unwrap();
         sim.step(&[!0_u64, 0]);
         sim.reset_counters();
         assert_eq!(sim.lane_cycles(), 0);
@@ -781,57 +418,5 @@ mod tests {
         // State preserved: same vector again causes no toggles.
         sim.step(&[!0_u64, 0]);
         assert_eq!(sim.report().toggles, 0);
-    }
-
-    /// Same mixed circuit as the scalar scheduled-engine tests: a
-    /// folded-low cone, a folded-high primary output, duplicate gates and a
-    /// flip-flop.
-    fn mixed_netlist() -> Netlist {
-        let mut n = Netlist::new("mix");
-        let tie1 = n.add_constant("tie1", true);
-        let a = n.add_input("a");
-        let b = n.add_input("b");
-        let inv = n.add_net("inv");
-        let high = n.add_net("high");
-        let x1 = n.add_net("x1");
-        let x2 = n.add_net("x2");
-        let y = n.add_net("y");
-        let q = n.add_net("q");
-        n.add_cell("u_inv", CellKind::Inv, &[tie1], inv).unwrap();
-        n.add_cell("u_buf", CellKind::Buf, &[tie1], high).unwrap();
-        n.add_cell("u1", CellKind::And2, &[a, b], x1).unwrap();
-        n.add_cell("u2", CellKind::And2, &[a, b], x2).unwrap();
-        n.add_cell("u_or", CellKind::Or2, &[x1, inv], y).unwrap();
-        n.add_cell("u_ff", CellKind::Dff, &[x2], q).unwrap();
-        n.mark_output(y).unwrap();
-        n.mark_output(q).unwrap();
-        n.mark_output(high).unwrap();
-        n
-    }
-
-    #[test]
-    fn scheduled_packed_matches_walk_packed_bit_exactly() {
-        let n = mixed_netlist();
-        let lib = CellLibrary::default();
-        let optimized = crate::passes::PassPipeline::standard().run(&n).unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(0xDAC_2002);
-        let lanes = 11_u32;
-        let mut raw = PackedSimulator::new(&n, &lib, lanes).unwrap();
-        let mut opt = PackedSimulator::with_passes(&n, &optimized, &lib, lanes).unwrap();
-        for cycle in 0..24 {
-            let vector = [rng.gen::<u64>(), rng.gen::<u64>()];
-            // Exercise a masked step mid-run, including as the first step.
-            let mask = if cycle % 5 == 0 {
-                0b101
-            } else {
-                raw.lane_mask()
-            };
-            raw.step_masked(&vector, mask);
-            opt.step_masked(&vector, mask);
-            assert_eq!(raw.output_words(), opt.output_words());
-        }
-        assert_eq!(raw.net_toggle_counts(), opt.net_toggle_counts());
-        assert_eq!(raw.lane_cycles(), opt.lane_cycles());
-        assert_eq!(raw.report(), opt.report());
     }
 }

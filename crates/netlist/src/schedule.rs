@@ -1,24 +1,23 @@
 //! Levelization: compile a netlist into a flat, level-ordered evaluation
 //! schedule.
 //!
-//! The schedule replaces the simulators' per-cycle walk over the netlist
-//! graph with precomputed drive lists and a dense array of
-//! [`ScheduledCell`]s grouped by combinational level.  Beyond cache
-//! friendliness, the level grouping enables *quiescence skipping*: when a
-//! net flips, the per-net load-cell lists tell the simulator exactly which
-//! cells ever need re-evaluating, and its steady-state sweep visits only
-//! that ever-active set, in level order.  A cell no input of which has ever
-//! changed costs nothing at all (static routing-control, presence cones and
-//! the buses of idle ports in the generated switch circuits go quiet right
-//! after warm-up).
+//! The schedule replaces a per-cycle walk over the netlist graph with
+//! precomputed drive lists and a dense array of cells sorted by
+//! combinational level.  Beyond cache friendliness, the level order enables
+//! *quiescence skipping*: when a net flips, the per-net load-cell lists tell
+//! the simulator exactly which cells ever need re-evaluating, and its
+//! steady-state sweep visits only that ever-active set, in level order.  A
+//! cell no input of which has ever changed costs nothing at all (static
+//! routing-control, presence cones and the buses of idle ports in the
+//! generated switch circuits go quiet right after warm-up).
 
 use crate::cells::CellKind;
-use crate::netlist::{Driver, Netlist, NetlistError};
+use crate::netlist::{CellId, Driver, Netlist, NetlistError};
 
 /// One cell of the flat evaluation array: everything the simulator needs,
 /// with pre-resolved net indices.
 #[derive(Debug, Clone, Copy)]
-pub struct ScheduledCell {
+pub(crate) struct ScheduledCell {
     /// The cell kind to evaluate.
     pub(crate) kind: CellKind,
     /// Number of live entries in `inputs`.
@@ -30,7 +29,7 @@ pub struct ScheduledCell {
 }
 
 /// A compiled evaluation schedule for one netlist: drive lists, levelled
-/// combinational cells and per-net dirty-level fanout.
+/// combinational cells and per-net load-cell fanout.
 #[derive(Debug, Clone)]
 pub struct EvalSchedule {
     /// `(net, primary-input position)` for every primary-input net.
@@ -41,62 +40,57 @@ pub struct EvalSchedule {
     pub(crate) seq_drives: Vec<(u32, u32)>,
     /// `(state slot, D-input net)` captured at the end of every cycle.
     pub(crate) seq_captures: Vec<(u32, u32)>,
-    /// Per level: range into `cells`.
-    pub(crate) levels: Vec<(u32, u32)>,
-    /// All combinational cells, grouped by level, id-ordered within one.
+    /// All combinational cells, sorted by level, id-ordered within one.
     pub(crate) cells: Vec<ScheduledCell>,
     /// Per net: range into `load_cells` — the scheduled cells this net
     /// feeds.
-    pub(crate) net_load_index: Vec<(u32, u32)>,
-    /// Flattened, per-net sorted and deduplicated load-cell indices (indices
-    /// into `cells`).
-    pub(crate) load_cells: Vec<u32>,
-    /// Number of sequential state slots.
-    state_slots: usize,
+    net_load_index: Vec<(u32, u32)>,
+    /// Flattened per-net load-cell indices (indices into `cells`).
+    load_cells: Vec<u32>,
+    /// Number of combinational levels.
+    level_count: usize,
 }
 
 impl EvalSchedule {
-    /// Compiles the schedule for `netlist` from its `cell_levels` — the
-    /// result of [`Netlist::combinational_levels`], passed in so pipeline
-    /// callers can share one levelization across validation, the rewrite
-    /// passes and this compilation.
-    pub(crate) fn compile(
-        netlist: &Netlist,
-        cell_levels: &[Option<u32>],
-    ) -> Result<Self, NetlistError> {
+    /// Validates `netlist` and compiles its schedule.
+    ///
+    /// # Errors
+    ///
+    /// * [`NetlistError::UndrivenNet`] / [`NetlistError::InconsistentLoads`]
+    ///   for structural faults (see [`Netlist::validate`]);
+    /// * [`NetlistError::CombinationalLoop`] if the combinational logic
+    ///   contains a cycle.
+    pub fn compile(netlist: &Netlist) -> Result<Self, NetlistError> {
+        netlist.check_structure()?;
+        let cell_levels = netlist.combinational_levels()?;
         let level_count = cell_levels
             .iter()
             .flatten()
             .max()
             .map_or(0, |&deepest| deepest as usize + 1);
 
-        let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); level_count];
-        for (idx, level) in cell_levels.iter().enumerate() {
-            if let Some(level) = level {
-                buckets[*level as usize].push(idx);
-            }
-        }
-        let mut cells = Vec::with_capacity(netlist.cell_count());
-        let mut levels = Vec::with_capacity(level_count);
+        // Combinational cells in `(level, id)` order; sequential cells have
+        // no level and evaluate outside the schedule.
+        let mut order: Vec<usize> = (0..cell_levels.len())
+            .filter(|&idx| cell_levels[idx].is_some())
+            .collect();
+        order.sort_by_key(|&idx| (cell_levels[idx], idx));
         // Original cell index -> scheduled cell index (combinational only).
         let mut sched_index = vec![u32::MAX; netlist.cell_count()];
-        for bucket in &buckets {
-            let start = cells.len() as u32;
-            for &idx in bucket {
-                let cell = netlist.cell(crate::netlist::CellId(idx));
-                let mut inputs = [u32::MAX; 3];
-                for (slot, net) in inputs.iter_mut().zip(cell.inputs()) {
-                    *slot = net.index() as u32;
-                }
-                sched_index[idx] = cells.len() as u32;
-                cells.push(ScheduledCell {
-                    kind: cell.kind(),
-                    arity: cell.inputs().len() as u8,
-                    inputs,
-                    output: cell.output().index() as u32,
-                });
+        let mut cells = Vec::with_capacity(order.len());
+        for &idx in &order {
+            let cell = netlist.cell(CellId(idx));
+            let mut inputs = [u32::MAX; 3];
+            for (slot, net) in inputs.iter_mut().zip(cell.inputs()) {
+                *slot = net.index() as u32;
             }
-            levels.push((start, cells.len() as u32));
+            sched_index[idx] = cells.len() as u32;
+            cells.push(ScheduledCell {
+                kind: cell.kind(),
+                arity: cell.inputs().len() as u8,
+                inputs,
+                output: cell.output().index() as u32,
+            });
         }
 
         let mut seq_drives = Vec::new();
@@ -108,7 +102,6 @@ impl EvalSchedule {
                 seq_captures.push((slot, cell.inputs()[0].index() as u32));
             }
         }
-        let state_slots = seq_drives.len();
 
         let mut input_drives = Vec::new();
         let mut constant_drives = Vec::new();
@@ -130,11 +123,9 @@ impl EvalSchedule {
         // on two pins appears twice, which the activation path tolerates
         // (the second visit finds the cell already active).
         let mut load_counts = vec![0_u32; netlist.net_count()];
-        for (idx, level) in cell_levels.iter().enumerate() {
-            if level.is_some() {
-                for net in netlist.cell(crate::netlist::CellId(idx)).inputs() {
-                    load_counts[net.index()] += 1;
-                }
+        for &idx in &order {
+            for net in netlist.cell(CellId(idx)).inputs() {
+                load_counts[net.index()] += 1;
             }
         }
         let mut net_load_index = Vec::with_capacity(netlist.net_count());
@@ -145,13 +136,11 @@ impl EvalSchedule {
         }
         let mut load_cells = vec![0_u32; total as usize];
         let mut cursor: Vec<u32> = net_load_index.iter().map(|&(start, _)| start).collect();
-        for (idx, level) in cell_levels.iter().enumerate() {
-            if level.is_some() {
-                for net in netlist.cell(crate::netlist::CellId(idx)).inputs() {
-                    let slot = &mut cursor[net.index()];
-                    load_cells[*slot as usize] = sched_index[idx];
-                    *slot += 1;
-                }
+        for &idx in &order {
+            for net in netlist.cell(CellId(idx)).inputs() {
+                let slot = &mut cursor[net.index()];
+                load_cells[*slot as usize] = sched_index[idx];
+                *slot += 1;
             }
         }
 
@@ -160,18 +149,17 @@ impl EvalSchedule {
             constant_drives,
             seq_drives,
             seq_captures,
-            levels,
             cells,
             net_load_index,
             load_cells,
-            state_slots,
+            level_count,
         })
     }
 
     /// Number of combinational levels.
     #[must_use]
     pub fn level_count(&self) -> usize {
-        self.levels.len()
+        self.level_count
     }
 
     /// Number of scheduled combinational cells.
@@ -183,11 +171,10 @@ impl EvalSchedule {
     /// Number of sequential state slots.
     #[must_use]
     pub fn state_slots(&self) -> usize {
-        self.state_slots
+        self.seq_drives.len()
     }
 
-    /// The scheduled cells to queue for re-evaluation when `net` (an
-    /// optimized-netlist index) toggles.
+    /// The scheduled cells to queue for re-evaluation when `net` toggles.
     #[inline]
     pub(crate) fn load_cells(&self, net: usize) -> &[u32] {
         let (start, end) = self.net_load_index[net];
@@ -198,7 +185,9 @@ impl EvalSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cells::CellKind;
+    use crate::circuits::{
+        banyan_binary_switch, batcher_sorting_switch, crossbar_crosspoint, n_input_mux,
+    };
 
     #[test]
     fn schedule_levels_and_drives_are_complete() {
@@ -215,7 +204,7 @@ mod tests {
         n.add_cell("u_ff", CellKind::Dff, &[gated], q).unwrap();
         n.mark_output(q).unwrap();
 
-        let schedule = EvalSchedule::compile(&n, &n.combinational_levels().unwrap()).unwrap();
+        let schedule = EvalSchedule::compile(&n).unwrap();
         assert_eq!(schedule.level_count(), 2);
         assert_eq!(schedule.cell_count(), 2);
         assert_eq!(schedule.state_slots(), 1);
@@ -234,14 +223,36 @@ mod tests {
     #[test]
     fn cycle_is_rejected() {
         let mut n = Netlist::new("loop");
+        let a = n.add_input("a");
         let x = n.add_net("x");
         let y = n.add_net("y");
-        n.add_cell("u1", CellKind::Inv, &[y], x).unwrap();
-        n.add_cell("u2", CellKind::Inv, &[x], y).unwrap();
-        // The levelization a compile consumes is where the cycle surfaces.
+        n.add_cell("u1", CellKind::And2, &[a, y], x).unwrap();
+        n.add_cell("u2", CellKind::Buf, &[x], y).unwrap();
         assert!(matches!(
-            n.combinational_levels(),
+            EvalSchedule::compile(&n),
             Err(NetlistError::CombinationalLoop { .. })
         ));
+    }
+
+    #[test]
+    fn every_generated_class_compiles() {
+        let circuits = [
+            crossbar_crosspoint(8).unwrap(),
+            banyan_binary_switch(8).unwrap(),
+            batcher_sorting_switch(8, 4).unwrap(),
+            n_input_mux(8, 8).unwrap(),
+        ];
+        for circuit in &circuits {
+            let netlist = &circuit.netlist;
+            let schedule = EvalSchedule::compile(netlist).unwrap();
+            let sequential = netlist
+                .cells()
+                .filter(|(_, cell)| cell.kind().is_sequential())
+                .count();
+            assert!(schedule.level_count() > 0);
+            assert_eq!(schedule.cell_count() + sequential, netlist.cell_count());
+            assert_eq!(schedule.state_slots(), sequential);
+            assert_eq!(schedule.input_drives.len(), netlist.primary_inputs().len());
+        }
     }
 }

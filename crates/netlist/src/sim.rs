@@ -6,6 +6,11 @@
 //! energy plus the energy to (dis)charge the input pins it fans out to.
 //! Sequential cells additionally burn clock-pin energy every cycle and every
 //! cell contributes its (tiny) leakage energy.
+//!
+//! [`Simulator`] is the scalar, one-bool-per-net reference: it walks every
+//! cell in topological order every cycle, and it is the oracle the
+//! bit-parallel [`crate::packed::PackedSimulator`] is checked against lane
+//! by lane.  Characterization itself runs on the packed engine.
 
 use std::collections::BTreeMap;
 
@@ -16,7 +21,6 @@ use fabric_power_tech::units::{Energy, Power, TimeSpan};
 use crate::cells::CellKind;
 use crate::library::CellLibrary;
 use crate::netlist::{CellId, Driver, Netlist, NetlistError};
-use crate::passes::{NetFate, OptimizedNetlist};
 
 /// Breakdown of the energy consumed during a simulation run.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
@@ -247,90 +251,21 @@ impl ActivityReport {
 #[derive(Debug, Clone)]
 pub struct Simulator<'a> {
     netlist: &'a Netlist,
-    /// Combinational evaluation order (walk mode; empty in scheduled mode).
+    /// Combinational evaluation order.
     order: Vec<CellId>,
-    /// Current logic value of every net (of the optimized netlist when
-    /// running in scheduled mode).
+    /// Current logic value of every net.
     net_values: Vec<bool>,
-    /// Stored state of sequential cells: indexed by cell id in walk mode,
-    /// by schedule state slot in scheduled mode.
+    /// Stored state of sequential cells, indexed by cell id.
     state: Vec<bool>,
     /// Simulated cycles since the last counter reset.
     cycles: u64,
-    /// Toggles observed per net since the last counter reset, always in
-    /// *original* net-id space.  Energy is derived from these integer counts
-    /// at [`Simulator::report`] time via the precomputed [`EnergyTables`] —
-    /// the hot path never touches the cell library or a map.
+    /// Toggles observed per net since the last counter reset.  Energy is
+    /// derived from these integer counts at [`Simulator::report`] time via
+    /// the precomputed [`EnergyTables`] — the hot path never touches the
+    /// cell library or a map.
     net_toggles: Vec<u64>,
-    /// Per-net energy tables, precomputed in [`Simulator::new`] over the
-    /// original netlist.
+    /// Per-net energy tables, precomputed in [`Simulator::new`].
     tables: EnergyTables,
-    /// Level-scheduled execution state when driving an [`OptimizedNetlist`].
-    scheduled: Option<ScheduledState<'a>>,
-}
-
-/// Execution state of the level-scheduled engine.
-#[derive(Debug, Clone)]
-struct ScheduledState<'a> {
-    opt: &'a OptimizedNetlist,
-    /// Scheduled cells that have ever seen an input change, sorted by index
-    /// (index order is level order).  The steady-state sweep evaluates
-    /// exactly these; cells of cones that never toggled cost nothing.
-    active_cells: Vec<u32>,
-    /// Membership flags for `active_cells` / `newly`.
-    is_active: Vec<bool>,
-    /// Cells activated since the last merge into `active_cells`.  Non-empty
-    /// only on the rare steps when a previously quiet net first toggles.
-    newly: Vec<u32>,
-    /// Per net: all of the net's consumer cells are already active, so a
-    /// flip needs no activation walk (set the first time the net flips,
-    /// which activates every consumer).
-    fanout_active: Vec<bool>,
-    /// Whether the pipeline left every net in place (1:1 alias map, nothing
-    /// folded) — enables the direct toggle-crediting fast path.
-    identity: bool,
-    /// Whether the first full-evaluation step has run.  Not reset by
-    /// [`Simulator::reset_counters`]: the circuit stays settled.
-    settled: bool,
-}
-
-/// Writes `value` to optimized net `net`, crediting a toggle to every
-/// aliased original net and activating the net's consumer cells.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn scheduled_write(
-    opt: &OptimizedNetlist,
-    net_values: &mut [bool],
-    net_toggles: &mut [u64],
-    is_active: &mut [bool],
-    newly: &mut Vec<u32>,
-    fanout_active: &mut [bool],
-    identity: bool,
-    net: u32,
-    value: bool,
-) {
-    let idx = net as usize;
-    if net_values[idx] == value {
-        return;
-    }
-    net_values[idx] = value;
-    if identity {
-        net_toggles[idx] += 1;
-    } else {
-        for &original in opt.alias_targets_of(idx) {
-            net_toggles[original as usize] += 1;
-        }
-    }
-    if !fanout_active[idx] {
-        fanout_active[idx] = true;
-        for &cell in opt.schedule().load_cells(idx) {
-            let c = cell as usize;
-            if !is_active[c] {
-                is_active[c] = true;
-                newly.push(cell);
-            }
-        }
-    }
 }
 
 impl<'a> Simulator<'a> {
@@ -351,60 +286,6 @@ impl<'a> Simulator<'a> {
             cycles: 0,
             net_toggles: vec![0; netlist.net_count()],
             tables: EnergyTables::new(netlist, library),
-            scheduled: None,
-        })
-    }
-
-    /// Creates a simulator that executes `optimized`'s level schedule while
-    /// reporting activity and energy in `netlist`'s (the original's) net-id
-    /// space — bit-identical to [`Simulator::new`] over `netlist` (see the
-    /// [`crate::passes`] docs for the exactness argument).
-    ///
-    /// # Errors
-    ///
-    /// Propagates any structural [`NetlistError`] (undriven nets,
-    /// inconsistent load lists).  Acyclicity needs no re-check: `optimized`
-    /// carries a compiled level schedule, which only exists for acyclic
-    /// logic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `optimized` was not produced from `netlist` (net or
-    /// primary-input counts disagree).
-    pub fn with_passes(
-        netlist: &'a Netlist,
-        optimized: &'a OptimizedNetlist,
-        library: &CellLibrary,
-    ) -> Result<Self, NetlistError> {
-        assert_eq!(
-            optimized.original_net_count(),
-            netlist.net_count(),
-            "optimized netlist was built from a different original"
-        );
-        assert_eq!(
-            optimized.primary_input_count(),
-            netlist.primary_inputs().len(),
-            "optimized netlist must preserve primary inputs"
-        );
-        netlist.check_structure()?;
-        let schedule = optimized.schedule();
-        Ok(Self {
-            netlist,
-            order: Vec::new(),
-            net_values: vec![false; optimized.net_count()],
-            state: vec![false; schedule.state_slots()],
-            cycles: 0,
-            net_toggles: vec![0; netlist.net_count()],
-            tables: EnergyTables::new(netlist, library),
-            scheduled: Some(ScheduledState {
-                opt: optimized,
-                active_cells: Vec::new(),
-                is_active: vec![false; schedule.cell_count()],
-                newly: Vec::new(),
-                fanout_active: vec![false; optimized.net_count()],
-                identity: optimized.identity_aliases(),
-                settled: false,
-            }),
         })
     }
 
@@ -424,10 +305,6 @@ impl<'a> Simulator<'a> {
             inputs.len()
         );
         self.cycles += 1;
-        if self.scheduled.is_some() {
-            self.step_scheduled(inputs);
-            return;
-        }
 
         // Copy the netlist reference out of `self` so the shared borrow of the
         // netlist data does not conflict with `&mut self` calls below.
@@ -471,143 +348,6 @@ impl<'a> Simulator<'a> {
         }
     }
 
-    /// One cycle of the level-scheduled engine.
-    ///
-    /// The first step ever evaluates every cell unconditionally: the
-    /// all-zero reset values are not yet consistent with the cell functions,
-    /// so "inputs unchanged implies output unchanged" only holds from the
-    /// second step on.  The same first step credits the one-shot toggles of
-    /// nets folded to `true`.  Subsequent steps sweep only the *active*
-    /// cells — those that have ever seen an input change — in level order;
-    /// quiet cones are never visited.  On the rare step that activates a new
-    /// cell (a previously quiet net's first toggle), the engine falls back
-    /// to one full level-ordered walk, which is idempotent for every cell
-    /// already evaluated this step (unchanged inputs reproduce the same
-    /// output, so no toggle is double-counted) and evaluates the newly
-    /// activated cells in correct level order.
-    fn step_scheduled(&mut self, inputs: &[bool]) {
-        let mut st = self.scheduled.take().expect("scheduled mode");
-        let opt = st.opt;
-        let schedule = opt.schedule();
-        let first = !st.settled;
-        if first {
-            st.settled = true;
-            for &net in opt.one_shot_toggles() {
-                self.net_toggles[net as usize] += 1;
-            }
-        }
-
-        // 1. Drive primary inputs, constants and sequential outputs.
-        for &(net, pi) in &schedule.input_drives {
-            scheduled_write(
-                opt,
-                &mut self.net_values,
-                &mut self.net_toggles,
-                &mut st.is_active,
-                &mut st.newly,
-                &mut st.fanout_active,
-                st.identity,
-                net,
-                inputs[pi as usize],
-            );
-        }
-        for &(net, value) in &schedule.constant_drives {
-            scheduled_write(
-                opt,
-                &mut self.net_values,
-                &mut self.net_toggles,
-                &mut st.is_active,
-                &mut st.newly,
-                &mut st.fanout_active,
-                st.identity,
-                net,
-                value,
-            );
-        }
-        for &(net, slot) in &schedule.seq_drives {
-            scheduled_write(
-                opt,
-                &mut self.net_values,
-                &mut self.net_toggles,
-                &mut st.is_active,
-                &mut st.newly,
-                &mut st.fanout_active,
-                st.identity,
-                net,
-                self.state[slot as usize],
-            );
-        }
-
-        // 2. Evaluate combinational logic in level order.
-        let mut full_walk = first || !st.newly.is_empty();
-        if !full_walk {
-            for i in 0..st.active_cells.len() {
-                let cell = schedule.cells[st.active_cells[i] as usize];
-                let arity = cell.arity as usize;
-                let mut values = [false; 3];
-                for (slot, &net) in values.iter_mut().zip(&cell.inputs[..arity]) {
-                    *slot = self.net_values[net as usize];
-                }
-                let previous = self.net_values[cell.output as usize];
-                let value = cell.kind.evaluate(&values[..arity], previous);
-                scheduled_write(
-                    opt,
-                    &mut self.net_values,
-                    &mut self.net_toggles,
-                    &mut st.is_active,
-                    &mut st.newly,
-                    &mut st.fanout_active,
-                    st.identity,
-                    cell.output,
-                    value,
-                );
-                // A quiet net toggled for the first time: its newly
-                // activated consumers sit at strictly higher levels than
-                // everything swept so far, so every evaluation up to here
-                // used correct inputs.  Stop and catch up with a full walk
-                // (idempotent for the already-evaluated prefix, and it
-                // evaluates the activated cells in correct level order).
-                if !st.newly.is_empty() {
-                    break;
-                }
-            }
-            full_walk = !st.newly.is_empty();
-        }
-        if full_walk {
-            for ci in 0..schedule.cells.len() {
-                let cell = schedule.cells[ci];
-                let arity = cell.arity as usize;
-                let mut values = [false; 3];
-                for (slot, &net) in values.iter_mut().zip(&cell.inputs[..arity]) {
-                    *slot = self.net_values[net as usize];
-                }
-                let previous = self.net_values[cell.output as usize];
-                let value = cell.kind.evaluate(&values[..arity], previous);
-                scheduled_write(
-                    opt,
-                    &mut self.net_values,
-                    &mut self.net_toggles,
-                    &mut st.is_active,
-                    &mut st.newly,
-                    &mut st.fanout_active,
-                    st.identity,
-                    cell.output,
-                    value,
-                );
-            }
-        }
-        if !st.newly.is_empty() {
-            st.active_cells.append(&mut st.newly);
-            st.active_cells.sort_unstable();
-        }
-
-        // 3. Capture the next state of sequential cells.
-        for &(slot, d) in &schedule.seq_captures {
-            self.state[slot as usize] = self.net_values[d as usize];
-        }
-        self.scheduled = Some(st);
-    }
-
     /// Simulates one cycle per entry of `vectors`.
     pub fn run<I, V>(&mut self, vectors: I)
     where
@@ -627,8 +367,7 @@ impl<'a> Simulator<'a> {
         self.net_toggles[net_index] += 1;
     }
 
-    /// Current logic values of the primary outputs, in declaration order
-    /// (always the *original* netlist's outputs, also in scheduled mode).
+    /// Current logic values of the primary outputs, in declaration order.
     #[must_use]
     pub fn output_values(&self) -> Vec<bool> {
         self.netlist
@@ -638,16 +377,10 @@ impl<'a> Simulator<'a> {
             .collect()
     }
 
-    /// Current logic value of an arbitrary net of the original netlist.
+    /// Current logic value of an arbitrary net.
     #[must_use]
     pub fn net_value(&self, net: crate::netlist::NetId) -> bool {
-        match &self.scheduled {
-            None => self.net_values[net.index()],
-            Some(st) => match st.opt.fate(net) {
-                NetFate::Kept(kept) => self.net_values[kept.index()],
-                NetFate::Folded { settles_to } => st.settled && settles_to,
-            },
-        }
+        self.net_values[net.index()]
     }
 
     /// Snapshot of the accumulated activity and energy.
@@ -678,27 +411,6 @@ impl<'a> Simulator<'a> {
     pub fn reset_counters(&mut self) {
         self.cycles = 0;
         self.net_toggles.fill(0);
-    }
-
-    /// Resets the simulator to its freshly-constructed state: all nets and
-    /// sequential state back to zero, counters cleared.
-    ///
-    /// A reset simulator is observably identical to a newly constructed one
-    /// — the first step after a reset re-settles constants and re-credits
-    /// the pass pipeline's one-shot toggles, exactly like a fresh instance.
-    /// The scheduled engine's activation sets are deliberately *kept*:
-    /// activity skipping is monotone-safe (evaluating an already-active cell
-    /// whose inputs did not change reproduces its output and counts
-    /// nothing), so a warm active set only affects speed, never results.
-    /// This makes one simulator reusable across independent measurements
-    /// without paying construction cost per run.
-    pub fn reset(&mut self) {
-        self.net_values.fill(false);
-        self.state.fill(false);
-        self.reset_counters();
-        if let Some(st) = self.scheduled.as_mut() {
-            st.settled = false;
-        }
     }
 }
 
@@ -860,78 +572,6 @@ mod tests {
         let lib = CellLibrary::default();
         let mut sim = Simulator::new(&n, &lib).unwrap();
         sim.step(&[true]);
-    }
-
-    /// A netlist exercising every pass at once: a folded-low cone, a
-    /// folded-high primary output (one-shot toggle), duplicate gates and a
-    /// flip-flop.
-    fn mixed_netlist() -> Netlist {
-        let mut n = Netlist::new("mix");
-        let tie1 = n.add_constant("tie1", true);
-        let a = n.add_input("a");
-        let b = n.add_input("b");
-        let inv = n.add_net("inv"); // !1: folds to 0
-        let high = n.add_net("high"); // buffered 1: folds to 1, one-shot
-        let x1 = n.add_net("x1");
-        let x2 = n.add_net("x2"); // duplicate of x1: merged
-        let y = n.add_net("y");
-        let q = n.add_net("q");
-        n.add_cell("u_inv", CellKind::Inv, &[tie1], inv).unwrap();
-        n.add_cell("u_buf", CellKind::Buf, &[tie1], high).unwrap();
-        n.add_cell("u1", CellKind::And2, &[a, b], x1).unwrap();
-        n.add_cell("u2", CellKind::And2, &[a, b], x2).unwrap();
-        n.add_cell("u_or", CellKind::Or2, &[x1, inv], y).unwrap();
-        n.add_cell("u_ff", CellKind::Dff, &[x2], q).unwrap();
-        n.mark_output(y).unwrap();
-        n.mark_output(q).unwrap();
-        n.mark_output(high).unwrap();
-        n
-    }
-
-    #[test]
-    fn scheduled_engine_matches_walk_engine_bit_exactly() {
-        let n = mixed_netlist();
-        let lib = CellLibrary::default();
-        let optimized = crate::passes::PassPipeline::standard().run(&n).unwrap();
-        assert!(optimized.report().final_cells < n.cell_count());
-        let mut raw = Simulator::new(&n, &lib).unwrap();
-        let mut opt = Simulator::with_passes(&n, &optimized, &lib).unwrap();
-        let vectors = [
-            [false, false],
-            [true, true],
-            [true, false],
-            [true, false],
-            [false, true],
-            [true, true],
-        ];
-        for vector in &vectors {
-            raw.step(vector);
-            opt.step(vector);
-            assert_eq!(raw.output_values(), opt.output_values());
-        }
-        assert_eq!(raw.net_toggle_counts(), opt.net_toggle_counts());
-        assert_eq!(raw.report(), opt.report());
-    }
-
-    #[test]
-    fn scheduled_warmup_and_reset_counters_match_walk_semantics() {
-        let n = mixed_netlist();
-        let lib = CellLibrary::default();
-        let optimized = crate::passes::PassPipeline::standard().run(&n).unwrap();
-        let mut raw = Simulator::new(&n, &lib).unwrap();
-        let mut opt = Simulator::with_passes(&n, &optimized, &lib).unwrap();
-        // Warm up (the raw settle toggles and the one-shots land here), then
-        // reset and measure: both engines discard the same first-step
-        // transient, so measured counts still agree.
-        for sim in [&mut raw, &mut opt] {
-            sim.step(&[true, false]);
-            sim.step(&[false, true]);
-            sim.reset_counters();
-            sim.step(&[true, true]);
-            sim.step(&[false, false]);
-        }
-        assert_eq!(raw.net_toggle_counts(), opt.net_toggle_counts());
-        assert_eq!(raw.report(), opt.report());
     }
 
     #[test]

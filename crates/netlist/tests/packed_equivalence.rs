@@ -1,41 +1,29 @@
 //! Property-based equivalence between the bit-parallel [`PackedSimulator`]
-//! and the scalar [`Simulator`]: over random small netlists covering every
-//! [`CellKind`] (combinational, DFF/latch state, tri-state hold), a packed
-//! run must reproduce the summed per-lane toggle counts of scalar runs on
-//! the per-lane bit streams — and therefore bit-identical energies through
-//! the shared [`EnergyTables`].
+//! and the scalar [`Simulator`] oracle: over random small netlists covering
+//! every [`CellKind`] (combinational, DFF/latch state, tri-state hold), a
+//! packed run must reproduce the summed per-lane toggle counts of scalar
+//! runs on the per-lane bit streams — and therefore bit-identical energies
+//! through the shared [`EnergyTables`].
+//!
+//! The netlists are seeded with the structure that stresses the packed
+//! engine's quiet-cell skipping: constant nets (cones that settle on the
+//! first step and never toggle again), duplicate cells, and undriven nets
+//! nothing reads.  Only a random number of low lanes is driven (the rest
+//! see all-zero inputs), which keeps cells quiet across steps and so makes
+//! nets flip for the first time in the middle of a sweep.  The packed run
+//! counts a random subset of lanes on its final step; with a single cycle
+//! that is a masked *first* step.
+
+mod common;
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use fabric_power_netlist::cells::CellKind;
+use common::random_netlist;
 use fabric_power_netlist::library::CellLibrary;
-use fabric_power_netlist::netlist::{NetId, Netlist};
-use fabric_power_netlist::packed::PackedSimulator;
+use fabric_power_netlist::packed::{PackedSimulator, LANES};
 use fabric_power_netlist::sim::Simulator;
-
-/// Builds a random acyclic netlist with `cells` cells.  The first
-/// `CellKind::ALL.len()` cells cycle through every kind in order, so any
-/// netlist with at least that many cells covers the whole cell vocabulary;
-/// inputs are drawn only from already-created nets, which keeps the
-/// combinational graph a DAG.
-fn random_netlist(seed: u64, cells: usize) -> Netlist {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut n = Netlist::new("prop");
-    let mut nets: Vec<NetId> = (0..4).map(|i| n.add_input(format!("pi{i}"))).collect();
-    for i in 0..cells {
-        let kind = CellKind::ALL[i % CellKind::ALL.len()];
-        let inputs: Vec<NetId> = (0..kind.input_count())
-            .map(|_| nets[rng.gen::<u64>() as usize % nets.len()])
-            .collect();
-        let out = n.add_net(format!("n{i}"));
-        n.add_cell(format!("c{i}"), kind, &inputs, out).unwrap();
-        nets.push(out);
-    }
-    n.mark_output(*nets.last().unwrap()).unwrap();
-    n
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -43,7 +31,8 @@ proptest! {
     #[test]
     fn packed_run_matches_summed_scalar_lanes_bit_exactly(
         seed in any::<u64>(),
-        lanes in 1_u32..=64,
+        driven_lanes in 1_u32..=64,
+        final_mask in any::<u64>(),
         cells in 15_usize..48,
         cycles in 1_usize..16,
     ) {
@@ -53,41 +42,50 @@ proptest! {
 
         // Random per-cycle input words: bit L of each word is lane L's
         // input bit for that cycle.
+        let driven = u64::MAX >> (64 - driven_lanes);
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xABCD_EF01);
         let vectors: Vec<Vec<u64>> = (0..cycles)
-            .map(|_| (0..pi_count).map(|_| rng.gen::<u64>()).collect())
+            .map(|_| (0..pi_count).map(|_| rng.gen::<u64>() & driven).collect())
             .collect();
 
-        // The final step is a partial one when more than one lane runs:
-        // only lanes below `counted_final` are measured in it.
-        let counted_final = if lanes > 1 { (lanes / 2).max(1) } else { lanes };
-
-        let mut packed = PackedSimulator::new(&netlist, &library, lanes).unwrap();
-        for (i, vector) in vectors.iter().enumerate() {
-            if i + 1 == cycles && counted_final < lanes {
-                packed.step_masked(vector, (1_u64 << counted_final) - 1);
-            } else {
-                packed.step(vector);
-            }
-        }
-
-        // Scalar oracle: lane L replays bit L of the vectors; lanes masked
-        // out of the final packed step simply stop one cycle earlier (their
-        // final-step activity is unmeasured by construction).
+        // Every lane evolves through every step, but the final step only
+        // counts the lanes selected by `final_mask`.  The scalar oracle for
+        // lane L replays bit L of the vectors in lockstep; a lane masked out
+        // of the final step banks its counts before that step, since its
+        // final-step activity is unmeasured by construction.
+        let mut packed = PackedSimulator::new(&netlist, &library).unwrap();
+        let mut oracles: Vec<Simulator<'_>> = (0..LANES)
+            .map(|_| Simulator::new(&netlist, &library).unwrap())
+            .collect();
         let mut summed = vec![0_u64; netlist.net_count()];
         let mut lane_cycles = 0_u64;
-        for lane in 0..lanes {
-            let steps = if lane < counted_final { cycles } else { cycles - 1 };
-            let mut scalar = Simulator::new(&netlist, &library).unwrap();
-            for vector in &vectors[..steps] {
+        for (i, vector) in vectors.iter().enumerate() {
+            let last = i + 1 == cycles;
+            let count_mask = if last { final_mask } else { !0 };
+            packed.step_masked(vector, count_mask);
+            let outputs = packed.output_words();
+            for (lane, scalar) in oracles.iter_mut().enumerate() {
+                let counted = (count_mask >> lane) & 1 == 1;
+                if !counted {
+                    for (acc, &count) in summed.iter_mut().zip(scalar.net_toggle_counts()) {
+                        *acc += count;
+                    }
+                    lane_cycles += i as u64;
+                }
                 let bits: Vec<bool> =
                     vector.iter().map(|word| (word >> lane) & 1 == 1).collect();
                 scalar.step(&bits);
+                if last && counted {
+                    for (acc, &count) in summed.iter_mut().zip(scalar.net_toggle_counts()) {
+                        *acc += count;
+                    }
+                    lane_cycles += cycles as u64;
+                }
+                // Every lane's outputs track its oracle, counted or not.
+                let lane_outputs: Vec<bool> =
+                    outputs.iter().map(|word| (word >> lane) & 1 == 1).collect();
+                prop_assert_eq!(lane_outputs, scalar.output_values());
             }
-            for (acc, &count) in summed.iter_mut().zip(scalar.net_toggle_counts()) {
-                *acc += count;
-            }
-            lane_cycles += steps as u64;
         }
 
         prop_assert_eq!(packed.net_toggle_counts(), &summed[..]);

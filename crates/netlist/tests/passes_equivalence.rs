@@ -1,137 +1,91 @@
-//! Property-based equivalence between the raw walk engines and the
-//! level-scheduled engines driving a [`PassPipeline`]-optimized netlist.
+//! Property-based equivalence between the level-scheduled bit-parallel
+//! [`PackedSimulator`] and the raw topological walk of the scalar
+//! [`Simulator`], under the step patterns characterization uses.
 //!
-//! Over random DAG netlists seeded with constants, duplicate cells and dead
-//! nets — the raw material of every pass — the optimized engines must
-//! reproduce the raw engines' primary-output waveforms at every step and
-//! their *full original-net-space* toggle counts at the end (not just on
-//! surviving nets: folded and merged nets are part of the contract), and
-//! therefore bit-identical energy reports.  Covered for the scalar engine,
-//! the packed engine at random lane counts, and masked final steps.
+//! The random netlists are rich in structure a schedule could be tempted to
+//! short-cut — constant cones, duplicate cells, nets nothing drives or
+//! reads — and the packed engine must still account for the *full* net
+//! space: its per-net toggle counts, lane-cycles and energy report equal
+//! the sums of 64 per-lane scalar walks bit for bit.  Covered: a final step
+//! that counts only a prefix of the lanes (the remainder step of a
+//! measurement budget that is not a multiple of [`LANES`]; with one cycle it
+//! is a masked *first* step), and the warm-up / reset / measure protocol.
+
+mod common;
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use fabric_power_netlist::cells::CellKind;
+use common::random_netlist;
 use fabric_power_netlist::library::CellLibrary;
-use fabric_power_netlist::netlist::{NetId, Netlist};
-use fabric_power_netlist::packed::PackedSimulator;
-use fabric_power_netlist::passes::{NetFate, PassPipeline};
-use fabric_power_netlist::sim::Simulator;
+use fabric_power_netlist::packed::{PackedSimulator, LANES};
+use fabric_power_netlist::sim::{EnergyTables, Simulator};
 
-/// Builds a random acyclic netlist with `cells` cells, deliberately rich in
-/// pass fodder: two constant nets in the input pool (so cones fold), a ~25 %
-/// chance per cell of duplicating the previous cell's kind and inputs (so
-/// structural hashing merges), and a few nets nothing drives or reads (so
-/// dead-net pruning fires).  The first `CellKind::ALL.len()` cells cycle
-/// through every kind, covering combinational, hold and sequential logic.
-fn random_netlist(seed: u64, cells: usize) -> Netlist {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut n = Netlist::new("passes-prop");
-    let mut nets: Vec<NetId> = (0..4).map(|i| n.add_input(format!("pi{i}"))).collect();
-    nets.push(n.add_constant("tie0", false));
-    nets.push(n.add_constant("tie1", true));
-    for i in 0..3 {
-        // Dead: no driver, no loads.
-        n.add_net(format!("debris{i}"));
+/// Bit `lane` of every word: lane `lane`'s view of packed input or output
+/// words.
+fn lane_bits(words: &[u64], lane: u32) -> Vec<bool> {
+    words.iter().map(|word| (word >> lane) & 1 == 1).collect()
+}
+
+fn accumulate(acc: &mut [u64], counts: &[u64]) {
+    for (acc, &count) in acc.iter_mut().zip(counts) {
+        *acc += count;
     }
-    let mut previous: Option<(CellKind, Vec<NetId>)> = None;
-    for i in 0..cells {
-        let (kind, inputs) = match &previous {
-            Some((kind, inputs)) if rng.gen::<u64>() % 4 == 0 => (*kind, inputs.clone()),
-            _ => {
-                let kind = CellKind::ALL[i % CellKind::ALL.len()];
-                let inputs: Vec<NetId> = (0..kind.input_count())
-                    .map(|_| nets[rng.gen::<u64>() as usize % nets.len()])
-                    .collect();
-                (kind, inputs)
-            }
-        };
-        let out = n.add_net(format!("n{i}"));
-        n.add_cell(format!("c{i}"), kind, &inputs, out).unwrap();
-        previous = Some((kind, inputs));
-        nets.push(out);
-    }
-    for net in nets.iter().rev().take(3) {
-        n.mark_output(*net).unwrap();
-    }
-    n
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn scheduled_scalar_engine_matches_raw_walk_bit_exactly(
-        seed in any::<u64>(),
-        cells in 15_usize..40,
-        cycles in 1_usize..12,
-    ) {
-        let netlist = random_netlist(seed, cells);
-        let library = CellLibrary::calibrated_018um();
-        let optimized = PassPipeline::standard().run(&netlist).unwrap();
-
-        // Every original net is accounted for exactly once across the alias
-        // tables and the folded set.
-        let folded = optimized
-            .fates()
-            .iter()
-            .filter(|f| matches!(f, NetFate::Folded { .. }))
-            .count();
-        prop_assert!(folded <= netlist.net_count());
-
-        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5EED_0001);
-        let mut raw = Simulator::new(&netlist, &library).unwrap();
-        let mut opt = Simulator::with_passes(&netlist, &optimized, &library).unwrap();
-        for _ in 0..cycles {
-            let vector: Vec<bool> = (0..netlist.primary_inputs().len())
-                .map(|_| rng.gen::<bool>())
-                .collect();
-            raw.step(&vector);
-            opt.step(&vector);
-            prop_assert_eq!(raw.output_values(), opt.output_values());
-        }
-        prop_assert_eq!(raw.net_toggle_counts(), opt.net_toggle_counts());
-        prop_assert_eq!(raw.report(), opt.report());
-    }
-
-    #[test]
     fn scheduled_packed_engine_matches_raw_walk_bit_exactly(
         seed in any::<u64>(),
-        lanes in 1_u32..=64,
+        counted_final in 1_u32..=64,
         cells in 15_usize..40,
         cycles in 1_usize..12,
     ) {
         let netlist = random_netlist(seed, cells);
         let library = CellLibrary::calibrated_018um();
-        let optimized = PassPipeline::standard().run(&netlist).unwrap();
         let pi_count = netlist.primary_inputs().len();
 
-        // The final step is a partial one when more than one lane runs:
-        // only lanes below `counted_final` are measured in it.  This also
-        // exercises a masked *first* step when `cycles == 1`.
-        let counted_final = if lanes > 1 { (lanes / 2).max(1) } else { lanes };
+        // The final step counts only lanes below `counted_final`; all 64
+        // lanes is an ordinary full step.
+        let final_mask = u64::MAX >> (LANES - counted_final);
 
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5EED_0002);
-        let mut raw = PackedSimulator::new(&netlist, &library, lanes).unwrap();
-        let mut opt =
-            PackedSimulator::with_passes(&netlist, &optimized, &library, lanes).unwrap();
+        let mut packed = PackedSimulator::new(&netlist, &library).unwrap();
+        let mut oracles: Vec<Simulator<'_>> = (0..LANES)
+            .map(|_| Simulator::new(&netlist, &library).unwrap())
+            .collect();
+        let mut summed = vec![0_u64; netlist.net_count()];
         for i in 0..cycles {
             let vector: Vec<u64> = (0..pi_count).map(|_| rng.gen::<u64>()).collect();
-            if i + 1 == cycles && counted_final < lanes {
-                let mask = (1_u64 << counted_final) - 1;
-                raw.step_masked(&vector, mask);
-                opt.step_masked(&vector, mask);
+            if i + 1 == cycles {
+                // Lanes left out of the final step are measured up to here.
+                for scalar in &oracles[counted_final as usize..] {
+                    accumulate(&mut summed, scalar.net_toggle_counts());
+                }
+                packed.step_masked(&vector, final_mask);
             } else {
-                raw.step(&vector);
-                opt.step(&vector);
+                packed.step(&vector);
             }
-            prop_assert_eq!(raw.output_words(), opt.output_words());
+            // Every lane's outputs track its oracle at every step, counted
+            // or not.
+            let outputs = packed.output_words();
+            for (lane, scalar) in (0..).zip(&mut oracles) {
+                scalar.step(&lane_bits(&vector, lane));
+                prop_assert_eq!(lane_bits(&outputs, lane), scalar.output_values());
+            }
         }
-        prop_assert_eq!(raw.net_toggle_counts(), opt.net_toggle_counts());
-        prop_assert_eq!(raw.lane_cycles(), opt.lane_cycles());
-        prop_assert_eq!(raw.report(), opt.report());
+        for scalar in &oracles[..counted_final as usize] {
+            accumulate(&mut summed, scalar.net_toggle_counts());
+        }
+
+        let lane_cycles = (cycles as u64 - 1) * u64::from(LANES) + u64::from(counted_final);
+        prop_assert_eq!(packed.net_toggle_counts(), &summed[..]);
+        prop_assert_eq!(packed.lane_cycles(), lane_cycles);
+        let tables = EnergyTables::new(&netlist, &library);
+        prop_assert_eq!(packed.report(), tables.report_from_counts(&summed, lane_cycles));
     }
 
     #[test]
@@ -142,30 +96,45 @@ proptest! {
         measure in 1_usize..8,
     ) {
         // The characterization protocol: warm up, reset counters, measure.
-        // The one-shot settle toggles land in the warm-up of both engines
-        // and are zeroed together, so measured counts still agree.
+        // The one-shot settle toggles of the first step land in the warm-up
+        // of both engines and are zeroed together, so the measured counts
+        // still agree.
         let netlist = random_netlist(seed, cells);
         let library = CellLibrary::calibrated_018um();
-        let optimized = PassPipeline::standard().run(&netlist).unwrap();
         let pi_count = netlist.primary_inputs().len();
-        let vectors: Vec<Vec<bool>> = {
+        let vectors: Vec<Vec<u64>> = {
             let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5EED_0003);
             (0..warmup + measure)
-                .map(|_| (0..pi_count).map(|_| rng.gen::<bool>()).collect())
+                .map(|_| (0..pi_count).map(|_| rng.gen::<u64>()).collect())
                 .collect()
         };
-        let mut raw = Simulator::new(&netlist, &library).unwrap();
-        let mut opt = Simulator::with_passes(&netlist, &optimized, &library).unwrap();
-        for sim in [&mut raw, &mut opt] {
-            for vector in &vectors[..warmup] {
-                sim.step(vector);
-            }
-            sim.reset_counters();
-            for vector in &vectors[warmup..] {
-                sim.step(vector);
-            }
+
+        let mut packed = PackedSimulator::new(&netlist, &library).unwrap();
+        for vector in &vectors[..warmup] {
+            packed.step(vector);
         }
-        prop_assert_eq!(raw.net_toggle_counts(), opt.net_toggle_counts());
-        prop_assert_eq!(raw.report(), opt.report());
+        packed.reset_counters();
+        for vector in &vectors[warmup..] {
+            packed.step(vector);
+        }
+
+        let mut summed = vec![0_u64; netlist.net_count()];
+        for lane in 0..LANES {
+            let mut scalar = Simulator::new(&netlist, &library).unwrap();
+            for vector in &vectors[..warmup] {
+                scalar.step(&lane_bits(vector, lane));
+            }
+            scalar.reset_counters();
+            for vector in &vectors[warmup..] {
+                scalar.step(&lane_bits(vector, lane));
+            }
+            accumulate(&mut summed, scalar.net_toggle_counts());
+        }
+
+        let lane_cycles = measure as u64 * u64::from(LANES);
+        prop_assert_eq!(packed.net_toggle_counts(), &summed[..]);
+        prop_assert_eq!(packed.lane_cycles(), lane_cycles);
+        let tables = EnergyTables::new(&netlist, &library);
+        prop_assert_eq!(packed.report(), tables.report_from_counts(&summed, lane_cycles));
     }
 }

@@ -55,21 +55,11 @@ pub mod names {
     pub const WIRE_BYTES_RECEIVED: &str = "wire.bytes_received";
     /// Gauge: worker connections currently live on the work server.
     pub const WORKERS_CONNECTED: &str = "fleet.workers_connected";
-    /// Gauge: simulation lanes used by the most recent characterization run
-    /// (64 for the bit-parallel engine, 1 for the scalar engine).
-    pub const CHARACTERIZE_LANES: &str = "characterize.lanes";
     /// Counter: measured lane-cycles simulated by characterization.
     pub const CHARACTERIZE_LANE_CYCLES: &str = "characterize.lane_cycles";
     /// Histogram: characterization throughput per occupancy measurement, in
     /// lane-cycles per second.
     pub const CHARACTERIZE_LANE_CYCLES_PER_SEC: &str = "characterize.lane_cycles_per_sec";
-    /// Counter: cells removed by netlist optimization passes.
-    pub const PASSES_CELLS_REMOVED: &str = "netlist.passes.cells_removed";
-    /// Counter: nets removed by netlist optimization passes.
-    pub const PASSES_NETS_REMOVED: &str = "netlist.passes.nets_removed";
-    /// Gauge: combinational levels of the most recently compiled evaluation
-    /// schedule.
-    pub const PASSES_SCHEDULE_LEVELS: &str = "netlist.passes.schedule_levels";
     /// Counter: worker sessions re-established after a mid-drain
     /// disconnect (server died, injected fault, torn frame).
     pub const WORKER_RECONNECTS: &str = "fleet.worker_reconnects";

@@ -109,11 +109,10 @@ COMMANDS:
                                    byte-exact); exits nonzero on mismatch
     report --in <FILE.json>        Summarize a previously emitted document
     netlist-stats <CLASS>          Generate a Table 1 switch circuit and show
-                                   what the netlist pass pipeline bought:
-                                   cell/net/level counts plus per-pass
-                                   reductions. CLASS is `crosspoint`,
-                                   `banyan`, `batcher`, `mux<N>` (e.g.
-                                   `mux16`) or `all`
+                                   its cell, net and combinational-level
+                                   counts plus cells per kind. CLASS is
+                                   `crosspoint`, `banyan`, `batcher`,
+                                   `mux<N>` (e.g. `mux16`) or `all`
         [--json]                   Emit the statistics as JSON
     help                           Show this message
 
@@ -999,27 +998,28 @@ fn report_command(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// One `netlist-stats` row: a generated circuit class and what the standard
-/// pass pipeline did to it.
+/// One `netlist-stats` row: the size of one generated circuit class.
 #[derive(serde::Serialize)]
 struct NetlistStatsRow {
     class: String,
     bus_width: usize,
-    report: fabric_power_netlist::PipelineReport,
+    cells: usize,
+    nets: usize,
+    levels: usize,
+    cells_by_kind: std::collections::BTreeMap<fabric_power_netlist::CellKind, usize>,
 }
 
 /// `fabric-power netlist-stats <CLASS> [--json]`: generate a Table 1 switch
-/// circuit and print cell/net/level counts with per-pass reductions — the
-/// quick way to see what the pass pipeline bought before characterizing.
+/// circuit and print its cell, net and level counts and its cell-kind
+/// histogram — the size of what characterization simulates.
 fn netlist_stats(args: &[String]) -> Result<(), String> {
     use fabric_power_netlist::circuits::{
         banyan_binary_switch, batcher_sorting_switch, crossbar_crosspoint, n_input_mux,
     };
-    use fabric_power_netlist::{PassPipeline, SwitchClass};
+    use fabric_power_netlist::{EvalSchedule, SwitchClass};
 
     // The Table 1 switch set: 32-bit payload buses, 5-bit sort addresses
-    // (log2 of the paper's 32-port fabrics), matching the `table1` and
-    // `passes_bench` binaries.
+    // (log2 of the paper's 32-port fabrics), matching the `table1` binary.
     const BUS_WIDTH: usize = 32;
     const ADDRESS_BITS: usize = 5;
 
@@ -1058,7 +1058,6 @@ fn netlist_stats(args: &[String]) -> Result<(), String> {
         },
     };
 
-    let pipeline = PassPipeline::standard();
     let mut rows = Vec::new();
     for class in classes {
         let circuit = match class {
@@ -1068,13 +1067,16 @@ fn netlist_stats(args: &[String]) -> Result<(), String> {
             SwitchClass::Mux { inputs } => n_input_mux(inputs, BUS_WIDTH),
         }
         .map_err(|e| format!("generating {class}: {e}"))?;
-        let optimized = pipeline
-            .run(&circuit.netlist)
-            .map_err(|e| format!("optimizing {class}: {e}"))?;
+        let netlist = &circuit.netlist;
+        let schedule =
+            EvalSchedule::compile(netlist).map_err(|e| format!("levelizing {class}: {e}"))?;
         rows.push(NetlistStatsRow {
             class: class.to_string(),
             bus_width: BUS_WIDTH,
-            report: optimized.report().clone(),
+            cells: netlist.cell_count(),
+            nets: netlist.net_count(),
+            levels: schedule.level_count(),
+            cells_by_kind: netlist.cell_histogram(),
         });
     }
 
@@ -1086,24 +1088,16 @@ fn netlist_stats(args: &[String]) -> Result<(), String> {
         return Ok(());
     }
     for row in &rows {
-        let report = &row.report;
-        let reduction =
-            100.0 * (1.0 - report.final_cells as f64 / report.original_cells.max(1) as f64);
-        println!("{} ({}-bit bus)", row.class, row.bus_width);
         println!(
-            "  cells {} -> {} ({reduction:.1}% removed), nets {} -> {}, {} levels",
-            report.original_cells,
-            report.final_cells,
-            report.original_nets,
-            report.final_nets,
-            report.levels
+            "{} ({}-bit bus): {} cells, {} nets, {} levels",
+            row.class, row.bus_width, row.cells, row.nets, row.levels
         );
-        for pass in &report.passes {
-            println!(
-                "    {:<16} -{:<5} cells  -{:<5} nets  ({} cells, {} nets after)",
-                pass.pass, pass.cells_removed, pass.nets_removed, pass.cells_after, pass.nets_after
-            );
-        }
+        let kinds: Vec<String> = row
+            .cells_by_kind
+            .iter()
+            .map(|(kind, count)| format!("{kind} {count}"))
+            .collect();
+        println!("  {}", kinds.join(", "));
     }
     Ok(())
 }

@@ -148,39 +148,10 @@ fn cache_entries_are_keyed_by_the_full_spec() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The pass-pipeline mode is part of the `ModelSpec` content address:
-/// optimized and raw characterizations of the same fabric must never alias a
-/// cache entry.
+/// Warm-cache derived sweeps stay byte-identical across thread counts, with
+/// zero characterization on every warm run.
 #[test]
-fn pipeline_mode_is_part_of_the_cache_key() {
-    use fabric_power_fabric::provider::ModelSpec;
-    use fabric_power_netlist::characterize::CharacterizationConfig;
-    use fabric_power_netlist::{CellLibrary, PipelineMode};
-    use fabric_power_tech::Technology;
-
-    let spec = |pipeline| {
-        ModelSpec::derived(
-            16,
-            Technology::tsmc180(),
-            CellLibrary::calibrated_018um(),
-            CharacterizationConfig::quick().with_pipeline(pipeline),
-        )
-    };
-    let optimized = spec(PipelineMode::Optimized);
-    let raw = spec(PipelineMode::Raw);
-    assert_ne!(optimized, raw);
-    assert_ne!(
-        optimized.cache_key(),
-        raw.cache_key(),
-        "optimized and raw specs must content-address separately"
-    );
-}
-
-/// Warm-cache derived sweeps (passes enabled — `CharacterizationConfig::quick`
-/// defaults to `PipelineMode::Optimized`) stay byte-identical across thread
-/// counts, with zero characterization on every warm run.
-#[test]
-fn warm_sweeps_with_passes_are_thread_invariant() {
+fn warm_derived_sweeps_are_thread_invariant() {
     let dir = temp_cache_dir("thread-invariance");
 
     let (cold_json, _) = run_with_cache(&dir, 2);
