@@ -54,6 +54,10 @@ pub use energy_model::{EnergyModelError, FabricEnergyModel};
 pub use provider::{ModelKind, ModelProvider, ModelSpec, ProviderStats};
 pub use topology::{ElementId, FabricTopology, PathHop, RoutePath, TopologyError};
 
+/// The node-switch class a [`PathHop`] names, re-exported so path consumers
+/// need not depend on the netlist crate.
+pub use fabric_power_netlist::SwitchClass;
+
 #[cfg(test)]
 mod tests {
     use super::*;

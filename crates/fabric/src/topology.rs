@@ -182,6 +182,58 @@ impl FabricTopology {
         }
     }
 
+    /// Node switches per stage; every stage of a fabric is the same width.
+    fn elements_per_stage(&self) -> usize {
+        let n = self.ports;
+        match self.architecture {
+            Architecture::Crossbar => n * n,
+            Architecture::FullyConnected => n,
+            Architecture::Banyan | Architecture::BatcherBanyan => n / 2,
+        }
+    }
+
+    /// Output links per node switch: two for the 2×2 elements of the
+    /// multistage fabrics, one for a crosspoint or a MUX.
+    fn links_per_element(&self) -> usize {
+        match self.architecture {
+            Architecture::Crossbar | Architecture::FullyConnected => 1,
+            Architecture::Banyan | Architecture::BatcherBanyan => 2,
+        }
+    }
+
+    /// Dense id of a node switch, in `0..element_count()`:
+    /// `stage · elements-per-stage + index`.
+    ///
+    /// Together with [`FabricTopology::ingress_link`] and
+    /// [`FabricTopology::hop_link`] this lets a simulator keep per-element
+    /// and per-link state in flat arrays instead of maps keyed by
+    /// [`ElementId`].
+    #[must_use]
+    pub fn element_slot(&self, element: ElementId) -> usize {
+        element.stage * self.elements_per_stage() + element.index
+    }
+
+    /// Number of dense link ids: one ingress segment per port, then one
+    /// link per node-switch output port.
+    #[must_use]
+    pub fn link_count(&self) -> usize {
+        self.ports + self.element_count() * self.links_per_element()
+    }
+
+    /// Dense id of the dedicated ingress segment of port `input`, in
+    /// `0..ports`.
+    #[must_use]
+    pub fn ingress_link(&self, input: usize) -> usize {
+        input
+    }
+
+    /// Dense id of the link leaving `element` on `output_port`, in
+    /// `ports..link_count()`.
+    #[must_use]
+    pub fn hop_link(&self, element: ElementId, output_port: usize) -> usize {
+        self.ports + self.element_slot(element) * self.links_per_element() + output_port
+    }
+
     /// Routes a packet from ingress port `input` to egress port `output`.
     ///
     /// # Panics
@@ -321,7 +373,7 @@ impl FabricTopology {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::{HashMap, HashSet};
 
     #[test]
     fn invalid_port_counts_are_rejected() {
@@ -443,6 +495,34 @@ mod tests {
         assert_eq!(batcher.element_count(), 15 * 16 + 80);
         let fully = FabricTopology::new(Architecture::FullyConnected, 32).unwrap();
         assert_eq!(fully.element_count(), 32);
+    }
+
+    #[test]
+    fn dense_ids_are_a_bijection_onto_their_ranges() {
+        for architecture in Architecture::ALL {
+            for ports in [2, 4, 16, 32] {
+                let fabric = FabricTopology::new(architecture, ports).unwrap();
+                let mut slots = HashMap::new();
+                let mut links = HashMap::new();
+                for input in 0..ports {
+                    assert_eq!(fabric.ingress_link(input), input);
+                    for output in 0..ports {
+                        for hop in fabric.route(input, output).hops {
+                            let slot = fabric.element_slot(hop.element);
+                            assert!(slot < fabric.element_count(), "{architecture}");
+                            assert_eq!(*slots.entry(slot).or_insert(hop.element), hop.element);
+                            let link = fabric.hop_link(hop.element, hop.output_port);
+                            assert!((ports..fabric.link_count()).contains(&link));
+                            let key = (hop.element, hop.output_port);
+                            assert_eq!(*links.entry(link).or_insert(key), key);
+                        }
+                    }
+                }
+                // The routes use every id, so the arrays have no holes.
+                assert_eq!(slots.len(), fabric.element_count(), "{architecture}");
+                assert_eq!(links.len(), fabric.link_count() - ports, "{architecture}");
+            }
+        }
     }
 
     #[test]

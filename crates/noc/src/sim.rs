@@ -34,6 +34,7 @@ use fabric_power_router::config::{SimulationConfig, SimulationReport};
 use fabric_power_router::metrics::LatencyHistogram;
 use fabric_power_router::node::RouterNode;
 use fabric_power_router::packet::Packet;
+use fabric_power_router::route_table::RouteTable;
 use fabric_power_router::sim::{RouterSimulator, SimulationError};
 use fabric_power_router::traffic::TrafficGenerator;
 use fabric_power_router::EnergyAccount;
@@ -145,6 +146,9 @@ struct MeshNetwork {
     staging: Vec<[VecDeque<Packet>; 4]>,
     meta: HashMap<u64, PacketMeta>,
     next_packet_id: u64,
+    /// Packets the node being stepped finished this tick (drained per
+    /// node).
+    completed: Vec<Packet>,
 
     cycle: u64,
     measuring: bool,
@@ -183,14 +187,17 @@ impl MeshNetwork {
         if net.link_depth == 0 {
             return Err(NetworkError::ZeroLinkDepth);
         }
+        // Every node has the same fabric, so they share one route table.
+        let routes = Arc::new(
+            RouteTable::new(config.architecture, config.ports).map_err(SimulationError::from)?,
+        );
         let mut nodes = Vec::with_capacity(node_count);
         let mut traffic = Vec::with_capacity(node_count);
         let mut links = Vec::with_capacity(node_count);
         let mut staging = Vec::with_capacity(node_count);
         for node in 0..node_count {
             nodes.push(RouterNode::new(
-                config.architecture,
-                config.ports,
+                Arc::clone(&routes),
                 config.node_buffer_bits,
                 Arc::clone(&model),
             )?);
@@ -224,6 +231,7 @@ impl MeshNetwork {
             staging,
             meta: HashMap::new(),
             next_packet_id: 0,
+            completed: Vec::new(),
             cycle: 0,
             measuring: false,
             measured_cycles: 0,
@@ -357,7 +365,8 @@ impl MeshNetwork {
     /// move to egress staging.
     fn step_nodes(&mut self) {
         for node in 0..self.nodes.len() {
-            for packet in self.nodes[node].step(self.cycle) {
+            self.nodes[node].step(self.cycle, &mut self.completed);
+            for packet in self.completed.drain(..) {
                 if packet.destination == LOCAL_PORT {
                     let meta = self
                         .meta

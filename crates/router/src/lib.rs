@@ -14,6 +14,8 @@
 //! * [`metrics`] — streaming latency-distribution metrics: a deterministic
 //!   fixed-bin histogram behind the report's p50/p95/p99 fields;
 //! * [`config`] — simulation configuration and the per-run report;
+//! * [`route_table`] — every fabric path lowered once into dense link and
+//!   element ids, shared by the nodes of a mesh;
 //! * [`node`] — the reusable per-tick switching core of one router
 //!   (injected traffic, shared with the `fabric-power-noc` network layer);
 //! * [`sim`] — the single-router driver built on it.
@@ -49,6 +51,7 @@ pub mod energy;
 pub mod metrics;
 pub mod node;
 pub mod packet;
+pub mod route_table;
 pub mod sim;
 pub mod traffic;
 
@@ -57,6 +60,7 @@ pub use energy::EnergyAccount;
 pub use metrics::{HistogramMergeError, LatencyHistogram, SparseLatencyHistogram};
 pub use node::RouterNode;
 pub use packet::Packet;
+pub use route_table::RouteTable;
 pub use sim::{simulate, RouterSimulator, SimulationError};
 pub use traffic::{TrafficGenerator, TrafficPattern};
 

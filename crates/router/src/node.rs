@@ -1,60 +1,144 @@
 //! The reusable per-tick switching core of one router.
 //!
-//! [`RouterNode`] is the per-cycle body that used to live inside
-//! `RouterSimulator::step`: accept injected packets, arbitrate head-of-line
-//! packets onto free egress ports, resolve interconnect contention, push one
-//! payload word per in-flight packet while charging switch/wire/buffer
-//! energy, and hand back the packets that finished crossing the fabric this
-//! cycle.  Traffic is *injected* ([`RouterNode::inject`]) rather than
-//! self-generated, so the same core serves both the single-router driver
-//! (`RouterSimulator`, which feeds it from a `TrafficGenerator`) and a
-//! network node (`fabric-power-noc`, which feeds it from inter-router
-//! links).
+//! [`RouterNode`] is the per-cycle body of the router: accept injected
+//! packets, arbitrate head-of-line packets onto free egress ports, resolve
+//! interconnect contention, push one payload word per in-flight packet
+//! while charging switch/wire/buffer energy, and hand back the packets that
+//! finished crossing the fabric this cycle.  Traffic is *injected*
+//! ([`RouterNode::inject`]) rather than self-generated, so the same core
+//! serves both the single-router driver (`RouterSimulator`, which feeds it
+//! from a `TrafficGenerator`) and a network node (`fabric-power-noc`, which
+//! feeds it from inter-router links).
 //!
 //! The node knows nothing about warmup windows, latency bookkeeping or
 //! traffic patterns: the driver owns the clock and calls
-//! [`RouterNode::step`] once per cycle, then interprets the returned
-//! completions (recording end-to-end latency, or forwarding the packet to
-//! its next hop).
+//! [`RouterNode::step`] once per cycle, then interprets the completions
+//! (recording end-to-end latency, or forwarding the packet to its next
+//! hop).
+//!
+//! # Steady-state cost
+//!
+//! A cycle hashes nothing and allocates nothing once the queues and flow
+//! list have grown to their working size:
+//!
+//! * **Route table.**  Paths come from a shared [`RouteTable`], lowered
+//!   once at construction.  A grant copies a small `Copy` route; every
+//!   hop carries dense link and element ids, so the per-link polarity
+//!   state, the per-element occupancy and the node-buffer fill are flat
+//!   arrays.
+//! * **One-pass arbiter.**  Each free input's head-of-line packet bids for
+//!   its destination in one pass over the inputs, and each free output
+//!   keeps the bidder that comes first in its round-robin order.  A
+//!   granted input's head targets only that output, so this grants exactly
+//!   what scanning every output's round-robin order would, in the same
+//!   (output) order, leaving the same grant pointers.
+//! * **Scratch state.**  The contention claims and the per-element
+//!   occupancy live across cycles and are cleared by walking the active
+//!   flows' hops, not reallocated.
+//! * **Completion buffer.**  [`RouterNode::step`] moves finished packets
+//!   into a buffer the caller owns and drains, instead of returning a new
+//!   `Vec` of clones.
+//!
+//! Energy is summed in the same per-flow, per-hop order as a direct walk
+//! of [`FabricTopology::route`](fabric_power_fabric::FabricTopology::route)
+//! paths, so every statistic is bit-identical to that walk.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use fabric_power_fabric::energy_model::FabricEnergyModel;
-use fabric_power_fabric::topology::{ElementId, FabricTopology, RoutePath};
-use fabric_power_fabric::Architecture;
+use fabric_power_tech::units::Energy;
 use fabric_power_tech::wire::polarity_flips;
 
 use crate::energy::EnergyAccount;
 use crate::packet::Packet;
+use crate::route_table::{Route, RouteTable};
 use crate::sim::SimulationError;
-
-/// A link inside the fabric, used to track per-wire polarity state and to
-/// detect interconnect contention.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum LinkKey {
-    /// The dedicated ingress segment of one input port.
-    Ingress(usize),
-    /// The output link of a node switch.
-    Hop(ElementId, usize),
-}
 
 /// One packet currently crossing the fabric.
 #[derive(Debug, Clone)]
 struct ActiveFlow {
     packet: Packet,
-    path: RoutePath,
+    route: Route,
     words_delivered: usize,
     /// Words currently parked in a node buffer because of contention.
     backlog: u64,
-    /// The node the backlog is parked at (first contended hop).
-    backlog_element: Option<ElementId>,
+    /// Dense id of the element the backlog is parked at.
+    backlog_element: Option<u32>,
     blocked: bool,
 }
 
 impl ActiveFlow {
     fn is_complete(&self) -> bool {
         self.words_delivered >= self.packet.words()
+    }
+}
+
+/// Marks an output nobody has bid for in the current pass.
+const NO_BID: usize = usize::MAX;
+
+/// The first-come-first-serve round-robin arbiter: one grant pointer per
+/// egress port, plus the scratch of one arbitration pass.
+#[derive(Debug, Clone)]
+struct Arbiter {
+    grant_pointer: Vec<usize>,
+    /// Per output, the input winning the current pass (`NO_BID` between
+    /// passes).
+    winner: Vec<usize>,
+    grants: Vec<(usize, usize)>,
+}
+
+impl Arbiter {
+    fn new(ports: usize) -> Self {
+        Self {
+            grant_pointer: vec![0; ports],
+            winner: vec![NO_BID; ports],
+            grants: Vec::with_capacity(ports),
+        }
+    }
+
+    /// One arbitration pass.  Every free input whose head-of-line packet
+    /// (`head_destination`) is addressed to a free output bids for it; the
+    /// output keeps the bidder that comes first in its round-robin order,
+    /// starting at its grant pointer.  Returns the `(input, output)` grants
+    /// in output order and moves each granting output's pointer past its
+    /// winner.
+    fn arbitrate(
+        &mut self,
+        input_busy: &[bool],
+        output_busy: &[bool],
+        head_destination: impl Fn(usize) -> Option<usize>,
+    ) -> &[(usize, usize)] {
+        let ports = self.grant_pointer.len();
+        let mut bids = 0;
+        for (input, _) in input_busy.iter().enumerate().filter(|(_, busy)| !**busy) {
+            let Some(output) = head_destination(input) else {
+                continue;
+            };
+            if output_busy[output] {
+                continue;
+            }
+            bids += 1;
+            let pointer = self.grant_pointer[output];
+            let winner = &mut self.winner[output];
+            // Bids arrive in input order, so a later bidder is first in
+            // round-robin order only if it is the first at or after the
+            // pointer and the current winner lies before it.
+            if *winner == NO_BID || (*winner < pointer && input >= pointer) {
+                *winner = input;
+            }
+        }
+        self.grants.clear();
+        if bids > 0 {
+            for output in 0..ports {
+                let input = std::mem::replace(&mut self.winner[output], NO_BID);
+                if input != NO_BID {
+                    self.grant_pointer[output] = (input + 1) % ports;
+                    self.grants.push((input, output));
+                }
+            }
+        }
+        &self.grants
     }
 }
 
@@ -68,15 +152,24 @@ pub struct RouterNode {
     /// Shared immutable energy model (one per distinct node configuration,
     /// [`Arc`]-shared across nodes and worker threads).
     model: Arc<FabricEnergyModel>,
-    topology: FabricTopology,
+    /// Shared immutable route table (one per mesh).
+    routes: Arc<RouteTable>,
 
     input_queues: Vec<VecDeque<Packet>>,
     input_busy: Vec<bool>,
     output_busy: Vec<bool>,
-    grant_pointer: Vec<usize>,
+    arbiter: Arbiter,
     flows: Vec<ActiveFlow>,
-    link_last_word: HashMap<LinkKey, u64>,
-    node_buffer_words: HashMap<ElementId, u64>,
+    /// Last word driven onto each fabric link, by dense link id.
+    link_last_word: Vec<u64>,
+    /// Words parked in each element's node buffer, by dense element id.
+    node_buffer_words: Vec<u64>,
+    /// Contention scratch, all `false` between cycles: the links claimed
+    /// this cycle, by dense link id.
+    claimed: Vec<bool>,
+    /// Transmit scratch, all zero between cycles: the flows crossing each
+    /// element this cycle, by dense element id.
+    occupancy: Vec<usize>,
 
     measuring: bool,
     words_delivered: u64,
@@ -86,37 +179,38 @@ pub struct RouterNode {
 }
 
 impl RouterNode {
-    /// Creates a node for the given fabric architecture and port count.
+    /// Creates a node that routes through `routes` and charges `model`.
     ///
     /// # Errors
     ///
-    /// Returns [`SimulationError`] if the port count is invalid for the
-    /// architecture or does not match the energy model.
+    /// Returns [`SimulationError::PortMismatch`] if the route table and the
+    /// energy model disagree on the port count.
     pub fn new(
-        architecture: Architecture,
-        ports: usize,
+        routes: Arc<RouteTable>,
         node_buffer_bits: u64,
         model: Arc<FabricEnergyModel>,
     ) -> Result<Self, SimulationError> {
+        let ports = routes.ports();
         if model.ports() != ports {
             return Err(SimulationError::PortMismatch {
                 config_ports: ports,
                 model_ports: model.ports(),
             });
         }
-        let topology = FabricTopology::new(architecture, ports)?;
         Ok(Self {
             ports,
             node_buffer_bits,
             model,
-            topology,
             input_queues: vec![VecDeque::new(); ports],
             input_busy: vec![false; ports],
             output_busy: vec![false; ports],
-            grant_pointer: vec![0; ports],
-            flows: Vec::new(),
-            link_last_word: HashMap::new(),
-            node_buffer_words: HashMap::new(),
+            arbiter: Arbiter::new(ports),
+            flows: Vec::with_capacity(ports),
+            link_last_word: vec![0; routes.link_count()],
+            node_buffer_words: vec![0; routes.element_count()],
+            claimed: vec![false; routes.link_count()],
+            occupancy: vec![0; routes.element_count()],
+            routes,
             measuring: false,
             words_delivered: 0,
             buffered_words: 0,
@@ -138,8 +232,8 @@ impl RouterNode {
     }
 
     /// Enqueues a packet at an input port.  The packet's `source` and
-    /// `destination` are *local* port indices on this node; a network layer
-    /// rewrites them per hop.
+    /// `destination` are *local* port indices on this node, and `source`
+    /// must be `port`; a network layer rewrites them per hop.
     pub fn inject(&mut self, port: usize, packet: Packet) {
         self.input_queues[port].push_back(packet);
     }
@@ -191,54 +285,49 @@ impl RouterNode {
     }
 
     /// Runs one clock cycle — arbitration, contention resolution, word
-    /// transmission, flow completion — and returns the packets that finished
-    /// crossing the fabric this cycle, in completion order.
+    /// transmission, flow completion — and appends the packets that
+    /// finished crossing the fabric this cycle to `completed`, in
+    /// completion order.
+    ///
+    /// The packets are moved, not cloned, and `completed` is only appended
+    /// to: the caller owns the buffer and drains it after each step, so its
+    /// capacity is reused across cycles.  Arbitration is one pass over the
+    /// inputs and every path comes from the node's [`RouteTable`], so in
+    /// steady state a step neither hashes nor allocates.
     ///
     /// The caller owns the clock: `cycle` only seeds the rotating contention
     /// priority and is echoed nowhere else.
-    pub fn step(&mut self, cycle: u64) -> Vec<Packet> {
+    pub fn step(&mut self, cycle: u64, completed: &mut Vec<Packet>) {
         self.arbitrate();
         self.resolve_contention(cycle);
         self.transmit();
-        self.complete_flows()
+        self.complete_flows(completed);
     }
 
     /// First-come-first-serve arbitration with a round-robin tie-break per
     /// egress port: destination contention is resolved here, before packets
     /// enter the fabric (paper §3.2).
     fn arbitrate(&mut self) {
-        let ports = self.ports;
-        for output in 0..ports {
-            if self.output_busy[output] {
-                continue;
-            }
-            let start = self.grant_pointer[output];
-            for offset in 0..ports {
-                let input = (start + offset) % ports;
-                if self.input_busy[input] {
-                    continue;
-                }
-                let Some(head) = self.input_queues[input].front() else {
-                    continue;
-                };
-                if head.destination != output {
-                    continue;
-                }
-                let packet = self.input_queues[input].pop_front().expect("head exists");
-                let path = self.topology.route(input, output);
-                self.flows.push(ActiveFlow {
-                    packet,
-                    path,
-                    words_delivered: 0,
-                    backlog: 0,
-                    backlog_element: None,
-                    blocked: false,
-                });
-                self.input_busy[input] = true;
-                self.output_busy[output] = true;
-                self.grant_pointer[output] = (input + 1) % ports;
-                break;
-            }
+        let queues = &self.input_queues;
+        let grants = self
+            .arbiter
+            .arbitrate(&self.input_busy, &self.output_busy, |input| {
+                queues[input].front().map(|head| head.destination)
+            });
+        for &(input, output) in grants {
+            let packet = self.input_queues[input]
+                .pop_front()
+                .expect("a granted input has a head-of-line packet");
+            self.flows.push(ActiveFlow {
+                packet,
+                route: self.routes.route(input, output),
+                words_delivered: 0,
+                backlog: 0,
+                backlog_element: None,
+                blocked: false,
+            });
+            self.input_busy[input] = true;
+            self.output_busy[output] = true;
         }
     }
 
@@ -251,71 +340,65 @@ impl RouterNode {
         for flow in &mut self.flows {
             flow.blocked = false;
         }
-        if self.flows.is_empty() {
+        if self.flows.is_empty() || !self.routes.contendable() {
             return;
         }
-        let mut claimed: HashMap<LinkKey, usize> = HashMap::new();
+        let table = &*self.routes;
         let count = self.flows.len();
         let start = (cycle as usize) % count;
         for offset in 0..count {
-            let index = (start + offset) % count;
-            let flow = &self.flows[index];
+            let flow = &mut self.flows[(start + offset) % count];
             if flow.is_complete() {
                 continue;
             }
-            let contendable = flow.path.hops.iter().any(|h| h.buffered_on_contention);
-            if !contendable {
-                continue;
-            }
-            let mut blocking_element = None;
-            for hop in flow.path.hops.iter().filter(|h| h.buffered_on_contention) {
-                let key = LinkKey::Hop(hop.element, hop.output_port);
-                if claimed.contains_key(&key) {
-                    blocking_element = Some(hop.element);
-                    break;
-                }
-            }
-            if let Some(element) = blocking_element {
-                let flow = &mut self.flows[index];
+            let mut contendable = table
+                .hops(&flow.route)
+                .iter()
+                .filter(|hop| table.data(hop).contendable);
+            if let Some(blocking) = contendable
+                .clone()
+                .find(|hop| self.claimed[hop.link as usize])
+            {
                 flow.blocked = true;
-                flow.backlog_element = Some(element);
+                flow.backlog_element = Some(blocking.element);
             } else {
-                for hop in self.flows[index]
-                    .path
-                    .hops
-                    .iter()
-                    .filter(|h| h.buffered_on_contention)
-                {
-                    claimed.insert(LinkKey::Hop(hop.element, hop.output_port), index);
+                for hop in &mut contendable {
+                    self.claimed[hop.link as usize] = true;
                 }
+            }
+        }
+        for flow in &self.flows {
+            for hop in table.hops(&flow.route) {
+                self.claimed[hop.link as usize] = false;
             }
         }
     }
 
     /// Advances every flow by one word, charging energy as it goes.
     fn transmit(&mut self) {
-        let bus_width = f64::from(self.model.bus_width_bits());
-        let word_mask = if self.model.bus_width_bits() >= 64 {
+        let model = &*self.model;
+        let table = &*self.routes;
+        let bus_width = f64::from(model.bus_width_bits());
+        let word_mask = if model.bus_width_bits() >= 64 {
             u64::MAX
         } else {
-            (1_u64 << self.model.bus_width_bits()) - 1
+            (1_u64 << model.bus_width_bits()) - 1
         };
 
         // Per-element occupancy of flows that transmit this cycle (the input
         // vector the node-switch LUT is indexed with).
-        let mut occupancy: HashMap<ElementId, usize> = HashMap::new();
         for flow in &self.flows {
             if flow.blocked || flow.is_complete() {
                 continue;
             }
-            for hop in &flow.path.hops {
-                *occupancy.entry(hop.element).or_insert(0) += 1;
+            for hop in table.hops(&flow.route) {
+                self.occupancy[hop.element as usize] += 1;
             }
         }
 
-        let mut switch_energy = fabric_power_tech::units::Energy::ZERO;
-        let mut wire_energy = fabric_power_tech::units::Energy::ZERO;
-        let mut buffer_energy = fabric_power_tech::units::Energy::ZERO;
+        let mut switch_energy = Energy::ZERO;
+        let mut wire_energy = Energy::ZERO;
+        let mut buffer_energy = Energy::ZERO;
 
         for flow in &mut self.flows {
             if flow.is_complete() {
@@ -324,15 +407,15 @@ impl RouterNode {
             if flow.blocked {
                 // The word arriving at the contended node this cycle is written
                 // into (and will later be read back from) the node buffer.
-                buffer_energy += self.model.buffer_bit_energy() * bus_width;
+                buffer_energy += model.buffer_bit_energy() * bus_width;
                 flow.backlog += 1;
                 if self.measuring {
                     self.buffered_words += 1;
                 }
                 if let Some(element) = flow.backlog_element {
-                    let entry = self.node_buffer_words.entry(element).or_insert(0);
+                    let entry = &mut self.node_buffer_words[element as usize];
                     *entry += 1;
-                    if *entry * u64::from(self.model.bus_width_bits()) > self.node_buffer_bits
+                    if *entry * u64::from(model.bus_width_bits()) > self.node_buffer_bits
                         && self.measuring
                     {
                         self.buffer_overflow_cycles += 1;
@@ -345,31 +428,29 @@ impl RouterNode {
 
             // Wire energy: only bits that flip polarity on each interconnect
             // segment dissipate energy (paper Eq. 2).
-            let ingress_key = LinkKey::Ingress(flow.packet.source);
-            let previous = self.link_last_word.insert(ingress_key, word).unwrap_or(0);
-            let flips = f64::from(polarity_flips(previous, word));
-            wire_energy +=
-                self.model.grid_bit_energy() * (flips * flow.path.wire_grids_before as f64);
-            for hop in &flow.path.hops {
-                let key = LinkKey::Hop(hop.element, hop.output_port);
-                let previous = self.link_last_word.insert(key, word).unwrap_or(0);
-                let flips = f64::from(polarity_flips(previous, word));
-                wire_energy += self.model.grid_bit_energy() * (flips * hop.wire_grids_after as f64);
-            }
+            let ingress = &mut self.link_last_word[flow.route.ingress_link as usize];
+            let flips = f64::from(polarity_flips(*ingress, word));
+            *ingress = word;
+            wire_energy += model.grid_bit_energy() * (flips * flow.route.wire_grids_before as f64);
+            for hop in table.hops(&flow.route) {
+                let data = table.data(hop);
+                let last = &mut self.link_last_word[hop.link as usize];
+                let flips = f64::from(polarity_flips(*last, word));
+                *last = word;
+                wire_energy += model.grid_bit_energy() * (flips * data.wire_grids_after as f64);
 
-            // Node-switch energy from the input-vector LUT.
-            for hop in &flow.path.hops {
-                if hop.charged_inputs > 1 {
+                // Node-switch energy from the input-vector LUT.
+                if data.charged_inputs > 1 {
                     // Crossbar row: the bit toggles the inputs of all N
                     // crosspoints (Eq. 3's N·E_S term).
-                    switch_energy += self.model.switch_bit_energy(hop.class, 1)
-                        * (bus_width * hop.charged_inputs as f64);
+                    switch_energy += model.switch_bit_energy(data.class, 1)
+                        * (bus_width * data.charged_inputs as f64);
                 } else {
-                    let occupants = occupancy.get(&hop.element).copied().unwrap_or(1).max(1);
+                    let occupants = self.occupancy[hop.element as usize].max(1);
                     // The LUT value is the whole switch's per-bit-slot energy
                     // under that occupancy; split it evenly between the
                     // packets sharing the switch so it is charged exactly once.
-                    switch_energy += self.model.switch_bit_energy(hop.class, occupants)
+                    switch_energy += model.switch_bit_energy(data.class, occupants)
                         * (bus_width / occupants as f64);
                 }
             }
@@ -379,15 +460,20 @@ impl RouterNode {
             if flow.backlog > 0 {
                 flow.backlog -= 1;
                 if let Some(element) = flow.backlog_element {
-                    if let Some(entry) = self.node_buffer_words.get_mut(&element) {
-                        *entry = entry.saturating_sub(1);
-                    }
+                    let entry = &mut self.node_buffer_words[element as usize];
+                    *entry = entry.saturating_sub(1);
                 }
             }
 
             flow.words_delivered += 1;
             if self.measuring {
                 self.words_delivered += 1;
+            }
+        }
+
+        for flow in &self.flows {
+            for hop in table.hops(&flow.route) {
+                self.occupancy[hop.element as usize] = 0;
             }
         }
 
@@ -398,22 +484,92 @@ impl RouterNode {
         }
     }
 
-    /// Removes finished flows, frees their input/output ports, and returns
-    /// their packets in completion order.
-    fn complete_flows(&mut self) -> Vec<Packet> {
-        let mut completed = Vec::new();
-        self.flows.retain(|flow| {
-            if flow.is_complete() {
-                completed.push(flow.packet.clone());
-                false
-            } else {
-                true
-            }
-        });
-        for packet in &completed {
-            self.input_busy[packet.source] = false;
-            self.output_busy[packet.destination] = false;
+    /// Removes finished flows, frees their input/output ports, and moves
+    /// their packets into `completed` in completion order.
+    fn complete_flows(&mut self, completed: &mut Vec<Packet>) {
+        for flow in self.flows.extract_if(.., |flow| flow.is_complete()) {
+            self.input_busy[flow.packet.source] = false;
+            self.output_busy[flow.packet.destination] = false;
+            completed.push(flow.packet);
         }
-        completed
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+
+    /// The output-major scan the one-pass arbiter replaced: for each free
+    /// output in turn, grant the first free input, from the output's grant
+    /// pointer on, whose head-of-line packet targets it.
+    fn output_major_scan(
+        heads: &[Option<usize>],
+        input_busy: &mut [bool],
+        output_busy: &mut [bool],
+        grant_pointer: &mut [usize],
+    ) -> Vec<(usize, usize)> {
+        let ports = heads.len();
+        let mut grants = Vec::new();
+        for output in 0..ports {
+            if output_busy[output] {
+                continue;
+            }
+            let start = grant_pointer[output];
+            for offset in 0..ports {
+                let input = (start + offset) % ports;
+                if input_busy[input] || heads[input] != Some(output) {
+                    continue;
+                }
+                grants.push((input, output));
+                input_busy[input] = true;
+                output_busy[output] = true;
+                grant_pointer[output] = (input + 1) % ports;
+                break;
+            }
+        }
+        grants
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn one_pass_arbiter_matches_the_output_major_scan(
+            ports in 2_usize..=64,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            // Per-case densities, so both sparse and saturated passes occur.
+            let head_p = rng.gen::<f64>();
+            let busy_p = rng.gen::<f64>();
+            let pointers: Vec<usize> = (0..ports).map(|_| rng.gen_range(0..ports)).collect();
+            let mut arbiter = Arbiter::new(ports);
+            arbiter.grant_pointer.clone_from(&pointers);
+            let mut reference_pointers = pointers;
+            // Several passes on one arbiter also cover its scratch reuse.
+            for _ in 0..4 {
+                let heads: Vec<Option<usize>> = (0..ports)
+                    .map(|_| rng.gen_bool(head_p).then(|| rng.gen_range(0..ports)))
+                    .collect();
+                let input_busy: Vec<bool> = (0..ports).map(|_| rng.gen_bool(busy_p)).collect();
+                let output_busy: Vec<bool> = (0..ports).map(|_| rng.gen_bool(busy_p)).collect();
+
+                let grants = arbiter
+                    .arbitrate(&input_busy, &output_busy, |input| heads[input])
+                    .to_vec();
+                let expected = output_major_scan(
+                    &heads,
+                    &mut input_busy.clone(),
+                    &mut output_busy.clone(),
+                    &mut reference_pointers,
+                );
+                prop_assert_eq!(grants, expected);
+                prop_assert_eq!(&arbiter.grant_pointer, &reference_pointers);
+                prop_assert!(arbiter.winner.iter().all(|&winner| winner == NO_BID));
+            }
+        }
     }
 }

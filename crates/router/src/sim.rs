@@ -25,6 +25,8 @@ use fabric_power_fabric::topology::TopologyError;
 use crate::config::{SimulationConfig, SimulationReport};
 use crate::metrics::LatencyHistogram;
 use crate::node::RouterNode;
+use crate::packet::Packet;
+use crate::route_table::RouteTable;
 use crate::traffic::TrafficGenerator;
 
 /// Errors raised when constructing a [`RouterSimulator`].
@@ -106,6 +108,8 @@ pub struct RouterSimulator {
     /// The per-tick switching core (queues, arbiter, flows, energy): shared
     /// with the NoC layer, which drives a whole mesh of them.
     node: RouterNode,
+    /// Packets the node finished this cycle (drained every cycle).
+    completed: Vec<Packet>,
     traffic: TrafficGenerator,
 
     cycle: u64,
@@ -165,12 +169,8 @@ impl RouterSimulator {
         config: SimulationConfig,
         model: Arc<FabricEnergyModel>,
     ) -> Result<Self, SimulationError> {
-        let node = RouterNode::new(
-            config.architecture,
-            config.ports,
-            config.node_buffer_bits,
-            model,
-        )?;
+        let routes = Arc::new(RouteTable::new(config.architecture, config.ports)?);
+        let node = RouterNode::new(routes, config.node_buffer_bits, model)?;
         let traffic = TrafficGenerator::new(
             config.ports,
             config.offered_load,
@@ -180,6 +180,7 @@ impl RouterSimulator {
         );
         Ok(Self {
             node,
+            completed: Vec::new(),
             traffic,
             cycle: 0,
             measuring: false,
@@ -217,7 +218,8 @@ impl RouterSimulator {
                 self.node.inject(port, packet);
             }
         }
-        for packet in self.node.step(self.cycle) {
+        self.node.step(self.cycle, &mut self.completed);
+        for packet in self.completed.drain(..) {
             if self.measuring {
                 self.packets_delivered += 1;
                 self.latency.record(self.cycle + 1 - packet.arrival_cycle);
