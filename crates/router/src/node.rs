@@ -63,8 +63,10 @@ struct ActiveFlow {
     words_delivered: usize,
     /// Words currently parked in a node buffer because of contention.
     backlog: u64,
-    /// Dense id of the element the backlog is parked at.
-    backlog_element: Option<u32>,
+    /// Dense id of the element the backlog is parked at: the first
+    /// contended hop since the backlog was last empty.  Only meaningful
+    /// while `backlog > 0`.
+    backlog_element: u32,
     blocked: bool,
 }
 
@@ -323,7 +325,7 @@ impl RouterNode {
                 route: self.routes.route(input, output),
                 words_delivered: 0,
                 backlog: 0,
-                backlog_element: None,
+                backlog_element: 0,
                 blocked: false,
             });
             self.input_busy[input] = true;
@@ -360,7 +362,11 @@ impl RouterNode {
                 .find(|hop| self.claimed[hop.link as usize])
             {
                 flow.blocked = true;
-                flow.backlog_element = Some(blocking.element);
+                // Parked words stay where they were parked until the
+                // backlog drains, even if the flow later blocks elsewhere.
+                if flow.backlog == 0 {
+                    flow.backlog_element = blocking.element;
+                }
             } else {
                 for hop in &mut contendable {
                     self.claimed[hop.link as usize] = true;
@@ -412,14 +418,12 @@ impl RouterNode {
                 if self.measuring {
                     self.buffered_words += 1;
                 }
-                if let Some(element) = flow.backlog_element {
-                    let entry = &mut self.node_buffer_words[element as usize];
-                    *entry += 1;
-                    if *entry * u64::from(model.bus_width_bits()) > self.node_buffer_bits
-                        && self.measuring
-                    {
-                        self.buffer_overflow_cycles += 1;
-                    }
+                let entry = &mut self.node_buffer_words[flow.backlog_element as usize];
+                *entry += 1;
+                if *entry * u64::from(model.bus_width_bits()) > self.node_buffer_bits
+                    && self.measuring
+                {
+                    self.buffer_overflow_cycles += 1;
                 }
                 continue;
             }
@@ -459,10 +463,7 @@ impl RouterNode {
             // this one (its read access was already charged on the write).
             if flow.backlog > 0 {
                 flow.backlog -= 1;
-                if let Some(element) = flow.backlog_element {
-                    let entry = &mut self.node_buffer_words[element as usize];
-                    *entry = entry.saturating_sub(1);
-                }
+                self.node_buffer_words[flow.backlog_element as usize] -= 1;
             }
 
             flow.words_delivered += 1;
@@ -484,10 +485,12 @@ impl RouterNode {
         }
     }
 
-    /// Removes finished flows, frees their input/output ports, and moves
-    /// their packets into `completed` in completion order.
+    /// Removes finished flows, releases the words they still had parked,
+    /// frees their input/output ports, and moves their packets into
+    /// `completed` in completion order.
     fn complete_flows(&mut self, completed: &mut Vec<Packet>) {
         for flow in self.flows.extract_if(.., |flow| flow.is_complete()) {
+            self.node_buffer_words[flow.backlog_element as usize] -= flow.backlog;
             self.input_busy[flow.packet.source] = false;
             self.output_busy[flow.packet.destination] = false;
             completed.push(flow.packet);
