@@ -501,6 +501,8 @@ impl RouterNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fabric_power_fabric::Architecture;
+    use fabric_power_tech::constants::BANYAN_NODE_BUFFER_BITS;
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
@@ -573,6 +575,84 @@ mod tests {
                 prop_assert_eq!(&arbiter.grant_pointer, &reference_pointers);
                 prop_assert!(arbiter.winner.iter().all(|&winner| winner == NO_BID));
             }
+        }
+    }
+
+    fn drained(node: &RouterNode) -> bool {
+        node.flows.is_empty() && node.input_queues.iter().all(VecDeque::is_empty)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn router_core_conserves_packets_words_and_buffer_occupancy(
+            architecture in prop_oneof![
+                Just(Architecture::Crossbar),
+                Just(Architecture::FullyConnected),
+                Just(Architecture::Banyan),
+                Just(Architecture::BatcherBanyan),
+            ],
+            ports in prop_oneof![Just(2_usize), Just(4), Just(8), Just(16), Just(32)],
+            seed in any::<u64>(),
+        ) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let routes = Arc::new(RouteTable::new(architecture, ports).unwrap());
+            let model = Arc::new(FabricEnergyModel::paper(ports).unwrap());
+            let mut node = RouterNode::new(routes, BANYAN_NODE_BUFFER_BITS, model).unwrap();
+            node.begin_measurement();
+
+            // Per-case injection rate and schedule length, light to saturating.
+            let inject_p = rng.gen::<f64>() * 0.5;
+            let schedule_cycles = rng.gen_range(1..200_u64);
+            let mut outstanding: Vec<Option<Vec<u64>>> = Vec::new();
+            let mut completed = Vec::new();
+            let mut completed_words = 0;
+            let mut cycle = 0;
+            while cycle < schedule_cycles || !drained(&node) {
+                prop_assert!(cycle < 100_000, "the node never drained");
+                if cycle < schedule_cycles {
+                    for port in 0..ports {
+                        if !rng.gen_bool(inject_p) {
+                            continue;
+                        }
+                        let words = rng.gen_range(1..=24_usize);
+                        let payload: Vec<u64> = (0..words).map(|_| rng.gen()).collect();
+                        node.inject(
+                            port,
+                            Packet {
+                                id: outstanding.len() as u64,
+                                source: port,
+                                destination: rng.gen_range(0..ports),
+                                payload: payload.clone(),
+                                arrival_cycle: cycle,
+                            },
+                        );
+                        outstanding.push(Some(payload));
+                    }
+                }
+                node.step(cycle, &mut completed);
+                for packet in completed.drain(..) {
+                    let injected = outstanding[packet.id as usize].take();
+                    prop_assert!(
+                        injected.as_ref() == Some(&packet.payload),
+                        "packet {} completed twice or with an altered payload",
+                        packet.id
+                    );
+                    completed_words += packet.words() as u64;
+                }
+                cycle += 1;
+            }
+            prop_assert!(outstanding.iter().all(Option::is_none), "a packet never completed");
+            prop_assert_eq!(completed_words, node.words_delivered());
+            if architecture != Architecture::Banyan {
+                prop_assert_eq!(node.buffered_words(), 0);
+                prop_assert!(node.energy().buffers.is_zero());
+            }
+            prop_assert!(
+                node.node_buffer_words.iter().all(|&words| words == 0),
+                "{architecture} {ports}x{ports}: words left parked after draining"
+            );
         }
     }
 }
