@@ -112,15 +112,16 @@ impl Arbiter {
         head_destination: impl Fn(usize) -> Option<usize>,
     ) -> &[(usize, usize)] {
         let ports = self.grant_pointer.len();
-        let mut bids = 0;
-        for (input, _) in input_busy.iter().enumerate().filter(|(_, busy)| !**busy) {
+        for (input, &busy) in input_busy.iter().enumerate() {
+            if busy {
+                continue;
+            }
             let Some(output) = head_destination(input) else {
                 continue;
             };
             if output_busy[output] {
                 continue;
             }
-            bids += 1;
             let pointer = self.grant_pointer[output];
             let winner = &mut self.winner[output];
             // Bids arrive in input order, so a later bidder is first in
@@ -131,13 +132,11 @@ impl Arbiter {
             }
         }
         self.grants.clear();
-        if bids > 0 {
-            for output in 0..ports {
-                let input = std::mem::replace(&mut self.winner[output], NO_BID);
-                if input != NO_BID {
-                    self.grant_pointer[output] = (input + 1) % ports;
-                    self.grants.push((input, output));
-                }
+        for output in 0..ports {
+            let input = std::mem::replace(&mut self.winner[output], NO_BID);
+            if input != NO_BID {
+                self.grant_pointer[output] = (input + 1) % ports;
+                self.grants.push((input, output));
             }
         }
         &self.grants
@@ -149,7 +148,6 @@ impl Arbiter {
 /// their per-link polarity state, and the three-component energy account.
 #[derive(Debug)]
 pub struct RouterNode {
-    ports: usize,
     node_buffer_bits: u64,
     /// Shared immutable energy model (one per distinct node configuration,
     /// [`Arc`]-shared across nodes and worker threads).
@@ -200,7 +198,6 @@ impl RouterNode {
             });
         }
         Ok(Self {
-            ports,
             node_buffer_bits,
             model,
             input_queues: vec![VecDeque::new(); ports],
@@ -224,7 +221,7 @@ impl RouterNode {
     /// Number of switch-fabric ports.
     #[must_use]
     pub fn ports(&self) -> usize {
-        self.ports
+        self.routes.ports()
     }
 
     /// The energy model this node charges against.

@@ -72,12 +72,10 @@ pub(crate) struct Route {
 ///
 /// let table = RouteTable::new(Architecture::Banyan, 8)?;
 /// assert_eq!(table.ports(), 8);
-/// assert_eq!(table.architecture(), Architecture::Banyan);
 /// # Ok::<(), fabric_power_fabric::TopologyError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RouteTable {
-    architecture: Architecture,
     ports: usize,
     element_count: usize,
     link_count: usize,
@@ -133,7 +131,6 @@ impl RouteTable {
             }
         }
         Ok(Self {
-            architecture,
             ports,
             element_count: topology.element_count(),
             link_count: topology.link_count(),
@@ -142,12 +139,6 @@ impl RouteTable {
             hops,
             hop_data,
         })
-    }
-
-    /// The fabric architecture.
-    #[must_use]
-    pub fn architecture(&self) -> Architecture {
-        self.architecture
     }
 
     /// Number of ingress/egress ports.
