@@ -350,7 +350,7 @@ impl RouterNode {
             if flow.is_complete() {
                 continue;
             }
-            let mut contendable = table
+            let contendable = table
                 .hops(&flow.route)
                 .iter()
                 .filter(|hop| table.data(hop).contendable);
@@ -365,7 +365,7 @@ impl RouterNode {
                     flow.backlog_element = blocking.element;
                 }
             } else {
-                for hop in &mut contendable {
+                for hop in contendable {
                     self.claimed[hop.link as usize] = true;
                 }
             }

@@ -74,7 +74,7 @@ pub(crate) struct Route {
 /// assert_eq!(table.ports(), 8);
 /// # Ok::<(), fabric_power_fabric::TopologyError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct RouteTable {
     ports: usize,
     element_count: usize,
