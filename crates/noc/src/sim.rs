@@ -34,7 +34,7 @@ use fabric_power_router::config::{SimulationConfig, SimulationReport};
 use fabric_power_router::metrics::LatencyHistogram;
 use fabric_power_router::node::RouterNode;
 use fabric_power_router::packet::Packet;
-use fabric_power_router::route_table::RouteTable;
+use fabric_power_router::route_table::{PricedRoutes, RouteTable};
 use fabric_power_router::sim::{RouterSimulator, SimulationError};
 use fabric_power_router::traffic::TrafficGenerator;
 use fabric_power_router::EnergyAccount;
@@ -187,20 +187,20 @@ impl MeshNetwork {
         if net.link_depth == 0 {
             return Err(NetworkError::ZeroLinkDepth);
         }
-        // Every node has the same fabric, so they share one route table.
-        let routes = Arc::new(
-            RouteTable::new(config.architecture, config.ports).map_err(SimulationError::from)?,
-        );
+        // Every node has the same fabric and model, so they share one
+        // priced route table.
+        let routes =
+            RouteTable::new(config.architecture, config.ports).map_err(SimulationError::from)?;
+        let fabric = Arc::new(PricedRoutes::new(routes, model)?);
         let mut nodes = Vec::with_capacity(node_count);
         let mut traffic = Vec::with_capacity(node_count);
         let mut links = Vec::with_capacity(node_count);
         let mut staging = Vec::with_capacity(node_count);
         for node in 0..node_count {
             nodes.push(RouterNode::new(
-                Arc::clone(&routes),
+                Arc::clone(&fabric),
                 config.node_buffer_bits,
-                Arc::clone(&model),
-            )?);
+            ));
             // The traffic pattern runs over *node* indices: each node's
             // source draws destinations among the other nodes, one local
             // injection port per node per cycle.

@@ -15,7 +15,8 @@
 //!   fixed-bin histogram behind the report's p50/p95/p99 fields;
 //! * [`config`] — simulation configuration and the per-run report;
 //! * [`route_table`] — every fabric path lowered once into dense link and
-//!   element ids, shared by the nodes of a mesh;
+//!   element ids, and every hop kind priced once under an energy model,
+//!   shared by the nodes of a mesh;
 //! * [`node`] — the reusable per-tick switching core of one router
 //!   (injected traffic, shared with the `fabric-power-noc` network layer);
 //! * [`sim`] — the single-router driver built on it.
@@ -60,7 +61,7 @@ pub use energy::EnergyAccount;
 pub use metrics::{HistogramMergeError, LatencyHistogram, SparseLatencyHistogram};
 pub use node::RouterNode;
 pub use packet::Packet;
-pub use route_table::RouteTable;
+pub use route_table::{PricedRoutes, RouteTable};
 pub use sim::{simulate, RouterSimulator, SimulationError};
 pub use traffic::{TrafficGenerator, TrafficPattern};
 

@@ -19,29 +19,40 @@
 //! # Steady-state cost
 //!
 //! A cycle hashes nothing and allocates nothing once the queues and flow
-//! list have grown to their working size:
+//! list have grown to their working size, and charging a word is table
+//! reads and additions:
 //!
-//! * **Route table.**  Paths come from a shared [`RouteTable`], lowered
-//!   once at construction.  A grant copies a small `Copy` route; every
-//!   hop carries dense link and element ids, so the per-link polarity
-//!   state, the per-element occupancy and the node-buffer fill are flat
-//!   arrays.
+//! * **Priced route table.**  Paths come from a shared [`RouteTable`],
+//!   lowered once at construction.  A grant copies a small `Copy` route;
+//!   every hop carries dense link and element ids, so the per-link
+//!   polarity state, the per-element occupancy and the node-buffer fill are
+//!   flat arrays.  The table comes inside a [`PricedRoutes`], which holds
+//!   each hop kind's wire energy per flipped-bit count and switch energy
+//!   per element occupancy, so a hop charges two table reads instead of a
+//!   LUT lookup, a division and two conversions.  A mesh shares one.
 //! * **One-pass arbiter.**  Each free input's head-of-line packet bids for
 //!   its destination in one pass over the inputs, and each free output
 //!   keeps the bidder that comes first in its round-robin order.  A
 //!   granted input's head targets only that output, so this grants exactly
 //!   what scanning every output's round-robin order would, in the same
 //!   (output) order, leaving the same grant pointers.
-//! * **Scratch state.**  The contention claims and the per-element
-//!   occupancy live across cycles and are cleared by walking the active
-//!   flows' hops, not reallocated.
+//! * **Occupancy bookkeeping.**  The per-element occupancy counts the
+//!   unblocked, unfinished flows on each element.  It changes only when a
+//!   flow does: a grant adds the flow's hops, a blocked flag flipping in
+//!   contention resolution removes or re-adds them, and completion removes
+//!   them.  Transmission reads it without a pass over the flows' hops.
+//! * **Scratch claims.**  The contention claims live across cycles and
+//!   are cleared by walking the unblocked flows' hops, not reallocated.
 //! * **Completion buffer.**  [`RouterNode::step`] moves finished packets
 //!   into a buffer the caller owns and drains, instead of returning a new
 //!   `Vec` of clones.
 //!
 //! Energy is summed in the same per-flow, per-hop order as a direct walk
 //! of [`FabricTopology::route`](fabric_power_fabric::FabricTopology::route)
-//! paths, so every statistic is bit-identical to that walk.
+//! paths, and every table entry is the product that walk computes, so every
+//! statistic is bit-identical to it.
+//!
+//! [`RouteTable`]: crate::route_table::RouteTable
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -52,8 +63,7 @@ use fabric_power_tech::wire::polarity_flips;
 
 use crate::energy::EnergyAccount;
 use crate::packet::Packet;
-use crate::route_table::{Route, RouteTable};
-use crate::sim::SimulationError;
+use crate::route_table::{Hop, PricedRoutes, Route};
 
 /// One packet currently crossing the fabric.
 #[derive(Debug, Clone)]
@@ -149,11 +159,9 @@ impl Arbiter {
 #[derive(Debug)]
 pub struct RouterNode {
     node_buffer_bits: u64,
-    /// Shared immutable energy model (one per distinct node configuration,
-    /// [`Arc`]-shared across nodes and worker threads).
-    model: Arc<FabricEnergyModel>,
-    /// Shared immutable route table (one per mesh).
-    routes: Arc<RouteTable>,
+    /// Shared immutable route table priced under the node's energy model
+    /// (one per simulator, [`Arc`]-shared across a mesh's nodes).
+    fabric: Arc<PricedRoutes>,
 
     input_queues: Vec<VecDeque<Packet>>,
     input_busy: Vec<bool>,
@@ -167,8 +175,10 @@ pub struct RouterNode {
     /// Contention scratch, all `false` between cycles: the links claimed
     /// this cycle, by dense link id.
     claimed: Vec<bool>,
-    /// Transmit scratch, all zero between cycles: the flows crossing each
-    /// element this cycle, by dense element id.
+    /// The unblocked, unfinished flows crossing each element, by dense
+    /// element id: the input vector its node-switch LUT is indexed with.
+    /// Kept up to date as flows are granted, blocked, unblocked and
+    /// completed.
     occupancy: Vec<usize>,
 
     measuring: bool,
@@ -179,27 +189,14 @@ pub struct RouterNode {
 }
 
 impl RouterNode {
-    /// Creates a node that routes through `routes` and charges `model`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimulationError::PortMismatch`] if the route table and the
-    /// energy model disagree on the port count.
-    pub fn new(
-        routes: Arc<RouteTable>,
-        node_buffer_bits: u64,
-        model: Arc<FabricEnergyModel>,
-    ) -> Result<Self, SimulationError> {
+    /// Creates a node that routes through `fabric`'s table and charges its
+    /// energy model.
+    #[must_use]
+    pub fn new(fabric: Arc<PricedRoutes>, node_buffer_bits: u64) -> Self {
+        let routes = fabric.routes();
         let ports = routes.ports();
-        if model.ports() != ports {
-            return Err(SimulationError::PortMismatch {
-                config_ports: ports,
-                model_ports: model.ports(),
-            });
-        }
-        Ok(Self {
+        Self {
             node_buffer_bits,
-            model,
             input_queues: vec![VecDeque::new(); ports],
             input_busy: vec![false; ports],
             output_busy: vec![false; ports],
@@ -209,25 +206,25 @@ impl RouterNode {
             node_buffer_words: vec![0; routes.element_count()],
             claimed: vec![false; routes.link_count()],
             occupancy: vec![0; routes.element_count()],
-            routes,
+            fabric,
             measuring: false,
             words_delivered: 0,
             buffered_words: 0,
             buffer_overflow_cycles: 0,
             energy: EnergyAccount::new(),
-        })
+        }
     }
 
     /// Number of switch-fabric ports.
     #[must_use]
     pub fn ports(&self) -> usize {
-        self.routes.ports()
+        self.fabric.routes().ports()
     }
 
     /// The energy model this node charges against.
     #[must_use]
     pub fn model(&self) -> &FabricEnergyModel {
-        &self.model
+        self.fabric.model()
     }
 
     /// Enqueues a packet at an input port.  The packet's `source` and
@@ -291,8 +288,9 @@ impl RouterNode {
     /// The packets are moved, not cloned, and `completed` is only appended
     /// to: the caller owns the buffer and drains it after each step, so its
     /// capacity is reused across cycles.  Arbitration is one pass over the
-    /// inputs and every path comes from the node's [`RouteTable`], so in
-    /// steady state a step neither hashes nor allocates.
+    /// inputs and every path comes from the node's priced
+    /// [`RouteTable`](crate::route_table::RouteTable), so in steady state a
+    /// step neither hashes nor allocates.
     ///
     /// The caller owns the clock: `cycle` only seeds the rotating contention
     /// priority and is echoed nowhere else.
@@ -313,13 +311,20 @@ impl RouterNode {
             .arbitrate(&self.input_busy, &self.output_busy, |input| {
                 queues[input].front().map(|head| head.destination)
             });
+        let table = self.fabric.routes();
         for &(input, output) in grants {
             let packet = self.input_queues[input]
                 .pop_front()
                 .expect("a granted input has a head-of-line packet");
+            let route = table.route(input, output);
+            // A packet without words completes at once and never occupies
+            // its path.
+            if !packet.payload.is_empty() {
+                count_occupancy(&mut self.occupancy, table.hops(&route), true);
+            }
             self.flows.push(ActiveFlow {
                 packet,
-                route: self.routes.route(input, output),
+                route,
                 words_delivered: 0,
                 backlog: 0,
                 backlog_element: 0,
@@ -334,15 +339,14 @@ impl RouterNode {
     /// paths can share links — only the Banyan in the paper's set.  Flows are
     /// examined in a rotating priority order; a flow that cannot claim every
     /// link of its path is blocked for this cycle and its incoming word is
-    /// absorbed by the node buffer at the first contended hop.
+    /// absorbed by the node buffer at the first contended hop.  A flow whose
+    /// blocked flag flips moves its hops out of or back into the element
+    /// occupancy.  On other fabrics no flow is ever blocked.
     fn resolve_contention(&mut self, cycle: u64) {
-        for flow in &mut self.flows {
-            flow.blocked = false;
-        }
-        if self.flows.is_empty() || !self.routes.contendable() {
+        let table = self.fabric.routes();
+        if self.flows.is_empty() || !table.contendable() {
             return;
         }
-        let table = &*self.routes;
         let count = self.flows.len();
         let start = (cycle as usize) % count;
         for offset in 0..count {
@@ -350,27 +354,31 @@ impl RouterNode {
             if flow.is_complete() {
                 continue;
             }
-            let contendable = table
-                .hops(&flow.route)
-                .iter()
-                .filter(|hop| table.data(hop).contendable);
-            if let Some(blocking) = contendable
+            let hops = table.hops(&flow.route);
+            let contendable = hops.iter().filter(|hop| table.data(hop).contendable);
+            let blocked = if let Some(blocking) = contendable
                 .clone()
                 .find(|hop| self.claimed[hop.link as usize])
             {
-                flow.blocked = true;
                 // Parked words stay where they were parked until the
                 // backlog drains, even if the flow later blocks elsewhere.
                 if flow.backlog == 0 {
                     flow.backlog_element = blocking.element;
                 }
+                true
             } else {
                 for hop in contendable {
                     self.claimed[hop.link as usize] = true;
                 }
+                false
+            };
+            if blocked != flow.blocked {
+                flow.blocked = blocked;
+                count_occupancy(&mut self.occupancy, hops, !blocked);
             }
         }
-        for flow in &self.flows {
+        // Only unblocked flows claimed links.
+        for flow in self.flows.iter().filter(|flow| !flow.blocked) {
             for hop in table.hops(&flow.route) {
                 self.claimed[hop.link as usize] = false;
             }
@@ -379,25 +387,15 @@ impl RouterNode {
 
     /// Advances every flow by one word, charging energy as it goes.
     fn transmit(&mut self) {
-        let model = &*self.model;
-        let table = &*self.routes;
+        let fabric = &*self.fabric;
+        let table = fabric.routes();
+        let model = fabric.model();
         let bus_width = f64::from(model.bus_width_bits());
         let word_mask = if model.bus_width_bits() >= 64 {
             u64::MAX
         } else {
             (1_u64 << model.bus_width_bits()) - 1
         };
-
-        // Per-element occupancy of flows that transmit this cycle (the input
-        // vector the node-switch LUT is indexed with).
-        for flow in &self.flows {
-            if flow.blocked || flow.is_complete() {
-                continue;
-            }
-            for hop in table.hops(&flow.route) {
-                self.occupancy[hop.element as usize] += 1;
-            }
-        }
 
         let mut switch_energy = Energy::ZERO;
         let mut wire_energy = Energy::ZERO;
@@ -434,26 +432,12 @@ impl RouterNode {
             *ingress = word;
             wire_energy += model.grid_bit_energy() * (flips * flow.route.wire_grids_before as f64);
             for hop in table.hops(&flow.route) {
-                let data = table.data(hop);
                 let last = &mut self.link_last_word[hop.link as usize];
-                let flips = f64::from(polarity_flips(*last, word));
+                wire_energy += fabric.wire_energy(hop, polarity_flips(*last, word));
                 *last = word;
-                wire_energy += model.grid_bit_energy() * (flips * data.wire_grids_after as f64);
-
-                // Node-switch energy from the input-vector LUT.
-                if data.charged_inputs > 1 {
-                    // Crossbar row: the bit toggles the inputs of all N
-                    // crosspoints (Eq. 3's N·E_S term).
-                    switch_energy += model.switch_bit_energy(data.class, 1)
-                        * (bus_width * data.charged_inputs as f64);
-                } else {
-                    let occupants = self.occupancy[hop.element as usize].max(1);
-                    // The LUT value is the whole switch's per-bit-slot energy
-                    // under that occupancy; split it evenly between the
-                    // packets sharing the switch so it is charged exactly once.
-                    switch_energy += model.switch_bit_energy(data.class, occupants)
-                        * (bus_width / occupants as f64);
-                }
+                // Node-switch energy from the input-vector LUT, at the
+                // element's occupancy.
+                switch_energy += fabric.switch_energy(hop, self.occupancy[hop.element as usize]);
             }
 
             // A word previously parked in the node buffer drains along with
@@ -469,12 +453,6 @@ impl RouterNode {
             }
         }
 
-        for flow in &self.flows {
-            for hop in table.hops(&flow.route) {
-                self.occupancy[hop.element as usize] = 0;
-            }
-        }
-
         if self.measuring {
             self.energy.switches += switch_energy;
             self.energy.wires += wire_energy;
@@ -482,11 +460,17 @@ impl RouterNode {
         }
     }
 
-    /// Removes finished flows, releases the words they still had parked,
-    /// frees their input/output ports, and moves their packets into
-    /// `completed` in completion order.
+    /// Removes finished flows, releases their path's occupancy and the
+    /// words they still had parked, frees their input/output ports, and
+    /// moves their packets into `completed` in completion order.
     fn complete_flows(&mut self, completed: &mut Vec<Packet>) {
+        let table = self.fabric.routes();
         for flow in self.flows.extract_if(.., |flow| flow.is_complete()) {
+            // A flow finishes on a word it sent unblocked, so it still
+            // occupies its path, unless it never had a word to send.
+            if !flow.packet.payload.is_empty() {
+                count_occupancy(&mut self.occupancy, table.hops(&flow.route), false);
+            }
             self.node_buffer_words[flow.backlog_element as usize] -= flow.backlog;
             self.input_busy[flow.packet.source] = false;
             self.output_busy[flow.packet.destination] = false;
@@ -495,9 +479,22 @@ impl RouterNode {
     }
 }
 
+/// Counts a flow's hops into (`enter`) or out of the element occupancy.
+fn count_occupancy(occupancy: &mut [usize], hops: &[Hop], enter: bool) {
+    for hop in hops {
+        let occupants = &mut occupancy[hop.element as usize];
+        if enter {
+            *occupants += 1;
+        } else {
+            *occupants -= 1;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::route_table::RouteTable;
     use fabric_power_fabric::Architecture;
     use fabric_power_tech::constants::BANYAN_NODE_BUFFER_BITS;
     use proptest::prelude::*;
@@ -579,6 +576,19 @@ mod tests {
         node.flows.is_empty() && node.input_queues.iter().all(VecDeque::is_empty)
     }
 
+    /// The element occupancy recounted from the flows, as a node between
+    /// steps must hold it: every unblocked flow on every element it crosses.
+    fn recounted_occupancy(node: &RouterNode) -> Vec<usize> {
+        let table = node.fabric.routes();
+        let mut occupancy = vec![0; node.occupancy.len()];
+        for flow in node.flows.iter().filter(|flow| !flow.blocked) {
+            for hop in table.hops(&flow.route) {
+                occupancy[hop.element as usize] += 1;
+            }
+        }
+        occupancy
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -594,9 +604,10 @@ mod tests {
             seed in any::<u64>(),
         ) {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let routes = Arc::new(RouteTable::new(architecture, ports).unwrap());
+            let routes = RouteTable::new(architecture, ports).unwrap();
             let model = Arc::new(FabricEnergyModel::paper(ports).unwrap());
-            let mut node = RouterNode::new(routes, BANYAN_NODE_BUFFER_BITS, model).unwrap();
+            let fabric = Arc::new(PricedRoutes::new(routes, model).unwrap());
+            let mut node = RouterNode::new(fabric, BANYAN_NODE_BUFFER_BITS);
             node.begin_measurement();
 
             // Per-case injection rate and schedule length, light to saturating.
@@ -613,7 +624,8 @@ mod tests {
                         if !rng.gen_bool(inject_p) {
                             continue;
                         }
-                        let words = rng.gen_range(1..=24_usize);
+                        // Zero-word packets complete at grant without occupying their path.
+                        let words = rng.gen_range(0..=24_usize);
                         let payload: Vec<u64> = (0..words).map(|_| rng.gen()).collect();
                         node.inject(
                             port,
@@ -629,6 +641,7 @@ mod tests {
                     }
                 }
                 node.step(cycle, &mut completed);
+                prop_assert_eq!(&node.occupancy, &recounted_occupancy(&node));
                 for packet in completed.drain(..) {
                     let injected = outstanding[packet.id as usize].take();
                     prop_assert!(
@@ -649,6 +662,14 @@ mod tests {
             prop_assert!(
                 node.node_buffer_words.iter().all(|&words| words == 0),
                 "{architecture} {ports}x{ports}: words left parked after draining"
+            );
+            prop_assert!(
+                node.occupancy.iter().all(|&occupants| occupants == 0),
+                "{architecture} {ports}x{ports}: element occupancy left after draining"
+            );
+            prop_assert!(
+                !node.claimed.contains(&true),
+                "{architecture} {ports}x{ports}: a link left claimed after draining"
             );
         }
     }

@@ -5,7 +5,7 @@
 //! that flip polarity relative to the previous word on the same link
 //! (paper §3.3), which requires knowing the real bit patterns.
 
-use rand::Rng;
+use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
 /// A fixed-size packet travelling through the router.
@@ -42,20 +42,25 @@ impl Packet {
         self.words() as u64 * u64::from(bus_width)
     }
 
-    /// Generates a packet with uniformly random payload words.
-    pub fn random<R: Rng + ?Sized>(
+    /// Generates a packet with `words` uniformly random payload words,
+    /// written into `payload` after clearing it, so a finished packet's
+    /// buffer can carry the next one.
+    pub fn random<R: RngCore + ?Sized>(
         rng: &mut R,
         id: u64,
         source: usize,
         destination: usize,
         words: usize,
         arrival_cycle: u64,
+        mut payload: Vec<u64>,
     ) -> Self {
+        payload.clear();
+        payload.extend((0..words).map(|_| rng.next_u64()));
         Self {
             id,
             source,
             destination,
-            payload: (0..words).map(|_| rng.gen::<u64>()).collect(),
+            payload,
             arrival_cycle,
         }
     }
@@ -70,7 +75,7 @@ mod tests {
     #[test]
     fn random_packet_has_requested_shape() {
         let mut rng = ChaCha8Rng::seed_from_u64(7);
-        let packet = Packet::random(&mut rng, 42, 1, 3, 16, 100);
+        let packet = Packet::random(&mut rng, 42, 1, 3, 16, 100, Vec::new());
         assert_eq!(packet.id, 42);
         assert_eq!(packet.source, 1);
         assert_eq!(packet.destination, 3);
@@ -83,18 +88,23 @@ mod tests {
     fn random_payload_is_reproducible_per_seed() {
         let mut a = ChaCha8Rng::seed_from_u64(1);
         let mut b = ChaCha8Rng::seed_from_u64(1);
-        let pa = Packet::random(&mut a, 0, 0, 0, 8, 0);
-        let pb = Packet::random(&mut b, 0, 0, 0, 8, 0);
+        let pa = Packet::random(&mut a, 0, 0, 0, 8, 0, Vec::new());
+        // A recycled buffer, longer and full of stale words, gives the same
+        // packet and keeps its allocation.
+        let recycled = vec![u64::MAX; 12];
+        let allocation = recycled.as_ptr();
+        let pb = Packet::random(&mut b, 0, 0, 0, 8, 0, recycled);
         assert_eq!(pa, pb);
+        assert_eq!(pb.payload.as_ptr(), allocation);
         let mut c = ChaCha8Rng::seed_from_u64(2);
-        let pc = Packet::random(&mut c, 0, 0, 0, 8, 0);
+        let pc = Packet::random(&mut c, 0, 0, 0, 8, 0, Vec::new());
         assert_ne!(pa.payload, pc.payload);
     }
 
     #[test]
     fn payload_words_are_not_all_identical() {
         let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let packet = Packet::random(&mut rng, 0, 0, 0, 32, 0);
+        let packet = Packet::random(&mut rng, 0, 0, 0, 32, 0, Vec::new());
         let first = packet.payload[0];
         assert!(packet.payload.iter().any(|&w| w != first));
     }

@@ -15,13 +15,23 @@
 //!
 //! The dense ids come from the topology's arithmetic scheme
 //! ([`FabricTopology::element_slot`], [`FabricTopology::hop_link`]), so
-//! building the table hashes nothing.  A mesh builds one table and
-//! [`Arc`](std::sync::Arc)-shares it across all of its nodes.
+//! building the table hashes nothing.
+//!
+//! A [`PricedRoutes`] pairs the table with one energy model and prices
+//! every hop kind once: its wire energy for each possible count of flipped
+//! bits, and its switch energy for each possible occupancy of its element.
+//! A mesh builds one and [`Arc`]-shares it across all of its nodes.
 //!
 //! [`RouterNode`]: crate::node::RouterNode
 
+use std::sync::Arc;
+
+use fabric_power_fabric::energy_model::FabricEnergyModel;
 use fabric_power_fabric::topology::{FabricTopology, TopologyError};
 use fabric_power_fabric::{Architecture, SwitchClass};
+use fabric_power_tech::units::Energy;
+
+use crate::sim::SimulationError;
 
 /// The route-independent part of a hop: everything that charges energy
 /// or decides contention, shared by every hop through the same kind of
@@ -182,6 +192,126 @@ fn dense(id: usize) -> u32 {
     u32::try_from(id).expect("dense ids fit in 32 bits")
 }
 
+/// Polarity flips one `u64` word can show against the previous one: 0..=64.
+const FLIP_COUNTS: usize = u64::BITS as usize + 1;
+
+/// A [`RouteTable`] with every hop kind priced under one energy model.
+///
+/// A transmitted word charges each hop two table reads: the wire energy of
+/// the bits it flips on the hop's outgoing link, and its share of the
+/// element's switch energy at the element's occupancy.  Each entry is the
+/// product the per-hop formula would compute, in the same operand order,
+/// so the sums a node accumulates are bit-identical to charging the model
+/// directly.
+///
+/// # Examples
+///
+/// ```
+/// use std::sync::Arc;
+/// use fabric_power_fabric::{Architecture, FabricEnergyModel};
+/// use fabric_power_router::{PricedRoutes, RouteTable, RouterNode};
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let routes = RouteTable::new(Architecture::Banyan, 8)?;
+/// let model = Arc::new(FabricEnergyModel::paper(8)?);
+/// // One priced table, shared by every node of a mesh.
+/// let priced = Arc::new(PricedRoutes::new(routes, model)?);
+/// let nodes: Vec<RouterNode> = (0..4)
+///     .map(|_| RouterNode::new(Arc::clone(&priced), 0))
+///     .collect();
+/// assert_eq!(nodes[3].ports(), 8);
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug)]
+pub struct PricedRoutes {
+    routes: RouteTable,
+    model: Arc<FabricEnergyModel>,
+    /// Per hop kind, the wire energy of the link after the element, by
+    /// flipped-bit count.
+    wire: Vec<[Energy; FLIP_COUNTS]>,
+    /// Per hop kind, one packet's share of the element's switch energy by
+    /// occupancy `0..=ports`: `switch[kind * (ports + 1) + occupants]`.
+    switch: Vec<Energy>,
+}
+
+impl PricedRoutes {
+    /// Prices every hop kind of `routes` under `model`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimulationError::PortMismatch`] if the route table and the
+    /// energy model disagree on the port count.
+    pub fn new(routes: RouteTable, model: Arc<FabricEnergyModel>) -> Result<Self, SimulationError> {
+        let ports = routes.ports();
+        if model.ports() != ports {
+            return Err(SimulationError::PortMismatch {
+                config_ports: ports,
+                model_ports: model.ports(),
+            });
+        }
+        let grid = model.grid_bit_energy();
+        let bus_width = f64::from(model.bus_width_bits());
+        let wire = routes
+            .hop_data
+            .iter()
+            .map(|data| {
+                std::array::from_fn(|flips| grid * (flips as f64 * data.wire_grids_after as f64))
+            })
+            .collect();
+        let mut switch = Vec::with_capacity(routes.hop_data.len() * (ports + 1));
+        for data in &routes.hop_data {
+            if data.charged_inputs > 1 {
+                // Crossbar row: the bit toggles the inputs of all N
+                // crosspoints (Eq. 3's N·E_S term), whatever the occupancy.
+                let row = model.switch_bit_energy(data.class, 1)
+                    * (bus_width * data.charged_inputs as f64);
+                switch.extend(std::iter::repeat_n(row, ports + 1));
+            } else {
+                // The LUT value is the whole switch's per-bit-slot energy
+                // under that occupancy; split evenly between the packets
+                // sharing the switch so it is charged exactly once.
+                switch.extend((0..=ports).map(|occupants| {
+                    let occupants = occupants.max(1);
+                    model.switch_bit_energy(data.class, occupants) * (bus_width / occupants as f64)
+                }));
+            }
+        }
+        Ok(Self {
+            routes,
+            model,
+            wire,
+            switch,
+        })
+    }
+
+    /// The route table.
+    #[must_use]
+    pub fn routes(&self) -> &RouteTable {
+        &self.routes
+    }
+
+    /// The energy model the hops are priced under.
+    #[must_use]
+    pub fn model(&self) -> &FabricEnergyModel {
+        &self.model
+    }
+
+    /// Wire energy of a word that flips `flips` bits on `hop`'s outgoing
+    /// link.
+    #[inline]
+    pub(crate) fn wire_energy(&self, hop: &Hop, flips: u32) -> Energy {
+        self.wire[hop.data as usize][flips as usize]
+    }
+
+    /// One packet's share of the switch energy at `hop` while `occupants`
+    /// packets cross its element.
+    #[inline]
+    pub(crate) fn switch_energy(&self, hop: &Hop, occupants: usize) -> Energy {
+        self.switch[hop.data as usize * (self.routes.ports + 1) + occupants]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,6 +352,56 @@ mod tests {
                 assert_eq!(table.contendable(), architecture == Architecture::Banyan);
             }
         }
+    }
+
+    #[test]
+    fn priced_hops_equal_the_per_hop_formulas() {
+        for architecture in Architecture::ALL {
+            for ports in [2, 8, 32] {
+                let model = Arc::new(FabricEnergyModel::paper(ports).unwrap());
+                let priced =
+                    PricedRoutes::new(RouteTable::new(architecture, ports).unwrap(), model)
+                        .unwrap();
+                let (table, model) = (priced.routes(), priced.model());
+                let bus_width = f64::from(model.bus_width_bits());
+                for (kind, data) in table.hop_data.iter().enumerate() {
+                    let hop = &Hop {
+                        link: 0,
+                        element: 0,
+                        data: dense(kind),
+                    };
+                    for flips in 0..=64 {
+                        let expected = model.grid_bit_energy()
+                            * (f64::from(flips) * data.wire_grids_after as f64);
+                        assert_eq!(priced.wire_energy(hop, flips), expected);
+                    }
+                    for occupancy in 0..=ports {
+                        let expected = if data.charged_inputs > 1 {
+                            model.switch_bit_energy(data.class, 1)
+                                * (bus_width * data.charged_inputs as f64)
+                        } else {
+                            let occupants = occupancy.max(1);
+                            model.switch_bit_energy(data.class, occupants)
+                                * (bus_width / occupants as f64)
+                        };
+                        assert_eq!(priced.switch_energy(hop, occupancy), expected);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pricing_rejects_a_model_of_another_size() {
+        let model = Arc::new(FabricEnergyModel::paper(4).unwrap());
+        let routes = RouteTable::new(Architecture::Crossbar, 8).unwrap();
+        assert!(matches!(
+            PricedRoutes::new(routes, model),
+            Err(SimulationError::PortMismatch {
+                config_ports: 8,
+                model_ports: 4
+            })
+        ));
     }
 
     #[test]

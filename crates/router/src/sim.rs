@@ -26,7 +26,7 @@ use crate::config::{SimulationConfig, SimulationReport};
 use crate::metrics::LatencyHistogram;
 use crate::node::RouterNode;
 use crate::packet::Packet;
-use crate::route_table::RouteTable;
+use crate::route_table::{PricedRoutes, RouteTable};
 use crate::traffic::TrafficGenerator;
 
 /// Errors raised when constructing a [`RouterSimulator`].
@@ -169,8 +169,9 @@ impl RouterSimulator {
         config: SimulationConfig,
         model: Arc<FabricEnergyModel>,
     ) -> Result<Self, SimulationError> {
-        let routes = Arc::new(RouteTable::new(config.architecture, config.ports)?);
-        let node = RouterNode::new(routes, config.node_buffer_bits, model)?;
+        let routes = RouteTable::new(config.architecture, config.ports)?;
+        let fabric = Arc::new(PricedRoutes::new(routes, model)?);
+        let node = RouterNode::new(fabric, config.node_buffer_bits);
         let traffic = TrafficGenerator::new(
             config.ports,
             config.offered_load,
@@ -224,6 +225,7 @@ impl RouterSimulator {
                 self.packets_delivered += 1;
                 self.latency.record(self.cycle + 1 - packet.arrival_cycle);
             }
+            self.traffic.recycle(packet.payload);
         }
 
         self.cycle += 1;

@@ -6,9 +6,28 @@
 //! reproduces that: each idle ingress port starts a new packet per cycle with
 //! probability `offered_load / packet_words`, so the average offered word
 //! rate per port equals the requested load fraction.
+//!
+//! # Per-cycle cost
+//!
+//! The generator runs once per port per cycle, so it keeps that path free
+//! of floating point and allocation:
+//!
+//! * **Integer thresholds.**  Each probability the generator tests — the
+//!   start chance `load / packet_words`, [`TrafficPattern::Bursty`]'s ON
+//!   and OFF start chances and its `1 / mean_burst` state flip, and the
+//!   hot-spot fraction — becomes an integer threshold `⌈p·2⁵³⌉` computed
+//!   once.  The vendored `rng.gen::<f64>() < p` is `(x >> 11)·2⁻⁵³ < p`
+//!   for the drawn `x`, which holds exactly when `x >> 11 < ⌈p·2⁵³⌉`, so
+//!   the integer test makes the same decisions from the same draws and
+//!   every statistic downstream is unchanged.
+//! * **Recycled payloads.**  The single-router driver hands each completed
+//!   packet's payload back ([`TrafficGenerator::recycle`]), and the
+//!   generator refills it in place for a later packet, so in steady state
+//!   generating traffic allocates nothing.  A mesh drops its ejected
+//!   packets instead: a node ejects what other nodes injected, so a
+//!   hot-spot node's pool would grow without bound.
 
-use rand::Rng;
-use rand::SeedableRng;
+use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
@@ -105,19 +124,45 @@ fn exact_square_side(n: usize) -> Option<usize> {
     (side * side == n).then_some(side)
 }
 
+/// A probability `p` as the integer threshold `⌈p·2⁵³⌉` on a draw's top
+/// 53 bits: [`Chance::draw`] is true exactly when `rng.gen::<f64>() < p`
+/// would be, for the same draw.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Chance(u64);
+
+impl Chance {
+    fn new(p: f64) -> Self {
+        // Scaling by a power of two is exact, and so is `ceil`; the cast
+        // saturates, which keeps the equivalence for p outside [0, 1].
+        Self((p * (1_u64 << 53) as f64).ceil() as u64)
+    }
+
+    #[inline]
+    fn draw<R: RngCore + ?Sized>(self, rng: &mut R) -> bool {
+        rng.next_u64() >> 11 < self.0
+    }
+}
+
 /// Generates packet arrivals for every ingress port.
 #[derive(Debug, Clone)]
 pub struct TrafficGenerator {
     ports: usize,
-    offered_load: f64,
     packet_words: usize,
     pattern: TrafficPattern,
     rng: ChaCha8Rng,
     next_packet_id: u64,
-    generated: u64,
+    /// Chance a port starts a packet in a cycle: at the offered load, or
+    /// at the ON-state load for [`TrafficPattern::Bursty`].
+    start: Chance,
+    /// [`TrafficPattern::Bursty`] only: the OFF-state start chance and the
+    /// per-cycle chance of a port flipping state.
+    start_off: Chance,
+    flip: Chance,
     /// Per-port ON/OFF state, used only by [`TrafficPattern::Bursty`]
     /// (`true` = ON).  All ports start ON.
     burst_on: Vec<bool>,
+    /// Payload buffers handed back through [`TrafficGenerator::recycle`].
+    spare_payloads: Vec<Vec<u64>>,
 }
 
 impl TrafficGenerator {
@@ -125,8 +170,10 @@ impl TrafficGenerator {
     ///
     /// # Panics
     ///
-    /// Panics if `offered_load` is outside `(0.0, 1.0]`, `ports < 2`, or
-    /// `packet_words == 0`.
+    /// Panics if `offered_load` is outside `(0.0, 1.0]`, `ports < 2`,
+    /// `packet_words == 0`, a [`TrafficPattern::Hotspot`] port is not below
+    /// `ports` or its fraction is outside `[0, 1]`, or a
+    /// [`TrafficPattern::Bursty`] load or dwell time is out of range.
     #[must_use]
     pub fn new(
         ports: usize,
@@ -141,60 +188,69 @@ impl TrafficGenerator {
             "offered load must be in (0, 1], got {offered_load}"
         );
         assert!(packet_words > 0, "packets need at least one word");
-        if let TrafficPattern::Bursty {
-            on_load,
-            off_load,
-            mean_burst,
-        } = pattern
-        {
-            assert!(
-                on_load > 0.0 && on_load <= 1.0,
-                "bursty on-load must be in (0, 1], got {on_load}"
-            );
-            assert!(
-                (0.0..=1.0).contains(&off_load),
-                "bursty off-load must be in [0, 1], got {off_load}"
-            );
-            assert!(
-                mean_burst >= 1.0,
-                "bursty mean burst must be at least one cycle, got {mean_burst}"
-            );
-        }
+        let words = packet_words as f64;
+        let never = Chance::new(0.0);
+        let (start, start_off, flip) = match pattern {
+            TrafficPattern::Hotspot { port, fraction } => {
+                assert!(
+                    port < ports,
+                    "hot-spot port must be below the port count {ports}, got {port}"
+                );
+                assert!(
+                    (0.0..=1.0).contains(&fraction),
+                    "hot-spot fraction must be in [0, 1], got {fraction}"
+                );
+                (Chance::new(offered_load / words), never, never)
+            }
+            TrafficPattern::Bursty {
+                on_load,
+                off_load,
+                mean_burst,
+            } => {
+                assert!(
+                    on_load > 0.0 && on_load <= 1.0,
+                    "bursty on-load must be in (0, 1], got {on_load}"
+                );
+                assert!(
+                    (0.0..=1.0).contains(&off_load),
+                    "bursty off-load must be in [0, 1], got {off_load}"
+                );
+                assert!(
+                    mean_burst >= 1.0,
+                    "bursty mean burst must be at least one cycle, got {mean_burst}"
+                );
+                (
+                    Chance::new(on_load / words),
+                    Chance::new(off_load / words),
+                    Chance::new(1.0 / mean_burst),
+                )
+            }
+            _ => (Chance::new(offered_load / words), never, never),
+        };
         Self {
             ports,
-            offered_load,
             packet_words,
             pattern,
             rng: ChaCha8Rng::seed_from_u64(seed),
             next_packet_id: 0,
-            generated: 0,
+            start,
+            start_off,
+            flip,
             burst_on: vec![true; ports],
+            spare_payloads: Vec::new(),
         }
-    }
-
-    /// Offered load per ingress port, as a fraction of line rate.
-    #[must_use]
-    pub fn offered_load(&self) -> f64 {
-        self.offered_load
-    }
-
-    /// Number of packets generated so far.
-    #[must_use]
-    pub fn generated(&self) -> u64 {
-        self.generated
     }
 
     /// Produces the packets arriving at `port` during `cycle` (zero or one).
     pub fn arrivals(&mut self, port: usize, cycle: u64) -> Option<Packet> {
-        let load = self.effective_load(port);
-        let start_probability = load / self.packet_words as f64;
-        if self.rng.gen::<f64>() >= start_probability {
+        let start = self.start_chance(port);
+        if !start.draw(&mut self.rng) {
             return None;
         }
         let destination = self.pick_destination(port);
         let id = self.next_packet_id;
         self.next_packet_id += 1;
-        self.generated += 1;
+        let payload = self.spare_payloads.pop().unwrap_or_default();
         Some(Packet::random(
             &mut self.rng,
             id,
@@ -202,30 +258,32 @@ impl TrafficGenerator {
             destination,
             self.packet_words,
             cycle,
+            payload,
         ))
     }
 
-    /// The offered load in effect for `port` this cycle.  For
+    /// Hands back a finished packet's payload buffer, to be refilled for a
+    /// later packet instead of allocating a new one.
+    pub fn recycle(&mut self, payload: Vec<u64>) {
+        self.spare_payloads.push(payload);
+    }
+
+    /// The start chance in effect for `port` this cycle.  For
     /// [`TrafficPattern::Bursty`] this also advances the port's two-state
     /// Markov chain (one transition draw per call, i.e. per cycle).
-    fn effective_load(&mut self, port: usize) -> f64 {
-        let TrafficPattern::Bursty {
-            on_load,
-            off_load,
-            mean_burst,
-        } = self.pattern
-        else {
-            return self.offered_load;
-        };
+    fn start_chance(&mut self, port: usize) -> Chance {
+        if !matches!(self.pattern, TrafficPattern::Bursty { .. }) {
+            return self.start;
+        }
         // Geometric dwell time with mean `mean_burst`: leave the current
         // state with probability 1/mean_burst each cycle.
-        if self.rng.gen::<f64>() < 1.0 / mean_burst {
+        if self.flip.draw(&mut self.rng) {
             self.burst_on[port] = !self.burst_on[port];
         }
         if self.burst_on[port] {
-            on_load
+            self.start
         } else {
-            off_load
+            self.start_off
         }
     }
 
@@ -244,7 +302,7 @@ impl TrafficGenerator {
         }
         match self.pattern {
             TrafficPattern::Hotspot { port, fraction } => {
-                if self.rng.gen::<f64>() < fraction && port != source {
+                if Chance::new(fraction).draw(&mut self.rng) && port != source {
                     port
                 } else {
                     self.uniform_excluding_source(source)
@@ -258,6 +316,73 @@ impl TrafficGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A generator that returns one fixed word forever.
+    struct Fixed(u64);
+
+    impl RngCore for Fixed {
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+
+    #[test]
+    fn integer_chance_matches_the_float_draw() {
+        let mut probabilities = vec![0.0, 1.0, f64::MIN_POSITIVE, 1.0 / (1_u64 << 60) as f64];
+        // Every start chance the scenarios and goldens use: their loads
+        // (bursty ON/OFF loads included) over every packet length in use.
+        for load in [
+            0.05, 0.1, 0.2, 0.3, 0.4, 0.425, 0.5, 0.6, 0.8, 0.9, 0.95, 1.0,
+        ] {
+            for words in [1, 4, 8, 16] {
+                probabilities.push(load / f64::from(words));
+            }
+        }
+        // Hot-spot fractions and bursty flip chances.
+        probabilities.extend([0.3, 0.5, 0.7, 0.8]);
+        probabilities.extend([25.0, 50.0, 400.0, 500.0].map(|mean_burst: f64| 1.0 / mean_burst));
+        let mut rng = ChaCha8Rng::seed_from_u64(0xC4A2CE);
+        probabilities.extend((0..1_000).map(|_| 1.0 - rng.gen::<f64>()));
+
+        for p in probabilities {
+            let chance = Chance::new(p);
+            let boundary = i128::from(chance.0) << 11;
+            let near = [-2049, -2048, -2047, -1, 0, 1, 2047, 2048].map(|offset| boundary + offset);
+            for x in near.into_iter().chain([0, i128::from(u64::MAX)]) {
+                let Ok(x) = u64::try_from(x) else {
+                    continue;
+                };
+                assert_eq!(
+                    chance.draw(&mut Fixed(x)),
+                    Fixed(x).gen::<f64>() < p,
+                    "p {p}, x {x:#x}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "hot-spot port must be below the port count 8, got 9")]
+    fn out_of_range_hotspot_port_is_rejected() {
+        let pattern = TrafficPattern::Hotspot {
+            port: 9,
+            fraction: 0.5,
+        };
+        let config =
+            crate::SimulationConfig::quick(fabric_power_fabric::Architecture::Crossbar, 8, 0.3)
+                .with_pattern(pattern);
+        let _ = crate::simulate(config);
+    }
+
+    #[test]
+    #[should_panic(expected = "hot-spot fraction must be in [0, 1], got NaN")]
+    fn nan_hotspot_fraction_is_rejected() {
+        let pattern = TrafficPattern::Hotspot {
+            port: 0,
+            fraction: f64::NAN,
+        };
+        let _ = TrafficGenerator::new(8, 0.3, 16, pattern, 0);
+    }
 
     #[test]
     fn offered_load_controls_the_arrival_rate() {
