@@ -127,7 +127,7 @@ fn exact_square_side(n: usize) -> Option<usize> {
 /// A probability `p` as the integer threshold `⌈p·2⁵³⌉` on a draw's top
 /// 53 bits: [`Chance::draw`] is true exactly when `rng.gen::<f64>() < p`
 /// would be, for the same draw.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 struct Chance(u64);
 
 impl Chance {
