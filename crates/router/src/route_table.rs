@@ -392,19 +392,6 @@ mod tests {
     }
 
     #[test]
-    fn pricing_rejects_a_model_of_another_size() {
-        let model = Arc::new(FabricEnergyModel::paper(4).unwrap());
-        let routes = RouteTable::new(Architecture::Crossbar, 8).unwrap();
-        assert!(matches!(
-            PricedRoutes::new(routes, model),
-            Err(SimulationError::PortMismatch {
-                config_ports: 8,
-                model_ports: 4
-            })
-        ));
-    }
-
-    #[test]
     fn hops_are_twelve_bytes() {
         assert_eq!(std::mem::size_of::<Hop>(), 12);
     }
