@@ -308,6 +308,9 @@ impl PricedRoutes {
     /// packets cross its element.
     #[inline]
     pub(crate) fn switch_energy(&self, hop: &Hop, occupants: usize) -> Energy {
+        // At most one flow per input, so an element never holds more than
+        // `ports`; a larger count would read the next hop kind's row.
+        debug_assert!(occupants <= self.routes.ports);
         self.switch[hop.data as usize * (self.routes.ports + 1) + occupants]
     }
 }
