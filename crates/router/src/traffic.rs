@@ -19,7 +19,9 @@
 //!   once.  The vendored `rng.gen::<f64>() < p` is `(x >> 11)·2⁻⁵³ < p`
 //!   for the drawn `x`, which holds exactly when `x >> 11 < ⌈p·2⁵³⌉`, so
 //!   the integer test makes the same decisions from the same draws and
-//!   every statistic downstream is unchanged.
+//!   every statistic downstream is unchanged.  The test is inlined into
+//!   the caller's per-port loop; only a port that starts a packet makes a
+//!   call.
 //! * **Recycled payloads.**  The single-router driver hands each completed
 //!   packet's payload back ([`TrafficGenerator::recycle`]), and the
 //!   generator refills it in place for a later packet, so in steady state
@@ -242,16 +244,25 @@ impl TrafficGenerator {
     }
 
     /// Produces the packets arriving at `port` during `cycle` (zero or one).
+    ///
+    /// Most port-cycles start no packet, so this test inlines into the
+    /// caller's loop and only a starting packet pays for a call.
+    #[inline]
     pub fn arrivals(&mut self, port: usize, cycle: u64) -> Option<Packet> {
-        let start = self.start_chance(port);
-        if !start.draw(&mut self.rng) {
+        if !self.start_chance(port).draw(&mut self.rng) {
             return None;
         }
+        Some(self.start_packet(port, cycle))
+    }
+
+    /// The packet `port` starts in `cycle`: its destination, id and payload.
+    #[inline(never)]
+    fn start_packet(&mut self, port: usize, cycle: u64) -> Packet {
         let destination = self.pick_destination(port);
         let id = self.next_packet_id;
         self.next_packet_id += 1;
         let payload = self.spare_payloads.pop().unwrap_or_default();
-        Some(Packet::random(
+        Packet::random(
             &mut self.rng,
             id,
             port,
@@ -259,7 +270,7 @@ impl TrafficGenerator {
             self.packet_words,
             cycle,
             payload,
-        ))
+        )
     }
 
     /// Hands back a finished packet's payload buffer, to be refilled for a
@@ -271,6 +282,7 @@ impl TrafficGenerator {
     /// The start chance in effect for `port` this cycle.  For
     /// [`TrafficPattern::Bursty`] this also advances the port's two-state
     /// Markov chain (one transition draw per call, i.e. per cycle).
+    #[inline]
     fn start_chance(&mut self, port: usize) -> Chance {
         if !matches!(self.pattern, TrafficPattern::Bursty { .. }) {
             return self.start;
