@@ -2,17 +2,12 @@
 //! a range of fabric sizes — the analytic counterpart of Figures 9/10.
 //!
 //! Run with `cargo run --release -p fabric-power-bench --bin analytic_model`.
-//! The paper-reference models behind the equations come from the
-//! process-shared model provider (`--model-cache DIR` persists them).
 
-use fabric_power_bench::{export_json, process_provider};
 use fabric_power_core::report::format_analytic_table;
-use fabric_power_fabric::analytic::analytic_table_with_provider;
+use fabric_power_fabric::analytic::analytic_table;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let sizes = [4_usize, 8, 16, 32, 64, 128];
-    let provider = process_provider()?;
-    let rows = analytic_table_with_provider(&sizes, &provider)?;
+    let rows = analytic_table(&[4, 8, 16, 32, 64, 128])?;
     println!("{}", format_analytic_table(&rows));
     println!("Notes:");
     println!("  * one contended Banyan stage adds one buffer access per bit (the buffer penalty),");
@@ -21,6 +16,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "    around N = 32 — the paper's remark that interconnect power dominates large fabrics."
     );
-    export_json("analytic_model", &rows);
     Ok(())
 }

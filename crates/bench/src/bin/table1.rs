@@ -2,68 +2,25 @@
 //! vectors — by characterizing the generated gate-level circuits and printing
 //! them next to the paper's published values.
 //!
-//! Characterization is acquired through the process-shared model provider:
-//! the switch LUTs are the components of the derived [`FabricEnergyModel`]s
-//! for the paper's four fabric sizes, so with `--model-cache DIR` (or
-//! `FABRIC_POWER_MODEL_CACHE`) a second run of this binary reuses the
-//! cached models and characterizes nothing.  (Derived *sweeps* use their
-//! own `CharacterizationConfig::quick` entries — the characterization
-//! config is part of the content address, so the two never alias.)
-//!
-//! Trade-off vs. the old direct `Table1::characterize` call: a cold run
-//! additionally characterizes the cheap 2×2 switch classes of the 4/8/16
-//! -port models (a few extra occupancy states each; the N-input MUXes
-//! dominate the cost either way), and in exchange every LUT lands in the
-//! shared cache as a complete, reusable model.
+//! The paper characterizes 32-bit-wide data paths on 0.18 µm cells; the
+//! sorting switch compares 5-bit addresses, i.e. log2(32).  This is the
+//! characterization `tests/golden/table1_characterized.json` pins.
 //!
 //! Run with `cargo run --release -p fabric-power-bench --bin table1`.
 
-use fabric_power_bench::{export_json, process_provider};
 use fabric_power_core::report::format_table1;
-use fabric_power_fabric::provider::ModelSpec;
-use fabric_power_fabric::FabricEnergyModel;
-use fabric_power_netlist::characterize::CharacterizationConfig;
-use fabric_power_netlist::library::CellLibrary;
-use fabric_power_netlist::{SwitchClass, Table1};
-use fabric_power_tech::Technology;
+use fabric_power_netlist::{CellLibrary, CharacterizationConfig, Table1};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let provider = process_provider()?;
-    // The paper characterizes 32-bit-wide data paths on 0.18 um cells; the
-    // sorting switch compares 5-bit addresses, i.e. log2(32) — exactly the
-    // address width of the derived 32-port model.
-    let technology = Technology::tsmc180();
-    let library = CellLibrary::calibrated_018um();
-    let config = CharacterizationConfig::default();
-
-    let mut models = Vec::new();
-    for ports in [4_usize, 8, 16, 32] {
-        models.push(provider.get(&ModelSpec::derived(
-            ports,
-            technology.clone(),
-            library.clone(),
-            config,
-        ))?);
-    }
-    let largest: &FabricEnergyModel = models.last().expect("four models");
-    let ours = Table1 {
-        crosspoint: largest.switch_lut(SwitchClass::CrossbarCrosspoint).clone(),
-        banyan_binary: largest.switch_lut(SwitchClass::BanyanBinary).clone(),
-        batcher_sorting: largest.switch_lut(SwitchClass::BatcherSorting).clone(),
-        muxes: models
-            .iter()
-            .map(|m| m.switch_lut(SwitchClass::Mux { inputs: m.ports() }).clone())
-            .collect(),
-    };
-    let paper = Table1::paper();
-
-    println!("{}", format_table1(&ours, &paper));
+    let ours = Table1::characterize(
+        32,
+        5,
+        &CellLibrary::calibrated_018um(),
+        &CharacterizationConfig::default(),
+    )?;
+    println!("{}", format_table1(&ours, &Table1::paper()));
     println!(
         "(ratio = characterized / paper; the qualitative ordering is the result that matters)"
     );
-    if provider.cache_dir().is_some() {
-        eprintln!("model cache: {}", provider.stats());
-    }
-    export_json("table1", &ours);
     Ok(())
 }

@@ -4,15 +4,12 @@
 //!
 //! Run with `cargo run --release -p fabric-power-bench --bin table2`.
 
-use fabric_power_bench::export_json;
 use fabric_power_core::report::format_table2;
 use fabric_power_memory::Table2;
 use fabric_power_tech::constants::PAPER_PORT_COUNTS;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let computed = Table2::compute(&PAPER_PORT_COUNTS)?;
-    let paper = Table2::paper();
-    println!("{}", format_table2(&computed, &paper));
-    export_json("table2", &computed);
+    println!("{}", format_table2(&computed, &Table2::paper()));
     Ok(())
 }

@@ -8,9 +8,9 @@
 //! parallel [`fabric_power_sweep::SweepEngine`] (one shared energy model per
 //! fabric size, deterministic per-cell seeds, results in canonical grid
 //! order).  Energy models are acquired through the model-provider layer
-//! ([`ModelProvider`]): pass an engine built with
-//! `SweepEngine::new().with_provider(...)` to `run_with` to share one
-//! provider — and optionally a content-addressed on-disk model cache —
+//! ([`ModelProvider`]): run several grids through [`SweepEngine::run`] on
+//! one engine built with `SweepEngine::new().with_provider(...)` to share
+//! one provider — and optionally a content-addressed on-disk model cache —
 //! across many experiments.  This module re-exports the public types so
 //! every pre-existing `fabric_power_core::experiment::...` path keeps
 //! working, with identical results point for point.
@@ -100,11 +100,12 @@ mod tests {
         let engine = SweepEngine::new()
             .with_threads(1)
             .with_provider(Arc::clone(&provider));
-        let config = ExperimentConfig::quick();
-        let throughput = ThroughputSweep::run_with(&config, &engine).unwrap();
-        let port = PortSweep::run_with(&config, 0.5, &engine).unwrap();
-        assert!(!throughput.points.is_empty());
-        assert!(!port.points.is_empty());
+        let mut config = ExperimentConfig::quick();
+        let throughput = engine.run(&config).unwrap();
+        config.offered_loads = vec![0.5];
+        let port = engine.run(&config).unwrap();
+        assert!(!throughput.is_empty());
+        assert!(!port.is_empty());
         // Both sweeps cover the same two fabric sizes: two builds total, the
         // rest served from the shared memo.
         let stats = provider.stats();

@@ -1,16 +1,15 @@
-//! Plain-text rendering of the reproduced tables and figures.
+//! Plain-text rendering of the reproduced tables.
 //!
-//! The experiment harness binaries print their results through these helpers
-//! so every table/figure has one canonical textual form (and a JSON form via
-//! `serde`), mirroring the rows/series the paper reports.
+//! The `fabric-power-bench` binaries print Table 1, Table 2 and the Eq. 3–6
+//! worst-case energies through these helpers, so every table has one
+//! canonical textual form.  Figures 9 and 10 are sweep documents, rendered
+//! by `fabric_power_sweep::report::format_document` (`fabric-power report`).
 
 use std::fmt::Write as _;
 
-use fabric_power_fabric::{AnalyticRow, Architecture};
+use fabric_power_fabric::AnalyticRow;
 use fabric_power_memory::Table2;
 use fabric_power_netlist::Table1;
-
-use crate::experiment::{PortSweep, ThroughputSweep};
 
 /// Renders Table 1 (node-switch bit energy per input vector) side by side
 /// with the paper's published values.
@@ -112,92 +111,6 @@ pub fn format_table2(computed: &Table2, paper: &Table2) -> String {
     out
 }
 
-/// Renders one Figure 9 panel (one fabric size): power vs. offered load for
-/// every architecture.
-#[must_use]
-pub fn format_figure9_panel(sweep: &ThroughputSweep, ports: usize) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Figure 9 panel — {ports}x{ports}, power (mW) vs. offered load"
-    );
-    let loads: Vec<f64> = {
-        let mut loads: Vec<f64> = sweep
-            .points
-            .iter()
-            .filter(|p| p.ports == ports)
-            .map(|p| p.offered_load)
-            .collect();
-        loads.sort_by(f64::total_cmp);
-        loads.dedup_by(|a, b| (*a - *b).abs() < 1e-9);
-        loads
-    };
-    let _ = write!(out, "{:<18}", "architecture");
-    for load in &loads {
-        let _ = write!(out, "{:>9.0}%", load * 100.0);
-    }
-    let _ = writeln!(out);
-    for architecture in Architecture::ALL {
-        let _ = write!(out, "{:<18}", architecture.to_string());
-        for &load in &loads {
-            match sweep.power(architecture, ports, load) {
-                Some(power) => {
-                    let _ = write!(out, "{:>10.2}", power.as_milliwatts());
-                }
-                None => {
-                    let _ = write!(out, "{:>10}", "-");
-                }
-            }
-        }
-        let _ = writeln!(out);
-    }
-    out
-}
-
-/// Renders Figure 10: power vs. number of ports at one load, plus the
-/// fully-connected vs. Batcher-Banyan gap the paper quotes.
-#[must_use]
-pub fn format_figure10(sweep: &PortSweep, port_counts: &[usize]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Figure 10 — power (mW) vs. number of ports at {:.0}% offered load",
-        sweep.offered_load * 100.0
-    );
-    let _ = write!(out, "{:<18}", "architecture");
-    for ports in port_counts {
-        let _ = write!(out, "{:>9}x{}", ports, ports);
-    }
-    let _ = writeln!(out);
-    for architecture in Architecture::ALL {
-        let _ = write!(out, "{:<18}", architecture.to_string());
-        for &ports in port_counts {
-            match sweep.power(architecture, ports) {
-                Some(power) => {
-                    let _ = write!(out, "{:>10.2}", power.as_milliwatts());
-                }
-                None => {
-                    let _ = write!(out, "{:>10}", "-");
-                }
-            }
-        }
-        let _ = writeln!(out);
-    }
-    let _ = write!(out, "{:<18}", "FC vs Batcher gap");
-    for &ports in port_counts {
-        match sweep.fully_connected_vs_batcher_gap(ports) {
-            Some(gap) => {
-                let _ = write!(out, "{:>9.0}%", gap * 100.0);
-            }
-            None => {
-                let _ = write!(out, "{:>10}", "-");
-            }
-        }
-    }
-    let _ = writeln!(out);
-    out
-}
-
 /// Renders the analytic worst-case bit-energy comparison (Eq. 3–6).
 #[must_use]
 pub fn format_analytic_table(rows: &[AnalyticRow]) -> String {
@@ -229,7 +142,6 @@ pub fn format_analytic_table(rows: &[AnalyticRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::{ExperimentConfig, PortSweep, ThroughputSweep};
     use fabric_power_fabric::analytic::analytic_table;
 
     #[test]
@@ -242,21 +154,6 @@ mod tests {
         let table2 = format_table2(&Table2::paper(), &Table2::paper());
         assert!(table2.contains("222"));
         assert!(table2.contains("320"));
-    }
-
-    #[test]
-    fn figure_renderers_cover_all_architectures() {
-        let config = ExperimentConfig::quick();
-        let sweep = ThroughputSweep::run(&config).unwrap();
-        let panel = format_figure9_panel(&sweep, 8);
-        for architecture in Architecture::ALL {
-            assert!(panel.contains(&architecture.to_string()));
-        }
-
-        let ports = PortSweep::run(&config, 0.5).unwrap();
-        let figure10 = format_figure10(&ports, &config.port_counts);
-        assert!(figure10.contains("FC vs Batcher gap"));
-        assert!(figure10.contains('%'));
     }
 
     #[test]

@@ -56,11 +56,16 @@
 //! * [`diff`] — cell-oriented comparison of two result documents
 //!   (`fabric-power diff`);
 //! * [`sweeps`] — [`ThroughputSweep`] / [`PortSweep`]: the Figure 9/10
-//!   datasets, now thin views over the engine;
+//!   datasets, lookup views over sweep points (power and latency per
+//!   operating point, the cheapest architecture, the fully-connected vs.
+//!   Batcher-Banyan gap) that `report` prints from;
 //! * [`registry`] — [`ScenarioRegistry`]: named, JSON-round-trippable
 //!   workload definitions (`paper-fig9`, `hotspot-ablation`, `tornado`, …);
 //! * [`emit`] — structured emitters: deterministic JSON and CSV documents;
-//! * [`report`] — plain-text summaries for the `fabric-power report` CLI.
+//! * [`report`] — plain-text summaries for the `fabric-power report` CLI,
+//!   the one way to print Figures 9 and 10: per-size power and latency
+//!   tables, the cheapest architecture and the fully-connected vs.
+//!   Batcher-Banyan gap per load, once per mesh.
 //!
 //! The `fabric-power` binary in `src/bin/` is the user-facing entry point:
 //!

@@ -10,6 +10,7 @@ use serde::{Deserialize, Serialize};
 
 use fabric_power_fabric::Architecture;
 use fabric_power_router::traffic::TrafficPattern;
+use fabric_power_tech::constants::FIGURE10_THROUGHPUT;
 
 use crate::config::{ExperimentConfig, ModelSource, NetworkSweepConfig};
 
@@ -54,7 +55,7 @@ impl ScenarioRegistry {
             name: "paper-fig10".into(),
             summary: "Figure 10: power vs. ports at the paper's fixed 50% offered load".into(),
             config: ExperimentConfig {
-                offered_loads: vec![0.50],
+                offered_loads: vec![FIGURE10_THROUGHPUT],
                 ..ExperimentConfig::paper()
             },
         });

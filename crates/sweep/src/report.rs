@@ -1,18 +1,21 @@
 //! Plain-text summaries of sweep documents, used by `fabric-power report`.
+//!
+//! This is the one way to print the paper's Figures 9 and 10: run
+//! `fabric-power sweep --scenario paper-fig9` (or `paper-fig10`) and pass
+//! the document to `fabric-power report`.
 
 use crate::emit::SweepDocument;
-use crate::sweeps::ThroughputSweep;
+use crate::sweeps::{PortSweep, ThroughputSweep};
 
-/// Renders a per-fabric-size power table plus headline observations for a
-/// sweep document.
+/// Renders per-fabric-size power and latency tables plus headline
+/// observations (the cheapest architecture and the fully-connected vs.
+/// Batcher-Banyan gap at each load) for a sweep document.
+///
+/// A mesh sweep gets one set of tables per mesh, each built from that
+/// mesh's points alone.  Single-router points, and 1×1 meshes (which carry
+/// no network stats), share one unlabeled set.
 #[must_use]
 pub fn format_document(document: &SweepDocument) -> String {
-    // Reuse ThroughputSweep's point lookup and cheapest-architecture
-    // selection so the CLI report and the programmatic API can never
-    // diverge on matching tolerance or tie-breaks.
-    let sweep = ThroughputSweep {
-        points: document.points.clone(),
-    };
     let mut out = String::new();
     out.push_str(&format!(
         "scenario: {} ({} points, seed 0x{:X}, {} seeding)\n",
@@ -25,8 +28,36 @@ pub fn format_document(document: &SweepDocument) -> String {
         }
     ));
 
-    for &ports in &document.config.port_counts {
-        out.push_str(&format!("\n{ports}x{ports} fabric — average power [mW]\n"));
+    // The lookups are ThroughputSweep's, so the CLI report and the API never
+    // diverge on matching tolerance or tie-breaks.  Every mesh shares the
+    // (architecture, ports, load) axes, so each mesh gets its own sweep.
+    let mut meshes: Vec<(Option<String>, ThroughputSweep)> = Vec::new();
+    for point in &document.points {
+        let mesh = point.network.as_ref().map(|stats| {
+            let shape = if stats.torus { "torus" } else { "mesh" };
+            format!("{}x{} {shape}", stats.width, stats.height)
+        });
+        match meshes.iter_mut().find(|(label, _)| *label == mesh) {
+            Some((_, sweep)) => sweep.points.push(point.clone()),
+            None => meshes.push((
+                mesh,
+                ThroughputSweep {
+                    points: vec![point.clone()],
+                },
+            )),
+        }
+    }
+
+    let tables = meshes.iter().flat_map(|(mesh, sweep)| {
+        let ports = document.config.port_counts.iter();
+        ports.map(move |&ports| (mesh, sweep, ports))
+    });
+    for (mesh, sweep, ports) in tables {
+        let title = match mesh {
+            Some(mesh) => format!("{mesh} of {ports}x{ports} fabrics"),
+            None => format!("{ports}x{ports} fabric"),
+        };
+        out.push_str(&format!("\n{title} — average power [mW]\n"));
         out.push_str(&format!("{:<16}", "load"));
         for &load in &document.config.offered_loads {
             out.push_str(&format!("{:>12.0}%", load * 100.0));
@@ -44,9 +75,7 @@ pub fn format_document(document: &SweepDocument) -> String {
             }
             out.push('\n');
         }
-        out.push_str(&format!(
-            "{ports}x{ports} fabric — latency [cycles] (mean p50/p95/p99)\n"
-        ));
+        out.push_str(&format!("{title} — latency [cycles] (mean p50/p95/p99)\n"));
         out.push_str(&format!("{:<16}", "load"));
         for &load in &document.config.offered_loads {
             out.push_str(&format!("{:>17.0}%", load * 100.0));
@@ -77,6 +106,27 @@ pub fn format_document(document: &SweepDocument) -> String {
                     "  cheapest at {:.0}% load: {}\n",
                     load * 100.0,
                     cheapest.slug()
+                ));
+            }
+        }
+        // The paper's Figure 10 headline: 37% at 4x4 narrowing to 20%
+        // at 32x32, at 50% load.
+        for &load in &document.config.offered_loads {
+            let at_load = PortSweep {
+                offered_load: load,
+                points: document
+                    .config
+                    .architectures
+                    .iter()
+                    .filter_map(|&architecture| sweep.point(architecture, ports, load))
+                    .cloned()
+                    .collect(),
+            };
+            if let Some(gap) = at_load.fully_connected_vs_batcher_gap(ports) {
+                out.push_str(&format!(
+                    "  fully_connected vs batcher_banyan gap at {:.0}% load: {:.0}%\n",
+                    load * 100.0,
+                    gap * 100.0
                 ));
             }
         }
@@ -161,6 +211,46 @@ mod tests {
     }
 
     #[test]
+    fn report_prints_one_gap_line_per_size_and_load() {
+        let config = ExperimentConfig {
+            port_counts: vec![4, 8],
+            offered_loads: vec![0.1, 0.3],
+            warmup_cycles: 50,
+            measure_cycles: 200,
+            ..ExperimentConfig::quick()
+        };
+        assert_eq!(config.architectures.len(), 4);
+        let points = SweepEngine::new().with_threads(1).run(&config).unwrap();
+        let text = format_document(&SweepDocument {
+            scenario: "gap-report-test".into(),
+            config: config.clone(),
+            seed_strategy: crate::cell::SeedStrategy::Shared,
+            points: points.clone(),
+        });
+        let mut expected = Vec::new();
+        for &ports in &config.port_counts {
+            for &offered_load in &config.offered_loads {
+                let at_load = PortSweep {
+                    offered_load,
+                    points: points
+                        .iter()
+                        .filter(|p| p.offered_load == offered_load)
+                        .cloned()
+                        .collect(),
+                };
+                let gap = at_load.fully_connected_vs_batcher_gap(ports).unwrap();
+                expected.push(format!(
+                    "  fully_connected vs batcher_banyan gap at {:.0}% load: {:.0}%",
+                    offered_load * 100.0,
+                    gap * 100.0
+                ));
+            }
+        }
+        let printed: Vec<&str> = text.lines().filter(|l| l.contains(" gap at ")).collect();
+        assert_eq!(printed, expected);
+    }
+
+    #[test]
     fn report_appends_the_network_section_for_mesh_sweeps() {
         let config = ExperimentConfig {
             port_counts: vec![8],
@@ -168,7 +258,7 @@ mod tests {
             architectures: vec![fabric_power_fabric::Architecture::Crossbar],
             warmup_cycles: 20,
             measure_cycles: 100,
-            network: Some(crate::config::NetworkSweepConfig::meshes(&[(2, 2)])),
+            network: Some(crate::config::NetworkSweepConfig::meshes(&[(2, 2), (3, 3)])),
             ..ExperimentConfig::quick()
         };
         let points = SweepEngine::new().with_threads(1).run(&config).unwrap();
@@ -180,8 +270,18 @@ mod tests {
         };
         let text = format_document(&document);
         assert!(text.contains("network aggregates"));
-        assert!(text.contains("2x2"));
         assert!(text.contains("dimension-order"));
+        // Each mesh gets its own tables, holding its own powers.
+        for mesh in ["2x2", "3x3"] {
+            assert!(text.contains(&format!("{mesh} mesh of 8x8 fabrics — average power [mW]")));
+        }
+        assert_eq!(document.points.len(), 2);
+        for point in &document.points {
+            let power = format!("{:.3}", point.power.as_milliwatts());
+            assert!(text.contains(&power), "missing {power} mW");
+        }
+        // A gap line needs both the fully-connected and the Batcher-Banyan.
+        assert!(!text.contains(" gap at "));
         // Single-router documents never grow the section.
         let plain = ExperimentConfig {
             port_counts: vec![4],

@@ -1,9 +1,9 @@
-//! The Figure 9 / Figure 10 datasets, as thin views over the sweep engine.
+//! The Figure 9 / Figure 10 datasets, as thin views over sweep points.
 //!
-//! `ThroughputSweep::run` keeps the exact behaviour of the original
-//! sequential implementation (same grid order, same shared seed per point)
-//! while delegating the evaluation to [`SweepEngine`] — which runs the cells
-//! in parallel and shares one energy model per fabric size across threads.
+//! `fabric-power report` prints both figures through these lookups.  `run`
+//! evaluates a grid on a default [`SweepEngine`] (every core, shared seed,
+//! canonical order); for threads, seeding or a model cache, wrap the points
+//! that [`SweepEngine::run`] returns on a configured engine.
 
 use serde::{Deserialize, Serialize};
 
@@ -33,21 +33,8 @@ impl ThroughputSweep {
     ///
     /// Propagates model and simulation errors.
     pub fn run(config: &ExperimentConfig) -> Result<Self, ExperimentError> {
-        Self::run_with(config, &SweepEngine::new())
-    }
-
-    /// Runs the sweep on a caller-configured engine (thread count, seed
-    /// strategy).
-    ///
-    /// # Errors
-    ///
-    /// Propagates model and simulation errors.
-    pub fn run_with(
-        config: &ExperimentConfig,
-        engine: &SweepEngine,
-    ) -> Result<Self, ExperimentError> {
         Ok(Self {
-            points: engine.run(config)?,
+            points: SweepEngine::new().run(config)?,
         })
     }
 
@@ -118,25 +105,13 @@ impl PortSweep {
     ///
     /// Propagates model and simulation errors.
     pub fn run(config: &ExperimentConfig, offered_load: f64) -> Result<Self, ExperimentError> {
-        Self::run_with(config, offered_load, &SweepEngine::new())
-    }
-
-    /// Runs the port sweep on a caller-configured engine.
-    ///
-    /// # Errors
-    ///
-    /// Propagates model and simulation errors.
-    pub fn run_with(
-        config: &ExperimentConfig,
-        offered_load: f64,
-        engine: &SweepEngine,
-    ) -> Result<Self, ExperimentError> {
-        let mut single = config.clone();
-        single.offered_loads = vec![offered_load];
-        let sweep = ThroughputSweep::run_with(&single, engine)?;
+        let single = ExperimentConfig {
+            offered_loads: vec![offered_load],
+            ..config.clone()
+        };
         Ok(Self {
             offered_load,
-            points: sweep.points,
+            points: ThroughputSweep::run(&single)?.points,
         })
     }
 

@@ -1,8 +1,7 @@
 //! Architecture exploration: compare the four switch fabrics of the paper at
 //! one size and load, the way a router designer would when picking a fabric.
 //!
-//! Run with
-//! `cargo run --release -p fabric-power-core --example architecture_comparison`.
+//! Run with `cargo run --release --example architecture_comparison`.
 
 use fabric_power_core::prelude::*;
 

@@ -2,8 +2,7 @@
 //! Compiler substitute) for every node switch and prints the resulting
 //! input-vector-indexed bit-energy LUTs next to the published Table 1.
 //!
-//! Run with
-//! `cargo run --release -p fabric-power-core --example characterize_switches`.
+//! Run with `cargo run --release --example characterize_switches`.
 
 use fabric_power_core::prelude::*;
 use fabric_power_core::report::format_table1;

@@ -3,8 +3,7 @@
 //! which throttles the deliverable throughput (head-of-line blocking) and —
 //! inside the Banyan — concentrates interconnect contention on one subtree.
 //!
-//! Run with
-//! `cargo run --release -p fabric-power-core --example hotspot_traffic`.
+//! Run with `cargo run --release --example hotspot_traffic`.
 
 use fabric_power_core::prelude::*;
 

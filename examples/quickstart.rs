@@ -1,7 +1,7 @@
 //! Quickstart: estimate the power of one switch fabric under one traffic
 //! load, using the paper's published bit-energy components.
 //!
-//! Run with `cargo run --release -p fabric-power-core --example quickstart`.
+//! Run with `cargo run --release --example quickstart`.
 
 use fabric_power_core::prelude::*;
 

@@ -2,12 +2,10 @@
 //! 10 % to 50 % and watch the Banyan's buffer penalty grow while the other
 //! fabrics scale linearly.
 //!
-//! Run with
-//! `cargo run --release -p fabric-power-core --example throughput_sweep`.
+//! Run with `cargo run --release --example throughput_sweep`.
 
-use fabric_power_core::experiment::{ExperimentConfig, SweepEngine, ThroughputSweep};
 use fabric_power_core::prelude::*;
-use fabric_power_core::report::format_figure9_panel;
+use fabric_power_sweep::report::format_document;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut config = ExperimentConfig::quick();
@@ -23,11 +21,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         config.grid_size(),
         engine.threads()
     );
-    let sweep = ThroughputSweep::run_with(&config, &engine)?;
-    println!("{}", format_figure9_panel(&sweep, 16));
+    let document = SweepDocument {
+        scenario: "throughput-sweep".into(),
+        points: engine.run(&config)?,
+        config,
+        seed_strategy: engine.seed_strategy(),
+    };
+    // The text `fabric-power report` prints for the same document.
+    println!("{}", format_document(&document));
 
     // Show how the Banyan's buffer share of total energy grows with load.
     println!("Banyan internal-buffer share of total fabric energy:");
+    let sweep = ThroughputSweep {
+        points: document.points,
+    };
     for point in sweep.curve(Architecture::Banyan, 16) {
         let share =
             point.buffer_energy / (point.buffer_energy + point.switch_energy + point.wire_energy);
