@@ -18,13 +18,27 @@
 //!    queue must stay below the configured link depth — otherwise the
 //!    launch stalls and is retried next tick.
 //!
+//! Phases 2 and 4 visit only the links that can act.  Two bit sets over the
+//! link slots (`node * 4 + direction index`) are kept up to date as packets
+//! move: the links with packets on the wire, which a launch joins and the
+//! last delivery leaves, and the egresses with staged packets, which a
+//! completion joins and the last launch leaves.  Both phases visit their
+//! set in ascending slot order, the order of a scan over every node and
+//! direction, so link energy is summed in the same order and
+//! minimal-adaptive routing reads the same egress occupancy.
+//!
+//! Each travelling packet's bookkeeping (destination node, injection cycle,
+//! hops) lives in a slab indexed by the packet's id.  An ejected packet's id
+//! goes on a free list and is reused by a later injection, so ids are
+//! unique only among the packets in flight; no report shows them.
+//!
 //! Energy: every router charges its own switch/buffer/wire energy through
 //! its `FabricEnergyModel` (one spec per distinct node configuration,
 //! `Arc`-shared across the grid); link traversals additionally charge
 //! `polarity flips × grid bit energy × link_grids` per word against the
 //! per-link last-word state, exactly like the intra-fabric wire model.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use fabric_power_fabric::energy_model::FabricEnergyModel;
@@ -110,6 +124,36 @@ pub fn node_seed(base: u64, node: usize) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Link slots per node: one per grid direction.
+const DIRECTIONS: usize = Direction::ALL.len();
+
+/// The link slot of `node`'s egress in `direction`.
+fn slot(node: usize, direction: Direction) -> usize {
+    node * DIRECTIONS + direction.index()
+}
+
+/// Adds `slot` to a word-sliced slot set.
+fn insert(set: &mut [u64], slot: usize) {
+    set[slot / 64] |= 1 << (slot % 64);
+}
+
+/// Removes `slot` from a word-sliced slot set.
+fn remove(set: &mut [u64], slot: usize) {
+    set[slot / 64] &= !(1 << (slot % 64));
+}
+
+/// The members of word `index` of a slot set holding `bits`, in ascending
+/// order.
+fn members(index: usize, mut bits: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (bits != 0).then(|| {
+            let slot = index * 64 + bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            slot
+        })
+    })
+}
+
 /// Global bookkeeping for one packet travelling the network.
 #[derive(Debug, Clone, Copy)]
 struct PacketMeta {
@@ -138,14 +182,18 @@ struct MeshNetwork {
     shape: NetworkShape,
     nodes: Vec<RouterNode>,
     traffic: Vec<TrafficGenerator>,
-    /// Per node, per direction index; `None` where the mesh edge has no
-    /// link.
-    links: Vec<[Option<Link>; 4]>,
-    /// Per node, per direction index: completed packets waiting for link
-    /// credits.
-    staging: Vec<[VecDeque<Packet>; 4]>,
-    meta: HashMap<u64, PacketMeta>,
-    next_packet_id: u64,
+    /// Per link slot; `None` where the mesh edge has no link.
+    links: Vec<Option<Link>>,
+    /// Per link slot: completed packets waiting for link credits.
+    staging: Vec<VecDeque<Packet>>,
+    /// The link slots with packets on the wire.
+    flying: Vec<u64>,
+    /// The link slots whose egress holds staged packets.
+    staged: Vec<u64>,
+    /// Per packet id, the travelling packet's bookkeeping.
+    meta: Vec<PacketMeta>,
+    /// Ids of ejected packets, reused before the slab grows.
+    free_ids: Vec<u64>,
     /// Packets the node being stepped finished this tick (drained per
     /// node).
     completed: Vec<Packet>,
@@ -194,8 +242,7 @@ impl MeshNetwork {
         let fabric = Arc::new(PricedRoutes::new(routes, model)?);
         let mut nodes = Vec::with_capacity(node_count);
         let mut traffic = Vec::with_capacity(node_count);
-        let mut links = Vec::with_capacity(node_count);
-        let mut staging = Vec::with_capacity(node_count);
+        let mut links = Vec::with_capacity(node_count * DIRECTIONS);
         for node in 0..node_count {
             nodes.push(RouterNode::new(
                 Arc::clone(&fabric),
@@ -204,14 +251,17 @@ impl MeshNetwork {
             // The traffic pattern runs over *node* indices: each node's
             // source draws destinations among the other nodes, one local
             // injection port per node per cycle.
-            traffic.push(TrafficGenerator::new(
-                node_count,
-                config.offered_load,
-                config.packet_words,
-                config.pattern,
-                node_seed(config.seed, node),
-            ));
-            links.push(Direction::ALL.map(|direction| {
+            traffic.push(
+                TrafficGenerator::new(
+                    node_count,
+                    config.offered_load,
+                    config.packet_words,
+                    config.pattern,
+                    node_seed(config.seed, node),
+                )
+                .map_err(SimulationError::from)?,
+            );
+            links.extend(Direction::ALL.map(|direction| {
                 shape.neighbor(node, direction).map(|to_node| Link {
                     to_node,
                     to_port: direction.reverse().port(),
@@ -219,18 +269,20 @@ impl MeshNetwork {
                     last_word: 0,
                 })
             }));
-            staging.push(std::array::from_fn(|_| VecDeque::new()));
         }
+        let slot_words = links.len().div_ceil(64);
         Ok(Self {
             config,
             net,
             shape,
             nodes,
             traffic,
+            staging: links.iter().map(|_| VecDeque::new()).collect(),
             links,
-            staging,
-            meta: HashMap::new(),
-            next_packet_id: 0,
+            flying: vec![0; slot_words],
+            staged: vec![0; slot_words],
+            meta: Vec::new(),
+            free_ids: Vec::new(),
             completed: Vec::new(),
             cycle: 0,
             measuring: false,
@@ -265,8 +317,9 @@ impl MeshNetwork {
     /// Congestion of one egress: staged packets plus packets on the wire.
     /// Used by minimal-adaptive routing as its (deterministic) load signal.
     fn egress_occupancy(&self, node: usize, direction: Direction) -> usize {
-        let staged = self.staging[node][direction.index()].len();
-        let flying = self.links[node][direction.index()]
+        let slot = slot(node, direction);
+        let staged = self.staging[slot].len();
+        let flying = self.links[slot]
             .as_ref()
             .map_or(0, |link| link.in_flight.len());
         staged + flying
@@ -317,18 +370,20 @@ impl MeshNetwork {
                 continue;
             };
             // The generator addressed a *node*; re-key the packet onto this
-            // router's port map and give it a globally unique id.
+            // router's port map and give it an id no travelling packet has.
             let destination_node = packet.destination;
-            let id = self.next_packet_id;
-            self.next_packet_id += 1;
-            self.meta.insert(
-                id,
-                PacketMeta {
-                    destination_node,
-                    injected_cycle: self.cycle,
-                    hops: 0,
-                },
-            );
+            let meta = PacketMeta {
+                destination_node,
+                injected_cycle: self.cycle,
+                hops: 0,
+            };
+            let id = if let Some(id) = self.free_ids.pop() {
+                self.meta[id as usize] = meta;
+                id
+            } else {
+                self.meta.push(meta);
+                self.meta.len() as u64 - 1
+            };
             packet.id = id;
             packet.source = LOCAL_PORT;
             packet.destination = self.route(node, destination_node);
@@ -337,27 +392,38 @@ impl MeshNetwork {
     }
 
     /// Phase 2: packets that finished their link traversal enter the
-    /// receiving router's input queue, routed onward.
+    /// receiving router's input queue, routed onward.  Only links with
+    /// packets on the wire are visited, in ascending slot order.
     fn deliver_link_arrivals(&mut self) {
-        for node in 0..self.nodes.len() {
-            for direction in Direction::ALL {
-                while let Some(link) = self.links[node][direction.index()].as_mut() {
-                    let due = link
-                        .in_flight
-                        .front()
-                        .is_some_and(|&(arrival, _)| arrival <= self.cycle);
-                    if !due {
-                        break;
-                    }
-                    let (_, mut packet) = link.in_flight.pop_front().expect("front exists");
-                    let (to_node, to_port) = (link.to_node, link.to_port);
-                    let destination_node = self.meta[&packet.id].destination_node;
-                    packet.source = to_port;
-                    packet.destination = self.route(to_node, destination_node);
-                    packet.arrival_cycle = self.cycle;
-                    self.nodes[to_node].inject(to_port, packet);
-                }
+        for word in 0..self.flying.len() {
+            for slot in members(word, self.flying[word]) {
+                self.deliver_arrivals(slot);
             }
+        }
+    }
+
+    /// Delivers the due packets on `slot`'s link, and drops the slot from
+    /// the flying set once its wire is empty.
+    fn deliver_arrivals(&mut self, slot: usize) {
+        loop {
+            let link = self.links[slot].as_mut().expect("a flying slot has a link");
+            let due = link
+                .in_flight
+                .front()
+                .is_some_and(|&(arrival, _)| arrival <= self.cycle);
+            if !due {
+                if link.in_flight.is_empty() {
+                    remove(&mut self.flying, slot);
+                }
+                return;
+            }
+            let (_, mut packet) = link.in_flight.pop_front().expect("front exists");
+            let (to_node, to_port) = (link.to_node, link.to_port);
+            let destination_node = self.meta[packet.id as usize].destination_node;
+            packet.source = to_port;
+            packet.destination = self.route(to_node, destination_node);
+            packet.arrival_cycle = self.cycle;
+            self.nodes[to_node].inject(to_port, packet);
         }
     }
 
@@ -368,10 +434,8 @@ impl MeshNetwork {
             self.nodes[node].step(self.cycle, &mut self.completed);
             for packet in self.completed.drain(..) {
                 if packet.destination == LOCAL_PORT {
-                    let meta = self
-                        .meta
-                        .remove(&packet.id)
-                        .expect("every travelling packet has metadata");
+                    let meta = self.meta[packet.id as usize];
+                    self.free_ids.push(packet.id);
                     debug_assert_eq!(meta.destination_node, node);
                     if self.measuring {
                         self.packets_delivered += 1;
@@ -381,8 +445,9 @@ impl MeshNetwork {
                         self.traversals += meta.hops + 1;
                     }
                 } else {
-                    let direction = Direction::ALL[packet.destination - 1];
-                    self.staging[node][direction.index()].push_back(packet);
+                    let slot = slot(node, Direction::ALL[packet.destination - 1]);
+                    self.staging[slot].push_back(packet);
+                    insert(&mut self.staged, slot);
                 }
             }
         }
@@ -390,54 +455,56 @@ impl MeshNetwork {
 
     /// Phase 4: every link launches at most one staged packet, spending a
     /// credit; exhausted credits stall the launch until the receiver
-    /// drains.
+    /// drains.  Only egresses with staged packets are visited, in ascending
+    /// slot order.
     fn launch_links(&mut self) {
-        for node in 0..self.nodes.len() {
-            for direction in Direction::ALL {
-                if self.staging[node][direction.index()].is_empty() {
-                    continue;
-                }
-                let Some(link) = self.links[node][direction.index()].as_ref() else {
-                    unreachable!("staged packets always have a link");
-                };
-                let credits_used =
-                    link.in_flight.len() + self.nodes[link.to_node].input_queue_len(link.to_port);
-                if credits_used >= self.net.link_depth {
-                    if self.measuring {
-                        self.credit_stalls += 1;
-                    }
-                    continue;
-                }
-                let packet = self.staging[node][direction.index()]
-                    .pop_front()
-                    .expect("checked non-empty");
-                // Wire energy for the serialized word stream on the link.
-                let grid_energy = self.link_word_energy(&packet, node, direction);
-                if self.measuring {
-                    self.link_energy += grid_energy;
-                    self.link_words += packet.words() as u64;
-                }
-                self.meta
-                    .get_mut(&packet.id)
-                    .expect("every travelling packet has metadata")
-                    .hops += 1;
-                let link = self.links[node][direction.index()]
-                    .as_mut()
-                    .expect("checked above");
-                link.in_flight
-                    .push_back((self.cycle + self.net.link_latency, packet));
+        for word in 0..self.staged.len() {
+            for slot in members(word, self.staged[word]) {
+                self.launch(slot);
             }
         }
+    }
+
+    /// Launches the first packet staged at `slot` if its link has a credit,
+    /// moving the slot from the staged set to the flying set as needed.
+    fn launch(&mut self, slot: usize) {
+        let Some(link) = self.links[slot].as_ref() else {
+            unreachable!("staged packets always have a link");
+        };
+        let credits_used =
+            link.in_flight.len() + self.nodes[link.to_node].input_queue_len(link.to_port);
+        if credits_used >= self.net.link_depth {
+            if self.measuring {
+                self.credit_stalls += 1;
+            }
+            return;
+        }
+        let staging = &mut self.staging[slot];
+        let packet = staging.pop_front().expect("a staged slot holds a packet");
+        if staging.is_empty() {
+            remove(&mut self.staged, slot);
+        }
+        // Wire energy for the serialized word stream on the link.
+        let grid_energy = self.link_word_energy(&packet, slot);
+        if self.measuring {
+            self.link_energy += grid_energy;
+            self.link_words += packet.words() as u64;
+        }
+        self.meta[packet.id as usize].hops += 1;
+        let link = self.links[slot].as_mut().expect("checked above");
+        link.in_flight
+            .push_back((self.cycle + self.net.link_latency, packet));
+        insert(&mut self.flying, slot);
     }
 
     /// Polarity-flip wire energy of one packet crossing one link, updating
     /// the link's last-word state (state advances even during warmup, like
     /// the intra-fabric links).
-    fn link_word_energy(&mut self, packet: &Packet, node: usize, direction: Direction) -> Energy {
+    fn link_word_energy(&mut self, packet: &Packet, slot: usize) -> Energy {
         // All nodes share one model, so any node's accessor works.
         let grid_bit_energy = self.nodes[0].model().grid_bit_energy();
         let link_grids = f64::from(self.net.link_grids);
-        let link = self.links[node][direction.index()]
+        let link = self.links[slot]
             .as_mut()
             .expect("caller checked the link exists");
         let mut energy = Energy::ZERO;
@@ -642,6 +709,7 @@ mod tests {
     use super::*;
     use fabric_power_fabric::Architecture;
     use fabric_power_router::traffic::TrafficPattern;
+    use proptest::prelude::*;
 
     fn model(ports: usize) -> Arc<FabricEnergyModel> {
         Arc::new(FabricEnergyModel::paper(ports).expect("paper model"))
@@ -849,5 +917,195 @@ mod tests {
         let json = serde_json::to_string(&report).unwrap();
         let back: NetworkReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back, report);
+    }
+
+    /// The traffic patterns the properties draw from.
+    fn pattern(index: usize) -> TrafficPattern {
+        match index {
+            0 => TrafficPattern::UniformRandom,
+            1 => TrafficPattern::Hotspot {
+                port: 0,
+                fraction: 0.5,
+            },
+            2 => TrafficPattern::Tornado,
+            3 => TrafficPattern::Transpose,
+            _ => TrafficPattern::Bursty {
+                on_load: 0.8,
+                off_load: 0.1,
+                mean_burst: 20.0,
+            },
+        }
+    }
+
+    /// Packets whose metadata is in use: injected and not yet ejected.
+    fn live_packets(mesh: &MeshNetwork) -> i64 {
+        mesh.meta.len() as i64 - mesh.free_ids.len() as i64
+    }
+
+    /// Payload words on the links' wires.
+    fn words_on_links(mesh: &MeshNetwork) -> u64 {
+        mesh.links
+            .iter()
+            .flatten()
+            .flat_map(|link| &link.in_flight)
+            .map(|(_, packet)| packet.words() as u64)
+            .sum()
+    }
+
+    /// The flying and staged slot sets recounted from the links and the
+    /// staging queues.
+    fn recounted_link_sets(mesh: &MeshNetwork) -> [Vec<u64>; 2] {
+        let mut flying = vec![0; mesh.flying.len()];
+        let mut staged = vec![0; mesh.staged.len()];
+        for slot in 0..mesh.links.len() {
+            let link = mesh.links[slot].as_ref();
+            if link.is_some_and(|link| !link.in_flight.is_empty()) {
+                insert(&mut flying, slot);
+            }
+            if !mesh.staging[slot].is_empty() {
+                insert(&mut staged, slot);
+            }
+        }
+        [flying, staged]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn mesh_conserves_packets_credits_link_words_and_energy(
+            width in 1_usize..=4,
+            height in 1_usize..=4,
+            torus in any::<bool>(),
+            adaptive in any::<bool>(),
+            link_depth in 1_usize..=4,
+            link_latency in 1_u64..=3,
+            architecture in prop_oneof![Just(Architecture::Crossbar), Just(Architecture::Banyan)],
+            load in 0.05_f64..=1.0,
+            packet_words in 1_usize..=16,
+            pattern_index in 0_usize..5,
+            inject_ticks in 1_u64..=200,
+            seed in any::<u64>(),
+        ) {
+            // At least two nodes: a 1×1 network is a single router.
+            let width = if width * height == 1 { 2 } else { width };
+            let net = NetworkConfig {
+                torus,
+                routing: if adaptive {
+                    RoutingPolicy::MinimalAdaptive
+                } else {
+                    RoutingPolicy::DimensionOrder
+                },
+                link_depth,
+                link_latency,
+                ..NetworkConfig::mesh(width, height)
+            };
+            let config = SimulationConfig::quick(architecture, 8, load)
+                .with_packet_words(packet_words)
+                .with_pattern(pattern(pattern_index))
+                .with_seed(seed)
+                .with_cycles(0, inject_ticks);
+            let mut mesh = MeshNetwork::new(config, net, model(8)).unwrap();
+            // The whole run is measured, so every ejection and launch counts.
+            mesh.begin_measurement();
+            let (mut injected, mut launched_words) = (0, 0);
+            while mesh.cycle < inject_ticks || live_packets(&mesh) > 0 {
+                prop_assert!(mesh.cycle < inject_ticks + 20_000, "the network never drained");
+                if mesh.cycle < inject_ticks {
+                    let live = live_packets(&mesh);
+                    mesh.inject_traffic();
+                    injected += live_packets(&mesh) - live;
+                }
+                mesh.deliver_link_arrivals();
+                mesh.step_nodes();
+                let on_links = words_on_links(&mesh);
+                mesh.launch_links();
+                launched_words += words_on_links(&mesh) - on_links;
+                mesh.cycle += 1;
+
+                prop_assert_eq!(
+                    [mesh.flying.clone(), mesh.staged.clone()],
+                    recounted_link_sets(&mesh)
+                );
+                for link in mesh.links.iter().flatten() {
+                    let queued = mesh.nodes[link.to_node].input_queue_len(link.to_port);
+                    let credits_used = link.in_flight.len() + queued;
+                    prop_assert!(
+                        credits_used <= link_depth,
+                        "{credits_used} packets hold a depth-{link_depth} link's credits"
+                    );
+                }
+            }
+
+            // Drained: nothing queued, staged or on a wire, and every packet
+            // ejected exactly once, freeing its id exactly once.
+            prop_assert!(mesh.staging.iter().all(VecDeque::is_empty));
+            prop_assert_eq!(words_on_links(&mesh), 0);
+            for node in &mesh.nodes {
+                prop_assert!((0..8).all(|port| node.input_queue_len(port) == 0));
+            }
+            prop_assert_eq!(mesh.packets_delivered as i64, injected);
+            prop_assert_eq!(mesh.words_ejected, injected as u64 * packet_words as u64);
+            let mut free_ids = mesh.free_ids.clone();
+            free_ids.sort_unstable();
+            prop_assert!(
+                free_ids.iter().copied().eq(0..mesh.meta.len() as u64),
+                "an id was freed twice or never"
+            );
+
+            // Every launched word was counted once, and each launch was one
+            // hop of one packet.
+            prop_assert_eq!(mesh.link_words, launched_words);
+            let hops = mesh.traversals - mesh.packets_delivered;
+            prop_assert_eq!(hops * packet_words as u64, launched_words);
+
+            // The energy components are non-negative and add up: the nodes'
+            // accounts plus the link energy, folded into the wires.
+            let report = mesh.report();
+            let energy = report.simulation.energy;
+            let stats = report.network.expect("a multi-node report");
+            for component in [energy.switches, energy.buffers, energy.wires, stats.link_energy] {
+                prop_assert!(component.as_joules() >= 0.0, "negative energy {component:?}");
+            }
+            let mut recounted = EnergyAccount::new();
+            for node in &mesh.nodes {
+                recounted.merge(&node.energy());
+            }
+            recounted.wires += stats.link_energy;
+            prop_assert_eq!(energy, recounted);
+            prop_assert_eq!(energy.total(), energy.switches + energy.buffers + energy.wires);
+        }
+
+        #[test]
+        fn one_by_one_network_equals_the_single_router_for_any_config(
+            architecture in prop_oneof![
+                Just(Architecture::Crossbar),
+                Just(Architecture::FullyConnected),
+                Just(Architecture::Banyan),
+                Just(Architecture::BatcherBanyan),
+            ],
+            ports in prop_oneof![Just(2_usize), Just(4), Just(8), Just(16)],
+            load in 0.05_f64..=1.0,
+            packet_words in 1_usize..=16,
+            pattern_index in 0_usize..5,
+            warmup in 0_u64..=100,
+            measure in 1_u64..=400,
+            seed in any::<u64>(),
+        ) {
+            let config = SimulationConfig::quick(architecture, ports, load)
+                .with_packet_words(packet_words)
+                .with_pattern(pattern(pattern_index))
+                .with_seed(seed)
+                .with_cycles(warmup, measure);
+            let single = RouterSimulator::with_shared_model(config.clone(), model(ports))
+                .unwrap()
+                .run();
+            let network =
+                NetworkSimulator::with_shared_model(config, NetworkConfig::mesh(1, 1), model(ports))
+                    .unwrap()
+                    .run();
+            prop_assert_eq!(network.network, None);
+            prop_assert_eq!(network.simulation, single);
+        }
     }
 }

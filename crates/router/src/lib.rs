@@ -63,7 +63,7 @@ pub use node::RouterNode;
 pub use packet::Packet;
 pub use route_table::{PricedRoutes, RouteTable};
 pub use sim::{simulate, RouterSimulator, SimulationError};
-pub use traffic::{TrafficGenerator, TrafficPattern};
+pub use traffic::{TrafficError, TrafficGenerator, TrafficPattern};
 
 #[cfg(test)]
 mod tests {

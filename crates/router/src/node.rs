@@ -30,12 +30,19 @@
 //!   each hop kind's wire energy per flipped-bit count and switch energy
 //!   per element occupancy, so a hop charges two table reads instead of a
 //!   LUT lookup, a division and two conversions.  A mesh shares one.
-//! * **One-pass arbiter.**  Each free input's head-of-line packet bids for
-//!   its destination in one pass over the inputs, and each free output
-//!   keeps the bidder that comes first in its round-robin order.  A
-//!   granted input's head targets only that output, so this grants exactly
-//!   what scanning every output's round-robin order would, in the same
-//!   (output) order, leaving the same grant pointers.
+//! * **Event-kept arbiter.**  The arbiter never scans the ports.  Per
+//!   output it keeps a bit set of the free inputs whose head-of-line packet
+//!   targets it, and a set of *pending* outputs: free outputs with at least
+//!   one request.  Three events keep them current: an injection into the
+//!   empty queue of a free input adds a request, a grant withdraws the
+//!   winner's request and marks the output busy, and a completion frees
+//!   the output and lets the freed input's next head request.  A pass
+//!   visits only the pending outputs, in ascending order, and grants each
+//!   the first requester at or after its grant pointer, wrapping around.
+//!   A free input requests exactly one output, so this grants what
+//!   scanning every output's round-robin order would, in the same order,
+//!   leaving the same grant pointers.  The sets are word-sliced
+//!   (`ports.div_ceil(64)` words), so any port count works.
 //! * **Occupancy bookkeeping.**  The per-element occupancy counts the
 //!   unblocked, unfinished flows on each element.  It changes only when a
 //!   flow does: a grant adds the flow's hops, a blocked flag flipping in
@@ -86,65 +93,101 @@ impl ActiveFlow {
     }
 }
 
-/// Marks an output nobody has bid for in the current pass.
-const NO_BID: usize = usize::MAX;
+/// The word holding port `index` in a word-sliced port set, and its bit.
+fn bit(index: usize) -> (usize, u64) {
+    (index / 64, 1 << (index % 64))
+}
+
+/// The first member of `set` at or after `start`, wrapping around.
+fn first_at_or_after(set: &[u64], start: usize) -> Option<usize> {
+    let (first, _) = bit(start);
+    let head = set[first] & (u64::MAX << (start % 64));
+    if head != 0 {
+        return Some(first * 64 + head.trailing_zeros() as usize);
+    }
+    // The members of `set[first]` at or after `start` are known absent.
+    (first + 1..set.len())
+        .chain(0..=first)
+        .find(|&word| set[word] != 0)
+        .map(|word| word * 64 + set[word].trailing_zeros() as usize)
+}
 
 /// The first-come-first-serve round-robin arbiter: one grant pointer per
-/// egress port, plus the scratch of one arbitration pass.
+/// egress port, and the request sets that the node's events keep current
+/// (see the module docs).
 #[derive(Debug, Clone)]
 struct Arbiter {
+    /// Words per port set: `ports.div_ceil(64)`.
+    words: usize,
     grant_pointer: Vec<usize>,
-    /// Per output, the input winning the current pass (`NO_BID` between
-    /// passes).
-    winner: Vec<usize>,
+    /// Per output, `words` words: the free inputs whose head-of-line packet
+    /// targets it.
+    requests: Vec<u64>,
+    /// The outputs a flow holds.
+    busy: Vec<u64>,
+    /// The free outputs with at least one request.  Empty between passes.
+    pending: Vec<u64>,
     grants: Vec<(usize, usize)>,
 }
 
 impl Arbiter {
     fn new(ports: usize) -> Self {
+        let words = ports.div_ceil(64);
         Self {
+            words,
             grant_pointer: vec![0; ports],
-            winner: vec![NO_BID; ports],
+            requests: vec![0; ports * words],
+            busy: vec![0; words],
+            pending: vec![0; words],
             grants: Vec::with_capacity(ports),
         }
     }
 
-    /// One arbitration pass.  Every free input whose head-of-line packet
-    /// (`head_destination`) is addressed to a free output bids for it; the
-    /// output keeps the bidder that comes first in its round-robin order,
-    /// starting at its grant pointer.  Returns the `(input, output)` grants
-    /// in output order and moves each granting output's pointer past its
-    /// winner.
-    fn arbitrate(
-        &mut self,
-        input_busy: &[bool],
-        output_busy: &[bool],
-        head_destination: impl Fn(usize) -> Option<usize>,
-    ) -> &[(usize, usize)] {
-        let ports = self.grant_pointer.len();
-        for (input, &busy) in input_busy.iter().enumerate() {
-            if busy {
-                continue;
-            }
-            let Some(output) = head_destination(input) else {
-                continue;
-            };
-            if output_busy[output] {
-                continue;
-            }
-            let pointer = self.grant_pointer[output];
-            let winner = &mut self.winner[output];
-            // Bids arrive in input order, so a later bidder is first in
-            // round-robin order only if it is the first at or after the
-            // pointer and the current winner lies before it.
-            if *winner == NO_BID || (*winner < pointer && input >= pointer) {
-                *winner = input;
-            }
+    fn requests(&mut self, output: usize) -> &mut [u64] {
+        &mut self.requests[output * self.words..][..self.words]
+    }
+
+    /// A free input's new head-of-line packet requests `output`.
+    fn request(&mut self, input: usize, output: usize) {
+        let (word, mask) = bit(input);
+        self.requests(output)[word] |= mask;
+        let (word, mask) = bit(output);
+        if self.busy[word] & mask == 0 {
+            self.pending[word] |= mask;
         }
+    }
+
+    /// The flow holding `output` completed: the output is free again, and
+    /// pending if any input is waiting for it.
+    fn release(&mut self, output: usize) {
+        let (word, mask) = bit(output);
+        self.busy[word] &= !mask;
+        if self.requests(output).iter().any(|&requests| requests != 0) {
+            self.pending[word] |= mask;
+        }
+    }
+
+    /// One arbitration pass.  Each pending output grants the requester that
+    /// comes first in its round-robin order, starting at its grant pointer,
+    /// withdraws that request and becomes busy.  Returns the
+    /// `(input, output)` grants in output order and moves each granting
+    /// output's pointer past its winner.  Every pending output has a
+    /// requester, so the pass leaves no output pending.
+    fn arbitrate(&mut self) -> &[(usize, usize)] {
+        let ports = self.grant_pointer.len();
         self.grants.clear();
-        for output in 0..ports {
-            let input = std::mem::replace(&mut self.winner[output], NO_BID);
-            if input != NO_BID {
+        for word in 0..self.words {
+            let mut outputs = std::mem::take(&mut self.pending[word]);
+            self.busy[word] |= outputs;
+            while outputs != 0 {
+                let output = word * 64 + outputs.trailing_zeros() as usize;
+                outputs &= outputs - 1;
+                let pointer = self.grant_pointer[output];
+                let requests = self.requests(output);
+                let input =
+                    first_at_or_after(requests, pointer).expect("a pending output has a request");
+                let (at, mask) = bit(input);
+                requests[at] &= !mask;
                 self.grant_pointer[output] = (input + 1) % ports;
                 self.grants.push((input, output));
             }
@@ -164,8 +207,8 @@ pub struct RouterNode {
     fabric: Arc<PricedRoutes>,
 
     input_queues: Vec<VecDeque<Packet>>,
+    /// The inputs a flow holds.
     input_busy: Vec<bool>,
-    output_busy: Vec<bool>,
     arbiter: Arbiter,
     flows: Vec<ActiveFlow>,
     /// Last word driven onto each fabric link, by dense link id.
@@ -199,7 +242,6 @@ impl RouterNode {
             node_buffer_bits,
             input_queues: vec![VecDeque::new(); ports],
             input_busy: vec![false; ports],
-            output_busy: vec![false; ports],
             arbiter: Arbiter::new(ports),
             flows: Vec::with_capacity(ports),
             link_last_word: vec![0; routes.link_count()],
@@ -231,7 +273,11 @@ impl RouterNode {
     /// `destination` are *local* port indices on this node, and `source`
     /// must be `port`; a network layer rewrites them per hop.
     pub fn inject(&mut self, port: usize, packet: Packet) {
-        self.input_queues[port].push_back(packet);
+        let queue = &mut self.input_queues[port];
+        if queue.is_empty() && !self.input_busy[port] {
+            self.arbiter.request(port, packet.destination);
+        }
+        queue.push_back(packet);
     }
 
     /// Packets currently waiting in the given input queue (head-of-line
@@ -287,8 +333,8 @@ impl RouterNode {
     ///
     /// The packets are moved, not cloned, and `completed` is only appended
     /// to: the caller owns the buffer and drains it after each step, so its
-    /// capacity is reused across cycles.  Arbitration is one pass over the
-    /// inputs and every path comes from the node's priced
+    /// capacity is reused across cycles.  Arbitration visits only the
+    /// outputs that can grant and every path comes from the node's priced
     /// [`RouteTable`](crate::route_table::RouteTable), so in steady state a
     /// step neither hashes nor allocates.
     ///
@@ -305,14 +351,8 @@ impl RouterNode {
     /// egress port: destination contention is resolved here, before packets
     /// enter the fabric (paper §3.2).
     fn arbitrate(&mut self) {
-        let queues = &self.input_queues;
-        let grants = self
-            .arbiter
-            .arbitrate(&self.input_busy, &self.output_busy, |input| {
-                queues[input].front().map(|head| head.destination)
-            });
         let table = self.fabric.routes();
-        for &(input, output) in grants {
+        for &(input, output) in self.arbiter.arbitrate() {
             let packet = self.input_queues[input]
                 .pop_front()
                 .expect("a granted input has a head-of-line packet");
@@ -331,7 +371,6 @@ impl RouterNode {
                 blocked: false,
             });
             self.input_busy[input] = true;
-            self.output_busy[output] = true;
         }
     }
 
@@ -461,7 +500,8 @@ impl RouterNode {
     }
 
     /// Removes finished flows, releases their path's occupancy and the
-    /// words they still had parked, frees their input/output ports, and
+    /// words they still had parked, frees their input/output ports (the
+    /// freed input's next head-of-line packet requests its output), and
     /// moves their packets into `completed` in completion order.
     fn complete_flows(&mut self, completed: &mut Vec<Packet>) {
         let table = self.fabric.routes();
@@ -472,8 +512,12 @@ impl RouterNode {
                 count_occupancy(&mut self.occupancy, table.hops(&flow.route), false);
             }
             self.node_buffer_words[flow.backlog_element as usize] -= flow.backlog;
-            self.input_busy[flow.packet.source] = false;
-            self.output_busy[flow.packet.destination] = false;
+            let input = flow.packet.source;
+            self.input_busy[input] = false;
+            self.arbiter.release(flow.packet.destination);
+            if let Some(head) = self.input_queues[input].front() {
+                self.arbiter.request(input, head.destination);
+            }
             completed.push(flow.packet);
         }
     }
@@ -501,7 +545,7 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
-    /// The output-major scan the one-pass arbiter replaced: for each free
+    /// The output-major scan the event-kept arbiter replaced: for each free
     /// output in turn, grant the first free input, from the output's grant
     /// pointer on, whose head-of-line packet targets it.
     fn output_major_scan(
@@ -532,42 +576,111 @@ mod tests {
         grants
     }
 
+    /// The arbiter's request, busy and pending sets recounted from the
+    /// outputs each free input's head-of-line packet requests and the
+    /// outputs the flows hold.
+    fn recounted_sets(
+        ports: usize,
+        requested: impl IntoIterator<Item = (usize, usize)>,
+        held: impl IntoIterator<Item = usize>,
+    ) -> [Vec<u64>; 3] {
+        let words = ports.div_ceil(64);
+        let mut requests = vec![0; ports * words];
+        for (input, output) in requested {
+            requests[output * words + input / 64] |= 1 << (input % 64);
+        }
+        let mut busy = vec![0; words];
+        for output in held {
+            busy[output / 64] |= 1 << (output % 64);
+        }
+        let mut pending = vec![0; words];
+        for output in 0..ports {
+            let requested = requests[output * words..][..words].iter().any(|&w| w != 0);
+            if requested && busy[output / 64] & 1 << (output % 64) == 0 {
+                pending[output / 64] |= 1 << (output % 64);
+            }
+        }
+        [requests, busy, pending]
+    }
+
+    fn arbiter_sets(arbiter: &Arbiter) -> [Vec<u64>; 3] {
+        [
+            arbiter.requests.clone(),
+            arbiter.busy.clone(),
+            arbiter.pending.clone(),
+        ]
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
         #[test]
         fn one_pass_arbiter_matches_the_output_major_scan(
-            ports in 2_usize..=64,
+            ports in 2_usize..=130,
             seed in any::<u64>(),
         ) {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            // Per-case densities, so both sparse and saturated passes occur.
-            let head_p = rng.gen::<f64>();
-            let busy_p = rng.gen::<f64>();
+            // Per-case rates, so both sparse and saturated passes occur.
+            let inject_p = rng.gen::<f64>();
+            let complete_p = rng.gen::<f64>();
             let pointers: Vec<usize> = (0..ports).map(|_| rng.gen_range(0..ports)).collect();
             let mut arbiter = Arbiter::new(ports);
             arbiter.grant_pointer.clone_from(&pointers);
             let mut reference_pointers = pointers;
-            // Several passes on one arbiter also cover its scratch reuse.
-            for _ in 0..4 {
-                let heads: Vec<Option<usize>> = (0..ports)
-                    .map(|_| rng.gen_bool(head_p).then(|| rng.gen_range(0..ports)))
-                    .collect();
-                let input_busy: Vec<bool> = (0..ports).map(|_| rng.gen_bool(busy_p)).collect();
-                let output_busy: Vec<bool> = (0..ports).map(|_| rng.gen_bool(busy_p)).collect();
+            // Per input, the queued packets' outputs and the output its
+            // flow holds; each pass's state is loaded through the events a
+            // node raises.
+            let mut queues = vec![VecDeque::new(); ports];
+            let mut holding: Vec<Option<usize>> = vec![None; ports];
+            for _ in 0..6 {
+                for input in 0..ports {
+                    if let Some(output) = holding[input] {
+                        if rng.gen_bool(complete_p) {
+                            holding[input] = None;
+                            arbiter.release(output);
+                            if let Some(&head) = queues[input].front() {
+                                arbiter.request(input, head);
+                            }
+                        }
+                    }
+                    if rng.gen_bool(inject_p) {
+                        let output = rng.gen_range(0..ports);
+                        if queues[input].is_empty() && holding[input].is_none() {
+                            arbiter.request(input, output);
+                        }
+                        queues[input].push_back(output);
+                    }
+                }
+                let heads: Vec<Option<usize>> =
+                    queues.iter().map(|queue| queue.front().copied()).collect();
+                let requested = (0..ports).filter_map(|input| {
+                    let output = heads[input].filter(|_| holding[input].is_none())?;
+                    Some((input, output))
+                });
+                let held: Vec<usize> = holding.iter().flatten().copied().collect();
+                prop_assert_eq!(
+                    arbiter_sets(&arbiter),
+                    recounted_sets(ports, requested, held.iter().copied())
+                );
 
-                let grants = arbiter
-                    .arbitrate(&input_busy, &output_busy, |input| heads[input])
-                    .to_vec();
+                let grants = arbiter.arbitrate().to_vec();
+                let mut output_busy = vec![false; ports];
+                for &output in &held {
+                    output_busy[output] = true;
+                }
                 let expected = output_major_scan(
                     &heads,
-                    &mut input_busy.clone(),
-                    &mut output_busy.clone(),
+                    &mut holding.iter().map(Option::is_some).collect::<Vec<_>>(),
+                    &mut output_busy,
                     &mut reference_pointers,
                 );
-                prop_assert_eq!(grants, expected);
+                prop_assert_eq!(&grants, &expected);
                 prop_assert_eq!(&arbiter.grant_pointer, &reference_pointers);
-                prop_assert!(arbiter.winner.iter().all(|&winner| winner == NO_BID));
+                prop_assert!(arbiter.pending.iter().all(|&w| w == 0), "an output left pending");
+                for (input, output) in grants {
+                    queues[input].pop_front();
+                    holding[input] = Some(output);
+                }
             }
         }
     }
@@ -589,6 +702,26 @@ mod tests {
         occupancy
     }
 
+    /// The arbiter's sets recounted from the node's queues and flows, after
+    /// checking that the busy inputs are exactly those a flow holds.
+    fn recounted_arbiter_sets(node: &RouterNode) -> [Vec<u64>; 3] {
+        let mut input_busy = vec![false; node.ports()];
+        for flow in &node.flows {
+            input_busy[flow.packet.source] = true;
+        }
+        assert_eq!(node.input_busy, input_busy, "a busy input without a flow");
+        let requested = node
+            .input_queues
+            .iter()
+            .enumerate()
+            .filter_map(|(input, queue)| {
+                let head = queue.front().filter(|_| !input_busy[input])?;
+                Some((input, head.destination))
+            });
+        let held = node.flows.iter().map(|flow| flow.packet.destination);
+        recounted_sets(node.ports(), requested, held)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -600,7 +733,7 @@ mod tests {
                 Just(Architecture::Banyan),
                 Just(Architecture::BatcherBanyan),
             ],
-            ports in prop_oneof![Just(2_usize), Just(4), Just(8), Just(16), Just(32)],
+            ports in prop_oneof![Just(2_usize), Just(4), Just(8), Just(16), Just(32), Just(128)],
             seed in any::<u64>(),
         ) {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -642,6 +775,7 @@ mod tests {
                 }
                 node.step(cycle, &mut completed);
                 prop_assert_eq!(&node.occupancy, &recounted_occupancy(&node));
+                prop_assert_eq!(arbiter_sets(&node.arbiter), recounted_arbiter_sets(&node));
                 for packet in completed.drain(..) {
                     let injected = outstanding[packet.id as usize].take();
                     prop_assert!(

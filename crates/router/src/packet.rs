@@ -16,7 +16,9 @@ use serde::{Deserialize, Serialize};
 /// list of payload words.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Packet {
-    /// Monotonically increasing packet identifier.
+    /// Packet identifier, unique among the packets in flight.  The
+    /// single-router generator numbers its packets in order; a mesh reuses
+    /// the id of a packet it ejected.
     pub id: u64,
     /// Ingress port the packet arrived on.
     pub source: usize,

@@ -27,7 +27,7 @@ use crate::metrics::LatencyHistogram;
 use crate::node::RouterNode;
 use crate::packet::Packet;
 use crate::route_table::{PricedRoutes, RouteTable};
-use crate::traffic::TrafficGenerator;
+use crate::traffic::{TrafficError, TrafficGenerator};
 
 /// Errors raised when constructing a [`RouterSimulator`].
 #[derive(Debug)]
@@ -44,6 +44,8 @@ pub enum SimulationError {
         /// Ports the energy model was built for.
         model_ports: usize,
     },
+    /// A traffic parameter is out of range.
+    Traffic(TrafficError),
 }
 
 impl std::fmt::Display for SimulationError {
@@ -58,6 +60,7 @@ impl std::fmt::Display for SimulationError {
                 f,
                 "configuration requests {config_ports} ports but the energy model was built for {model_ports}"
             ),
+            Self::Traffic(e) => write!(f, "traffic: {e}"),
         }
     }
 }
@@ -67,6 +70,7 @@ impl std::error::Error for SimulationError {
         match self {
             Self::Topology(e) => Some(e),
             Self::Model(e) => Some(e),
+            Self::Traffic(e) => Some(e),
             Self::PortMismatch { .. } => None,
         }
     }
@@ -81,6 +85,12 @@ impl From<TopologyError> for SimulationError {
 impl From<EnergyModelError> for SimulationError {
     fn from(e: EnergyModelError) -> Self {
         Self::Model(e)
+    }
+}
+
+impl From<TrafficError> for SimulationError {
+    fn from(e: TrafficError) -> Self {
+        Self::Traffic(e)
     }
 }
 
@@ -125,7 +135,7 @@ impl RouterSimulator {
     /// # Errors
     ///
     /// Returns [`SimulationError`] if the port count is invalid or does not
-    /// match the energy model.
+    /// match the energy model, or a traffic parameter is out of range.
     pub fn new(
         config: SimulationConfig,
         model: FabricEnergyModel,
@@ -144,8 +154,8 @@ impl RouterSimulator {
     /// # Errors
     ///
     /// Returns [`SimulationError`] if the model cannot be built, the port
-    /// count is invalid, or the spec's port count does not match the
-    /// configuration's.
+    /// count is invalid, the spec's port count does not match the
+    /// configuration's, or a traffic parameter is out of range.
     pub fn from_provider(
         config: SimulationConfig,
         provider: &ModelProvider,
@@ -164,7 +174,7 @@ impl RouterSimulator {
     /// # Errors
     ///
     /// Returns [`SimulationError`] if the port count is invalid or does not
-    /// match the energy model.
+    /// match the energy model, or a traffic parameter is out of range.
     pub fn with_shared_model(
         config: SimulationConfig,
         model: Arc<FabricEnergyModel>,
@@ -178,7 +188,7 @@ impl RouterSimulator {
             config.packet_words,
             config.pattern,
             config.seed,
-        );
+        )?;
         Ok(Self {
             node,
             completed: Vec::new(),

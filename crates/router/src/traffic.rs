@@ -126,6 +126,11 @@ fn exact_square_side(n: usize) -> Option<usize> {
     (side * side == n).then_some(side)
 }
 
+/// Whether `load` is a valid offered load: in `(0, 1]`, so not NaN.
+fn is_load(load: f64) -> bool {
+    load > 0.0 && load <= 1.0
+}
+
 /// A probability `p` as the integer threshold `⌈p·2⁵³⌉` on a draw's top
 /// 53 bits: [`Chance::draw`] is true exactly when `rng.gen::<f64>() < p`
 /// would be, for the same draw.
@@ -144,6 +149,62 @@ impl Chance {
         rng.next_u64() >> 11 < self.0
     }
 }
+
+/// A traffic parameter outside its range, found when a
+/// [`TrafficGenerator`] is built.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum TrafficError {
+    /// Fewer than two ports (or, in a network, nodes) to send between.
+    TooFewPorts(usize),
+    /// The offered load is outside `(0, 1]`.
+    OfferedLoad(f64),
+    /// Packets have no words.
+    EmptyPackets,
+    /// The [`TrafficPattern::Hotspot`] port is not below the port count.
+    HotspotPort {
+        /// The configured hot-spot port.
+        port: usize,
+        /// The port count it must stay below.
+        ports: usize,
+    },
+    /// The [`TrafficPattern::Hotspot`] fraction is outside `[0, 1]`.
+    HotspotFraction(f64),
+    /// The [`TrafficPattern::Bursty`] ON-state load is outside `(0, 1]`.
+    BurstyOnLoad(f64),
+    /// The [`TrafficPattern::Bursty`] OFF-state load is outside `[0, 1]`.
+    BurstyOffLoad(f64),
+    /// The [`TrafficPattern::Bursty`] mean dwell time is below one cycle.
+    BurstyMeanBurst(f64),
+}
+
+impl std::fmt::Display for TrafficError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::TooFewPorts(ports) => {
+                write!(f, "traffic needs at least two ports, got {ports}")
+            }
+            Self::OfferedLoad(load) => write!(f, "offered load must be in (0, 1], got {load}"),
+            Self::EmptyPackets => write!(f, "packets need at least one word"),
+            Self::HotspotPort { port, ports } => write!(
+                f,
+                "hot-spot port must be below the port count {ports}, got {port}"
+            ),
+            Self::HotspotFraction(fraction) => {
+                write!(f, "hot-spot fraction must be in [0, 1], got {fraction}")
+            }
+            Self::BurstyOnLoad(load) => write!(f, "bursty on-load must be in (0, 1], got {load}"),
+            Self::BurstyOffLoad(load) => {
+                write!(f, "bursty off-load must be in [0, 1], got {load}")
+            }
+            Self::BurstyMeanBurst(mean_burst) => write!(
+                f,
+                "bursty mean burst must be at least one cycle, got {mean_burst}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for TrafficError {}
 
 /// Generates packet arrivals for every ingress port.
 #[derive(Debug, Clone)]
@@ -170,38 +231,38 @@ pub struct TrafficGenerator {
 impl TrafficGenerator {
     /// Creates a generator.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `offered_load` is outside `(0.0, 1.0]`, `ports < 2`,
-    /// `packet_words == 0`, a [`TrafficPattern::Hotspot`] port is not below
-    /// `ports` or its fraction is outside `[0, 1]`, or a
+    /// Returns [`TrafficError`] if `ports < 2`, `offered_load` is outside
+    /// `(0.0, 1.0]`, `packet_words == 0`, a [`TrafficPattern::Hotspot`]
+    /// port is not below `ports` or its fraction is outside `[0, 1]`, or a
     /// [`TrafficPattern::Bursty`] load or dwell time is out of range.
-    #[must_use]
     pub fn new(
         ports: usize,
         offered_load: f64,
         packet_words: usize,
         pattern: TrafficPattern,
         seed: u64,
-    ) -> Self {
-        assert!(ports >= 2, "traffic needs at least two ports");
-        assert!(
-            offered_load > 0.0 && offered_load <= 1.0,
-            "offered load must be in (0, 1], got {offered_load}"
-        );
-        assert!(packet_words > 0, "packets need at least one word");
+    ) -> Result<Self, TrafficError> {
+        if ports < 2 {
+            return Err(TrafficError::TooFewPorts(ports));
+        }
+        if !is_load(offered_load) {
+            return Err(TrafficError::OfferedLoad(offered_load));
+        }
+        if packet_words == 0 {
+            return Err(TrafficError::EmptyPackets);
+        }
         let words = packet_words as f64;
         let never = Chance::new(0.0);
         let (start, start_off, flip) = match pattern {
             TrafficPattern::Hotspot { port, fraction } => {
-                assert!(
-                    port < ports,
-                    "hot-spot port must be below the port count {ports}, got {port}"
-                );
-                assert!(
-                    (0.0..=1.0).contains(&fraction),
-                    "hot-spot fraction must be in [0, 1], got {fraction}"
-                );
+                if port >= ports {
+                    return Err(TrafficError::HotspotPort { port, ports });
+                }
+                if !(0.0..=1.0).contains(&fraction) {
+                    return Err(TrafficError::HotspotFraction(fraction));
+                }
                 (Chance::new(offered_load / words), never, never)
             }
             TrafficPattern::Bursty {
@@ -209,18 +270,15 @@ impl TrafficGenerator {
                 off_load,
                 mean_burst,
             } => {
-                assert!(
-                    on_load > 0.0 && on_load <= 1.0,
-                    "bursty on-load must be in (0, 1], got {on_load}"
-                );
-                assert!(
-                    (0.0..=1.0).contains(&off_load),
-                    "bursty off-load must be in [0, 1], got {off_load}"
-                );
-                assert!(
-                    mean_burst >= 1.0,
-                    "bursty mean burst must be at least one cycle, got {mean_burst}"
-                );
+                if !is_load(on_load) {
+                    return Err(TrafficError::BurstyOnLoad(on_load));
+                }
+                if !(0.0..=1.0).contains(&off_load) {
+                    return Err(TrafficError::BurstyOffLoad(off_load));
+                }
+                if !(1.0..).contains(&mean_burst) {
+                    return Err(TrafficError::BurstyMeanBurst(mean_burst));
+                }
                 (
                     Chance::new(on_load / words),
                     Chance::new(off_load / words),
@@ -229,7 +287,7 @@ impl TrafficGenerator {
             }
             _ => (Chance::new(offered_load / words), never, never),
         };
-        Self {
+        Ok(Self {
             ports,
             packet_words,
             pattern,
@@ -240,7 +298,7 @@ impl TrafficGenerator {
             flip,
             burst_on: vec![true; ports],
             spare_payloads: Vec::new(),
-        }
+        })
     }
 
     /// Produces the packets arriving at `port` during `cycle` (zero or one).
@@ -373,8 +431,17 @@ mod tests {
         }
     }
 
+    /// Panics with the error `result` holds, or fails if it holds a value.
+    /// The rejection tests below match the error's message.
+    fn panic_with_error<T, E: std::fmt::Display>(result: Result<T, E>) {
+        match result {
+            Ok(_) => panic!("the parameters were accepted"),
+            Err(error) => panic!("{error}"),
+        }
+    }
+
     #[test]
-    #[should_panic(expected = "hot-spot port must be below the port count 8, got 9")]
+    #[should_panic(expected = "traffic: hot-spot port must be below the port count 8, got 9")]
     fn out_of_range_hotspot_port_is_rejected() {
         let pattern = TrafficPattern::Hotspot {
             port: 9,
@@ -383,7 +450,7 @@ mod tests {
         let config =
             crate::SimulationConfig::quick(fabric_power_fabric::Architecture::Crossbar, 8, 0.3)
                 .with_pattern(pattern);
-        let _ = crate::simulate(config);
+        panic_with_error(crate::simulate(config));
     }
 
     #[test]
@@ -393,7 +460,7 @@ mod tests {
             port: 0,
             fraction: f64::NAN,
         };
-        let _ = TrafficGenerator::new(8, 0.3, 16, pattern, 0);
+        panic_with_error(TrafficGenerator::new(8, 0.3, 16, pattern, 0));
     }
 
     #[test]
@@ -401,7 +468,7 @@ mod tests {
         let cycles = 20_000_u64;
         for &load in &[0.1, 0.3, 0.5] {
             let mut generator =
-                TrafficGenerator::new(8, load, 16, TrafficPattern::UniformRandom, 1);
+                TrafficGenerator::new(8, load, 16, TrafficPattern::UniformRandom, 1).unwrap();
             let mut words = 0_u64;
             for cycle in 0..cycles {
                 for port in 0..8 {
@@ -420,7 +487,8 @@ mod tests {
 
     #[test]
     fn uniform_destinations_exclude_the_source_and_cover_all_ports() {
-        let mut generator = TrafficGenerator::new(4, 1.0, 1, TrafficPattern::UniformRandom, 2);
+        let mut generator =
+            TrafficGenerator::new(4, 1.0, 1, TrafficPattern::UniformRandom, 2).unwrap();
         let mut seen = std::collections::HashSet::new();
         for cycle in 0..2000 {
             if let Some(packet) = generator.arrivals(0, cycle) {
@@ -442,7 +510,8 @@ mod tests {
                 fraction: 0.7,
             },
             3,
-        );
+        )
+        .unwrap();
         let mut hot = 0;
         let mut total = 0;
         for cycle in 0..5000 {
@@ -460,7 +529,7 @@ mod tests {
     #[test]
     fn permutation_is_deterministic_per_source() {
         let mut generator =
-            TrafficGenerator::new(8, 1.0, 1, TrafficPattern::Permutation { shift: 3 }, 4);
+            TrafficGenerator::new(8, 1.0, 1, TrafficPattern::Permutation { shift: 3 }, 4).unwrap();
         for cycle in 0..100 {
             if let Some(packet) = generator.arrivals(2, cycle) {
                 assert_eq!(packet.destination, 5);
@@ -472,7 +541,7 @@ mod tests {
     fn generation_is_reproducible_per_seed() {
         let run = |seed| {
             let mut generator =
-                TrafficGenerator::new(4, 0.5, 4, TrafficPattern::UniformRandom, seed);
+                TrafficGenerator::new(4, 0.5, 4, TrafficPattern::UniformRandom, seed).unwrap();
             let mut ids = Vec::new();
             for cycle in 0..200 {
                 for port in 0..4 {
@@ -488,14 +557,20 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "offered load")]
+    #[should_panic(expected = "offered load must be in (0, 1], got 0")]
     fn zero_load_is_rejected() {
-        let _ = TrafficGenerator::new(4, 0.0, 16, TrafficPattern::UniformRandom, 0);
+        panic_with_error(TrafficGenerator::new(
+            4,
+            0.0,
+            16,
+            TrafficPattern::UniformRandom,
+            0,
+        ));
     }
 
     #[test]
     fn tornado_sends_to_the_half_span_destination() {
-        let mut generator = TrafficGenerator::new(8, 1.0, 1, TrafficPattern::Tornado, 5);
+        let mut generator = TrafficGenerator::new(8, 1.0, 1, TrafficPattern::Tornado, 5).unwrap();
         for source in 0..8 {
             for cycle in 0..50 {
                 if let Some(packet) = generator.arrivals(source, cycle) {
@@ -508,7 +583,8 @@ mod tests {
 
     #[test]
     fn bit_complement_inverts_the_port_index() {
-        let mut generator = TrafficGenerator::new(8, 1.0, 1, TrafficPattern::BitComplement, 6);
+        let mut generator =
+            TrafficGenerator::new(8, 1.0, 1, TrafficPattern::BitComplement, 6).unwrap();
         for source in 0..8 {
             for cycle in 0..50 {
                 if let Some(packet) = generator.arrivals(source, cycle) {
@@ -539,7 +615,7 @@ mod tests {
             off_load: 0.0,
             mean_burst: 500.0,
         };
-        let mut generator = TrafficGenerator::new(8, 0.5, 16, pattern, 7);
+        let mut generator = TrafficGenerator::new(8, 0.5, 16, pattern, 7).unwrap();
         let cycles = 40_000_u64;
         let mut words = 0_u64;
         for cycle in 0..cycles {
@@ -563,7 +639,7 @@ mod tests {
             off_load: 0.5,
             mean_burst: 50.0,
         };
-        let mut generator = TrafficGenerator::new(4, 0.5, 1, pattern, 8);
+        let mut generator = TrafficGenerator::new(4, 0.5, 1, pattern, 8).unwrap();
         let mut seen = std::collections::HashSet::new();
         for cycle in 0..2000 {
             if let Some(packet) = generator.arrivals(0, cycle) {
@@ -575,9 +651,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "mean burst")]
+    #[should_panic(expected = "bursty mean burst must be at least one cycle, got 0.5")]
     fn bursty_sub_cycle_dwell_is_rejected() {
-        let _ = TrafficGenerator::new(
+        panic_with_error(TrafficGenerator::new(
             4,
             0.5,
             16,
@@ -587,6 +663,6 @@ mod tests {
                 mean_burst: 0.5,
             },
             0,
-        );
+        ));
     }
 }

@@ -99,7 +99,7 @@ proptest! {
 
 #[test]
 fn transpose_generator_swaps_rows_and_columns_on_a_square_count() {
-    let mut generator = TrafficGenerator::new(16, 1.0, 1, TrafficPattern::Transpose, 11);
+    let mut generator = TrafficGenerator::new(16, 1.0, 1, TrafficPattern::Transpose, 11).unwrap();
     for source in 0..16 {
         let (row, column) = (source / 4, source % 4);
         for cycle in 0..50 {
@@ -117,7 +117,7 @@ fn transpose_generator_swaps_rows_and_columns_on_a_square_count() {
 
 #[test]
 fn transpose_generator_degrades_to_uniform_on_a_non_square_count() {
-    let mut generator = TrafficGenerator::new(8, 1.0, 1, TrafficPattern::Transpose, 12);
+    let mut generator = TrafficGenerator::new(8, 1.0, 1, TrafficPattern::Transpose, 12).unwrap();
     let mut seen = std::collections::HashSet::new();
     for cycle in 0..2000 {
         if let Some(packet) = generator.arrivals(0, cycle) {
@@ -140,7 +140,7 @@ fn bursty_mean_burst_length_matches_the_dwell_parameter() {
         off_load: 0.0,
         mean_burst,
     };
-    let mut generator = TrafficGenerator::new(2, 0.5, 1, pattern, 13);
+    let mut generator = TrafficGenerator::new(2, 0.5, 1, pattern, 13).unwrap();
     let cycles = 60_000_u64;
     let mut runs = 0_u64;
     let mut on_cycles = 0_u64;

@@ -60,9 +60,10 @@ fn observation1_banyan_buffer_penalty_grows_superlinearly() {
 fn observation1_banyan_ranking_flips_between_low_and_high_load_at_32x32() {
     // Paper §6: at 32x32 the Banyan is the cheapest fabric at low throughput
     // and loses that lead as the buffer penalty sets in. Our streaming
-    // contention model buffers a larger fraction of words at a given offered
-    // load than the paper's platform (see EXPERIMENTS.md), so the crossover
-    // happens at a lower load — but the ranking flip itself must be there:
+    // contention model buffers a larger fraction of words at a given
+    // offered load than the paper's platform (ROADMAP.md, open item 3,
+    // "Banyan crossover"), so the crossover happens at a lower load — but
+    // the ranking flip itself must be there:
     // at 5% load the Banyan beats the multistage and MUX fabrics, at 50% it
     // is the most expensive fabric of all four.
     let config = ExperimentConfig {
