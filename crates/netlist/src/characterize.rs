@@ -25,6 +25,18 @@
 //! the first `measure_cycles % LANES` lanes measure one more in a final
 //! partially-masked step, so exactly `measure_cycles` lane-cycles are
 //! counted.
+//!
+//! # Warm-up
+//!
+//! Only the warm-up cycles that can still reach the measurement are
+//! simulated.  A circuit's settle depth
+//! ([`crate::schedule::EvalSchedule::settle_cycles`]) bounds how many
+//! cycles its nets and flip-flops remember, so of `warmup_cycles` only the
+//! last `settle` run; the stimulus stream skips the draws of the others in
+//! O(1) ([`StimulusRng::advance`]).  The state entering the measurement is
+//! the one the full warm-up reaches, so every LUT bit is the same.  Circuits
+//! with hold cells (the crosspoint's pass gates) have no settle depth and
+//! simulate every warm-up cycle.
 
 use std::time::Instant;
 
@@ -46,9 +58,11 @@ use crate::sim::ActivityReport;
 /// Parameters of a characterization run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CharacterizationConfig {
-    /// Cycles simulated (and discarded) before measurement starts, so the
-    /// result is not skewed by the all-zero reset state.  Every lane warms
-    /// up for this many cycles.
+    /// Cycles of stimulus applied (and discarded) before measurement
+    /// starts, so the result is not skewed by the all-zero reset state.
+    /// Every lane warms up for this many cycles.  Only the last cycles
+    /// that can still reach the measurement (the circuit's settle depth)
+    /// are simulated; the result is the same as simulating them all.
     pub warmup_cycles: u64,
     /// Total measured lane-cycles over which energy is averaged (split
     /// across the [`LANES`] lanes).
@@ -116,6 +130,11 @@ impl StimulusRng {
     fn next_u64(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(Self::GAMMA);
         splitmix_finalize(self.0)
+    }
+
+    /// Skips `draws` outputs in O(1): the state only ever adds `GAMMA`.
+    fn advance(&mut self, draws: u64) {
+        self.0 = self.0.wrapping_add(draws.wrapping_mul(Self::GAMMA));
     }
 }
 
@@ -203,6 +222,10 @@ fn measure_occupancy(
 /// counting only the first `measure_cycles % LANES` lanes — masked lanes
 /// still evolve, they are just not measured.
 ///
+/// Of the warm-up only the last [`PackedSimulator::settle_cycles`] cycles
+/// are simulated, after the stream has skipped the draws of the earlier
+/// ones: the state they lead to is the one the full warm-up reaches.
+///
 /// Measurements warm-start: each call continues from whatever state the
 /// simulator reached before (the characterization protocol sweeps
 /// occupancies in ascending order on one simulator).  The warm-up cycles
@@ -225,7 +248,11 @@ fn measure(
         words[pos] = if value { !0 } else { 0 };
     });
 
-    for _ in 0..config.warmup_cycles {
+    let simulated = sim.settle_cycles().map_or(config.warmup_cycles, |settle| {
+        settle.min(config.warmup_cycles)
+    });
+    rng.advance((config.warmup_cycles - simulated).wrapping_mul(layout.draws_per_cycle()));
+    for _ in 0..simulated {
         layout.drive(&mut rng, &mut |pos, word| words[pos] = word);
         sim.step(&words);
     }
@@ -360,6 +387,20 @@ impl StimulusLayout {
                 set(pos, rng.next_u64());
             }
         }
+    }
+
+    /// The number of [`StimulusRng`] draws one [`StimulusLayout::drive`]
+    /// call consumes.
+    fn draws_per_cycle(&self) -> u64 {
+        let control = match self.class {
+            SwitchClass::BanyanBinary => 1,
+            SwitchClass::BatcherSorting => {
+                self.active_ports.min(2) * (self.control_positions.len() / 2)
+            }
+            SwitchClass::CrossbarCrosspoint | SwitchClass::Mux { .. } => 0,
+        };
+        let data: usize = self.data_positions.iter().map(Vec::len).sum();
+        (control + data) as u64
     }
 }
 
@@ -523,13 +564,12 @@ mod tests {
     fn packed_measurement_matches_scalar_per_lane_oracle_bit_exactly() {
         // measure_cycles = 81 exercises the remainder mask: one full-mask
         // step plus one final step counting only lanes 0–16.  The packed
-        // engine sweeps its compiled schedule, skipping quiet cells, while
-        // the per-lane oracle walks every cell every cycle.
-        let config = CharacterizationConfig {
-            warmup_cycles: 3,
-            measure_cycles: 81,
-            seed: 0xDAC_2002,
-        };
+        // engine sweeps its compiled schedule, skipping quiet cells, and
+        // simulates only the last settle-depth warm-up cycles, while the
+        // per-lane oracle walks every cell of every warm-up cycle.  A
+        // 3-cycle warm-up skips one cycle on the MUX; the 16-cycle ones (the
+        // default) skip 13 on the binary and sorting switches, 14 on the
+        // MUX and none on the crosspoint.
         let lib = CellLibrary::calibrated_018um();
         let circuits = [
             crossbar_crosspoint(8).unwrap(),
@@ -537,100 +577,148 @@ mod tests {
             batcher_sorting_switch(4, 3).unwrap(),
             n_input_mux(4, 4).unwrap(),
         ];
-        for circuit in &circuits {
-            // One reused simulator across occupancies, exactly like
-            // `characterize_switch`.  Measurements warm-start, so the
-            // per-lane oracle simulators are carried across occupancies too
-            // (lane `L` of the packed run reads bit `L` of the same shared
-            // net-major draws through the same ascending occupancy
-            // sequence).
-            let mut packed_sim = PackedSimulator::new(&circuit.netlist, &lib).unwrap();
-            let mut oracle_sims: Vec<Simulator<'_>> = (0..LANES)
-                .map(|_| Simulator::new(&circuit.netlist, &lib).unwrap())
-                .collect();
-            for active in 0..=circuit.ports {
-                let packed = measure(circuit, &mut packed_sim, &config, active);
+        for (warmup_cycles, seed) in [(3, 0xDAC_2002), (16, 0xDAC_2002), (16, 7)] {
+            let config = CharacterizationConfig {
+                warmup_cycles,
+                measure_cycles: 81,
+                seed,
+            };
+            for circuit in &circuits {
+                oracle_matches_packed(circuit, &lib, &config);
+            }
+        }
+    }
 
-                let tables = Simulator::new(&circuit.netlist, &lib)
-                    .unwrap()
-                    .energy_tables()
-                    .clone();
-                // The oracle lanes run in lockstep, consuming the one shared
-                // draw sequence: each cycle's words are drawn once and lane
-                // `L` applies bit `L` of every word.
-                let mut rng = StimulusRng::seed_from_u64(config.seed ^ active as u64);
-                let layout = StimulusLayout::new(circuit, active);
-                let mut vectors: Vec<Vec<bool>> = oracle_sims
-                    .iter()
-                    .map(|_| {
-                        let mut vector = circuit.blank_input_vector();
-                        write_static_inputs(circuit, active, &mut |pos, v| vector[pos] = v);
-                        vector
-                    })
-                    .collect();
-                let mut drives: Vec<(usize, u64)> = Vec::new();
-                let cycle = |rng: &mut StimulusRng,
-                             sims: &mut [Simulator<'_>],
-                             vectors: &mut [Vec<bool>],
-                             drives: &mut Vec<(usize, u64)>| {
-                    drives.clear();
-                    layout.drive(rng, &mut |pos, word| drives.push((pos, word)));
-                    for (lane, (sim, vector)) in sims.iter_mut().zip(vectors).enumerate() {
-                        for &(pos, word) in drives.iter() {
-                            vector[pos] = (word >> lane) & 1 == 1;
-                        }
-                        sim.step(vector);
+    /// Runs every occupancy of `circuit` through [`measure`] and through 64
+    /// scalar per-lane oracles that simulate the full warm-up, and requires
+    /// identical reports.
+    fn oracle_matches_packed(
+        circuit: &SwitchCircuit,
+        lib: &CellLibrary,
+        config: &CharacterizationConfig,
+    ) {
+        // One reused simulator across occupancies, exactly like
+        // `characterize_switch`.  Measurements warm-start, so the
+        // per-lane oracle simulators are carried across occupancies too
+        // (lane `L` of the packed run reads bit `L` of the same shared
+        // net-major draws through the same ascending occupancy
+        // sequence).
+        let mut packed_sim = PackedSimulator::new(&circuit.netlist, lib).unwrap();
+        let mut oracle_sims: Vec<Simulator<'_>> = (0..LANES)
+            .map(|_| Simulator::new(&circuit.netlist, lib).unwrap())
+            .collect();
+        for active in 0..=circuit.ports {
+            let packed = measure(circuit, &mut packed_sim, config, active);
+
+            let tables = Simulator::new(&circuit.netlist, lib)
+                .unwrap()
+                .energy_tables()
+                .clone();
+            // The oracle lanes run in lockstep, consuming the one shared
+            // draw sequence: each cycle's words are drawn once and lane
+            // `L` applies bit `L` of every word.
+            let mut rng = StimulusRng::seed_from_u64(config.seed ^ active as u64);
+            let layout = StimulusLayout::new(circuit, active);
+            let mut vectors: Vec<Vec<bool>> = oracle_sims
+                .iter()
+                .map(|_| {
+                    let mut vector = circuit.blank_input_vector();
+                    write_static_inputs(circuit, active, &mut |pos, v| vector[pos] = v);
+                    vector
+                })
+                .collect();
+            let mut drives: Vec<(usize, u64)> = Vec::new();
+            let cycle = |rng: &mut StimulusRng,
+                         sims: &mut [Simulator<'_>],
+                         vectors: &mut [Vec<bool>],
+                         drives: &mut Vec<(usize, u64)>| {
+                drives.clear();
+                layout.drive(rng, &mut |pos, word| drives.push((pos, word)));
+                for (lane, (sim, vector)) in sims.iter_mut().zip(vectors).enumerate() {
+                    for &(pos, word) in drives.iter() {
+                        vector[pos] = (word >> lane) & 1 == 1;
                     }
-                };
-                for _ in 0..config.warmup_cycles {
-                    cycle(&mut rng, &mut oracle_sims, &mut vectors, &mut drives);
+                    sim.step(vector);
                 }
-                for sim in &mut oracle_sims {
-                    sim.reset_counters();
+            };
+            for _ in 0..config.warmup_cycles {
+                cycle(&mut rng, &mut oracle_sims, &mut vectors, &mut drives);
+            }
+            for sim in &mut oracle_sims {
+                sim.reset_counters();
+            }
+            let full_steps = config.measure_cycles / u64::from(LANES);
+            let remainder = config.measure_cycles % u64::from(LANES);
+            for _ in 0..full_steps {
+                cycle(&mut rng, &mut oracle_sims, &mut vectors, &mut drives);
+            }
+            let mut summed = vec![0_u64; circuit.netlist.net_count()];
+            let mut total_cycles = 0_u64;
+            let collect = |sim: &Simulator<'_>, summed: &mut [u64]| {
+                for (acc, &count) in summed.iter_mut().zip(sim.net_toggle_counts()) {
+                    *acc += count;
                 }
-                let full_steps = config.measure_cycles / u64::from(LANES);
-                let remainder = config.measure_cycles % u64::from(LANES);
-                for _ in 0..full_steps {
-                    cycle(&mut rng, &mut oracle_sims, &mut vectors, &mut drives);
-                }
-                let mut summed = vec![0_u64; circuit.netlist.net_count()];
-                let mut total_cycles = 0_u64;
-                let collect = |sim: &Simulator<'_>, summed: &mut [u64]| {
-                    for (acc, &count) in summed.iter_mut().zip(sim.net_toggle_counts()) {
-                        *acc += count;
-                    }
-                };
-                if remainder > 0 {
-                    // The packed engine's remainder step advances masked
-                    // lanes too (uncounted); collect their counts first,
-                    // then step everyone for state carry into the next
-                    // occupancy.
-                    for (lane, sim) in oracle_sims.iter().enumerate() {
-                        if lane as u64 >= remainder {
-                            collect(sim, &mut summed);
-                            total_cycles += full_steps;
-                        }
-                    }
-                    cycle(&mut rng, &mut oracle_sims, &mut vectors, &mut drives);
-                    for (lane, sim) in oracle_sims.iter().enumerate() {
-                        if (lane as u64) < remainder {
-                            collect(sim, &mut summed);
-                            total_cycles += full_steps + 1;
-                        }
-                    }
-                } else {
-                    for sim in &oracle_sims {
+            };
+            if remainder > 0 {
+                // The packed engine's remainder step advances masked
+                // lanes too (uncounted); collect their counts first,
+                // then step everyone for state carry into the next
+                // occupancy.
+                for (lane, sim) in oracle_sims.iter().enumerate() {
+                    if lane as u64 >= remainder {
                         collect(sim, &mut summed);
                         total_cycles += full_steps;
                     }
                 }
-                assert_eq!(total_cycles, config.measure_cycles);
-                let oracle = tables.report_from_counts(&summed, total_cycles);
-                assert_eq!(
-                    packed, oracle,
-                    "packed vs scalar-oracle mismatch for {} with {active} active port(s)",
-                    circuit.class
-                );
+                cycle(&mut rng, &mut oracle_sims, &mut vectors, &mut drives);
+                for (lane, sim) in oracle_sims.iter().enumerate() {
+                    if (lane as u64) < remainder {
+                        collect(sim, &mut summed);
+                        total_cycles += full_steps + 1;
+                    }
+                }
+            } else {
+                for sim in &oracle_sims {
+                    collect(sim, &mut summed);
+                    total_cycles += full_steps;
+                }
+            }
+            assert_eq!(total_cycles, config.measure_cycles);
+            let oracle = tables.report_from_counts(&summed, total_cycles);
+            assert_eq!(
+                packed, oracle,
+                "packed vs scalar-oracle mismatch for {} with {active} active port(s) \
+                 under {config:?}",
+                circuit.class
+            );
+        }
+    }
+
+    #[test]
+    fn advancing_the_stream_skips_exactly_the_draws_of_drive() {
+        let circuits = [
+            crossbar_crosspoint(8).unwrap(),
+            banyan_binary_switch(8).unwrap(),
+            batcher_sorting_switch(4, 3).unwrap(),
+            n_input_mux(4, 4).unwrap(),
+            n_input_mux(8, 2).unwrap(),
+        ];
+        for circuit in &circuits {
+            for active in 0..=circuit.ports {
+                let layout = StimulusLayout::new(circuit, active);
+                for cycles in [1, 3] {
+                    let mut driven = StimulusRng::seed_from_u64(0xDAC_2002 ^ active as u64);
+                    let mut skipped = driven.clone();
+                    for _ in 0..cycles {
+                        layout.drive(&mut driven, &mut |_, _| {});
+                    }
+                    skipped.advance(cycles * layout.draws_per_cycle());
+                    assert_eq!(
+                        skipped.0, driven.0,
+                        "{} with {active} active port(s), {cycles} cycle(s)",
+                        circuit.class
+                    );
+                }
             }
         }
     }

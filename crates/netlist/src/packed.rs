@@ -165,6 +165,13 @@ impl<'a> PackedSimulator<'a> {
         })
     }
 
+    /// The compiled netlist's settle depth (see
+    /// [`EvalSchedule::settle_cycles`]).
+    #[must_use]
+    pub fn settle_cycles(&self) -> Option<u64> {
+        self.schedule.settle_cycles()
+    }
+
     /// Measured lane-cycles since the last counter reset (the sum over
     /// steps of the number of counted lanes in that step).
     #[must_use]

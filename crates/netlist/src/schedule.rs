@@ -10,6 +10,11 @@
 //! cell no input of which has ever changed costs nothing at all (static
 //! routing-control, presence cones and the buses of idle ports in the
 //! generated switch circuits go quiet right after warm-up).
+//!
+//! The schedule also carries the netlist's *settle depth*
+//! ([`EvalSchedule::settle_cycles`]): how many cycles the engines need
+//! before their state stops depending on where it started, which bounds
+//! the warm-up a measurement actually has to simulate.
 
 use crate::cells::CellKind;
 use crate::netlist::{CellId, Driver, Netlist, NetlistError};
@@ -49,6 +54,8 @@ pub struct EvalSchedule {
     load_cells: Vec<u32>,
     /// Number of combinational levels.
     level_count: usize,
+    /// See [`EvalSchedule::settle_cycles`].
+    settle_cycles: Option<u64>,
 }
 
 impl EvalSchedule {
@@ -144,6 +151,7 @@ impl EvalSchedule {
             }
         }
 
+        let settle_cycles = settle_depth(netlist.net_count(), &cells, &seq_drives, &seq_captures);
         Ok(Self {
             input_drives,
             constant_drives,
@@ -153,6 +161,7 @@ impl EvalSchedule {
             net_load_index,
             load_cells,
             level_count,
+            settle_cycles,
         })
     }
 
@@ -174,11 +183,83 @@ impl EvalSchedule {
         self.seq_drives.len()
     }
 
+    /// Cycles after which the simulation state no longer depends on where
+    /// it started, or `None` when no such bound exists.
+    ///
+    /// Both engines capture every sequential cell's D input at the end of
+    /// every cycle, so a flip-flop or latch delays its input by exactly one
+    /// cycle and forgets everything older.  With `L` the longest chain of
+    /// sequential cells, each feeding the next's D input through
+    /// combinational logic, every captured state is a function of the last
+    /// `L` cycles' inputs and every net word one of the last `1 + L`: two
+    /// simulators fed the same `1 + L` input cycles agree on every net and
+    /// every state from then on, whatever their histories.  A purely
+    /// combinational netlist settles in one cycle.  A hold cell (`TriBuf`,
+    /// `PassGate`) keeps its output for as long as it stays disabled, and a
+    /// loop through sequential cells recirculates state, so either makes
+    /// the depth unbounded.
+    #[must_use]
+    pub fn settle_cycles(&self) -> Option<u64> {
+        self.settle_cycles
+    }
+
     /// The scheduled cells to queue for re-evaluation when `net` toggles.
     #[inline]
     pub(crate) fn load_cells(&self, net: usize) -> &[u32] {
         let (start, end) = self.net_load_index[net];
         &self.load_cells[start as usize..end as usize]
+    }
+}
+
+/// `1 +` the longest chain of sequential cells (see
+/// [`EvalSchedule::settle_cycles`]), or `None` for a netlist with a hold
+/// cell or a loop through sequential cells.
+fn settle_depth(
+    net_count: usize,
+    cells: &[ScheduledCell],
+    seq_drives: &[(u32, u32)],
+    seq_captures: &[(u32, u32)],
+) -> Option<u64> {
+    if cells
+        .iter()
+        .any(|cell| cell.kind.holds_output_when_disabled())
+    {
+        return None;
+    }
+    // Per state slot, the longest chain found so far that ends in it.  Each
+    // round pushes every chain through one more sequential cell, so an
+    // acyclic netlist stops growing after `L` rounds; a chain longer than
+    // the slot count must visit some slot twice, which is a loop.
+    let slots = seq_drives.len() as u64;
+    let mut chain = vec![1_u64; seq_drives.len()];
+    // Per net, the longest chain reaching it; primary inputs and constants
+    // stay 0.
+    let mut net_chain = vec![0_u64; net_count];
+    loop {
+        for &(net, slot) in seq_drives {
+            net_chain[net as usize] = chain[slot as usize];
+        }
+        for cell in cells {
+            net_chain[cell.output as usize] = cell.inputs[..usize::from(cell.arity)]
+                .iter()
+                .map(|&net| net_chain[net as usize])
+                .max()
+                .unwrap_or(0);
+        }
+        let mut grew = false;
+        for &(slot, d) in seq_captures {
+            let through = 1 + net_chain[d as usize];
+            if through > chain[slot as usize] {
+                chain[slot as usize] = through;
+                grew = true;
+            }
+        }
+        if !grew {
+            return Some(1 + chain.iter().max().copied().unwrap_or(0));
+        }
+        if chain.iter().any(|&length| length > slots) {
+            return None;
+        }
     }
 }
 
@@ -232,6 +313,82 @@ mod tests {
             EvalSchedule::compile(&n),
             Err(NetlistError::CombinationalLoop { .. })
         ));
+    }
+
+    /// The settle depth of a netlist compiled on its own.
+    fn settle(netlist: &Netlist) -> Option<u64> {
+        EvalSchedule::compile(netlist).unwrap().settle_cycles()
+    }
+
+    #[test]
+    fn generated_classes_settle_after_their_register_stages() {
+        // The crosspoint's pass gates hold their output while disabled.
+        assert_eq!(settle(&crossbar_crosspoint(8).unwrap().netlist), None);
+        // Input registers feed output registers: a chain of two.
+        assert_eq!(settle(&banyan_binary_switch(8).unwrap().netlist), Some(3));
+        for address_bits in 1..=5 {
+            let circuit = batcher_sorting_switch(8, address_bits).unwrap();
+            assert_eq!(
+                settle(&circuit.netlist),
+                Some(3),
+                "{address_bits} address bits"
+            );
+        }
+        // One output register stage behind the MUX tree.
+        for inputs in [2, 4, 8, 16, 32] {
+            let circuit = n_input_mux(inputs, 4).unwrap();
+            assert_eq!(settle(&circuit.netlist), Some(2), "mux{inputs}");
+        }
+    }
+
+    #[test]
+    fn combinational_netlist_settles_in_one_cycle() {
+        let mut n = Netlist::new("comb");
+        let a = n.add_input("a");
+        let b = n.add_input("b");
+        let ab = n.add_net("ab");
+        let y = n.add_net("y");
+        n.add_cell("u_nand", CellKind::Nand2, &[a, b], ab).unwrap();
+        n.add_cell("u_xor", CellKind::Xor2, &[ab, a], y).unwrap();
+        n.mark_output(y).unwrap();
+        assert_eq!(settle(&n), Some(1));
+    }
+
+    #[test]
+    fn three_flip_flop_pipeline_settles_in_four_cycles() {
+        let mut n = Netlist::new("pipe");
+        let mut d = n.add_input("d");
+        for stage in 0..3 {
+            let q = n.add_net(format!("q{stage}"));
+            n.add_cell(format!("u_ff{stage}"), CellKind::Dff, &[d], q)
+                .unwrap();
+            d = q;
+        }
+        n.mark_output(d).unwrap();
+        assert_eq!(settle(&n), Some(4));
+    }
+
+    #[test]
+    fn flip_flop_loop_never_settles() {
+        // A toggle flip-flop: Q feeds its own D through an inverter.
+        let mut n = Netlist::new("toggle");
+        let d = n.add_net("d");
+        let q = n.add_net("q");
+        n.add_cell("u_ff", CellKind::Dff, &[d], q).unwrap();
+        n.add_cell("u_inv", CellKind::Inv, &[q], d).unwrap();
+        n.mark_output(q).unwrap();
+        assert_eq!(settle(&n), None);
+    }
+
+    #[test]
+    fn lone_tri_state_buffer_never_settles() {
+        let mut n = Netlist::new("bus");
+        let a = n.add_input("a");
+        let en = n.add_input("en");
+        let y = n.add_net("y");
+        n.add_cell("u_tri", CellKind::TriBuf, &[a, en], y).unwrap();
+        n.mark_output(y).unwrap();
+        assert_eq!(settle(&n), None);
     }
 
     #[test]

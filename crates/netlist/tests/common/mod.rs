@@ -6,14 +6,15 @@ use rand_chacha::ChaCha8Rng;
 use fabric_power_netlist::cells::CellKind;
 use fabric_power_netlist::netlist::{NetId, Netlist};
 
-/// Builds a random acyclic netlist with `cells` cells.  The input pool holds
-/// four primary inputs and two constant nets; about one cell in four
-/// duplicates the previous cell's kind and inputs; three nets are neither
-/// driven nor read.  The first `CellKind::ALL.len()` cells cycle through
-/// every kind, so any netlist with at least that many cells covers the
-/// whole cell vocabulary; inputs are drawn only from already-created nets,
-/// which keeps the combinational graph a DAG.
-pub fn random_netlist(seed: u64, cells: usize) -> Netlist {
+/// Builds a random acyclic netlist with `cells` cells of the given `kinds`.
+/// The input pool holds four primary inputs and two constant nets; about
+/// one cell in four duplicates the previous cell's kind and inputs; three
+/// nets are neither driven nor read.  The cells cycle through `kinds`, so
+/// any netlist with at least `kinds.len()` cells covers all of them (pass
+/// [`CellKind::ALL`] for the whole cell vocabulary); inputs are drawn only
+/// from already-created nets, which keeps the graph, sequential cells
+/// included, a DAG.
+pub fn random_netlist(seed: u64, cells: usize, kinds: &[CellKind]) -> Netlist {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut n = Netlist::new("prop");
     let mut nets: Vec<NetId> = (0..4).map(|i| n.add_input(format!("pi{i}"))).collect();
@@ -27,7 +28,7 @@ pub fn random_netlist(seed: u64, cells: usize) -> Netlist {
         let (kind, inputs) = match &previous {
             Some((kind, inputs)) if rng.gen::<u64>() % 4 == 0 => (*kind, inputs.clone()),
             _ => {
-                let kind = CellKind::ALL[i % CellKind::ALL.len()];
+                let kind = kinds[i % kinds.len()];
                 let inputs: Vec<NetId> = (0..kind.input_count())
                     .map(|_| nets[rng.gen::<u64>() as usize % nets.len()])
                     .collect();

@@ -21,6 +21,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use common::random_netlist;
+use fabric_power_netlist::cells::CellKind;
 use fabric_power_netlist::library::CellLibrary;
 use fabric_power_netlist::packed::{PackedSimulator, LANES};
 use fabric_power_netlist::sim::Simulator;
@@ -36,7 +37,7 @@ proptest! {
         cells in 15_usize..48,
         cycles in 1_usize..16,
     ) {
-        let netlist = random_netlist(seed, cells);
+        let netlist = random_netlist(seed, cells, &CellKind::ALL);
         let library = CellLibrary::calibrated_018um();
         let pi_count = netlist.primary_inputs().len();
 

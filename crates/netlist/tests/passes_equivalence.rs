@@ -18,6 +18,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use common::random_netlist;
+use fabric_power_netlist::cells::CellKind;
 use fabric_power_netlist::library::CellLibrary;
 use fabric_power_netlist::packed::{PackedSimulator, LANES};
 use fabric_power_netlist::sim::{EnergyTables, Simulator};
@@ -44,7 +45,7 @@ proptest! {
         cells in 15_usize..40,
         cycles in 1_usize..12,
     ) {
-        let netlist = random_netlist(seed, cells);
+        let netlist = random_netlist(seed, cells, &CellKind::ALL);
         let library = CellLibrary::calibrated_018um();
         let pi_count = netlist.primary_inputs().len();
 
@@ -99,7 +100,7 @@ proptest! {
         // The one-shot settle toggles of the first step land in the warm-up
         // of both engines and are zeroed together, so the measured counts
         // still agree.
-        let netlist = random_netlist(seed, cells);
+        let netlist = random_netlist(seed, cells, &CellKind::ALL);
         let library = CellLibrary::calibrated_018um();
         let pi_count = netlist.primary_inputs().len();
         let vectors: Vec<Vec<u64>> = {

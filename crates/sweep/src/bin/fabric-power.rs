@@ -110,9 +110,11 @@ COMMANDS:
     report --in <FILE.json>        Summarize a previously emitted document
     netlist-stats <CLASS>          Generate a Table 1 switch circuit and show
                                    its cell, net and combinational-level
-                                   counts plus cells per kind. CLASS is
-                                   `crosspoint`, `banyan`, `batcher`,
-                                   `mux<N>` (e.g. `mux16`) or `all`
+                                   counts, its settle depth (the warm-up
+                                   cycles characterization simulates) plus
+                                   cells per kind. CLASS is `crosspoint`,
+                                   `banyan`, `batcher`, `mux<N>` (N a power
+                                   of two >= 2, e.g. `mux16`) or `all`
         [--json]                   Emit the statistics as JSON
     help                           Show this message
 
@@ -1006,12 +1008,57 @@ struct NetlistStatsRow {
     cells: usize,
     nets: usize,
     levels: usize,
+    /// `EvalSchedule::settle_cycles`: `null` when unbounded.
+    settle_cycles: Option<u64>,
     cells_by_kind: std::collections::BTreeMap<fabric_power_netlist::CellKind, usize>,
 }
 
+/// The classes `netlist-stats` accepts, for its error messages.
+const NETLIST_CLASSES: &str =
+    "crosspoint, banyan, batcher, mux<N> with N a power of two >= 2, or all";
+
+/// Parses the `netlist-stats` class argument into the switch classes it
+/// names: one Table 1 class, or `all` for the whole Table 1 set.
+fn parse_netlist_classes(arg: &str) -> Result<Vec<fabric_power_netlist::SwitchClass>, String> {
+    use fabric_power_netlist::SwitchClass;
+    Ok(match arg {
+        "crosspoint" => vec![SwitchClass::CrossbarCrosspoint],
+        "banyan" => vec![SwitchClass::BanyanBinary],
+        "batcher" => vec![SwitchClass::BatcherSorting],
+        "all" => vec![
+            SwitchClass::CrossbarCrosspoint,
+            SwitchClass::BanyanBinary,
+            SwitchClass::BatcherSorting,
+            SwitchClass::Mux { inputs: 4 },
+            SwitchClass::Mux { inputs: 8 },
+            SwitchClass::Mux { inputs: 16 },
+            SwitchClass::Mux { inputs: 32 },
+        ],
+        other => match other
+            .strip_prefix("mux")
+            .and_then(|n| n.parse::<usize>().ok())
+        {
+            Some(inputs) if inputs >= 2 && inputs.is_power_of_two() => {
+                vec![SwitchClass::Mux { inputs }]
+            }
+            Some(inputs) => {
+                return Err(format!(
+                    "unsupported class `{other}`: a MUX needs a power-of-two input count \
+                     >= 2, got {inputs} (expected {NETLIST_CLASSES})"
+                ))
+            }
+            None => {
+                return Err(format!(
+                    "unknown class `{other}` (expected {NETLIST_CLASSES})"
+                ))
+            }
+        },
+    })
+}
+
 /// `fabric-power netlist-stats <CLASS> [--json]`: generate a Table 1 switch
-/// circuit and print its cell, net and level counts and its cell-kind
-/// histogram — the size of what characterization simulates.
+/// circuit and print its cell, net and level counts, its settle depth and
+/// its cell-kind histogram — the size of what characterization simulates.
 fn netlist_stats(args: &[String]) -> Result<(), String> {
     use fabric_power_netlist::circuits::{
         banyan_binary_switch, batcher_sorting_switch, crossbar_crosspoint, n_input_mux,
@@ -1032,31 +1079,10 @@ fn netlist_stats(args: &[String]) -> Result<(), String> {
         }
     }
     known_flags_with_positionals(&rest, 1, &[])?;
-    let class_arg = rest.first().ok_or_else(|| {
-        "netlist-stats needs a class: crosspoint, banyan, batcher, mux<N> or all".to_string()
-    })?;
-    let classes: Vec<SwitchClass> = match class_arg.as_str() {
-        "crosspoint" => vec![SwitchClass::CrossbarCrosspoint],
-        "banyan" => vec![SwitchClass::BanyanBinary],
-        "batcher" => vec![SwitchClass::BatcherSorting],
-        "all" => vec![
-            SwitchClass::CrossbarCrosspoint,
-            SwitchClass::BanyanBinary,
-            SwitchClass::BatcherSorting,
-            SwitchClass::Mux { inputs: 4 },
-            SwitchClass::Mux { inputs: 8 },
-            SwitchClass::Mux { inputs: 16 },
-            SwitchClass::Mux { inputs: 32 },
-        ],
-        other => match other.strip_prefix("mux").and_then(|n| n.parse().ok()) {
-            Some(inputs) if inputs >= 2 => vec![SwitchClass::Mux { inputs }],
-            _ => {
-                return Err(format!(
-                    "unknown class `{other}` (expected crosspoint, banyan, batcher, mux<N> or all)"
-                ))
-            }
-        },
-    };
+    let class_arg = rest
+        .first()
+        .ok_or_else(|| format!("netlist-stats needs a class: {NETLIST_CLASSES}"))?;
+    let classes = parse_netlist_classes(class_arg)?;
 
     let mut rows = Vec::new();
     for class in classes {
@@ -1076,6 +1102,7 @@ fn netlist_stats(args: &[String]) -> Result<(), String> {
             cells: netlist.cell_count(),
             nets: netlist.net_count(),
             levels: schedule.level_count(),
+            settle_cycles: schedule.settle_cycles(),
             cells_by_kind: netlist.cell_histogram(),
         });
     }
@@ -1088,8 +1115,12 @@ fn netlist_stats(args: &[String]) -> Result<(), String> {
         return Ok(());
     }
     for row in &rows {
+        let settle = row.settle_cycles.map_or_else(
+            || "unbounded".to_string(),
+            |cycles| format!("{cycles} cycles"),
+        );
         println!(
-            "{} ({}-bit bus): {} cells, {} nets, {} levels",
+            "{} ({}-bit bus): {} cells, {} nets, {} levels, settle depth {settle}",
             row.class, row.bus_width, row.cells, row.nets, row.levels
         );
         let kinds: Vec<String> = row
@@ -1100,4 +1131,53 @@ fn netlist_stats(args: &[String]) -> Result<(), String> {
         println!("  {}", kinds.join(", "));
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fabric_power_netlist::SwitchClass;
+
+    #[test]
+    fn netlist_classes_parse_to_the_table1_set() {
+        assert_eq!(
+            parse_netlist_classes("crosspoint").unwrap(),
+            vec![SwitchClass::CrossbarCrosspoint]
+        );
+        assert_eq!(
+            parse_netlist_classes("banyan").unwrap(),
+            vec![SwitchClass::BanyanBinary]
+        );
+        assert_eq!(
+            parse_netlist_classes("batcher").unwrap(),
+            vec![SwitchClass::BatcherSorting]
+        );
+        assert_eq!(parse_netlist_classes("all").unwrap().len(), 7);
+        for inputs in [2, 4, 32, 1024] {
+            assert_eq!(
+                parse_netlist_classes(&format!("mux{inputs}")).unwrap(),
+                vec![SwitchClass::Mux { inputs }]
+            );
+        }
+    }
+
+    #[test]
+    fn mux_input_counts_that_are_not_powers_of_two_are_named_errors() {
+        for arg in ["mux0", "mux1", "mux3", "mux6", "mux12"] {
+            let error = parse_netlist_classes(arg).unwrap_err();
+            assert!(
+                error.starts_with(&format!("unsupported class `{arg}`")),
+                "{error}"
+            );
+            assert!(error.contains(NETLIST_CLASSES), "{error}");
+        }
+        for arg in ["mux", "muxx", "mux-4", "crossbar", ""] {
+            let error = parse_netlist_classes(arg).unwrap_err();
+            assert!(
+                error.starts_with(&format!("unknown class `{arg}`")),
+                "{error}"
+            );
+            assert!(error.contains(NETLIST_CLASSES), "{error}");
+        }
+    }
 }
