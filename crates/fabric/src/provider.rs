@@ -159,13 +159,40 @@ impl ModelSpec {
     }
 }
 
+/// Writes `contents` to `path` atomically: the bytes land in a uniquely
+/// named temporary file next to `path` (`path` with the extension
+/// `tmp.{pid}.{nonce}`), which is then renamed over it.  The model store
+/// persists entries with it, and the sweep crate re-exports it for plans
+/// and documents.
+///
+/// A crash mid-write leaves at worst an orphaned temp file — never a
+/// truncated file that a later reader fails on confusingly.  The temp name
+/// is unique per *call*, not just per process: two threads racing to write
+/// the same path with a shared name could truncate each other mid-rename.
+///
+/// # Errors
+///
+/// Propagates I/O errors from the write or the rename; either failure
+/// removes the temporary file before returning, so it leaves no
+/// full-size leftover for `cache clear`/`prune` to find later.
+pub fn write_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
+    static TMP_NONCE: AtomicU64 = AtomicU64::new(0);
+    let nonce = TMP_NONCE.fetch_add(1, Ordering::Relaxed);
+    let tmp = path.with_extension(format!("tmp.{}.{nonce}", std::process::id()));
+    let written = std::fs::write(&tmp, contents).and_then(|()| std::fs::rename(&tmp, path));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written
+}
+
 /// 128-bit stable hash as 32 hex chars: two independent 64-bit FNV-1a passes
 /// (forward, and reversed with a different offset basis).  Not cryptographic
 /// — it only needs to address a small closed key space without collisions.
 ///
-/// Public because other layers content-address their own artifacts with the
-/// same function (e.g. `SweepPlan::content_hash` in the sweep crate); give
-/// each use its own domain-separation prefix.
+/// Public because the byte pins digest their documents with the same
+/// function (the characterization goldens and perfbench's CLI digests);
+/// give each new content-addressing use its own domain-separation prefix.
 #[must_use]
 pub fn stable_hash_hex(bytes: &[u8]) -> String {
     const PRIME: u64 = 0x0000_0100_0000_01B3;
@@ -698,7 +725,7 @@ impl ModelProvider {
         }
     }
 
-    /// Persists a freshly built model with write-then-rename (readers in
+    /// Persists a freshly built model with [`write_atomic`] (readers in
     /// other processes never observe a half-written entry).  Failures are
     /// counted, not raised: the cache is an accelerator, not a dependency.
     fn write_disk(&self, spec: &ModelSpec, key: &str, model: &FabricEnergyModel) {
@@ -711,35 +738,9 @@ impl ModelProvider {
             spec: spec.clone(),
             model: model.clone(),
         };
-        // The temp name must be unique per *call*, not just per process: two
-        // threads of one process can race to persist the same spec, and a
-        // shared name would let one truncate the file mid-rename of the
-        // other, publishing a half-written entry.
-        static TMP_NONCE: AtomicU64 = AtomicU64::new(0);
-        let nonce = TMP_NONCE.fetch_add(1, Ordering::Relaxed);
         let result = serde_json::to_string(&entry)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
-            .and_then(|json| {
-                let json: &[u8] = match obs::faults::next_disk_fault() {
-                    // Fail the persist outright (an injected ENOSPC); the
-                    // graceful-degradation path below absorbs it.
-                    Some(obs::faults::DiskFault::Fail) => {
-                        return Err(std::io::Error::new(
-                            std::io::ErrorKind::StorageFull,
-                            "fault injection: cache write failed",
-                        ));
-                    }
-                    // Publish a torn entry: rename goes through, but the
-                    // payload is half a JSON document.  read_disk's
-                    // validation rejects and heals it — this fault proves
-                    // that path, so the *write* still reports success.
-                    Some(obs::faults::DiskFault::Torn) => &json.as_bytes()[..json.len() / 2],
-                    None => json.as_bytes(),
-                };
-                let tmp = path.with_extension(format!("tmp.{}.{nonce}", std::process::id()));
-                std::fs::write(&tmp, json)?;
-                std::fs::rename(&tmp, &path)
-            });
+            .and_then(|json| write_atomic(&path, &json));
         if let Err(error) = result {
             // Graceful degradation, not an abort: the in-memory memo still
             // holds the model, so the sweep proceeds — the next process
@@ -1031,6 +1032,27 @@ mod tests {
         drop(file);
         assert_eq!(provider.clear_disk().unwrap(), 1);
         assert!(!fresh.exists());
+        assert_eq!(provider.orphaned_tmp_files().unwrap(), (0, 0));
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_cache_write_keeps_the_model_and_leaves_no_temp_file() {
+        let dir = temp_store("write-fails");
+        std::fs::create_dir_all(&dir).unwrap();
+        let spec = ModelSpec::paper(8);
+        // A directory where the entry belongs: the write-temp lands, but
+        // renaming it over the directory fails.
+        std::fs::create_dir(dir.join(format!("{}.json", spec.cache_key()))).unwrap();
+
+        let provider = ModelProvider::with_disk_cache(&dir).unwrap();
+        let model = provider.get(&spec).unwrap();
+        assert_eq!(*model, spec.build().unwrap());
+        assert_eq!(provider.stats().disk_write_errors, 1);
+        // The in-memory memo still serves the model...
+        assert!(Arc::ptr_eq(&model, &provider.get(&spec).unwrap()));
+        // ...and the failed persist left no full-size temp file behind.
         assert_eq!(provider.orphaned_tmp_files().unwrap(), (0, 0));
 
         let _ = std::fs::remove_dir_all(&dir);

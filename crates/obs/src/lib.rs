@@ -14,15 +14,10 @@
 //!   environment variable (same `target=level` directive shape as
 //!   `env_logger`/`RUST_LOG`);
 //! * [`span`](log::Span) — a timed scope for pipeline phases
-//!   (`characterize`, `build_model`, `run_cell`, `merge`, …): on drop it
+//!   (`characterize`, `build_model`, `run_cell`, …): on drop it
 //!   emits an event with the elapsed time *and* feeds a per-phase wall-time
 //!   histogram in the metrics registry;
-//! * [`faults`] — deterministic fault injection for chaos testing: a
-//!   seeded [`FaultPlan`] (installed by tests or parsed from
-//!   `FABRIC_POWER_FAULTS`) schedules wire and disk faults at
-//!   deterministic operation indices, and is one relaxed atomic load per
-//!   hook when off;
-//! * [`metrics`] — a process-wide registry of named counters, gauges and
+//! * [`metrics`] — a process-wide registry of named counters and
 //!   fixed-bin histograms (the same shape as the router's
 //!   `LatencyHistogram`: exact fixed bins plus count/sum/max), with a
 //!   deterministic [`MetricsSnapshot`](metrics::MetricsSnapshot) that
@@ -42,7 +37,7 @@
 //! use fabric_power_obs as obs;
 //!
 //! // Events: level + target + message + fields.
-//! obs::info!("doc.example", "lease granted", worker = 3_u64, shard = 0_usize);
+//! obs::info!("doc.example", "shard written", shard = 0_usize, cells = 8_usize);
 //!
 //! // Spans: time a phase; the drop emits the event and records the metric.
 //! {
@@ -60,15 +55,11 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod faults;
 pub mod log;
 pub mod metrics;
-pub mod progress;
 
-pub use faults::FaultPlan;
 pub use log::{FieldValue, Filter, Level, Span};
 pub use metrics::MetricsSnapshot;
-pub use progress::Progress;
 
 /// Emits one structured event at an explicit [`Level`].
 ///

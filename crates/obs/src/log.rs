@@ -11,7 +11,7 @@
 //! ```text
 //! FABRIC_POWER_LOG=info                       # default
 //! FABRIC_POWER_LOG=debug                      # everything at debug+
-//! FABRIC_POWER_LOG=warn,sweep.server=trace    # quiet, except the server
+//! FABRIC_POWER_LOG=warn,sweep.engine=trace    # quiet, except the engine
 //! FABRIC_POWER_LOG=off                        # silence
 //! ```
 //!
@@ -256,7 +256,7 @@ impl Filter {
     /// Whether an event at `level` for `target` passes this filter.
     ///
     /// A directive matches a target when its name is a dot-boundary prefix
-    /// of it (`sweep` matches `sweep.server` but not `sweeps`); the longest
+    /// of it (`sweep` matches `sweep.engine` but not `sweeps`); the longest
     /// matching directive decides.
     #[must_use]
     pub fn enabled(&self, level: Level, target: &str) -> bool {

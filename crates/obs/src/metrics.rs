@@ -1,4 +1,4 @@
-//! The process-wide metrics registry: named counters, gauges and fixed-bin
+//! The process-wide metrics registry: named counters and fixed-bin
 //! histograms, readable as one deterministic [`MetricsSnapshot`].
 //!
 //! Instruments are interned by name on first use and live for the rest of
@@ -20,7 +20,7 @@
 //! distribution questions.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use crate::log::{push_json_f64, push_json_string};
@@ -37,51 +37,14 @@ pub mod names {
     pub const MODEL_CACHE_HEAL: &str = "model_cache.heal";
     /// Counter: sweep cells completed by this process's engine.
     pub const CELLS_COMPLETED: &str = "sweep.cells_completed";
-    /// Counter: shard leases granted by the work server.
-    pub const LEASES_GRANTED: &str = "fleet.leases_granted";
-    /// Counter: leases revoked because the deadline passed.
-    pub const LEASES_EXPIRED: &str = "fleet.leases_expired";
-    /// Counter: shards requeued (expiry or worker disconnect).
-    pub const LEASES_REQUEUED: &str = "fleet.leases_requeued";
-    /// Counter: shard submissions accepted by the work server.
-    pub const SUBMISSIONS_ACCEPTED: &str = "fleet.submissions_accepted";
-    /// Counter: shard submissions rejected by validation.
-    pub const SUBMISSIONS_REJECTED: &str = "fleet.submissions_rejected";
-    /// Counter: worker heartbeats processed by the work server.
-    pub const HEARTBEATS: &str = "fleet.heartbeats";
-    /// Counter: protocol bytes written by this process.
-    pub const WIRE_BYTES_SENT: &str = "wire.bytes_sent";
-    /// Counter: protocol bytes read by this process.
-    pub const WIRE_BYTES_RECEIVED: &str = "wire.bytes_received";
-    /// Gauge: worker connections currently live on the work server.
-    pub const WORKERS_CONNECTED: &str = "fleet.workers_connected";
     /// Counter: measured lane-cycles simulated by characterization.
     pub const CHARACTERIZE_LANE_CYCLES: &str = "characterize.lane_cycles";
     /// Histogram: characterization throughput per occupancy measurement, in
     /// lane-cycles per second.
     pub const CHARACTERIZE_LANE_CYCLES_PER_SEC: &str = "characterize.lane_cycles_per_sec";
-    /// Counter: worker sessions re-established after a mid-drain
-    /// disconnect (server died, injected fault, torn frame).
-    pub const WORKER_RECONNECTS: &str = "fleet.worker_reconnects";
-    /// Counter: redials of the work server beyond the first attempt of a
-    /// connect loop (backoff retries).
-    pub const CONNECT_RETRIES: &str = "fleet.connect_retries";
-    /// Counter: shard documents appended to the drain journal.
-    pub const JOURNAL_RECORDS_APPENDED: &str = "journal.records_appended";
-    /// Counter: shard documents restored from a drain journal on resume.
-    pub const JOURNAL_RECORDS_REPLAYED: &str = "journal.records_replayed";
-    /// Counter: drain-journal appends that failed (and were rolled back);
-    /// the affected shard is simply re-run on resume.
-    pub const JOURNAL_APPEND_ERRORS: &str = "journal.append_errors";
-    /// Counter: bytes of torn or corrupt journal tail dropped by replay.
-    pub const JOURNAL_TORN_BYTES_DROPPED: &str = "journal.torn_bytes_dropped";
     /// Counter: model-cache disk writes that failed (ENOSPC and kin); the
     /// provider falls back to its in-memory memo and the sweep continues.
     pub const MODEL_CACHE_WRITE_ERROR: &str = "model_cache.write_error";
-    /// Counter: wire faults injected by the fault-injection layer.
-    pub const FAULTS_WIRE_INJECTED: &str = "faults.wire_injected";
-    /// Counter: disk faults injected by the fault-injection layer.
-    pub const FAULTS_DISK_INJECTED: &str = "faults.disk_injected";
     /// Counter: payload words forwarded over inter-router NoC links.
     pub const NOC_FLITS_ROUTED: &str = "noc.flits_routed";
     /// Counter: NoC link launches that stalled waiting for credits.
@@ -116,36 +79,6 @@ impl Counter {
     /// The current count.
     #[must_use]
     pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-}
-
-/// A named value that can move both ways (e.g. live connections).
-#[derive(Debug)]
-pub struct Gauge {
-    value: AtomicI64,
-}
-
-impl Gauge {
-    const fn new() -> Self {
-        Self {
-            value: AtomicI64::new(0),
-        }
-    }
-
-    /// Sets the value outright.
-    pub fn set(&self, value: i64) {
-        self.value.store(value, Ordering::Relaxed);
-    }
-
-    /// Moves the value by `delta` (negative to decrease).
-    pub fn add(&self, delta: i64) {
-        self.value.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// The current value.
-    #[must_use]
-    pub fn get(&self) -> i64 {
         self.value.load(Ordering::Relaxed)
     }
 }
@@ -267,7 +200,6 @@ impl HistogramSnapshot {
 #[derive(Default)]
 struct Registry {
     counters: BTreeMap<String, &'static Counter>,
-    gauges: BTreeMap<String, &'static Gauge>,
     histograms: BTreeMap<String, &'static Histogram>,
 }
 
@@ -291,15 +223,6 @@ pub fn counter(name: &str) -> &'static Counter {
         .or_insert(leaked)
 }
 
-/// The gauge named `name`, created (at zero) on first use.
-pub fn gauge(name: &str) -> &'static Gauge {
-    if let Some(gauge) = registry().gauges.get(name) {
-        return gauge;
-    }
-    let leaked: &'static Gauge = Box::leak(Box::new(Gauge::new()));
-    registry().gauges.entry(name.to_string()).or_insert(leaked)
-}
-
 /// The histogram named `name`, created (empty) on first use.
 pub fn histogram(name: &str) -> &'static Histogram {
     if let Some(histogram) = registry().histograms.get(name) {
@@ -318,8 +241,6 @@ pub fn histogram(name: &str) -> &'static Histogram {
 pub struct MetricsSnapshot {
     /// Every registered counter's current count, by name.
     pub counters: BTreeMap<String, u64>,
-    /// Every registered gauge's current value, by name.
-    pub gauges: BTreeMap<String, i64>,
     /// Every registered histogram's current contents, by name.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
 }
@@ -328,7 +249,7 @@ impl MetricsSnapshot {
     /// Whether no instrument has been registered at all.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
+        self.counters.is_empty() && self.histograms.is_empty()
     }
 
     /// Renders the snapshot as one JSON object (hand-assembled: this crate
@@ -339,9 +260,8 @@ impl MetricsSnapshot {
     /// ```json
     /// {
     ///   "counters": {"model_cache.hit": 3},
-    ///   "gauges": {"fleet.workers_connected": 2},
     ///   "histograms": {
-    ///     "phase.merge.micros": {
+    ///     "phase.run_cell.micros": {
     ///       "count": 1, "sum": 180, "max": 180, "mean": 180.0,
     ///       "bins": [[255, 1]]
     ///     }
@@ -352,14 +272,6 @@ impl MetricsSnapshot {
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\"counters\":{");
         for (index, (name, value)) in self.counters.iter().enumerate() {
-            if index > 0 {
-                out.push(',');
-            }
-            push_json_string(&mut out, name);
-            out.push_str(&format!(":{value}"));
-        }
-        out.push_str("},\"gauges\":{");
-        for (index, (name, value)) in self.gauges.iter().enumerate() {
             if index > 0 {
                 out.push(',');
             }
@@ -398,9 +310,6 @@ impl std::fmt::Display for MetricsSnapshot {
         for (name, value) in &self.counters {
             writeln!(f, "counter    {name} = {value}")?;
         }
-        for (name, value) in &self.gauges {
-            writeln!(f, "gauge      {name} = {value}")?;
-        }
         for (name, histogram) in &self.histograms {
             writeln!(
                 f,
@@ -427,11 +336,6 @@ pub fn snapshot() -> MetricsSnapshot {
             .iter()
             .map(|(name, counter)| (name.clone(), counter.get()))
             .collect(),
-        gauges: registry
-            .gauges
-            .iter()
-            .map(|(name, gauge)| (name.clone(), gauge.get()))
-            .collect(),
         histograms: registry
             .histograms
             .iter()
@@ -446,9 +350,6 @@ pub fn reset() {
     let registry = registry();
     for counter in registry.counters.values() {
         counter.value.store(0, Ordering::Relaxed);
-    }
-    for gauge in registry.gauges.values() {
-        gauge.value.store(0, Ordering::Relaxed);
     }
     for histogram in registry.histograms.values() {
         for bin in &histogram.bins {
@@ -471,15 +372,6 @@ mod tests {
         a.add(4);
         assert_eq!(counter("test.metrics.counter_a").get(), a.get());
         assert!(a.get() >= 5);
-    }
-
-    #[test]
-    fn gauges_move_both_ways() {
-        let gauge = gauge("test.metrics.gauge");
-        gauge.set(3);
-        gauge.add(-5);
-        assert_eq!(gauge.get(), -2);
-        gauge.set(0);
     }
 
     #[test]

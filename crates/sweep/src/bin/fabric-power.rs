@@ -7,8 +7,6 @@
 //! fabric-power plan paper-fig9 --shards 3 --out plan.json
 //! fabric-power run-shard plan.json --index 0 --out part0.json
 //! fabric-power merge part0.json part1.json part2.json --out fig9.json
-//! fabric-power serve plan.json --listen 127.0.0.1:7351 --out fig9.json
-//! fabric-power worker --connect 127.0.0.1:7351 --threads 8
 //! fabric-power sweep --scenario derived-quick --model-cache ~/.cache/fabric-power
 //! fabric-power cache warm --scenario derived-quick --model-cache ~/.cache/fabric-power
 //! fabric-power cache prune --model-cache ~/.cache/fabric-power --max-age-days 30
@@ -22,9 +20,8 @@ use std::sync::Arc;
 
 use fabric_power_obs as obs;
 use fabric_power_sweep::{
-    diff_documents, merge_documents, report, run_worker, status::render_status, JournalOptions,
-    ModelProvider, Scenario, ScenarioRegistry, SeedStrategy, ServeOptions, ShardDocument,
-    ShardStrategy, StatusProbe, SweepDocument, SweepEngine, SweepPlan, WorkServer, WorkerOptions,
+    diff_documents, merge_documents, report, ModelProvider, Scenario, ScenarioRegistry,
+    SeedStrategy, ShardDocument, ShardStrategy, SweepDocument, SweepEngine, SweepPlan,
 };
 
 const USAGE: &str = "\
@@ -57,45 +54,16 @@ COMMANDS:
         [--seed-strategy <S>]      `shared` (default) or `per-cell`
         [--out <FILE.json>]        Write the plan here (default: stdout)
     run-shard <PLAN.json>          Run one shard of a plan, emitting a
-        --index <I>                partial document for `merge`
+        --index <I>                partial document for `merge`; shards may
+                                   run as separate processes or on separate
+                                   machines, and concurrent ones may share
+                                   one model cache
         [--threads <N>] [--model-cache <DIR>] [--out <FILE.json>]
     merge <PART.json>...           Recombine partial shard documents into the
                                    full sweep document (byte-identical to a
                                    single-process run; refuses overlapping or
                                    missing cells)
         [--out <FILE.json>] [--csv <FILE.csv>]
-    serve <PLAN.json>              Own a plan and lease its shards to workers
-        --listen <ADDR>            over TCP; when the last shard lands, merge
-                                   and emit like `merge` does
-        [--lease-timeout-secs <S>] Re-lease a shard whose worker stays silent
-                                   for S seconds (default: 60)
-        [--journal <DIR>]          Append every accepted shard to a durable,
-                                   checksummed drain journal keyed by the
-                                   plan's content hash
-        [--resume]                 Restore completed shards from the journal
-                                   (tolerating a torn final record) and
-                                   re-lease only the remainder; the resumed
-                                   merge is byte-identical to an
-                                   uninterrupted run
-        [--out <FILE.json>] [--csv <FILE.csv>]
-    worker                         Claim, execute and submit shards in a loop
-        --connect <ADDR>           until the server drains the fleet
-        [--threads <N>] [--model-cache <DIR>]
-        [--plan-hash <HASH>]       Refuse to work unless the server is
-                                   serving exactly this plan (see `serve`'s
-                                   startup log for the hash)
-        [--reconnect-attempts <N>] Consecutive lost sessions to survive by
-                                   reconnecting with capped exponential
-                                   backoff before giving up (default: 8)
-        [--backoff-seed <SEED>]    Pin the backoff jitter stream (default:
-                                   the worker's pid, desynchronizing a
-                                   fleet's reconnect stampede)
-    status                         Probe a running `serve` for live fleet
-        --connect <ADDR>           status (plan hash, shard and cell
-                                   progress, per-worker state, uptime)
-        [--json]                   Emit the snapshot as one JSON line
-        [--watch]                  Re-probe every second until the plan
-                                   completes
     cache <ACTION> --model-cache <DIR>
         stats                      Summarize the cache directory
         clear                      Delete every cached model
@@ -121,22 +89,15 @@ COMMANDS:
 GLOBAL OPTIONS (any command):
     --log <SPEC>                   Stderr event verbosity: a level (`debug`)
                                    or per-target directives
-                                   (`info,sweep.server=trace,fabric=off`);
+                                   (`info,sweep.engine=trace,fabric=off`);
                                    overrides $FABRIC_POWER_LOG (default: info)
     --log-json <FILE>              Also append every event as one JSON line
                                    to FILE (truncated at startup)
     --metrics <FILE>               Write the process metrics registry as JSON
                                    to FILE at exit
 
-ENVIRONMENT:
-    FABRIC_POWER_FAULTS            Deterministic fault injection for chaos
-                                   testing, e.g. `seed=7,wire_garbage_every=23,
-                                   disk_torn_every=5` (see the README's fault
-                                   tolerance section); unset = zero overhead
-
 All instrumentation is out of band (stderr / side files): emitted sweep
-documents are byte-identical with observability (and disabled fault
-injection) on or off.
+documents are byte-identical with observability on or off.
 ";
 
 fn main() -> ExitCode {
@@ -149,20 +110,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // Chaos harness: $FABRIC_POWER_FAULTS installs a deterministic fault
-    // plan process-wide.  A malformed spec fails loudly — a chaos run with
-    // a typoed spec must not silently run fault-free.
-    match obs::faults::init_from_env() {
-        Ok(false) => {}
-        Ok(true) => {
-            let plan = obs::faults::current().expect("just installed");
-            obs::warn!("faults", "fault injection ACTIVE", plan = plan.to_spec(),);
-        }
-        Err(message) => {
-            eprintln!("error: {message}");
-            return ExitCode::FAILURE;
-        }
-    }
     let code = match run(&args) {
         Ok(code) => code,
         Err(message) => {
@@ -246,59 +193,11 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         Some("plan") => done(plan(&args[1..])),
         Some("run-shard") => done(run_shard(&args[1..])),
         Some("merge") => done(merge(&args[1..])),
-        Some("serve") => done(serve(&args[1..])),
-        Some("worker") => done(worker(&args[1..])),
-        Some("status") => done(status_command(&args[1..])),
         Some("cache") => done(cache(&args[1..])),
         Some("diff") => diff(&args[1..]),
         Some("report") => done(report_command(&args[1..])),
         Some("netlist-stats") => done(netlist_stats(&args[1..])),
         Some(other) => Err(format!("unknown command `{other}`")),
-    }
-}
-
-/// `fabric-power status --connect <ADDR>`: probe a running serve session.
-fn status_command(args: &[String]) -> Result<(), String> {
-    let mut json = false;
-    let mut watch = false;
-    let mut rest = Vec::new();
-    for arg in args {
-        match arg.as_str() {
-            "--json" => json = true,
-            "--watch" => watch = true,
-            _ => rest.push(arg.clone()),
-        }
-    }
-    known_flags(&rest, &["--connect"])?;
-    let addr = flag_value(&rest, "--connect")?
-        .ok_or_else(|| "status needs `--connect <ADDR>`".to_string())?;
-    // One connection for the whole watch: the server stops accepting new
-    // connections the moment the plan completes, but held-open connections
-    // keep answering through the drain grace period — which is how a watch
-    // gets to see (and exit on) the terminal `done` snapshot.
-    let mut probe =
-        StatusProbe::connect(&addr).map_err(|e| format!("status probe to {addr}: {e}"))?;
-    let mut first = true;
-    loop {
-        let status = probe
-            .fetch()
-            .map_err(|e| format!("status probe to {addr}: {e}"))?;
-        if json {
-            println!(
-                "{}",
-                serde_json::to_string(&status).map_err(|e| e.to_string())?
-            );
-        } else {
-            if !first {
-                println!();
-            }
-            print!("{}", render_status(&status));
-        }
-        if !watch || status.done {
-            return Ok(());
-        }
-        first = false;
-        std::thread::sleep(std::time::Duration::from_secs(1));
     }
 }
 
@@ -778,7 +677,10 @@ fn run_shard(args: &[String]) -> Result<(), String> {
         .parse()
         .map_err(|_| format!("invalid shard index `{index}`"))?;
 
-    let plan = read_plan(plan_path)?;
+    let json =
+        std::fs::read_to_string(plan_path).map_err(|e| format!("reading {plan_path}: {e}"))?;
+    let plan = SweepPlan::from_json_str(json.trim_end())
+        .map_err(|e| format!("parsing {plan_path}: {e}"))?;
     let (provider, engine) = resolve_engine(args)?;
 
     // Check the index before printing progress, but keep the engine's error
@@ -835,133 +737,6 @@ fn merge(args: &[String]) -> Result<(), String> {
         document.scenario
     );
     write_document_outputs(&document, args)
-}
-
-/// Reads and parses a plan file (shared by `run-shard` and `serve`).
-fn read_plan(path: &str) -> Result<SweepPlan, String> {
-    let json = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    SweepPlan::from_json_str(json.trim_end()).map_err(|e| format!("parsing {path}: {e}"))
-}
-
-/// `fabric-power serve <PLAN> --listen <ADDR>`: own a plan, lease shards to
-/// workers, merge and emit when the last shard lands.
-fn serve(args: &[String]) -> Result<(), String> {
-    const FLAGS: &[&str] = &[
-        "--listen",
-        "--lease-timeout-secs",
-        "--journal",
-        "--out",
-        "--csv",
-    ];
-    // `--resume` is a boolean flag; strip it before pair validation.
-    let mut resume = false;
-    let mut rest = Vec::new();
-    for arg in args {
-        match arg.as_str() {
-            "--resume" => resume = true,
-            _ => rest.push(arg.clone()),
-        }
-    }
-    let args = &rest[..];
-    known_flags_with_positionals(args, 1, FLAGS)?;
-    let [plan_path] = positional_args(args, FLAGS)[..] else {
-        return Err("serve needs exactly one plan file".into());
-    };
-    let listen = flag_value(args, "--listen")?
-        .ok_or_else(|| "serve needs `--listen <ADDR>` (e.g. 127.0.0.1:7351)".to_string())?;
-    let mut options = ServeOptions::default();
-    if let Some(secs) = flag_value(args, "--lease-timeout-secs")? {
-        options.lease_timeout = secs
-            .parse::<u64>()
-            .ok()
-            .filter(|&s| s > 0)
-            .map(std::time::Duration::from_secs)
-            .ok_or_else(|| format!("invalid `--lease-timeout-secs` value `{secs}`"))?;
-    }
-    match flag_value(args, "--journal")? {
-        Some(dir) => {
-            options.journal = Some(JournalOptions {
-                dir: PathBuf::from(dir),
-                resume,
-            });
-        }
-        None if resume => {
-            return Err(
-                "`--resume` needs `--journal <DIR>`: there is nothing to resume from \
-                        without a drain journal"
-                    .into(),
-            );
-        }
-        None => {}
-    }
-    let plan = read_plan(plan_path)?;
-    let scenario = plan.scenario.clone();
-    let shard_count = plan.shard_count();
-    let total_cells = plan.total_cells();
-    let server =
-        WorkServer::bind(&listen, plan, options).map_err(|e| format!("binding {listen}: {e}"))?;
-    eprintln!(
-        "serving plan `{scenario}` (hash {}): {shard_count} shard(s), {total_cells} cell(s) on {}",
-        server.plan_hash(),
-        server.local_addr()
-    );
-    let outcome = server.run().map_err(|e| e.to_string())?;
-    eprintln!(
-        "fleet complete: {} worker(s), {} requeue(s), {} restored from journal, \
-         {} point(s) merged",
-        outcome.workers,
-        outcome.requeues,
-        outcome.restored,
-        outcome.document.points.len()
-    );
-    write_document_outputs(&outcome.document, args)
-}
-
-/// `fabric-power worker --connect <ADDR>`: the claim/execute/submit loop.
-fn worker(args: &[String]) -> Result<(), String> {
-    known_flags(
-        args,
-        &[
-            "--connect",
-            "--threads",
-            "--model-cache",
-            "--plan-hash",
-            "--reconnect-attempts",
-            "--backoff-seed",
-        ],
-    )?;
-    let addr = flag_value(args, "--connect")?
-        .ok_or_else(|| "worker needs `--connect <ADDR>`".to_string())?;
-    let (provider, engine) = resolve_engine(args)?;
-    let mut options = WorkerOptions {
-        expect_plan_hash: flag_value(args, "--plan-hash")?,
-        // Desynchronize a fleet's reconnect stampede by default: each
-        // worker process jitters its backoff from its own pid.
-        backoff: fabric_power_sweep::BackoffSchedule {
-            seed: u64::from(std::process::id()),
-            ..fabric_power_sweep::BackoffSchedule::default()
-        },
-        ..WorkerOptions::default()
-    };
-    if let Some(attempts) = flag_value(args, "--reconnect-attempts")? {
-        options.reconnect_attempts = attempts
-            .parse()
-            .map_err(|_| format!("invalid `--reconnect-attempts` value `{attempts}`"))?;
-    }
-    if let Some(seed) = flag_value(args, "--backoff-seed")? {
-        options.backoff.seed = parse_seed(&seed)?;
-    }
-    eprintln!(
-        "worker connecting to {addr} on {} thread(s)...",
-        engine.threads()
-    );
-    let report = run_worker(&addr, &engine, options).map_err(|e| e.to_string())?;
-    eprintln!(
-        "worker {} drained: completed {} shard(s) ({} cell(s)), {} reconnect(s)",
-        report.worker, report.shards, report.cells, report.reconnects
-    );
-    print_cache_stats(&provider);
-    Ok(())
 }
 
 /// Writes pretty JSON to `--out` (with a trailing newline) or to stdout.

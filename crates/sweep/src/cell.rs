@@ -249,7 +249,7 @@ mod tests {
             None,
         );
         assert_eq!(seed, 42);
-        // Shared stays the base seed on network cells too — the fleet's
+        // Shared stays the base seed on network cells too — the
         // seed-compatible default, whatever the axis.
         let networked = SeedStrategy::Shared.cell_seed(
             42,

@@ -9,40 +9,13 @@
 //! determinism tests).
 
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use serde::{Deserialize, Serialize};
 
 use crate::cell::{SeedStrategy, SweepPoint};
 use crate::config::ExperimentConfig;
 
-/// Writes `contents` to `path` atomically: the bytes land in a uniquely
-/// named temporary file next to `path`, which is then renamed over it.
-///
-/// A crash mid-write leaves at worst an orphaned `*.tmp.*` file — never a
-/// truncated document that a later `run-shard` / `merge` / `serve` fails on
-/// confusingly.  Same pattern as the model store's persistence
-/// (`fabric_power_fabric::provider`); the temp name is unique per call (pid
-/// plus a process-wide nonce) so two threads writing the same path cannot
-/// truncate each other mid-rename.
-///
-/// # Errors
-///
-/// Propagates I/O errors from the write or the rename; a failed rename
-/// removes the temporary file before returning.
-pub fn write_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
-    static TMP_NONCE: AtomicU64 = AtomicU64::new(0);
-    let nonce = TMP_NONCE.fetch_add(1, Ordering::Relaxed);
-    let tmp = path.with_extension(format!("tmp.{}.{nonce}", std::process::id()));
-    std::fs::write(&tmp, contents)?;
-    match std::fs::rename(&tmp, path) {
-        Ok(()) => Ok(()),
-        Err(error) => {
-            let _ = std::fs::remove_file(&tmp);
-            Err(error)
-        }
-    }
-}
+pub use fabric_power_fabric::provider::write_atomic;
 
 /// A complete, self-describing sweep result.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

@@ -51,7 +51,6 @@ pub struct SweepEngine {
     threads: usize,
     seed_strategy: SeedStrategy,
     provider: Arc<ModelProvider>,
-    progress: Option<obs::Progress>,
 }
 
 impl Default for SweepEngine {
@@ -69,7 +68,6 @@ impl SweepEngine {
             threads: 0,
             seed_strategy: SeedStrategy::Shared,
             provider: ModelProvider::shared(),
-            progress: None,
         }
     }
 
@@ -93,17 +91,6 @@ impl SweepEngine {
     #[must_use]
     pub fn with_provider(mut self, provider: Arc<ModelProvider>) -> Self {
         self.provider = provider;
-        self
-    }
-
-    /// Attaches a live progress probe: the engine bumps it once per
-    /// completed cell, out of band, from whichever worker thread finished
-    /// the cell.  A fleet worker polls the probe from its heartbeat thread
-    /// to report per-shard progress without touching the execution path —
-    /// results stay bit-identical with or without a probe attached.
-    #[must_use]
-    pub fn with_progress(mut self, progress: obs::Progress) -> Self {
-        self.progress = Some(progress);
         self
     }
 
@@ -212,9 +199,6 @@ impl SweepEngine {
         let results = executor::parallel_map(cells, self.threads().max(1), |cell| {
             let point = self.run_cell(config, cell, &models[&cell.ports]);
             obs::metrics::counter(obs::metrics::names::CELLS_COMPLETED).increment();
-            if let Some(progress) = &self.progress {
-                progress.increment();
-            }
             point
         });
         results.into_iter().collect()
@@ -262,12 +246,12 @@ impl SweepEngine {
     }
 
     /// Runs one shard of a plan and returns the partial document tagged with
-    /// the shard id and the cell-index range it covers — the unit of work a
-    /// sharded fleet ships back for [`crate::merge::merge_documents`].
+    /// the shard id and the cell-index range it covers — what `run-shard`
+    /// writes for [`crate::merge::merge_documents`].
     ///
     /// The cells' seeds were fixed when the plan was built, so the points
     /// this produces are bit-identical to the same cells evaluated by a
-    /// single-process run, whatever this worker's thread count.
+    /// single-process run, whatever this engine's thread count.
     ///
     /// # Errors
     ///
@@ -289,9 +273,8 @@ impl SweepEngine {
 
     /// Runs one shard *detached from its plan*: the [`PlanHeader`] supplies
     /// the grid-wide context (scenario, configuration, seed strategy) and the
-    /// [`Shard`] the cells — exactly what a fleet worker holds after the
-    /// work-server handshake handed it the header and a lease handed it the
-    /// shard, without ever shipping the whole plan.
+    /// [`Shard`] the cells, so a caller holding one shard needs no other
+    /// shard's cells.
     ///
     /// The cells carry their plan-time seeds, so the resulting document is
     /// bit-identical to [`SweepEngine::run_shard`] on the full plan.

@@ -19,8 +19,8 @@
 //!   streaming latency histogram;
 //! * [`plan`] — the *plan* stage: [`SweepPlan`] expands a scenario into the
 //!   flat seeded cell list once and splits it into self-describing
-//!   [`Shard`]s (contiguous or round-robin), serializable to JSON for
-//!   multi-process fleets;
+//!   [`Shard`]s (contiguous or round-robin), serializable to JSON so
+//!   separate processes or machines can each run some of them;
 //! * [`executor`] — a self-scheduling parallel map over cells: worker
 //!   threads pull the next unclaimed cell from a shared cursor, so load
 //!   balances dynamically and the result order never depends on scheduling;
@@ -35,24 +35,6 @@
 //!   cell index into a document byte-identical to a single-process run,
 //!   refusing overlapping or missing cells — and any part whose own
 //!   self-description (shard index, cell range) does not hold up;
-//! * [`journal`] — the durable drain journal: every accepted shard
-//!   submission is appended (checksummed, fsynced) to a file keyed by the
-//!   plan's content hash, so `fabric-power serve --journal <dir> --resume`
-//!   restores completed shards after a server crash and re-leases only the
-//!   remainder — with a resumed merge byte-identical to an uninterrupted
-//!   run;
-//! * [`retry`] — [`BackoffSchedule`]: capped exponential backoff with
-//!   deterministic seeded jitter, driving worker dial and reconnect loops;
-//! * [`protocol`] / [`server`] / [`worker`] — the work-server fleet:
-//!   `fabric-power serve` owns a plan and leases shard indices to
-//!   `fabric-power worker` processes over line-delimited JSON on plain TCP,
-//!   requeues shards whose worker dies or goes silent past its lease
-//!   deadline, validates every submission against the plan (content hash,
-//!   shard identity, cell coverage), and merges when the last shard lands;
-//! * [`status`] — the read-only observability probe: [`fetch_status`] asks
-//!   a serving fleet for a [`FleetStatus`] snapshot (shards, per-worker
-//!   heartbeat progress, uptime) over the same protocol, and
-//!   [`status::render_status`] renders it for `fabric-power status`;
 //! * [`diff`] — cell-oriented comparison of two result documents
 //!   (`fabric-power diff`);
 //! * [`sweeps`] — [`ThroughputSweep`] / [`PortSweep`]: the Figure 9/10
@@ -75,9 +57,6 @@
 //! fabric-power plan paper-fig9 --shards 3 --out plan.json
 //! fabric-power run-shard plan.json --index 0 --out part0.json
 //! fabric-power merge part0.json part1.json part2.json --out fig9.json
-//! fabric-power serve plan.json --listen 127.0.0.1:7351 --out fig9.json
-//! fabric-power worker --connect 127.0.0.1:7351 --threads 8
-//! fabric-power status --connect 127.0.0.1:7351 --watch
 //! fabric-power sweep --scenario derived-quick --model-cache ~/.cache/fabric-power
 //! fabric-power cache warm --scenario derived-quick --model-cache ~/.cache/fabric-power
 //! fabric-power cache prune --model-cache ~/.cache/fabric-power --max-age-days 30
@@ -106,17 +85,11 @@ pub mod diff;
 pub mod emit;
 pub mod engine;
 pub mod executor;
-pub mod journal;
 pub mod merge;
 pub mod plan;
-pub mod protocol;
 pub mod registry;
 pub mod report;
-pub mod retry;
-pub mod server;
-pub mod status;
 pub mod sweeps;
-pub mod worker;
 
 pub use cell::{SeedStrategy, SweepCell, SweepPoint};
 pub use config::{ExperimentConfig, ExperimentError, MeshSize, ModelSource, NetworkSweepConfig};
@@ -124,13 +97,7 @@ pub use diff::{diff_documents, DocumentDiff};
 pub use emit::{write_atomic, SweepDocument};
 pub use engine::SweepEngine;
 pub use fabric_power_fabric::provider::{ModelKind, ModelProvider, ModelSpec, ProviderStats};
-pub use journal::{DrainJournal, JournalReplay};
 pub use merge::{merge_documents, MergeError, ShardCellResult, ShardDocument};
 pub use plan::{expand_cells, PlanError, PlanHeader, Shard, ShardStrategy, SweepPlan};
-pub use protocol::{FleetStatus, WorkerStatus};
 pub use registry::{Scenario, ScenarioRegistry};
-pub use retry::BackoffSchedule;
-pub use server::{JournalOptions, ServeError, ServeHandle, ServeOptions, ServeOutcome, WorkServer};
-pub use status::{fetch_status, StatusProbe};
 pub use sweeps::{PortSweep, ThroughputSweep};
-pub use worker::{run_worker, WorkerError, WorkerOptions, WorkerReport};

@@ -22,10 +22,6 @@ use serde::{Deserialize, Serialize};
 use crate::cell::{SeedStrategy, SweepCell};
 use crate::config::ExperimentConfig;
 
-/// Domain-separation prefix for [`SweepPlan::content_hash`]; bump the
-/// version when the plan's serialized form changes incompatibly.
-const PLAN_HASH_DOMAIN: &str = "fabric-power sweep-plan v1";
-
 /// Expands a configuration into its flat cell list, in canonical order
 /// (mesh → ports → architecture → offered load — the inner three axes in the
 /// order the original sequential loops visited the grid in, with the network
@@ -161,13 +157,9 @@ impl Shard {
     }
 }
 
-/// The grid-wide context of a plan, without the shards: everything a worker
-/// needs besides the cells themselves to execute a [`Shard`] and tag the
-/// resulting document.
-///
-/// This is what the work server ships to every worker at handshake time —
-/// shards then travel individually per lease, so a worker's traffic scales
-/// with the shards it executes, not with the whole grid.
+/// The grid-wide context of a plan, without the shards: everything
+/// [`crate::SweepEngine::run_shard_detached`] needs besides the cells
+/// themselves to execute a [`Shard`] and tag the resulting document.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PlanHeader {
     /// The scenario name the plan was built from (or a free-form label).
@@ -277,22 +269,6 @@ impl SweepPlan {
             config: self.config.clone(),
             seed_strategy: self.seed_strategy,
         }
-    }
-
-    /// A stable 128-bit content hash of the whole plan (32 lowercase hex
-    /// digits), over its canonical JSON form with a version prefix.
-    ///
-    /// Two processes holding the same plan bytes agree on the hash, and any
-    /// difference — a re-plan with another seed, shard count or strategy —
-    /// changes it.  The work-server protocol uses it as the fleet's session
-    /// identity: a worker holding a stale plan is refused at handshake, and
-    /// every submission is checked against it before entering the merge.
-    #[must_use]
-    pub fn content_hash(&self) -> String {
-        let json = serde_json::to_string(self).expect("plans always serialize");
-        fabric_power_fabric::provider::stable_hash_hex(
-            format!("{PLAN_HASH_DOMAIN}:{json}").as_bytes(),
-        )
     }
 
     /// Serializes to pretty JSON (deterministic bytes).
@@ -440,34 +416,10 @@ mod tests {
         assert_eq!(header.scenario, plan.scenario);
         assert_eq!(header.config, plan.config);
         assert_eq!(header.seed_strategy, plan.seed_strategy);
-        // The header round-trips through JSON (it travels over the wire).
+        // The header round-trips through JSON.
         let json = serde_json::to_string(&header).unwrap();
         let back: PlanHeader = serde_json::from_str(&json).unwrap();
         assert_eq!(back, header);
-    }
-
-    #[test]
-    fn content_hash_is_stable_and_discriminating() {
-        let plan = quick_plan(3, ShardStrategy::Contiguous);
-        let hash = plan.content_hash();
-        assert_eq!(hash.len(), 32);
-        assert!(hash.bytes().all(|b| b.is_ascii_hexdigit()));
-        // The same plan bytes hash identically, including after a round trip
-        // through JSON (the worker-vs-server agreement the protocol needs).
-        let round = SweepPlan::from_json_str(&plan.to_json_string().unwrap()).unwrap();
-        assert_eq!(round.content_hash(), hash);
-        // Any re-plan changes it.
-        assert_ne!(
-            quick_plan(2, ShardStrategy::Contiguous).content_hash(),
-            hash
-        );
-        assert_ne!(
-            quick_plan(3, ShardStrategy::RoundRobin).content_hash(),
-            hash
-        );
-        let mut relabeled = plan;
-        relabeled.scenario = "something-else".into();
-        assert_ne!(relabeled.content_hash(), hash);
     }
 
     #[test]

@@ -3,12 +3,10 @@
 //! 1. a 1×1 mesh "network" sweep reproduces the single-router sweep's
 //!    numbers exactly (the degradation contract of `NetworkSimulator`);
 //! 2. multi-node mesh sweeps emit byte-identical JSON at every thread
-//!    count, for every shard count through plan/run-shard/merge, and when
-//!    drained by a two-worker TCP fleet.
+//!    count and for every shard count through plan/run-shard/merge.
 
 use fabric_power_sweep::{
-    run_worker, ExperimentConfig, NetworkSweepConfig, SeedStrategy, ServeOptions, ShardStrategy,
-    SweepDocument, SweepEngine, SweepPlan, WorkServer, WorkerOptions,
+    ExperimentConfig, NetworkSweepConfig, SeedStrategy, ShardStrategy, SweepDocument, SweepEngine,
 };
 
 /// A small but genuinely multi-hop grid: {2×2, 3×3} meshes of radix-8
@@ -106,52 +104,6 @@ fn sharded_noc_sweeps_merge_byte_identical_to_a_single_process() {
             "{shards} shards ({strategy:?}) drifted from the single-process bytes"
         );
     }
-}
-
-#[test]
-fn a_two_worker_fleet_drains_a_noc_sweep_byte_identically() {
-    let plan = SweepPlan::new(
-        "noc-fleet-test",
-        noc_config(),
-        SeedStrategy::Shared,
-        3,
-        ShardStrategy::RoundRobin,
-    )
-    .expect("plan builds");
-    let reference = SweepEngine::new()
-        .with_threads(2)
-        .run_plan(&plan)
-        .expect("single-process reference");
-    let server = WorkServer::bind("127.0.0.1:0", plan, ServeOptions::default()).expect("bind");
-    let addr = server.local_addr().to_string();
-    let server = std::thread::spawn(move || server.run());
-    let workers: Vec<_> = (0..2)
-        .map(|_| {
-            let addr = addr.clone();
-            std::thread::spawn(move || {
-                run_worker(
-                    &addr,
-                    &SweepEngine::new().with_threads(1),
-                    WorkerOptions::default(),
-                )
-            })
-        })
-        .collect();
-    let mut shards_done = 0;
-    for handle in workers {
-        shards_done += handle
-            .join()
-            .expect("worker thread")
-            .expect("worker")
-            .shards;
-    }
-    assert_eq!(shards_done, 3);
-    let outcome = server.join().expect("server thread").expect("server run");
-    assert_eq!(
-        outcome.document.to_json_string().unwrap(),
-        reference.to_json_string().unwrap(),
-        "fleet drain must be byte-identical to the single-process run"
-    );
 }
 
 #[test]
