@@ -17,7 +17,8 @@
 //!    equations (Eq. 3–6) or
 //! 4. **Simulate** dynamic traffic bit-by-bit on the router platform
 //!    (`fabric-power-router`) and sweep load and fabric size to regenerate
-//!    Figure 9 and Figure 10 ([`experiment`]).
+//!    Figure 9 and Figure 10 ([`experiment`]);
+//! 5. **Compare** every published number with ours: the ledger ([`paper`]).
 //!
 //! # Quick start
 //!
@@ -40,7 +41,6 @@
 
 pub mod experiment;
 pub mod paper;
-pub mod report;
 
 pub use experiment::{
     ExperimentConfig, ExperimentError, ModelProvider, ModelSource, ModelSpec, PortSweep,
@@ -69,7 +69,6 @@ pub mod prelude {
         ExperimentConfig, ModelProvider, ModelSource, ModelSpec, PortSweep, SweepPoint,
         ThroughputSweep,
     };
-    pub use crate::paper::PaperClaims;
     pub use fabric_power_sweep::{
         merge_documents, Scenario, ScenarioRegistry, SeedStrategy, Shard, ShardDocument,
         ShardStrategy, SweepDocument, SweepEngine, SweepPlan,

@@ -318,10 +318,10 @@ mod tests {
 
     #[test]
     fn paper_table2_sizes_land_in_the_published_band() {
-        // Paper Table 2: 140, 140, 154, 222 pJ for 16K, 48K, 128K, 320K.
-        let expectations = [(16_u64, 140.0), (48, 140.0), (128, 154.0), (320, 222.0)];
-        for (kbits, paper_pj) in expectations {
-            let sram = MemoryModel::shared_buffer(kbits * 1024).unwrap();
+        for row in crate::Table2::paper().rows {
+            let kbits = row.shared_sram_bits / 1024;
+            let paper_pj = row.bit_energy.as_picojoules();
+            let sram = MemoryModel::shared_buffer(row.shared_sram_bits).unwrap();
             let ours = sram.access_energy_per_bit().as_picojoules();
             let ratio = ours / paper_pj;
             assert!(

@@ -319,21 +319,6 @@ impl SwitchEnergyLut {
             LutSource::PaperTable1,
         )
     }
-
-    /// The complete paper Table 1 as a list of LUTs (crosspoint, binary,
-    /// sorting, MUX-4/8/16/32), in the order the paper prints them.
-    #[must_use]
-    pub fn paper_table1() -> Vec<Self> {
-        vec![
-            Self::paper_crossbar_crosspoint(),
-            Self::paper_banyan_binary(),
-            Self::paper_batcher_sorting(),
-            Self::paper_mux(4),
-            Self::paper_mux(8),
-            Self::paper_mux(16),
-            Self::paper_mux(32),
-        ]
-    }
 }
 
 #[cfg(test)]
@@ -420,14 +405,6 @@ mod tests {
             assert!(e > previous, "MUX energy must grow with N");
             previous = e;
         }
-    }
-
-    #[test]
-    fn paper_table1_has_seven_rows() {
-        let table = SwitchEnergyLut::paper_table1();
-        assert_eq!(table.len(), 7);
-        assert_eq!(table[0].class(), SwitchClass::CrossbarCrosspoint);
-        assert_eq!(table[6].class(), SwitchClass::Mux { inputs: 32 });
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //!
 //! Run with `cargo run --release --example characterize_switches`.
 
+use fabric_power_core::paper::table1_rows;
 use fabric_power_core::prelude::*;
-use fabric_power_core::report::format_table1;
 use fabric_power_netlist::circuits::{banyan_binary_switch, batcher_sorting_switch};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -21,9 +21,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         sorting.cell_count()
     );
 
-    // Full Table 1 characterization at a 16-bit bus width to keep the example fast.
+    // Full Table 1 characterization at a 16-bit bus width to keep the example
+    // fast, printed through the ledger's Table 1 rows.
     let ours = Table1::characterize(16, 4, &library, &config)?;
-    println!("{}", format_table1(&ours, &Table1::paper()));
+    for row in table1_rows(std::slice::from_ref(&ours)) {
+        let (label, fj, paper) = (row.label, row.ours[0], row.paper);
+        println!("{label:<18} {fj:>6.0} fJ (paper: {paper:.0} fJ)");
+    }
 
     // The input-state dependence the paper highlights: two packets cost more
     // than one, but less than twice as much.

@@ -5,6 +5,7 @@
 
 use fabric_power_core::experiment::{ExperimentConfig, PortSweep, ThroughputSweep};
 use fabric_power_core::prelude::*;
+use fabric_power_tech::constants::{PAPER_FC_VS_BATCHER_GAP_32X32, PAPER_FC_VS_BATCHER_GAP_4X4};
 
 fn shape_config(port_counts: Vec<usize>, offered_loads: Vec<f64>) -> ExperimentConfig {
     ExperimentConfig {
@@ -61,9 +62,10 @@ fn observation1_banyan_ranking_flips_between_low_and_high_load_at_32x32() {
     // Paper §6: at 32x32 the Banyan is the cheapest fabric at low throughput
     // and loses that lead as the buffer penalty sets in. Our streaming
     // contention model buffers a larger fraction of words at a given
-    // offered load than the paper's platform (ROADMAP.md, open item 3,
-    // "Banyan crossover"), so the crossover happens at a lower load — but
-    // the ranking flip itself must be there:
+    // offered load than the paper's platform, so the crossover happens at a
+    // lower load: the ledger's `§6 obs. 1` row (`conform`, tests/conform.rs)
+    // records the 32x32 Banyan as cheapest at no load of the 10-50% grid,
+    // with its suspected cause. The ranking flip itself must be there:
     // at 5% load the Banyan beats the multistage and MUX fabrics, at 50% it
     // is the most expensive fabric of all four.
     let config = ExperimentConfig {
@@ -123,7 +125,7 @@ fn observation2_fully_connected_wins_and_gap_to_batcher_narrows() {
     let gap_large = sweep.fully_connected_vs_batcher_gap(16).expect("gap at 16");
     assert!(
         gap_small > gap_large,
-        "gap should narrow with size: {gap_small:.2} -> {gap_large:.2} (paper: 0.37 -> 0.20)"
+        "gap should narrow with size: {gap_small:.2} -> {gap_large:.2} (paper: {PAPER_FC_VS_BATCHER_GAP_4X4:.2} -> {PAPER_FC_VS_BATCHER_GAP_32X32:.2})"
     );
 }
 

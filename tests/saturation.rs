@@ -34,7 +34,7 @@ fn heavy_load_saturates_near_the_hol_limit() {
     // Offered 95% on the contention-free fabrics: the egress throughput must
     // saturate in the neighbourhood of the classic 58.6% input-buffering
     // limit (the paper notes the theoretical value is not reachable).
-    let published_limit = fabric_power_core::paper::published_saturation_throughput();
+    let published_limit = fabric_power_tech::constants::INPUT_BUFFER_SATURATION_THROUGHPUT;
     for architecture in [Architecture::Crossbar, Architecture::FullyConnected] {
         let report = run(architecture, 16, 0.95, 4000);
         let measured = report.measured_throughput();
