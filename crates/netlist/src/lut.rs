@@ -408,6 +408,14 @@ mod tests {
     }
 
     #[test]
+    fn paper_table1_has_seven_rows() {
+        let table = crate::characterize::Table1::paper();
+        assert_eq!(3 + table.muxes.len(), 7);
+        assert_eq!(table.crosspoint.class(), SwitchClass::CrossbarCrosspoint);
+        assert_eq!(table.muxes[3].class(), SwitchClass::Mux { inputs: 32 });
+    }
+
+    #[test]
     fn crosspoint_single_active_is_220_femtojoules() {
         let lut = SwitchEnergyLut::paper_crossbar_crosspoint();
         assert!((lut.single_active().as_femtojoules() - 220.0).abs() < 1e-9);
