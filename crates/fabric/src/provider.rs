@@ -374,8 +374,9 @@ impl ModelProvider {
     }
 
     /// The process-wide shared provider (in-memory only): the default model
-    /// source for sweep engines and the bench binaries, so every sweep in a
-    /// process reuses the same characterized models.
+    /// source for sweep engines, [`crate::analytic::analytic_table`] and the
+    /// router's `simulate`, so every sweep in a process reuses the same
+    /// characterized models.
     #[must_use]
     pub fn shared() -> Arc<Self> {
         static SHARED: OnceLock<Arc<ModelProvider>> = OnceLock::new();
@@ -427,13 +428,11 @@ impl ModelProvider {
             .get(&key)
         {
             self.counters.memory_hits.fetch_add(1, Ordering::Relaxed);
-            obs::metrics::counter(obs::metrics::names::MODEL_CACHE_HIT).increment();
             return Ok(Arc::clone(model));
         }
 
         if let Some(model) = self.read_disk(spec, &key) {
             self.counters.disk_hits.fetch_add(1, Ordering::Relaxed);
-            obs::metrics::counter(obs::metrics::names::MODEL_CACHE_HIT).increment();
             obs::debug!(
                 TARGET,
                 "disk cache hit",
@@ -443,9 +442,9 @@ impl ModelProvider {
             return Ok(self.memoize(key, model));
         }
 
-        obs::metrics::counter(obs::metrics::names::MODEL_CACHE_MISS).increment();
-        // Gate-level characterization dominates a derived build; the span
-        // makes the phase visible in trace output and the phase histogram.
+        // Gate-level characterization dominates a derived build; the span's
+        // `characterize done` event makes the phase and its duration visible
+        // in debug output.
         let span = spec
             .is_derived()
             .then(|| obs::log::span(TARGET, "characterize").field("ports", spec.ports));
@@ -714,7 +713,6 @@ impl ModelProvider {
                     .fetch_add(1, Ordering::Relaxed);
                 // The rebuild that follows re-persists a good entry over the
                 // bad one — the store heals itself.
-                obs::metrics::counter(obs::metrics::names::MODEL_CACHE_HEAL).increment();
                 obs::warn!(
                     TARGET,
                     "rejected untrusted cache entry, rebuilding",
@@ -748,7 +746,6 @@ impl ModelProvider {
             self.counters
                 .disk_write_errors
                 .fetch_add(1, Ordering::Relaxed);
-            obs::metrics::counter(obs::metrics::names::MODEL_CACHE_WRITE_ERROR).increment();
             obs::warn!(
                 TARGET,
                 "model cache write failed, continuing with in-memory model",

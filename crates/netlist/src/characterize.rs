@@ -38,17 +38,11 @@
 //! with hold cells (the crosspoint's pass gates) have no settle depth and
 //! simulate every warm-up cycle.
 
-use std::time::Instant;
-
 use serde::{Deserialize, Serialize};
 
-use fabric_power_obs as obs;
 use fabric_power_tech::units::Energy;
 
-use crate::circuits::{
-    banyan_binary_switch, batcher_sorting_switch, crossbar_crosspoint, n_input_mux, SwitchCircuit,
-    SwitchClass,
-};
+use crate::circuits::{switch_circuit, SwitchCircuit, SwitchClass};
 use crate::library::CellLibrary;
 use crate::lut::{LutSource, SwitchEnergyLut};
 use crate::netlist::{NetId, NetlistError};
@@ -184,12 +178,7 @@ pub fn characterize_class(
     library: &CellLibrary,
     config: &CharacterizationConfig,
 ) -> Result<SwitchEnergyLut, NetlistError> {
-    let circuit = match class {
-        SwitchClass::CrossbarCrosspoint => crossbar_crosspoint(bus_width)?,
-        SwitchClass::BanyanBinary => banyan_binary_switch(bus_width)?,
-        SwitchClass::BatcherSorting => batcher_sorting_switch(bus_width, address_bits.max(1))?,
-        SwitchClass::Mux { inputs } => n_input_mux(inputs, bus_width)?,
-    };
+    let circuit = switch_circuit(class, bus_width, address_bits)?;
     characterize_switch(&circuit, library, config)
 }
 
@@ -199,14 +188,7 @@ fn measure_occupancy(
     config: &CharacterizationConfig,
     active_ports: usize,
 ) -> Energy {
-    let timer = Instant::now();
     let report = measure(circuit, sim, config, active_ports);
-    let elapsed = timer.elapsed().as_secs_f64();
-    obs::metrics::counter(obs::metrics::names::CHARACTERIZE_LANE_CYCLES).add(config.measure_cycles);
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    obs::metrics::histogram(obs::metrics::names::CHARACTERIZE_LANE_CYCLES_PER_SEC)
-        .observe((config.measure_cycles as f64 / elapsed.max(1e-9)) as u64);
-
     let bit_slots = config.measure_cycles as f64 * circuit.bus_width as f64;
     report.total_energy() / bit_slots
 }
@@ -488,6 +470,9 @@ impl Table1 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::circuits::{
+        banyan_binary_switch, batcher_sorting_switch, crossbar_crosspoint, n_input_mux,
+    };
     use crate::sim::Simulator;
 
     fn quick() -> CharacterizationConfig {

@@ -50,6 +50,26 @@ impl std::fmt::Display for SwitchClass {
     }
 }
 
+/// Generates the circuit of `class` over a `bus_width`-bit payload bus.
+/// `address_bits` is the Batcher sorting switch's compared address width,
+/// raised to at least 1; the other classes ignore it.
+///
+/// # Errors
+///
+/// Propagates the [`NetlistError`] of the class's generator.
+pub fn switch_circuit(
+    class: SwitchClass,
+    bus_width: usize,
+    address_bits: usize,
+) -> Result<SwitchCircuit, NetlistError> {
+    match class {
+        SwitchClass::CrossbarCrosspoint => crossbar_crosspoint(bus_width),
+        SwitchClass::BanyanBinary => banyan_binary_switch(bus_width),
+        SwitchClass::BatcherSorting => batcher_sorting_switch(bus_width, address_bits.max(1)),
+        SwitchClass::Mux { inputs } => n_input_mux(inputs, bus_width),
+    }
+}
+
 /// A generated node-switch circuit plus its interface bookkeeping.
 ///
 /// Field conventions:

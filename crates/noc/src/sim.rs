@@ -43,7 +43,6 @@ use std::sync::Arc;
 
 use fabric_power_fabric::energy_model::FabricEnergyModel;
 use fabric_power_fabric::provider::{ModelProvider, ModelSpec};
-use fabric_power_obs::metrics::{self, names};
 use fabric_power_router::config::{SimulationConfig, SimulationReport};
 use fabric_power_router::metrics::LatencyHistogram;
 use fabric_power_router::node::RouterNode;
@@ -672,23 +671,14 @@ impl NetworkSimulator {
     }
 
     /// Runs the configured warmup and measurement windows and returns the
-    /// report, publishing the run's link/credit counters to the metrics
-    /// registry.
+    /// report.
     #[must_use]
     pub fn run(mut self) -> NetworkReport {
         let total = self.warmup_cycles + self.measure_cycles;
-        let ticks = metrics::histogram(names::NOC_TICK_NANOS);
         for _ in 0..total {
-            let started = std::time::Instant::now();
             self.step();
-            ticks.observe(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX));
         }
-        let report = self.report();
-        if let Some(stats) = &report.network {
-            metrics::counter(names::NOC_FLITS_ROUTED).add(stats.link_words);
-            metrics::counter(names::NOC_CREDIT_STALLS).add(stats.credit_stalls);
-        }
-        report
+        self.report()
     }
 
     /// Builds the report for everything measured so far.

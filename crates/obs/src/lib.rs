@@ -1,11 +1,10 @@
 //! # fabric-power-obs
 //!
 //! Zero-dependency observability for the `fabric-power` workspace: structured
-//! leveled events, timed phase spans and a process-wide metrics registry —
-//! implemented on `std` alone (the build container is offline, so no
-//! `tracing`, no `log`, no `metrics` crates).
+//! leveled events and timed phase spans, implemented on `std` alone (the
+//! build container is offline, so no `tracing` and no `log` crates).
 //!
-//! Three pillars:
+//! Two pieces:
 //!
 //! * [`log`] — leveled, target-tagged events with key/value fields, rendered
 //!   human-readably to stderr and optionally as one JSON object per line
@@ -15,21 +14,20 @@
 //!   `env_logger`/`RUST_LOG`);
 //! * [`span`](log::Span) — a timed scope for pipeline phases
 //!   (`characterize`, `build_model`, `run_cell`, …): on drop it
-//!   emits an event with the elapsed time *and* feeds a per-phase wall-time
-//!   histogram in the metrics registry;
-//! * [`metrics`] — a process-wide registry of named counters and
-//!   fixed-bin histograms (the same shape as the router's
-//!   `LatencyHistogram`: exact fixed bins plus count/sum/max), with a
-//!   deterministic [`MetricsSnapshot`](metrics::MetricsSnapshot) that
-//!   renders as a table or as JSON.
+//!   emits a `<name> done` event whose `elapsed_us` field is the phase's
+//!   wall time.
+//!
+//! Counts live with the code that owns them (`ProviderStats`, the sweep
+//! documents, the simulator reports), and `perfbench --trace 1` gives the
+//! per-layer time split, so this crate keeps no counters of its own.
 //!
 //! # Out-of-band by construction
 //!
-//! Nothing in this crate feeds back into computation: events and metrics are
-//! write-only side channels, and no instrumented code path reads a counter,
-//! a clock or a log level to make a decision.  The sweep pipeline's emitted
-//! documents are therefore byte-identical with observability on or off — a
-//! determinism guard test in the workspace pins exactly that.
+//! Nothing in this crate feeds back into computation: events are write-only
+//! side channels, and no instrumented code path reads a clock or a log level
+//! to make a decision.  The sweep pipeline's emitted documents are therefore
+//! byte-identical with observability on or off — a determinism guard test in
+//! the workspace pins exactly that.
 //!
 //! # Examples
 //!
@@ -39,16 +37,11 @@
 //! // Events: level + target + message + fields.
 //! obs::info!("doc.example", "shard written", shard = 0_usize, cells = 8_usize);
 //!
-//! // Spans: time a phase; the drop emits the event and records the metric.
+//! // Spans: time a phase; the drop emits `merge done` with `elapsed_us`.
 //! {
 //!     let _span = obs::log::span("doc.example", "merge").field("parts", 4_usize);
 //!     // ... do the work ...
 //! }
-//!
-//! // Metrics: named instruments, readable as one deterministic snapshot.
-//! obs::metrics::counter("doc.example.widgets").add(2);
-//! let snapshot = obs::metrics::snapshot();
-//! assert!(snapshot.counters["doc.example.widgets"] >= 2);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -56,10 +49,8 @@
 #![warn(missing_debug_implementations)]
 
 pub mod log;
-pub mod metrics;
 
 pub use log::{FieldValue, Filter, Level, Span};
-pub use metrics::MetricsSnapshot;
 
 /// Emits one structured event at an explicit [`Level`].
 ///

@@ -31,8 +31,6 @@ use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
-use crate::metrics;
-
 /// Event severity, ordered from most verbose to most severe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Level {
@@ -426,7 +424,7 @@ pub fn emit(level: Level, target: &str, message: &str, fields: &[(&str, FieldVal
 }
 
 /// Appends a JSON string literal (quoted, escaped) to `out`.
-pub(crate) fn push_json_string(out: &mut String, value: &str) {
+fn push_json_string(out: &mut String, value: &str) {
     out.push('"');
     for c in value.chars() {
         match c {
@@ -447,7 +445,7 @@ pub(crate) fn push_json_string(out: &mut String, value: &str) {
 
 /// Appends a float as JSON (non-finite values become `null`, which bare
 /// `Display` floats would not: `NaN` is not JSON).
-pub(crate) fn push_json_f64(out: &mut String, value: f64) {
+fn push_json_f64(out: &mut String, value: f64) {
     use std::fmt::Write as _;
     if value.is_finite() {
         let _ = write!(out, "{value}");
@@ -473,9 +471,8 @@ fn push_json_value(out: &mut String, value: &FieldValue) {
     }
 }
 
-/// A timed scope for one pipeline phase.  Dropping it emits a completion
-/// event carrying the elapsed microseconds and feeds the per-phase wall-time
-/// histogram `phase.<name>.micros` in the metrics registry.
+/// A timed scope for one pipeline phase.  Dropping it emits a `<name> done`
+/// event carrying the elapsed microseconds as `elapsed_us`.
 #[derive(Debug)]
 #[must_use = "a span measures the scope it is bound to; dropping it immediately measures nothing"]
 pub struct Span {
@@ -517,30 +514,10 @@ impl Span {
     pub fn finish(self) {}
 }
 
-/// Resolves the `phase.<name>.micros` histogram for a span name, keeping a
-/// thread-local handle cache so closing a span costs two atomic adds instead
-/// of a name allocation plus a registry lock per drop (spans wrap phases as
-/// short as a per-circuit pass run, so drops are hot).
-fn span_histogram(name: &'static str) -> &'static metrics::Histogram {
-    use std::cell::RefCell;
-    use std::collections::HashMap;
-    thread_local! {
-        static HANDLES: RefCell<HashMap<&'static str, &'static metrics::Histogram>> =
-            RefCell::new(HashMap::new());
-    }
-    HANDLES.with(|handles| {
-        *handles
-            .borrow_mut()
-            .entry(name)
-            .or_insert_with(|| metrics::histogram(&format!("phase.{name}.micros")))
-    })
-}
-
 impl Drop for Span {
     fn drop(&mut self) {
-        let micros = u64::try_from(self.start.elapsed().as_micros()).unwrap_or(u64::MAX);
-        span_histogram(self.name).observe(micros);
         if enabled(self.level, self.target) {
+            let micros = u64::try_from(self.start.elapsed().as_micros()).unwrap_or(u64::MAX);
             let mut fields = std::mem::take(&mut self.fields);
             fields.push(("elapsed_us", FieldValue::U64(micros)));
             emit(

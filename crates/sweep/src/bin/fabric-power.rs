@@ -93,8 +93,6 @@ GLOBAL OPTIONS (any command):
                                    overrides $FABRIC_POWER_LOG (default: info)
     --log-json <FILE>              Also append every event as one JSON line
                                    to FILE (truncated at startup)
-    --metrics <FILE>               Write the process metrics registry as JSON
-                                   to FILE at exit
 
 All instrumentation is out of band (stderr / side files): emitted sweep
 documents are byte-identical with observability on or off.
@@ -102,61 +100,28 @@ documents are byte-identical with observability on or off.
 
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let observability = match apply_global_flags(&mut args) {
-        Ok(observability) => observability,
-        Err(message) => {
-            eprintln!("error: {message}");
-            eprintln!("run `fabric-power help` for usage");
-            return ExitCode::FAILURE;
-        }
-    };
-    let code = match run(&args) {
+    match apply_global_flags(&mut args).and_then(|()| run(&args)) {
         Ok(code) => code,
         Err(message) => {
             eprintln!("error: {message}");
             eprintln!("run `fabric-power help` for usage");
             ExitCode::FAILURE
         }
-    };
-    if let Err(message) = observability.finish() {
-        eprintln!("error: {message}");
-        return ExitCode::FAILURE;
-    }
-    code
-}
-
-/// What the global observability flags asked for beyond immediate logger
-/// configuration: work to do when the command finishes.
-struct Observability {
-    metrics_out: Option<PathBuf>,
-}
-
-impl Observability {
-    fn finish(self) -> Result<(), String> {
-        if let Some(path) = self.metrics_out {
-            let json = obs::metrics::snapshot().to_json();
-            std::fs::write(&path, format!("{json}\n"))
-                .map_err(|e| format!("writing metrics to {}: {e}", path.display()))?;
-            eprintln!("wrote metrics to {}", path.display());
-        }
-        Ok(())
     }
 }
 
-/// Strips the global `--log` / `--log-json` / `--metrics` flags out of the
-/// argument list (they are accepted anywhere, for every command) and
-/// configures the logger accordingly.  `--log` beats `$FABRIC_POWER_LOG`,
-/// which the logger already read at first use.
-fn apply_global_flags(args: &mut Vec<String>) -> Result<Observability, String> {
+/// Strips the global `--log` / `--log-json` flags out of the argument list
+/// (they are accepted anywhere, for every command) and configures the logger
+/// accordingly.  `--log` beats `$FABRIC_POWER_LOG`, which the logger already
+/// read at first use.
+fn apply_global_flags(args: &mut Vec<String>) -> Result<(), String> {
     let mut log_spec = None;
     let mut log_json = None;
-    let mut metrics_out = None;
     let mut index = 0;
     while index < args.len() {
         let slot = match args[index].as_str() {
             "--log" => &mut log_spec,
             "--log-json" => &mut log_json,
-            "--metrics" => &mut metrics_out,
             _ => {
                 index += 1;
                 continue;
@@ -175,9 +140,7 @@ fn apply_global_flags(args: &mut Vec<String>) -> Result<Observability, String> {
         obs::log::log_json_to_file(std::path::Path::new(&path))
             .map_err(|e| format!("opening log file {path}: {e}"))?;
     }
-    Ok(Observability {
-        metrics_out: metrics_out.map(PathBuf::from),
-    })
+    Ok(())
 }
 
 fn run(args: &[String]) -> Result<ExitCode, String> {
@@ -468,17 +431,6 @@ fn cache(args: &[String]) -> Result<(), String> {
                      (swept by `cache clear`/`cache prune` once stale)"
                 );
             }
-            // Process-level cache traffic from the metrics registry: zero in
-            // a fresh `cache stats` process, populated when sweeps run in
-            // this process (and in any `--metrics` snapshot).
-            let metrics = obs::metrics::snapshot();
-            let counter = |name: &str| metrics.counters.get(name).copied().unwrap_or(0);
-            println!(
-                "process: {} hit(s), {} miss(es), {} heal(s)",
-                counter(obs::metrics::names::MODEL_CACHE_HIT),
-                counter(obs::metrics::names::MODEL_CACHE_MISS),
-                counter(obs::metrics::names::MODEL_CACHE_HEAL),
-            );
             for entry in &entries {
                 let file = entry
                     .path
@@ -835,13 +787,12 @@ fn parse_netlist_classes(arg: &str) -> Result<Vec<fabric_power_netlist::SwitchCl
 /// circuit and print its cell, net and level counts, its settle depth and
 /// its cell-kind histogram — the size of what characterization simulates.
 fn netlist_stats(args: &[String]) -> Result<(), String> {
-    use fabric_power_netlist::circuits::{
-        banyan_binary_switch, batcher_sorting_switch, crossbar_crosspoint, n_input_mux,
-    };
-    use fabric_power_netlist::{EvalSchedule, SwitchClass};
+    use fabric_power_netlist::circuits::switch_circuit;
+    use fabric_power_netlist::EvalSchedule;
 
     // The Table 1 switch set: 32-bit payload buses, 5-bit sort addresses
-    // (log2 of the paper's 32-port fabrics), matching the `table1` binary.
+    // (log2 of the paper's 32-port fabrics), as in the `conform` ledger's
+    // Table 1 rows.
     const BUS_WIDTH: usize = 32;
     const ADDRESS_BITS: usize = 5;
 
@@ -861,13 +812,8 @@ fn netlist_stats(args: &[String]) -> Result<(), String> {
 
     let mut rows = Vec::new();
     for class in classes {
-        let circuit = match class {
-            SwitchClass::CrossbarCrosspoint => crossbar_crosspoint(BUS_WIDTH),
-            SwitchClass::BanyanBinary => banyan_binary_switch(BUS_WIDTH),
-            SwitchClass::BatcherSorting => batcher_sorting_switch(BUS_WIDTH, ADDRESS_BITS),
-            SwitchClass::Mux { inputs } => n_input_mux(inputs, BUS_WIDTH),
-        }
-        .map_err(|e| format!("generating {class}: {e}"))?;
+        let circuit = switch_circuit(class, BUS_WIDTH, ADDRESS_BITS)
+            .map_err(|e| format!("generating {class}: {e}"))?;
         let netlist = &circuit.netlist;
         let schedule =
             EvalSchedule::compile(netlist).map_err(|e| format!("levelizing {class}: {e}"))?;

@@ -197,9 +197,7 @@ impl SweepEngine {
     ) -> Result<Vec<SweepPoint>, ExperimentError> {
         let models = self.build_models(config, cells)?;
         let results = executor::parallel_map(cells, self.threads().max(1), |cell| {
-            let point = self.run_cell(config, cell, &models[&cell.ports]);
-            obs::metrics::counter(obs::metrics::names::CELLS_COMPLETED).increment();
-            point
+            self.run_cell(config, cell, &models[&cell.ports])
         });
         results.into_iter().collect()
     }
