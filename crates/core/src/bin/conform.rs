@@ -5,6 +5,6 @@
 
 fn main() -> Result<std::process::ExitCode, Box<dyn std::error::Error>> {
     let ledger = fabric_power_core::paper::Ledger::evaluate()?;
-    print!("{ledger}");
+    fabric_power_sweep::write_stdout(&ledger.to_string())?;
     Ok(u8::from(!ledger.holds()).into())
 }

@@ -18,10 +18,12 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
 
+use fabric_power_netlist::SwitchClass;
 use fabric_power_obs as obs;
 use fabric_power_sweep::{
-    diff_documents, merge_documents, report, ModelProvider, Scenario, ScenarioRegistry,
-    SeedStrategy, ShardDocument, ShardStrategy, SweepDocument, SweepEngine, SweepPlan,
+    diff_documents, merge_documents, report, write_stdout, ModelProvider, Scenario,
+    ScenarioRegistry, SeedStrategy, ShardDocument, ShardStrategy, SweepDocument, SweepEngine,
+    SweepPlan,
 };
 
 const USAGE: &str = "\
@@ -146,10 +148,7 @@ fn apply_global_flags(args: &mut Vec<String>) -> Result<(), String> {
 fn run(args: &[String]) -> Result<ExitCode, String> {
     let done = |result: Result<(), String>| result.map(|()| ExitCode::SUCCESS);
     match args.first().map(String::as_str) {
-        None | Some("help" | "--help" | "-h") => {
-            print!("{USAGE}");
-            Ok(ExitCode::SUCCESS)
-        }
+        None | Some("help" | "--help" | "-h") => done(write_stdout(USAGE)),
         Some("list-scenarios") => done(list_scenarios()),
         Some("export-scenario") => done(export_scenario(&args[1..])),
         Some("sweep") => done(sweep(&args[1..])),
@@ -166,16 +165,16 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
 
 fn list_scenarios() -> Result<(), String> {
     let registry = ScenarioRegistry::builtin();
-    println!("{:<20} {:>7}  description", "scenario", "points");
+    let mut out = format!("{:<20} {:>7}  description\n", "scenario", "points");
     for scenario in registry.scenarios() {
-        println!(
-            "{:<20} {:>7}  {}",
+        out.push_str(&format!(
+            "{:<20} {:>7}  {}\n",
             scenario.name,
             scenario.config.grid_size(),
             scenario.summary
-        );
+        ));
     }
-    Ok(())
+    write_stdout(&out)
 }
 
 fn export_scenario(args: &[String]) -> Result<(), String> {
@@ -184,11 +183,7 @@ fn export_scenario(args: &[String]) -> Result<(), String> {
     };
     let registry = ScenarioRegistry::builtin();
     let scenario = registry.get(name).ok_or_else(|| unknown_scenario(name))?;
-    println!(
-        "{}",
-        serde_json::to_string_pretty(scenario).map_err(|e| e.to_string())?
-    );
-    Ok(())
+    write_stdout(&(serde_json::to_string_pretty(scenario).map_err(|e| e.to_string())? + "\n"))
 }
 
 /// Pulls the value of `--flag value` out of an argument list.
@@ -379,7 +374,7 @@ fn write_document_outputs(document: &SweepDocument, args: &[String]) -> Result<(
     match (&out, &csv) {
         (None, None) => {
             // No files requested: the JSON document goes to stdout.
-            println!("{}", document.to_json_string().map_err(|e| e.to_string())?);
+            write_stdout(&(document.to_json_string().map_err(|e| e.to_string())? + "\n"))?;
         }
         _ => {
             if let Some(path) = &out {
@@ -418,18 +413,18 @@ fn cache(args: &[String]) -> Result<(), String> {
             // of silently ignoring full-model-sized leftovers.
             let (orphans, orphan_bytes) =
                 provider.orphaned_tmp_files().map_err(|e| e.to_string())?;
-            println!(
-                "{} entries, {} bytes, {} corrupt (dir: {})",
+            let mut out = format!(
+                "{} entries, {} bytes, {} corrupt (dir: {})\n",
                 entries.len(),
                 total_bytes,
                 corrupt,
                 provider.cache_dir().expect("dir required above").display()
             );
             if orphans > 0 {
-                println!(
+                out.push_str(&format!(
                     "{orphans} orphaned write-temp file(s), {orphan_bytes} bytes \
-                     (swept by `cache clear`/`cache prune` once stale)"
-                );
+                     (swept by `cache clear`/`cache prune` once stale)\n"
+                ));
             }
             for entry in &entries {
                 let file = entry
@@ -437,25 +432,24 @@ fn cache(args: &[String]) -> Result<(), String> {
                     .file_name()
                     .and_then(|n| n.to_str())
                     .unwrap_or("?");
-                match &entry.spec {
-                    Some(spec) => println!(
-                        "{file}  {:>7} B  {}x{} {} model",
+                out.push_str(&match &entry.spec {
+                    Some(spec) => format!(
+                        "{file}  {:>7} B  {}x{} {} model\n",
                         entry.bytes,
                         spec.ports,
                         spec.ports,
                         spec.kind_label()
                     ),
-                    None => println!("{file}  {:>7} B  CORRUPT", entry.bytes),
-                }
+                    None => format!("{file}  {:>7} B  CORRUPT\n", entry.bytes),
+                });
             }
-            Ok(())
+            write_stdout(&out)
         }
         "clear" => {
             known_flags(rest, &["--model-cache"])?;
             let provider = require_dir(rest)?;
             let removed = provider.clear_disk().map_err(|e| e.to_string())?;
-            println!("removed {removed} cached model(s)");
-            Ok(())
+            write_stdout(&format!("removed {removed} cached model(s)\n"))
         }
         "prune" => {
             known_flags(rest, &["--model-cache", "--max-age-days", "--max-bytes"])?;
@@ -492,8 +486,7 @@ fn cache(args: &[String]) -> Result<(), String> {
             let report = provider
                 .prune_disk(max_age, max_bytes)
                 .map_err(|e| e.to_string())?;
-            println!("{report}");
-            Ok(())
+            write_stdout(&format!("{report}\n"))
         }
         "warm" => {
             known_flags(rest, &["--model-cache", "--scenario", "--scenario-file"])?;
@@ -509,13 +502,12 @@ fn cache(args: &[String]) -> Result<(), String> {
                     .map_err(|e| e.to_string())?;
                 warmed.push(ports);
             }
-            println!(
-                "warmed {} model(s) for scenario `{}`: {}",
+            write_stdout(&format!(
+                "warmed {} model(s) for scenario `{}`: {}\n",
                 warmed.len(),
                 scenario.name,
                 provider.stats()
-            );
-            Ok(())
+            ))
         }
         other => Err(format!(
             "unknown cache action `{other}` (expected stats, clear, prune or warm)"
@@ -548,7 +540,7 @@ fn diff(args: &[String]) -> Result<ExitCode, String> {
     let a = read_document(a_path)?;
     let b = read_document(b_path)?;
     let result = diff_documents(&a, &b, tolerance);
-    print!("{}", result.format());
+    write_stdout(&result.format())?;
     if result.is_match() {
         Ok(ExitCode::SUCCESS)
     } else {
@@ -701,7 +693,7 @@ fn emit_json(json: &str, out: Option<&str>) -> Result<(), String> {
                 .map_err(|e| format!("writing {path}: {e}"))?;
             eprintln!("wrote {path}");
         }
-        None => println!("{json}"),
+        None => write_stdout(&format!("{json}\n"))?,
     }
     Ok(())
 }
@@ -723,8 +715,7 @@ fn report_command(args: &[String]) -> Result<(), String> {
     let path =
         flag_value(args, "--in")?.ok_or_else(|| "report needs `--in <FILE.json>`".to_string())?;
     let document = read_document(&path)?;
-    print!("{}", report::format_document(&document));
-    Ok(())
+    write_stdout(&report::format_document(&document))
 }
 
 /// One `netlist-stats` row: the size of one generated circuit class.
@@ -746,8 +737,7 @@ const NETLIST_CLASSES: &str =
 
 /// Parses the `netlist-stats` class argument into the switch classes it
 /// names: one Table 1 class, or `all` for the whole Table 1 set.
-fn parse_netlist_classes(arg: &str) -> Result<Vec<fabric_power_netlist::SwitchClass>, String> {
-    use fabric_power_netlist::SwitchClass;
+fn parse_netlist_classes(arg: &str) -> Result<Vec<SwitchClass>, String> {
     Ok(match arg {
         "crosspoint" => vec![SwitchClass::CrossbarCrosspoint],
         "banyan" => vec![SwitchClass::BanyanBinary],
@@ -787,15 +777,6 @@ fn parse_netlist_classes(arg: &str) -> Result<Vec<fabric_power_netlist::SwitchCl
 /// circuit and print its cell, net and level counts, its settle depth and
 /// its cell-kind histogram — the size of what characterization simulates.
 fn netlist_stats(args: &[String]) -> Result<(), String> {
-    use fabric_power_netlist::circuits::switch_circuit;
-    use fabric_power_netlist::EvalSchedule;
-
-    // The Table 1 switch set: 32-bit payload buses, 5-bit sort addresses
-    // (log2 of the paper's 32-port fabrics), as in the `conform` ledger's
-    // Table 1 rows.
-    const BUS_WIDTH: usize = 32;
-    const ADDRESS_BITS: usize = 5;
-
     let mut json = false;
     let mut rest = Vec::new();
     for arg in args {
@@ -808,10 +789,26 @@ fn netlist_stats(args: &[String]) -> Result<(), String> {
     let class_arg = rest
         .first()
         .ok_or_else(|| format!("netlist-stats needs a class: {NETLIST_CLASSES}"))?;
-    let classes = parse_netlist_classes(class_arg)?;
+    write_stdout(&render_netlist_stats(
+        &parse_netlist_classes(class_arg)?,
+        json,
+    )?)
+}
+
+/// Renders the `netlist-stats` rows of `classes`: pretty JSON (`json`) or
+/// two text lines per class.
+fn render_netlist_stats(classes: &[SwitchClass], json: bool) -> Result<String, String> {
+    use fabric_power_netlist::circuits::switch_circuit;
+    use fabric_power_netlist::EvalSchedule;
+
+    // The Table 1 switch set: 32-bit payload buses, 5-bit sort addresses
+    // (log2 of the paper's 32-port fabrics), as in the `conform` ledger's
+    // Table 1 rows.
+    const BUS_WIDTH: usize = 32;
+    const ADDRESS_BITS: usize = 5;
 
     let mut rows = Vec::new();
-    for class in classes {
+    for &class in classes {
         let circuit = switch_circuit(class, BUS_WIDTH, ADDRESS_BITS)
             .map_err(|e| format!("generating {class}: {e}"))?;
         let netlist = &circuit.netlist;
@@ -829,35 +826,44 @@ fn netlist_stats(args: &[String]) -> Result<(), String> {
     }
 
     if json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&rows).map_err(|e| e.to_string())?
-        );
-        return Ok(());
+        return Ok(serde_json::to_string_pretty(&rows).map_err(|e| e.to_string())? + "\n");
     }
+    let mut out = String::new();
     for row in &rows {
         let settle = row.settle_cycles.map_or_else(
             || "unbounded".to_string(),
             |cycles| format!("{cycles} cycles"),
         );
-        println!(
-            "{} ({}-bit bus): {} cells, {} nets, {} levels, settle depth {settle}",
+        out.push_str(&format!(
+            "{} ({}-bit bus): {} cells, {} nets, {} levels, settle depth {settle}\n",
             row.class, row.bus_width, row.cells, row.nets, row.levels
-        );
+        ));
         let kinds: Vec<String> = row
             .cells_by_kind
             .iter()
             .map(|(kind, count)| format!("{kind} {count}"))
             .collect();
-        println!("  {}", kinds.join(", "));
+        out.push_str(&format!("  {}\n", kinds.join(", ")));
     }
-    Ok(())
+    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fabric_power_netlist::SwitchClass;
+
+    #[test]
+    fn netlist_stats_json_matches_the_golden() {
+        // `tests/golden/netlist_stats.json` is the stdout of
+        // `fabric-power netlist-stats all --json`.
+        let golden = std::fs::read_to_string(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/golden/netlist_stats.json"
+        ))
+        .expect("read the netlist-stats golden");
+        let classes = parse_netlist_classes("all").unwrap();
+        assert_eq!(render_netlist_stats(&classes, true).unwrap(), golden);
+    }
 
     #[test]
     fn netlist_classes_parse_to_the_table1_set() {

@@ -8,6 +8,7 @@
 //! same bytes, whatever the thread count (exercised by the workspace's
 //! determinism tests).
 
+use std::io::Write;
 use std::path::Path;
 
 use serde::{Deserialize, Serialize};
@@ -140,6 +141,31 @@ impl SweepDocument {
     pub fn write_csv(&self, path: &Path) -> Result<(), Box<dyn std::error::Error>> {
         write_atomic(path, &self.to_csv_string())?;
         Ok(())
+    }
+}
+
+/// Writes `text` to standard output in full: the one stdout path of the
+/// command-line binaries.
+///
+/// A reader that has gone away (a closed pipe, as in `fabric-power … |
+/// head`) ends the process quietly with exit status 0, since nobody is left
+/// to read the rest.  Any other write error is returned.
+///
+/// # Errors
+///
+/// Returns a message naming stdout for a write error other than a closed
+/// pipe.
+pub fn write_stdout(text: &str) -> Result<(), String> {
+    let written = {
+        let mut stdout = std::io::stdout().lock();
+        stdout
+            .write_all(text.as_bytes())
+            .and_then(|()| stdout.flush())
+    };
+    match written {
+        Ok(()) => Ok(()),
+        Err(error) if error.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(error) => Err(format!("writing to stdout: {error}")),
     }
 }
 

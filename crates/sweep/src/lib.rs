@@ -94,7 +94,7 @@ pub mod sweeps;
 pub use cell::{SeedStrategy, SweepCell, SweepPoint};
 pub use config::{ExperimentConfig, ExperimentError, MeshSize, ModelSource, NetworkSweepConfig};
 pub use diff::{diff_documents, DocumentDiff};
-pub use emit::{write_atomic, SweepDocument};
+pub use emit::{write_atomic, write_stdout, SweepDocument};
 pub use engine::SweepEngine;
 pub use fabric_power_fabric::provider::{ModelKind, ModelProvider, ModelSpec, ProviderStats};
 pub use merge::{merge_documents, MergeError, ShardCellResult, ShardDocument};
