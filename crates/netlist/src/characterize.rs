@@ -37,15 +37,24 @@
 //! the one the full warm-up reaches, so every LUT bit is the same.  Circuits
 //! with hold cells (the crosspoint's pass gates) have no settle depth and
 //! simulate every warm-up cycle.
+//!
+//! # Compiled switches
+//!
+//! A measurement reads only a [`CompiledSwitch`]: the circuit's evaluation
+//! schedule, its energy tables and the primary-input positions the
+//! stimulus writes.  [`characterize_class`] takes it from the process-wide
+//! memo ([`compiled_switch`]), so each circuit is generated and compiled
+//! once per process, however many seeds it is characterized at.
+//! [`characterize_switch`] compiles the circuit it is given.  Both run the
+//! same occupancy sweep, so they agree bit for bit.
 
 use serde::{Deserialize, Serialize};
 
-use fabric_power_tech::units::Energy;
-
-use crate::circuits::{switch_circuit, SwitchCircuit, SwitchClass};
+use crate::circuits::{SwitchCircuit, SwitchClass};
+use crate::compiled::{compiled_switch, CompiledSwitch};
 use crate::library::CellLibrary;
 use crate::lut::{LutSource, SwitchEnergyLut};
-use crate::netlist::{NetId, NetlistError};
+use crate::netlist::NetlistError;
 use crate::packed::{PackedSimulator, LANES};
 use crate::sim::ActivityReport;
 
@@ -140,6 +149,9 @@ impl StimulusRng {
 /// idle.  The LUT entry is the measured energy divided by
 /// `measure_cycles × bus_width`, i.e. the energy per bit slot.
 ///
+/// The circuit is compiled for this call alone; [`characterize_class`]
+/// runs the same occupancy sweep on a compiled switch shared across calls.
+///
 /// # Errors
 ///
 /// Propagates [`NetlistError`] if the generated circuit fails validation.
@@ -148,25 +160,26 @@ pub fn characterize_switch(
     library: &CellLibrary,
     config: &CharacterizationConfig,
 ) -> Result<SwitchEnergyLut, NetlistError> {
-    // One simulator serves every occupancy measurement: construction
-    // (schedule compilation, energy tables) is paid once per circuit.
-    let mut sim = PackedSimulator::new(&circuit.netlist, library)?;
-    let by_active_count = (0..=circuit.ports)
-        .map(|active| measure_occupancy(circuit, &mut sim, config, active))
-        .collect();
-    Ok(SwitchEnergyLut::from_active_counts(
-        circuit.class,
-        circuit.ports,
-        by_active_count,
-        LutSource::Characterized,
+    Ok(sweep_occupancies(
+        &CompiledSwitch::compile(circuit, library)?,
+        config,
     ))
 }
 
-/// Builds and characterizes the standard circuit for a [`SwitchClass`].
+/// Characterizes the standard circuit for a [`SwitchClass`].
 ///
 /// `bus_width` is the payload bus width; `address_bits` is only used by the
-/// Batcher sorting switch (the paper compares 6-bit addresses for 32×32
-/// fabrics — pass `log2(N)` of the fabric you are modelling).
+/// Batcher sorting switch, which compares that many destination-address
+/// bits.  Every caller in this workspace passes `log2(N)` of the fabric it
+/// models, so 5 for the paper's 32×32 fabrics (`FabricEnergyModel::derived`,
+/// the `conform` ledger's Table 1 and `fabric-power netlist-stats`).  A
+/// reading that the paper compares 6-bit addresses at 32×32 is unconfirmed:
+/// no text in this repository supports it.
+///
+/// The circuit is generated and compiled once per process for each class,
+/// bus width, address bits and library ([`compiled_switch`]); the result
+/// equals [`characterize_switch`] on a freshly generated circuit bit for
+/// bit.
 ///
 /// # Errors
 ///
@@ -178,19 +191,24 @@ pub fn characterize_class(
     library: &CellLibrary,
     config: &CharacterizationConfig,
 ) -> Result<SwitchEnergyLut, NetlistError> {
-    let circuit = switch_circuit(class, bus_width, address_bits)?;
-    characterize_switch(&circuit, library, config)
+    let switch = compiled_switch(class, bus_width, address_bits, library)?;
+    Ok(sweep_occupancies(&switch, config))
 }
 
-fn measure_occupancy(
-    circuit: &SwitchCircuit,
-    sim: &mut PackedSimulator<'_>,
-    config: &CharacterizationConfig,
-    active_ports: usize,
-) -> Energy {
-    let report = measure(circuit, sim, config, active_ports);
-    let bit_slots = config.measure_cycles as f64 * circuit.bus_width as f64;
-    report.total_energy() / bit_slots
+/// The occupancy sweep both entry points run: one simulator serves every
+/// occupancy measurement, in ascending order.
+fn sweep_occupancies(switch: &CompiledSwitch, config: &CharacterizationConfig) -> SwitchEnergyLut {
+    let mut sim = PackedSimulator::new(&switch.schedule, &switch.tables);
+    let bit_slots = config.measure_cycles as f64 * switch.bus_width as f64;
+    let by_active_count = (0..=switch.ports)
+        .map(|active| measure(switch, &mut sim, config, active).total_energy() / bit_slots)
+        .collect();
+    SwitchEnergyLut::from_active_counts(
+        switch.class,
+        switch.ports,
+        by_active_count,
+        LutSource::Characterized,
+    )
 }
 
 /// One occupancy measurement on the bit-parallel [`PackedSimulator`].
@@ -217,16 +235,16 @@ fn measure_occupancy(
 /// steady-state sweep instead of paying a full schedule pass per
 /// occupancy.
 fn measure(
-    circuit: &SwitchCircuit,
+    switch: &CompiledSwitch,
     sim: &mut PackedSimulator<'_>,
     config: &CharacterizationConfig,
     active_ports: usize,
 ) -> ActivityReport {
     let mut rng = StimulusRng::seed_from_u64(config.seed ^ active_ports as u64);
-    let layout = StimulusLayout::new(circuit, active_ports);
+    let layout = StimulusLayout::new(switch, active_ports);
 
-    let mut words = vec![0_u64; circuit.netlist.primary_inputs().len()];
-    write_static_inputs(circuit, active_ports, &mut |pos, value| {
+    let mut words = vec![0_u64; switch.schedule.input_count];
+    write_static_inputs(switch, active_ports, &mut |pos, value| {
         words[pos] = if value { !0 } else { 0 };
     });
 
@@ -252,13 +270,6 @@ fn measure(
     sim.report()
 }
 
-fn pi_position(circuit: &SwitchCircuit, net: NetId) -> usize {
-    circuit
-        .netlist
-        .primary_input_position(net)
-        .expect("switch circuit interface net must be a primary input")
-}
-
 /// Writes the inputs that stay constant for a whole measurement through
 /// `set(primary-input position, value)`:
 ///
@@ -268,32 +279,27 @@ fn pi_position(circuit: &SwitchCircuit, net: NetId) -> usize {
 ///   real fabric; keeping them stable isolates the datapath cost, which the
 ///   paper observes is nearly vector-independent).
 fn write_static_inputs(
-    circuit: &SwitchCircuit,
+    switch: &CompiledSwitch,
     active_ports: usize,
     set: &mut impl FnMut(usize, bool),
 ) {
-    for port in 0..circuit.ports {
-        set(
-            pi_position(circuit, circuit.presence_inputs[port]),
-            port < active_ports,
-        );
+    for (port, &pos) in switch.presence.iter().enumerate() {
+        set(pos, port < active_ports);
     }
-    match circuit.class {
-        SwitchClass::CrossbarCrosspoint => {
-            set(pi_position(circuit, circuit.control_inputs[0]), true);
-        }
+    match switch.class {
+        SwitchClass::CrossbarCrosspoint => set(switch.control[0], true),
         SwitchClass::Mux { .. } => {
-            for &net in &circuit.control_inputs {
-                set(pi_position(circuit, net), false);
+            for &pos in &switch.control {
+                set(pos, false);
             }
         }
         SwitchClass::BanyanBinary | SwitchClass::BatcherSorting => {}
     }
 }
 
-/// The per-measurement stimulus layout: resolved primary-input positions of
-/// the per-cycle nets, plus the class and occupancy that fix the net-major
-/// draw order.
+/// The per-measurement stimulus layout: the compiled switch's primary-input
+/// positions of the per-cycle nets, plus the class and occupancy that fix
+/// the net-major draw order.
 ///
 /// One cycle of stimulus ([`StimulusLayout::drive`]) consumes the shared
 /// [`StimulusRng`] in a fixed net-major order — routing control first, then
@@ -312,31 +318,23 @@ fn write_static_inputs(
 /// oracle extracts its lane's bit.  Identical RNG states thus yield
 /// identical vector streams — and identical toggle counts — across the
 /// two engines.
-struct StimulusLayout {
+struct StimulusLayout<'a> {
     class: SwitchClass,
     active_ports: usize,
     /// Primary-input positions of the routing-control nets.
-    control_positions: Vec<usize>,
-    /// Per active port: primary-input positions of its payload bus.
-    data_positions: Vec<Vec<usize>>,
+    control_positions: &'a [usize],
+    /// Primary-input positions of the active ports' payload buses,
+    /// port-major, bits low-to-high.
+    data_positions: &'a [usize],
 }
 
-impl StimulusLayout {
-    fn new(circuit: &SwitchCircuit, active_ports: usize) -> Self {
+impl<'a> StimulusLayout<'a> {
+    fn new(switch: &'a CompiledSwitch, active_ports: usize) -> Self {
         Self {
-            class: circuit.class,
+            class: switch.class,
             active_ports,
-            control_positions: circuit
-                .control_inputs
-                .iter()
-                .map(|&net| pi_position(circuit, net))
-                .collect(),
-            data_positions: circuit
-                .data_inputs
-                .iter()
-                .take(active_ports)
-                .map(|bus| bus.iter().map(|&net| pi_position(circuit, net)).collect())
-                .collect(),
+            control_positions: &switch.control,
+            data_positions: &switch.data[..active_ports * switch.bus_width],
         }
     }
 
@@ -364,10 +362,8 @@ impl StimulusLayout {
             }
             SwitchClass::CrossbarCrosspoint | SwitchClass::Mux { .. } => {}
         }
-        for positions in &self.data_positions {
-            for &pos in positions {
-                set(pos, rng.next_u64());
-            }
+        for &pos in self.data_positions {
+            set(pos, rng.next_u64());
         }
     }
 
@@ -381,8 +377,7 @@ impl StimulusLayout {
             }
             SwitchClass::CrossbarCrosspoint | SwitchClass::Mux { .. } => 0,
         };
-        let data: usize = self.data_positions.iter().map(Vec::len).sum();
-        (control + data) as u64
+        (control + self.data_positions.len()) as u64
     }
 }
 
@@ -583,17 +578,17 @@ mod tests {
         config: &CharacterizationConfig,
     ) {
         // One reused simulator across occupancies, exactly like
-        // `characterize_switch`.  Measurements warm-start, so the
-        // per-lane oracle simulators are carried across occupancies too
-        // (lane `L` of the packed run reads bit `L` of the same shared
-        // net-major draws through the same ascending occupancy
-        // sequence).
-        let mut packed_sim = PackedSimulator::new(&circuit.netlist, lib).unwrap();
+        // `sweep_occupancies`.  Measurements warm-start, so the per-lane
+        // oracle simulators are carried across occupancies too (lane `L`
+        // of the packed run reads bit `L` of the same shared net-major
+        // draws through the same ascending occupancy sequence).
+        let switch = CompiledSwitch::compile(circuit, lib).unwrap();
+        let mut packed_sim = PackedSimulator::new(&switch.schedule, &switch.tables);
         let mut oracle_sims: Vec<Simulator<'_>> = (0..LANES)
             .map(|_| Simulator::new(&circuit.netlist, lib).unwrap())
             .collect();
         for active in 0..=circuit.ports {
-            let packed = measure(circuit, &mut packed_sim, config, active);
+            let packed = measure(&switch, &mut packed_sim, config, active);
 
             let tables = Simulator::new(&circuit.netlist, lib)
                 .unwrap()
@@ -603,12 +598,12 @@ mod tests {
             // draw sequence: each cycle's words are drawn once and lane
             // `L` applies bit `L` of every word.
             let mut rng = StimulusRng::seed_from_u64(config.seed ^ active as u64);
-            let layout = StimulusLayout::new(circuit, active);
+            let layout = StimulusLayout::new(&switch, active);
             let mut vectors: Vec<Vec<bool>> = oracle_sims
                 .iter()
                 .map(|_| {
                     let mut vector = circuit.blank_input_vector();
-                    write_static_inputs(circuit, active, &mut |pos, v| vector[pos] = v);
+                    write_static_inputs(&switch, active, &mut |pos, v| vector[pos] = v);
                     vector
                 })
                 .collect();
@@ -689,8 +684,9 @@ mod tests {
             n_input_mux(8, 2).unwrap(),
         ];
         for circuit in &circuits {
+            let switch = CompiledSwitch::compile(circuit, &CellLibrary::default()).unwrap();
             for active in 0..=circuit.ports {
-                let layout = StimulusLayout::new(circuit, active);
+                let layout = StimulusLayout::new(&switch, active);
                 for cycles in [1, 3] {
                     let mut driven = StimulusRng::seed_from_u64(0xDAC_2002 ^ active as u64);
                     let mut skipped = driven.clone();

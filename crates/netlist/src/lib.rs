@@ -15,12 +15,15 @@
 //! * [`schedule`] — levelization of a netlist into the flat, level-ordered
 //!   [`EvalSchedule`] the characterization engine executes;
 //! * [`packed`] — the characterization engine: 64-lane bit-parallel
-//!   simulation from the compiled schedule, one `u64` per net, lane toggles
-//!   counted with popcounts, quiet cells skipped, energies bit-identical to
-//!   per-lane scalar runs;
+//!   simulation from the compiled schedule alone, one `u64` per net, lane
+//!   toggles counted with popcounts, quiet cells skipped, energies
+//!   bit-identical to per-lane scalar runs;
 //! * [`circuits`] — generators for the four node-switch circuits the paper
 //!   characterizes (crossbar crosspoint, Banyan 2×2 binary switch, Batcher
 //!   2×2 sorting switch, N-input MUX);
+//! * [`compiled`] — a switch circuit compiled for one cell library
+//!   (schedule, energy tables, stimulus positions; no netlist), and the
+//!   process-wide memo that compiles each standard circuit once;
 //! * [`characterize`] — drives random payload through the generated circuits
 //!   and produces [`lut::SwitchEnergyLut`] tables;
 //! * [`lut`] — the input-vector-indexed bit-energy tables, including the
@@ -56,6 +59,7 @@
 pub mod cells;
 pub mod characterize;
 pub mod circuits;
+pub mod compiled;
 pub mod library;
 pub mod lut;
 pub mod netlist;
@@ -66,6 +70,7 @@ pub mod sim;
 pub use cells::CellKind;
 pub use characterize::{characterize_class, characterize_switch, CharacterizationConfig, Table1};
 pub use circuits::{SwitchCircuit, SwitchClass};
+pub use compiled::{compiled_switch, CompiledSwitch};
 pub use library::{CellLibrary, CellParameters};
 pub use lut::{InputVector, LutSource, SwitchEnergyLut};
 pub use netlist::{CellId, NetId, Netlist, NetlistError};

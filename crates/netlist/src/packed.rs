@@ -6,9 +6,13 @@
 //! operations, tri-state and flip-flop state are held as per-lane words, and
 //! toggle activity is accumulated per net with `(prev ^ new).count_ones()`.
 //!
-//! Evaluation runs from an [`EvalSchedule`] compiled once in
-//! [`PackedSimulator::new`], skipping every cell none of whose inputs has
-//! ever changed (see [`PackedSimulator::step_masked`]).
+//! The simulator runs from a compiled [`EvalSchedule`] alone: it borrows the
+//! schedule and the netlist's [`EnergyTables`] and never reads the
+//! [`Netlist`](crate::netlist::Netlist) they came from, so one compiled pair
+//! can serve any number of simulators (characterization shares them across
+//! every stimulus seed through [`crate::compiled`]).  Steps skip every cell
+//! none of whose inputs has ever changed (see
+//! [`PackedSimulator::step_masked`]).
 //!
 //! Energy accounting goes through the same [`EnergyTables`] as the scalar
 //! [`crate::sim::Simulator`]: integer per-net toggle counts are converted to
@@ -22,8 +26,7 @@
 //! lane-cycle, which keeps totals comparable with a scalar run of the same
 //! number of (scalar) cycles.
 
-use crate::library::CellLibrary;
-use crate::netlist::{NetId, Netlist, NetlistError};
+use crate::netlist::NetId;
 use crate::schedule::{EvalSchedule, ScheduledCell};
 use crate::sim::{ActivityReport, EnergyTables};
 
@@ -39,6 +42,8 @@ pub const LANES: u32 = 64;
 /// use fabric_power_netlist::library::CellLibrary;
 /// use fabric_power_netlist::netlist::Netlist;
 /// use fabric_power_netlist::packed::PackedSimulator;
+/// use fabric_power_netlist::schedule::EvalSchedule;
+/// use fabric_power_netlist::sim::EnergyTables;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut n = Netlist::new("inv");
@@ -47,18 +52,20 @@ pub const LANES: u32 = 64;
 /// n.add_cell("u_inv", CellKind::Inv, &[a], y)?;
 /// n.mark_output(y)?;
 ///
-/// let library = CellLibrary::calibrated_018um();
-/// let mut sim = PackedSimulator::new(&n, &library)?;
+/// let schedule = EvalSchedule::compile(&n)?;
+/// let tables = EnergyTables::new(&n, &CellLibrary::calibrated_018um());
+/// let mut sim = PackedSimulator::new(&schedule, &tables);
 /// // Lane 0 drives a=1, every other lane drives a=0.
 /// sim.step(&[0b01]);
-/// assert_eq!(sim.output_words(), vec![!0b01_u64]);
+/// assert_eq!(sim.net_word(y), !0b01_u64);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone)]
 pub struct PackedSimulator<'a> {
-    netlist: &'a Netlist,
-    schedule: EvalSchedule,
+    schedule: &'a EvalSchedule,
+    /// Per-net energy tables shared with the scalar engine.
+    tables: &'a EnergyTables,
     /// Current lane words and activity bookkeeping of every net.
     nets: NetState,
     /// Stored per-lane state of sequential cells, by schedule state slot.
@@ -73,8 +80,6 @@ pub struct PackedSimulator<'a> {
     settled: bool,
     /// Measured lane-cycles since the last counter reset.
     lane_cycles: u64,
-    /// Per-net energy tables shared with the scalar engine.
-    tables: EnergyTables,
 }
 
 /// The per-net half of the engine state, kept apart from the schedule so a
@@ -136,23 +141,22 @@ impl NetState {
 }
 
 impl<'a> PackedSimulator<'a> {
-    /// Creates a packed simulator, compiling `netlist`'s evaluation
-    /// schedule.
+    /// Creates a packed simulator over a compiled schedule and the energy
+    /// tables of the same netlist.
     ///
     /// All nets start at logic `0` in every lane, all flip-flops start
-    /// cleared.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any [`NetlistError`] from [`EvalSchedule::compile`].
-    pub fn new(netlist: &'a Netlist, library: &CellLibrary) -> Result<Self, NetlistError> {
-        let schedule = EvalSchedule::compile(netlist)?;
-        Ok(Self {
-            netlist,
+    /// cleared.  [`PackedSimulator::report`] panics when `tables` covers a
+    /// different number of nets than `schedule`.
+    #[must_use]
+    pub fn new(schedule: &'a EvalSchedule, tables: &'a EnergyTables) -> Self {
+        let net_count = schedule.net_count();
+        Self {
+            schedule,
+            tables,
             nets: NetState {
-                words: vec![0; netlist.net_count()],
-                toggles: vec![0; netlist.net_count()],
-                fanout_active: vec![false; netlist.net_count()],
+                words: vec![0; net_count],
+                toggles: vec![0; net_count],
+                fanout_active: vec![false; net_count],
                 is_active: vec![false; schedule.cell_count()],
                 newly: Vec::new(),
             },
@@ -160,9 +164,7 @@ impl<'a> PackedSimulator<'a> {
             active_cells: Vec::new(),
             settled: false,
             lane_cycles: 0,
-            tables: EnergyTables::new(netlist, library),
-            schedule,
-        })
+        }
     }
 
     /// The compiled netlist's settle depth (see
@@ -182,8 +184,9 @@ impl<'a> PackedSimulator<'a> {
     /// Simulates one clock cycle in every lane, counting activity in all of
     /// them.
     ///
-    /// The order of `inputs` matches [`Netlist::primary_inputs`]; bit `L` of
-    /// `inputs[i]` is the value of primary input `i` in lane `L`.
+    /// The order of `inputs` matches the compiled netlist's
+    /// [`primary_inputs`](crate::netlist::Netlist::primary_inputs); bit `L`
+    /// of `inputs[i]` is the value of primary input `i` in lane `L`.
     ///
     /// # Panics
     ///
@@ -215,13 +218,13 @@ impl<'a> PackedSimulator<'a> {
     pub fn step_masked(&mut self, inputs: &[u64], count_mask: u64) {
         assert_eq!(
             inputs.len(),
-            self.netlist.primary_inputs().len(),
+            self.schedule.input_count,
             "expected {} primary-input words, got {}",
-            self.netlist.primary_inputs().len(),
+            self.schedule.input_count,
             inputs.len()
         );
         self.lane_cycles += u64::from(count_mask.count_ones());
-        let schedule = &self.schedule;
+        let schedule = self.schedule;
         let nets = &mut self.nets;
 
         // 1. Drive primary inputs, constants and sequential outputs.
@@ -268,16 +271,6 @@ impl<'a> PackedSimulator<'a> {
         }
     }
 
-    /// Current lane words of the primary outputs, in declaration order.
-    #[must_use]
-    pub fn output_words(&self) -> Vec<u64> {
-        self.netlist
-            .primary_outputs()
-            .iter()
-            .map(|&n| self.net_word(n))
-            .collect()
-    }
-
     /// Current lane word of an arbitrary net.
     #[must_use]
     pub fn net_word(&self, net: NetId) -> u64 {
@@ -314,7 +307,15 @@ impl<'a> PackedSimulator<'a> {
 mod tests {
     use super::*;
     use crate::cells::CellKind;
+    use crate::library::CellLibrary;
+    use crate::netlist::Netlist;
     use crate::sim::Simulator;
+
+    /// The schedule and default-library energy tables of `n`.
+    fn compile(n: &Netlist) -> (EvalSchedule, EnergyTables) {
+        let schedule = EvalSchedule::compile(n).unwrap();
+        (schedule, EnergyTables::new(n, &CellLibrary::default()))
+    }
 
     fn xor_netlist() -> Netlist {
         let mut n = Netlist::new("xor");
@@ -330,7 +331,8 @@ mod tests {
     fn packed_xor_matches_scalar_lanes() {
         let n = xor_netlist();
         let lib = CellLibrary::default();
-        let mut packed = PackedSimulator::new(&n, &lib).unwrap();
+        let (schedule, tables) = compile(&n);
+        let mut packed = PackedSimulator::new(&schedule, &tables);
         let vectors: Vec<[u64; 2]> = vec![[0b1010_1010, 0b0110_0110], [0b0011_1100, 0b1111_0000]];
         for v in &vectors {
             packed.step(v);
@@ -364,16 +366,16 @@ mod tests {
         let q = n.add_net("q");
         n.add_cell("u_ff", CellKind::Dff, &[d], q).unwrap();
         n.mark_output(q).unwrap();
-        let lib = CellLibrary::default();
-        let mut sim = PackedSimulator::new(&n, &lib).unwrap();
+        let (schedule, tables) = compile(&n);
+        let mut sim = PackedSimulator::new(&schedule, &tables);
         sim.step(&[0b0101]);
         // Q still shows the reset value during the first cycle.
-        assert_eq!(sim.output_words(), vec![0]);
+        assert_eq!(sim.net_word(q), 0);
         sim.step(&[0b0000]);
         // Now Q shows the per-lane values captured at the end of cycle 1.
-        assert_eq!(sim.output_words(), vec![0b0101]);
+        assert_eq!(sim.net_word(q), 0b0101);
         sim.step(&[0b0000]);
-        assert_eq!(sim.output_words(), vec![0]);
+        assert_eq!(sim.net_word(q), 0);
     }
 
     #[test]
@@ -384,28 +386,28 @@ mod tests {
         let y = n.add_net("y");
         n.add_cell("u_tri", CellKind::TriBuf, &[a, en], y).unwrap();
         n.mark_output(y).unwrap();
-        let lib = CellLibrary::default();
-        let mut sim = PackedSimulator::new(&n, &lib).unwrap();
+        let (schedule, tables) = compile(&n);
+        let mut sim = PackedSimulator::new(&schedule, &tables);
         // Lane 0: enabled with a=1. Lane 1: enabled with a=0.
         sim.step(&[0b01, 0b11]);
-        assert_eq!(sim.output_words(), vec![0b01]);
+        assert_eq!(sim.net_word(y), 0b01);
         // Both lanes disabled with a flipped: outputs hold.
         sim.step(&[0b10, 0b00]);
-        assert_eq!(sim.output_words(), vec![0b01]);
+        assert_eq!(sim.net_word(y), 0b01);
     }
 
     #[test]
     fn masked_lanes_evolve_but_do_not_count() {
         let n = xor_netlist();
-        let lib = CellLibrary::default();
-        let mut sim = PackedSimulator::new(&n, &lib).unwrap();
+        let (schedule, tables) = compile(&n);
+        let mut sim = PackedSimulator::new(&schedule, &tables);
         // Count only lane 0; lane 1 toggles a and y but must not be counted.
         sim.step_masked(&[0b10, 0b00], 0b01);
         assert_eq!(sim.lane_cycles(), 1);
         let toggles: u64 = sim.net_toggle_counts().iter().sum();
         assert_eq!(toggles, 0, "lane 1 activity leaked into the counts");
         // Lane 1's state did evolve: its output is high.
-        assert_eq!(sim.output_words(), vec![0b10]);
+        assert_eq!(sim.net_word(n.primary_outputs()[0]), 0b10);
         // A fully counted step that returns lane 1 to 0 counts those toggles.
         sim.step(&[0b00, 0b00]);
         assert_eq!(sim.lane_cycles(), 1 + u64::from(LANES));
@@ -416,8 +418,8 @@ mod tests {
     #[test]
     fn reset_counters_keeps_state() {
         let n = xor_netlist();
-        let lib = CellLibrary::default();
-        let mut sim = PackedSimulator::new(&n, &lib).unwrap();
+        let (schedule, tables) = compile(&n);
+        let mut sim = PackedSimulator::new(&schedule, &tables);
         sim.step(&[!0_u64, 0]);
         sim.reset_counters();
         assert_eq!(sim.lane_cycles(), 0);

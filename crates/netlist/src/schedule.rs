@@ -11,6 +11,10 @@
 //! routing-control, presence cones and the buses of idle ports in the
 //! generated switch circuits go quiet right after warm-up).
 //!
+//! A compiled schedule is self-contained: the packed engine runs from it
+//! (and the netlist's energy tables) without the netlist, so
+//! characterization can drop a generated circuit once it is compiled.
+//!
 //! The schedule also carries the netlist's *settle depth*
 //! ([`EvalSchedule::settle_cycles`]): how many cycles the engines need
 //! before their state stops depending on where it started, which bounds
@@ -37,6 +41,8 @@ pub(crate) struct ScheduledCell {
 /// combinational cells and per-net load-cell fanout.
 #[derive(Debug, Clone)]
 pub struct EvalSchedule {
+    /// Number of primary inputs: the input words a step takes.
+    pub(crate) input_count: usize,
     /// `(net, primary-input position)` for every primary-input net.
     pub(crate) input_drives: Vec<(u32, u32)>,
     /// `(net, value)` for every constant net.
@@ -153,6 +159,7 @@ impl EvalSchedule {
 
         let settle_cycles = settle_depth(netlist.net_count(), &cells, &seq_drives, &seq_captures);
         Ok(Self {
+            input_count: netlist.primary_inputs().len(),
             input_drives,
             constant_drives,
             seq_drives,
@@ -181,6 +188,11 @@ impl EvalSchedule {
     #[must_use]
     pub fn state_slots(&self) -> usize {
         self.seq_drives.len()
+    }
+
+    /// Number of nets of the compiled netlist.
+    pub(crate) fn net_count(&self) -> usize {
+        self.net_load_index.len()
     }
 
     /// Cycles after which the simulation state no longer depends on where

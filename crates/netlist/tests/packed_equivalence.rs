@@ -24,7 +24,8 @@ use common::random_netlist;
 use fabric_power_netlist::cells::CellKind;
 use fabric_power_netlist::library::CellLibrary;
 use fabric_power_netlist::packed::{PackedSimulator, LANES};
-use fabric_power_netlist::sim::Simulator;
+use fabric_power_netlist::schedule::EvalSchedule;
+use fabric_power_netlist::sim::{EnergyTables, Simulator};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -54,7 +55,9 @@ proptest! {
         // lane L replays bit L of the vectors in lockstep; a lane masked out
         // of the final step banks its counts before that step, since its
         // final-step activity is unmeasured by construction.
-        let mut packed = PackedSimulator::new(&netlist, &library).unwrap();
+        let schedule = EvalSchedule::compile(&netlist).unwrap();
+        let tables = EnergyTables::new(&netlist, &library);
+        let mut packed = PackedSimulator::new(&schedule, &tables);
         let mut oracles: Vec<Simulator<'_>> = (0..LANES)
             .map(|_| Simulator::new(&netlist, &library).unwrap())
             .collect();
@@ -64,7 +67,11 @@ proptest! {
             let last = i + 1 == cycles;
             let count_mask = if last { final_mask } else { !0 };
             packed.step_masked(vector, count_mask);
-            let outputs = packed.output_words();
+            let outputs: Vec<u64> = netlist
+                .primary_outputs()
+                .iter()
+                .map(|&net| packed.net_word(net))
+                .collect();
             for (lane, scalar) in oracles.iter_mut().enumerate() {
                 let counted = (count_mask >> lane) & 1 == 1;
                 if !counted {
@@ -93,7 +100,6 @@ proptest! {
         prop_assert_eq!(packed.lane_cycles(), lane_cycles);
         // Identical integer counts ⇒ bit-identical energy reports through
         // the shared deterministic count→energy conversion.
-        let tables = Simulator::new(&netlist, &library).unwrap().energy_tables().clone();
         prop_assert_eq!(packed.report(), tables.report_from_counts(&summed, lane_cycles));
     }
 }

@@ -21,6 +21,7 @@ use common::random_netlist;
 use fabric_power_netlist::cells::CellKind;
 use fabric_power_netlist::library::CellLibrary;
 use fabric_power_netlist::packed::{PackedSimulator, LANES};
+use fabric_power_netlist::schedule::EvalSchedule;
 use fabric_power_netlist::sim::{EnergyTables, Simulator};
 
 /// Bit `lane` of every word: lane `lane`'s view of packed input or output
@@ -54,7 +55,9 @@ proptest! {
         let final_mask = u64::MAX >> (LANES - counted_final);
 
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5EED_0002);
-        let mut packed = PackedSimulator::new(&netlist, &library).unwrap();
+        let schedule = EvalSchedule::compile(&netlist).unwrap();
+        let tables = EnergyTables::new(&netlist, &library);
+        let mut packed = PackedSimulator::new(&schedule, &tables);
         let mut oracles: Vec<Simulator<'_>> = (0..LANES)
             .map(|_| Simulator::new(&netlist, &library).unwrap())
             .collect();
@@ -72,7 +75,11 @@ proptest! {
             }
             // Every lane's outputs track its oracle at every step, counted
             // or not.
-            let outputs = packed.output_words();
+            let outputs: Vec<u64> = netlist
+                .primary_outputs()
+                .iter()
+                .map(|&net| packed.net_word(net))
+                .collect();
             for (lane, scalar) in (0..).zip(&mut oracles) {
                 scalar.step(&lane_bits(&vector, lane));
                 prop_assert_eq!(lane_bits(&outputs, lane), scalar.output_values());
@@ -85,7 +92,6 @@ proptest! {
         let lane_cycles = (cycles as u64 - 1) * u64::from(LANES) + u64::from(counted_final);
         prop_assert_eq!(packed.net_toggle_counts(), &summed[..]);
         prop_assert_eq!(packed.lane_cycles(), lane_cycles);
-        let tables = EnergyTables::new(&netlist, &library);
         prop_assert_eq!(packed.report(), tables.report_from_counts(&summed, lane_cycles));
     }
 
@@ -110,7 +116,9 @@ proptest! {
                 .collect()
         };
 
-        let mut packed = PackedSimulator::new(&netlist, &library).unwrap();
+        let schedule = EvalSchedule::compile(&netlist).unwrap();
+        let tables = EnergyTables::new(&netlist, &library);
+        let mut packed = PackedSimulator::new(&schedule, &tables);
         for vector in &vectors[..warmup] {
             packed.step(vector);
         }
@@ -135,7 +143,6 @@ proptest! {
         let lane_cycles = measure as u64 * u64::from(LANES);
         prop_assert_eq!(packed.net_toggle_counts(), &summed[..]);
         prop_assert_eq!(packed.lane_cycles(), lane_cycles);
-        let tables = EnergyTables::new(&netlist, &library);
         prop_assert_eq!(packed.report(), tables.report_from_counts(&summed, lane_cycles));
     }
 }

@@ -17,6 +17,8 @@ use fabric_power_netlist::cells::CellKind;
 use fabric_power_netlist::library::CellLibrary;
 use fabric_power_netlist::netlist::Netlist;
 use fabric_power_netlist::packed::PackedSimulator;
+use fabric_power_netlist::schedule::EvalSchedule;
+use fabric_power_netlist::sim::EnergyTables;
 
 /// Every net's lane word, in net order.
 fn net_words(netlist: &Netlist, sim: &PackedSimulator<'_>) -> Vec<u64> {
@@ -43,8 +45,10 @@ proptest! {
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5E77_1E00);
         let mut random_inputs = || -> Vec<u64> { (0..pi_count).map(|_| rng.gen()).collect() };
 
-        let mut a = PackedSimulator::new(&netlist, &library).unwrap();
-        let mut b = PackedSimulator::new(&netlist, &library).unwrap();
+        let schedule = EvalSchedule::compile(&netlist).unwrap();
+        let tables = EnergyTables::new(&netlist, &library);
+        let mut a = PackedSimulator::new(&schedule, &tables);
+        let mut b = PackedSimulator::new(&schedule, &tables);
         let settle = a
             .settle_cycles()
             .expect("a netlist without hold cells or sequential loops settles");
