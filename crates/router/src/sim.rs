@@ -300,6 +300,7 @@ mod tests {
     use super::*;
     use crate::traffic::TrafficPattern;
     use fabric_power_fabric::Architecture;
+    use proptest::prelude::*;
 
     fn run(architecture: Architecture, ports: usize, load: f64) -> SimulationReport {
         simulate(SimulationConfig::quick(architecture, ports, load)).expect("simulation runs")
@@ -477,5 +478,59 @@ mod tests {
         }
         let report = sim.report();
         assert_eq!(report.measured_cycles, 0, "still inside warmup");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn energy_components_are_non_negative_and_buffers_price_the_parked_words(
+            architecture in prop_oneof![
+                Just(Architecture::Crossbar),
+                Just(Architecture::FullyConnected),
+                Just(Architecture::Banyan),
+                Just(Architecture::BatcherBanyan),
+            ],
+            ports in prop_oneof![Just(4_usize), Just(8), Just(16), Just(32)],
+            load in 0.01_f64..=1.0,
+            seed in any::<u64>(),
+            packet_words in 1_usize..=32,
+        ) {
+            let model = FabricEnergyModel::paper(ports).unwrap();
+            let word_energy =
+                model.buffer_bit_energy().as_joules() * f64::from(model.bus_width_bits());
+            let config = SimulationConfig::quick(architecture, ports, load)
+                .with_seed(seed)
+                .with_packet_words(packet_words);
+            let report = RouterSimulator::new(config, model).unwrap().run();
+            let energy = report.energy;
+            for (component, joules) in [
+                ("switches", energy.switches.as_joules()),
+                ("buffers", energy.buffers.as_joules()),
+                ("wires", energy.wires.as_joules()),
+            ] {
+                prop_assert!(
+                    joules.is_finite() && joules >= 0.0,
+                    "{} energy {} is negative or not finite",
+                    component,
+                    joules
+                );
+            }
+            // One buffer access per parked word, priced at the bus width.
+            let buffers = energy.buffers.as_joules();
+            if report.buffered_words == 0 {
+                prop_assert_eq!(buffers, 0.0);
+            } else {
+                let expected = report.buffered_words as f64 * word_energy;
+                prop_assert!(
+                    (buffers - expected).abs() <= 1e-9 * expected,
+                    "buffers {} J against {} parked words x {} J = {} J",
+                    buffers,
+                    report.buffered_words,
+                    word_energy,
+                    expected
+                );
+            }
+        }
     }
 }
