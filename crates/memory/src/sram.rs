@@ -245,17 +245,12 @@ impl MemoryModel {
     }
 
     /// Total buffer bit energy `E_B_bit = E_access + E_ref` (paper Eq. 1).
+    ///
+    /// A buffered bit is charged this once, as Eq. 5 charges one `E_B_bit`
+    /// per bit parked at a contended stage.
     #[must_use]
     pub fn buffer_bit_energy(&self) -> Energy {
         self.access_energy_per_bit() + self.refresh_energy_per_bit()
-    }
-
-    /// Energy to write and later read back one whole packet of
-    /// `packet_bits` bits (the cost a buffered packet pays: one WRITE plus
-    /// one READ per bit).
-    #[must_use]
-    pub fn store_and_forward_energy(&self, packet_bits: u64) -> Energy {
-        self.buffer_bit_energy() * (2.0 * packet_bits as f64)
     }
 }
 
@@ -362,14 +357,6 @@ mod tests {
         // Refresh is amortized over many cycles, so it stays a small fraction
         // of the access energy.
         assert!(dram.refresh_energy_per_bit() < dram.access_energy_per_bit());
-    }
-
-    #[test]
-    fn store_and_forward_charges_write_plus_read() {
-        let sram = MemoryModel::shared_buffer(16 * 1024).unwrap();
-        let one_bit = sram.buffer_bit_energy();
-        let packet = sram.store_and_forward_energy(512);
-        assert!((packet.as_joules() - one_bit.as_joules() * 1024.0).abs() < 1e-18);
     }
 
     #[test]

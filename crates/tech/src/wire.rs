@@ -77,15 +77,6 @@ impl WireModel {
         self.grid_bit_energy() * grids as f64
     }
 
-    /// Bit energy of a wire spanning a fractional number of Thompson grids.
-    ///
-    /// The paper only ever uses integer grid counts, but per-path wire lengths
-    /// extracted from a placed embedding may be fractional.
-    #[must_use]
-    pub fn fractional_grids_bit_energy(&self, grids: f64) -> Energy {
-        self.grid_bit_energy() * grids
-    }
-
     /// Physical length corresponding to `grids` Thompson grids.
     #[must_use]
     pub fn grids_to_length(&self, grids: u64) -> Length {
@@ -148,13 +139,6 @@ mod tests {
         let eight = wires.grids_bit_energy(8);
         assert!((eight.as_joules() - 8.0 * one.as_joules()).abs() < 1e-24);
         assert_eq!(wires.grids_bit_energy(0), Energy::ZERO);
-    }
-
-    #[test]
-    fn fractional_grids_interpolate() {
-        let wires = WireModel::default();
-        let half = wires.fractional_grids_bit_energy(0.5);
-        assert!((half.as_femtojoules() - 43.56).abs() < 0.01);
     }
 
     #[test]

@@ -1,55 +1,19 @@
 //! # fabric-power-thompson
 //!
-//! The Thompson grid-embedding model the DAC 2002 paper uses to estimate
-//! switch-fabric interconnect wire lengths (paper §3.4): the fabric topology
-//! is embedded into a 2-dimensional grid, each vertex occupying a square of
-//! grid vertices and each interconnect a path of grid edges, and the wire
-//! length of an interconnect is the number of grids its path covers.
+//! The interconnect wire lengths of the four switch fabrics in the Thompson
+//! grid model the DAC 2002 paper uses (paper §3.4, §4). The paper embeds each
+//! fabric in a 2-dimensional grid by hand, each vertex occupying a square of
+//! grid vertices and each interconnect a path of grid edges, and reads off
+//! how many grids a bit's path covers. Those counts are the wire terms of
+//! Eq. 3–6; a wire of `m` grids costs `m · E_T_bit`.
 //!
-//! * [`grid`] — grid points, edges, rectangles and Manhattan paths;
-//! * [`embedding`] — source graphs, embeddings and the Thompson legality
-//!   rules (no vertex overlap, no shared grid edges);
-//! * [`layouts`] — programmatic embeddings of the crossbar (paper Fig. 5) and
-//!   a legal-by-construction dedicated-track embedder for multistage
-//!   networks;
-//! * [`wirelength`] — the closed-form per-architecture wire lengths the paper
-//!   reads off its manual embeddings (the wire terms of Eq. 3–6).
-//!
-//! # Examples
-//!
-//! ```
-//! use fabric_power_thompson::layouts::CrossbarLayout;
-//! use fabric_power_thompson::wirelength;
-//!
-//! let layout = CrossbarLayout::new(4);
-//! layout.embedding().validate()?;
-//! // The measured row-bus length matches the paper's 4N closed form.
-//! assert_eq!(layout.row_wire_grids(0), wirelength::crossbar_row_grids(4));
-//! # Ok::<(), fabric_power_thompson::embedding::EmbeddingError>(())
-//! ```
+//! [`wirelength`] holds those closed forms. Every fabric wire length that the
+//! router simulator, the Eq. 3–6 module and the paper ledger charge comes
+//! from it; no embedding is built at run time. (The links between NoC
+//! routers take their length from the mesh configuration.)
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod embedding;
-pub mod grid;
-pub mod layouts;
 pub mod wirelength;
-
-pub use embedding::{EdgeId, Embedding, EmbeddingError, SourceGraph, VertexId};
-pub use grid::{l_shaped_path, GridEdge, GridPoint, GridRect};
-pub use layouts::{banyan_permutation, CrossbarLayout, MultistageLayout};
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn public_types_are_send_and_sync() {
-        fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<Embedding>();
-        assert_send_sync::<CrossbarLayout>();
-        assert_send_sync::<GridPoint>();
-    }
-}

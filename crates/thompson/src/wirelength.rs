@@ -44,24 +44,6 @@ pub fn fully_connected_bit_wire_grids(ports: usize) -> u64 {
     (ports * ports) as u64 / 2
 }
 
-/// Wire grids between an ingress port and the MUX of a *specific* output
-/// port in a fully-connected fabric, for an implementation that segments the
-/// ingress bus per destination (`½·N·(output+1)` grids).
-///
-/// The paper's Eq. 4 instead treats the ingress bus as one broadcast net of
-/// `½·N²` grids that toggles in full for every bit — that is what
-/// [`fully_connected_bit_wire_grids`] returns and what the default topology
-/// model uses.  This per-destination variant is kept for ablation studies of
-/// a segmented (repeater-isolated) bus.
-#[must_use]
-pub fn fully_connected_pair_wire_grids(ports: usize, output: usize) -> u64 {
-    debug_assert!(
-        output < ports,
-        "output {output} out of range for {ports} ports"
-    );
-    (ports * (output + 1)) as u64 / 2
-}
-
 /// Number of stages `n = log2(N)` of a Banyan network.
 ///
 /// # Panics

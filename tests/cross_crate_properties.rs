@@ -10,7 +10,6 @@ use fabric_power_netlist::InputVector;
 use fabric_power_tech::polarity_flips;
 use fabric_power_tech::units::{Capacitance, Voltage};
 use fabric_power_thompson::wirelength;
-use fabric_power_thompson::{l_shaped_path, GridPoint};
 
 /// Strategy: one of the paper's power-of-two port counts.
 fn port_counts() -> impl Strategy<Value = usize> {
@@ -148,17 +147,6 @@ proptest! {
         // Formatting always shows one digit per port.
         let printed = vector.to_string();
         prop_assert_eq!(printed.matches(['0', '1']).count(), ports);
-    }
-
-    #[test]
-    fn l_shaped_paths_have_manhattan_length(
-        from_column in 0_u32..64, from_row in 0_u32..64,
-        to_column in 0_u32..64, to_row in 0_u32..64,
-    ) {
-        let from = GridPoint::new(from_column, from_row);
-        let to = GridPoint::new(to_column, to_row);
-        let path = l_shaped_path(from, to);
-        prop_assert_eq!(path.len() as u32, from.manhattan_distance(to));
     }
 
     #[test]

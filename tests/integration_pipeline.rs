@@ -8,7 +8,6 @@ use fabric_power_fabric::topology::FabricTopology;
 use fabric_power_netlist::characterize::CharacterizationConfig;
 use fabric_power_router::sim::RouterSimulator;
 use fabric_power_tech::constants::PAPER_PORT_COUNTS;
-use fabric_power_thompson::layouts::CrossbarLayout;
 use fabric_power_thompson::wirelength;
 
 #[test]
@@ -72,21 +71,6 @@ fn analytic_equations_agree_with_topology_path_structure() {
         assert_eq!(
             banyan_path.switch_hops() as u32,
             wirelength::banyan_stages(ports)
-        );
-    }
-}
-
-#[test]
-fn thompson_crossbar_layout_backs_the_closed_form_used_by_the_simulator() {
-    // The programmatic Thompson embedding, the closed-form wire length and
-    // the topology used by the simulator all agree for the crossbar.
-    for ports in [2_usize, 4, 8] {
-        let layout = CrossbarLayout::new(ports);
-        layout.embedding().validate().expect("legal embedding");
-        let topology = FabricTopology::new(Architecture::Crossbar, ports).expect("topology");
-        assert_eq!(
-            layout.bit_wire_grids(0, ports - 1),
-            topology.route(0, ports - 1).total_wire_grids()
         );
     }
 }
