@@ -92,7 +92,7 @@ proptest! {
     }
 
     #[test]
-    fn crossbar_and_batcher_paths_match_their_closed_forms(
+    fn crossbar_fully_connected_and_batcher_paths_match_their_closed_forms(
         ports in port_counts(),
         input in any::<usize>(),
         output in any::<usize>(),
@@ -104,6 +104,15 @@ proptest! {
             crossbar.route(input, output).total_wire_grids(),
             wirelength::crossbar_bit_wire_grids(ports)
         );
+        // Every bit toggles the whole broadcast ingress bus (Eq. 4), whichever
+        // output it is bound for, and passes one MUX.
+        let fully = FabricTopology::new(Architecture::FullyConnected, ports).unwrap();
+        let path = fully.route(input, output);
+        prop_assert_eq!(
+            path.total_wire_grids(),
+            wirelength::fully_connected_bit_wire_grids(ports)
+        );
+        prop_assert_eq!(path.switch_hops(), 1);
         let batcher = FabricTopology::new(Architecture::BatcherBanyan, ports).unwrap();
         let path = batcher.route(input, output);
         prop_assert_eq!(
