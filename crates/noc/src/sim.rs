@@ -932,6 +932,29 @@ mod tests {
         mesh.meta.len() as i64 - mesh.free_ids.len() as i64
     }
 
+    /// Packets queued at a router input, crossing a fabric, staged at an
+    /// egress or on a link's wire.
+    fn packets_held(mesh: &MeshNetwork) -> i64 {
+        let queued: usize = mesh
+            .nodes
+            .iter()
+            .map(|node| {
+                (0..node.ports())
+                    .map(|port| node.input_queue_len(port))
+                    .sum::<usize>()
+            })
+            .sum();
+        let in_fabric: usize = mesh.nodes.iter().map(RouterNode::flows_in_fabric).sum();
+        let staged: usize = mesh.staging.iter().map(VecDeque::len).sum();
+        let on_links: usize = mesh
+            .links
+            .iter()
+            .flatten()
+            .map(|link| link.in_flight.len())
+            .sum();
+        (queued + in_fabric + staged + on_links) as i64
+    }
+
     /// Payload words on the links' wires.
     fn words_on_links(mesh: &MeshNetwork) -> u64 {
         mesh.links
@@ -1025,6 +1048,12 @@ mod tests {
                         "{credits_used} packets hold a depth-{link_depth} link's credits"
                     );
                 }
+                // After every tick each live packet is somewhere, and each
+                // injected packet is either delivered or still live.
+                let (held, live) = (packets_held(&mesh), live_packets(&mesh));
+                let tick = mesh.cycle - 1;
+                prop_assert!(held == live, "tick {tick}: {held} packets held, {live} live");
+                prop_assert_eq!(injected, mesh.packets_delivered as i64 + live);
             }
 
             // Drained: nothing queued, staged or on a wire, and every packet

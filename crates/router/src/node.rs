@@ -288,6 +288,14 @@ impl RouterNode {
         self.input_queues[port].len()
     }
 
+    /// Granted flows whose packets have not finished crossing the fabric.
+    /// [`step`](Self::step) removes a finished flow in the cycle its last
+    /// word leaves, so between steps this counts the packets in the fabric.
+    #[must_use]
+    pub fn flows_in_fabric(&self) -> usize {
+        self.flows.len()
+    }
+
     /// Starts the measurement window: zeroes the delivered-word, buffering
     /// and energy accounts.  In-flight state (queues, flows, per-link
     /// polarity) is deliberately kept — warmup exists precisely to populate
@@ -446,7 +454,8 @@ impl RouterNode {
             }
             if flow.blocked {
                 // The word arriving at the contended node this cycle is written
-                // into (and will later be read back from) the node buffer.
+                // into (and will later be read back from) the node buffer: one
+                // `E_B_bit` per bit pays for both accesses, as in Eq. 5.
                 buffer_energy += model.buffer_bit_energy() * bus_width;
                 flow.backlog += 1;
                 if self.measuring {
