@@ -182,7 +182,7 @@ impl MemoryModel {
     /// Energy of one word-wide access (READ or WRITE).
     ///
     /// The structural decomposition follows the classic CACTI-style split the
-    /// paper's references [8][9] use:
+    /// paper's references \[8\]\[9\] use:
     ///
     /// * row decoder: proportional to `log2(rows)`;
     /// * word line: proportional to the number of columns;

@@ -11,7 +11,7 @@
 //! Measurements run on the bit-parallel [`PackedSimulator`]: [`LANES`]
 //! independent Monte-Carlo streams advance simultaneously, one bit per lane
 //! in a `u64` word per net.  The stimulus is drawn *net-major* from one
-//! [`StimulusRng`] stream per measurement, seeded with
+//! `StimulusRng` stream per measurement, seeded with
 //! `seed ^ active_ports`: every bus cycle consumes one `u64` word per driven
 //! input net, in a fixed order (routing control first, then each active
 //! port's payload bits low-to-high), and bit `L` of every drawn word belongs
@@ -33,7 +33,7 @@
 //! ([`crate::schedule::EvalSchedule::settle_cycles`]) bounds how many
 //! cycles its nets and flip-flops remember, so of `warmup_cycles` only the
 //! last `settle` run; the stimulus stream skips the draws of the others in
-//! O(1) ([`StimulusRng::advance`]).  The state entering the measurement is
+//! O(1) (`StimulusRng::advance`).  The state entering the measurement is
 //! the one the full warm-up reaches, so every LUT bit is the same.  Circuits
 //! with hold cells (the crosspoint's pass gates) have no settle depth and
 //! simulate every warm-up cycle.

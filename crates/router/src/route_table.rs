@@ -9,7 +9,7 @@
 //! * each hop is 12 bytes: a dense link id (into a node's flat array of
 //!   last-word polarity state), a dense element id (into its occupancy and
 //!   node-buffer arrays), and an index into a small deduplicated table of
-//!   [`HopData`], the route-independent part of a hop;
+//!   `HopData`, the route-independent part of a hop;
 //! * each route is a span of hops plus its ingress link and ingress wire
 //!   length.
 //!
