@@ -38,6 +38,21 @@
 //! with hold cells (the crosspoint's pass gates) have no settle depth and
 //! simulate every warm-up cycle.
 //!
+//! # Held controls
+//!
+//! As in the paper's flow, each switch is characterized with its routing
+//! control held: the crosspoint's configuration bit at 1 and every MUX
+//! select line at 0 (input 0 selected), for every occupancy.  The Banyan and
+//! Batcher switches draw their controls per cycle, and presence flags follow
+//! the occupancy.  A compiled switch's schedule is compiled against the held
+//! controls ([`crate::schedule::EvalSchedule::compile_held`]): a cell that
+//! only forwards an input while they hold is dropped, and its net reports
+//! its source's word and toggle counts.  This is exact, because a held
+//! input keeps one value for the simulator's whole life, so every LUT bit
+//! is the same as with every cell evaluated.  The 32-input MUX tree then
+//! costs no cell evaluation at all: a measurement step writes the drawn
+//! payload words and captures the output register.
+//!
 //! # Compiled switches
 //!
 //! A measurement reads only a [`CompiledSwitch`]: the circuit's evaluation
@@ -271,29 +286,22 @@ fn measure(
 }
 
 /// Writes the inputs that stay constant for a whole measurement through
-/// `set(primary-input position, value)`:
-///
-/// * presence flags for the first `active_ports` ports;
-/// * crosspoint: the configuration bit is asserted;
-/// * MUX: input 0 is selected (the select lines change at packet rate in a
-///   real fabric; keeping them stable isolates the datapath cost, which the
-///   paper observes is nearly vector-independent).
+/// `set(primary-input position, value)`: the routing controls the switch's
+/// schedule was compiled to hold (the crosspoint's configuration bit, the
+/// MUX select lines), then the presence flags of the first `active_ports`
+/// ports.  Presence follows the occupancy, so it is written last: a presence
+/// flag held by mistake fails [`PackedSimulator::step`]'s held-input check
+/// instead of silently overriding the occupancy.
 fn write_static_inputs(
     switch: &CompiledSwitch,
     active_ports: usize,
     set: &mut impl FnMut(usize, bool),
 ) {
+    for &(pos, value) in switch.schedule.held_inputs() {
+        set(pos as usize, value);
+    }
     for (port, &pos) in switch.presence.iter().enumerate() {
         set(pos, port < active_ports);
-    }
-    match switch.class {
-        SwitchClass::CrossbarCrosspoint => set(switch.control[0], true),
-        SwitchClass::Mux { .. } => {
-            for &pos in &switch.control {
-                set(pos, false);
-            }
-        }
-        SwitchClass::BanyanBinary | SwitchClass::BatcherSorting => {}
     }
 }
 

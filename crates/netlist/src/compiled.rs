@@ -8,7 +8,19 @@
 //! The generated [`Netlist`](crate::netlist::Netlist), with its named nets
 //! and cells, is dropped once it is compiled: keeping the netlists of the
 //! ten Table 1 circuits of a 32-bit bus as well costs about 1.5 MB of peak
-//! memory, against about 0.3 MB for the compiled switches.
+//! memory, against about 0.27 MB of heap for the compiled switches.
+//!
+//! The schedule is compiled against the routing controls a characterization
+//! holds for its whole run (`held_controls`: the crosspoint's configuration
+//! bit at 1, every MUX select line at 0, none for the Banyan and Batcher
+//! switches), through [`EvalSchedule::compile_held`].  Every cell that only
+//! forwards an input while those controls hold is dropped: on a 32-bit bus
+//! all 992 `Mux2` cells of the 32-input MUX go, the crosspoint keeps its
+//! enable gate and 32 pass gates but loses its 32 input buffers (65 cells to
+//! 33), and the Banyan and Batcher schedules keep every cell.  The
+//! characterization writes the held values from the schedule's own list
+//! ([`EvalSchedule::held_inputs`]), so the compile and the stimulus cannot
+//! disagree.
 //!
 //! None of a compiled switch depends on the stimulus seed, so
 //! [`compiled_switch`] keeps one per circuit and library for the life of
@@ -51,12 +63,13 @@ pub struct CompiledSwitch {
 }
 
 impl CompiledSwitch {
-    /// Compiles `circuit`'s schedule and its energy tables under `library`,
-    /// and resolves its interface nets to primary-input positions.
+    /// Compiles `circuit`'s schedule against the routing controls its class
+    /// holds ([`held_controls`]) and its energy tables under `library`, and
+    /// resolves its interface nets to primary-input positions.
     ///
     /// # Errors
     ///
-    /// Propagates any [`NetlistError`] from [`EvalSchedule::compile`].
+    /// Propagates any [`NetlistError`] from [`EvalSchedule::compile_held`].
     pub(crate) fn compile(
         circuit: &SwitchCircuit,
         library: &CellLibrary,
@@ -67,16 +80,35 @@ impl CompiledSwitch {
                 .primary_input_position(*net)
                 .expect("switch circuit interface net must be a primary input")
         };
+        let control: Vec<usize> = circuit.control_inputs.iter().map(position).collect();
+        let schedule =
+            EvalSchedule::compile_held(&circuit.netlist, &held_controls(circuit.class, &control))?;
         Ok(Self {
             class: circuit.class,
             ports: circuit.ports,
             bus_width: circuit.bus_width,
-            schedule: EvalSchedule::compile(&circuit.netlist)?,
+            schedule,
             tables: EnergyTables::new(&circuit.netlist, library),
             presence: circuit.presence_inputs.iter().map(position).collect(),
-            control: circuit.control_inputs.iter().map(position).collect(),
+            control,
             data: circuit.data_inputs.iter().flatten().map(position).collect(),
         })
+    }
+}
+
+/// The routing controls a characterization holds for its whole run, as
+/// `(primary-input position, value)`, given the positions of `class`'s
+/// control inputs: the crosspoint's configuration bit is asserted, and every
+/// MUX select line is 0, so input 0 is selected (a real fabric changes the
+/// selects at packet rate; holding them isolates the datapath cost, which
+/// the paper observes is nearly vector-independent).  The Banyan and Batcher
+/// switches draw their controls per cycle and hold none.  Presence flags
+/// follow the occupancy, so they are never held.
+fn held_controls(class: SwitchClass, control: &[usize]) -> Vec<(usize, bool)> {
+    match class {
+        SwitchClass::CrossbarCrosspoint => vec![(control[0], true)],
+        SwitchClass::Mux { .. } => control.iter().map(|&pos| (pos, false)).collect(),
+        SwitchClass::BanyanBinary | SwitchClass::BatcherSorting => Vec::new(),
     }
 }
 
@@ -153,4 +185,32 @@ pub fn compiled_switch(
         compiled: Arc::clone(&compiled),
     });
     Ok(compiled)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn held_controls_collapse_the_mux_tree_and_the_crosspoint_buffers() {
+        // (class, scheduled cells with the controls held, without, settle
+        // depth of both).  The crosspoint keeps its enable gate and pass
+        // gates (presence is not held), so it still never settles.
+        let expected = [
+            (SwitchClass::CrossbarCrosspoint, 33, 65, None),
+            (SwitchClass::BanyanBinary, 140, 140, Some(3)),
+            (SwitchClass::BatcherSorting, 167, 167, Some(3)),
+            (SwitchClass::Mux { inputs: 4 }, 0, 96, Some(2)),
+            (SwitchClass::Mux { inputs: 32 }, 0, 992, Some(2)),
+        ];
+        for (class, held, plain, settle) in expected {
+            let circuit = switch_circuit(class, 32, 5).unwrap();
+            let compiled = CompiledSwitch::compile(&circuit, &CellLibrary::default()).unwrap();
+            let full = EvalSchedule::compile(&circuit.netlist).unwrap();
+            assert_eq!(compiled.schedule.cell_count(), held, "{class}");
+            assert_eq!(full.cell_count(), plain, "{class}");
+            assert_eq!(compiled.schedule.settle_cycles(), settle, "{class}");
+            assert_eq!(full.settle_cycles(), settle, "{class}");
+        }
+    }
 }

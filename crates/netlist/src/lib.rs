@@ -13,7 +13,8 @@
 //! * [`sim`] — per-toggle energy accounting ([`EnergyTables`]) and the
 //!   scalar cycle-driven [`Simulator`], the bool-per-net reference oracle;
 //! * [`schedule`] — levelization of a netlist into the flat, level-ordered
-//!   [`EvalSchedule`] the characterization engine executes;
+//!   [`EvalSchedule`] the characterization engine executes, optionally
+//!   without the cells that only forward a held input;
 //! * [`packed`] — the characterization engine: 64-lane bit-parallel
 //!   simulation from the compiled schedule alone, one `u64` per net, lane
 //!   toggles counted with popcounts, quiet cells skipped, energies

@@ -12,7 +12,10 @@
 //! can serve any number of simulators (characterization shares them across
 //! every stimulus seed through [`crate::compiled`]).  Steps skip every cell
 //! none of whose inputs has ever changed (see
-//! [`PackedSimulator::step_masked`]).
+//! [`PackedSimulator::step_masked`]).  A schedule compiled against held
+//! inputs ([`EvalSchedule::compile_held`]) has no cell for a net it dropped;
+//! the simulator reports that net's source word and toggle counts, which
+//! are the net's own.
 //!
 //! Energy accounting goes through the same [`EnergyTables`] as the scalar
 //! [`crate::sim::Simulator`]: integer per-net toggle counts are converted to
@@ -25,6 +28,8 @@
 //! lane-cycles. Per-cycle clock and leakage energy are charged per
 //! lane-cycle, which keeps totals comparable with a scalar run of the same
 //! number of (scalar) cycles.
+
+use std::borrow::Cow;
 
 use crate::netlist::NetId;
 use crate::schedule::{EvalSchedule, ScheduledCell};
@@ -190,7 +195,9 @@ impl<'a> PackedSimulator<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if `inputs.len()` differs from the number of primary inputs.
+    /// Panics if `inputs.len()` differs from the number of primary inputs,
+    /// or if a held input (see [`EvalSchedule::compile_held`]) does not
+    /// carry its value in every lane.
     pub fn step(&mut self, inputs: &[u64]) {
         self.step_masked(inputs, !0);
     }
@@ -214,7 +221,7 @@ impl<'a> PackedSimulator<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if `inputs.len()` differs from the number of primary inputs.
+    /// As [`PackedSimulator::step`].
     pub fn step_masked(&mut self, inputs: &[u64], count_mask: u64) {
         assert_eq!(
             inputs.len(),
@@ -223,6 +230,13 @@ impl<'a> PackedSimulator<'a> {
             self.schedule.input_count,
             inputs.len()
         );
+        for &(position, value) in &self.schedule.held_inputs {
+            assert_eq!(
+                inputs[position as usize],
+                if value { !0 } else { 0 },
+                "primary input {position} is held at {value}"
+            );
+        }
         self.lane_cycles += u64::from(count_mask.count_ones());
         let schedule = self.schedule;
         let nets = &mut self.nets;
@@ -271,17 +285,26 @@ impl<'a> PackedSimulator<'a> {
         }
     }
 
-    /// Current lane word of an arbitrary net.
+    /// Current lane word of an arbitrary net (of its source, for a net
+    /// whose cell the schedule dropped).
     #[must_use]
     pub fn net_word(&self, net: NetId) -> u64 {
-        self.nets.words[net.index()]
+        self.nets.words[self.schedule.source(net.index())]
     }
 
     /// Toggle counts per net (summed over counted lanes) since the last
-    /// counter reset, indexed by net.
+    /// counter reset, indexed by net; a net whose cell the schedule dropped
+    /// has its source's counts.
     #[must_use]
-    pub fn net_toggle_counts(&self) -> &[u64] {
-        &self.nets.toggles
+    pub fn net_toggle_counts(&self) -> Cow<'_, [u64]> {
+        if self.schedule.forwarded.is_empty() {
+            return Cow::Borrowed(&self.nets.toggles);
+        }
+        let mut counts = self.nets.toggles.clone();
+        for &(dropped, source) in &self.schedule.forwarded {
+            counts[dropped as usize] = counts[source as usize];
+        }
+        Cow::Owned(counts)
     }
 
     /// Snapshot of the accumulated activity and energy.
@@ -292,7 +315,7 @@ impl<'a> PackedSimulator<'a> {
     #[must_use]
     pub fn report(&self) -> ActivityReport {
         self.tables
-            .report_from_counts(&self.nets.toggles, self.lane_cycles)
+            .report_from_counts(&self.net_toggle_counts(), self.lane_cycles)
     }
 
     /// Resets activity counters (but keeps the current logic state), so a

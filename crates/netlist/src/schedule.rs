@@ -15,6 +15,13 @@
 //! (and the netlist's energy tables) without the netlist, so
 //! characterization can drop a generated circuit once it is compiled.
 //!
+//! [`EvalSchedule::compile_held`] compiles against primary inputs that keep
+//! one value for the simulator's whole life, and drops every cell that only
+//! forwards an input while they hold (a buffer, a 2:1 mux with a held
+//! select, a tri-state or pass gate with a held-high enable): its consumers
+//! read the forwarded net directly.  Characterization holds the crosspoint
+//! enable and the MUX selects this way.
+//!
 //! The schedule also carries the netlist's *settle depth*
 //! ([`EvalSchedule::settle_cycles`]): how many cycles the engines need
 //! before their state stops depending on where it started, which bounds
@@ -37,6 +44,14 @@ pub(crate) struct ScheduledCell {
     pub(crate) output: u32,
 }
 
+impl ScheduledCell {
+    /// The live input net indices, `inputs[..arity]`.
+    #[inline]
+    pub(crate) fn live_inputs(&self) -> &[u32] {
+        &self.inputs[..usize::from(self.arity)]
+    }
+}
+
 /// A compiled evaluation schedule for one netlist: drive lists, levelled
 /// combinational cells and per-net load-cell fanout.
 #[derive(Debug, Clone)]
@@ -47,12 +62,19 @@ pub struct EvalSchedule {
     pub(crate) input_drives: Vec<(u32, u32)>,
     /// `(net, value)` for every constant net.
     pub(crate) constant_drives: Vec<(u32, bool)>,
+    /// `(primary-input position, value)` for every held input (see
+    /// [`EvalSchedule::compile_held`]).
+    pub(crate) held_inputs: Vec<(u32, bool)>,
     /// `(net, state slot)` for every sequential-cell output net.
     pub(crate) seq_drives: Vec<(u32, u32)>,
     /// `(state slot, D-input net)` captured at the end of every cycle.
     pub(crate) seq_captures: Vec<(u32, u32)>,
-    /// All combinational cells, sorted by level, id-ordered within one.
+    /// The combinational cells the compile kept, sorted by level,
+    /// id-ordered within one.
     pub(crate) cells: Vec<ScheduledCell>,
+    /// `(dropped net, source net)` for every net whose cell the compile
+    /// dropped, sorted by dropped net; a source is never itself dropped.
+    pub(crate) forwarded: Vec<(u32, u32)>,
     /// Per net: range into `load_cells` — the scheduled cells this net
     /// feeds.
     net_load_index: Vec<(u32, u32)>,
@@ -65,7 +87,8 @@ pub struct EvalSchedule {
 }
 
 impl EvalSchedule {
-    /// Validates `netlist` and compiles its schedule.
+    /// Validates `netlist` and compiles its schedule, one scheduled cell
+    /// per combinational cell.
     ///
     /// # Errors
     ///
@@ -74,6 +97,52 @@ impl EvalSchedule {
     /// * [`NetlistError::CombinationalLoop`] if the combinational logic
     ///   contains a cycle.
     pub fn compile(netlist: &Netlist) -> Result<Self, NetlistError> {
+        Self::compile_with(netlist, None)
+    }
+
+    /// Validates `netlist` and compiles its schedule for a simulator whose
+    /// primary input at each position in `held` carries the paired value in
+    /// every lane on every step, and drops every combinational cell that
+    /// only forwards one of its inputs while those inputs hold:
+    ///
+    /// * a `Buf`;
+    /// * a `Mux2` with a held select (it forwards `A` or `B`);
+    /// * a `TriBuf` or `PassGate` with a held-high enable (it forwards `A`).
+    ///
+    /// A net is held when it is a held input or a constant, when every
+    /// input of the non-hold combinational cell driving it is held, or when
+    /// it is a dropped net whose source is held.  Hold cells and
+    /// sequential cells pass nothing on: their outputs start from the reset
+    /// word, not from the held value.
+    ///
+    /// The dropped cell's consumers and flip-flop captures read its
+    /// forwarded net instead, and the dropped net records that net as its
+    /// source ([`PackedSimulator`](crate::packed::PackedSimulator) reports
+    /// the source's word and toggle counts for it).  This is exact: a held
+    /// net keeps one value from the first step on, so a dropped net equals
+    /// its source after every step from reset, and both toggle in the same
+    /// lanes of the same steps.  [`PackedSimulator::step`] checks that every
+    /// held input carries its value.
+    ///
+    /// [`PackedSimulator::step`]: crate::packed::PackedSimulator::step
+    ///
+    /// # Errors
+    ///
+    /// As [`EvalSchedule::compile`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a held position is not a primary-input position.
+    pub fn compile_held(netlist: &Netlist, held: &[(usize, bool)]) -> Result<Self, NetlistError> {
+        Self::compile_with(netlist, Some(held))
+    }
+
+    /// [`EvalSchedule::compile`] (`held` is `None`) and
+    /// [`EvalSchedule::compile_held`].
+    fn compile_with(
+        netlist: &Netlist,
+        held: Option<&[(usize, bool)]>,
+    ) -> Result<Self, NetlistError> {
         netlist.check_structure()?;
         let cell_levels = netlist.combinational_levels()?;
         let level_count = cell_levels
@@ -81,40 +150,6 @@ impl EvalSchedule {
             .flatten()
             .max()
             .map_or(0, |&deepest| deepest as usize + 1);
-
-        // Combinational cells in `(level, id)` order; sequential cells have
-        // no level and evaluate outside the schedule.
-        let mut order: Vec<usize> = (0..cell_levels.len())
-            .filter(|&idx| cell_levels[idx].is_some())
-            .collect();
-        order.sort_by_key(|&idx| (cell_levels[idx], idx));
-        // Original cell index -> scheduled cell index (combinational only).
-        let mut sched_index = vec![u32::MAX; netlist.cell_count()];
-        let mut cells = Vec::with_capacity(order.len());
-        for &idx in &order {
-            let cell = netlist.cell(CellId(idx));
-            let mut inputs = [u32::MAX; 3];
-            for (slot, net) in inputs.iter_mut().zip(cell.inputs()) {
-                *slot = net.index() as u32;
-            }
-            sched_index[idx] = cells.len() as u32;
-            cells.push(ScheduledCell {
-                kind: cell.kind(),
-                arity: cell.inputs().len() as u8,
-                inputs,
-                output: cell.output().index() as u32,
-            });
-        }
-
-        let mut seq_drives = Vec::new();
-        let mut seq_captures = Vec::new();
-        for (_, cell) in netlist.cells() {
-            if cell.kind().is_sequential() {
-                let slot = seq_drives.len() as u32;
-                seq_drives.push((cell.output().index() as u32, slot));
-                seq_captures.push((slot, cell.inputs()[0].index() as u32));
-            }
-        }
 
         let mut input_drives = Vec::new();
         let mut constant_drives = Vec::new();
@@ -130,15 +165,90 @@ impl EvalSchedule {
             }
         }
 
+        // Per net: the net whose word it carries (itself unless its cell is
+        // dropped), and its held value, if any.
+        let mut source: Vec<u32> = (0..netlist.net_count() as u32).collect();
+        let mut held_value: Vec<Option<bool>> = vec![None; netlist.net_count()];
+        let mut held_inputs = Vec::new();
+        if let Some(held) = held {
+            let primary_inputs = netlist.primary_inputs();
+            for &(position, value) in held {
+                assert!(
+                    position < primary_inputs.len(),
+                    "held position {position} is not one of the {} primary inputs",
+                    primary_inputs.len()
+                );
+                held_value[primary_inputs[position].index()] = Some(value);
+                held_inputs.push((position as u32, value));
+            }
+            for &(net, value) in &constant_drives {
+                held_value[net as usize] = Some(value);
+            }
+        }
+
+        // Combinational cells in `(level, id)` order; sequential cells have
+        // no level and evaluate outside the schedule.
+        let mut order: Vec<usize> = (0..cell_levels.len())
+            .filter(|&idx| cell_levels[idx].is_some())
+            .collect();
+        order.sort_by_key(|&idx| (cell_levels[idx], idx));
+        let mut cells = Vec::with_capacity(order.len());
+        let mut forwarded = Vec::new();
+        for &idx in &order {
+            let cell = netlist.cell(CellId(idx));
+            let (kind, output) = (cell.kind(), cell.output().index());
+            let mut inputs = [u32::MAX; 3];
+            for (slot, net) in inputs.iter_mut().zip(cell.inputs()) {
+                *slot = source[net.index()];
+            }
+            let arity = cell.inputs().len();
+            if held.is_some() {
+                // Consumers read a dropped net's source, so its held value
+                // is the source's.
+                if let Some(pin) = forwarded_pin(kind, &inputs, &held_value) {
+                    source[output] = inputs[pin];
+                    forwarded.push((output as u32, inputs[pin]));
+                    continue;
+                }
+                if !kind.holds_output_when_disabled() {
+                    let values: Option<Vec<bool>> = inputs[..arity]
+                        .iter()
+                        .map(|&net| held_value[net as usize])
+                        .collect();
+                    held_value[output] = values.map(|values| kind.evaluate(&values, false));
+                }
+            }
+            cells.push(ScheduledCell {
+                kind,
+                arity: arity as u8,
+                inputs,
+                output: output as u32,
+            });
+        }
+        // The memo keeps compiled schedules for the life of the process.
+        cells.shrink_to_fit();
+        forwarded.sort_unstable();
+        forwarded.shrink_to_fit();
+
+        let mut seq_drives = Vec::new();
+        let mut seq_captures = Vec::new();
+        for (_, cell) in netlist.cells() {
+            if cell.kind().is_sequential() {
+                let slot = seq_drives.len() as u32;
+                seq_drives.push((cell.output().index() as u32, slot));
+                seq_captures.push((slot, source[cell.inputs()[0].index()]));
+            }
+        }
+
         // Per net, the combinational consumers — the cells to queue for
         // re-evaluation when the net toggles.  One flat array with per-net
         // ranges (counting pass + prefix sums); a cell reading the same net
         // on two pins appears twice, which the activation path tolerates
         // (the second visit finds the cell already active).
         let mut load_counts = vec![0_u32; netlist.net_count()];
-        for &idx in &order {
-            for net in netlist.cell(CellId(idx)).inputs() {
-                load_counts[net.index()] += 1;
+        for cell in &cells {
+            for &net in cell.live_inputs() {
+                load_counts[net as usize] += 1;
             }
         }
         let mut net_load_index = Vec::with_capacity(netlist.net_count());
@@ -149,10 +259,10 @@ impl EvalSchedule {
         }
         let mut load_cells = vec![0_u32; total as usize];
         let mut cursor: Vec<u32> = net_load_index.iter().map(|&(start, _)| start).collect();
-        for &idx in &order {
-            for net in netlist.cell(CellId(idx)).inputs() {
-                let slot = &mut cursor[net.index()];
-                load_cells[*slot as usize] = sched_index[idx];
+        for (sched_index, cell) in cells.iter().enumerate() {
+            for &net in cell.live_inputs() {
+                let slot = &mut cursor[net as usize];
+                load_cells[*slot as usize] = sched_index as u32;
                 *slot += 1;
             }
         }
@@ -162,9 +272,11 @@ impl EvalSchedule {
             input_count: netlist.primary_inputs().len(),
             input_drives,
             constant_drives,
+            held_inputs,
             seq_drives,
             seq_captures,
             cells,
+            forwarded,
             net_load_index,
             load_cells,
             level_count,
@@ -172,13 +284,15 @@ impl EvalSchedule {
         })
     }
 
-    /// Number of combinational levels.
+    /// Number of combinational levels of the compiled netlist, dropped
+    /// cells included.
     #[must_use]
     pub fn level_count(&self) -> usize {
         self.level_count
     }
 
-    /// Number of scheduled combinational cells.
+    /// Number of scheduled combinational cells (the netlist's, less those
+    /// [`EvalSchedule::compile_held`] dropped).
     #[must_use]
     pub fn cell_count(&self) -> usize {
         self.cells.len()
@@ -215,11 +329,43 @@ impl EvalSchedule {
         self.settle_cycles
     }
 
+    /// The held primary inputs, as `(position, value)` in the order
+    /// [`EvalSchedule::compile_held`] was given them; empty for
+    /// [`EvalSchedule::compile`].
+    #[must_use]
+    pub fn held_inputs(&self) -> &[(u32, bool)] {
+        &self.held_inputs
+    }
+
+    /// The net whose word and toggles `net` carries: its source if the
+    /// compile dropped its cell, else `net` itself.
+    pub(crate) fn source(&self, net: usize) -> usize {
+        self.forwarded
+            .binary_search_by_key(&(net as u32), |&(dropped, _)| dropped)
+            .map_or(net, |found| self.forwarded[found].1 as usize)
+    }
+
     /// The scheduled cells to queue for re-evaluation when `net` toggles.
     #[inline]
     pub(crate) fn load_cells(&self, net: usize) -> &[u32] {
         let (start, end) = self.net_load_index[net];
         &self.load_cells[start as usize..end as usize]
+    }
+}
+
+/// The input pin a `kind` cell with `inputs` forwards while the nets of
+/// `held` keep their values, or `None` when its output may depend on an
+/// input that changes.
+fn forwarded_pin(kind: CellKind, inputs: &[u32; 3], held: &[Option<bool>]) -> Option<usize> {
+    match kind {
+        CellKind::Buf => Some(0),
+        // Y = S ? B : A.
+        CellKind::Mux2 => held[inputs[2] as usize].map(usize::from),
+        // Y = EN ? A : Y_prev.
+        CellKind::TriBuf | CellKind::PassGate => {
+            (held[inputs[1] as usize] == Some(true)).then_some(0)
+        }
+        _ => None,
     }
 }
 
@@ -252,7 +398,8 @@ fn settle_depth(
             net_chain[net as usize] = chain[slot as usize];
         }
         for cell in cells {
-            net_chain[cell.output as usize] = cell.inputs[..usize::from(cell.arity)]
+            net_chain[cell.output as usize] = cell
+                .live_inputs()
                 .iter()
                 .map(|&net| net_chain[net as usize])
                 .max()
