@@ -169,16 +169,15 @@ impl StimulusRng {
 ///
 /// # Errors
 ///
-/// Propagates [`NetlistError`] if the generated circuit fails validation.
+/// [`NetlistError::ZeroMeasureCycles`] if `config.measure_cycles` is 0;
+/// otherwise propagates [`NetlistError`] if the generated circuit fails
+/// validation.
 pub fn characterize_switch(
     circuit: &SwitchCircuit,
     library: &CellLibrary,
     config: &CharacterizationConfig,
 ) -> Result<SwitchEnergyLut, NetlistError> {
-    Ok(sweep_occupancies(
-        &CompiledSwitch::compile(circuit, library)?,
-        config,
-    ))
+    sweep_occupancies(&CompiledSwitch::compile(circuit, library)?, config)
 }
 
 /// Characterizes the standard circuit for a [`SwitchClass`].
@@ -198,7 +197,9 @@ pub fn characterize_switch(
 ///
 /// # Errors
 ///
-/// Propagates [`NetlistError`] from circuit generation or validation.
+/// [`NetlistError::ZeroMeasureCycles`] if `config.measure_cycles` is 0;
+/// otherwise propagates [`NetlistError`] from circuit generation or
+/// validation.
 pub fn characterize_class(
     class: SwitchClass,
     bus_width: usize,
@@ -207,23 +208,30 @@ pub fn characterize_class(
     config: &CharacterizationConfig,
 ) -> Result<SwitchEnergyLut, NetlistError> {
     let switch = compiled_switch(class, bus_width, address_bits, library)?;
-    Ok(sweep_occupancies(&switch, config))
+    sweep_occupancies(&switch, config)
 }
 
 /// The occupancy sweep both entry points run: one simulator serves every
-/// occupancy measurement, in ascending order.
-fn sweep_occupancies(switch: &CompiledSwitch, config: &CharacterizationConfig) -> SwitchEnergyLut {
+/// occupancy measurement, in ascending order.  Zero measure cycles would
+/// divide zero energy by zero bit slots, so they are an error.
+fn sweep_occupancies(
+    switch: &CompiledSwitch,
+    config: &CharacterizationConfig,
+) -> Result<SwitchEnergyLut, NetlistError> {
+    if config.measure_cycles == 0 {
+        return Err(NetlistError::ZeroMeasureCycles);
+    }
     let mut sim = PackedSimulator::new(&switch.schedule, &switch.tables);
     let bit_slots = config.measure_cycles as f64 * switch.bus_width as f64;
     let by_active_count = (0..=switch.ports)
         .map(|active| measure(switch, &mut sim, config, active).total_energy() / bit_slots)
         .collect();
-    SwitchEnergyLut::from_active_counts(
+    Ok(SwitchEnergyLut::from_active_counts(
         switch.class,
         switch.ports,
         by_active_count,
         LutSource::Characterized,
-    )
+    ))
 }
 
 /// One occupancy measurement on the bit-parallel [`PackedSimulator`].
@@ -710,6 +718,38 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn zero_measure_cycles_are_a_named_error() {
+        let lib = CellLibrary::calibrated_018um();
+        let config = CharacterizationConfig {
+            measure_cycles: 0,
+            ..quick()
+        };
+        let circuit = banyan_binary_switch(32).unwrap();
+        assert_eq!(
+            characterize_switch(&circuit, &lib, &config),
+            Err(NetlistError::ZeroMeasureCycles)
+        );
+        for class in [SwitchClass::BanyanBinary, SwitchClass::Mux { inputs: 4 }] {
+            assert_eq!(
+                characterize_class(class, 32, 5, &lib, &config),
+                Err(NetlistError::ZeroMeasureCycles),
+                "{class}"
+            );
+        }
+        assert_eq!(
+            NetlistError::ZeroMeasureCycles.to_string(),
+            "characterization needs at least one measure cycle, got 0"
+        );
+        // One measured lane-cycle is enough for finite energies.
+        let one = CharacterizationConfig {
+            measure_cycles: 1,
+            ..quick()
+        };
+        let lut = characterize_switch(&circuit, &lib, &one).unwrap();
+        assert!(lut.single_active().as_femtojoules().is_finite());
     }
 
     #[test]

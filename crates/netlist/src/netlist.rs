@@ -111,7 +111,7 @@ impl Cell {
     }
 }
 
-/// Errors raised while constructing or validating a netlist.
+/// Errors raised while constructing, validating or characterizing a netlist.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum NetlistError {
     /// A cell was connected with the wrong number of input pins.
@@ -149,6 +149,9 @@ pub enum NetlistError {
         /// A net whose load back-references are wrong.
         net: NetId,
     },
+    /// A characterization was asked to measure zero cycles, which leaves
+    /// its per-bit-slot energies without a denominator.
+    ZeroMeasureCycles,
 }
 
 impl fmt::Display for NetlistError {
@@ -175,6 +178,9 @@ impl fmt::Display for NetlistError {
                 "net #{} has load back-references inconsistent with the cell pins",
                 net.index()
             ),
+            Self::ZeroMeasureCycles => {
+                f.write_str("characterization needs at least one measure cycle, got 0")
+            }
         }
     }
 }
