@@ -1052,8 +1052,12 @@ mod tests {
                 // injected packet is either delivered or still live.
                 let (held, live) = (packets_held(&mesh), live_packets(&mesh));
                 let tick = mesh.cycle - 1;
-                prop_assert!(held == live, "tick {tick}: {held} packets held, {live} live");
-                prop_assert_eq!(injected, mesh.packets_delivered as i64 + live);
+                prop_assert_eq!(held, live, "tick {tick}: packets held vs live");
+                prop_assert_eq!(
+                    injected,
+                    mesh.packets_delivered as i64 + live,
+                    "tick {tick}: injected vs delivered + live"
+                );
             }
 
             // Drained: nothing queued, staged or on a wire, and every packet
