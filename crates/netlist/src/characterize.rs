@@ -305,7 +305,7 @@ fn write_static_inputs(
     active_ports: usize,
     set: &mut impl FnMut(usize, bool),
 ) {
-    for &(pos, value) in switch.schedule.held_inputs() {
+    for &(pos, value) in &switch.schedule.held_inputs {
         set(pos as usize, value);
     }
     for (port, &pos) in switch.presence.iter().enumerate() {

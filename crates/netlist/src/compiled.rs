@@ -18,9 +18,8 @@
 //! all 992 `Mux2` cells of the 32-input MUX go, the crosspoint keeps its
 //! enable gate and 32 pass gates but loses its 32 input buffers (65 cells to
 //! 33), and the Banyan and Batcher schedules keep every cell.  The
-//! characterization writes the held values from the schedule's own list
-//! ([`EvalSchedule::held_inputs`]), so the compile and the stimulus cannot
-//! disagree.
+//! characterization writes the held values from the schedule's own list,
+//! so the compile and the stimulus cannot disagree.
 //!
 //! None of a compiled switch depends on the stimulus seed, so
 //! [`compiled_switch`] keeps one per circuit and library for the life of

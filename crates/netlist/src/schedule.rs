@@ -62,8 +62,9 @@ pub struct EvalSchedule {
     pub(crate) input_drives: Vec<(u32, u32)>,
     /// `(net, value)` for every constant net.
     pub(crate) constant_drives: Vec<(u32, bool)>,
-    /// `(primary-input position, value)` for every held input (see
-    /// [`EvalSchedule::compile_held`]).
+    /// `(primary-input position, value)` for every held input, in the
+    /// order [`EvalSchedule::compile_held`] was given them; empty for
+    /// [`EvalSchedule::compile`].
     pub(crate) held_inputs: Vec<(u32, bool)>,
     /// `(net, state slot)` for every sequential-cell output net.
     pub(crate) seq_drives: Vec<(u32, u32)>,
@@ -327,14 +328,6 @@ impl EvalSchedule {
     #[must_use]
     pub fn settle_cycles(&self) -> Option<u64> {
         self.settle_cycles
-    }
-
-    /// The held primary inputs, as `(position, value)` in the order
-    /// [`EvalSchedule::compile_held`] was given them; empty for
-    /// [`EvalSchedule::compile`].
-    #[must_use]
-    pub fn held_inputs(&self) -> &[(u32, bool)] {
-        &self.held_inputs
     }
 
     /// The net whose word and toggles `net` carries: its source if the
