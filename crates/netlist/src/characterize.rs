@@ -15,12 +15,17 @@
 //! `seed ^ active_ports`: every bus cycle consumes one `u64` word per driven
 //! input net, in a fixed order (routing control first, then each active
 //! port's payload bits low-to-high), and bit `L` of every drawn word belongs
-//! to lane `L`.  The packed engine writes the draws verbatim; the scalar
-//! [`crate::sim::Simulator`] oracle for lane `L` reads bit `L` of the very
-//! same draws — that shared-draw decomposition is what makes the packed
-//! measurement equal the sum of the per-lane scalar measurements
-//! bit-exactly (both engines reduce integer per-net toggle counts through
-//! the same [`crate::sim::EnergyTables`]).  The `measure_cycles` budget is
+//! to lane `L`.  One stimulus definition feeds both engines.  The packed
+//! engine's inputs persist between steps, so the first step of a
+//! measurement writes every input (held controls, presence flags, idle
+//! ports at zero, the draws) and each later step writes only the draws,
+//! straight into the net words, payload as runs of consecutive input
+//! positions.  The scalar [`crate::sim::Simulator`] oracle for lane `L`
+//! reads bit `L` of the very same words — that shared-draw decomposition
+//! is what makes the packed measurement equal the sum of the per-lane
+//! scalar measurements bit-exactly (both engines reduce integer per-net
+//! toggle counts through the same [`crate::sim::EnergyTables`]).  The
+//! `measure_cycles` budget is
 //! split across lanes: each lane measures `measure_cycles / LANES` cycles and
 //! the first `measure_cycles % LANES` lanes measure one more in a final
 //! partially-masked step, so exactly `measure_cycles` lane-cycles are
@@ -50,8 +55,8 @@
 //! its source's word and toggle counts.  This is exact, because a held
 //! input keeps one value for the simulator's whole life, so every LUT bit
 //! is the same as with every cell evaluated.  The 32-input MUX tree then
-//! costs no cell evaluation at all: a measurement step writes the drawn
-//! payload words and captures the output register.
+//! costs no cell evaluation at all: a measurement step writes the active
+//! ports' drawn payload words and captures the output register.
 //!
 //! # Compiled switches
 //!
@@ -61,7 +66,9 @@
 //! memo ([`compiled_switch`]), so each circuit is generated and compiled
 //! once per process, however many seeds it is characterized at.
 //! [`characterize_switch`] compiles the circuit it is given.  Both run the
-//! same occupancy sweep, so they agree bit for bit.
+//! same occupancy sweep, so they agree bit for bit.  Zero measure cycles or
+//! a zero-bit bus leave a LUT entry without bit slots to divide by, so both
+//! entry points reject them with a named [`NetlistError`].
 
 use serde::{Deserialize, Serialize};
 
@@ -70,7 +77,7 @@ use crate::compiled::{compiled_switch, CompiledSwitch};
 use crate::library::CellLibrary;
 use crate::lut::{LutSource, SwitchEnergyLut};
 use crate::netlist::NetlistError;
-use crate::packed::{PackedSimulator, LANES};
+use crate::packed::{PackedInputs, PackedSimulator, LANES};
 use crate::sim::ActivityReport;
 
 /// Parameters of a characterization run.
@@ -166,17 +173,24 @@ impl StimulusRng {
 ///
 /// The circuit is compiled for this call alone; [`characterize_class`]
 /// runs the same occupancy sweep on a compiled switch shared across calls.
+/// Its payload positions need not be consecutive.
 ///
 /// # Errors
 ///
-/// [`NetlistError::ZeroMeasureCycles`] if `config.measure_cycles` is 0;
-/// otherwise propagates [`NetlistError`] if the generated circuit fails
-/// validation.
+/// [`NetlistError::ZeroMeasureCycles`] if `config.measure_cycles` is 0,
+/// [`NetlistError::ZeroBusWidth`] if the circuit's bus width is 0;
+/// otherwise propagates [`NetlistError`] if the circuit fails validation.
+///
+/// # Panics
+///
+/// Panics unless `circuit.data_inputs` holds one bus of `bus_width` inputs
+/// for each of its `ports`.
 pub fn characterize_switch(
     circuit: &SwitchCircuit,
     library: &CellLibrary,
     config: &CharacterizationConfig,
 ) -> Result<SwitchEnergyLut, NetlistError> {
+    check_bit_slots(circuit.bus_width, config)?;
     sweep_occupancies(&CompiledSwitch::compile(circuit, library)?, config)
 }
 
@@ -197,9 +211,9 @@ pub fn characterize_switch(
 ///
 /// # Errors
 ///
-/// [`NetlistError::ZeroMeasureCycles`] if `config.measure_cycles` is 0;
-/// otherwise propagates [`NetlistError`] from circuit generation or
-/// validation.
+/// [`NetlistError::ZeroMeasureCycles`] if `config.measure_cycles` is 0,
+/// [`NetlistError::ZeroBusWidth`] if `bus_width` is 0; otherwise propagates
+/// [`NetlistError`] from circuit generation or validation.
 pub fn characterize_class(
     class: SwitchClass,
     bus_width: usize,
@@ -207,20 +221,30 @@ pub fn characterize_class(
     library: &CellLibrary,
     config: &CharacterizationConfig,
 ) -> Result<SwitchEnergyLut, NetlistError> {
+    check_bit_slots(bus_width, config)?;
     let switch = compiled_switch(class, bus_width, address_bits, library)?;
     sweep_occupancies(&switch, config)
 }
 
+/// A LUT entry is an energy per bit slot, over `measure_cycles × bus_width`
+/// slots; zero measure cycles or a zero-bit bus would divide zero energy by
+/// zero slots, so both are errors.
+fn check_bit_slots(bus_width: usize, config: &CharacterizationConfig) -> Result<(), NetlistError> {
+    if config.measure_cycles == 0 {
+        Err(NetlistError::ZeroMeasureCycles)
+    } else if bus_width == 0 {
+        Err(NetlistError::ZeroBusWidth)
+    } else {
+        Ok(())
+    }
+}
+
 /// The occupancy sweep both entry points run: one simulator serves every
-/// occupancy measurement, in ascending order.  Zero measure cycles would
-/// divide zero energy by zero bit slots, so they are an error.
+/// occupancy measurement, in ascending order.
 fn sweep_occupancies(
     switch: &CompiledSwitch,
     config: &CharacterizationConfig,
 ) -> Result<SwitchEnergyLut, NetlistError> {
-    if config.measure_cycles == 0 {
-        return Err(NetlistError::ZeroMeasureCycles);
-    }
     let mut sim = PackedSimulator::new(&switch.schedule, &switch.tables);
     let bit_slots = config.measure_cycles as f64 * switch.bus_width as f64;
     let by_active_count = (0..=switch.ports)
@@ -245,6 +269,11 @@ fn sweep_occupancies(
 /// counting only the first `measure_cycles % LANES` lanes — masked lanes
 /// still evolve, they are just not measured.
 ///
+/// The first step writes every input the [`Stimulus`] defines: the held
+/// controls, the presence flags, the idle ports' controls and payload
+/// (zero) and the draws.  Inputs persist in the engine, so each later step
+/// writes only the draws, straight into the net words.
+///
 /// Of the warm-up only the last [`PackedSimulator::settle_cycles`] cycles
 /// are simulated, after the stream has skipped the draws of the earlier
 /// ones: the state they lead to is the one the full warm-up reaches.
@@ -264,65 +293,68 @@ fn measure(
     active_ports: usize,
 ) -> ActivityReport {
     let mut rng = StimulusRng::seed_from_u64(config.seed ^ active_ports as u64);
-    let layout = StimulusLayout::new(switch, active_ports);
-
-    let mut words = vec![0_u64; switch.schedule.input_count];
-    write_static_inputs(switch, active_ports, &mut |pos, value| {
-        words[pos] = if value { !0 } else { 0 };
-    });
-
+    let stimulus = Stimulus::new(switch, active_ports);
     let simulated = sim.settle_cycles().map_or(config.warmup_cycles, |settle| {
         settle.min(config.warmup_cycles)
     });
-    rng.advance((config.warmup_cycles - simulated).wrapping_mul(layout.draws_per_cycle()));
+    rng.advance((config.warmup_cycles - simulated).wrapping_mul(stimulus.draws_per_cycle()));
+
+    let mut first = true;
+    let mut cycle = |sim: &mut PackedSimulator<'_>, count_mask: u64| {
+        sim.step(count_mask, |inputs| {
+            if std::mem::take(&mut first) {
+                stimulus.write_static(inputs);
+            }
+            stimulus.drive(&mut rng, inputs);
+        });
+    };
     for _ in 0..simulated {
-        layout.drive(&mut rng, &mut |pos, word| words[pos] = word);
-        sim.step(&words);
+        cycle(sim, !0);
     }
     sim.reset_counters();
     let full_steps = config.measure_cycles / u64::from(LANES);
     let remainder_lanes = config.measure_cycles % u64::from(LANES);
     for _ in 0..full_steps {
-        layout.drive(&mut rng, &mut |pos, word| words[pos] = word);
-        sim.step(&words);
+        cycle(sim, !0);
     }
     if remainder_lanes > 0 {
-        layout.drive(&mut rng, &mut |pos, word| words[pos] = word);
-        sim.step_masked(&words, (1_u64 << remainder_lanes) - 1);
+        cycle(sim, (1_u64 << remainder_lanes) - 1);
     }
     sim.report()
 }
 
-/// Writes the inputs that stay constant for a whole measurement through
-/// `set(primary-input position, value)`: the routing controls the switch's
-/// schedule was compiled to hold (the crosspoint's configuration bit, the
-/// MUX select lines), then the presence flags of the first `active_ports`
-/// ports.  Presence follows the occupancy, so it is written last: a presence
-/// flag held by mistake fails [`PackedSimulator::step`]'s held-input check
-/// instead of silently overriding the occupancy.
-fn write_static_inputs(
-    switch: &CompiledSwitch,
-    active_ports: usize,
-    set: &mut impl FnMut(usize, bool),
-) {
-    for &(pos, value) in &switch.schedule.held_inputs {
-        set(pos as usize, value);
+/// Where a [`Stimulus`] writes its 64-lane words, by primary-input
+/// position: a packed step's inputs, or the record of one cycle that the
+/// per-lane scalar oracle replays.
+trait StimulusSink {
+    /// Writes `word` to the input at `position`.
+    fn set(&mut self, position: usize, word: u64);
+    /// Writes `words` to the inputs at `first`, `first + 1`, ….
+    fn set_run(&mut self, first: usize, words: impl ExactSizeIterator<Item = u64>);
+}
+
+impl StimulusSink for PackedInputs<'_> {
+    #[inline]
+    fn set(&mut self, position: usize, word: u64) {
+        PackedInputs::set(self, position, word);
     }
-    for (port, &pos) in switch.presence.iter().enumerate() {
-        set(pos, port < active_ports);
+
+    #[inline]
+    fn set_run(&mut self, first: usize, words: impl ExactSizeIterator<Item = u64>) {
+        PackedInputs::set_run(self, first, words);
     }
 }
 
-/// The per-measurement stimulus layout: the compiled switch's primary-input
-/// positions of the per-cycle nets, plus the class and occupancy that fix
-/// the net-major draw order.
+/// The one definition of a measurement's stimulus, which both the packed
+/// engine and the per-lane scalar oracle run: which inputs stay put for a
+/// whole occupancy, and the net-major draw order of one bus cycle.
 ///
-/// One cycle of stimulus ([`StimulusLayout::drive`]) consumes the shared
+/// One cycle of stimulus ([`Stimulus::drive`]) consumes the shared
 /// [`StimulusRng`] in a fixed net-major order — routing control first, then
 /// `bus_width` payload words per active port, bit positions low-to-high.
 /// Every drawn `u64` feeds one input net across all 64 lanes (bit `L` is
-/// lane `L`'s value); idle ports' nets are held at zero and consume no
-/// draws.
+/// lane `L`'s value); idle ports' nets are held at zero
+/// ([`Stimulus::write_static`]) and consume no draws.
 ///
 /// * binary switch: one draw — per lane, straight (0→0, 1→1) or crossed
 ///   (0→1, 1→0) configuration, never conflicting, a fresh header per packet;
@@ -334,66 +366,94 @@ fn write_static_inputs(
 /// oracle extracts its lane's bit.  Identical RNG states thus yield
 /// identical vector streams — and identical toggle counts — across the
 /// two engines.
-struct StimulusLayout<'a> {
-    class: SwitchClass,
+struct Stimulus<'a> {
+    switch: &'a CompiledSwitch,
     active_ports: usize,
-    /// Primary-input positions of the routing-control nets.
-    control_positions: &'a [usize],
-    /// Primary-input positions of the active ports' payload buses,
-    /// port-major, bits low-to-high.
-    data_positions: &'a [usize],
 }
 
-impl<'a> StimulusLayout<'a> {
+impl<'a> Stimulus<'a> {
     fn new(switch: &'a CompiledSwitch, active_ports: usize) -> Self {
         Self {
-            class: switch.class,
+            switch,
             active_ports,
-            control_positions: &switch.control,
-            data_positions: &switch.data[..active_ports * switch.bus_width],
         }
     }
 
-    /// Draws one bus cycle of net-major stimulus through
-    /// `set(primary-input position, 64-lane word)`.
-    fn drive(&self, rng: &mut StimulusRng, set: &mut impl FnMut(usize, u64)) {
-        match self.class {
+    /// The Batcher switch's sort-key positions (`address_bits` per port,
+    /// port-major), split into those of the ports that carry a packet,
+    /// drawn every cycle, and those of the idle ports, held at zero; empty
+    /// for the other classes.
+    fn sorting_controls(&self) -> (&'a [usize], &'a [usize]) {
+        let control = &self.switch.control;
+        match self.switch.class {
+            SwitchClass::BatcherSorting => {
+                let address_bits = control.len() / 2;
+                control.split_at(self.active_ports.min(2) * address_bits)
+            }
+            _ => (&[], &[]),
+        }
+    }
+
+    /// Writes the inputs that keep one word for the whole occupancy: the
+    /// routing controls the switch's schedule was compiled to hold (the
+    /// crosspoint's configuration bit, the MUX select lines), the presence
+    /// flags of the first `active_ports` ports (set) and of the others
+    /// (clear), and the idle ports' sort keys and payload (zero).  A
+    /// presence flag held by mistake fails [`PackedSimulator::step`]'s
+    /// held-input check instead of silently overriding the occupancy.
+    fn write_static(&self, sink: &mut impl StimulusSink) {
+        let switch = self.switch;
+        for &(position, value) in &switch.schedule.held_inputs {
+            sink.set(position as usize, if value { !0 } else { 0 });
+        }
+        for (port, &position) in switch.presence.iter().enumerate() {
+            sink.set(position, if port < self.active_ports { !0 } else { 0 });
+        }
+        for &position in self.sorting_controls().1 {
+            sink.set(position, 0);
+        }
+        let payload = switch.ports * switch.bus_width;
+        switch.payload_runs(
+            self.active_ports * switch.bus_width..payload,
+            |first, len| {
+                sink.set_run(first, (0..len).map(|_| 0));
+            },
+        );
+    }
+
+    /// Draws one bus cycle of net-major stimulus.
+    fn drive(&self, rng: &mut StimulusRng, sink: &mut impl StimulusSink) {
+        let switch = self.switch;
+        match switch.class {
             SwitchClass::BanyanBinary => {
                 let crossed = rng.next_u64();
-                set(self.control_positions[0], crossed);
-                set(self.control_positions[1], !crossed);
+                sink.set(switch.control[0], crossed);
+                sink.set(switch.control[1], !crossed);
             }
             SwitchClass::BatcherSorting => {
-                let address_bits = self.control_positions.len() / 2;
-                for port in 0..2 {
-                    for bit in 0..address_bits {
-                        let word = if port < self.active_ports {
-                            rng.next_u64()
-                        } else {
-                            0
-                        };
-                        set(self.control_positions[port * address_bits + bit], word);
-                    }
+                for &position in self.sorting_controls().0 {
+                    sink.set(position, rng.next_u64());
                 }
             }
             SwitchClass::CrossbarCrosspoint | SwitchClass::Mux { .. } => {}
         }
-        for &pos in self.data_positions {
-            set(pos, rng.next_u64());
-        }
+        // The payload draws run on a local copy of the stream, which stays
+        // in a register while the writes store to the net slots.
+        let mut draws = rng.clone();
+        switch.payload_runs(0..self.active_ports * switch.bus_width, |first, len| {
+            sink.set_run(first, (0..len).map(|_| draws.next_u64()));
+        });
+        *rng = draws;
     }
 
-    /// The number of [`StimulusRng`] draws one [`StimulusLayout::drive`]
-    /// call consumes.
+    /// The number of [`StimulusRng`] draws one [`Stimulus::drive`] call
+    /// consumes.
     fn draws_per_cycle(&self) -> u64 {
-        let control = match self.class {
+        let control = match self.switch.class {
             SwitchClass::BanyanBinary => 1,
-            SwitchClass::BatcherSorting => {
-                self.active_ports.min(2) * (self.control_positions.len() / 2)
-            }
-            SwitchClass::CrossbarCrosspoint | SwitchClass::Mux { .. } => 0,
+            _ => self.sorting_controls().0.len(),
         };
-        (control + self.data_positions.len()) as u64
+        (control + self.active_ports * self.switch.bus_width) as u64
     }
 }
 
@@ -483,6 +543,7 @@ mod tests {
     use super::*;
     use crate::circuits::{
         banyan_binary_switch, batcher_sorting_switch, crossbar_crosspoint, n_input_mux,
+        switch_circuit,
     };
     use crate::sim::Simulator;
 
@@ -612,26 +673,27 @@ mod tests {
                 .clone();
             // The oracle lanes run in lockstep, consuming the one shared
             // draw sequence: each cycle's words are drawn once and lane
-            // `L` applies bit `L` of every word.
+            // `L` applies bit `L` of every word.  Like the packed engine,
+            // the first cycle also writes the occupancy's static inputs.
             let mut rng = StimulusRng::seed_from_u64(config.seed ^ active as u64);
-            let layout = StimulusLayout::new(&switch, active);
+            let stimulus = Stimulus::new(&switch, active);
             let mut vectors: Vec<Vec<bool>> = oracle_sims
                 .iter()
-                .map(|_| {
-                    let mut vector = circuit.blank_input_vector();
-                    write_static_inputs(&switch, active, &mut |pos, v| vector[pos] = v);
-                    vector
-                })
+                .map(|_| circuit.blank_input_vector())
                 .collect();
-            let mut drives: Vec<(usize, u64)> = Vec::new();
-            let cycle = |rng: &mut StimulusRng,
-                         sims: &mut [Simulator<'_>],
-                         vectors: &mut [Vec<bool>],
-                         drives: &mut Vec<(usize, u64)>| {
-                drives.clear();
-                layout.drive(rng, &mut |pos, word| drives.push((pos, word)));
+            let mut drives = CycleWords::default();
+            let mut first = true;
+            let mut cycle = |rng: &mut StimulusRng,
+                             sims: &mut [Simulator<'_>],
+                             vectors: &mut [Vec<bool>],
+                             drives: &mut CycleWords| {
+                drives.0.clear();
+                if std::mem::take(&mut first) {
+                    stimulus.write_static(drives);
+                }
+                stimulus.drive(rng, drives);
                 for (lane, (sim, vector)) in sims.iter_mut().zip(vectors).enumerate() {
-                    for &(pos, word) in drives.iter() {
+                    for &(pos, word) in &drives.0 {
                         vector[pos] = (word >> lane) & 1 == 1;
                     }
                     sim.step(vector);
@@ -690,6 +752,21 @@ mod tests {
         }
     }
 
+    /// One cycle's stimulus words as `(primary-input position, word)`, in
+    /// write order: what the per-lane oracle replays.
+    #[derive(Default)]
+    struct CycleWords(Vec<(usize, u64)>);
+
+    impl StimulusSink for CycleWords {
+        fn set(&mut self, position: usize, word: u64) {
+            self.0.push((position, word));
+        }
+
+        fn set_run(&mut self, first: usize, words: impl ExactSizeIterator<Item = u64>) {
+            self.0.extend((first..).zip(words));
+        }
+    }
+
     #[test]
     fn advancing_the_stream_skips_exactly_the_draws_of_drive() {
         let circuits = [
@@ -702,14 +779,14 @@ mod tests {
         for circuit in &circuits {
             let switch = CompiledSwitch::compile(circuit, &CellLibrary::default()).unwrap();
             for active in 0..=circuit.ports {
-                let layout = StimulusLayout::new(&switch, active);
+                let stimulus = Stimulus::new(&switch, active);
                 for cycles in [1, 3] {
                     let mut driven = StimulusRng::seed_from_u64(0xDAC_2002 ^ active as u64);
                     let mut skipped = driven.clone();
                     for _ in 0..cycles {
-                        layout.drive(&mut driven, &mut |_, _| {});
+                        stimulus.drive(&mut driven, &mut CycleWords::default());
                     }
-                    skipped.advance(cycles * layout.draws_per_cycle());
+                    skipped.advance(cycles * stimulus.draws_per_cycle());
                     assert_eq!(
                         skipped.0, driven.0,
                         "{} with {active} active port(s), {cycles} cycle(s)",
@@ -750,6 +827,120 @@ mod tests {
         };
         let lut = characterize_switch(&circuit, &lib, &one).unwrap();
         assert!(lut.single_active().as_femtojoules().is_finite());
+    }
+
+    #[test]
+    fn a_zero_bit_bus_is_a_named_error() {
+        let lib = CellLibrary::calibrated_018um();
+        for class in [
+            SwitchClass::CrossbarCrosspoint,
+            SwitchClass::BanyanBinary,
+            SwitchClass::BatcherSorting,
+            SwitchClass::Mux { inputs: 4 },
+        ] {
+            assert_eq!(
+                characterize_class(class, 0, 5, &lib, &quick()),
+                Err(NetlistError::ZeroBusWidth),
+                "{class}"
+            );
+            let circuit = switch_circuit(class, 0, 5).unwrap();
+            assert_eq!(
+                characterize_switch(&circuit, &lib, &quick()),
+                Err(NetlistError::ZeroBusWidth),
+                "{class}"
+            );
+        }
+        assert_eq!(
+            NetlistError::ZeroBusWidth.to_string(),
+            "characterization needs a payload bus of at least one bit, got 0"
+        );
+    }
+
+    /// `circuit` as a caller might build it: the ports in reverse order and
+    /// port 0's bus in reverse bit order, so its payload positions form one
+    /// run per port but port 0, whose bits are runs of one.
+    fn scattered_payload(mut circuit: SwitchCircuit) -> SwitchCircuit {
+        circuit.data_inputs[0].reverse();
+        circuit.data_inputs.reverse();
+        circuit
+    }
+
+    #[test]
+    fn stimulus_writes_every_input_once_and_draws_the_payload_in_entry_order() {
+        let circuits = [
+            crossbar_crosspoint(4).unwrap(),
+            banyan_binary_switch(4).unwrap(),
+            batcher_sorting_switch(4, 3).unwrap(),
+            n_input_mux(4, 3).unwrap(),
+            scattered_payload(banyan_binary_switch(4).unwrap()),
+            scattered_payload(n_input_mux(4, 3).unwrap()),
+        ];
+        for circuit in &circuits {
+            let switch = CompiledSwitch::compile(circuit, &CellLibrary::default()).unwrap();
+            let position = |net| circuit.netlist.primary_input_position(net).unwrap();
+            let interface = circuit.presence_inputs.len()
+                + circuit.control_inputs.len()
+                + circuit.ports * circuit.bus_width;
+            for active in 0..=circuit.ports {
+                let stimulus = Stimulus::new(&switch, active);
+                let mut first = CycleWords::default();
+                stimulus.write_static(&mut first);
+                stimulus.drive(&mut StimulusRng::seed_from_u64(1), &mut first);
+                let mut written: Vec<usize> = first.0.iter().map(|&(pos, _)| pos).collect();
+                written.sort_unstable();
+                written.dedup();
+                assert_eq!(
+                    written.len(),
+                    first.0.len(),
+                    "{} written twice",
+                    circuit.class
+                );
+                assert_eq!(
+                    written.len(),
+                    interface,
+                    "{}: {active} active",
+                    circuit.class
+                );
+
+                let mut later = CycleWords::default();
+                stimulus.drive(&mut StimulusRng::seed_from_u64(1), &mut later);
+                let payload: Vec<usize> = circuit.data_inputs[..active]
+                    .iter()
+                    .flatten()
+                    .map(|&net| position(net))
+                    .collect();
+                let tail: Vec<usize> = later.0[later.0.len() - payload.len()..]
+                    .iter()
+                    .map(|&(pos, _)| pos)
+                    .collect();
+                assert_eq!(tail, payload, "{}: {active} active", circuit.class);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one payload bus of 4 inputs per port, 2 ports")]
+    fn a_caller_built_circuit_missing_a_payload_input_panics() {
+        let mut circuit = banyan_binary_switch(4).unwrap();
+        circuit.data_inputs[1].pop();
+        let _ = characterize_switch(&circuit, &CellLibrary::default(), &quick());
+    }
+
+    #[test]
+    fn a_caller_built_circuit_with_scattered_payload_matches_the_oracle() {
+        let lib = CellLibrary::calibrated_018um();
+        let config = CharacterizationConfig {
+            warmup_cycles: 5,
+            measure_cycles: 81,
+            seed: 0xDAC_2002,
+        };
+        for circuit in [
+            scattered_payload(banyan_binary_switch(6).unwrap()),
+            scattered_payload(batcher_sorting_switch(5, 2).unwrap()),
+            scattered_payload(n_input_mux(4, 3).unwrap()),
+        ] {
+            oracle_matches_packed(&circuit, &lib, &config);
+        }
     }
 
     #[test]

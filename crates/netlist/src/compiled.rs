@@ -4,11 +4,14 @@
 //! Characterizing a switch reads three things from its generated circuit:
 //! the [`EvalSchedule`] the packed engine sweeps, the [`EnergyTables`] that
 //! price its toggles under one [`CellLibrary`], and the primary-input
-//! positions the stimulus writes.  A [`CompiledSwitch`] holds exactly those.
+//! positions the stimulus writes.  A [`CompiledSwitch`] holds exactly those,
+//! with the payload positions as runs of consecutive positions (a generated
+//! switch's whole payload is one run; a caller-built circuit may have any
+//! number).
 //! The generated [`Netlist`](crate::netlist::Netlist), with its named nets
 //! and cells, is dropped once it is compiled: keeping the netlists of the
 //! ten Table 1 circuits of a 32-bit bus as well costs about 1.5 MB of peak
-//! memory, against about 0.27 MB of heap for the compiled switches.
+//! memory, against about 0.22 MB of heap for the compiled switches.
 //!
 //! The schedule is compiled against the routing controls a characterization
 //! holds for its whole run (`held_controls`: the crosspoint's configuration
@@ -29,6 +32,7 @@
 //! them, so its entry is shared across fabric sizes.  [`CellLibrary`] is
 //! not `Hash`, so each entry keeps its library and is found by equality.
 
+use std::ops::Range;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::circuits::{switch_circuit, SwitchCircuit, SwitchClass};
@@ -56,9 +60,10 @@ pub struct CompiledSwitch {
     pub(crate) presence: Vec<usize>,
     /// Primary-input positions of the routing-control nets.
     pub(crate) control: Vec<usize>,
-    /// Primary-input positions of the payload buses, port-major, bits
-    /// low-to-high: port `p`'s bus is `data[p * bus_width..][..bus_width]`.
-    pub(crate) data: Vec<usize>,
+    /// The payload buses' primary-input positions as `(first position,
+    /// length)` runs of consecutive positions, in payload-entry order (see
+    /// [`CompiledSwitch::payload_runs`]).
+    payload: Vec<(usize, usize)>,
 }
 
 impl CompiledSwitch {
@@ -69,10 +74,26 @@ impl CompiledSwitch {
     /// # Errors
     ///
     /// Propagates any [`NetlistError`] from [`EvalSchedule::compile_held`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the circuit has one payload bus of `bus_width` inputs
+    /// per port: the stimulus addresses port `p`'s bus as payload entries
+    /// `p * bus_width..(p + 1) * bus_width`.
     pub(crate) fn compile(
         circuit: &SwitchCircuit,
         library: &CellLibrary,
     ) -> Result<Self, NetlistError> {
+        assert!(
+            circuit.data_inputs.len() == circuit.ports
+                && circuit
+                    .data_inputs
+                    .iter()
+                    .all(|bus| bus.len() == circuit.bus_width),
+            "a switch circuit needs one payload bus of {} inputs per port, {} ports",
+            circuit.bus_width,
+            circuit.ports
+        );
         let position = |net: &NetId| {
             circuit
                 .netlist
@@ -90,9 +111,43 @@ impl CompiledSwitch {
             tables: EnergyTables::new(&circuit.netlist, library),
             presence: circuit.presence_inputs.iter().map(position).collect(),
             control,
-            data: circuit.data_inputs.iter().flatten().map(position).collect(),
+            payload: runs(circuit.data_inputs.iter().flatten().map(position)),
         })
     }
+
+    /// Calls `run(first position, length)` for each run of consecutive
+    /// primary-input positions that covers the payload entries `entries`,
+    /// in entry order.  The payload entries are port-major, bits
+    /// low-to-high: port `p`'s bus is entries `p * bus_width..(p + 1) *
+    /// bus_width`.
+    pub(crate) fn payload_runs(&self, entries: Range<usize>, mut run: impl FnMut(usize, usize)) {
+        let mut start = 0;
+        for &(first, len) in &self.payload {
+            let end = start + len;
+            let (from, to) = (start.max(entries.start), end.min(entries.end));
+            if from < to {
+                run(first + (from - start), to - from);
+            }
+            if end >= entries.end {
+                return;
+            }
+            start = end;
+        }
+    }
+}
+
+/// The maximal runs of consecutive values in `positions`, as `(first,
+/// length)`, in order.
+fn runs(positions: impl IntoIterator<Item = usize>) -> Vec<(usize, usize)> {
+    let mut runs: Vec<(usize, usize)> = Vec::new();
+    for position in positions {
+        match runs.last_mut() {
+            Some((first, len)) if *first + *len == position => *len += 1,
+            _ => runs.push((position, 1)),
+        }
+    }
+    runs.shrink_to_fit();
+    runs
 }
 
 /// The routing controls a characterization holds for its whole run, as
@@ -189,6 +244,49 @@ pub fn compiled_switch(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The ten circuits `table1-mc` characterizes on a 32-bit bus, with the
+    /// address bits each is requested at.
+    const TABLE1_MC_CIRCUITS: [(SwitchClass, usize); 10] = [
+        (SwitchClass::CrossbarCrosspoint, 5),
+        (SwitchClass::BanyanBinary, 5),
+        (SwitchClass::BatcherSorting, 2),
+        (SwitchClass::BatcherSorting, 3),
+        (SwitchClass::BatcherSorting, 4),
+        (SwitchClass::BatcherSorting, 5),
+        (SwitchClass::Mux { inputs: 4 }, 2),
+        (SwitchClass::Mux { inputs: 8 }, 3),
+        (SwitchClass::Mux { inputs: 16 }, 4),
+        (SwitchClass::Mux { inputs: 32 }, 5),
+    ];
+
+    #[test]
+    fn memo_entries_hold_no_spare_capacity() {
+        let library = CellLibrary::calibrated_018um();
+        for (class, address_bits) in TABLE1_MC_CIRCUITS {
+            let switch = compiled_switch(class, 32, address_bits, &library).unwrap();
+            // A generated switch's payload positions are one run.
+            assert_eq!(
+                switch.payload,
+                vec![(switch.payload[0].0, switch.ports * 32)]
+            );
+            let own = [
+                (
+                    "presence",
+                    switch.presence.len(),
+                    switch.presence.capacity(),
+                ),
+                ("control", switch.control.len(), switch.control.capacity()),
+                ("payload", switch.payload.len(), switch.payload.capacity()),
+            ];
+            for (name, len, capacity) in switch.schedule.vector_sizes().into_iter().chain(own) {
+                assert_eq!(
+                    capacity, len,
+                    "{class} at {address_bits} address bits: `{name}`"
+                );
+            }
+        }
+    }
 
     #[test]
     fn held_controls_collapse_the_mux_tree_and_the_crosspoint_buffers() {

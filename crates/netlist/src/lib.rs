@@ -16,9 +16,10 @@
 //!   [`EvalSchedule`] the characterization engine executes, optionally
 //!   without the cells that only forward a held input;
 //! * [`packed`] — the characterization engine: 64-lane bit-parallel
-//!   simulation from the compiled schedule alone, one `u64` per net, lane
-//!   toggles counted with popcounts, quiet cells skipped, energies
-//!   bit-identical to per-lane scalar runs;
+//!   simulation from the compiled schedule alone, one word-and-toggle-count
+//!   slot per net, inputs that persist between steps (a step writes only
+//!   the inputs that change), lane toggles counted with popcounts, quiet
+//!   cells skipped, energies bit-identical to per-lane scalar runs;
 //! * [`circuits`] — generators for the four node-switch circuits the paper
 //!   characterizes (crossbar crosspoint, Banyan 2×2 binary switch, Batcher
 //!   2×2 sorting switch, N-input MUX);
@@ -26,6 +27,7 @@
 //!   (schedule, energy tables, stimulus positions; no netlist), and the
 //!   process-wide memo that compiles each standard circuit once;
 //! * [`characterize`] — drives random payload through the generated circuits
+//!   (one stimulus definition for the packed engine and the scalar oracle)
 //!   and produces [`lut::SwitchEnergyLut`] tables;
 //! * [`lut`] — the input-vector-indexed bit-energy tables, including the
 //!   paper's published Table 1 values as a reference dataset.

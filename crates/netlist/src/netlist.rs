@@ -152,6 +152,9 @@ pub enum NetlistError {
     /// A characterization was asked to measure zero cycles, which leaves
     /// its per-bit-slot energies without a denominator.
     ZeroMeasureCycles,
+    /// A characterization was asked for a zero-bit payload bus, which
+    /// leaves its per-bit-slot energies without a denominator.
+    ZeroBusWidth,
 }
 
 impl fmt::Display for NetlistError {
@@ -180,6 +183,9 @@ impl fmt::Display for NetlistError {
             ),
             Self::ZeroMeasureCycles => {
                 f.write_str("characterization needs at least one measure cycle, got 0")
+            }
+            Self::ZeroBusWidth => {
+                f.write_str("characterization needs a payload bus of at least one bit, got 0")
             }
         }
     }

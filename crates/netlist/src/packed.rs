@@ -11,11 +11,27 @@
 //! [`Netlist`](crate::netlist::Netlist) they came from, so one compiled pair
 //! can serve any number of simulators (characterization shares them across
 //! every stimulus seed through [`crate::compiled`]).  Steps skip every cell
-//! none of whose inputs has ever changed (see
-//! [`PackedSimulator::step_masked`]).  A schedule compiled against held
-//! inputs ([`EvalSchedule::compile_held`]) has no cell for a net it dropped;
-//! the simulator reports that net's source word and toggle counts, which
-//! are the net's own.
+//! none of whose inputs has ever changed (see [`PackedSimulator::step`]).
+//!
+//! # Inputs
+//!
+//! Primary inputs persist from step to step: each one is its net's word,
+//! all-zero until first written.  A step takes a drive closure that writes
+//! only the inputs that change, through [`PackedInputs::set`] or, for
+//! consecutive positions, [`PackedInputs::set_run`], straight into the net
+//! words.  An input the closure leaves alone keeps its word and costs
+//! nothing.
+//!
+//! # State layout
+//!
+//! Each net has one slot holding its lane word and its toggle count, so a
+//! write touches one cache line.  A net's first flip activates its consumer
+//! cells; every net starts all-zero, so a first flip always leaves the zero
+//! word, and the write loop only branches to the out-of-line activation
+//! when a net does that.  A schedule compiled against held inputs
+//! ([`EvalSchedule::compile_held`]) has no cell for a net it dropped; its
+//! dense source table maps that net to the slot of the net it forwards,
+//! whose word and toggle counts are the dropped net's own.
 //!
 //! Energy accounting goes through the same [`EnergyTables`] as the scalar
 //! [`crate::sim::Simulator`]: integer per-net toggle counts are converted to
@@ -24,12 +40,10 @@
 //!
 //! Lanes are numbered from bit 0: lane `L` of net `n` is
 //! `(word(n) >> L) & 1`. A *lane-cycle* is one lane advancing one clock
-//! cycle; a full-mask [`PackedSimulator::step`] contributes [`LANES`]
+//! cycle; a step with the full count mask contributes [`LANES`]
 //! lane-cycles. Per-cycle clock and leakage energy are charged per
 //! lane-cycle, which keeps totals comparable with a scalar run of the same
 //! number of (scalar) cycles.
-
-use std::borrow::Cow;
 
 use crate::netlist::NetId;
 use crate::schedule::{EvalSchedule, ScheduledCell};
@@ -60,9 +74,14 @@ pub const LANES: u32 = 64;
 /// let schedule = EvalSchedule::compile(&n)?;
 /// let tables = EnergyTables::new(&n, &CellLibrary::calibrated_018um());
 /// let mut sim = PackedSimulator::new(&schedule, &tables);
-/// // Lane 0 drives a=1, every other lane drives a=0.
-/// sim.step(&[0b01]);
+/// // Lane 0 drives a=1, every other lane drives a=0; every lane counts.
+/// sim.step(!0, |inputs| inputs.set(0, 0b01));
 /// assert_eq!(sim.net_word(y), !0b01_u64);
+/// // Inputs persist: a step that writes none keeps `a`, so `y` holds.
+/// sim.step(!0, |_| {});
+/// assert_eq!(sim.net_word(y), !0b01_u64);
+/// // `a` rose in lane 0 and `y` in the other 63 lanes, both on the first step.
+/// assert_eq!(sim.report().toggles, 1 + 63);
 /// # Ok(())
 /// # }
 /// ```
@@ -71,15 +90,17 @@ pub struct PackedSimulator<'a> {
     schedule: &'a EvalSchedule,
     /// Per-net energy tables shared with the scalar engine.
     tables: &'a EnergyTables,
-    /// Current lane words and activity bookkeeping of every net.
-    nets: NetState,
-    /// Stored per-lane state of sequential cells, by schedule state slot.
-    state: Vec<u64>,
+    /// Lane word and toggle count of every net, by net index.
+    slots: Vec<Slot>,
+    /// The bookkeeping that grows `active_cells` when a net first flips.
+    activation: Activation,
     /// Scheduled cells that have ever seen an input change (in any lane),
     /// sorted by index (index order is level order).  The steady-state
     /// sweep evaluates exactly these; cells of cones that never toggled
     /// cost nothing.
     active_cells: Vec<u32>,
+    /// Stored per-lane state of sequential cells, by schedule state slot.
+    state: Vec<u64>,
     /// Whether the first full-evaluation step has run.  Not reset by
     /// [`PackedSimulator::reset_counters`]: the circuit stays settled.
     settled: bool,
@@ -87,61 +108,154 @@ pub struct PackedSimulator<'a> {
     lane_cycles: u64,
 }
 
-/// The per-net half of the engine state, kept apart from the schedule so a
-/// step can walk the schedule while writing nets.
+/// One net's state: its lane word and the toggles observed on it (summed
+/// over counted lanes) since the last counter reset.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    word: u64,
+    toggles: u64,
+}
+
+/// Writes `word` to `net`'s slot and credits the toggles of the counted
+/// lanes.  Returns whether this may be the net's first flip: every net
+/// starts all-zero, so a first flip turns the zero word into a non-zero
+/// one.
+#[inline(always)]
+fn write(slots: &mut [Slot], count_mask: u64, net: u32, word: u64) -> bool {
+    let slot = &mut slots[net as usize];
+    let previous = slot.word;
+    slot.word = word;
+    slot.toggles += u64::from(((previous ^ word) & count_mask).count_ones());
+    previous == 0 && word != 0
+}
+
+/// Evaluates one scheduled cell word-wide and writes its output; returns
+/// [`write`]'s first-flip hint.
+#[inline(always)]
+fn evaluate(slots: &mut [Slot], count_mask: u64, cell: ScheduledCell) -> bool {
+    let arity = usize::from(cell.arity);
+    let mut words = [0_u64; 3];
+    for (word, &net) in words.iter_mut().zip(&cell.inputs[..arity]) {
+        *word = slots[net as usize].word;
+    }
+    let previous = slots[cell.output as usize].word;
+    let value = cell.kind.evaluate_word(&words[..arity], previous);
+    write(slots, count_mask, cell.output, value)
+}
+
+/// The bookkeeping that activates a net's consumer cells on its first flip,
+/// kept apart from the slots so the write loops hold their slices in
+/// registers.
 #[derive(Debug, Clone)]
-struct NetState {
-    /// Lane values of every net, one bit per lane.
-    words: Vec<u64>,
-    /// Toggles observed per net (summed over counted lanes) since the last
-    /// counter reset.
-    toggles: Vec<u64>,
-    /// Per net: all of the net's consumer cells are already active, so a
-    /// flip needs no activation walk (set the first time the net flips,
-    /// which activates every consumer).
+struct Activation {
+    /// Per net: all of the net's consumer cells are already active (set
+    /// the first time the net flips, which activates every consumer).
     fanout_active: Vec<bool>,
     /// Per scheduled cell: member of `active_cells` or `newly`.
     is_active: Vec<bool>,
     /// Cells activated since the last merge into `active_cells`.  Non-empty
     /// only on the rare steps when a previously quiet net first toggles.
     newly: Vec<u32>,
+    /// Nets a drive wrote from the zero word this step, to check for a
+    /// first flip once the drive is done.
+    pending: Vec<u32>,
 }
 
-impl NetState {
-    /// Writes `word` to `net`, crediting counted-lane toggles and
-    /// activating the net's consumer cells on its first flip.
-    #[inline(always)]
-    fn write(&mut self, schedule: &EvalSchedule, count_mask: u64, net: u32, word: u64) {
+impl Activation {
+    /// Activates `net`'s consumer cells if this is its first flip; returns
+    /// whether a cell was activated.
+    #[cold]
+    #[inline(never)]
+    fn first_flip(&mut self, schedule: &EvalSchedule, net: u32) -> bool {
         let idx = net as usize;
-        let flipped = self.words[idx] ^ word;
-        if flipped == 0 {
-            return;
+        if self.fanout_active[idx] {
+            return false;
         }
-        self.words[idx] = word;
-        self.toggles[idx] += u64::from((flipped & count_mask).count_ones());
-        if !self.fanout_active[idx] {
-            self.fanout_active[idx] = true;
-            for &cell in schedule.load_cells(idx) {
-                let c = cell as usize;
-                if !self.is_active[c] {
-                    self.is_active[c] = true;
-                    self.newly.push(cell);
-                }
+        self.fanout_active[idx] = true;
+        let before = self.newly.len();
+        for &cell in schedule.load_cells(idx) {
+            let c = cell as usize;
+            if !self.is_active[c] {
+                self.is_active[c] = true;
+                self.newly.push(cell);
             }
+        }
+        self.newly.len() > before
+    }
+
+    /// Applies [`Activation::first_flip`] to every pending net.
+    fn apply_pending(&mut self, schedule: &EvalSchedule) {
+        while let Some(net) = self.pending.pop() {
+            self.first_flip(schedule, net);
+        }
+    }
+}
+
+/// Queues a net a drive wrote from the zero word (see [`write`]).
+#[cold]
+#[inline(never)]
+fn push_pending(pending: &mut Vec<u32>, net: u32) {
+    pending.push(net);
+}
+
+/// The primary inputs of one [`PackedSimulator::step`], as its drive
+/// closure writes them.
+///
+/// Every input keeps its word from the previous step (all-zero before its
+/// first write), so a drive writes only the inputs that change.  Bit `L` of
+/// a word is the input's value in lane `L`; positions follow the compiled
+/// netlist's
+/// [`primary_inputs`](crate::netlist::Netlist::primary_inputs).  Write each
+/// input at most once per step: a second write counts the toggles of both.
+#[derive(Debug)]
+pub struct PackedInputs<'s> {
+    slots: &'s mut [Slot],
+    /// The net of each primary-input position.
+    input_nets: &'s [u32],
+    count_mask: u64,
+    pending: &'s mut Vec<u32>,
+}
+
+impl PackedInputs<'_> {
+    /// Sets the primary input at `position` to `word`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `position` is not a primary-input position.
+    #[inline]
+    pub fn set(&mut self, position: usize, word: u64) {
+        let net = self.input_nets[position];
+        if write(self.slots, self.count_mask, net, word) {
+            push_pending(self.pending, net);
         }
     }
 
-    /// Evaluates one scheduled cell word-wide and writes its output.
-    #[inline(always)]
-    fn evaluate(&mut self, schedule: &EvalSchedule, count_mask: u64, cell: ScheduledCell) {
-        let arity = cell.arity as usize;
-        let mut words = [0_u64; 3];
-        for (slot, &net) in words.iter_mut().zip(&cell.inputs[..arity]) {
-            *slot = self.words[net as usize];
+    /// Sets the primary inputs at positions `first`, `first + 1`, … to
+    /// `words`, in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run extends past the last primary input.
+    #[inline]
+    pub fn set_run<I>(&mut self, first: usize, words: I)
+    where
+        I: IntoIterator<Item = u64>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let words = words.into_iter();
+        // Locals, so the loop keeps them in registers across the cold call.
+        let Self {
+            slots,
+            input_nets,
+            count_mask,
+            pending,
+        } = self;
+        let (slots, count_mask) = (&mut **slots, *count_mask);
+        for (&net, word) in input_nets[first..first + words.len()].iter().zip(words) {
+            if write(slots, count_mask, net, word) {
+                push_pending(pending, net);
+            }
         }
-        let previous = self.words[cell.output as usize];
-        let value = cell.kind.evaluate_word(&words[..arity], previous);
-        self.write(schedule, count_mask, cell.output, value);
     }
 }
 
@@ -149,24 +263,24 @@ impl<'a> PackedSimulator<'a> {
     /// Creates a packed simulator over a compiled schedule and the energy
     /// tables of the same netlist.
     ///
-    /// All nets start at logic `0` in every lane, all flip-flops start
-    /// cleared.  [`PackedSimulator::report`] panics when `tables` covers a
-    /// different number of nets than `schedule`.
+    /// All nets and primary inputs start at logic `0` in every lane, all
+    /// flip-flops start cleared.  [`PackedSimulator::report`] panics when
+    /// `tables` covers a different number of nets than `schedule`.
     #[must_use]
     pub fn new(schedule: &'a EvalSchedule, tables: &'a EnergyTables) -> Self {
         let net_count = schedule.net_count();
         Self {
             schedule,
             tables,
-            nets: NetState {
-                words: vec![0; net_count],
-                toggles: vec![0; net_count],
+            slots: vec![Slot::default(); net_count],
+            activation: Activation {
                 fanout_active: vec![false; net_count],
                 is_active: vec![false; schedule.cell_count()],
                 newly: Vec::new(),
+                pending: Vec::new(),
             },
-            state: vec![0; schedule.state_slots()],
             active_cells: Vec::new(),
+            state: vec![0; schedule.state_slots()],
             settled: false,
             lane_cycles: 0,
         }
@@ -186,83 +300,82 @@ impl<'a> PackedSimulator<'a> {
         self.lane_cycles
     }
 
-    /// Simulates one clock cycle in every lane, counting activity in all of
-    /// them.
+    /// Simulates one clock cycle in every lane after `drive` has written
+    /// the primary inputs that change, and counts toggles, lane-cycles,
+    /// clock and leakage only for the lanes selected by `count_mask` (`!0`
+    /// counts all of them).
     ///
-    /// The order of `inputs` matches the compiled netlist's
-    /// [`primary_inputs`](crate::netlist::Netlist::primary_inputs); bit `L`
-    /// of `inputs[i]` is the value of primary input `i` in lane `L`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len()` differs from the number of primary inputs,
-    /// or if a held input (see [`EvalSchedule::compile_held`]) does not
-    /// carry its value in every lane.
-    pub fn step(&mut self, inputs: &[u64]) {
-        self.step_masked(inputs, !0);
-    }
-
-    /// Simulates one clock cycle in every lane, but only counts toggles,
-    /// lane-cycles, clock and leakage for lanes selected by `count_mask`.
-    ///
-    /// All lanes still *evolve* (state advances) regardless of the mask;
-    /// masking only excludes lanes from the measurement. This is how a
-    /// measurement total that is not a multiple of [`LANES`] is realised: a
-    /// final partial step counts only the remainder lanes.
+    /// Inputs `drive` does not write keep their words (see
+    /// [`PackedInputs`]).  All lanes still *evolve* (state advances)
+    /// regardless of the mask; masking only excludes lanes from the
+    /// measurement.  This is how a measurement total that is not a multiple
+    /// of [`LANES`] is realised: a final partial step counts only the
+    /// remainder lanes.
     ///
     /// The first step evaluates every scheduled cell (the all-zero reset
-    /// words are not yet consistent with the cell functions).  Later steps
-    /// sweep only the *active* cells — those that have ever seen an input
-    /// change in any lane — in level order; quiet cones are never visited.
-    /// On the rare step that activates a new cell, the sweep stops and one
-    /// full level-ordered pass over the schedule follows, which is
-    /// idempotent for every cell already evaluated this step (unchanged
-    /// inputs reproduce the same word, so no toggle is double-counted).
+    /// words are not yet consistent with the cell functions) and drives the
+    /// constant nets, which never change after it.  Later steps sweep only
+    /// the *active* cells — those that have ever seen an input change in
+    /// any lane — in level order; quiet cones are never visited.  On the
+    /// rare step that activates a new cell, the sweep stops and one full
+    /// level-ordered pass over the schedule follows, which is idempotent
+    /// for every cell already evaluated this step (unchanged inputs
+    /// reproduce the same word, so no toggle is double-counted).
     ///
     /// # Panics
     ///
-    /// As [`PackedSimulator::step`].
-    pub fn step_masked(&mut self, inputs: &[u64], count_mask: u64) {
-        assert_eq!(
-            inputs.len(),
-            self.schedule.input_count,
-            "expected {} primary-input words, got {}",
-            self.schedule.input_count,
-            inputs.len()
-        );
-        for &(position, value) in &self.schedule.held_inputs {
+    /// Panics if `drive` writes a position that is not a primary input, or
+    /// if, after `drive`, a held input (see [`EvalSchedule::compile_held`])
+    /// does not carry its value in every lane: a drive that writes one
+    /// with another word, or never writes a held-high one, fails here.
+    pub fn step(&mut self, count_mask: u64, drive: impl FnOnce(&mut PackedInputs<'_>)) {
+        let schedule = self.schedule;
+        self.lane_cycles += u64::from(count_mask.count_ones());
+        let slots = &mut self.slots[..];
+        let activation = &mut self.activation;
+
+        // 1. Drive the changed primary inputs, the constants (first step
+        //    only) and the sequential outputs.
+        drive(&mut PackedInputs {
+            slots: &mut *slots,
+            input_nets: &schedule.input_nets,
+            count_mask,
+            pending: &mut activation.pending,
+        });
+        for &(position, value) in &schedule.held_inputs {
+            let net = schedule.input_nets[position as usize];
             assert_eq!(
-                inputs[position as usize],
+                slots[net as usize].word,
                 if value { !0 } else { 0 },
                 "primary input {position} is held at {value}"
             );
         }
-        self.lane_cycles += u64::from(count_mask.count_ones());
-        let schedule = self.schedule;
-        let nets = &mut self.nets;
-
-        // 1. Drive primary inputs, constants and sequential outputs.
-        for &(net, pi) in &schedule.input_drives {
-            nets.write(schedule, count_mask, net, inputs[pi as usize]);
-        }
-        for &(net, value) in &schedule.constant_drives {
-            nets.write(schedule, count_mask, net, if value { !0 } else { 0 });
+        if !self.settled {
+            for &(net, value) in &schedule.constant_drives {
+                if write(slots, count_mask, net, if value { !0 } else { 0 }) {
+                    push_pending(&mut activation.pending, net);
+                }
+            }
         }
         for &(net, slot) in &schedule.seq_drives {
-            nets.write(schedule, count_mask, net, self.state[slot as usize]);
+            if write(slots, count_mask, net, self.state[slot as usize]) {
+                push_pending(&mut activation.pending, net);
+            }
         }
+        activation.apply_pending(schedule);
 
         // 2. Evaluate combinational logic word-wide, in level order.
-        let mut full_pass = !self.settled || !nets.newly.is_empty();
+        let mut full_pass = !self.settled || !activation.newly.is_empty();
         self.settled = true;
         if !full_pass {
             for &cell in &self.active_cells {
-                nets.evaluate(schedule, count_mask, schedule.cells[cell as usize]);
+                let cell = schedule.cells[cell as usize];
                 // A quiet net toggled for the first time: its newly
                 // activated consumers sit at strictly higher levels than
                 // everything swept so far, so every evaluation up to here
                 // used correct inputs.  Stop and catch up with a full pass.
-                if !nets.newly.is_empty() {
+                if evaluate(slots, count_mask, cell) && activation.first_flip(schedule, cell.output)
+                {
                     full_pass = true;
                     break;
                 }
@@ -270,18 +383,20 @@ impl<'a> PackedSimulator<'a> {
         }
         if full_pass {
             for &cell in &schedule.cells {
-                nets.evaluate(schedule, count_mask, cell);
+                if evaluate(slots, count_mask, cell) {
+                    activation.first_flip(schedule, cell.output);
+                }
             }
         }
-        if !nets.newly.is_empty() {
-            self.active_cells.append(&mut nets.newly);
+        if !activation.newly.is_empty() {
+            self.active_cells.append(&mut activation.newly);
             self.active_cells.sort_unstable();
         }
 
         // 3. Capture the next state of sequential cells (D sampled at the
         //    end of the cycle, visible on Q at the start of the next cycle).
         for &(slot, d) in &schedule.seq_captures {
-            self.state[slot as usize] = nets.words[d as usize];
+            self.state[slot as usize] = slots[d as usize].word;
         }
     }
 
@@ -289,22 +404,19 @@ impl<'a> PackedSimulator<'a> {
     /// whose cell the schedule dropped).
     #[must_use]
     pub fn net_word(&self, net: NetId) -> u64 {
-        self.nets.words[self.schedule.source(net.index())]
+        self.slots[self.schedule.source[net.index()] as usize].word
     }
 
     /// Toggle counts per net (summed over counted lanes) since the last
     /// counter reset, indexed by net; a net whose cell the schedule dropped
     /// has its source's counts.
     #[must_use]
-    pub fn net_toggle_counts(&self) -> Cow<'_, [u64]> {
-        if self.schedule.forwarded.is_empty() {
-            return Cow::Borrowed(&self.nets.toggles);
-        }
-        let mut counts = self.nets.toggles.clone();
-        for &(dropped, source) in &self.schedule.forwarded {
-            counts[dropped as usize] = counts[source as usize];
-        }
-        Cow::Owned(counts)
+    pub fn net_toggle_counts(&self) -> Vec<u64> {
+        self.schedule
+            .source
+            .iter()
+            .map(|&source| self.slots[source as usize].toggles)
+            .collect()
     }
 
     /// Snapshot of the accumulated activity and energy.
@@ -314,15 +426,21 @@ impl<'a> PackedSimulator<'a> {
     /// scalar run of the same total cycle count.
     #[must_use]
     pub fn report(&self) -> ActivityReport {
-        self.tables
-            .report_from_counts(&self.net_toggle_counts(), self.lane_cycles)
+        let counts = self
+            .schedule
+            .source
+            .iter()
+            .map(|&source| &self.slots[source as usize].toggles);
+        self.tables.report_from_counts(counts, self.lane_cycles)
     }
 
     /// Resets activity counters (but keeps the current logic state), so a
     /// warm-up phase can be excluded from measurements.
     pub fn reset_counters(&mut self) {
         self.lane_cycles = 0;
-        self.nets.toggles.fill(0);
+        for slot in &mut self.slots {
+            slot.toggles = 0;
+        }
     }
 }
 
@@ -358,7 +476,7 @@ mod tests {
         let mut packed = PackedSimulator::new(&schedule, &tables);
         let vectors: Vec<[u64; 2]> = vec![[0b1010_1010, 0b0110_0110], [0b0011_1100, 0b1111_0000]];
         for v in &vectors {
-            packed.step(v);
+            packed.step(!0, |inputs| inputs.set_run(0, v.iter().copied()));
         }
 
         let mut summed = vec![0_u64; n.net_count()];
@@ -391,13 +509,13 @@ mod tests {
         n.mark_output(q).unwrap();
         let (schedule, tables) = compile(&n);
         let mut sim = PackedSimulator::new(&schedule, &tables);
-        sim.step(&[0b0101]);
+        sim.step(!0, |inputs| inputs.set(0, 0b0101));
         // Q still shows the reset value during the first cycle.
         assert_eq!(sim.net_word(q), 0);
-        sim.step(&[0b0000]);
+        sim.step(!0, |inputs| inputs.set(0, 0b0000));
         // Now Q shows the per-lane values captured at the end of cycle 1.
         assert_eq!(sim.net_word(q), 0b0101);
-        sim.step(&[0b0000]);
+        sim.step(!0, |inputs| inputs.set(0, 0b0000));
         assert_eq!(sim.net_word(q), 0);
     }
 
@@ -412,10 +530,10 @@ mod tests {
         let (schedule, tables) = compile(&n);
         let mut sim = PackedSimulator::new(&schedule, &tables);
         // Lane 0: enabled with a=1. Lane 1: enabled with a=0.
-        sim.step(&[0b01, 0b11]);
+        sim.step(!0, |inputs| inputs.set_run(0, [0b01, 0b11]));
         assert_eq!(sim.net_word(y), 0b01);
         // Both lanes disabled with a flipped: outputs hold.
-        sim.step(&[0b10, 0b00]);
+        sim.step(!0, |inputs| inputs.set_run(0, [0b10, 0b00]));
         assert_eq!(sim.net_word(y), 0b01);
     }
 
@@ -425,17 +543,69 @@ mod tests {
         let (schedule, tables) = compile(&n);
         let mut sim = PackedSimulator::new(&schedule, &tables);
         // Count only lane 0; lane 1 toggles a and y but must not be counted.
-        sim.step_masked(&[0b10, 0b00], 0b01);
+        sim.step(0b01, |inputs| inputs.set_run(0, [0b10, 0b00]));
         assert_eq!(sim.lane_cycles(), 1);
         let toggles: u64 = sim.net_toggle_counts().iter().sum();
         assert_eq!(toggles, 0, "lane 1 activity leaked into the counts");
         // Lane 1's state did evolve: its output is high.
         assert_eq!(sim.net_word(n.primary_outputs()[0]), 0b10);
         // A fully counted step that returns lane 1 to 0 counts those toggles.
-        sim.step(&[0b00, 0b00]);
+        sim.step(!0, |inputs| inputs.set_run(0, [0b00, 0b00]));
         assert_eq!(sim.lane_cycles(), 1 + u64::from(LANES));
         let toggles: u64 = sim.net_toggle_counts().iter().sum();
         assert_eq!(toggles, 2, "a and y fall in lane 1");
+    }
+
+    #[test]
+    fn inputs_keep_their_words_between_steps() {
+        let n = xor_netlist();
+        let (schedule, tables) = compile(&n);
+        let mut sim = PackedSimulator::new(&schedule, &tables);
+        let y = n.primary_outputs()[0];
+        sim.step(!0, |inputs| inputs.set_run(0, [0b0110, 0b0011]));
+        assert_eq!(sim.net_word(y), 0b0101);
+        // Rewriting only `b` leaves `a` at 0b0110.
+        sim.step(!0, |inputs| inputs.set(1, 0b1111));
+        assert_eq!(sim.net_word(y), 0b1001);
+        sim.step(!0, |_| {});
+        assert_eq!(sim.net_word(y), 0b1001);
+        // a: 2 rises; b: 2 rises, then 2 more; y: 2 rises, then 2 flips.
+        assert_eq!(sim.report().toggles, 2 + 4 + 4);
+    }
+
+    /// The XOR netlist compiled with input `b` (position 1) held at `value`.
+    fn held_b(n: &Netlist, value: bool) -> (EvalSchedule, EnergyTables) {
+        let schedule = EvalSchedule::compile_held(n, &[(1, value)]).unwrap();
+        (schedule, EnergyTables::new(n, &CellLibrary::default()))
+    }
+
+    #[test]
+    #[should_panic(expected = "primary input 1 is held at true")]
+    fn driving_a_held_input_with_another_word_panics() {
+        let n = xor_netlist();
+        let (schedule, tables) = held_b(&n, true);
+        let mut sim = PackedSimulator::new(&schedule, &tables);
+        sim.step(!0, |inputs| inputs.set_run(0, [0b01, !0]));
+        sim.step(!0, |inputs| inputs.set(1, !0b10));
+    }
+
+    #[test]
+    #[should_panic(expected = "primary input 1 is held at true")]
+    fn leaving_a_held_high_input_undriven_panics() {
+        let n = xor_netlist();
+        let (schedule, tables) = held_b(&n, true);
+        let mut sim = PackedSimulator::new(&schedule, &tables);
+        sim.step(!0, |inputs| inputs.set(0, 0b01));
+    }
+
+    #[test]
+    fn a_held_low_input_may_stay_undriven() {
+        let n = xor_netlist();
+        let (schedule, tables) = held_b(&n, false);
+        let mut sim = PackedSimulator::new(&schedule, &tables);
+        sim.step(!0, |inputs| inputs.set(0, 0b01));
+        sim.step(!0, |_| {});
+        assert_eq!(sim.net_word(n.primary_outputs()[0]), 0b01);
     }
 
     #[test]
@@ -443,12 +613,12 @@ mod tests {
         let n = xor_netlist();
         let (schedule, tables) = compile(&n);
         let mut sim = PackedSimulator::new(&schedule, &tables);
-        sim.step(&[!0_u64, 0]);
+        sim.step(!0, |inputs| inputs.set_run(0, [!0_u64, 0]));
         sim.reset_counters();
         assert_eq!(sim.lane_cycles(), 0);
         assert_eq!(sim.report().toggles, 0);
         // State preserved: same vector again causes no toggles.
-        sim.step(&[!0_u64, 0]);
+        sim.step(!0, |inputs| inputs.set_run(0, [!0_u64, 0]));
         assert_eq!(sim.report().toggles, 0);
     }
 }

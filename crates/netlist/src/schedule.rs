@@ -13,14 +13,19 @@
 //!
 //! A compiled schedule is self-contained: the packed engine runs from it
 //! (and the netlist's energy tables) without the netlist, so
-//! characterization can drop a generated circuit once it is compiled.
+//! characterization can drop a generated circuit once it is compiled.  It
+//! maps each primary-input position to its net, so a step writes an input
+//! straight into that net's word.
 //!
 //! [`EvalSchedule::compile_held`] compiles against primary inputs that keep
 //! one value for the simulator's whole life, and drops every cell that only
 //! forwards an input while they hold (a buffer, a 2:1 mux with a held
 //! select, a tri-state or pass gate with a held-high enable): its consumers
-//! read the forwarded net directly.  Characterization holds the crosspoint
-//! enable and the MUX selects this way.
+//! read the forwarded net directly.  A dense per-net source table maps each
+//! dropped net to the net it forwards and every other net to itself, which
+//! is where the packed engine reads a net's word and toggle counts.
+//! Characterization holds the crosspoint enable and the MUX selects this
+//! way.
 //!
 //! The schedule also carries the netlist's *settle depth*
 //! ([`EvalSchedule::settle_cycles`]): how many cycles the engines need
@@ -54,12 +59,13 @@ impl ScheduledCell {
 
 /// A compiled evaluation schedule for one netlist: drive lists, levelled
 /// combinational cells and per-net load-cell fanout.
+///
+/// Every vector is sized exactly: the compiled-switch memo keeps schedules
+/// for the life of the process.
 #[derive(Debug, Clone)]
 pub struct EvalSchedule {
-    /// Number of primary inputs: the input words a step takes.
-    pub(crate) input_count: usize,
-    /// `(net, primary-input position)` for every primary-input net.
-    pub(crate) input_drives: Vec<(u32, u32)>,
+    /// The net of each primary-input position.
+    pub(crate) input_nets: Vec<u32>,
     /// `(net, value)` for every constant net.
     pub(crate) constant_drives: Vec<(u32, bool)>,
     /// `(primary-input position, value)` for every held input, in the
@@ -73,9 +79,10 @@ pub struct EvalSchedule {
     /// The combinational cells the compile kept, sorted by level,
     /// id-ordered within one.
     pub(crate) cells: Vec<ScheduledCell>,
-    /// `(dropped net, source net)` for every net whose cell the compile
-    /// dropped, sorted by dropped net; a source is never itself dropped.
-    pub(crate) forwarded: Vec<(u32, u32)>,
+    /// Per net: the net whose word and toggles it carries, its source if
+    /// the compile dropped its cell, else the net itself.  A source is
+    /// never itself dropped.
+    pub(crate) source: Vec<u32>,
     /// Per net: range into `load_cells` — the scheduled cells this net
     /// feeds.
     net_load_index: Vec<(u32, u32)>,
@@ -122,8 +129,8 @@ impl EvalSchedule {
     /// the source's word and toggle counts for it).  This is exact: a held
     /// net keeps one value from the first step on, so a dropped net equals
     /// its source after every step from reset, and both toggle in the same
-    /// lanes of the same steps.  [`PackedSimulator::step`] checks that every
-    /// held input carries its value.
+    /// lanes of the same steps.  [`PackedSimulator::step`] checks after its
+    /// drive that every held input carries its value.
     ///
     /// [`PackedSimulator::step`]: crate::packed::PackedSimulator::step
     ///
@@ -152,34 +159,33 @@ impl EvalSchedule {
             .max()
             .map_or(0, |&deepest| deepest as usize + 1);
 
-        let mut input_drives = Vec::new();
-        let mut constant_drives = Vec::new();
-        for (net_id, net) in netlist.nets() {
-            match net.driver() {
-                Some(Driver::PrimaryInput(position)) => {
-                    input_drives.push((net_id.index() as u32, position as u32));
-                }
-                Some(Driver::Constant(value)) => {
-                    constant_drives.push((net_id.index() as u32, value));
-                }
-                _ => {}
-            }
-        }
+        let input_nets: Vec<u32> = netlist
+            .primary_inputs()
+            .iter()
+            .map(|net| net.index() as u32)
+            .collect();
+        let mut constant_drives: Vec<(u32, bool)> = netlist
+            .nets()
+            .filter_map(|(net_id, net)| match net.driver() {
+                Some(Driver::Constant(value)) => Some((net_id.index() as u32, value)),
+                _ => None,
+            })
+            .collect();
+        constant_drives.shrink_to_fit();
 
         // Per net: the net whose word it carries (itself unless its cell is
         // dropped), and its held value, if any.
         let mut source: Vec<u32> = (0..netlist.net_count() as u32).collect();
         let mut held_value: Vec<Option<bool>> = vec![None; netlist.net_count()];
-        let mut held_inputs = Vec::new();
+        let mut held_inputs = Vec::with_capacity(held.map_or(0, <[_]>::len));
         if let Some(held) = held {
-            let primary_inputs = netlist.primary_inputs();
             for &(position, value) in held {
                 assert!(
-                    position < primary_inputs.len(),
+                    position < input_nets.len(),
                     "held position {position} is not one of the {} primary inputs",
-                    primary_inputs.len()
+                    input_nets.len()
                 );
-                held_value[primary_inputs[position].index()] = Some(value);
+                held_value[input_nets[position] as usize] = Some(value);
                 held_inputs.push((position as u32, value));
             }
             for &(net, value) in &constant_drives {
@@ -194,7 +200,6 @@ impl EvalSchedule {
             .collect();
         order.sort_by_key(|&idx| (cell_levels[idx], idx));
         let mut cells = Vec::with_capacity(order.len());
-        let mut forwarded = Vec::new();
         for &idx in &order {
             let cell = netlist.cell(CellId(idx));
             let (kind, output) = (cell.kind(), cell.output().index());
@@ -208,7 +213,6 @@ impl EvalSchedule {
                 // is the source's.
                 if let Some(pin) = forwarded_pin(kind, &inputs, &held_value) {
                     source[output] = inputs[pin];
-                    forwarded.push((output as u32, inputs[pin]));
                     continue;
                 }
                 if !kind.holds_output_when_disabled() {
@@ -226,13 +230,14 @@ impl EvalSchedule {
                 output: output as u32,
             });
         }
-        // The memo keeps compiled schedules for the life of the process.
         cells.shrink_to_fit();
-        forwarded.sort_unstable();
-        forwarded.shrink_to_fit();
 
-        let mut seq_drives = Vec::new();
-        let mut seq_captures = Vec::new();
+        let sequential = netlist
+            .cells()
+            .filter(|(_, cell)| cell.kind().is_sequential())
+            .count();
+        let mut seq_drives = Vec::with_capacity(sequential);
+        let mut seq_captures = Vec::with_capacity(sequential);
         for (_, cell) in netlist.cells() {
             if cell.kind().is_sequential() {
                 let slot = seq_drives.len() as u32;
@@ -270,14 +275,13 @@ impl EvalSchedule {
 
         let settle_cycles = settle_depth(netlist.net_count(), &cells, &seq_drives, &seq_captures);
         Ok(Self {
-            input_count: netlist.primary_inputs().len(),
-            input_drives,
+            input_nets,
             constant_drives,
             held_inputs,
             seq_drives,
             seq_captures,
             cells,
-            forwarded,
+            source,
             net_load_index,
             load_cells,
             level_count,
@@ -330,19 +334,34 @@ impl EvalSchedule {
         self.settle_cycles
     }
 
-    /// The net whose word and toggles `net` carries: its source if the
-    /// compile dropped its cell, else `net` itself.
-    pub(crate) fn source(&self, net: usize) -> usize {
-        self.forwarded
-            .binary_search_by_key(&(net as u32), |&(dropped, _)| dropped)
-            .map_or(net, |found| self.forwarded[found].1 as usize)
-    }
-
     /// The scheduled cells to queue for re-evaluation when `net` toggles.
     #[inline]
     pub(crate) fn load_cells(&self, net: usize) -> &[u32] {
         let (start, end) = self.net_load_index[net];
         &self.load_cells[start as usize..end as usize]
+    }
+}
+
+#[cfg(test)]
+impl EvalSchedule {
+    /// `(name, length, capacity)` of every vector the schedule keeps.
+    pub(crate) fn vector_sizes(&self) -> Vec<(&'static str, usize, usize)> {
+        macro_rules! sizes {
+            ($($field:ident),*) => {
+                vec![$((stringify!($field), self.$field.len(), self.$field.capacity())),*]
+            };
+        }
+        sizes!(
+            input_nets,
+            constant_drives,
+            held_inputs,
+            seq_drives,
+            seq_captures,
+            cells,
+            source,
+            net_load_index,
+            load_cells
+        )
     }
 }
 
@@ -441,7 +460,10 @@ mod tests {
         assert_eq!(schedule.level_count(), 2);
         assert_eq!(schedule.cell_count(), 2);
         assert_eq!(schedule.state_slots(), 1);
-        assert_eq!(schedule.input_drives.len(), 2);
+        assert_eq!(
+            schedule.input_nets,
+            vec![a.index() as u32, b.index() as u32]
+        );
         assert_eq!(schedule.constant_drives, vec![(tie.index() as u32, true)]);
         assert_eq!(schedule.seq_drives, vec![(q.index() as u32, 0)]);
         assert_eq!(schedule.seq_captures, vec![(0, gated.index() as u32)]);
@@ -561,7 +583,7 @@ mod tests {
             assert!(schedule.level_count() > 0);
             assert_eq!(schedule.cell_count() + sequential, netlist.cell_count());
             assert_eq!(schedule.state_slots(), sequential);
-            assert_eq!(schedule.input_drives.len(), netlist.primary_inputs().len());
+            assert_eq!(schedule.input_nets.len(), netlist.primary_inputs().len());
         }
     }
 }

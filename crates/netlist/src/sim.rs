@@ -137,8 +137,9 @@ impl EnergyTables {
     }
 
     /// Computes the full [`ActivityReport`] from integer activity counts:
-    /// `net_toggles[n]` toggles observed on net `n` and `cycles` simulated
-    /// (lane-)cycles.
+    /// the `n`-th of `net_toggles` is the toggles observed on net `n` (any
+    /// exact-size iterator of `&u64`, such as `&[u64]`), and `cycles` the
+    /// simulated (lane-)cycles.
     ///
     /// The summation order is fixed (ascending net index) and each net
     /// contributes exactly one `count × energy` product per category, so two
@@ -147,9 +148,15 @@ impl EnergyTables {
     ///
     /// # Panics
     ///
-    /// Panics if `net_toggles.len()` differs from the netlist's net count.
+    /// Panics if `net_toggles` yields a count for other than every net of
+    /// the netlist.
     #[must_use]
-    pub fn report_from_counts(&self, net_toggles: &[u64], cycles: u64) -> ActivityReport {
+    pub fn report_from_counts<'c, I>(&self, net_toggles: I, cycles: u64) -> ActivityReport
+    where
+        I: IntoIterator<Item = &'c u64>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let net_toggles = net_toggles.into_iter();
         assert_eq!(
             net_toggles.len(),
             self.net_internal.len(),
@@ -162,7 +169,7 @@ impl EnergyTables {
         };
         let mut toggles = 0_u64;
         let mut by_kind = [0_u64; CellKind::ALL.len()];
-        for (net, &count) in net_toggles.iter().enumerate() {
+        for (net, &count) in net_toggles.enumerate() {
             if count == 0 {
                 continue;
             }

@@ -70,8 +70,8 @@ proptest! {
                 }
             }
             let count_mask = if step + 1 == steps { final_mask } else { !0 };
-            plain.step_masked(&words, count_mask);
-            collapsed.step_masked(&words, count_mask);
+            plain.step(count_mask, |inputs| inputs.set_run(0, words.iter().copied()));
+            collapsed.step(count_mask, |inputs| inputs.set_run(0, words.iter().copied()));
 
             prop_assert_eq!(collapsed.report(), plain.report(), "step {}", step);
             prop_assert_eq!(

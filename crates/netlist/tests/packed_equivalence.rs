@@ -66,7 +66,7 @@ proptest! {
         for (i, vector) in vectors.iter().enumerate() {
             let last = i + 1 == cycles;
             let count_mask = if last { final_mask } else { !0 };
-            packed.step_masked(vector, count_mask);
+            packed.step(count_mask, |inputs| inputs.set_run(0, vector.iter().copied()));
             let outputs: Vec<u64> = netlist
                 .primary_outputs()
                 .iter()

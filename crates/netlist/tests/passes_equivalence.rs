@@ -69,9 +69,9 @@ proptest! {
                 for scalar in &oracles[counted_final as usize..] {
                     accumulate(&mut summed, scalar.net_toggle_counts());
                 }
-                packed.step_masked(&vector, final_mask);
+                packed.step(final_mask, |inputs| inputs.set_run(0, vector.iter().copied()));
             } else {
-                packed.step(&vector);
+                packed.step(!0, |inputs| inputs.set_run(0, vector.iter().copied()));
             }
             // Every lane's outputs track its oracle at every step, counted
             // or not.
@@ -120,11 +120,11 @@ proptest! {
         let tables = EnergyTables::new(&netlist, &library);
         let mut packed = PackedSimulator::new(&schedule, &tables);
         for vector in &vectors[..warmup] {
-            packed.step(vector);
+            packed.step(!0, |inputs| inputs.set_run(0, vector.iter().copied()));
         }
         packed.reset_counters();
         for vector in &vectors[warmup..] {
-            packed.step(vector);
+            packed.step(!0, |inputs| inputs.set_run(0, vector.iter().copied()));
         }
 
         let mut summed = vec![0_u64; netlist.net_count()];
