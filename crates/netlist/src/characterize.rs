@@ -621,7 +621,7 @@ mod tests {
     fn packed_measurement_matches_scalar_per_lane_oracle_bit_exactly() {
         // measure_cycles = 81 exercises the remainder mask: one full-mask
         // step plus one final step counting only lanes 0–16.  The packed
-        // engine sweeps its compiled schedule, skipping quiet cells, and
+        // engine sweeps its whole compiled schedule once per step and
         // simulates only the last settle-depth warm-up cycles, while the
         // per-lane oracle walks every cell of every warm-up cycle.  A
         // 3-cycle warm-up skips one cycle on the MUX; the 16-cycle ones (the

@@ -18,8 +18,9 @@
 //! * [`packed`] — the characterization engine: 64-lane bit-parallel
 //!   simulation from the compiled schedule alone, one word-and-toggle-count
 //!   slot per net, inputs that persist between steps (a step writes only
-//!   the inputs that change), lane toggles counted with popcounts, quiet
-//!   cells skipped, energies bit-identical to per-lane scalar runs;
+//!   the inputs that change), one pass over every scheduled cell per step,
+//!   lane toggles counted with popcounts, energies bit-identical to
+//!   per-lane scalar runs;
 //! * [`circuits`] — generators for the four node-switch circuits the paper
 //!   characterizes (crossbar crosspoint, Banyan 2×2 binary switch, Batcher
 //!   2×2 sorting switch, N-input MUX);

@@ -10,8 +10,9 @@
 //! schedule and the netlist's [`EnergyTables`] and never reads the
 //! [`Netlist`](crate::netlist::Netlist) they came from, so one compiled pair
 //! can serve any number of simulators (characterization shares them across
-//! every stimulus seed through [`crate::compiled`]).  Steps skip every cell
-//! none of whose inputs has ever changed (see [`PackedSimulator::step`]).
+//! every stimulus seed through [`crate::compiled`]).  Each step evaluates
+//! every scheduled cell once, in level order (see
+//! [`PackedSimulator::step`]).
 //!
 //! # Inputs
 //!
@@ -25,10 +26,7 @@
 //! # State layout
 //!
 //! Each net has one slot holding its lane word and its toggle count, so a
-//! write touches one cache line.  A net's first flip activates its consumer
-//! cells; every net starts all-zero, so a first flip always leaves the zero
-//! word, and the write loop only branches to the out-of-line activation
-//! when a net does that.  A schedule compiled against held inputs
+//! write touches one cache line.  A schedule compiled against held inputs
 //! ([`EvalSchedule::compile_held`]) has no cell for a net it dropped; its
 //! dense source table maps that net to the slot of the net it forwards,
 //! whose word and toggle counts are the dropped net's own.
@@ -92,18 +90,11 @@ pub struct PackedSimulator<'a> {
     tables: &'a EnergyTables,
     /// Lane word and toggle count of every net, by net index.
     slots: Vec<Slot>,
-    /// The bookkeeping that grows `active_cells` when a net first flips.
-    activation: Activation,
-    /// Scheduled cells that have ever seen an input change (in any lane),
-    /// sorted by index (index order is level order).  The steady-state
-    /// sweep evaluates exactly these; cells of cones that never toggled
-    /// cost nothing.
-    active_cells: Vec<u32>,
     /// Stored per-lane state of sequential cells, by schedule state slot.
     state: Vec<u64>,
-    /// Whether the first full-evaluation step has run.  Not reset by
-    /// [`PackedSimulator::reset_counters`]: the circuit stays settled.
-    settled: bool,
+    /// Whether the first step has driven the constant nets.  Not reset by
+    /// [`PackedSimulator::reset_counters`]: the constants keep their words.
+    constants_driven: bool,
     /// Measured lane-cycles since the last counter reset.
     lane_cycles: u64,
 }
@@ -117,22 +108,17 @@ struct Slot {
 }
 
 /// Writes `word` to `net`'s slot and credits the toggles of the counted
-/// lanes.  Returns whether this may be the net's first flip: every net
-/// starts all-zero, so a first flip turns the zero word into a non-zero
-/// one.
+/// lanes.
 #[inline(always)]
-fn write(slots: &mut [Slot], count_mask: u64, net: u32, word: u64) -> bool {
+fn write(slots: &mut [Slot], count_mask: u64, net: u32, word: u64) {
     let slot = &mut slots[net as usize];
-    let previous = slot.word;
+    slot.toggles += u64::from(((slot.word ^ word) & count_mask).count_ones());
     slot.word = word;
-    slot.toggles += u64::from(((previous ^ word) & count_mask).count_ones());
-    previous == 0 && word != 0
 }
 
-/// Evaluates one scheduled cell word-wide and writes its output; returns
-/// [`write`]'s first-flip hint.
+/// Evaluates one scheduled cell word-wide and writes its output.
 #[inline(always)]
-fn evaluate(slots: &mut [Slot], count_mask: u64, cell: ScheduledCell) -> bool {
+fn evaluate(slots: &mut [Slot], count_mask: u64, cell: ScheduledCell) {
     let arity = usize::from(cell.arity);
     let mut words = [0_u64; 3];
     for (word, &net) in words.iter_mut().zip(&cell.inputs[..arity]) {
@@ -140,62 +126,7 @@ fn evaluate(slots: &mut [Slot], count_mask: u64, cell: ScheduledCell) -> bool {
     }
     let previous = slots[cell.output as usize].word;
     let value = cell.kind.evaluate_word(&words[..arity], previous);
-    write(slots, count_mask, cell.output, value)
-}
-
-/// The bookkeeping that activates a net's consumer cells on its first flip,
-/// kept apart from the slots so the write loops hold their slices in
-/// registers.
-#[derive(Debug, Clone)]
-struct Activation {
-    /// Per net: all of the net's consumer cells are already active (set
-    /// the first time the net flips, which activates every consumer).
-    fanout_active: Vec<bool>,
-    /// Per scheduled cell: member of `active_cells` or `newly`.
-    is_active: Vec<bool>,
-    /// Cells activated since the last merge into `active_cells`.  Non-empty
-    /// only on the rare steps when a previously quiet net first toggles.
-    newly: Vec<u32>,
-    /// Nets a drive wrote from the zero word this step, to check for a
-    /// first flip once the drive is done.
-    pending: Vec<u32>,
-}
-
-impl Activation {
-    /// Activates `net`'s consumer cells if this is its first flip; returns
-    /// whether a cell was activated.
-    #[cold]
-    #[inline(never)]
-    fn first_flip(&mut self, schedule: &EvalSchedule, net: u32) -> bool {
-        let idx = net as usize;
-        if self.fanout_active[idx] {
-            return false;
-        }
-        self.fanout_active[idx] = true;
-        let before = self.newly.len();
-        for &cell in schedule.load_cells(idx) {
-            let c = cell as usize;
-            if !self.is_active[c] {
-                self.is_active[c] = true;
-                self.newly.push(cell);
-            }
-        }
-        self.newly.len() > before
-    }
-
-    /// Applies [`Activation::first_flip`] to every pending net.
-    fn apply_pending(&mut self, schedule: &EvalSchedule) {
-        while let Some(net) = self.pending.pop() {
-            self.first_flip(schedule, net);
-        }
-    }
-}
-
-/// Queues a net a drive wrote from the zero word (see [`write`]).
-#[cold]
-#[inline(never)]
-fn push_pending(pending: &mut Vec<u32>, net: u32) {
-    pending.push(net);
+    write(slots, count_mask, cell.output, value);
 }
 
 /// The primary inputs of one [`PackedSimulator::step`], as its drive
@@ -213,7 +144,6 @@ pub struct PackedInputs<'s> {
     /// The net of each primary-input position.
     input_nets: &'s [u32],
     count_mask: u64,
-    pending: &'s mut Vec<u32>,
 }
 
 impl PackedInputs<'_> {
@@ -224,10 +154,7 @@ impl PackedInputs<'_> {
     /// Panics if `position` is not a primary-input position.
     #[inline]
     pub fn set(&mut self, position: usize, word: u64) {
-        let net = self.input_nets[position];
-        if write(self.slots, self.count_mask, net, word) {
-            push_pending(self.pending, net);
-        }
+        write(self.slots, self.count_mask, self.input_nets[position], word);
     }
 
     /// Sets the primary inputs at positions `first`, `first + 1`, … to
@@ -243,18 +170,9 @@ impl PackedInputs<'_> {
         I::IntoIter: ExactSizeIterator,
     {
         let words = words.into_iter();
-        // Locals, so the loop keeps them in registers across the cold call.
-        let Self {
-            slots,
-            input_nets,
-            count_mask,
-            pending,
-        } = self;
-        let (slots, count_mask) = (&mut **slots, *count_mask);
-        for (&net, word) in input_nets[first..first + words.len()].iter().zip(words) {
-            if write(slots, count_mask, net, word) {
-                push_pending(pending, net);
-            }
+        let nets = &self.input_nets[first..first + words.len()];
+        for (&net, word) in nets.iter().zip(words) {
+            write(self.slots, self.count_mask, net, word);
         }
     }
 }
@@ -268,20 +186,12 @@ impl<'a> PackedSimulator<'a> {
     /// `tables` covers a different number of nets than `schedule`.
     #[must_use]
     pub fn new(schedule: &'a EvalSchedule, tables: &'a EnergyTables) -> Self {
-        let net_count = schedule.net_count();
         Self {
             schedule,
             tables,
-            slots: vec![Slot::default(); net_count],
-            activation: Activation {
-                fanout_active: vec![false; net_count],
-                is_active: vec![false; schedule.cell_count()],
-                newly: Vec::new(),
-                pending: Vec::new(),
-            },
-            active_cells: Vec::new(),
+            slots: vec![Slot::default(); schedule.net_count()],
             state: vec![0; schedule.state_slots()],
-            settled: false,
+            constants_driven: false,
             lane_cycles: 0,
         }
     }
@@ -312,15 +222,11 @@ impl<'a> PackedSimulator<'a> {
     /// of [`LANES`] is realised: a final partial step counts only the
     /// remainder lanes.
     ///
-    /// The first step evaluates every scheduled cell (the all-zero reset
-    /// words are not yet consistent with the cell functions) and drives the
-    /// constant nets, which never change after it.  Later steps sweep only
-    /// the *active* cells — those that have ever seen an input change in
-    /// any lane — in level order; quiet cones are never visited.  On the
-    /// rare step that activates a new cell, the sweep stops and one full
-    /// level-ordered pass over the schedule follows, which is idempotent
-    /// for every cell already evaluated this step (unchanged inputs
-    /// reproduce the same word, so no toggle is double-counted).
+    /// The first step also drives the constant nets, which never change
+    /// after it.  Every step evaluates every scheduled cell once, in level
+    /// order, so each cell reads inputs already final for this cycle.  A
+    /// cell whose inputs did not change re-evaluates to the word it holds
+    /// and adds no toggle.
     ///
     /// # Panics
     ///
@@ -332,15 +238,12 @@ impl<'a> PackedSimulator<'a> {
         let schedule = self.schedule;
         self.lane_cycles += u64::from(count_mask.count_ones());
         let slots = &mut self.slots[..];
-        let activation = &mut self.activation;
 
-        // 1. Drive the changed primary inputs, the constants (first step
-        //    only) and the sequential outputs.
+        // 1. Drive the changed primary inputs and check the held ones.
         drive(&mut PackedInputs {
             slots: &mut *slots,
             input_nets: &schedule.input_nets,
             count_mask,
-            pending: &mut activation.pending,
         });
         for &(position, value) in &schedule.held_inputs {
             let net = schedule.input_nets[position as usize];
@@ -350,50 +253,25 @@ impl<'a> PackedSimulator<'a> {
                 "primary input {position} is held at {value}"
             );
         }
-        if !self.settled {
+
+        // 2. Drive the constants (first step only) and the sequential
+        //    outputs.
+        if !self.constants_driven {
+            self.constants_driven = true;
             for &(net, value) in &schedule.constant_drives {
-                if write(slots, count_mask, net, if value { !0 } else { 0 }) {
-                    push_pending(&mut activation.pending, net);
-                }
+                write(slots, count_mask, net, if value { !0 } else { 0 });
             }
         }
         for &(net, slot) in &schedule.seq_drives {
-            if write(slots, count_mask, net, self.state[slot as usize]) {
-                push_pending(&mut activation.pending, net);
-            }
-        }
-        activation.apply_pending(schedule);
-
-        // 2. Evaluate combinational logic word-wide, in level order.
-        let mut full_pass = !self.settled || !activation.newly.is_empty();
-        self.settled = true;
-        if !full_pass {
-            for &cell in &self.active_cells {
-                let cell = schedule.cells[cell as usize];
-                // A quiet net toggled for the first time: its newly
-                // activated consumers sit at strictly higher levels than
-                // everything swept so far, so every evaluation up to here
-                // used correct inputs.  Stop and catch up with a full pass.
-                if evaluate(slots, count_mask, cell) && activation.first_flip(schedule, cell.output)
-                {
-                    full_pass = true;
-                    break;
-                }
-            }
-        }
-        if full_pass {
-            for &cell in &schedule.cells {
-                if evaluate(slots, count_mask, cell) {
-                    activation.first_flip(schedule, cell.output);
-                }
-            }
-        }
-        if !activation.newly.is_empty() {
-            self.active_cells.append(&mut activation.newly);
-            self.active_cells.sort_unstable();
+            write(slots, count_mask, net, self.state[slot as usize]);
         }
 
-        // 3. Capture the next state of sequential cells (D sampled at the
+        // 3. Evaluate combinational logic word-wide, in level order.
+        for &cell in &schedule.cells {
+            evaluate(slots, count_mask, cell);
+        }
+
+        // 4. Capture the next state of sequential cells (D sampled at the
         //    end of the cycle, visible on Q at the start of the next cycle).
         for &(slot, d) in &schedule.seq_captures {
             self.state[slot as usize] = slots[d as usize].word;

@@ -3,13 +3,9 @@
 //!
 //! The schedule replaces a per-cycle walk over the netlist graph with
 //! precomputed drive lists and a dense array of cells sorted by
-//! combinational level.  Beyond cache friendliness, the level order enables
-//! *quiescence skipping*: when a net flips, the per-net load-cell lists tell
-//! the simulator exactly which cells ever need re-evaluating, and its
-//! steady-state sweep visits only that ever-active set, in level order.  A
-//! cell no input of which has ever changed costs nothing at all (static
-//! routing-control, presence cones and the buses of idle ports in the
-//! generated switch circuits go quiet right after warm-up).
+//! combinational level.  In that order every cell comes after the cells
+//! that drive its inputs, so the packed engine settles a whole cycle with
+//! one linear pass over the array.
 //!
 //! A compiled schedule is self-contained: the packed engine runs from it
 //! (and the netlist's energy tables) without the netlist, so
@@ -58,7 +54,7 @@ impl ScheduledCell {
 }
 
 /// A compiled evaluation schedule for one netlist: drive lists, levelled
-/// combinational cells and per-net load-cell fanout.
+/// combinational cells and the per-net source table.
 ///
 /// Every vector is sized exactly: the compiled-switch memo keeps schedules
 /// for the life of the process.
@@ -83,11 +79,6 @@ pub struct EvalSchedule {
     /// the compile dropped its cell, else the net itself.  A source is
     /// never itself dropped.
     pub(crate) source: Vec<u32>,
-    /// Per net: range into `load_cells` — the scheduled cells this net
-    /// feeds.
-    net_load_index: Vec<(u32, u32)>,
-    /// Flattened per-net load-cell indices (indices into `cells`).
-    load_cells: Vec<u32>,
     /// Number of combinational levels.
     level_count: usize,
     /// See [`EvalSchedule::settle_cycles`].
@@ -246,33 +237,6 @@ impl EvalSchedule {
             }
         }
 
-        // Per net, the combinational consumers — the cells to queue for
-        // re-evaluation when the net toggles.  One flat array with per-net
-        // ranges (counting pass + prefix sums); a cell reading the same net
-        // on two pins appears twice, which the activation path tolerates
-        // (the second visit finds the cell already active).
-        let mut load_counts = vec![0_u32; netlist.net_count()];
-        for cell in &cells {
-            for &net in cell.live_inputs() {
-                load_counts[net as usize] += 1;
-            }
-        }
-        let mut net_load_index = Vec::with_capacity(netlist.net_count());
-        let mut total = 0_u32;
-        for &count in &load_counts {
-            net_load_index.push((total, total + count));
-            total += count;
-        }
-        let mut load_cells = vec![0_u32; total as usize];
-        let mut cursor: Vec<u32> = net_load_index.iter().map(|&(start, _)| start).collect();
-        for (sched_index, cell) in cells.iter().enumerate() {
-            for &net in cell.live_inputs() {
-                let slot = &mut cursor[net as usize];
-                load_cells[*slot as usize] = sched_index as u32;
-                *slot += 1;
-            }
-        }
-
         let settle_cycles = settle_depth(netlist.net_count(), &cells, &seq_drives, &seq_captures);
         Ok(Self {
             input_nets,
@@ -282,8 +246,6 @@ impl EvalSchedule {
             seq_captures,
             cells,
             source,
-            net_load_index,
-            load_cells,
             level_count,
             settle_cycles,
         })
@@ -311,7 +273,7 @@ impl EvalSchedule {
 
     /// Number of nets of the compiled netlist.
     pub(crate) fn net_count(&self) -> usize {
-        self.net_load_index.len()
+        self.source.len()
     }
 
     /// Cycles after which the simulation state no longer depends on where
@@ -333,13 +295,6 @@ impl EvalSchedule {
     pub fn settle_cycles(&self) -> Option<u64> {
         self.settle_cycles
     }
-
-    /// The scheduled cells to queue for re-evaluation when `net` toggles.
-    #[inline]
-    pub(crate) fn load_cells(&self, net: usize) -> &[u32] {
-        let (start, end) = self.net_load_index[net];
-        &self.load_cells[start as usize..end as usize]
-    }
 }
 
 #[cfg(test)]
@@ -358,9 +313,7 @@ impl EvalSchedule {
             seq_drives,
             seq_captures,
             cells,
-            source,
-            net_load_index,
-            load_cells
+            source
         )
     }
 }
@@ -467,12 +420,6 @@ mod tests {
         assert_eq!(schedule.constant_drives, vec![(tie.index() as u32, true)]);
         assert_eq!(schedule.seq_drives, vec![(q.index() as u32, 0)]);
         assert_eq!(schedule.seq_captures, vec![(0, gated.index() as u32)]);
-        // `ab` feeds only the level-1 OR (scheduled cell 1); `a` feeds only
-        // the level-0 AND (scheduled cell 0).
-        assert_eq!(schedule.load_cells(ab.index()), &[1]);
-        assert_eq!(schedule.load_cells(a.index()), &[0]);
-        // `q` feeds nothing combinational.
-        assert!(schedule.load_cells(q.index()).is_empty());
     }
 
     #[test]

@@ -5,14 +5,19 @@
 //! runs on the per-lane bit streams — and therefore bit-identical energies
 //! through the shared [`EnergyTables`].
 //!
-//! The netlists are seeded with the structure that stresses the packed
-//! engine's quiet-cell skipping: constant nets (cones that settle on the
+//! After every step, every net's word must equal, lane by lane, the value
+//! of that net in the lane's oracle, so a cell evaluated out of level order
+//! or not at all fails on the step it happens, even when no primary output
+//! shows it.
+//!
+//! The netlists are seeded with structure the engine's one level-ordered
+//! pass per step must get right: constant nets (cones that settle on the
 //! first step and never toggle again), duplicate cells, and undriven nets
 //! nothing reads.  Only a random number of low lanes is driven (the rest
-//! see all-zero inputs), which keeps cells quiet across steps and so makes
-//! nets flip for the first time in the middle of a sweep.  The packed run
-//! counts a random subset of lanes on its final step; with a single cycle
-//! that is a masked *first* step.
+//! see all-zero inputs), so many cells re-evaluate to the word they already
+//! hold, which must add no toggle.  The packed run counts a random subset
+//! of lanes on its final step; with a single cycle that is a masked *first*
+//! step.
 
 mod common;
 
@@ -23,6 +28,7 @@ use rand_chacha::ChaCha8Rng;
 use common::random_netlist;
 use fabric_power_netlist::cells::CellKind;
 use fabric_power_netlist::library::CellLibrary;
+use fabric_power_netlist::netlist::NetId;
 use fabric_power_netlist::packed::{PackedSimulator, LANES};
 use fabric_power_netlist::schedule::EvalSchedule;
 use fabric_power_netlist::sim::{EnergyTables, Simulator};
@@ -72,6 +78,10 @@ proptest! {
                 .iter()
                 .map(|&net| packed.net_word(net))
                 .collect();
+            let words: Vec<(NetId, u64)> = netlist
+                .nets()
+                .map(|(net, _)| (net, packed.net_word(net)))
+                .collect();
             for (lane, scalar) in oracles.iter_mut().enumerate() {
                 let counted = (count_mask >> lane) & 1 == 1;
                 if !counted {
@@ -93,6 +103,17 @@ proptest! {
                 let lane_outputs: Vec<bool> =
                     outputs.iter().map(|word| (word >> lane) & 1 == 1).collect();
                 prop_assert_eq!(lane_outputs, scalar.output_values());
+                // So does every net, whether an output reads it or not.
+                for &(net, word) in &words {
+                    prop_assert_eq!(
+                        (word >> lane) & 1 == 1,
+                        scalar.net_value(net),
+                        "net {} in lane {} after step {}",
+                        net.index(),
+                        lane,
+                        i
+                    );
+                }
             }
         }
 
