@@ -7,13 +7,19 @@
 //! is cell-oriented rather than textual: mismatches name the operating point
 //! and the field, not a line number.
 
+use std::collections::BTreeMap;
+
+use fabric_power_router::metrics::SparseLatencyHistogram;
+
 use crate::emit::SweepDocument;
 
 /// One numeric field that differs between the two documents at one cell.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FieldDelta {
-    /// Field name (matches the JSON/CSV spelling).
-    pub field: &'static str,
+    /// Field name: the JSON/CSV spelling, or for the latency histogram
+    /// `latency_histogram.count` (likewise `sum`, `max`, `overflow`) and
+    /// `latency_histogram[L]`, the samples of latency `L` cycles.
+    pub field: String,
     /// Value in the first document.
     pub a: f64,
     /// Value in the second document.
@@ -41,7 +47,7 @@ pub struct CellDiff {
     /// The cell's operating point, for the report (`architecture`, ports,
     /// offered load come from the first document).
     pub label: String,
-    /// Every differing numeric field.
+    /// Every differing numeric field, the latency histogram's last.
     pub fields: Vec<FieldDelta>,
 }
 
@@ -99,7 +105,8 @@ impl DocumentDiff {
 /// `tolerance` is the accepted relative deviation per field (`0.0` demands
 /// exact equality — the right setting for two runs of the same deterministic
 /// scenario; a small tolerance like `1e-9` compares results across
-/// platforms or refactors).
+/// platforms or refactors).  Each latency-histogram total and the count at
+/// each latency is a field of its own.
 #[must_use]
 pub fn diff_documents(a: &SweepDocument, b: &SweepDocument, tolerance: f64) -> DocumentDiff {
     let mut diff = DocumentDiff::default();
@@ -234,6 +241,11 @@ pub fn diff_documents(a: &SweepDocument, b: &SweepDocument, tolerance: f64) -> D
         ];
         let fields: Vec<FieldDelta> = candidates
             .into_iter()
+            .map(|(field, a, b)| (field.to_owned(), a, b))
+            .chain(histogram_fields(
+                &pa.latency_histogram,
+                &pb.latency_histogram,
+            ))
             .map(|(field, a, b)| FieldDelta { field, a, b })
             // A NaN deviation (one side NaN) must report as a difference,
             // not vanish through a false `>` comparison.
@@ -259,6 +271,40 @@ pub fn diff_documents(a: &SweepDocument, b: &SweepDocument, tolerance: f64) -> D
     }
 
     diff
+}
+
+/// Every field of two cells' latency histograms as `(name, a, b)`: the four
+/// totals, then the samples at each latency either side records, ascending.
+/// Bins are summed by latency, so two histograms that expand to the same
+/// distribution have no differing field.
+fn histogram_fields(
+    a: &SparseLatencyHistogram,
+    b: &SparseLatencyHistogram,
+) -> Vec<(String, f64, f64)> {
+    let totals = [
+        ("count", a.count, b.count),
+        ("sum", a.sum, b.sum),
+        ("max", a.max, b.max),
+        ("overflow", a.overflow, b.overflow),
+    ];
+    let mut bins: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
+    for &(latency, count) in &a.bins {
+        let entry = &mut bins.entry(latency).or_default().0;
+        *entry = entry.saturating_add(count);
+    }
+    for &(latency, count) in &b.bins {
+        let entry = &mut bins.entry(latency).or_default().1;
+        *entry = entry.saturating_add(count);
+    }
+    totals
+        .into_iter()
+        .map(|(total, a, b)| (format!("latency_histogram.{total}"), a, b))
+        .chain(
+            bins.into_iter()
+                .map(|(latency, (a, b))| (format!("latency_histogram[{latency}]"), a, b)),
+        )
+        .map(|(field, a, b)| (field, a as f64, b as f64))
+        .collect()
 }
 
 #[cfg(test)]
@@ -304,7 +350,7 @@ mod tests {
         assert!(diff.structural.is_empty());
         assert_eq!(diff.cells.len(), 1);
         assert_eq!(diff.cells[0].index, 1);
-        let fields: Vec<&str> = diff.cells[0].fields.iter().map(|d| d.field).collect();
+        let fields: Vec<&str> = diff.cells[0].fields.iter().map(|d| &*d.field).collect();
         assert_eq!(
             fields,
             vec!["measured_throughput", "average_latency_cycles"]
@@ -324,8 +370,39 @@ mod tests {
         b.points[0].latency_p99 += 3.0;
         let diff = diff_documents(&a, &b, 0.0);
         assert!(!diff.is_match());
-        let fields: Vec<&str> = diff.cells[0].fields.iter().map(|d| d.field).collect();
+        let fields: Vec<&str> = diff.cells[0].fields.iter().map(|d| &*d.field).collect();
         assert_eq!(fields, vec!["latency_p50", "latency_p95", "latency_p99"]);
+    }
+
+    #[test]
+    fn latency_histogram_drift_alone_is_a_cell_difference() {
+        let a = document();
+        let mut b = a.clone();
+        // Move one sample between the first two latency bins: every total
+        // and percentile of the document stays as it was.
+        let histogram = &mut b.points[1].latency_histogram;
+        assert!(histogram.bins.len() >= 2, "{histogram:?}");
+        histogram.bins[0].1 -= 1;
+        histogram.bins[1].1 += 1;
+        let (low, high) = (histogram.bins[0].0, histogram.bins[1].0);
+        let diff = diff_documents(&a, &b, 0.0);
+        assert!(diff.structural.is_empty());
+        assert_eq!(diff.cells.len(), 1);
+        assert_eq!(diff.cells[0].index, 1);
+        let fields: Vec<&str> = diff.cells[0].fields.iter().map(|d| &*d.field).collect();
+        assert_eq!(
+            fields,
+            vec![
+                format!("latency_histogram[{low}]"),
+                format!("latency_histogram[{high}]")
+            ]
+        );
+        assert!(diff.format().contains("1 differing cell(s)"));
+        // A total differs on its own too.
+        let mut c = a.clone();
+        c.points[0].latency_histogram.overflow += 1;
+        let diff = diff_documents(&a, &c, 0.0);
+        assert_eq!(diff.cells[0].fields[0].field, "latency_histogram.overflow");
     }
 
     #[test]
@@ -355,7 +432,7 @@ mod tests {
         });
         let diff = diff_documents(&a, &b, 0.0);
         assert_eq!(diff.cells.len(), 1);
-        let fields: Vec<&str> = diff.cells[0].fields.iter().map(|d| d.field).collect();
+        let fields: Vec<&str> = diff.cells[0].fields.iter().map(|d| &*d.field).collect();
         assert_eq!(fields, vec!["average_hops"]);
         // Present vs absent is a difference (NaN never hides), at any
         // tolerance.
@@ -425,7 +502,7 @@ mod tests {
     fn field_delta_relative_handles_zero() {
         assert_eq!(
             FieldDelta {
-                field: "x",
+                field: "x".into(),
                 a: 0.0,
                 b: 0.0
             }
@@ -434,7 +511,7 @@ mod tests {
         );
         assert!(
             (FieldDelta {
-                field: "x",
+                field: "x".into(),
                 a: 1.0,
                 b: 2.0
             }

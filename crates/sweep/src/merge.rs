@@ -7,15 +7,17 @@
 //! the cell-index range it covers.  [`merge_documents`] recombines partials
 //! by cell index into a [`SweepDocument`] that is byte-identical to what a
 //! single-process run of the same scenario would have emitted — and refuses
-//! anything less: overlapping cells, missing cells, out-of-range cells and
-//! metadata that disagrees between parts are all hard errors, never silent
-//! best effort.
+//! anything less: overlapping cells, missing cells, out-of-range cells, a
+//! point placed at another cell's index and metadata that disagrees between
+//! parts are all hard errors, never silent best effort.
 
+use fabric_power_fabric::Architecture;
 use serde::{Deserialize, Serialize};
 
-use crate::cell::{SeedStrategy, SweepPoint};
+use crate::cell::{SeedStrategy, SweepCell, SweepPoint};
 use crate::config::ExperimentConfig;
 use crate::emit::SweepDocument;
+use crate::plan::expand_cells;
 
 /// One measured cell inside a [`ShardDocument`]: the point plus the grid
 /// index that places it in the merged document.
@@ -109,6 +111,16 @@ pub enum MergeError {
         /// The grid size the configuration expands to.
         grid_size: usize,
     },
+    /// A result's point was not measured at the grid cell its index names:
+    /// its architecture, port count, offered load or mesh shape differ.
+    WrongCell {
+        /// The result's cell index.
+        cell: usize,
+        /// The coordinates of that cell in the configuration's grid.
+        expected: String,
+        /// The coordinates the point carries.
+        found: String,
+    },
     /// A part's claimed shard index does not fit its claimed shard count.
     ShardIndexOutOfRange {
         /// The claimed shard index.
@@ -152,6 +164,15 @@ impl std::fmt::Display for MergeError {
             Self::OutOfRange { cell, grid_size } => write!(
                 f,
                 "cell {cell} is outside the configuration's grid of {grid_size} cell(s)"
+            ),
+            Self::WrongCell {
+                cell,
+                expected,
+                found,
+            } => write!(
+                f,
+                "cell {cell} is {expected} in the configuration's grid, but its result \
+                 is for {found}"
             ),
             Self::ShardIndexOutOfRange {
                 shard_index,
@@ -199,6 +220,9 @@ impl std::error::Error for MergeError {}
 /// * [`MergeError::OutOfRange`] — a part claims a cell index outside the
 ///   configuration's grid;
 /// * [`MergeError::Overlap`] — a cell appears in more than one part;
+/// * [`MergeError::WrongCell`] — a result's point does not match the grid
+///   cell at its index (architecture, port count, bitwise offered load, or
+///   mesh shape);
 /// * [`MergeError::Missing`] — a cell appears in no part.
 pub fn merge_documents(parts: &[ShardDocument]) -> Result<SweepDocument, MergeError> {
     let Some(first) = parts.first() else {
@@ -266,19 +290,28 @@ pub fn merge_documents(parts: &[ShardDocument]) -> Result<SweepDocument, MergeEr
         }
     }
 
-    let grid_size = first.config.grid_size();
+    let cells = expand_cells(&first.config, first.seed_strategy);
+    let grid_size = cells.len();
     let mut slots: Vec<Option<SweepPoint>> = vec![None; grid_size];
     for part in parts {
         for result in &part.results {
-            if result.index >= grid_size {
+            let Some(cell) = cells.get(result.index) else {
                 return Err(MergeError::OutOfRange {
                     cell: result.index,
                     grid_size,
                 });
-            }
+            };
             let slot = &mut slots[result.index];
             if slot.is_some() {
                 return Err(MergeError::Overlap { cell: result.index });
+            }
+            let (expected, found) = (cell_coordinates(cell), point_coordinates(&result.point));
+            if expected != found {
+                return Err(MergeError::WrongCell {
+                    cell: result.index,
+                    expected: describe(expected),
+                    found: describe(found),
+                });
             }
             *slot = Some(result.point.clone());
         }
@@ -301,6 +334,50 @@ pub fn merge_documents(parts: &[ShardDocument]) -> Result<SweepDocument, MergeEr
             .map(|slot| slot.expect("checked"))
             .collect(),
     })
+}
+
+/// The coordinates that tie a point to its grid cell: architecture, port
+/// count, offered load (as bits, so it compares bitwise) and the mesh shape
+/// of a network of more than one router, the only kind whose points carry
+/// one.
+type Coordinates = (Architecture, usize, u64, Option<(usize, usize)>);
+
+/// The coordinates a point measured at `cell` carries.
+fn cell_coordinates(cell: &SweepCell) -> Coordinates {
+    let mesh = cell
+        .network
+        .filter(|network| network.nodes() > 1)
+        .map(|network| (network.width, network.height));
+    (
+        cell.architecture,
+        cell.ports,
+        cell.offered_load.to_bits(),
+        mesh,
+    )
+}
+
+/// The coordinates `point` carries.
+fn point_coordinates(point: &SweepPoint) -> Coordinates {
+    let mesh = point.network.map(|stats| (stats.width, stats.height));
+    (
+        point.architecture,
+        point.ports,
+        point.offered_load.to_bits(),
+        mesh,
+    )
+}
+
+/// `crossbar 4x4 @0.2`, with ` on a 2x2 mesh` for a mesh.
+fn describe((architecture, ports, load, mesh): Coordinates) -> String {
+    let point = format!(
+        "{} {ports}x{ports} @{}",
+        architecture.slug(),
+        f64::from_bits(load)
+    );
+    match mesh {
+        Some((width, height)) => format!("{point} on a {width}x{height} mesh"),
+        None => point,
+    }
 }
 
 #[cfg(test)]
@@ -416,6 +493,55 @@ mod tests {
                 grid_size
             })
         );
+    }
+
+    #[test]
+    fn a_point_at_another_cells_index_is_refused() {
+        let (mut parts, _) = parts(2, ShardStrategy::Contiguous);
+        // Swap two results' indices inside one part: its cell range and
+        // every other check still hold.
+        let results = &mut parts[0].results;
+        assert!(results.len() >= 3);
+        let (one, two) = (results[1].index, results[2].index);
+        results[1].index = two;
+        results[2].index = one;
+        let err = merge_documents(&parts).unwrap_err();
+        assert_eq!(
+            err,
+            MergeError::WrongCell {
+                cell: two,
+                expected: "fully_connected 4x4 @0.2".into(),
+                found: "crossbar 4x4 @0.4".into(),
+            }
+        );
+        assert!(err
+            .to_string()
+            .contains("cell 2 is fully_connected 4x4 @0.2 in the configuration's grid"));
+
+        // A single-router cell whose point claims a mesh is refused too.
+        let (mut parts, _) = self::parts(2, ShardStrategy::Contiguous);
+        let stats = fabric_power_noc::NetworkStats {
+            width: 2,
+            height: 2,
+            torus: false,
+            routing: fabric_power_noc::RoutingPolicy::DimensionOrder,
+            average_hops: 1.5,
+            hops_p50: 1.0,
+            hops_p95: 2.0,
+            hops_p99: 2.0,
+            link_energy: fabric_power_tech::units::Energy::ZERO,
+            per_hop_energy: fabric_power_tech::units::Energy::ZERO,
+            saturation_throughput: 0.2,
+            link_words: 0,
+            credit_stalls: 0,
+        };
+        parts[1].results[0].point.network = Some(stats);
+        let cell = parts[1].results[0].index;
+        assert!(matches!(
+            merge_documents(&parts),
+            Err(MergeError::WrongCell { cell: c, found, .. })
+                if c == cell && found.ends_with(" on a 2x2 mesh")
+        ));
     }
 
     #[test]
