@@ -11,7 +11,7 @@
 //! The generated [`Netlist`](crate::netlist::Netlist), with its named nets
 //! and cells, is dropped once it is compiled: keeping the netlists of the
 //! ten Table 1 circuits of a 32-bit bus as well costs about 1.5 MB of peak
-//! memory, against about 0.22 MB of heap for the compiled switches.
+//! memory, against about 0.17 MB of heap for the compiled switches.
 //!
 //! The schedule is compiled against the routing controls a characterization
 //! holds for its whole run (`held_controls`: the crosspoint's configuration
