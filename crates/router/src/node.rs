@@ -27,9 +27,16 @@
 //!   every hop carries dense link and element ids, so the per-link
 //!   polarity state, the per-element occupancy and the node-buffer fill are
 //!   flat arrays.  The table comes inside a [`PricedRoutes`], which holds
-//!   each hop kind's wire energy per flipped-bit count and switch energy
-//!   per element occupancy, so a hop charges two table reads instead of a
-//!   LUT lookup, a division and two conversions.  A mesh shares one.
+//!   one price row per hop kind: the wire energy per flipped-bit count,
+//!   then the switch energy per element occupancy.  A hop charges two reads
+//!   from its row instead of a LUT lookup, a division and two conversions.
+//!   A mesh shares one.  Transmission binds the price rows, the link
+//!   polarity state and the occupancy as local slices before its flow
+//!   loop, and counts delivered words in a local.
+//! * **Flip reuse.**  Each flow remembers the last word it sent, and each
+//!   new word's flips against it are counted once.  A link that still
+//!   holds that last word, because no other flow drove it since, flips
+//!   exactly those bits, so only a link another flow drove counts its own.
 //! * **Event-kept arbiter.**  The arbiter never scans the ports.  Per
 //!   output it keeps a bit set of the free inputs whose head-of-line packet
 //!   targets it, and a set of *pending* outputs: free outputs with at least
@@ -48,8 +55,12 @@
 //!   flow does: a grant adds the flow's hops, a blocked flag flipping in
 //!   contention resolution removes or re-adds them, and completion removes
 //!   them.  Transmission reads it without a pass over the flows' hops.
-//! * **Scratch claims.**  The contention claims live across cycles and
-//!   are cleared by walking the unblocked flows' hops, not reallocated.
+//! * **Claim stamps.**  Each contention pass has a new number, and a claim
+//!   writes it into the link's slot, so a link is claimed in this pass
+//!   exactly when it holds this pass's number.  The last pass's claims
+//!   lapse without a clearing walk, and the array is never reallocated.
+//!   The rotation visits the flows as two slices, from the starting flow to
+//!   the end and then from the first, with no `%` per flow.
 //! * **Completion buffer.**  [`RouterNode::step`] moves finished packets
 //!   into a buffer the caller owns and drains, instead of returning a new
 //!   `Vec` of clones.
@@ -70,7 +81,7 @@ use fabric_power_tech::wire::polarity_flips;
 
 use crate::energy::EnergyAccount;
 use crate::packet::Packet;
-use crate::route_table::{Hop, PricedRoutes, Route};
+use crate::route_table::{Hop, PricedRoutes, Route, FLIP_COUNTS};
 
 /// One packet currently crossing the fabric.
 #[derive(Debug, Clone)]
@@ -78,6 +89,9 @@ struct ActiveFlow {
     packet: Packet,
     route: Route,
     words_delivered: usize,
+    /// The last word the flow sent; before its first, the word its ingress
+    /// link last carried.
+    last_word: u64,
     /// Words currently parked in a node buffer because of contention.
     backlog: u64,
     /// Dense id of the element the backlog is parked at: the first
@@ -215,9 +229,12 @@ pub struct RouterNode {
     link_last_word: Vec<u64>,
     /// Words parked in each element's node buffer, by dense element id.
     node_buffer_words: Vec<u64>,
-    /// Contention scratch, all `false` between cycles: the links claimed
-    /// this cycle, by dense link id.
-    claimed: Vec<bool>,
+    /// The number of the contention pass that last claimed each link, by
+    /// dense link id: a link is claimed in this pass exactly when it holds
+    /// `contention_pass`.
+    claimed: Vec<u64>,
+    /// Contention passes run so far; 0 claims no link.
+    contention_pass: u64,
     /// The unblocked, unfinished flows crossing each element, by dense
     /// element id: the input vector its node-switch LUT is indexed with.
     /// Kept up to date as flows are granted, blocked, unblocked and
@@ -246,7 +263,8 @@ impl RouterNode {
             flows: Vec::with_capacity(ports),
             link_last_word: vec![0; routes.link_count()],
             node_buffer_words: vec![0; routes.element_count()],
-            claimed: vec![false; routes.link_count()],
+            claimed: vec![0; routes.link_count()],
+            contention_pass: 0,
             occupancy: vec![0; routes.element_count()],
             fabric,
             measuring: false,
@@ -374,6 +392,7 @@ impl RouterNode {
                 packet,
                 route,
                 words_delivered: 0,
+                last_word: self.link_last_word[route.ingress_link as usize],
                 backlog: 0,
                 backlog_element: 0,
                 blocked: false,
@@ -383,29 +402,35 @@ impl RouterNode {
     }
 
     /// Detects interconnect contention (internal blocking) for fabrics whose
-    /// paths can share links — only the Banyan in the paper's set.  Flows are
-    /// examined in a rotating priority order; a flow that cannot claim every
-    /// link of its path is blocked for this cycle and its incoming word is
-    /// absorbed by the node buffer at the first contended hop.  A flow whose
-    /// blocked flag flips moves its hops out of or back into the element
-    /// occupancy.  On other fabrics no flow is ever blocked.
+    /// paths can share links — only the Banyan in the paper's set, where
+    /// every hop is contendable.  Flows are examined in a rotating priority
+    /// order, from flow `cycle % flows` to the last and then from the first;
+    /// a flow that cannot claim every link of its path is blocked for this
+    /// cycle and its incoming word is absorbed by the node buffer at the
+    /// first contended hop.  A flow whose blocked flag flips moves its hops
+    /// out of or back into the element occupancy.  On other fabrics no flow
+    /// is ever blocked.
+    ///
+    /// Each pass has a new number, and a claim stamps the link with it, so
+    /// the last pass's claims lapse without being cleared.
     fn resolve_contention(&mut self, cycle: u64) {
         let table = self.fabric.routes();
         if self.flows.is_empty() || !table.contendable() {
             return;
         }
-        let count = self.flows.len();
-        let start = (cycle as usize) % count;
-        for offset in 0..count {
-            let flow = &mut self.flows[(start + offset) % count];
+        self.contention_pass += 1;
+        let pass = self.contention_pass;
+        let claimed = &mut self.claimed[..];
+        let occupancy = &mut self.occupancy[..];
+        let start = (cycle as usize) % self.flows.len();
+        let (before, after) = self.flows.split_at_mut(start);
+        for flow in after.iter_mut().chain(before) {
             if flow.is_complete() {
                 continue;
             }
             let hops = table.hops(&flow.route);
-            let contendable = hops.iter().filter(|hop| table.data(hop).contendable);
-            let blocked = if let Some(blocking) = contendable
-                .clone()
-                .find(|hop| self.claimed[hop.link as usize])
+            let blocked = if let Some(blocking) =
+                hops.iter().find(|hop| claimed[hop.link as usize] == pass)
             {
                 // Parked words stay where they were parked until the
                 // backlog drains, even if the flow later blocks elsewhere.
@@ -414,20 +439,14 @@ impl RouterNode {
                 }
                 true
             } else {
-                for hop in contendable {
-                    self.claimed[hop.link as usize] = true;
+                for hop in hops {
+                    claimed[hop.link as usize] = pass;
                 }
                 false
             };
             if blocked != flow.blocked {
                 flow.blocked = blocked;
-                count_occupancy(&mut self.occupancy, hops, !blocked);
-            }
-        }
-        // Only unblocked flows claimed links.
-        for flow in self.flows.iter().filter(|flow| !flow.blocked) {
-            for hop in table.hops(&flow.route) {
-                self.claimed[hop.link as usize] = false;
+                count_occupancy(occupancy, hops, !blocked);
             }
         }
     }
@@ -443,10 +462,14 @@ impl RouterNode {
         } else {
             (1_u64 << model.bus_width_bits()) - 1
         };
+        let (prices, row_len) = fabric.price_rows();
+        let links = &mut self.link_last_word[..];
+        let occupancy = &self.occupancy[..];
 
         let mut switch_energy = Energy::ZERO;
         let mut wire_energy = Energy::ZERO;
         let mut buffer_energy = Energy::ZERO;
+        let mut words_delivered = 0;
 
         for flow in &mut self.flows {
             if flow.is_complete() {
@@ -474,19 +497,34 @@ impl RouterNode {
             let word = flow.packet.payload[flow.words_delivered] & word_mask;
 
             // Wire energy: only bits that flip polarity on each interconnect
-            // segment dissipate energy (paper Eq. 2).
-            let ingress = &mut self.link_last_word[flow.route.ingress_link as usize];
-            let flips = f64::from(polarity_flips(*ingress, word));
+            // segment dissipate energy (paper Eq. 2).  A link still holding
+            // the flow's last word flips the bits the word does; only a link
+            // another flow drove since counts its own.
+            let previous = flow.last_word;
+            let word_flips = polarity_flips(previous, word);
+            let flips = |last: u64| {
+                if last == previous {
+                    word_flips
+                } else {
+                    polarity_flips(last, word)
+                }
+            };
+            let ingress = &mut links[flow.route.ingress_link as usize];
+            let ingress_flips = f64::from(flips(*ingress));
             *ingress = word;
-            wire_energy += model.grid_bit_energy() * (flips * flow.route.wire_grids_before as f64);
+            wire_energy +=
+                model.grid_bit_energy() * (ingress_flips * flow.route.wire_grids_before as f64);
             for hop in table.hops(&flow.route) {
-                let last = &mut self.link_last_word[hop.link as usize];
-                wire_energy += fabric.wire_energy(hop, polarity_flips(*last, word));
+                let row = hop.data as usize * row_len;
+                let last = &mut links[hop.link as usize];
+                wire_energy += prices[row + flips(*last) as usize];
                 *last = word;
                 // Node-switch energy from the input-vector LUT, at the
-                // element's occupancy.
-                switch_energy += fabric.switch_energy(hop, self.occupancy[hop.element as usize]);
+                // element's occupancy (never above `ports`: one flow per
+                // input).
+                switch_energy += prices[row + FLIP_COUNTS + occupancy[hop.element as usize]];
             }
+            flow.last_word = word;
 
             // A word previously parked in the node buffer drains along with
             // this one (its read access was already charged on the write).
@@ -496,12 +534,11 @@ impl RouterNode {
             }
 
             flow.words_delivered += 1;
-            if self.measuring {
-                self.words_delivered += 1;
-            }
+            words_delivered += 1;
         }
 
         if self.measuring {
+            self.words_delivered += words_delivered;
             self.energy.switches += switch_energy;
             self.energy.wires += wire_energy;
             self.energy.buffers += buffer_energy;
@@ -810,10 +847,121 @@ mod tests {
                 node.occupancy.iter().all(|&occupants| occupants == 0),
                 "{architecture} {ports}x{ports}: element occupancy left after draining"
             );
-            prop_assert!(
-                !node.claimed.contains(&true),
-                "{architecture} {ports}x{ports}: a link left claimed after draining"
-            );
+        }
+    }
+
+    /// The contention pass the claim stamps replaced: flows visited through
+    /// a `%` rotation, only contendable hops claimed, as `bool`s, and every
+    /// unblocked flow's hops cleared again at the end of the pass.
+    fn bool_and_clear_contention(
+        table: &RouteTable,
+        flows: &mut [ActiveFlow],
+        occupancy: &mut [usize],
+        claimed: &mut [bool],
+        cycle: u64,
+    ) {
+        if flows.is_empty() || !table.contendable() {
+            return;
+        }
+        let count = flows.len();
+        let start = (cycle as usize) % count;
+        for offset in 0..count {
+            let flow = &mut flows[(start + offset) % count];
+            if flow.is_complete() {
+                continue;
+            }
+            let hops = table.hops(&flow.route);
+            let contendable = hops.iter().filter(|hop| table.data(hop).contendable);
+            let blocked = if let Some(blocking) =
+                contendable.clone().find(|hop| claimed[hop.link as usize])
+            {
+                if flow.backlog == 0 {
+                    flow.backlog_element = blocking.element;
+                }
+                true
+            } else {
+                for hop in contendable {
+                    claimed[hop.link as usize] = true;
+                }
+                false
+            };
+            if blocked != flow.blocked {
+                flow.blocked = blocked;
+                count_occupancy(occupancy, hops, !blocked);
+            }
+        }
+        for flow in flows.iter().filter(|flow| !flow.blocked) {
+            for hop in table.hops(&flow.route) {
+                claimed[hop.link as usize] = false;
+            }
+        }
+    }
+
+    /// Each flow's contention outcome: its blocked flag and the element its
+    /// backlog is parked at.
+    fn contention_outcome(flows: &[ActiveFlow]) -> Vec<(bool, u32)> {
+        flows
+            .iter()
+            .map(|flow| (flow.blocked, flow.backlog_element))
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn claim_stamps_match_the_bool_and_clear_pass(
+            address_bits in 1_u32..=6,
+            seed in any::<u64>(),
+        ) {
+            let ports = 1_usize << address_bits;
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let routes = RouteTable::new(Architecture::Banyan, ports).unwrap();
+            let model = Arc::new(FabricEnergyModel::paper(ports).unwrap());
+            let fabric = Arc::new(PricedRoutes::new(routes, model).unwrap());
+            let table = fabric.routes();
+            let mut node = RouterNode::new(Arc::clone(&fabric), BANYAN_NODE_BUFFER_BITS);
+            let mut claimed = vec![false; table.link_count()];
+
+            // Per-case injection rate and schedule length, light to saturating.
+            let inject_p = rng.gen::<f64>();
+            let schedule_cycles = rng.gen_range(1..160_u64);
+            let mut completed = Vec::new();
+            let mut next_id = 0;
+            let mut cycle = 0;
+            while cycle < schedule_cycles || !drained(&node) {
+                prop_assert!(cycle < 100_000, "the node never drained");
+                if cycle < schedule_cycles {
+                    for port in 0..ports {
+                        if rng.gen_bool(inject_p) {
+                            let words = rng.gen_range(1..=24_usize);
+                            node.inject(
+                                port,
+                                Packet {
+                                    id: next_id,
+                                    source: port,
+                                    destination: rng.gen_range(0..ports),
+                                    payload: (0..words).map(|_| rng.gen()).collect(),
+                                    arrival_cycle: cycle,
+                                },
+                            );
+                            next_id += 1;
+                        }
+                    }
+                }
+                node.arbitrate();
+                let mut flows = node.flows.clone();
+                let mut occupancy = node.occupancy.clone();
+                bool_and_clear_contention(table, &mut flows, &mut occupancy, &mut claimed, cycle);
+                prop_assert!(!claimed.contains(&true), "a link left claimed after the pass");
+                node.resolve_contention(cycle);
+                prop_assert_eq!(contention_outcome(&node.flows), contention_outcome(&flows));
+                prop_assert_eq!(&node.occupancy, &occupancy);
+                node.transmit();
+                node.complete_flows(&mut completed);
+                completed.clear();
+                cycle += 1;
+            }
         }
     }
 }

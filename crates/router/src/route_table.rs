@@ -18,9 +18,10 @@
 //! building the table hashes nothing.
 //!
 //! A [`PricedRoutes`] pairs the table with one energy model and prices
-//! every hop kind once: its wire energy for each possible count of flipped
-//! bits, and its switch energy for each possible occupancy of its element.
-//! A mesh builds one and [`Arc`]-shares it across all of its nodes.
+//! every hop kind once, in one row: its wire energy for each possible count
+//! of flipped bits, then its switch energy for each possible occupancy of
+//! its element.  A mesh builds one and [`Arc`]-shares it across all of its
+//! nodes.
 //!
 //! [`RouterNode`]: crate::node::RouterNode
 
@@ -45,7 +46,8 @@ pub(crate) struct HopData {
     /// Node-switch inputs the bit's wire toggles (N on a crossbar row).
     pub(crate) charged_inputs: usize,
     /// Whether losing the outgoing link here parks the word in the node
-    /// buffer (Banyan only).
+    /// buffer.  Either every hop of a table is contendable (the Banyan) or
+    /// none is.
     pub(crate) contendable: bool,
 }
 
@@ -93,7 +95,8 @@ pub struct RouteTable {
     routes: Vec<Route>,
     hops: Vec<Hop>,
     hop_data: Vec<HopData>,
-    /// Whether any hop can suffer interconnect contention.
+    /// Whether every hop can suffer interconnect contention (no hop can
+    /// otherwise).
     contendable: bool,
 }
 
@@ -104,6 +107,12 @@ impl RouteTable {
     ///
     /// Returns [`TopologyError::InvalidPortCount`] unless `ports` is a
     /// power of two ≥ 2.
+    ///
+    /// # Panics
+    ///
+    /// If the topology mixes contendable and uncontendable hops: contention
+    /// resolution claims every hop of a route, so a fabric's hops are either
+    /// all contendable or none.
     pub fn new(architecture: Architecture, ports: usize) -> Result<Self, TopologyError> {
         let topology = FabricTopology::new(architecture, ports)?;
         let mut routes = Vec::with_capacity(ports * ports);
@@ -140,12 +149,17 @@ impl RouteTable {
                 });
             }
         }
+        let contendable = hop_data.iter().any(|d| d.contendable);
+        assert!(
+            hop_data.iter().all(|d| d.contendable == contendable),
+            "{architecture} {ports}x{ports}: hops are either all contendable or none"
+        );
         Ok(Self {
             ports,
             element_count: topology.element_count(),
             link_count: topology.link_count(),
             routes,
-            contendable: hop_data.iter().any(|d| d.contendable),
+            contendable,
             hops,
             hop_data,
         })
@@ -167,7 +181,7 @@ impl RouteTable {
         self.link_count
     }
 
-    /// Whether any route can suffer interconnect contention.
+    /// Whether routes can suffer interconnect contention, on every hop.
     pub(crate) fn contendable(&self) -> bool {
         self.contendable
     }
@@ -183,6 +197,7 @@ impl RouteTable {
     }
 
     /// The route-independent data of a hop.
+    #[cfg(test)]
     pub(crate) fn data(&self, hop: &Hop) -> &HopData {
         &self.hop_data[hop.data as usize]
     }
@@ -193,13 +208,15 @@ fn dense(id: usize) -> u32 {
 }
 
 /// Polarity flips one `u64` word can show against the previous one: 0..=64.
-const FLIP_COUNTS: usize = u64::BITS as usize + 1;
+/// A price row's switch energies start at this index.
+pub(crate) const FLIP_COUNTS: usize = u64::BITS as usize + 1;
 
 /// A [`RouteTable`] with every hop kind priced under one energy model.
 ///
-/// A transmitted word charges each hop two table reads: the wire energy of
-/// the bits it flips on the hop's outgoing link, and its share of the
-/// element's switch energy at the element's occupancy.  Each entry is the
+/// Each hop kind has one price row: the wire energy of the hop's outgoing
+/// link for each flipped-bit count `0..=64`, then one packet's share of the
+/// element's switch energy for each occupancy `0..=ports`.  A transmitted
+/// word charges each hop two reads from its row.  Each entry is the
 /// product the per-hop formula would compute, in the same operand order,
 /// so the sums a node accumulates are bit-identical to charging the model
 /// directly.
@@ -227,12 +244,13 @@ const FLIP_COUNTS: usize = u64::BITS as usize + 1;
 pub struct PricedRoutes {
     routes: RouteTable,
     model: Arc<FabricEnergyModel>,
-    /// Per hop kind, the wire energy of the link after the element, by
-    /// flipped-bit count.
-    wire: Vec<[Energy; FLIP_COUNTS]>,
-    /// Per hop kind, one packet's share of the element's switch energy by
-    /// occupancy `0..=ports`: `switch[kind * (ports + 1) + occupants]`.
-    switch: Vec<Energy>,
+    /// One row of `row_len` entries per hop kind: the wire energy of the
+    /// link after the element by flipped-bit count (`row[flips]`), then one
+    /// packet's share of the element's switch energy by occupancy
+    /// (`row[FLIP_COUNTS + occupants]`).
+    prices: Vec<Energy>,
+    /// `FLIP_COUNTS + ports + 1`.
+    row_len: usize,
 }
 
 impl PricedRoutes {
@@ -252,26 +270,23 @@ impl PricedRoutes {
         }
         let grid = model.grid_bit_energy();
         let bus_width = f64::from(model.bus_width_bits());
-        let wire = routes
-            .hop_data
-            .iter()
-            .map(|data| {
-                std::array::from_fn(|flips| grid * (flips as f64 * data.wire_grids_after as f64))
-            })
-            .collect();
-        let mut switch = Vec::with_capacity(routes.hop_data.len() * (ports + 1));
+        let row_len = FLIP_COUNTS + ports + 1;
+        let mut prices = Vec::with_capacity(routes.hop_data.len() * row_len);
         for data in &routes.hop_data {
+            prices.extend(
+                (0..FLIP_COUNTS).map(|flips| grid * (flips as f64 * data.wire_grids_after as f64)),
+            );
             if data.charged_inputs > 1 {
                 // Crossbar row: the bit toggles the inputs of all N
                 // crosspoints (Eq. 3's N·E_S term), whatever the occupancy.
                 let row = model.switch_bit_energy(data.class, 1)
                     * (bus_width * data.charged_inputs as f64);
-                switch.extend(std::iter::repeat_n(row, ports + 1));
+                prices.extend(std::iter::repeat_n(row, ports + 1));
             } else {
                 // The LUT value is the whole switch's per-bit-slot energy
                 // under that occupancy; split evenly between the packets
                 // sharing the switch so it is charged exactly once.
-                switch.extend((0..=ports).map(|occupants| {
+                prices.extend((0..=ports).map(|occupants| {
                     let occupants = occupants.max(1);
                     model.switch_bit_energy(data.class, occupants) * (bus_width / occupants as f64)
                 }));
@@ -280,8 +295,8 @@ impl PricedRoutes {
         Ok(Self {
             routes,
             model,
-            wire,
-            switch,
+            prices,
+            row_len,
         })
     }
 
@@ -297,21 +312,10 @@ impl PricedRoutes {
         &self.model
     }
 
-    /// Wire energy of a word that flips `flips` bits on `hop`'s outgoing
-    /// link.
-    #[inline]
-    pub(crate) fn wire_energy(&self, hop: &Hop, flips: u32) -> Energy {
-        self.wire[hop.data as usize][flips as usize]
-    }
-
-    /// One packet's share of the switch energy at `hop` while `occupants`
-    /// packets cross its element.
-    #[inline]
-    pub(crate) fn switch_energy(&self, hop: &Hop, occupants: usize) -> Energy {
-        // At most one flow per input, so an element never holds more than
-        // `ports`; a larger count would read the next hop kind's row.
-        debug_assert!(occupants <= self.routes.ports);
-        self.switch[hop.data as usize * (self.routes.ports + 1) + occupants]
+    /// Every hop kind's price row, back to back, and the row length: a
+    /// hop's row is `prices[hop.data * row_len..][..row_len]`.
+    pub(crate) fn price_rows(&self) -> (&[Energy], usize) {
+        (&self.prices, self.row_len)
     }
 }
 
@@ -339,6 +343,10 @@ mod tests {
                             assert_eq!(data.wire_grids_after, expected.wire_grids_after);
                             assert_eq!(data.charged_inputs, expected.charged_inputs);
                             assert_eq!(data.contendable, expected.buffered_on_contention);
+                            // Contention claims every hop of a route, so a
+                            // Banyan hop is always contendable and no other
+                            // fabric's ever is.
+                            assert_eq!(data.contendable, architecture == Architecture::Banyan);
                             assert_eq!(
                                 hop.link as usize,
                                 topology.hop_link(expected.element, expected.output_port)
@@ -367,18 +375,18 @@ mod tests {
                         .unwrap();
                 let (table, model) = (priced.routes(), priced.model());
                 let bus_width = f64::from(model.bus_width_bits());
-                for (kind, data) in table.hop_data.iter().enumerate() {
-                    let hop = &Hop {
-                        link: 0,
-                        element: 0,
-                        data: dense(kind),
-                    };
-                    for flips in 0..=64 {
+                let (prices, row_len) = priced.price_rows();
+                assert_eq!(row_len, FLIP_COUNTS + ports + 1);
+                assert_eq!(prices.len(), table.hop_data.len() * row_len);
+                for (row, data) in prices.chunks_exact(row_len).zip(&table.hop_data) {
+                    let (wire, switch) = row.split_at(FLIP_COUNTS);
+                    for (flips, &priced) in (0..=64_u32).zip(wire) {
                         let expected = model.grid_bit_energy()
                             * (f64::from(flips) * data.wire_grids_after as f64);
-                        assert_eq!(priced.wire_energy(hop, flips), expected);
+                        assert_eq!(priced, expected);
                     }
-                    for occupancy in 0..=ports {
+                    assert_eq!(switch.len(), ports + 1);
+                    for (occupancy, &priced) in switch.iter().enumerate() {
                         let expected = if data.charged_inputs > 1 {
                             model.switch_bit_energy(data.class, 1)
                                 * (bus_width * data.charged_inputs as f64)
@@ -387,7 +395,7 @@ mod tests {
                             model.switch_bit_energy(data.class, occupants)
                                 * (bus_width / occupants as f64)
                         };
-                        assert_eq!(priced.switch_energy(hop, occupancy), expected);
+                        assert_eq!(priced, expected);
                     }
                 }
             }
