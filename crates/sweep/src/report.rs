@@ -84,19 +84,19 @@ pub fn format_document(document: &SweepDocument) -> String {
         for &architecture in &document.config.architectures {
             out.push_str(&format!("{:<16}", architecture.slug()));
             for &load in &document.config.offered_loads {
-                match sweep.point(architecture, ports, load) {
-                    Some(point) => out.push_str(&format!(
-                        "{:>18}",
-                        format!(
-                            "{:.1} {:.0}/{:.0}/{:.0}",
-                            point.average_latency_cycles,
-                            point.latency_p50,
-                            point.latency_p95,
-                            point.latency_p99
-                        )
-                    )),
-                    None => out.push_str(&format!("{:>18}", "-")),
-                }
+                let cell = match sweep.point(architecture, ports, load) {
+                    Some(point) => format!(
+                        "{:.1} {:.0}/{:.0}/{:.0}",
+                        point.average_latency_cycles,
+                        point.latency_p50,
+                        point.latency_p95,
+                        point.latency_p99
+                    ),
+                    None => "-".into(),
+                };
+                // 18 columns, the last 17 right-aligned after a space that
+                // keeps a wider cell from running into the one before it.
+                out.push_str(&format!(" {cell:>17}"));
             }
             out.push('\n');
         }
@@ -324,5 +324,48 @@ mod tests {
             "{:.1} {:.0}/{:.0}/{:.0}",
             point.average_latency_cycles, point.latency_p50, point.latency_p95, point.latency_p99
         )));
+    }
+
+    #[test]
+    fn wide_latency_cells_stay_separated() {
+        let config = ExperimentConfig {
+            port_counts: vec![4],
+            offered_loads: vec![0.2, 0.4],
+            architectures: vec![fabric_power_fabric::Architecture::Banyan],
+            warmup_cycles: 20,
+            measure_cycles: 100,
+            ..ExperimentConfig::quick()
+        };
+        let mut points = SweepEngine::new().with_threads(1).run(&config).unwrap();
+        // Saturated cells, as the 32x32 Banyan gives in paper-fig9: each
+        // cell is 18 or more characters wide.
+        for (point, mean) in points.iter_mut().zip([259_275.6, 1_084_666.3]) {
+            point.average_latency_cycles = mean;
+            point.latency_p50 = 217.0;
+            point.latency_p95 = 777.0;
+            point.latency_p99 = 1084.0;
+        }
+        let text = format_document(&SweepDocument {
+            scenario: "wide-latency-test".into(),
+            config,
+            seed_strategy: crate::cell::SeedStrategy::Shared,
+            points,
+        });
+        let row = text
+            .lines()
+            .skip_while(|line| !line.contains("latency [cycles]"))
+            .find(|line| line.starts_with("banyan"))
+            .expect("a Banyan latency row");
+        assert_eq!(
+            row.split_whitespace().collect::<Vec<_>>(),
+            [
+                "banyan",
+                "259275.6",
+                "217/777/1084",
+                "1084666.3",
+                "217/777/1084"
+            ],
+            "{row}"
+        );
     }
 }
