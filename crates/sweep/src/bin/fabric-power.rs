@@ -100,13 +100,40 @@ All instrumentation is out of band (stderr / side files): emitted sweep
 documents are byte-identical with observability on or off.
 ";
 
+/// Why a command failed.
+#[derive(Debug)]
+enum CliError {
+    /// The arguments were wrong: an unknown command, an unexpected or
+    /// missing argument, or a malformed flag value.  Reported with a
+    /// pointer to the usage text.
+    Usage(String),
+    /// The arguments were fine, but the work failed: a file could not be
+    /// read or written, a document or plan was refused, a run failed.
+    Failed(String),
+}
+
+impl From<String> for CliError {
+    fn from(message: String) -> Self {
+        Self::Failed(message)
+    }
+}
+
+/// A usage error with this message.
+fn usage(message: impl Into<String>) -> CliError {
+    CliError::Usage(message.into())
+}
+
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     match apply_global_flags(&mut args).and_then(|()| run(&args)) {
         Ok(code) => code,
-        Err(message) => {
+        Err(CliError::Usage(message)) => {
             eprintln!("error: {message}");
             eprintln!("run `fabric-power help` for usage");
+            ExitCode::FAILURE
+        }
+        Err(CliError::Failed(message)) => {
+            eprintln!("error: {message}");
             ExitCode::FAILURE
         }
     }
@@ -116,7 +143,7 @@ fn main() -> ExitCode {
 /// (they are accepted anywhere, for every command) and configures the logger
 /// accordingly.  `--log` beats `$FABRIC_POWER_LOG`, which the logger already
 /// read at first use.
-fn apply_global_flags(args: &mut Vec<String>) -> Result<(), String> {
+fn apply_global_flags(args: &mut Vec<String>) -> Result<(), CliError> {
     let mut log_spec = None;
     let mut log_json = None;
     let mut index = 0;
@@ -130,13 +157,13 @@ fn apply_global_flags(args: &mut Vec<String>) -> Result<(), String> {
             }
         };
         if index + 1 >= args.len() {
-            return Err(format!("`{}` needs a value", args[index]));
+            return Err(usage(format!("`{}` needs a value", args[index])));
         }
         *slot = Some(args.remove(index + 1));
         args.remove(index);
     }
     if let Some(spec) = log_spec {
-        obs::log::set_filter(obs::Filter::parse(&spec)?);
+        obs::log::set_filter(obs::Filter::parse(&spec).map_err(CliError::Usage)?);
     }
     if let Some(path) = log_json {
         obs::log::log_json_to_file(std::path::Path::new(&path))
@@ -145,8 +172,10 @@ fn apply_global_flags(args: &mut Vec<String>) -> Result<(), String> {
     Ok(())
 }
 
-fn run(args: &[String]) -> Result<ExitCode, String> {
-    let done = |result: Result<(), String>| result.map(|()| ExitCode::SUCCESS);
+fn run(args: &[String]) -> Result<ExitCode, CliError> {
+    fn done(result: Result<(), impl Into<CliError>>) -> Result<ExitCode, CliError> {
+        result.map(|()| ExitCode::SUCCESS).map_err(Into::into)
+    }
     match args.first().map(String::as_str) {
         None | Some("help" | "--help" | "-h") => done(write_stdout(USAGE)),
         Some("list-scenarios") => done(list_scenarios()),
@@ -159,7 +188,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         Some("diff") => diff(&args[1..]),
         Some("report") => done(report_command(&args[1..])),
         Some("netlist-stats") => done(netlist_stats(&args[1..])),
-        Some(other) => Err(format!("unknown command `{other}`")),
+        Some(other) => Err(usage(format!("unknown command `{other}`"))),
     }
 }
 
@@ -177,23 +206,25 @@ fn list_scenarios() -> Result<(), String> {
     write_stdout(&out)
 }
 
-fn export_scenario(args: &[String]) -> Result<(), String> {
+fn export_scenario(args: &[String]) -> Result<(), CliError> {
     let [name] = args else {
-        return Err("export-scenario needs exactly one scenario name".into());
+        return Err(usage("export-scenario needs exactly one scenario name"));
     };
     let registry = ScenarioRegistry::builtin();
     let scenario = registry.get(name).ok_or_else(|| unknown_scenario(name))?;
-    write_stdout(&(serde_json::to_string_pretty(scenario).map_err(|e| e.to_string())? + "\n"))
+    Ok(write_stdout(
+        &(serde_json::to_string_pretty(scenario).map_err(|e| e.to_string())? + "\n"),
+    )?)
 }
 
 /// Pulls the value of `--flag value` out of an argument list.
-fn flag_value(args: &[String], flag: &str) -> Result<Option<String>, String> {
+fn flag_value(args: &[String], flag: &str) -> Result<Option<String>, CliError> {
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         if arg == flag {
             return match iter.next() {
                 Some(value) => Ok(Some(value.clone())),
-                None => Err(format!("`{flag}` needs a value")),
+                None => Err(usage(format!("`{flag}` needs a value"))),
             };
         }
     }
@@ -206,7 +237,7 @@ fn known_flags_with_positionals(
     args: &[String],
     positionals: usize,
     flags: &[&str],
-) -> Result<(), String> {
+) -> Result<(), CliError> {
     let mut expect_value = false;
     let mut seen_positionals = 0;
     for arg in args {
@@ -219,13 +250,13 @@ fn known_flags_with_positionals(
         } else if !arg.starts_with('-') && seen_positionals < positionals {
             seen_positionals += 1;
         } else {
-            return Err(format!("unexpected argument `{arg}`"));
+            return Err(usage(format!("unexpected argument `{arg}`")));
         }
     }
     Ok(())
 }
 
-fn known_flags(args: &[String], flags: &[&str]) -> Result<(), String> {
+fn known_flags(args: &[String], flags: &[&str]) -> Result<(), CliError> {
     known_flags_with_positionals(args, 0, flags)
 }
 
@@ -260,16 +291,16 @@ fn load_scenario(
     file: Option<String>,
     neither: &str,
     both: &str,
-) -> Result<Scenario, String> {
+) -> Result<Scenario, CliError> {
     match (name, file) {
-        (Some(_), Some(_)) => Err(both.into()),
-        (None, None) => Err(neither.into()),
+        (Some(_), Some(_)) => Err(usage(both)),
+        (None, None) => Err(usage(neither)),
         (Some(name), None) => {
             let registry = ScenarioRegistry::builtin();
-            registry
+            Ok(registry
                 .get(&name)
                 .cloned()
-                .ok_or_else(|| unknown_scenario(&name))
+                .ok_or_else(|| unknown_scenario(&name))?)
         }
         (None, Some(path)) => {
             let json =
@@ -283,7 +314,7 @@ fn load_scenario(
 
 /// Resolves the scenario from `--scenario <NAME>` or `--scenario-file
 /// <FILE>` (exactly one of the two).
-fn resolve_scenario(args: &[String]) -> Result<Scenario, String> {
+fn resolve_scenario(args: &[String]) -> Result<Scenario, CliError> {
     load_scenario(
         flag_value(args, "--scenario")?,
         flag_value(args, "--scenario-file")?,
@@ -294,17 +325,21 @@ fn resolve_scenario(args: &[String]) -> Result<Scenario, String> {
 
 /// Builds the model provider: disk-backed when `--model-cache` is given,
 /// otherwise the process-wide in-memory one.
-fn resolve_provider(args: &[String]) -> Result<Arc<ModelProvider>, String> {
-    ModelProvider::from_cache_dir_arg(flag_value(args, "--model-cache")?.as_deref())
+fn resolve_provider(args: &[String]) -> Result<Arc<ModelProvider>, CliError> {
+    Ok(ModelProvider::from_cache_dir_arg(
+        flag_value(args, "--model-cache")?.as_deref(),
+    )?)
 }
 
 /// Builds the provider + engine pair every executing subcommand shares:
 /// `--model-cache` selects the provider, `--threads` the worker count.
-fn resolve_engine(args: &[String]) -> Result<(Arc<ModelProvider>, SweepEngine), String> {
+fn resolve_engine(args: &[String]) -> Result<(Arc<ModelProvider>, SweepEngine), CliError> {
     let provider = resolve_provider(args)?;
     let mut engine = SweepEngine::new().with_provider(Arc::clone(&provider));
     if let Some(threads) = flag_value(args, "--threads")? {
-        engine = engine.with_threads(fabric_power_sweep::executor::parse_thread_count(&threads)?);
+        let threads =
+            fabric_power_sweep::executor::parse_thread_count(&threads).map_err(CliError::Usage)?;
+        engine = engine.with_threads(threads);
     }
     Ok((provider, engine))
 }
@@ -315,7 +350,7 @@ fn print_cache_stats(provider: &ModelProvider) {
     }
 }
 
-fn sweep(args: &[String]) -> Result<(), String> {
+fn sweep(args: &[String]) -> Result<(), CliError> {
     known_flags(
         args,
         &[
@@ -337,7 +372,8 @@ fn sweep(args: &[String]) -> Result<(), String> {
         config.seed = parse_seed(&seed)?;
     }
     if let Some(strategy) = flag_value(args, "--seed-strategy")? {
-        engine = engine.with_seed_strategy(SeedStrategy::parse(&strategy)?);
+        engine =
+            engine.with_seed_strategy(SeedStrategy::parse(&strategy).map_err(CliError::Usage)?);
     }
 
     eprintln!(
@@ -368,7 +404,7 @@ fn sweep(args: &[String]) -> Result<(), String> {
 /// The one output policy for subcommands that produce a [`SweepDocument`]
 /// (`sweep`, `merge`): write `--out` and/or `--csv` when given, otherwise
 /// dump the JSON document to stdout.
-fn write_document_outputs(document: &SweepDocument, args: &[String]) -> Result<(), String> {
+fn write_document_outputs(document: &SweepDocument, args: &[String]) -> Result<(), CliError> {
     let out = flag_value(args, "--out")?.map(PathBuf::from);
     let csv = flag_value(args, "--csv")?.map(PathBuf::from);
     match (&out, &csv) {
@@ -390,14 +426,14 @@ fn write_document_outputs(document: &SweepDocument, args: &[String]) -> Result<(
     Ok(())
 }
 
-fn cache(args: &[String]) -> Result<(), String> {
+fn cache(args: &[String]) -> Result<(), CliError> {
     let action = args
         .first()
-        .ok_or_else(|| "cache needs an action: stats, clear, prune or warm".to_string())?;
+        .ok_or_else(|| usage("cache needs an action: stats, clear, prune or warm"))?;
     let rest = &args[1..];
-    let require_dir = |rest: &[String]| -> Result<Arc<ModelProvider>, String> {
+    let require_dir = |rest: &[String]| -> Result<Arc<ModelProvider>, CliError> {
         if flag_value(rest, "--model-cache")?.is_none() {
-            return Err(format!("cache {action} needs `--model-cache <DIR>`"));
+            return Err(usage(format!("cache {action} needs `--model-cache <DIR>`")));
         }
         resolve_provider(rest)
     };
@@ -443,13 +479,15 @@ fn cache(args: &[String]) -> Result<(), String> {
                     None => format!("{file}  {:>7} B  CORRUPT\n", entry.bytes),
                 });
             }
-            write_stdout(&out)
+            Ok(write_stdout(&out)?)
         }
         "clear" => {
             known_flags(rest, &["--model-cache"])?;
             let provider = require_dir(rest)?;
             let removed = provider.clear_disk().map_err(|e| e.to_string())?;
-            write_stdout(&format!("removed {removed} cached model(s)\n"))
+            Ok(write_stdout(&format!(
+                "removed {removed} cached model(s)\n"
+            ))?)
         }
         "prune" => {
             known_flags(rest, &["--model-cache", "--max-age-days", "--max-bytes"])?;
@@ -465,7 +503,9 @@ fn cache(args: &[String]) -> Result<(), String> {
                         .and_then(|days| {
                             std::time::Duration::try_from_secs_f64(days * 86_400.0).ok()
                         })
-                        .ok_or_else(|| format!("invalid `--max-age-days` value `{value}`"))?;
+                        .ok_or_else(|| {
+                            usage(format!("invalid `--max-age-days` value `{value}`"))
+                        })?;
                     Some(age)
                 }
                 None => None,
@@ -474,19 +514,19 @@ fn cache(args: &[String]) -> Result<(), String> {
                 Some(value) => Some(
                     value
                         .parse::<u64>()
-                        .map_err(|_| format!("invalid `--max-bytes` value `{value}`"))?,
+                        .map_err(|_| usage(format!("invalid `--max-bytes` value `{value}`")))?,
                 ),
                 None => None,
             };
             if max_age.is_none() && max_bytes.is_none() {
-                return Err(
-                    "cache prune needs `--max-age-days <D>` and/or `--max-bytes <B>`".into(),
-                );
+                return Err(usage(
+                    "cache prune needs `--max-age-days <D>` and/or `--max-bytes <B>`",
+                ));
             }
             let report = provider
                 .prune_disk(max_age, max_bytes)
                 .map_err(|e| e.to_string())?;
-            write_stdout(&format!("{report}\n"))
+            Ok(write_stdout(&format!("{report}\n"))?)
         }
         "warm" => {
             known_flags(rest, &["--model-cache", "--scenario", "--scenario-file"])?;
@@ -502,16 +542,16 @@ fn cache(args: &[String]) -> Result<(), String> {
                     .map_err(|e| e.to_string())?;
                 warmed.push(ports);
             }
-            write_stdout(&format!(
+            Ok(write_stdout(&format!(
                 "warmed {} model(s) for scenario `{}`: {}\n",
                 warmed.len(),
                 scenario.name,
                 provider.stats()
-            ))
+            ))?)
         }
-        other => Err(format!(
+        other => Err(usage(format!(
             "unknown cache action `{other}` (expected stats, clear, prune or warm)"
-        )),
+        ))),
     }
 }
 
@@ -522,20 +562,20 @@ fn read_document(path: &str) -> Result<SweepDocument, String> {
 
 /// Compares two documents; a mismatch is a *result* (exit code 1 with the
 /// delta report on stdout), not a usage error.
-fn diff(args: &[String]) -> Result<ExitCode, String> {
+fn diff(args: &[String]) -> Result<ExitCode, CliError> {
     known_flags_with_positionals(args, 2, &["--tolerance"])?;
     let tolerance = match flag_value(args, "--tolerance")? {
         Some(value) => value
             .parse::<f64>()
             .ok()
             .filter(|t| t.is_finite() && *t >= 0.0)
-            .ok_or_else(|| format!("invalid tolerance `{value}`"))?,
+            .ok_or_else(|| usage(format!("invalid tolerance `{value}`")))?,
         None => 0.0,
     };
     // The two document paths are the arguments left once `--tolerance` and
     // its value are removed.
     let [a_path, b_path] = positional_args(args, &["--tolerance"])[..] else {
-        return Err("diff needs exactly two document paths".into());
+        return Err(usage("diff needs exactly two document paths"));
     };
     let a = read_document(a_path)?;
     let b = read_document(b_path)?;
@@ -549,7 +589,7 @@ fn diff(args: &[String]) -> Result<ExitCode, String> {
 }
 
 /// `fabric-power plan <SCENARIO> --shards N`: expand once, split, serialize.
-fn plan(args: &[String]) -> Result<(), String> {
+fn plan(args: &[String]) -> Result<(), CliError> {
     const FLAGS: &[&str] = &[
         "--scenario-file",
         "--shards",
@@ -559,15 +599,14 @@ fn plan(args: &[String]) -> Result<(), String> {
         "--out",
     ];
     known_flags_with_positionals(args, 1, FLAGS)?;
-    let shards =
-        flag_value(args, "--shards")?.ok_or_else(|| "plan needs `--shards <N>`".to_string())?;
-    let shards: usize = shards
-        .parse()
-        .ok()
-        .filter(|&n| n > 0)
-        .ok_or_else(|| format!("invalid shard count `{shards}` (need a positive integer)"))?;
+    let shards = flag_value(args, "--shards")?.ok_or_else(|| usage("plan needs `--shards <N>`"))?;
+    let shards: usize = shards.parse().ok().filter(|&n| n > 0).ok_or_else(|| {
+        usage(format!(
+            "invalid shard count `{shards}` (need a positive integer)"
+        ))
+    })?;
     let strategy = match flag_value(args, "--strategy")? {
-        Some(value) => ShardStrategy::parse(&value)?,
+        Some(value) => ShardStrategy::parse(&value).map_err(CliError::Usage)?,
         None => ShardStrategy::Contiguous,
     };
 
@@ -575,7 +614,7 @@ fn plan(args: &[String]) -> Result<(), String> {
     let positional_name = match positional_args(args, FLAGS)[..] {
         [] => None,
         [name] => Some(name.clone()),
-        _ => return Err("plan takes at most one scenario name".into()),
+        _ => return Err(usage("plan takes at most one scenario name")),
     };
     let Scenario { name, config, .. } = load_scenario(
         positional_name,
@@ -589,7 +628,7 @@ fn plan(args: &[String]) -> Result<(), String> {
         config.seed = parse_seed(&seed)?;
     }
     let seed_strategy = match flag_value(args, "--seed-strategy")? {
-        Some(value) => SeedStrategy::parse(&value)?,
+        Some(value) => SeedStrategy::parse(&value).map_err(CliError::Usage)?,
         None => SeedStrategy::Shared,
     };
 
@@ -602,24 +641,24 @@ fn plan(args: &[String]) -> Result<(), String> {
         plan.shard_count(),
         plan.strategy.slug(),
     );
-    emit_json(
+    Ok(emit_json(
         &plan.to_json_string().map_err(|e| e.to_string())?,
         flag_value(args, "--out")?.as_deref(),
-    )
+    )?)
 }
 
 /// `fabric-power run-shard <PLAN> --index i`: execute one shard of a plan.
-fn run_shard(args: &[String]) -> Result<(), String> {
+fn run_shard(args: &[String]) -> Result<(), CliError> {
     const FLAGS: &[&str] = &["--index", "--threads", "--model-cache", "--out"];
     known_flags_with_positionals(args, 1, FLAGS)?;
     let [plan_path] = positional_args(args, FLAGS)[..] else {
-        return Err("run-shard needs exactly one plan file".into());
+        return Err(usage("run-shard needs exactly one plan file"));
     };
     let index =
-        flag_value(args, "--index")?.ok_or_else(|| "run-shard needs `--index <I>`".to_string())?;
+        flag_value(args, "--index")?.ok_or_else(|| usage("run-shard needs `--index <I>`"))?;
     let index: usize = index
         .parse()
-        .map_err(|_| format!("invalid shard index `{index}`"))?;
+        .map_err(|_| usage(format!("invalid shard index `{index}`")))?;
 
     let json =
         std::fs::read_to_string(plan_path).map_err(|e| format!("reading {plan_path}: {e}"))?;
@@ -651,19 +690,19 @@ fn run_shard(args: &[String]) -> Result<(), String> {
         started.elapsed()
     );
     print_cache_stats(&provider);
-    emit_json(
+    Ok(emit_json(
         &document.to_json_string().map_err(|e| e.to_string())?,
         flag_value(args, "--out")?.as_deref(),
-    )
+    )?)
 }
 
 /// `fabric-power merge <PART>...`: recombine partial documents by cell index.
-fn merge(args: &[String]) -> Result<(), String> {
+fn merge(args: &[String]) -> Result<(), CliError> {
     const FLAGS: &[&str] = &["--out", "--csv"];
     known_flags_with_positionals(args, usize::MAX, FLAGS)?;
     let part_paths = positional_args(args, FLAGS);
     if part_paths.is_empty() {
-        return Err("merge needs at least one shard document".into());
+        return Err(usage("merge needs at least one shard document"));
     }
     let mut parts = Vec::with_capacity(part_paths.len());
     for path in part_paths {
@@ -698,7 +737,7 @@ fn emit_json(json: &str, out: Option<&str>) -> Result<(), String> {
     Ok(())
 }
 
-fn parse_seed(input: &str) -> Result<u64, String> {
+fn parse_seed(input: &str) -> Result<u64, CliError> {
     let parsed = if let Some(hex) = input
         .strip_prefix("0x")
         .or_else(|| input.strip_prefix("0X"))
@@ -707,15 +746,14 @@ fn parse_seed(input: &str) -> Result<u64, String> {
     } else {
         input.parse()
     };
-    parsed.map_err(|_| format!("invalid seed `{input}`"))
+    parsed.map_err(|_| usage(format!("invalid seed `{input}`")))
 }
 
-fn report_command(args: &[String]) -> Result<(), String> {
+fn report_command(args: &[String]) -> Result<(), CliError> {
     known_flags(args, &["--in"])?;
-    let path =
-        flag_value(args, "--in")?.ok_or_else(|| "report needs `--in <FILE.json>`".to_string())?;
+    let path = flag_value(args, "--in")?.ok_or_else(|| usage("report needs `--in <FILE.json>`"))?;
     let document = read_document(&path)?;
-    write_stdout(&report::format_document(&document))
+    Ok(write_stdout(&report::format_document(&document))?)
 }
 
 /// One `netlist-stats` row: the size of one generated circuit class.
@@ -776,7 +814,7 @@ fn parse_netlist_classes(arg: &str) -> Result<Vec<SwitchClass>, String> {
 /// `fabric-power netlist-stats <CLASS> [--json]`: generate a Table 1 switch
 /// circuit and print its cell, net and level counts, its settle depth and
 /// its cell-kind histogram — the size of what characterization simulates.
-fn netlist_stats(args: &[String]) -> Result<(), String> {
+fn netlist_stats(args: &[String]) -> Result<(), CliError> {
     let mut json = false;
     let mut rest = Vec::new();
     for arg in args {
@@ -788,11 +826,9 @@ fn netlist_stats(args: &[String]) -> Result<(), String> {
     known_flags_with_positionals(&rest, 1, &[])?;
     let class_arg = rest
         .first()
-        .ok_or_else(|| format!("netlist-stats needs a class: {NETLIST_CLASSES}"))?;
-    write_stdout(&render_netlist_stats(
-        &parse_netlist_classes(class_arg)?,
-        json,
-    )?)
+        .ok_or_else(|| usage(format!("netlist-stats needs a class: {NETLIST_CLASSES}")))?;
+    let classes = parse_netlist_classes(class_arg).map_err(CliError::Usage)?;
+    Ok(write_stdout(&render_netlist_stats(&classes, json)?)?)
 }
 
 /// Renders the `netlist-stats` rows of `classes`: pretty JSON (`json`) or
