@@ -59,8 +59,8 @@
 //!   writes it into the link's slot, so a link is claimed in this pass
 //!   exactly when it holds this pass's number.  The last pass's claims
 //!   lapse without a clearing walk, and the array is never reallocated.
-//!   The rotation visits the flows as two slices, from the starting flow to
-//!   the end and then from the first, with no `%` per flow.
+//!   The rotation visits the flows as two slices: from the starting flow
+//!   to the end, then from the first.
 //! * **Completion buffer.**  [`RouterNode::step`] moves finished packets
 //!   into a buffer the caller owns and drains, instead of returning a new
 //!   `Vec` of clones.
@@ -231,7 +231,8 @@ pub struct RouterNode {
     node_buffer_words: Vec<u64>,
     /// The number of the contention pass that last claimed each link, by
     /// dense link id: a link is claimed in this pass exactly when it holds
-    /// `contention_pass`.
+    /// `contention_pass`.  Empty on a fabric without contention, whose
+    /// links are never claimed.
     claimed: Vec<u64>,
     /// Contention passes run so far; 0 claims no link.
     contention_pass: u64,
@@ -255,6 +256,11 @@ impl RouterNode {
     pub fn new(fabric: Arc<PricedRoutes>, node_buffer_bits: u64) -> Self {
         let routes = fabric.routes();
         let ports = routes.ports();
+        let claimable_links = if routes.contendable() {
+            routes.link_count()
+        } else {
+            0
+        };
         Self {
             node_buffer_bits,
             input_queues: vec![VecDeque::new(); ports],
@@ -263,7 +269,7 @@ impl RouterNode {
             flows: Vec::with_capacity(ports),
             link_last_word: vec![0; routes.link_count()],
             node_buffer_words: vec![0; routes.element_count()],
-            claimed: vec![0; routes.link_count()],
+            claimed: vec![0; claimable_links],
             contention_pass: 0,
             occupancy: vec![0; routes.element_count()],
             fabric,
@@ -520,9 +526,12 @@ impl RouterNode {
                 wire_energy += prices[row + flips(*last) as usize];
                 *last = word;
                 // Node-switch energy from the input-vector LUT, at the
-                // element's occupancy (never above `ports`: one flow per
-                // input).
-                switch_energy += prices[row + FLIP_COUNTS + occupancy[hop.element as usize]];
+                // element's occupancy.  At most one flow per input, so an
+                // element never holds more than `ports`; a larger count
+                // would read the next hop kind's row.
+                let occupants = occupancy[hop.element as usize];
+                debug_assert!(FLIP_COUNTS + occupants < row_len);
+                switch_energy += prices[row + FLIP_COUNTS + occupants];
             }
             flow.last_word = word;
 
