@@ -192,17 +192,6 @@ impl FabricEnergyModel {
         serde_json::to_string(self)
     }
 
-    /// Rebuilds a model from its canonical JSON form
-    /// ([`FabricEnergyModel::to_canonical_json`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates parse errors (a corrupt cache file surfaces here and makes
-    /// the provider fall back to re-derivation).
-    pub fn from_canonical_json(json: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(json)
-    }
-
     fn check_ports(ports: usize) -> Result<(), EnergyModelError> {
         if ports >= 2 && ports.is_power_of_two() {
             Ok(())
@@ -374,9 +363,9 @@ mod tests {
         let model = FabricEnergyModel::paper(8).unwrap();
         let json = model.to_canonical_json().unwrap();
         assert_eq!(json, model.to_canonical_json().unwrap());
-        let back = FabricEnergyModel::from_canonical_json(&json).unwrap();
+        let back: FabricEnergyModel = serde_json::from_str(&json).unwrap();
         assert_eq!(model, back);
-        assert!(FabricEnergyModel::from_canonical_json("{ not json").is_err());
+        assert!(serde_json::from_str::<FabricEnergyModel>("{ not json").is_err());
     }
 
     #[test]

@@ -1,24 +1,27 @@
 //! The model-provider layer: every energy-model acquisition in the workspace
 //! goes through a [`ModelProvider`].
 //!
-//! With `ModelSource::Derived` the gate-level characterization of the full
-//! switch set is the single largest fixed cost of a sweep, and it used to be
-//! repeated per fabric size, per process.  The provider restructures that
-//! acquisition into three layers:
+//! With `ModelSource::Derived` a model build runs gate-level
+//! characterization of the full switch set.  The provider organizes that
+//! acquisition in three layers:
 //!
 //! 1. a **specification** ([`ModelSpec`]) — the complete, serializable
 //!    description of one model build: `(ports, bus width, technology,
 //!    characterization config, model source)`;
 //! 2. an **in-memory memo**: one immutable [`Arc<FabricEnergyModel>`] per
 //!    spec, shared across sweeps, simulators and worker threads of a process;
-//! 3. an optional **content-addressed on-disk store**: each model is
-//!    persisted under a stable hash of its spec's canonical JSON form, with
-//!    atomic write-then-rename persistence and corruption-tolerant reads — a
-//!    bad cache file falls back to re-derivation, never an error.
+//! 3. an optional **content-addressed on-disk store**
+//!    ([`ModelProvider::with_disk_cache`]): each model is persisted under a
+//!    stable hash of its spec's canonical JSON form, with atomic
+//!    write-then-rename persistence and corruption-tolerant reads — a bad
+//!    store file falls back to re-derivation, never an error.
 //!
-//! A warmed cache makes derived-model sweeps start in milliseconds instead of
-//! re-characterizing, and N sharded worker processes can share one cache
-//! directory instead of each redoing identical characterization.
+//! Sweeps and the `fabric-power` CLI run on the in-memory memo alone
+//! ([`ModelProvider::shared`]): characterizing every paper size costs a few
+//! milliseconds per process, so persisting models across processes saves
+//! nothing measurable.  The on-disk store remains for the benchmark's
+//! `table1-mc` workload, which times a cold build into a fresh store and a
+//! warm read back from it.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -116,15 +119,6 @@ impl ModelSpec {
         matches!(self.kind, ModelKind::Derived { .. })
     }
 
-    /// A short human-readable label for the recipe (`paper` / `derived`).
-    #[must_use]
-    pub fn kind_label(&self) -> &'static str {
-        match self.kind {
-            ModelKind::Paper => "paper",
-            ModelKind::Derived { .. } => "derived",
-        }
-    }
-
     /// The stable content address of this spec: a 128-bit FNV-1a hash of its
     /// canonical JSON form (prefixed with [`CACHE_FORMAT_VERSION`]), rendered
     /// as 32 lowercase hex digits.
@@ -173,8 +167,8 @@ impl ModelSpec {
 /// # Errors
 ///
 /// Propagates I/O errors from the write or the rename; either failure
-/// removes the temporary file before returning, so it leaves no
-/// full-size leftover for `cache clear`/`prune` to find later.
+/// removes the temporary file before returning, so a failed write leaves no
+/// full-size leftover next to `path`.
 pub fn write_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
     static TMP_NONCE: AtomicU64 = AtomicU64::new(0);
     let nonce = TMP_NONCE.fetch_add(1, Ordering::Relaxed);
@@ -280,39 +274,13 @@ struct Counters {
     disk_write_errors: AtomicU64,
 }
 
-/// What [`ModelProvider::disk_entries`] reports about one cache file.
+/// What [`ModelProvider::disk_entries`] reports about one store file.
 #[derive(Debug, Clone)]
 pub struct DiskEntryInfo {
-    /// Path of the cache file.
+    /// Path of the store file.
     pub path: PathBuf,
     /// File size in bytes.
     pub bytes: u64,
-    /// The spec the entry was built from, or `None` when the file is corrupt
-    /// or from an incompatible format version.
-    pub spec: Option<ModelSpec>,
-}
-
-/// What [`ModelProvider::prune_disk`] did (see `fabric-power cache prune`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PruneReport {
-    /// Entries deleted.
-    pub removed: usize,
-    /// Bytes those entries occupied.
-    pub removed_bytes: u64,
-    /// Entries still in the store afterwards.
-    pub kept: usize,
-    /// Bytes the store occupies afterwards.
-    pub kept_bytes: u64,
-}
-
-impl std::fmt::Display for PruneReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "removed {} entry(ies) ({} bytes), kept {} ({} bytes)",
-            self.removed, self.removed_bytes, self.kept, self.kept_bytes
-        )
-    }
 }
 
 /// Owns all energy-model acquisition: an in-memory memo over immutable
@@ -383,30 +351,6 @@ impl ModelProvider {
         Arc::clone(SHARED.get_or_init(|| Arc::new(Self::in_memory())))
     }
 
-    /// Resolves the provider a CLI entry point should use from its optional
-    /// `--model-cache <DIR>` argument: disk-backed over `dir` when given,
-    /// otherwise the process-wide shared in-memory provider.  The error is a
-    /// ready-to-print message, shared by every binary so the wording cannot
-    /// drift between them.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when the cache directory cannot be created.
-    pub fn from_cache_dir_arg(dir: Option<&str>) -> Result<Arc<Self>, String> {
-        match dir {
-            Some(dir) => Self::with_disk_cache(dir)
-                .map(Arc::new)
-                .map_err(|e| format!("opening model cache {dir}: {e}")),
-            None => Ok(Self::shared()),
-        }
-    }
-
-    /// The on-disk store directory, when persistence is enabled.
-    #[must_use]
-    pub fn cache_dir(&self) -> Option<&Path> {
-        self.disk_dir.as_deref()
-    }
-
     /// Returns the model for `spec`, from the cheapest available layer:
     /// in-memory memo, then the on-disk store, then a fresh build (persisted
     /// afterwards when a store is configured).
@@ -475,7 +419,8 @@ impl ModelProvider {
         }
     }
 
-    /// Lists the store's cache files (valid and corrupt), in file-name order.
+    /// Lists the store's entry files (`{key}.json`; their contents are not
+    /// read), in file-name order.
     ///
     /// # Errors
     ///
@@ -493,113 +438,10 @@ impl ModelProvider {
                 continue;
             }
             let bytes = entry.metadata().map(|m| m.len()).unwrap_or(0);
-            let spec = std::fs::read_to_string(&path)
-                .ok()
-                .and_then(|json| serde_json::from_str::<CacheEntry>(&json).ok())
-                .filter(|e| e.format_version == CACHE_FORMAT_VERSION)
-                .map(|e| e.spec);
-            entries.push(DiskEntryInfo { path, bytes, spec });
+            entries.push(DiskEntryInfo { path, bytes });
         }
         entries.sort_by(|a, b| a.path.cmp(&b.path));
         Ok(entries)
-    }
-
-    /// Deletes every cache file in the store and returns how many were
-    /// removed.  Only content-addressed files (32-hex-digit names with a
-    /// `.json` extension) are touched, so a store pointed at a shared
-    /// directory never eats foreign files.
-    ///
-    /// # Errors
-    ///
-    /// Propagates directory-read and file-removal errors; returns 0 when no
-    /// store is configured.
-    pub fn clear_disk(&self) -> std::io::Result<usize> {
-        let mut removed = 0;
-        for entry in self.disk_entries()? {
-            std::fs::remove_file(&entry.path)?;
-            removed += 1;
-        }
-        self.remove_stale_tmp_files(std::time::SystemTime::now())?;
-        Ok(removed)
-    }
-
-    /// Evicts cache entries by age and/or total size — the policy behind
-    /// `fabric-power cache prune` (where `cache clear` is all-or-nothing).
-    ///
-    /// Entries whose modification time is older than `max_age` are removed
-    /// first; if the surviving entries still exceed `max_bytes`, the oldest
-    /// are evicted (ties broken by path, deterministically) until the store
-    /// fits.  Corrupt entries get no special treatment: they age out and
-    /// count toward the size cap like any other file.  Passing `None` for a
-    /// limit disables that criterion; passing `None` for both is a no-op.
-    ///
-    /// # Errors
-    ///
-    /// Propagates directory-read and file-removal errors; an empty report is
-    /// returned when no store is configured.
-    pub fn prune_disk(
-        &self,
-        max_age: Option<std::time::Duration>,
-        max_bytes: Option<u64>,
-    ) -> std::io::Result<PruneReport> {
-        let Some(dir) = &self.disk_dir else {
-            return Ok(PruneReport::default());
-        };
-        let now = std::time::SystemTime::now();
-        let mut report = PruneReport {
-            removed_bytes: self.remove_stale_tmp_files(now)?,
-            ..PruneReport::default()
-        };
-        // One metadata call per file — unlike `disk_entries`, pruning never
-        // needs to read or parse entry contents, only stat them.
-        let mut entries: Vec<(std::time::SystemTime, PathBuf, u64)> = Vec::new();
-        for entry in std::fs::read_dir(dir)? {
-            let entry = entry?;
-            let path = entry.path();
-            if !Self::is_cache_file(&path) {
-                continue;
-            }
-            let metadata = entry.metadata()?;
-            let modified = metadata.modified().unwrap_or(std::time::UNIX_EPOCH);
-            entries.push((modified, path, metadata.len()));
-        }
-        // Oldest first, ties broken by path, deterministically.
-        entries.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-
-        let mut survivors: Vec<(PathBuf, u64)> = Vec::new();
-        for (modified, path, bytes) in entries {
-            let expired = max_age.is_some_and(|limit| {
-                now.duration_since(modified)
-                    .map(|age| age > limit)
-                    .unwrap_or(false)
-            });
-            if expired {
-                std::fs::remove_file(&path)?;
-                report.removed += 1;
-                report.removed_bytes += bytes;
-            } else {
-                survivors.push((path, bytes));
-            }
-        }
-
-        if let Some(limit) = max_bytes {
-            let mut total: u64 = survivors.iter().map(|(_, bytes)| bytes).sum();
-            for (path, bytes) in survivors {
-                if total <= limit {
-                    report.kept += 1;
-                    report.kept_bytes += bytes;
-                    continue;
-                }
-                std::fs::remove_file(&path)?;
-                report.removed += 1;
-                report.removed_bytes += bytes;
-                total -= bytes;
-            }
-        } else {
-            report.kept = survivors.len();
-            report.kept_bytes = survivors.iter().map(|(_, bytes)| bytes).sum();
-        }
-        Ok(report)
     }
 
     fn memoize(&self, key: String, model: FabricEnergyModel) -> Arc<FabricEnergyModel> {
@@ -622,75 +464,6 @@ impl ModelProvider {
         path.extension().and_then(|e| e.to_str()) == Some("json")
             && stem.len() == 32
             && stem.bytes().all(|b| b.is_ascii_hexdigit())
-    }
-
-    /// Whether `path` is a write-temp file of this store
-    /// (`{32-hex-key}.tmp.{pid}.{nonce}` — see [`ModelProvider::write_disk`]).
-    /// A tmp file normally lives for milliseconds between write and rename;
-    /// one that persists was orphaned by a killed process or a failed rename.
-    fn is_tmp_file(path: &Path) -> bool {
-        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-            return false;
-        };
-        let Some((key, rest)) = name.split_once('.') else {
-            return false;
-        };
-        key.len() == 32 && key.bytes().all(|b| b.is_ascii_hexdigit()) && rest.starts_with("tmp.")
-    }
-
-    /// Counts the store's write-temp files (`{key}.tmp.{pid}.{nonce}`) and
-    /// the bytes they occupy, whatever their age.  `cache stats` reports
-    /// this: these files are not content-addressed entries, so
-    /// [`ModelProvider::disk_entries`] never sees them, yet each one holds a
-    /// full-model-sized payload — a store that keeps accumulating them has a
-    /// writer being killed mid-persist.
-    ///
-    /// # Errors
-    ///
-    /// Propagates directory-read errors; `(0, 0)` when no store is
-    /// configured.
-    pub fn orphaned_tmp_files(&self) -> std::io::Result<(usize, u64)> {
-        let Some(dir) = &self.disk_dir else {
-            return Ok((0, 0));
-        };
-        let mut count = 0;
-        let mut bytes = 0;
-        for entry in std::fs::read_dir(dir)? {
-            let entry = entry?;
-            if Self::is_tmp_file(&entry.path()) {
-                count += 1;
-                bytes += entry.metadata().map(|m| m.len()).unwrap_or(0);
-            }
-        }
-        Ok((count, bytes))
-    }
-
-    /// Deletes orphaned write-temp files older than one minute (young ones
-    /// may belong to a live writer racing us).  Shared by `clear` and
-    /// `prune`, which would otherwise never see these files: they are not
-    /// content-addressed entries, so `disk_entries` ignores them, yet they
-    /// hold full-model-sized payloads.
-    fn remove_stale_tmp_files(&self, now: std::time::SystemTime) -> std::io::Result<u64> {
-        let Some(dir) = &self.disk_dir else {
-            return Ok(0);
-        };
-        let mut removed_bytes = 0;
-        for entry in std::fs::read_dir(dir)? {
-            let entry = entry?;
-            let path = entry.path();
-            if !Self::is_tmp_file(&path) {
-                continue;
-            }
-            let metadata = entry.metadata()?;
-            let age = now
-                .duration_since(metadata.modified().unwrap_or(std::time::UNIX_EPOCH))
-                .unwrap_or_default();
-            if age > std::time::Duration::from_secs(60) {
-                std::fs::remove_file(&path)?;
-                removed_bytes += metadata.len();
-            }
-        }
-        Ok(removed_bytes)
     }
 
     /// Reads and validates the on-disk entry for `key`, or `None` (counting
@@ -863,7 +636,6 @@ mod tests {
 
         let entries = warm.disk_entries().unwrap();
         assert_eq!(entries.len(), 1);
-        assert_eq!(entries[0].spec.as_ref(), Some(&spec));
         assert!(entries[0].bytes > 0);
 
         let _ = std::fs::remove_dir_all(&dir);
@@ -920,121 +692,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_disk_removes_only_content_addressed_files() {
-        let dir = temp_store("clear");
-        let provider = ModelProvider::with_disk_cache(&dir).unwrap();
-        provider.get(&ModelSpec::paper(4)).unwrap();
-        provider.get(&ModelSpec::paper(8)).unwrap();
-        let foreign = dir.join("notes.json");
-        std::fs::write(&foreign, "keep me").unwrap();
-
-        assert_eq!(provider.clear_disk().unwrap(), 2);
-        assert!(foreign.exists());
-        assert!(provider.disk_entries().unwrap().is_empty());
-
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn prune_by_size_evicts_oldest_first() {
-        let dir = temp_store("prune-size");
-        let provider = ModelProvider::with_disk_cache(&dir).unwrap();
-        provider.get(&ModelSpec::paper(4)).unwrap();
-        provider.get(&ModelSpec::paper(8)).unwrap();
-        provider.get(&ModelSpec::paper(16)).unwrap();
-        let entries = provider.disk_entries().unwrap();
-        assert_eq!(entries.len(), 3);
-        // Make the 4-port entry unambiguously the oldest.
-        let oldest = dir.join(format!("{}.json", ModelSpec::paper(4).cache_key()));
-        let old_time = std::time::SystemTime::now() - std::time::Duration::from_secs(3600);
-        let file = std::fs::File::options().write(true).open(&oldest).unwrap();
-        let _ = file.set_modified(old_time);
-        drop(file);
-
-        let total: u64 = entries.iter().map(|e| e.bytes).sum();
-        let largest = entries.iter().map(|e| e.bytes).max().unwrap();
-        // A cap that forces out at least one entry but keeps at least one.
-        let report = provider.prune_disk(None, Some(total - 1)).unwrap();
-        assert!(report.removed >= 1);
-        assert!(report.kept >= 1);
-        assert!(report.kept_bytes <= total - 1 + largest);
-        assert!(!oldest.exists(), "oldest entry must go first");
-        assert_eq!(
-            report.kept + report.removed,
-            3,
-            "every entry accounted for: {report}"
-        );
-
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn prune_by_age_only_touches_expired_entries() {
-        let dir = temp_store("prune-age");
-        let provider = ModelProvider::with_disk_cache(&dir).unwrap();
-        provider.get(&ModelSpec::paper(4)).unwrap();
-        provider.get(&ModelSpec::paper(8)).unwrap();
-        let expired = dir.join(format!("{}.json", ModelSpec::paper(8).cache_key()));
-        let old_time = std::time::SystemTime::now() - std::time::Duration::from_secs(7200);
-        let file = std::fs::File::options().write(true).open(&expired).unwrap();
-        let _ = file.set_modified(old_time);
-        drop(file);
-
-        let report = provider
-            .prune_disk(Some(std::time::Duration::from_secs(3600)), None)
-            .unwrap();
-        assert_eq!(report.removed, 1);
-        assert_eq!(report.kept, 1);
-        assert!(!expired.exists());
-        // No limits at all is a no-op that still reports the store size.
-        let untouched = provider.prune_disk(None, None).unwrap();
-        assert_eq!(untouched.removed, 0);
-        assert_eq!(untouched.kept, 1);
-        assert!(untouched.kept_bytes > 0);
-
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn clear_and_prune_sweep_up_orphaned_tmp_files() {
-        let dir = temp_store("tmp-orphans");
-        let provider = ModelProvider::with_disk_cache(&dir).unwrap();
-        provider.get(&ModelSpec::paper(4)).unwrap();
-        let key = ModelSpec::paper(4).cache_key();
-        // An orphan from a killed writer, old enough to be unambiguous, and
-        // a fresh one that may belong to a live writer.
-        let stale = dir.join(format!("{key}.tmp.12345.0"));
-        let fresh = dir.join(format!("{key}.tmp.12345.1"));
-        std::fs::write(&stale, "half-written").unwrap();
-        std::fs::write(&fresh, "half-written").unwrap();
-        let old_time = std::time::SystemTime::now() - std::time::Duration::from_secs(600);
-        let file = std::fs::File::options().write(true).open(&stale).unwrap();
-        let _ = file.set_modified(old_time);
-        drop(file);
-
-        // Stats see both orphans before anything sweeps them.
-        let (orphans, orphan_bytes) = provider.orphaned_tmp_files().unwrap();
-        assert_eq!(orphans, 2);
-        assert_eq!(orphan_bytes, 2 * "half-written".len() as u64);
-
-        let report = provider.prune_disk(None, Some(u64::MAX)).unwrap();
-        assert!(!stale.exists(), "stale tmp file must be swept");
-        assert!(fresh.exists(), "fresh tmp file may be a live writer's");
-        assert!(report.removed_bytes >= "half-written".len() as u64);
-        assert_eq!(report.kept, 1, "the real entry survives");
-
-        // clear sweeps them too (after aging the fresh one).
-        let file = std::fs::File::options().write(true).open(&fresh).unwrap();
-        let _ = file.set_modified(old_time);
-        drop(file);
-        assert_eq!(provider.clear_disk().unwrap(), 1);
-        assert!(!fresh.exists());
-        assert_eq!(provider.orphaned_tmp_files().unwrap(), (0, 0));
-
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn failed_cache_write_keeps_the_model_and_leaves_no_temp_file() {
         let dir = temp_store("write-fails");
         std::fs::create_dir_all(&dir).unwrap();
@@ -1050,7 +707,13 @@ mod tests {
         // The in-memory memo still serves the model...
         assert!(Arc::ptr_eq(&model, &provider.get(&spec).unwrap()));
         // ...and the failed persist left no full-size temp file behind.
-        assert_eq!(provider.orphaned_tmp_files().unwrap(), (0, 0));
+        let temp_prefix = format!("{}.tmp.", spec.cache_key());
+        let leftovers: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name())
+            .filter(|name| name.to_string_lossy().starts_with(&temp_prefix))
+            .collect();
+        assert!(leftovers.is_empty(), "{leftovers:?}");
 
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1058,14 +721,7 @@ mod tests {
     #[test]
     fn in_memory_provider_has_no_disk_surface() {
         let provider = ModelProvider::in_memory();
-        assert!(provider.cache_dir().is_none());
         assert!(provider.disk_entries().unwrap().is_empty());
-        assert_eq!(provider.orphaned_tmp_files().unwrap(), (0, 0));
-        assert_eq!(provider.clear_disk().unwrap(), 0);
-        assert_eq!(
-            provider.prune_disk(None, Some(0)).unwrap(),
-            PruneReport::default()
-        );
     }
 
     #[test]

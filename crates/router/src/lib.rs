@@ -58,7 +58,7 @@ pub mod traffic;
 
 pub use config::{SimulationConfig, SimulationReport};
 pub use energy::EnergyAccount;
-pub use metrics::{HistogramMergeError, LatencyHistogram, SparseLatencyHistogram};
+pub use metrics::{LatencyHistogram, SparseLatencyHistogram};
 pub use node::RouterNode;
 pub use packet::Packet;
 pub use route_table::{PricedRoutes, RouteTable};

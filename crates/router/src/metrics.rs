@@ -19,35 +19,6 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Two histograms with different bin layouts cannot be merged.
-///
-/// A histogram deserialized from a document that was produced under a
-/// different [`LATENCY_BINS`] (an older build, a foreign worker) carries a
-/// `bins` vector of a different length.  Folding it in bin-by-bin would
-/// silently drop the excess counts while still adding `count` and `sum`,
-/// leaving a histogram whose mean and percentiles disagree — so the mismatch
-/// is a hard error instead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HistogramMergeError {
-    /// Bin count of the histogram being merged into.
-    pub ours: usize,
-    /// Bin count of the histogram being merged in.
-    pub theirs: usize,
-}
-
-impl std::fmt::Display for HistogramMergeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "cannot merge latency histograms with different bin layouts: \
-             {} bin(s) vs {} bin(s) (recorded under different LATENCY_BINS?)",
-            self.ours, self.theirs
-        )
-    }
-}
-
-impl std::error::Error for HistogramMergeError {}
-
 /// Latencies below this many cycles land in their own exact one-cycle bin;
 /// larger latencies share the overflow bin (represented by the observed
 /// maximum).  4096 cycles comfortably covers every sub-saturation operating
@@ -75,7 +46,7 @@ pub const LATENCY_BINS: usize = 4096;
 /// assert_eq!(histogram.percentile(99.0), 90.0);
 /// assert!((histogram.mean() - 32.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LatencyHistogram {
     /// One exact count per latency value below [`LATENCY_BINS`].
     bins: Vec<u64>,
@@ -185,39 +156,6 @@ impl LatencyHistogram {
         self.max as f64
     }
 
-    /// Folds another histogram into this one (counts add bin by bin).
-    ///
-    /// Merging is commutative and associative: histograms recorded over
-    /// disjoint sample streams combine to exactly the histogram one recorder
-    /// would have produced over the union.  (The sweep pipeline currently
-    /// merges per-cell summary percentiles, not histograms; this is the
-    /// primitive for shipping whole distributions in shard documents — see
-    /// the ROADMAP follow-on.)
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HistogramMergeError`] — and leaves `self` untouched — when
-    /// the bin layouts differ (e.g. `other` was deserialized from a document
-    /// recorded under a different [`LATENCY_BINS`]).  Truncating instead
-    /// would still add `count` and `sum`, corrupting the histogram so its
-    /// mean and percentiles disagree.
-    pub fn merge(&mut self, other: &Self) -> Result<(), HistogramMergeError> {
-        if self.bins.len() != other.bins.len() {
-            return Err(HistogramMergeError {
-                ours: self.bins.len(),
-                theirs: other.bins.len(),
-            });
-        }
-        for (mine, theirs) in self.bins.iter_mut().zip(&other.bins) {
-            *mine += theirs;
-        }
-        self.overflow += other.overflow;
-        self.count += other.count;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
-        Ok(())
-    }
-
     /// The three tail summary values carried by simulation reports and sweep
     /// points, in order: p50, p95, p99.
     #[must_use]
@@ -230,8 +168,8 @@ impl LatencyHistogram {
     }
 
     /// Exports the distribution in the sparse form documents carry: only the
-    /// non-zero bins, as ascending `(latency, count)` pairs.  Lossless — see
-    /// [`SparseLatencyHistogram::expand`] for the inverse.
+    /// non-zero bins, as ascending `(latency, count)` pairs, plus the exact
+    /// totals.
     #[must_use]
     pub fn to_sparse(&self) -> SparseLatencyHistogram {
         SparseLatencyHistogram {
@@ -255,10 +193,9 @@ impl LatencyHistogram {
 /// A dense histogram is almost entirely zeros ([`LATENCY_BINS`] bins, of
 /// which a typical sub-saturation cell populates a few dozen), so sweep
 /// documents carry only the non-zero `(latency, count)` pairs plus the same
-/// exact totals the dense form keeps.  The conversion round-trips losslessly
-/// ([`LatencyHistogram::to_sparse`] / [`SparseLatencyHistogram::expand`]),
-/// and an empty value — what a document written before this field existed
-/// deserializes to via `#[serde(default)]` — expands to an empty histogram.
+/// exact totals the dense form keeps ([`LatencyHistogram::to_sparse`]).  An
+/// empty value is what a document written before this field existed
+/// deserializes to via `#[serde(default)]`.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct SparseLatencyHistogram {
     /// `(latency in cycles, samples)` for every non-zero exact bin,
@@ -285,33 +222,6 @@ impl SparseLatencyHistogram {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.count == 0
-    }
-
-    /// Reconstructs the dense [`LatencyHistogram`] this was exported from.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HistogramMergeError`] when a bin's latency does not fit the
-    /// current [`LATENCY_BINS`] layout (a document recorded under a larger
-    /// bin count) — expanding it would silently move exact counts into the
-    /// overflow bin, the same corruption dense merging refuses.
-    pub fn expand(&self) -> Result<LatencyHistogram, HistogramMergeError> {
-        let mut dense = LatencyHistogram::new();
-        for &(latency, count) in &self.bins {
-            let index = usize::try_from(latency)
-                .ok()
-                .filter(|&i| i < LATENCY_BINS)
-                .ok_or(HistogramMergeError {
-                    ours: LATENCY_BINS,
-                    theirs: usize::try_from(latency).map_or(usize::MAX, |i| i + 1),
-                })?;
-            dense.bins[index] = count;
-        }
-        dense.overflow = self.overflow;
-        dense.count = self.count;
-        dense.sum = self.sum;
-        dense.max = self.max;
-        Ok(dense)
     }
 }
 
@@ -384,68 +294,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_recording_everything_in_one_histogram() {
-        let samples_a = [5_u64, 16, 16, 4100, 90];
-        let samples_b = [7_u64, 16, 5000, 3];
-        let mut merged = LatencyHistogram::new();
-        let mut part_a = LatencyHistogram::new();
-        let mut part_b = LatencyHistogram::new();
-        for &s in &samples_a {
-            merged.record(s);
-            part_a.record(s);
-        }
-        for &s in &samples_b {
-            merged.record(s);
-            part_b.record(s);
-        }
-        let mut combined = part_a.clone();
-        combined.merge(&part_b).expect("same bin layout");
-        assert_eq!(combined, merged);
-        // And merge order does not matter.
-        let mut reversed = part_b;
-        reversed.merge(&part_a).expect("same bin layout");
-        assert_eq!(reversed, merged);
-    }
-
-    #[test]
-    fn merging_mismatched_bin_layouts_is_an_error_and_a_no_op() {
-        // A histogram "recorded under a different LATENCY_BINS": the only way
-        // one reaches this process is deserialization, so forge it that way.
-        let mut foreign = LatencyHistogram::new();
-        foreign.record(3);
-        foreign.record(7);
-        let mut truncated: LatencyHistogram = {
-            let json = serde_json::to_string(&foreign).expect("serialize");
-            // Shrink the bins array to 8 entries (as if LATENCY_BINS = 8).
-            let short_bins: Vec<u64> = foreign.bins[..8].to_vec();
-            let json = json.replace(
-                &serde_json::to_string(&foreign.bins).unwrap(),
-                &serde_json::to_string(&short_bins).unwrap(),
-            );
-            serde_json::from_str(&json).expect("short document still parses")
-        };
-        assert_eq!(truncated.bins.len(), 8);
-
-        let mut ours = LatencyHistogram::new();
-        ours.record(100);
-        let before = ours.clone();
-        let err = ours.merge(&truncated).unwrap_err();
-        assert_eq!(
-            err,
-            HistogramMergeError {
-                ours: LATENCY_BINS,
-                theirs: 8
-            }
-        );
-        assert!(err.to_string().contains("different bin layouts"));
-        // The failed merge must not have half-applied: counts are untouched.
-        assert_eq!(ours, before);
-        // The mirror direction fails symmetrically.
-        assert!(truncated.merge(&before).is_err());
-        assert_eq!(truncated.count(), 2, "foreign histogram also untouched");
-    }
-
-    #[test]
     fn sparse_export_round_trips_losslessly() {
         let mut histogram = LatencyHistogram::new();
         for latency in [16, 16, 17, 20, 20, 20, 4100, 9000] {
@@ -455,49 +303,22 @@ mod tests {
         assert_eq!(sparse.bins, vec![(16, 2), (17, 1), (20, 3)]);
         assert_eq!(sparse.overflow, 2);
         assert_eq!(sparse.count, 8);
+        assert_eq!(sparse.sum, 13_209);
         assert_eq!(sparse.max, 9000);
         assert!(!sparse.is_empty());
-        assert_eq!(sparse.expand().expect("expand"), histogram);
         // And through JSON, which is how documents carry it.
         let json = serde_json::to_string(&sparse).expect("serialize");
         let back: SparseLatencyHistogram = serde_json::from_str(&json).expect("parse");
         assert_eq!(back, sparse);
-        assert_eq!(back.expand().expect("expand"), histogram);
     }
 
     #[test]
     fn empty_sparse_histogram_is_default_and_expands_empty() {
         let sparse = SparseLatencyHistogram::default();
         assert!(sparse.is_empty());
-        assert_eq!(sparse.expand().expect("expand"), LatencyHistogram::new());
         assert_eq!(LatencyHistogram::new().to_sparse(), sparse);
         // `{}` — the serde(default) shape of a pre-field document — parses.
         let back: SparseLatencyHistogram = serde_json::from_str("{}").expect("parse");
         assert_eq!(back, sparse);
-    }
-
-    #[test]
-    fn sparse_bins_beyond_the_layout_refuse_to_expand() {
-        let sparse = SparseLatencyHistogram {
-            bins: vec![(LATENCY_BINS as u64, 1)],
-            overflow: 0,
-            count: 1,
-            sum: LATENCY_BINS as u64,
-            max: LATENCY_BINS as u64,
-        };
-        let err = sparse.expand().unwrap_err();
-        assert_eq!(err.ours, LATENCY_BINS);
-        assert!(err.theirs > LATENCY_BINS);
-    }
-
-    #[test]
-    fn histogram_round_trips_through_json() {
-        let mut histogram = LatencyHistogram::new();
-        for latency in [1, 2, 3, 9000] {
-            histogram.record(latency);
-        }
-        let json = serde_json::to_string(&histogram).expect("serialize");
-        let back: LatencyHistogram = serde_json::from_str(&json).expect("deserialize");
-        assert_eq!(histogram, back);
     }
 }

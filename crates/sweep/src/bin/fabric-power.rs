@@ -1,5 +1,4 @@
-//! The `fabric-power` CLI: the user-facing entry point to the sweep engine
-//! and the model-provider layer.
+//! The `fabric-power` CLI: the user-facing entry point to the sweep engine.
 //!
 //! ```text
 //! fabric-power list-scenarios
@@ -7,23 +6,18 @@
 //! fabric-power plan paper-fig9 --shards 3 --out plan.json
 //! fabric-power run-shard plan.json --index 0 --out part0.json
 //! fabric-power merge part0.json part1.json part2.json --out fig9.json
-//! fabric-power sweep --scenario derived-quick --model-cache ~/.cache/fabric-power
-//! fabric-power cache warm --scenario derived-quick --model-cache ~/.cache/fabric-power
-//! fabric-power cache prune --model-cache ~/.cache/fabric-power --max-age-days 30
 //! fabric-power diff a.json b.json
 //! fabric-power report --in fig9.json
 //! ```
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::Arc;
 
 use fabric_power_netlist::SwitchClass;
 use fabric_power_obs as obs;
 use fabric_power_sweep::{
-    diff_documents, merge_documents, report, write_stdout, ModelProvider, Scenario,
-    ScenarioRegistry, SeedStrategy, ShardDocument, ShardStrategy, SweepDocument, SweepEngine,
-    SweepPlan,
+    diff_documents, merge_documents, report, write_stdout, Scenario, ScenarioRegistry,
+    SeedStrategy, ShardDocument, ShardStrategy, SweepDocument, SweepEngine, SweepPlan,
 };
 
 const USAGE: &str = "\
@@ -44,8 +38,6 @@ COMMANDS:
                                    are identical for every thread count)
         [--seed <SEED>]            Override the scenario's base RNG seed
         [--seed-strategy <S>]      `shared` (default) or `per-cell`
-        [--model-cache <DIR>]      Persist derived energy models in a
-                                   content-addressed on-disk cache
         [--out <FILE.json>]        Write the JSON document here
         [--csv <FILE.csv>]         Also write a CSV table here
     plan <SCENARIO> --shards <N>   Expand a scenario once and split it into
@@ -58,22 +50,13 @@ COMMANDS:
     run-shard <PLAN.json>          Run one shard of a plan, emitting a
         --index <I>                partial document for `merge`; shards may
                                    run as separate processes or on separate
-                                   machines, and concurrent ones may share
-                                   one model cache
-        [--threads <N>] [--model-cache <DIR>] [--out <FILE.json>]
+                                   machines
+        [--threads <N>] [--out <FILE.json>]
     merge <PART.json>...           Recombine partial shard documents into the
                                    full sweep document (byte-identical to a
                                    single-process run; refuses overlapping or
                                    missing cells)
         [--out <FILE.json>] [--csv <FILE.csv>]
-    cache <ACTION> --model-cache <DIR>
-        stats                      Summarize the cache directory
-        clear                      Delete every cached model
-        prune                      Evict entries by age and/or total size
-            [--max-age-days <D>]   Drop entries older than D days
-            [--max-bytes <B>]      Evict oldest-first until under B bytes
-        warm --scenario <NAME>     Pre-build every model a scenario needs
-             [--scenario-file <FILE>]
     diff <A.json> <B.json>         Compare two sweep documents cell by cell
         [--tolerance <REL>]        Accepted relative deviation (default 0 =
                                    byte-exact); exits nonzero on mismatch
@@ -184,7 +167,6 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
         Some("plan") => done(plan(&args[1..])),
         Some("run-shard") => done(run_shard(&args[1..])),
         Some("merge") => done(merge(&args[1..])),
-        Some("cache") => done(cache(&args[1..])),
         Some("diff") => diff(&args[1..]),
         Some("report") => done(report_command(&args[1..])),
         Some("netlist-stats") => done(netlist_stats(&args[1..])),
@@ -323,31 +305,16 @@ fn resolve_scenario(args: &[String]) -> Result<Scenario, CliError> {
     )
 }
 
-/// Builds the model provider: disk-backed when `--model-cache` is given,
-/// otherwise the process-wide in-memory one.
-fn resolve_provider(args: &[String]) -> Result<Arc<ModelProvider>, CliError> {
-    Ok(ModelProvider::from_cache_dir_arg(
-        flag_value(args, "--model-cache")?.as_deref(),
-    )?)
-}
-
-/// Builds the provider + engine pair every executing subcommand shares:
-/// `--model-cache` selects the provider, `--threads` the worker count.
-fn resolve_engine(args: &[String]) -> Result<(Arc<ModelProvider>, SweepEngine), CliError> {
-    let provider = resolve_provider(args)?;
-    let mut engine = SweepEngine::new().with_provider(Arc::clone(&provider));
+/// Builds the engine every executing subcommand shares: `--threads` sets
+/// the worker count.
+fn resolve_engine(args: &[String]) -> Result<SweepEngine, CliError> {
+    let mut engine = SweepEngine::new();
     if let Some(threads) = flag_value(args, "--threads")? {
         let threads =
             fabric_power_sweep::executor::parse_thread_count(&threads).map_err(CliError::Usage)?;
         engine = engine.with_threads(threads);
     }
-    Ok((provider, engine))
-}
-
-fn print_cache_stats(provider: &ModelProvider) {
-    if let Some(dir) = provider.cache_dir() {
-        eprintln!("model cache: {} (dir: {})", provider.stats(), dir.display());
-    }
+    Ok(engine)
 }
 
 fn sweep(args: &[String]) -> Result<(), CliError> {
@@ -359,13 +326,12 @@ fn sweep(args: &[String]) -> Result<(), CliError> {
             "--threads",
             "--seed",
             "--seed-strategy",
-            "--model-cache",
             "--out",
             "--csv",
         ],
     )?;
     let scenario = resolve_scenario(args)?;
-    let (provider, mut engine) = resolve_engine(args)?;
+    let mut engine = resolve_engine(args)?;
 
     let mut config = scenario.config.clone();
     if let Some(seed) = flag_value(args, "--seed")? {
@@ -389,7 +355,6 @@ fn sweep(args: &[String]) -> Result<(), CliError> {
         points.len(),
         started.elapsed()
     );
-    print_cache_stats(&provider);
 
     let document = SweepDocument {
         scenario: scenario.name.clone(),
@@ -424,135 +389,6 @@ fn write_document_outputs(document: &SweepDocument, args: &[String]) -> Result<(
         }
     }
     Ok(())
-}
-
-fn cache(args: &[String]) -> Result<(), CliError> {
-    let action = args
-        .first()
-        .ok_or_else(|| usage("cache needs an action: stats, clear, prune or warm"))?;
-    let rest = &args[1..];
-    let require_dir = |rest: &[String]| -> Result<Arc<ModelProvider>, CliError> {
-        if flag_value(rest, "--model-cache")?.is_none() {
-            return Err(usage(format!("cache {action} needs `--model-cache <DIR>`")));
-        }
-        resolve_provider(rest)
-    };
-    match action.as_str() {
-        "stats" => {
-            known_flags(rest, &["--model-cache"])?;
-            let provider = require_dir(rest)?;
-            let entries = provider.disk_entries().map_err(|e| e.to_string())?;
-            let total_bytes: u64 = entries.iter().map(|e| e.bytes).sum();
-            let corrupt = entries.iter().filter(|e| e.spec.is_none()).count();
-            // Write-temp orphans are not content-addressed entries, so the
-            // listing above never sees them — count them explicitly instead
-            // of silently ignoring full-model-sized leftovers.
-            let (orphans, orphan_bytes) =
-                provider.orphaned_tmp_files().map_err(|e| e.to_string())?;
-            let mut out = format!(
-                "{} entries, {} bytes, {} corrupt (dir: {})\n",
-                entries.len(),
-                total_bytes,
-                corrupt,
-                provider.cache_dir().expect("dir required above").display()
-            );
-            if orphans > 0 {
-                out.push_str(&format!(
-                    "{orphans} orphaned write-temp file(s), {orphan_bytes} bytes \
-                     (swept by `cache clear`/`cache prune` once stale)\n"
-                ));
-            }
-            for entry in &entries {
-                let file = entry
-                    .path
-                    .file_name()
-                    .and_then(|n| n.to_str())
-                    .unwrap_or("?");
-                out.push_str(&match &entry.spec {
-                    Some(spec) => format!(
-                        "{file}  {:>7} B  {}x{} {} model\n",
-                        entry.bytes,
-                        spec.ports,
-                        spec.ports,
-                        spec.kind_label()
-                    ),
-                    None => format!("{file}  {:>7} B  CORRUPT\n", entry.bytes),
-                });
-            }
-            Ok(write_stdout(&out)?)
-        }
-        "clear" => {
-            known_flags(rest, &["--model-cache"])?;
-            let provider = require_dir(rest)?;
-            let removed = provider.clear_disk().map_err(|e| e.to_string())?;
-            Ok(write_stdout(&format!(
-                "removed {removed} cached model(s)\n"
-            ))?)
-        }
-        "prune" => {
-            known_flags(rest, &["--model-cache", "--max-age-days", "--max-bytes"])?;
-            let provider = require_dir(rest)?;
-            let max_age = match flag_value(rest, "--max-age-days")? {
-                Some(value) => {
-                    // try_from_secs_f64 rejects negative, non-finite and
-                    // out-of-range inputs in one place, so absurd day counts
-                    // are a clean error instead of a Duration panic.
-                    let age = value
-                        .parse::<f64>()
-                        .ok()
-                        .and_then(|days| {
-                            std::time::Duration::try_from_secs_f64(days * 86_400.0).ok()
-                        })
-                        .ok_or_else(|| {
-                            usage(format!("invalid `--max-age-days` value `{value}`"))
-                        })?;
-                    Some(age)
-                }
-                None => None,
-            };
-            let max_bytes = match flag_value(rest, "--max-bytes")? {
-                Some(value) => Some(
-                    value
-                        .parse::<u64>()
-                        .map_err(|_| usage(format!("invalid `--max-bytes` value `{value}`")))?,
-                ),
-                None => None,
-            };
-            if max_age.is_none() && max_bytes.is_none() {
-                return Err(usage(
-                    "cache prune needs `--max-age-days <D>` and/or `--max-bytes <B>`",
-                ));
-            }
-            let report = provider
-                .prune_disk(max_age, max_bytes)
-                .map_err(|e| e.to_string())?;
-            Ok(write_stdout(&format!("{report}\n"))?)
-        }
-        "warm" => {
-            known_flags(rest, &["--model-cache", "--scenario", "--scenario-file"])?;
-            let provider = require_dir(rest)?;
-            let scenario = resolve_scenario(rest)?;
-            let mut warmed = Vec::new();
-            for &ports in &scenario.config.port_counts {
-                if warmed.contains(&ports) {
-                    continue;
-                }
-                provider
-                    .get(&scenario.config.model_spec(ports))
-                    .map_err(|e| e.to_string())?;
-                warmed.push(ports);
-            }
-            Ok(write_stdout(&format!(
-                "warmed {} model(s) for scenario `{}`: {}\n",
-                warmed.len(),
-                scenario.name,
-                provider.stats()
-            ))?)
-        }
-        other => Err(usage(format!(
-            "unknown cache action `{other}` (expected stats, clear, prune or warm)"
-        ))),
-    }
 }
 
 fn read_document(path: &str) -> Result<SweepDocument, String> {
@@ -649,7 +485,7 @@ fn plan(args: &[String]) -> Result<(), CliError> {
 
 /// `fabric-power run-shard <PLAN> --index i`: execute one shard of a plan.
 fn run_shard(args: &[String]) -> Result<(), CliError> {
-    const FLAGS: &[&str] = &["--index", "--threads", "--model-cache", "--out"];
+    const FLAGS: &[&str] = &["--index", "--threads", "--out"];
     known_flags_with_positionals(args, 1, FLAGS)?;
     let [plan_path] = positional_args(args, FLAGS)[..] else {
         return Err(usage("run-shard needs exactly one plan file"));
@@ -664,7 +500,7 @@ fn run_shard(args: &[String]) -> Result<(), CliError> {
         std::fs::read_to_string(plan_path).map_err(|e| format!("reading {plan_path}: {e}"))?;
     let plan = SweepPlan::from_json_str(json.trim_end())
         .map_err(|e| format!("parsing {plan_path}: {e}"))?;
-    let (provider, engine) = resolve_engine(args)?;
+    let engine = resolve_engine(args)?;
 
     // Check the index before printing progress, but keep the engine's error
     // as the single source of the message.
@@ -689,7 +525,6 @@ fn run_shard(args: &[String]) -> Result<(), CliError> {
         document.results.len(),
         started.elapsed()
     );
-    print_cache_stats(&provider);
     Ok(emit_json(
         &document.to_json_string().map_err(|e| e.to_string())?,
         flag_value(args, "--out")?.as_deref(),

@@ -30,9 +30,7 @@ use crate::plan::{self, PlanError, PlanHeader, Shard, ShardStrategy, SweepPlan};
 ///
 /// Energy models are acquired through a [`ModelProvider`] (by default the
 /// process-wide shared one), so repeated sweeps of the same configuration
-/// reuse already-built models, and a provider with an on-disk cache makes
-/// derived-model sweeps start without re-running gate-level
-/// characterization.
+/// in one process reuse already-built models.
 ///
 /// # Examples
 ///
@@ -85,9 +83,8 @@ impl SweepEngine {
         self
     }
 
-    /// Overrides the model provider — e.g. one backed by an on-disk cache
-    /// (`fabric-power sweep --model-cache <dir>`), or a fresh in-memory
-    /// provider when a test wants isolated hit/miss statistics.
+    /// Overrides the model provider — e.g. a fresh in-memory provider when
+    /// a test or benchmark wants isolated hit/miss statistics.
     #[must_use]
     pub fn with_provider(mut self, provider: Arc<ModelProvider>) -> Self {
         self.provider = provider;

@@ -27,10 +27,9 @@
 //! * [`engine`] — [`SweepEngine`], the *execute* stage: runs a whole plan or
 //!   a single shard, acquiring one immutable
 //!   [`fabric_power_fabric::FabricEnergyModel`] per fabric size through a
-//!   [`fabric_power_fabric::ModelProvider`] (in-memory memo plus an optional
-//!   content-addressed on-disk cache) and sharing it across threads via
-//!   [`std::sync::Arc`].  Results are **bit-identical regardless of thread
-//!   count**;
+//!   [`fabric_power_fabric::ModelProvider`] (by default the process-wide
+//!   in-memory memo) and sharing it across threads via [`std::sync::Arc`].
+//!   Results are **bit-identical regardless of thread count**;
 //! * [`merge`] — the *merge* stage: recombines partial [`ShardDocument`]s by
 //!   cell index into a document byte-identical to a single-process run,
 //!   refusing overlapping or missing cells — and any part whose own
@@ -57,9 +56,6 @@
 //! fabric-power plan paper-fig9 --shards 3 --out plan.json
 //! fabric-power run-shard plan.json --index 0 --out part0.json
 //! fabric-power merge part0.json part1.json part2.json --out fig9.json
-//! fabric-power sweep --scenario derived-quick --model-cache ~/.cache/fabric-power
-//! fabric-power cache warm --scenario derived-quick --model-cache ~/.cache/fabric-power
-//! fabric-power cache prune --model-cache ~/.cache/fabric-power --max-age-days 30
 //! fabric-power diff fig9-a.json fig9-b.json
 //! fabric-power report --in fig9.json
 //! ```

@@ -66,8 +66,7 @@ impl ScenarioRegistry {
         });
         registry.register(Scenario {
             name: "derived-quick".into(),
-            summary: "Quick grid with fully derived energy models (gate-level characterization; \
-                 pairs with `--model-cache`)"
+            summary: "Quick grid with fully derived energy models (gate-level characterization)"
                 .into(),
             config: ExperimentConfig {
                 model_source: ModelSource::Derived,

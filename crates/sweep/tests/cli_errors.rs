@@ -20,23 +20,46 @@ fn stderr(output: &Output) -> String {
 
 #[test]
 fn an_unknown_command_gets_the_usage_hint() {
-    let output = fabric_power(&["serve"]);
-    let stderr = stderr(&output);
-    assert_eq!(output.status.code(), Some(1), "{stderr}");
-    assert!(stderr.contains("unknown command `serve`"), "{stderr}");
-    assert!(stderr.contains(HINT), "{stderr}");
+    for (args, command) in [
+        (&["serve"][..], "serve"),
+        (&["cache", "stats", "--model-cache", "DIR"], "cache"),
+    ] {
+        let output = fabric_power(args);
+        let stderr = stderr(&output);
+        assert_eq!(output.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown command `{command}`")),
+            "{args:?}: {stderr}"
+        );
+        assert!(stderr.contains(HINT), "{args:?}: {stderr}");
+    }
 }
 
 #[test]
 fn an_unexpected_flag_gets_the_usage_hint() {
-    let output = fabric_power(&["sweep", "--scenario", "quick", "--metrics", "m.json"]);
-    let stderr = stderr(&output);
-    assert_eq!(output.status.code(), Some(1), "{stderr}");
-    assert!(
-        stderr.contains("unexpected argument `--metrics`"),
-        "{stderr}"
-    );
-    assert!(stderr.contains(HINT), "{stderr}");
+    for (args, flag) in [
+        (
+            &["sweep", "--scenario", "quick", "--metrics", "m.json"][..],
+            "--metrics",
+        ),
+        (
+            &["sweep", "--scenario", "quick", "--model-cache", "DIR"],
+            "--model-cache",
+        ),
+        (
+            &["run-shard", "plan.json", "--model-cache", "DIR"],
+            "--model-cache",
+        ),
+    ] {
+        let output = fabric_power(args);
+        let stderr = stderr(&output);
+        assert_eq!(output.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unexpected argument `{flag}`")),
+            "{args:?}: {stderr}"
+        );
+        assert!(stderr.contains(HINT), "{args:?}: {stderr}");
+    }
 }
 
 #[test]

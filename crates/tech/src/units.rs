@@ -346,18 +346,6 @@ impl Power {
         self.as_watts() * 1e3
     }
 
-    /// Creates a power from microwatts (1e-6 W).
-    #[must_use]
-    pub fn from_microwatts(uw: f64) -> Self {
-        Self::from_watts(uw * 1e-6)
-    }
-
-    /// Returns the power in microwatts.
-    #[must_use]
-    pub fn as_microwatts(self) -> f64 {
-        self.as_watts() * 1e6
-    }
-
     /// Energy dissipated when this power is sustained for `span`.
     #[must_use]
     pub fn for_duration(self, span: TimeSpan) -> Energy {
@@ -404,12 +392,6 @@ impl Length {
         self.as_meters() * 1e6
     }
 
-    /// Creates a length from millimeters (1e-3 m).
-    #[must_use]
-    pub fn from_millimeters(mm: f64) -> Self {
-        Self::from_meters(mm * 1e-3)
-    }
-
     /// Returns the length in millimeters.
     #[must_use]
     pub fn as_millimeters(self) -> f64 {
@@ -437,12 +419,6 @@ impl Frequency {
     #[must_use]
     pub fn from_megahertz(mhz: f64) -> Self {
         Self(mhz * 1e6)
-    }
-
-    /// Creates a frequency from gigahertz (1e9 Hz).
-    #[must_use]
-    pub fn from_gigahertz(ghz: f64) -> Self {
-        Self(ghz * 1e9)
     }
 
     /// Returns the frequency in hertz.

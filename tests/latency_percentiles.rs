@@ -94,62 +94,4 @@ proptest! {
         let rank = ((q / 100.0 * count as f64).ceil() as usize).clamp(1, count);
         prop_assert_eq!(histogram.percentile(q), samples[rank - 1] as f64);
     }
-
-    #[test]
-    fn sharded_histograms_merge_to_the_single_stream_histogram(
-        seed in any::<u64>(),
-        count in 2_usize..300,
-        spread in 1_u64..10_000,
-        shards in 2_usize..6,
-    ) {
-        let samples = latency_stream(seed, count, spread);
-        let mut whole = LatencyHistogram::new();
-        for &sample in &samples {
-            whole.record(sample);
-        }
-        let mut parts = vec![LatencyHistogram::new(); shards];
-        for (index, &sample) in samples.iter().enumerate() {
-            parts[index % shards].record(sample);
-        }
-        let mut merged = LatencyHistogram::new();
-        for part in &parts {
-            merged.merge(part).expect("identical bin layouts");
-        }
-        prop_assert_eq!(&merged, &whole);
-        prop_assert_eq!(merged.percentile(95.0), whole.percentile(95.0));
-    }
-}
-
-#[test]
-fn histograms_from_a_foreign_bin_layout_refuse_to_merge() {
-    // Simulate a shard document serialized by a build with a smaller
-    // LATENCY_BINS: shrink the bins array in the JSON, then deserialize.
-    let mut recorded = LatencyHistogram::new();
-    for latency in [4, 4, 9, 200] {
-        recorded.record(latency);
-    }
-    let json = serde_json::to_string(&recorded).expect("serialize");
-    let full_bins: Vec<u64> = (0..LATENCY_BINS)
-        .map(|i| match i {
-            4 => 2,
-            9 | 200 => 1,
-            _ => 0,
-        })
-        .collect();
-    let short_bins = &full_bins[..16];
-    let foreign_json = json.replace(
-        &serde_json::to_string(&full_bins).unwrap(),
-        &serde_json::to_string(&short_bins).unwrap(),
-    );
-    assert_ne!(json, foreign_json, "the bins array must have been replaced");
-    let foreign: LatencyHistogram =
-        serde_json::from_str(&foreign_json).expect("foreign document parses");
-
-    let mut ours = recorded.clone();
-    let err = ours.merge(&foreign).unwrap_err();
-    assert_eq!(err.ours, LATENCY_BINS);
-    assert_eq!(err.theirs, 16);
-    assert!(err.to_string().contains("LATENCY_BINS"));
-    // The refused merge left the accumulator exactly as it was.
-    assert_eq!(ours, recorded);
 }
