@@ -37,7 +37,7 @@ use fabric_power_tech::Technology;
 
 use crate::energy_model::{EnergyModelError, FabricEnergyModel};
 
-/// The obs target provider events are tagged with.
+/// The obs target provider spans are tagged with.
 const TARGET: &str = "fabric.provider";
 
 /// Version tag baked into cache keys and cache files.  Bump it whenever the
@@ -377,12 +377,6 @@ impl ModelProvider {
 
         if let Some(model) = self.read_disk(spec, &key) {
             self.counters.disk_hits.fetch_add(1, Ordering::Relaxed);
-            obs::debug!(
-                TARGET,
-                "disk cache hit",
-                ports = spec.ports,
-                key = key.as_str()
-            );
             return Ok(self.memoize(key, model));
         }
 
@@ -486,11 +480,6 @@ impl ModelProvider {
                     .fetch_add(1, Ordering::Relaxed);
                 // The rebuild that follows re-persists a good entry over the
                 // bad one — the store heals itself.
-                obs::warn!(
-                    TARGET,
-                    "rejected untrusted cache entry, rebuilding",
-                    key = key,
-                );
                 None
             }
         }
@@ -509,22 +498,15 @@ impl ModelProvider {
             spec: spec.clone(),
             model: model.clone(),
         };
-        let result = serde_json::to_string(&entry)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
-            .and_then(|json| write_atomic(&path, &json));
-        if let Err(error) = result {
+        let written =
+            serde_json::to_string(&entry).is_ok_and(|json| write_atomic(&path, &json).is_ok());
+        if !written {
             // Graceful degradation, not an abort: the in-memory memo still
             // holds the model, so the sweep proceeds — the next process
             // just rebuilds instead of reading the cache.
             self.counters
                 .disk_write_errors
                 .fetch_add(1, Ordering::Relaxed);
-            obs::warn!(
-                TARGET,
-                "model cache write failed, continuing with in-memory model",
-                key = key,
-                error = error.to_string(),
-            );
         }
     }
 }

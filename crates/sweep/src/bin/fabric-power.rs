@@ -72,11 +72,13 @@ COMMANDS:
     help                           Show this message
 
 GLOBAL OPTIONS (any command):
-    --log <SPEC>                   Stderr event verbosity: a level (`debug`)
-                                   or per-target directives
-                                   (`info,sweep.engine=trace,fabric=off`);
-                                   overrides $FABRIC_POWER_LOG (default: info)
-    --log-json <FILE>              Also append every event as one JSON line
+    --log <LEVEL>                  Phase timings on stderr: `debug` times
+                                   each model build, `trace` each sweep cell
+                                   too; `info` (default), `warn`, `error` and
+                                   `off` time nothing. Overrides
+                                   $FABRIC_POWER_LOG, which takes the same
+                                   values
+    --log-json <FILE>              Also append every timing as one JSON line
                                    to FILE (truncated at startup)
 
 All instrumentation is out of band (stderr / side files): emitted sweep
@@ -124,8 +126,9 @@ fn main() -> ExitCode {
 
 /// Strips the global `--log` / `--log-json` flags out of the argument list
 /// (they are accepted anywhere, for every command) and configures the logger
-/// accordingly.  `--log` beats `$FABRIC_POWER_LOG`, which the logger already
-/// read at first use.
+/// accordingly.  `--log` takes one level or `off`; anything else is a usage
+/// error.  It beats `$FABRIC_POWER_LOG`, which the logger reads only when
+/// the first span closes and no `--log` was given.
 fn apply_global_flags(args: &mut Vec<String>) -> Result<(), CliError> {
     let mut log_spec = None;
     let mut log_json = None;

@@ -11,7 +11,7 @@ use fabric_power_noc::{NetworkReport, NetworkSimulator};
 use fabric_power_obs as obs;
 use fabric_power_router::sim::RouterSimulator;
 
-/// The obs target engine events are tagged with.
+/// The obs target engine spans are tagged with.
 const TARGET: &str = "sweep.engine";
 
 use crate::cell::{SeedStrategy, SweepCell, SweepPoint};

@@ -1,7 +1,8 @@
 //! `fabric-power` points at its usage text only when the arguments were
 //! wrong: an unknown command, an unexpected or missing argument, or a
 //! malformed flag value.  An error in the work itself, such as a file that
-//! cannot be read, exits 1 without the pointer.
+//! cannot be read, exits 1 without the pointer.  The log filter is one
+//! level or `off`, from `--log` or, failing that, `FABRIC_POWER_LOG`.
 
 use std::process::{Command, Output};
 
@@ -91,4 +92,34 @@ fn a_missing_file_is_not_a_usage_error() {
         );
         assert!(!stderr.contains(HINT), "{args:?}: {stderr}");
     }
+}
+
+#[test]
+fn a_log_directive_is_a_usage_error() {
+    let output = fabric_power(&["sweep", "--log", "warn,sweep.engine=trace"]);
+    let stderr = stderr(&output);
+    assert_eq!(output.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("unknown log level"), "{stderr}");
+    assert!(stderr.contains(HINT), "{stderr}");
+}
+
+#[test]
+fn the_log_environment_variable_works_on_its_own_and_yields_to_the_flag() {
+    let run_cell_lines = |extra: &[&str]| {
+        let output = Command::new(env!("CARGO_BIN_EXE_fabric-power"))
+            .args(["sweep", "--scenario", "quick", "--threads", "2"])
+            .args(extra)
+            .env("FABRIC_POWER_LOG", "trace")
+            .output()
+            .expect("run fabric-power");
+        let stderr = stderr(&output);
+        assert!(output.status.success(), "{extra:?}: {stderr}");
+        stderr
+            .lines()
+            .filter(|line| line.contains("run_cell done"))
+            .count()
+    };
+    // One span per cell of the 24-cell grid, with no `--log` given.
+    assert_eq!(run_cell_lines(&[]), 24);
+    assert_eq!(run_cell_lines(&["--log", "debug"]), 0);
 }
