@@ -58,7 +58,7 @@ pub mod prelude {
     pub use fabric_power_fabric::{Architecture, FabricEnergyModel, FabricTopology};
     pub use fabric_power_memory::{BufferConfig, MemoryModel, Table2};
     pub use fabric_power_netlist::{
-        CellLibrary, CharacterizationConfig, InputVector, SwitchClass, SwitchEnergyLut, Table1,
+        CellLibrary, CharacterizationConfig, SwitchClass, SwitchEnergyLut, Table1,
     };
     pub use fabric_power_router::{
         RouterSimulator, SimulationConfig, SimulationReport, TrafficPattern,

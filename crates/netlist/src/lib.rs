@@ -30,8 +30,8 @@
 //! * [`characterize`] — drives random payload through the generated circuits
 //!   (one stimulus definition for the packed engine and the scalar oracle)
 //!   and produces [`lut::SwitchEnergyLut`] tables;
-//! * [`lut`] — the input-vector-indexed bit-energy tables, including the
-//!   paper's published Table 1 values as a reference dataset.
+//! * [`lut`] — the bit-energy tables keyed by active-port count, including
+//!   the paper's published Table 1 values as a reference dataset.
 //!
 //! # Examples
 //!
@@ -76,7 +76,7 @@ pub use characterize::{characterize_class, characterize_switch, Characterization
 pub use circuits::{SwitchCircuit, SwitchClass};
 pub use compiled::{compiled_switch, CompiledSwitch};
 pub use library::{CellLibrary, CellParameters};
-pub use lut::{InputVector, LutSource, SwitchEnergyLut};
+pub use lut::{LutSource, SwitchEnergyLut};
 pub use netlist::{CellId, NetId, Netlist, NetlistError};
 pub use packed::PackedSimulator;
 pub use schedule::EvalSchedule;

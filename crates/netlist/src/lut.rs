@@ -1,4 +1,4 @@
-//! Input-vector-indexed bit-energy look-up tables (paper §3.1, Table 1).
+//! Bit-energy look-up tables keyed by active-port count (paper §3.1, Table 1).
 //!
 //! The bit energy of a node switch depends on which of its input ports carry
 //! packets.  The paper pre-computes a look-up table per switch with Synopsys
@@ -18,117 +18,12 @@ use fabric_power_tech::units::Energy;
 
 use crate::circuits::SwitchClass;
 
-/// Which input ports of a node switch currently carry packets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct InputVector {
-    mask: u64,
-    ports: usize,
-}
-
-impl InputVector {
-    /// An input vector with no active ports.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ports` is zero or greater than 64.
-    #[must_use]
-    pub fn none(ports: usize) -> Self {
-        assert!(
-            ports > 0 && ports <= 64,
-            "ports must be in 1..=64, got {ports}"
-        );
-        Self { mask: 0, ports }
-    }
-
-    /// An input vector with every port active.
-    #[must_use]
-    pub fn all(ports: usize) -> Self {
-        let mut v = Self::none(ports);
-        v.mask = if ports == 64 {
-            u64::MAX
-        } else {
-            (1 << ports) - 1
-        };
-        v
-    }
-
-    /// Builds a vector from an iterator of active port indices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of range.
-    #[must_use]
-    pub fn with_active(ports: usize, active: impl IntoIterator<Item = usize>) -> Self {
-        let mut v = Self::none(ports);
-        for port in active {
-            v.set_active(port, true);
-        }
-        v
-    }
-
-    /// Number of ports this vector describes.
-    #[must_use]
-    pub fn ports(&self) -> usize {
-        self.ports
-    }
-
-    /// Whether `port` is active.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `port >= ports`.
-    #[must_use]
-    pub fn is_active(&self, port: usize) -> bool {
-        assert!(port < self.ports, "port {port} out of range");
-        self.mask >> port & 1 == 1
-    }
-
-    /// Activates or deactivates a port.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `port >= ports`.
-    pub fn set_active(&mut self, port: usize, active: bool) {
-        assert!(port < self.ports, "port {port} out of range");
-        if active {
-            self.mask |= 1 << port;
-        } else {
-            self.mask &= !(1 << port);
-        }
-    }
-
-    /// Number of active ports.
-    #[must_use]
-    pub fn active_count(&self) -> usize {
-        self.mask.count_ones() as usize
-    }
-
-    /// Iterates over active port indices in ascending order.
-    pub fn active_ports(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.ports).filter(move |&p| self.mask >> p & 1 == 1)
-    }
-}
-
-impl std::fmt::Display for InputVector {
-    /// Formats like the paper's Table 1, e.g. `[1,0]`.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "[")?;
-        for port in 0..self.ports {
-            if port > 0 {
-                write!(f, ",")?;
-            }
-            write!(f, "{}", u8::from(self.is_active(port)))?;
-        }
-        write!(f, "]")
-    }
-}
-
 /// Bit-energy look-up table for one node-switch class, indexed by the number
 /// of active input ports.
 ///
 /// The stored value is the energy the switch consumes **per bit slot** (one
 /// bit lane for one clock cycle) while operating with that many packets at
-/// its inputs; see [`SwitchEnergyLut::energy`].
+/// its inputs; see [`SwitchEnergyLut::energy_for_active_count`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SwitchEnergyLut {
     class: SwitchClass,
@@ -195,23 +90,6 @@ impl SwitchEnergyLut {
     #[must_use]
     pub fn source(&self) -> LutSource {
         self.source
-    }
-
-    /// Per-bit energy for an explicit input vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the vector's port count does not match the LUT.
-    #[must_use]
-    pub fn energy(&self, vector: &InputVector) -> Energy {
-        assert_eq!(
-            vector.ports(),
-            self.ports,
-            "input vector has {} ports but the LUT describes {}",
-            vector.ports(),
-            self.ports
-        );
-        self.energy_for_active_count(vector.active_count())
     }
 
     /// Per-bit energy given only the number of active ports.
@@ -326,44 +204,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn input_vector_basics() {
-        let mut v = InputVector::none(4);
-        assert_eq!(v.active_count(), 0);
-        v.set_active(0, true);
-        v.set_active(2, true);
-        assert!(v.is_active(0));
-        assert!(!v.is_active(1));
-        assert_eq!(v.active_count(), 2);
-        assert_eq!(v.active_ports().collect::<Vec<_>>(), vec![0, 2]);
-        assert_eq!(v.to_string(), "[1,0,1,0]");
-        v.set_active(0, false);
-        assert_eq!(v.active_count(), 1);
-    }
-
-    #[test]
-    fn all_and_with_active_constructors() {
-        assert_eq!(InputVector::all(8).active_count(), 8);
-        assert_eq!(InputVector::all(64).active_count(), 64);
-        let v = InputVector::with_active(4, [1, 3]);
-        assert_eq!(v.to_string(), "[0,1,0,1]");
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn out_of_range_port_panics() {
-        let v = InputVector::none(2);
-        let _ = v.is_active(2);
-    }
-
-    #[test]
     fn paper_banyan_values_match_table1() {
         let lut = SwitchEnergyLut::paper_banyan_binary();
         assert_eq!(lut.energy_for_active_count(0), Energy::ZERO);
         assert!((lut.single_active().as_femtojoules() - 1080.0).abs() < 1e-9);
-        let both = InputVector::all(2);
-        assert!((lut.energy(&both).as_femtojoules() - 1821.0).abs() < 1e-9);
+        let both = lut.energy_for_active_count(2);
+        assert!((both.as_femtojoules() - 1821.0).abs() < 1e-9);
         // Economy of scale: two packets cost less than twice one packet.
-        assert!(lut.energy(&both) < lut.single_active() * 2.0);
+        assert!(both < lut.single_active() * 2.0);
         assert_eq!(lut.source(), LutSource::PaperTable1);
     }
 

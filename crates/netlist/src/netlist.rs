@@ -8,12 +8,10 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::cells::CellKind;
 
 /// Identifier of a net within one [`Netlist`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NetId(pub(crate) usize);
 
 impl NetId {
@@ -25,7 +23,7 @@ impl NetId {
 }
 
 /// Identifier of a cell instance within one [`Netlist`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CellId(pub(crate) usize);
 
 impl CellId {
@@ -37,7 +35,7 @@ impl CellId {
 }
 
 /// What drives a net.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Driver {
     /// The net is the `index`-th primary input.
     PrimaryInput(usize),
@@ -48,7 +46,7 @@ pub enum Driver {
 }
 
 /// One net (wire) of the netlist.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Net {
     name: String,
     driver: Option<Driver>,
@@ -77,7 +75,7 @@ impl Net {
 }
 
 /// One standard-cell instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cell {
     name: String,
     kind: CellKind,
@@ -112,7 +110,7 @@ impl Cell {
 }
 
 /// Errors raised while constructing, validating or characterizing a netlist.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NetlistError {
     /// A cell was connected with the wrong number of input pins.
     WrongInputCount {
@@ -143,12 +141,6 @@ pub enum NetlistError {
         /// The out-of-range net id.
         net: NetId,
     },
-    /// A net's load list disagrees with the cells' input pins (corrupted
-    /// bookkeeping, e.g. a hand-edited serialized netlist).
-    InconsistentLoads {
-        /// A net whose load back-references are wrong.
-        net: NetId,
-    },
     /// A characterization was asked to measure zero cycles, which leaves
     /// its per-bit-slot energies without a denominator.
     ZeroMeasureCycles,
@@ -176,11 +168,6 @@ impl fmt::Display for NetlistError {
                 write!(f, "combinational loop through net #{}", net.index())
             }
             Self::UnknownNet { net } => write!(f, "net #{} does not exist", net.index()),
-            Self::InconsistentLoads { net } => write!(
-                f,
-                "net #{} has load back-references inconsistent with the cell pins",
-                net.index()
-            ),
             Self::ZeroMeasureCycles => {
                 f.write_str("characterization needs at least one measure cycle, got 0")
             }
@@ -217,7 +204,7 @@ impl std::error::Error for NetlistError {}
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Netlist {
     name: String,
     nets: Vec<Net>,
@@ -403,17 +390,14 @@ impl Netlist {
         histogram
     }
 
-    /// Checks structural legality: every used net is driven, every net's
-    /// load list agrees with the cells' input pins, and the combinational
-    /// logic is acyclic. Returns the evaluation order of the combinational
-    /// cells on success (sequential cells are excluded; their outputs act as
-    /// sources).
+    /// Checks structural legality: every used net is driven and the
+    /// combinational logic is acyclic. Returns the evaluation order of the
+    /// combinational cells on success (sequential cells are excluded; their
+    /// outputs act as sources).
     ///
     /// # Errors
     ///
     /// * [`NetlistError::UndrivenNet`] for floating nets used as inputs or outputs.
-    /// * [`NetlistError::InconsistentLoads`] if the load back-references do
-    ///   not mirror the cell input pins exactly.
     /// * [`NetlistError::CombinationalLoop`] if a cycle exists that is not
     ///   broken by a flip-flop or latch.
     pub fn validate(&self) -> Result<Vec<CellId>, NetlistError> {
@@ -422,9 +406,10 @@ impl Netlist {
     }
 
     /// The structural half of [`Netlist::validate`]: every read net is
-    /// driven and the load lists mirror the cell input pins exactly.  Does
-    /// *not* check for combinational loops — callers that compute levels or
-    /// an evaluation order anyway get that check for free there.
+    /// driven.  Does *not* check for combinational loops — callers that
+    /// compute levels or an evaluation order anyway get that check for free
+    /// there.  The load lists need no check: [`Netlist::add_cell`] is their
+    /// only writer and records each input pin as it connects it.
     pub(crate) fn check_structure(&self) -> Result<(), NetlistError> {
         // Every cell input and every primary output must be driven.
         for cell in &self.cells {
@@ -438,58 +423,6 @@ impl Netlist {
             if self.nets[net.index()].driver.is_none() {
                 return Err(NetlistError::UndrivenNet { net });
             }
-        }
-        // The load lists must mirror the cell input pins exactly. Every load
-        // entry is checked to point at a pin that really reads its net, each
-        // (cell, pin) may appear at most once across all load lists, and the
-        // total entry count must match the total pin count — together that
-        // is a bijection between load entries and input pins, without
-        // materializing and sorting the two triple multisets. The builder
-        // API keeps the lists in sync; this guards deserialized or
-        // hand-assembled netlists.
-        let mut seen_pins = vec![0_u8; self.cells.len()];
-        let mut load_entries = 0_usize;
-        for (net_idx, net) in self.nets.iter().enumerate() {
-            for &(cell, pin) in &net.loads {
-                let valid = self
-                    .cells
-                    .get(cell.index())
-                    .and_then(|c| c.inputs.get(pin))
-                    .is_some_and(|&input| input.index() == net_idx);
-                if !valid {
-                    return Err(NetlistError::InconsistentLoads {
-                        net: NetId(net_idx),
-                    });
-                }
-                let bit = 1_u8 << pin; // arity is at most 3, so pin < 8
-                if seen_pins[cell.index()] & bit != 0 {
-                    return Err(NetlistError::InconsistentLoads {
-                        net: NetId(net_idx),
-                    });
-                }
-                seen_pins[cell.index()] |= bit;
-                load_entries += 1;
-            }
-        }
-        let pin_entries: usize = self.cells.iter().map(|c| c.inputs.len()).sum();
-        if load_entries != pin_entries {
-            // Some pin has no load back-reference; report its net.
-            let net_idx = self
-                .cells
-                .iter()
-                .zip(&seen_pins)
-                .flat_map(|(cell, &seen)| {
-                    cell.inputs
-                        .iter()
-                        .enumerate()
-                        .filter(move |&(pin, _)| seen & (1 << pin) == 0)
-                        .map(|(_, &net)| net.index())
-                })
-                .next()
-                .unwrap_or(0);
-            return Err(NetlistError::InconsistentLoads {
-                net: NetId(net_idx),
-            });
         }
         Ok(())
     }
@@ -810,60 +743,6 @@ mod tests {
             n.validate_strict().unwrap_err(),
             NetlistError::UndrivenNet { net: floating }
         );
-    }
-
-    /// Navigates to the mutable `loads` array of net `net` inside a
-    /// serialized [`Netlist`] document.
-    fn loads_of(doc: &mut serde::Value, net: usize) -> &mut Vec<serde::Value> {
-        let serde::Value::Object(fields) = doc else {
-            panic!("netlist serializes as an object");
-        };
-        let nets = &mut fields
-            .iter_mut()
-            .find(|(key, _)| key == "nets")
-            .expect("nets field")
-            .1;
-        let serde::Value::Array(nets) = nets else {
-            panic!("nets serialize as an array");
-        };
-        let serde::Value::Object(net_fields) = &mut nets[net] else {
-            panic!("a net serializes as an object");
-        };
-        let loads = &mut net_fields
-            .iter_mut()
-            .find(|(key, _)| key == "loads")
-            .expect("loads field")
-            .1;
-        let serde::Value::Array(loads) = loads else {
-            panic!("loads serialize as an array");
-        };
-        loads
-    }
-
-    #[test]
-    fn corrupted_load_backreferences_fail_validation() {
-        let (n, ab, _) = and_or_netlist();
-        let mut doc = serde_json::to_value(&n);
-        // Point the AB net's load at pin 1 instead of pin 0: the back-
-        // reference no longer mirrors the OR cell's input pins.
-        let serde::Value::Array(entry) = &mut loads_of(&mut doc, ab.index())[0] else {
-            panic!("a load entry serializes as a [cell, pin] pair");
-        };
-        entry[1] = serde::Value::UInt(1);
-        let corrupted: Netlist = serde_json::from_value(&doc).unwrap();
-        assert!(matches!(
-            corrupted.validate(),
-            Err(NetlistError::InconsistentLoads { .. })
-        ));
-
-        // Dropping the load entry entirely is also caught (multiset check).
-        let mut doc = serde_json::to_value(&n);
-        loads_of(&mut doc, ab.index()).clear();
-        let corrupted: Netlist = serde_json::from_value(&doc).unwrap();
-        assert!(matches!(
-            corrupted.validate(),
-            Err(NetlistError::InconsistentLoads { .. })
-        ));
     }
 
     #[test]

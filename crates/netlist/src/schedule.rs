@@ -91,8 +91,8 @@ impl EvalSchedule {
     ///
     /// # Errors
     ///
-    /// * [`NetlistError::UndrivenNet`] / [`NetlistError::InconsistentLoads`]
-    ///   for structural faults (see [`Netlist::validate`]);
+    /// * [`NetlistError::UndrivenNet`] for a floating net that a cell or a
+    ///   primary output reads (see [`Netlist::validate`]);
     /// * [`NetlistError::CombinationalLoop`] if the combinational logic
     ///   contains a cycle.
     pub fn compile(netlist: &Netlist) -> Result<Self, NetlistError> {

@@ -6,7 +6,6 @@ use proptest::prelude::*;
 use fabric_power_core::prelude::*;
 use fabric_power_fabric::topology::FabricTopology;
 use fabric_power_memory::MemoryModel;
-use fabric_power_netlist::InputVector;
 use fabric_power_tech::polarity_flips;
 use fabric_power_tech::units::{Capacitance, Voltage};
 use fabric_power_thompson::wirelength;
@@ -140,22 +139,6 @@ proptest! {
         prop_assert!(
             large_model.access_energy_per_bit() >= small_model.access_energy_per_bit()
         );
-    }
-
-    #[test]
-    fn input_vector_counts_match_mask(ports in 1_usize..=32, mask in any::<u64>()) {
-        let mut vector = InputVector::none(ports);
-        let mut expected = 0;
-        for port in 0..ports {
-            let active = (mask >> port) & 1 == 1;
-            vector.set_active(port, active);
-            expected += usize::from(active);
-        }
-        prop_assert_eq!(vector.active_count(), expected);
-        prop_assert_eq!(vector.active_ports().count(), expected);
-        // Formatting always shows one digit per port.
-        let printed = vector.to_string();
-        prop_assert_eq!(printed.matches(['0', '1']).count(), ports);
     }
 
     #[test]
