@@ -219,10 +219,10 @@ pub struct SweepPoint {
     pub latency_p99: f64,
     /// The full latency distribution of this cell, sparse over non-zero
     /// bins (the ROADMAP "full latency histograms in emitted documents"
-    /// follow-on).  Lossless: expanding it reproduces the simulator's dense
-    /// histogram, and sparse histograms from several cells can be combined
-    /// by expanding and merging.  Defaults (to empty) keep documents
-    /// emitted before this field existed parseable.
+    /// follow-on).  Lossless: it keeps every non-zero bin of the
+    /// simulator's dense histogram, plus its overflow count, sample count,
+    /// sum and maximum.  `diff` compares it bin by bin.  Defaults (to
+    /// empty) keep documents emitted before this field existed parseable.
     #[serde(default)]
     pub latency_histogram: SparseLatencyHistogram,
     /// Network-level aggregates (hop percentiles, link and per-hop energy,

@@ -5,7 +5,8 @@
 //! [`Shard`]s.  Each shard carries complete cells (coordinates *and* derived
 //! seeds), so a worker process given nothing but the serialized plan and a
 //! shard index reproduces its slice of the grid bit for bit — no coordination
-//! with other workers, no shared state beyond an optional model cache.
+//! with other workers and no shared state: each process builds the models
+//! its shard needs in its own memory.
 //!
 //! ```text
 //! fabric-power plan paper-fig9 --shards 3 --out plan.json   # plan

@@ -2,8 +2,8 @@
 //!
 //! `fabric-power report` prints both figures through these lookups.  `run`
 //! evaluates a grid on a default [`SweepEngine`] (every core, shared seed,
-//! canonical order); for threads, seeding or a model cache, wrap the points
-//! that [`SweepEngine::run`] returns on a configured engine.
+//! canonical order); for threads, seeding or a model provider of your own,
+//! wrap the points that [`SweepEngine::run`] returns on a configured engine.
 
 use serde::{Deserialize, Serialize};
 
