@@ -17,13 +17,13 @@
 //!    equations (Eq. 3–6) or
 //! 4. **Simulate** dynamic traffic bit-by-bit on the router platform
 //!    (`fabric-power-router`) and sweep load and fabric size to regenerate
-//!    Figure 9 and Figure 10 ([`experiment`]);
+//!    Figure 9 and Figure 10 (`fabric-power-sweep`:
+//!    [`prelude::ThroughputSweep`], [`prelude::PortSweep`]);
 //! 5. **Compare** every published number with ours: the ledger ([`paper`]).
 //!
 //! # Quick start
 //!
 //! ```
-//! use fabric_power_core::experiment::{ExperimentConfig, ThroughputSweep};
 //! use fabric_power_core::prelude::*;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -39,17 +39,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod experiment;
 pub mod paper;
-
-pub use experiment::{
-    ExperimentConfig, ExperimentError, ModelProvider, ModelSource, ModelSpec, PortSweep,
-    SweepPoint, ThroughputSweep,
-};
-pub use fabric_power_sweep::{
-    Scenario, ScenarioRegistry, SeedStrategy, ShardStrategy, SweepCell, SweepDocument, SweepEngine,
-    SweepPlan,
-};
 
 /// Convenient re-exports of the most frequently used types from the whole
 /// workspace, so downstream users can `use fabric_power_core::prelude::*`.
@@ -65,13 +55,10 @@ pub mod prelude {
     };
     pub use fabric_power_tech::{Energy, Power, Technology, WireModel};
 
-    pub use crate::experiment::{
-        ExperimentConfig, ModelProvider, ModelSource, ModelSpec, PortSweep, SweepPoint,
-        ThroughputSweep,
-    };
     pub use fabric_power_sweep::{
-        merge_documents, Scenario, ScenarioRegistry, SeedStrategy, Shard, ShardDocument,
-        ShardStrategy, SweepDocument, SweepEngine, SweepPlan,
+        merge_documents, ExperimentConfig, ModelProvider, ModelSource, ModelSpec, PortSweep,
+        Scenario, ScenarioRegistry, SeedStrategy, Shard, ShardDocument, ShardStrategy,
+        SweepDocument, SweepEngine, SweepPlan, SweepPoint, ThroughputSweep,
     };
 }
 

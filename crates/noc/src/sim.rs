@@ -42,7 +42,6 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use fabric_power_fabric::energy_model::FabricEnergyModel;
-use fabric_power_fabric::provider::{ModelProvider, ModelSpec};
 use fabric_power_router::config::{SimulationConfig, SimulationReport};
 use fabric_power_router::metrics::LatencyHistogram;
 use fabric_power_router::node::RouterNode;
@@ -641,25 +640,6 @@ impl NetworkSimulator {
             warmup_cycles,
             measure_cycles,
         })
-    }
-
-    /// Creates a network simulator whose node energy model is acquired
-    /// through a [`ModelProvider`] (one spec per distinct node
-    /// configuration; every router in the grid shares the resulting
-    /// [`Arc`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates model-acquisition failures and all
-    /// [`NetworkSimulator::with_shared_model`] errors.
-    pub fn from_provider(
-        config: SimulationConfig,
-        network: NetworkConfig,
-        provider: &ModelProvider,
-        spec: &ModelSpec,
-    ) -> Result<Self, NetworkError> {
-        let model = provider.get(spec).map_err(SimulationError::Model)?;
-        Self::with_shared_model(config, network, model)
     }
 
     /// Simulates one global tick.

@@ -14,8 +14,10 @@
 //! ```
 //!
 //! The filter is read from `FABRIC_POWER_LOG` when the first span closes,
-//! unless [`set_filter`] (the CLI's `--log`) set it before.  An unset or
-//! malformed `FABRIC_POWER_LOG` means `info`.
+//! unless [`set_filter`] (the CLI's `--log`) set it before.  An unset
+//! `FABRIC_POWER_LOG` means `info`; so does a malformed one, after one
+//! warning line on stderr that names the variable, its value and the parse
+//! error.
 //!
 //! # Timestamps
 //!
@@ -162,10 +164,12 @@ pub fn set_filter(filter: Filter) {
 fn enabled(level: Level) -> bool {
     let mut rank = MIN_RANK.load(Ordering::Relaxed);
     if rank == RANK_UNSET {
-        let filter = std::env::var("FABRIC_POWER_LOG")
-            .ok()
-            .and_then(|spec| Filter::parse(&spec).ok())
-            .unwrap_or_default();
+        let spec = std::env::var("FABRIC_POWER_LOG").ok();
+        let parsed = spec.as_deref().map(Filter::parse);
+        let filter = match &parsed {
+            Some(Ok(filter)) => *filter,
+            _ => Filter::default(),
+        };
         // A `set_filter` that ran in the meantime wins.
         rank = match MIN_RANK.compare_exchange(
             RANK_UNSET,
@@ -173,7 +177,17 @@ fn enabled(level: Level) -> bool {
             Ordering::Relaxed,
             Ordering::Relaxed,
         ) {
-            Ok(_) => filter.rank(),
+            Ok(_) => {
+                // Only the thread that installed the filter warns, so the
+                // line appears once however many spans close at once.
+                if let (Some(spec), Some(Err(error))) = (&spec, &parsed) {
+                    let _ = writeln!(
+                        std::io::stderr(),
+                        "warning: ignoring FABRIC_POWER_LOG={spec:?}: {error}; using `info`"
+                    );
+                }
+                filter.rank()
+            }
             Err(current) => current,
         };
     }

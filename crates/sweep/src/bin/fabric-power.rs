@@ -10,14 +10,17 @@
 //! fabric-power report --in fig9.json
 //! ```
 
-use std::path::PathBuf;
+use std::io::Write as _;
+use std::path::Path;
 use std::process::ExitCode;
+use std::time::Instant;
 
 use fabric_power_netlist::SwitchClass;
 use fabric_power_obs as obs;
 use fabric_power_sweep::{
-    diff_documents, merge_documents, report, write_stdout, Scenario, ScenarioRegistry,
-    SeedStrategy, ShardDocument, ShardStrategy, SweepDocument, SweepEngine, SweepPlan,
+    diff_documents, merge_documents, report, write_atomic, write_stdout, ExperimentError, Scenario,
+    ScenarioRegistry, SeedStrategy, ShardDocument, ShardStrategy, SweepDocument, SweepEngine,
+    SweepPlan,
 };
 
 const USAGE: &str = "\
@@ -81,15 +84,19 @@ GLOBAL OPTIONS (any command):
     --log-json <FILE>              Also append every timing as one JSON line
                                    to FILE (truncated at startup)
 
-All instrumentation is out of band (stderr / side files): emitted sweep
-documents are byte-identical with observability on or off.
+Each flag may be given once. All instrumentation is out of band (stderr /
+side files): emitted sweep documents are byte-identical with observability
+on or off.
 ";
+
+/// The flags every command accepts, anywhere in its arguments.
+const GLOBAL_FLAGS: &[&str] = &["--log", "--log-json"];
 
 /// Why a command failed.
 #[derive(Debug)]
 enum CliError {
-    /// The arguments were wrong: an unknown command, an unexpected or
-    /// missing argument, or a malformed flag value.  Reported with a
+    /// The arguments were wrong: an unknown command, an unexpected, missing
+    /// or repeated argument, or a malformed flag value.  Reported with a
     /// pointer to the usage text.
     Usage(String),
     /// The arguments were fine, but the work failed: a file could not be
@@ -109,50 +116,108 @@ fn usage(message: impl Into<String>) -> CliError {
 }
 
 fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    match apply_global_flags(&mut args).and_then(|()| run(&args)) {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match run(&args) {
         Ok(code) => code,
-        Err(CliError::Usage(message)) => {
-            eprintln!("error: {message}");
-            eprintln!("run `fabric-power help` for usage");
-            ExitCode::FAILURE
-        }
-        Err(CliError::Failed(message)) => {
-            eprintln!("error: {message}");
+        Err(error) => {
+            let (CliError::Usage(message) | CliError::Failed(message)) = &error;
+            note(&format!("error: {message}"));
+            if matches!(error, CliError::Usage(_)) {
+                note("run `fabric-power help` for usage");
+            }
             ExitCode::FAILURE
         }
     }
 }
 
-/// Strips the global `--log` / `--log-json` flags out of the argument list
-/// (they are accepted anywhere, for every command) and configures the logger
-/// accordingly.  `--log` takes one level or `off`; anything else is a usage
-/// error.  It beats `$FABRIC_POWER_LOG`, which the logger reads only when
-/// the first span closes and no `--log` was given.
-fn apply_global_flags(args: &mut Vec<String>) -> Result<(), CliError> {
-    let mut log_spec = None;
-    let mut log_json = None;
-    let mut index = 0;
-    while index < args.len() {
-        let slot = match args[index].as_str() {
-            "--log" => &mut log_spec,
-            "--log-json" => &mut log_json,
-            _ => {
-                index += 1;
-                continue;
+/// Writes one line to stderr: the one path of every progress and error
+/// line.  Those lines are best effort, so a stderr that cannot be written
+/// changes neither the work nor the exit status.
+fn note(line: &str) {
+    let _ = writeln!(std::io::stderr(), "{line}");
+}
+
+/// One command's arguments, checked against what the command accepts.
+#[derive(Debug, Default)]
+struct Args {
+    /// Each flag or switch given, with its value (empty for a switch).
+    given: Vec<(&'static str, String)>,
+    /// The positional arguments, in order.
+    positionals: Vec<String>,
+}
+
+impl Args {
+    /// Parses the arguments of a command whose `flags` take a value, whose
+    /// `switches` take none and which takes up to `positionals` positional
+    /// arguments; the [`GLOBAL_FLAGS`] are accepted too.  An unknown or
+    /// surplus argument, a flag without its value and a flag or switch given
+    /// twice are usage errors.
+    fn parse(
+        args: &[String],
+        flags: &[&'static str],
+        switches: &[&'static str],
+        positionals: usize,
+    ) -> Result<Self, CliError> {
+        let mut parsed = Self::default();
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            let flag = GLOBAL_FLAGS.iter().chain(flags).find(|&flag| flag == arg);
+            if let Some(&name) = flag.or_else(|| switches.iter().find(|&switch| switch == arg)) {
+                if parsed.value(name).is_some() {
+                    return Err(usage(format!("`{name}` is given more than once")));
+                }
+                let value = match flag {
+                    Some(_) => args
+                        .next()
+                        .ok_or_else(|| usage(format!("`{name}` needs a value")))?
+                        .clone(),
+                    None => String::new(),
+                };
+                parsed.given.push((name, value));
+            } else if !arg.starts_with('-') && parsed.positionals.len() < positionals {
+                parsed.positionals.push(arg.clone());
+            } else {
+                return Err(usage(format!("unexpected argument `{arg}`")));
             }
-        };
-        if index + 1 >= args.len() {
-            return Err(usage(format!("`{}` needs a value", args[index])));
         }
-        *slot = Some(args.remove(index + 1));
-        args.remove(index);
+        Ok(parsed)
     }
-    if let Some(spec) = log_spec {
-        obs::log::set_filter(obs::Filter::parse(&spec).map_err(CliError::Usage)?);
+
+    /// The value of a flag given (`""` for a switch), or `None`.
+    fn value(&self, name: &str) -> Option<&str> {
+        self.given
+            .iter()
+            .find(|(given, _)| *given == name)
+            .map(|(_, value)| value.as_str())
     }
-    if let Some(path) = log_json {
-        obs::log::log_json_to_file(std::path::Path::new(&path))
+}
+
+/// Splits the command name off the arguments: the first argument that is
+/// neither a global flag nor a global flag's value.
+fn split_command(args: &[String]) -> (Option<&str>, Vec<String>) {
+    let mut at = 0;
+    while args
+        .get(at)
+        .is_some_and(|arg| GLOBAL_FLAGS.contains(&arg.as_str()))
+    {
+        at += 2;
+    }
+    match args.get(at) {
+        Some(command) => (Some(command), [&args[..at], &args[at + 1..]].concat()),
+        None => (None, args.to_vec()),
+    }
+}
+
+/// Configures the logger from the global flags.  `--log` takes one level or
+/// `off`; anything else is a usage error.  It beats `$FABRIC_POWER_LOG`,
+/// which the logger reads only when the first span closes and no `--log`
+/// was given.
+fn set_up_logging(args: &Args) -> Result<(), CliError> {
+    if let Some(spec) = args.value("--log") {
+        obs::log::set_filter(obs::Filter::parse(spec).map_err(CliError::Usage)?);
+    }
+    if let Some(path) = args.value("--log-json") {
+        obs::log::log_json_to_file(Path::new(path))
             .map_err(|e| format!("opening log file {path}: {e}"))?;
     }
     Ok(())
@@ -162,19 +227,98 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
     fn done(result: Result<(), impl Into<CliError>>) -> Result<ExitCode, CliError> {
         result.map(|()| ExitCode::SUCCESS).map_err(Into::into)
     }
-    match args.first().map(String::as_str) {
-        None | Some("help" | "--help" | "-h") => done(write_stdout(USAGE)),
-        Some("list-scenarios") => done(list_scenarios()),
-        Some("export-scenario") => done(export_scenario(&args[1..])),
-        Some("sweep") => done(sweep(&args[1..])),
-        Some("plan") => done(plan(&args[1..])),
-        Some("run-shard") => done(run_shard(&args[1..])),
-        Some("merge") => done(merge(&args[1..])),
-        Some("diff") => diff(&args[1..]),
-        Some("report") => done(report_command(&args[1..])),
-        Some("netlist-stats") => done(netlist_stats(&args[1..])),
+    let (command, rest) = split_command(args);
+    let parse = |flags: &[&'static str], switches: &[&'static str], positionals: usize| {
+        let args = Args::parse(&rest, flags, switches, positionals)?;
+        set_up_logging(&args)?;
+        Ok::<_, CliError>(args)
+    };
+    match command {
+        None | Some("help" | "--help" | "-h") => {
+            parse(&[], &[], usize::MAX)?;
+            done(write_stdout(USAGE))
+        }
+        Some("list-scenarios") => {
+            parse(&[], &[], 0)?;
+            done(list_scenarios())
+        }
+        Some("export-scenario") => done(export_scenario(&parse(&[], &[], 1)?)),
+        Some("sweep") => done(sweep(&parse(
+            &[
+                "--scenario",
+                "--scenario-file",
+                "--threads",
+                "--seed",
+                "--seed-strategy",
+                "--out",
+                "--csv",
+            ],
+            &[],
+            0,
+        )?)),
+        Some("plan") => done(plan(&parse(
+            &[
+                "--scenario-file",
+                "--shards",
+                "--strategy",
+                "--seed",
+                "--seed-strategy",
+                "--out",
+            ],
+            &[],
+            1,
+        )?)),
+        Some("run-shard") => done(run_shard(&parse(
+            &["--index", "--threads", "--out"],
+            &[],
+            1,
+        )?)),
+        Some("merge") => done(merge(&parse(&["--out", "--csv"], &[], usize::MAX)?)),
+        Some("diff") => diff(&parse(&["--tolerance"], &[], 2)?),
+        Some("report") => done(report_command(&parse(&["--in"], &[], 0)?)),
+        Some("netlist-stats") => done(netlist_stats(&parse(&[], &["--json"], 1)?)),
         Some(other) => Err(usage(format!("unknown command `{other}`"))),
     }
+}
+
+/// Reads one JSON input: a scenario, plan, shard part or sweep document.
+/// `hint` follows a parse error's message.
+fn read_json<T: serde::Deserialize>(path: &str, hint: &str) -> Result<T, String> {
+    let json = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+    serde_json::from_str(&json).map_err(|e| format!("parsing {path}: {e}{hint}"))
+}
+
+/// Writes `value` as pretty JSON with a trailing newline: to `out` when
+/// given, otherwise to stdout.
+fn write_json(value: &impl serde::Serialize, out: Option<&str>) -> Result<(), String> {
+    let json = serde_json::to_string_pretty(value).map_err(|e| e.to_string())? + "\n";
+    match out {
+        Some(path) => write_file(path, &json),
+        None => write_stdout(&json),
+    }
+}
+
+/// Writes an artifact atomically (write-temp-then-rename, see
+/// [`write_atomic`]), so an interrupted run never leaves a truncated file
+/// behind, and says so on stderr.
+fn write_file(path: &str, contents: &str) -> Result<(), String> {
+    write_atomic(Path::new(path), contents).map_err(|e| format!("writing {path}: {e}"))?;
+    note(&format!("wrote {path}"));
+    Ok(())
+}
+
+/// The one output policy of the commands that produce a [`SweepDocument`]
+/// (`sweep`, `merge`): write `--out` and/or `--csv` when given, otherwise
+/// the JSON document to stdout.
+fn write_document(document: &SweepDocument, args: &Args) -> Result<(), String> {
+    let (out, csv) = (args.value("--out"), args.value("--csv"));
+    if out.is_some() || csv.is_none() {
+        write_json(document, out)?;
+    }
+    if let Some(path) = csv {
+        write_file(path, &document.to_csv_string())?;
+    }
+    Ok(())
 }
 
 fn list_scenarios() -> Result<(), String> {
@@ -191,74 +335,13 @@ fn list_scenarios() -> Result<(), String> {
     write_stdout(&out)
 }
 
-fn export_scenario(args: &[String]) -> Result<(), CliError> {
-    let [name] = args else {
+fn export_scenario(args: &Args) -> Result<(), CliError> {
+    let [name] = &args.positionals[..] else {
         return Err(usage("export-scenario needs exactly one scenario name"));
     };
     let registry = ScenarioRegistry::builtin();
     let scenario = registry.get(name).ok_or_else(|| unknown_scenario(name))?;
-    Ok(write_stdout(
-        &(serde_json::to_string_pretty(scenario).map_err(|e| e.to_string())? + "\n"),
-    )?)
-}
-
-/// Pulls the value of `--flag value` out of an argument list.
-fn flag_value(args: &[String], flag: &str) -> Result<Option<String>, CliError> {
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        if arg == flag {
-            return match iter.next() {
-                Some(value) => Ok(Some(value.clone())),
-                None => Err(usage(format!("`{flag}` needs a value"))),
-            };
-        }
-    }
-    Ok(None)
-}
-
-/// Validates that `args` contains only `--flag value` pairs from `flags`,
-/// with up to `positionals` leading positional arguments.
-fn known_flags_with_positionals(
-    args: &[String],
-    positionals: usize,
-    flags: &[&str],
-) -> Result<(), CliError> {
-    let mut expect_value = false;
-    let mut seen_positionals = 0;
-    for arg in args {
-        if expect_value {
-            expect_value = false;
-            continue;
-        }
-        if flags.contains(&arg.as_str()) {
-            expect_value = true;
-        } else if !arg.starts_with('-') && seen_positionals < positionals {
-            seen_positionals += 1;
-        } else {
-            return Err(usage(format!("unexpected argument `{arg}`")));
-        }
-    }
-    Ok(())
-}
-
-fn known_flags(args: &[String], flags: &[&str]) -> Result<(), CliError> {
-    known_flags_with_positionals(args, 0, flags)
-}
-
-/// The arguments left once every `--flag value` pair in `flags` is removed.
-fn positional_args<'a>(args: &'a [String], flags: &[&str]) -> Vec<&'a String> {
-    let mut positionals = Vec::new();
-    let mut skip_next = false;
-    for arg in args {
-        if skip_next {
-            skip_next = false;
-        } else if flags.contains(&arg.as_str()) {
-            skip_next = true;
-        } else {
-            positionals.push(arg);
-        }
-    }
-    positionals
+    Ok(write_json(scenario, None)?)
 }
 
 fn unknown_scenario(name: &str) -> String {
@@ -272,138 +355,87 @@ fn unknown_scenario(name: &str) -> String {
 /// two) — the single resolution path every subcommand shares, so lookup
 /// behavior and error wording cannot drift between them.
 fn load_scenario(
-    name: Option<String>,
-    file: Option<String>,
+    name: Option<&str>,
+    file: Option<&str>,
     neither: &str,
     both: &str,
 ) -> Result<Scenario, CliError> {
     match (name, file) {
         (Some(_), Some(_)) => Err(usage(both)),
         (None, None) => Err(usage(neither)),
-        (Some(name), None) => {
-            let registry = ScenarioRegistry::builtin();
-            Ok(registry
-                .get(&name)
-                .cloned()
-                .ok_or_else(|| unknown_scenario(&name))?)
-        }
-        (None, Some(path)) => {
-            let json =
-                std::fs::read_to_string(&path).map_err(|e| format!("reading {path}: {e}"))?;
-            let scenario: Scenario = serde_json::from_str(json.trim())
-                .map_err(|e| format!("parsing {path}: {e} (expected a scenario object like `fabric-power export-scenario` prints)"))?;
-            Ok(scenario)
-        }
+        (Some(name), None) => Ok(ScenarioRegistry::builtin()
+            .get(name)
+            .cloned()
+            .ok_or_else(|| unknown_scenario(name))?),
+        (None, Some(path)) => Ok(read_json(
+            path,
+            " (expected a scenario object like `fabric-power export-scenario` prints)",
+        )?),
     }
 }
 
-/// Resolves the scenario from `--scenario <NAME>` or `--scenario-file
-/// <FILE>` (exactly one of the two).
-fn resolve_scenario(args: &[String]) -> Result<Scenario, CliError> {
-    load_scenario(
-        flag_value(args, "--scenario")?,
-        flag_value(args, "--scenario-file")?,
-        "need `--scenario <NAME>` or `--scenario-file <FILE>`",
-        "`--scenario` and `--scenario-file` are mutually exclusive",
-    )
+/// Expands a scenario into the plan `sweep` and `plan` run: its grid with
+/// `--seed` and `--seed-strategy` applied, split into `shards`.
+fn seeded_plan(
+    args: &Args,
+    scenario: Scenario,
+    shards: usize,
+    strategy: ShardStrategy,
+) -> Result<SweepPlan, CliError> {
+    let Scenario {
+        name, mut config, ..
+    } = scenario;
+    if let Some(seed) = args.value("--seed") {
+        config.seed = parse_seed(seed)?;
+    }
+    let seed_strategy = match args.value("--seed-strategy") {
+        Some(value) => SeedStrategy::parse(value).map_err(CliError::Usage)?,
+        None => SeedStrategy::Shared,
+    };
+    Ok(SweepPlan::new(name, config, seed_strategy, shards, strategy).map_err(|e| e.to_string())?)
 }
 
 /// Builds the engine every executing subcommand shares: `--threads` sets
 /// the worker count.
-fn resolve_engine(args: &[String]) -> Result<SweepEngine, CliError> {
+fn engine(args: &Args) -> Result<SweepEngine, CliError> {
     let mut engine = SweepEngine::new();
-    if let Some(threads) = flag_value(args, "--threads")? {
-        let threads =
-            fabric_power_sweep::executor::parse_thread_count(&threads).map_err(CliError::Usage)?;
-        engine = engine.with_threads(threads);
+    if let Some(threads) = args.value("--threads") {
+        engine = engine.with_threads(parse_thread_count(threads)?);
     }
     Ok(engine)
 }
 
-fn sweep(args: &[String]) -> Result<(), CliError> {
-    known_flags(
-        args,
-        &[
-            "--scenario",
-            "--scenario-file",
-            "--threads",
-            "--seed",
-            "--seed-strategy",
-            "--out",
-            "--csv",
-        ],
+/// `fabric-power sweep`: the whole grid as a one-shard plan, run in this
+/// process.
+fn sweep(args: &Args) -> Result<(), CliError> {
+    let scenario = load_scenario(
+        args.value("--scenario"),
+        args.value("--scenario-file"),
+        "need `--scenario <NAME>` or `--scenario-file <FILE>`",
+        "`--scenario` and `--scenario-file` are mutually exclusive",
     )?;
-    let scenario = resolve_scenario(args)?;
-    let mut engine = resolve_engine(args)?;
-
-    let mut config = scenario.config.clone();
-    if let Some(seed) = flag_value(args, "--seed")? {
-        config.seed = parse_seed(&seed)?;
-    }
-    if let Some(strategy) = flag_value(args, "--seed-strategy")? {
-        engine =
-            engine.with_seed_strategy(SeedStrategy::parse(&strategy).map_err(CliError::Usage)?);
-    }
-
-    eprintln!(
+    let engine = engine(args)?;
+    let plan = seeded_plan(args, scenario, 1, ShardStrategy::Contiguous)?;
+    note(&format!(
         "running scenario `{}`: {} points on {} thread(s)...",
-        scenario.name,
-        config.grid_size(),
+        plan.scenario,
+        plan.total_cells(),
         engine.threads()
-    );
-    let started = std::time::Instant::now();
-    let points = engine.run(&config).map_err(|e| e.to_string())?;
-    eprintln!(
+    ));
+    let started = Instant::now();
+    let document = engine.run_plan(&plan).map_err(|e| e.to_string())?;
+    note(&format!(
         "completed {} points in {:.2?}",
-        points.len(),
+        document.points.len(),
         started.elapsed()
-    );
-
-    let document = SweepDocument {
-        scenario: scenario.name.clone(),
-        config,
-        seed_strategy: engine.seed_strategy(),
-        points,
-    };
-
-    write_document_outputs(&document, args)
-}
-
-/// The one output policy for subcommands that produce a [`SweepDocument`]
-/// (`sweep`, `merge`): write `--out` and/or `--csv` when given, otherwise
-/// dump the JSON document to stdout.
-fn write_document_outputs(document: &SweepDocument, args: &[String]) -> Result<(), CliError> {
-    let out = flag_value(args, "--out")?.map(PathBuf::from);
-    let csv = flag_value(args, "--csv")?.map(PathBuf::from);
-    match (&out, &csv) {
-        (None, None) => {
-            // No files requested: the JSON document goes to stdout.
-            write_stdout(&(document.to_json_string().map_err(|e| e.to_string())? + "\n"))?;
-        }
-        _ => {
-            if let Some(path) = &out {
-                document.write_json(path).map_err(|e| e.to_string())?;
-                eprintln!("wrote {}", path.display());
-            }
-            if let Some(path) = &csv {
-                document.write_csv(path).map_err(|e| e.to_string())?;
-                eprintln!("wrote {}", path.display());
-            }
-        }
-    }
-    Ok(())
-}
-
-fn read_document(path: &str) -> Result<SweepDocument, String> {
-    let json = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    SweepDocument::from_json_str(json.trim_end()).map_err(|e| format!("parsing {path}: {e}"))
+    ));
+    Ok(write_document(&document, args)?)
 }
 
 /// Compares two documents; a mismatch is a *result* (exit code 1 with the
 /// delta report on stdout), not a usage error.
-fn diff(args: &[String]) -> Result<ExitCode, CliError> {
-    known_flags_with_positionals(args, 2, &["--tolerance"])?;
-    let tolerance = match flag_value(args, "--tolerance")? {
+fn diff(args: &Args) -> Result<ExitCode, CliError> {
+    let tolerance = match args.value("--tolerance") {
         Some(value) => value
             .parse::<f64>()
             .ok()
@@ -411,13 +443,11 @@ fn diff(args: &[String]) -> Result<ExitCode, CliError> {
             .ok_or_else(|| usage(format!("invalid tolerance `{value}`")))?,
         None => 0.0,
     };
-    // The two document paths are the arguments left once `--tolerance` and
-    // its value are removed.
-    let [a_path, b_path] = positional_args(args, &["--tolerance"])[..] else {
+    let [a_path, b_path] = &args.positionals[..] else {
         return Err(usage("diff needs exactly two document paths"));
     };
-    let a = read_document(a_path)?;
-    let b = read_document(b_path)?;
+    let a: SweepDocument = read_json(a_path, "")?;
+    let b: SweepDocument = read_json(b_path, "")?;
     let result = diff_documents(&a, &b, tolerance);
     write_stdout(&result.format())?;
     if result.is_match() {
@@ -428,151 +458,95 @@ fn diff(args: &[String]) -> Result<ExitCode, CliError> {
 }
 
 /// `fabric-power plan <SCENARIO> --shards N`: expand once, split, serialize.
-fn plan(args: &[String]) -> Result<(), CliError> {
-    const FLAGS: &[&str] = &[
-        "--scenario-file",
-        "--shards",
-        "--strategy",
-        "--seed",
-        "--seed-strategy",
-        "--out",
-    ];
-    known_flags_with_positionals(args, 1, FLAGS)?;
-    let shards = flag_value(args, "--shards")?.ok_or_else(|| usage("plan needs `--shards <N>`"))?;
+fn plan(args: &Args) -> Result<(), CliError> {
+    let shards = args
+        .value("--shards")
+        .ok_or_else(|| usage("plan needs `--shards <N>`"))?;
     let shards: usize = shards.parse().ok().filter(|&n| n > 0).ok_or_else(|| {
         usage(format!(
             "invalid shard count `{shards}` (need a positive integer)"
         ))
     })?;
-    let strategy = match flag_value(args, "--strategy")? {
-        Some(value) => ShardStrategy::parse(&value).map_err(CliError::Usage)?,
+    let strategy = match args.value("--strategy") {
+        Some(value) => ShardStrategy::parse(value).map_err(CliError::Usage)?,
         None => ShardStrategy::Contiguous,
     };
-
     // The scenario comes from the positional name or `--scenario-file`.
-    let positional_name = match positional_args(args, FLAGS)[..] {
-        [] => None,
-        [name] => Some(name.clone()),
-        _ => return Err(usage("plan takes at most one scenario name")),
-    };
-    let Scenario { name, config, .. } = load_scenario(
-        positional_name,
-        flag_value(args, "--scenario-file")?,
+    let scenario = load_scenario(
+        args.positionals.first().map(String::as_str),
+        args.value("--scenario-file"),
         "plan needs a scenario name or `--scenario-file <FILE>`",
         "give a scenario name or `--scenario-file`, not both",
     )?;
-
-    let mut config = config;
-    if let Some(seed) = flag_value(args, "--seed")? {
-        config.seed = parse_seed(&seed)?;
-    }
-    let seed_strategy = match flag_value(args, "--seed-strategy")? {
-        Some(value) => SeedStrategy::parse(&value).map_err(CliError::Usage)?,
-        None => SeedStrategy::Shared,
-    };
-
-    let plan =
-        SweepPlan::new(name, config, seed_strategy, shards, strategy).map_err(|e| e.to_string())?;
-    eprintln!(
+    let plan = seeded_plan(args, scenario, shards, strategy)?;
+    note(&format!(
         "planned scenario `{}`: {} cell(s) over {} {} shard(s)",
         plan.scenario,
         plan.total_cells(),
         plan.shard_count(),
         plan.strategy.slug(),
-    );
-    Ok(emit_json(
-        &plan.to_json_string().map_err(|e| e.to_string())?,
-        flag_value(args, "--out")?.as_deref(),
-    )?)
+    ));
+    Ok(write_json(&plan, args.value("--out"))?)
 }
 
 /// `fabric-power run-shard <PLAN> --index i`: execute one shard of a plan.
-fn run_shard(args: &[String]) -> Result<(), CliError> {
-    const FLAGS: &[&str] = &["--index", "--threads", "--out"];
-    known_flags_with_positionals(args, 1, FLAGS)?;
-    let [plan_path] = positional_args(args, FLAGS)[..] else {
+fn run_shard(args: &Args) -> Result<(), CliError> {
+    let [plan_path] = &args.positionals[..] else {
         return Err(usage("run-shard needs exactly one plan file"));
     };
-    let index =
-        flag_value(args, "--index")?.ok_or_else(|| usage("run-shard needs `--index <I>`"))?;
+    let index = args
+        .value("--index")
+        .ok_or_else(|| usage("run-shard needs `--index <I>`"))?;
     let index: usize = index
         .parse()
         .map_err(|_| usage(format!("invalid shard index `{index}`")))?;
-
-    let json =
-        std::fs::read_to_string(plan_path).map_err(|e| format!("reading {plan_path}: {e}"))?;
-    let plan = SweepPlan::from_json_str(json.trim_end())
-        .map_err(|e| format!("parsing {plan_path}: {e}"))?;
-    let engine = resolve_engine(args)?;
+    let plan: SweepPlan = read_json(plan_path, "")?;
+    let engine = engine(args)?;
 
     // Check the index before printing progress, but keep the engine's error
     // as the single source of the message.
     let shard = plan.shard(index).ok_or_else(|| {
-        fabric_power_sweep::ExperimentError::InvalidShard {
+        ExperimentError::InvalidShard {
             index,
             shards: plan.shard_count(),
         }
         .to_string()
     })?;
-    eprintln!(
+    note(&format!(
         "running shard {index}/{} of `{}`: {} cell(s) on {} thread(s)...",
         plan.shard_count(),
         plan.scenario,
         shard.cells.len(),
         engine.threads()
-    );
-    let started = std::time::Instant::now();
+    ));
+    let started = Instant::now();
     let document = engine.run_shard(&plan, index).map_err(|e| e.to_string())?;
-    eprintln!(
+    note(&format!(
         "completed {} cell(s) in {:.2?}",
         document.results.len(),
         started.elapsed()
-    );
-    Ok(emit_json(
-        &document.to_json_string().map_err(|e| e.to_string())?,
-        flag_value(args, "--out")?.as_deref(),
-    )?)
+    ));
+    Ok(write_json(&document, args.value("--out"))?)
 }
 
 /// `fabric-power merge <PART>...`: recombine partial documents by cell index.
-fn merge(args: &[String]) -> Result<(), CliError> {
-    const FLAGS: &[&str] = &["--out", "--csv"];
-    known_flags_with_positionals(args, usize::MAX, FLAGS)?;
-    let part_paths = positional_args(args, FLAGS);
-    if part_paths.is_empty() {
+fn merge(args: &Args) -> Result<(), CliError> {
+    if args.positionals.is_empty() {
         return Err(usage("merge needs at least one shard document"));
     }
-    let mut parts = Vec::with_capacity(part_paths.len());
-    for path in part_paths {
-        let json = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-        parts.push(
-            ShardDocument::from_json_str(json.trim_end())
-                .map_err(|e| format!("parsing {path}: {e}"))?,
-        );
-    }
+    let parts = args
+        .positionals
+        .iter()
+        .map(|path| read_json::<ShardDocument>(path, ""))
+        .collect::<Result<Vec<_>, _>>()?;
     let document = merge_documents(&parts).map_err(|e| e.to_string())?;
-    eprintln!(
+    note(&format!(
         "merged {} shard(s) into {} point(s) of `{}`",
         parts.len(),
         document.points.len(),
         document.scenario
-    );
-    write_document_outputs(&document, args)
-}
-
-/// Writes pretty JSON to `--out` (with a trailing newline) or to stdout.
-/// File writes are atomic (write-temp-then-rename), so an interrupted
-/// `plan`/`run-shard` never leaves a truncated artifact behind.
-fn emit_json(json: &str, out: Option<&str>) -> Result<(), String> {
-    match out {
-        Some(path) => {
-            fabric_power_sweep::write_atomic(std::path::Path::new(path), &format!("{json}\n"))
-                .map_err(|e| format!("writing {path}: {e}"))?;
-            eprintln!("wrote {path}");
-        }
-        None => write_stdout(&format!("{json}\n"))?,
-    }
-    Ok(())
+    ));
+    Ok(write_document(&document, args)?)
 }
 
 fn parse_seed(input: &str) -> Result<u64, CliError> {
@@ -587,10 +561,20 @@ fn parse_seed(input: &str) -> Result<u64, CliError> {
     parsed.map_err(|_| usage(format!("invalid seed `{input}`")))
 }
 
-fn report_command(args: &[String]) -> Result<(), CliError> {
-    known_flags(args, &["--in"])?;
-    let path = flag_value(args, "--in")?.ok_or_else(|| usage("report needs `--in <FILE.json>`"))?;
-    let document = read_document(&path)?;
+/// Parses a `--threads` value: a positive integer.
+fn parse_thread_count(value: &str) -> Result<usize, CliError> {
+    match value.parse::<usize>() {
+        Ok(0) => Err(usage("`--threads` must be at least 1")),
+        Ok(threads) => Ok(threads),
+        Err(_) => Err(usage(format!("invalid thread count `{value}`"))),
+    }
+}
+
+fn report_command(args: &Args) -> Result<(), CliError> {
+    let path = args
+        .value("--in")
+        .ok_or_else(|| usage("report needs `--in <FILE.json>`"))?;
+    let document: SweepDocument = read_json(path, "")?;
     Ok(write_stdout(&report::format_document(&document))?)
 }
 
@@ -652,20 +636,13 @@ fn parse_netlist_classes(arg: &str) -> Result<Vec<SwitchClass>, String> {
 /// `fabric-power netlist-stats <CLASS> [--json]`: generate a Table 1 switch
 /// circuit and print its cell, net and level counts, its settle depth and
 /// its cell-kind histogram — the size of what characterization simulates.
-fn netlist_stats(args: &[String]) -> Result<(), CliError> {
-    let mut json = false;
-    let mut rest = Vec::new();
-    for arg in args {
-        match arg.as_str() {
-            "--json" => json = true,
-            _ => rest.push(arg.clone()),
-        }
-    }
-    known_flags_with_positionals(&rest, 1, &[])?;
-    let class_arg = rest
+fn netlist_stats(args: &Args) -> Result<(), CliError> {
+    let class_arg = args
+        .positionals
         .first()
         .ok_or_else(|| usage(format!("netlist-stats needs a class: {NETLIST_CLASSES}")))?;
     let classes = parse_netlist_classes(class_arg).map_err(CliError::Usage)?;
+    let json = args.value("--json").is_some();
     Ok(write_stdout(&render_netlist_stats(&classes, json)?)?)
 }
 

@@ -1,8 +1,5 @@
 //! Experiment configuration: the declarative description of a sweep grid.
-//!
-//! Moved here from `fabric_power_core::experiment` when the sweep engine
-//! became its own subsystem; `fabric_power_core` re-exports these types so
-//! the original paths keep working.
+//! `fabric_power_core::prelude` re-exports these types.
 
 use serde::{Deserialize, Serialize};
 

@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 
 use fabric_power_router::metrics::SparseLatencyHistogram;
 
-use crate::emit::SweepDocument;
+use crate::emit::{SweepDocument, NETWORK_FIELDS, POINT_FIELDS};
 
 /// One numeric field that differs between the two documents at one cell.
 #[derive(Debug, Clone, PartialEq)]
@@ -149,99 +149,10 @@ pub fn diff_documents(a: &SweepDocument, b: &SweepDocument, tolerance: f64) -> D
             continue;
         }
 
-        let candidates = [
-            (
-                "measured_throughput",
-                pa.measured_throughput,
-                pb.measured_throughput,
-            ),
-            (
-                "power_mw",
-                pa.power.as_milliwatts(),
-                pb.power.as_milliwatts(),
-            ),
-            (
-                "switch_energy_j",
-                pa.switch_energy.as_joules(),
-                pb.switch_energy.as_joules(),
-            ),
-            (
-                "buffer_energy_j",
-                pa.buffer_energy.as_joules(),
-                pb.buffer_energy.as_joules(),
-            ),
-            (
-                "wire_energy_j",
-                pa.wire_energy.as_joules(),
-                pb.wire_energy.as_joules(),
-            ),
-            (
-                "buffered_words",
-                pa.buffered_words as f64,
-                pb.buffered_words as f64,
-            ),
-            (
-                "average_latency_cycles",
-                pa.average_latency_cycles,
-                pb.average_latency_cycles,
-            ),
-            ("latency_p50", pa.latency_p50, pb.latency_p50),
-            ("latency_p95", pa.latency_p95, pb.latency_p95),
-            ("latency_p99", pa.latency_p99, pb.latency_p99),
-            // Network aggregates: absent stats map to NaN, so two
-            // single-router points agree bit-for-bit (same NaN) while a
-            // present-vs-absent pair reports as a NaN difference below.
-            (
-                "average_hops",
-                pa.network.map_or(f64::NAN, |n| n.average_hops),
-                pb.network.map_or(f64::NAN, |n| n.average_hops),
-            ),
-            (
-                "hops_p50",
-                pa.network.map_or(f64::NAN, |n| n.hops_p50),
-                pb.network.map_or(f64::NAN, |n| n.hops_p50),
-            ),
-            (
-                "hops_p95",
-                pa.network.map_or(f64::NAN, |n| n.hops_p95),
-                pb.network.map_or(f64::NAN, |n| n.hops_p95),
-            ),
-            (
-                "hops_p99",
-                pa.network.map_or(f64::NAN, |n| n.hops_p99),
-                pb.network.map_or(f64::NAN, |n| n.hops_p99),
-            ),
-            (
-                "link_energy_j",
-                pa.network.map_or(f64::NAN, |n| n.link_energy.as_joules()),
-                pb.network.map_or(f64::NAN, |n| n.link_energy.as_joules()),
-            ),
-            (
-                "per_hop_energy_j",
-                pa.network
-                    .map_or(f64::NAN, |n| n.per_hop_energy.as_joules()),
-                pb.network
-                    .map_or(f64::NAN, |n| n.per_hop_energy.as_joules()),
-            ),
-            (
-                "saturation_throughput",
-                pa.network.map_or(f64::NAN, |n| n.saturation_throughput),
-                pb.network.map_or(f64::NAN, |n| n.saturation_throughput),
-            ),
-            (
-                "link_words",
-                pa.network.map_or(f64::NAN, |n| n.link_words as f64),
-                pb.network.map_or(f64::NAN, |n| n.link_words as f64),
-            ),
-            (
-                "credit_stalls",
-                pa.network.map_or(f64::NAN, |n| n.credit_stalls as f64),
-                pb.network.map_or(f64::NAN, |n| n.credit_stalls as f64),
-            ),
-        ];
-        let fields: Vec<FieldDelta> = candidates
-            .into_iter()
-            .map(|(field, a, b)| (field.to_owned(), a, b))
+        let fields: Vec<FieldDelta> = POINT_FIELDS
+            .iter()
+            .chain(&NETWORK_FIELDS)
+            .map(|&(field, value)| (field.to_owned(), value(pa), value(pb)))
             .chain(histogram_fields(
                 &pa.latency_histogram,
                 &pb.latency_histogram,

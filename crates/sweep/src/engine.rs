@@ -19,7 +19,7 @@ use crate::config::{ExperimentConfig, ExperimentError};
 use crate::emit::SweepDocument;
 use crate::executor;
 use crate::merge::{ShardCellResult, ShardDocument};
-use crate::plan::{self, PlanError, PlanHeader, Shard, ShardStrategy, SweepPlan};
+use crate::plan::{PlanError, PlanHeader, Shard, ShardStrategy, SweepPlan};
 
 /// Orchestrates the evaluation of an experiment grid.
 ///
@@ -31,6 +31,11 @@ use crate::plan::{self, PlanError, PlanHeader, Shard, ShardStrategy, SweepPlan};
 /// Energy models are acquired through a [`ModelProvider`] (by default the
 /// process-wide shared one), so repeated sweeps of the same configuration
 /// in one process reuse already-built models.
+///
+/// Seeding is set on a plan, not on the engine: [`SweepEngine::plan`] and
+/// [`SweepEngine::run`] seed with [`SeedStrategy::Shared`], and a plan built
+/// with [`SweepPlan::new`] carries any other [`SeedStrategy`] through
+/// [`SweepEngine::run_plan`].
 ///
 /// # Examples
 ///
@@ -47,7 +52,6 @@ use crate::plan::{self, PlanError, PlanHeader, Shard, ShardStrategy, SweepPlan};
 #[derive(Debug, Clone)]
 pub struct SweepEngine {
     threads: usize,
-    seed_strategy: SeedStrategy,
     provider: Arc<ModelProvider>,
 }
 
@@ -58,13 +62,12 @@ impl Default for SweepEngine {
 }
 
 impl SweepEngine {
-    /// Creates an engine with automatic thread count, the seed-compatible
-    /// [`SeedStrategy::Shared`] and the process-wide shared model provider.
+    /// Creates an engine with automatic thread count and the process-wide
+    /// shared model provider.
     #[must_use]
     pub fn new() -> Self {
         Self {
             threads: 0,
-            seed_strategy: SeedStrategy::Shared,
             provider: ModelProvider::shared(),
         }
     }
@@ -73,13 +76,6 @@ impl SweepEngine {
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Overrides the per-cell seed derivation strategy.
-    #[must_use]
-    pub fn with_seed_strategy(mut self, strategy: SeedStrategy) -> Self {
-        self.seed_strategy = strategy;
         self
     }
 
@@ -107,24 +103,10 @@ impl SweepEngine {
         }
     }
 
-    /// The seed strategy this engine runs with.
-    #[must_use]
-    pub fn seed_strategy(&self) -> SeedStrategy {
-        self.seed_strategy
-    }
-
-    /// Expands a configuration into its flat cell list, in canonical order
-    /// (ports → architecture → offered load — the order the original
-    /// sequential loops visited the grid in), using this engine's seed
-    /// strategy.  Delegates to [`plan::expand_cells`], the single grid
-    /// expansion the whole pipeline shares.
-    #[must_use]
-    pub fn expand(&self, config: &ExperimentConfig) -> Vec<SweepCell> {
-        plan::expand_cells(config, self.seed_strategy)
-    }
-
-    /// Expands a configuration and splits it into `shards` self-describing
-    /// shards: the *plan* step of `fabric-power plan`.
+    /// Expands a configuration with the shared base seed
+    /// ([`SeedStrategy::Shared`]) and splits it into `shards`
+    /// self-describing shards.  For another seed strategy, build the plan
+    /// with [`SweepPlan::new`].
     ///
     /// # Errors
     ///
@@ -139,7 +121,7 @@ impl SweepEngine {
         SweepPlan::new(
             scenario,
             config.clone(),
-            self.seed_strategy,
+            SeedStrategy::Shared,
             shards,
             strategy,
         )
@@ -199,7 +181,8 @@ impl SweepEngine {
         results.into_iter().collect()
     }
 
-    /// Runs the full grid and returns one [`SweepPoint`] per cell, in
+    /// Runs the full grid with the shared base seed
+    /// ([`SeedStrategy::Shared`]) and returns one [`SweepPoint`] per cell, in
     /// canonical grid order.
     ///
     /// Internally this is a single-shard plan pushed through the same
@@ -218,8 +201,9 @@ impl SweepEngine {
     }
 
     /// Runs every shard of a plan in this process and returns the complete
-    /// document — what `fabric-power sweep` effectively does, and the
-    /// reference a sharded run's merged output must match byte for byte.
+    /// document — what `fabric-power sweep` does with its one-shard plan,
+    /// and the reference a sharded run's merged output must match byte for
+    /// byte.
     ///
     /// # Errors
     ///
@@ -365,7 +349,7 @@ mod tests {
     #[test]
     fn expansion_is_canonical_and_complete() {
         let config = ExperimentConfig::quick();
-        let cells = SweepEngine::new().expand(&config);
+        let cells = crate::plan::expand_cells(&config, SeedStrategy::Shared);
         assert_eq!(cells.len(), config.grid_size());
         // Canonical order: ports outermost, loads innermost.
         assert_eq!(cells[0].ports, 4);
@@ -390,21 +374,28 @@ mod tests {
     fn per_cell_strategy_changes_traffic_but_not_shape() {
         let config = ExperimentConfig::quick();
         let shared = SweepEngine::new().with_threads(2).run(&config).unwrap();
+        let per_cell_plan = SweepPlan::new(
+            "per-cell",
+            config,
+            SeedStrategy::PerCell,
+            1,
+            ShardStrategy::Contiguous,
+        )
+        .unwrap();
         let per_cell = SweepEngine::new()
             .with_threads(2)
-            .with_seed_strategy(SeedStrategy::PerCell)
-            .run(&config)
+            .run_plan(&per_cell_plan)
             .unwrap();
-        assert_eq!(shared.len(), per_cell.len());
+        assert_eq!(per_cell.seed_strategy, SeedStrategy::PerCell);
+        assert_eq!(shared.len(), per_cell.points.len());
         assert!(
-            shared != per_cell,
+            shared != per_cell.points,
             "per-cell seeding should change at least one trajectory"
         );
         // And stays deterministic in itself.
         let per_cell_again = SweepEngine::new()
             .with_threads(8)
-            .with_seed_strategy(SeedStrategy::PerCell)
-            .run(&config)
+            .run_plan(&per_cell_plan)
             .unwrap();
         assert_eq!(per_cell, per_cell_again);
     }
@@ -512,8 +503,8 @@ mod tests {
         assert_eq!(empty.cell_range, None);
         assert!(empty.results.is_empty());
         // The distinction survives JSON (null vs an array).
-        let round =
-            crate::merge::ShardDocument::from_json_str(&empty.to_json_string().unwrap()).unwrap();
+        let round: ShardDocument =
+            serde_json::from_str(&serde_json::to_string_pretty(&empty).unwrap()).unwrap();
         assert_eq!(round.cell_range, None);
     }
 
@@ -566,12 +557,6 @@ mod tests {
     fn engine_reports_resolved_threads() {
         assert_eq!(SweepEngine::new().with_threads(5).threads(), 5);
         assert!(SweepEngine::new().threads() >= 1);
-        assert_eq!(
-            SweepEngine::new()
-                .with_seed_strategy(SeedStrategy::PerCell)
-                .seed_strategy(),
-            SeedStrategy::PerCell
-        );
         let _ = Architecture::ALL;
     }
 }

@@ -69,23 +69,6 @@ where
         .collect()
 }
 
-/// Parses a user-supplied `--threads` value, shared by the `fabric-power`
-/// CLI and the figure-regeneration binaries so the flag's semantics cannot
-/// drift between them.
-///
-/// # Errors
-///
-/// Returns a message when the value is not a positive integer.
-pub fn parse_thread_count(value: &str) -> Result<usize, String> {
-    let threads: usize = value
-        .parse()
-        .map_err(|_| format!("invalid thread count `{value}`"))?;
-    if threads == 0 {
-        return Err("`--threads` must be at least 1".into());
-    }
-    Ok(threads)
-}
-
 /// The number of worker threads to use when the caller does not specify one:
 /// the machine's available parallelism.
 #[must_use]

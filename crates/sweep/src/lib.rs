@@ -10,8 +10,7 @@
 //! larger.  This crate owns that problem end to end:
 //!
 //! * [`config`] — [`ExperimentConfig`]: the declarative description of a
-//!   sweep grid (formerly `fabric_power_core::experiment`), optionally with
-//!   a [`NetworkSweepConfig`] mesh axis that turns every operating point
+//!   sweep grid, optionally with a [`NetworkSweepConfig`] mesh axis that turns every operating point
 //!   into a network-of-routers run (`noc-*` scenarios);
 //! * [`cell`] — [`SweepCell`]: one flattened operating point with its own
 //!   deterministic RNG seed, and [`SweepPoint`], the measured result —
@@ -42,7 +41,9 @@
 //!   Batcher-Banyan gap) that `report` prints from;
 //! * [`registry`] — [`ScenarioRegistry`]: named, JSON-round-trippable
 //!   workload definitions (`paper-fig9`, `hotspot-ablation`, `tornado`, …);
-//! * [`emit`] — structured emitters: deterministic JSON and CSV documents;
+//! * [`emit`] — structured emitters: deterministic JSON and CSV documents,
+//!   and the one table of a point's reported values by CSV column name that
+//!   the CSV table and [`diff`] share;
 //! * [`report`] — plain-text summaries for the `fabric-power report` CLI,
 //!   the one way to print Figures 9 and 10: per-size power and latency
 //!   tables, the cheapest architecture and the fully-connected vs.

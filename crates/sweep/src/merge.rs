@@ -50,40 +50,6 @@ pub struct ShardDocument {
     pub results: Vec<ShardCellResult>,
 }
 
-impl ShardDocument {
-    /// Serializes to pretty JSON (deterministic bytes).
-    ///
-    /// # Errors
-    ///
-    /// Propagates serializer errors.
-    pub fn to_json_string(&self) -> Result<String, serde_json::Error> {
-        serde_json::to_string_pretty(self)
-    }
-
-    /// Parses a document previously emitted by
-    /// [`ShardDocument::to_json_string`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates parse errors.
-    pub fn from_json_str(json: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(json)
-    }
-
-    /// Writes the JSON form to `path` (with a trailing newline),
-    /// atomically — a crash mid-write can orphan a temp file but never leave
-    /// a truncated partial document for a later `merge` to trip over (see
-    /// [`crate::emit::write_atomic`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates serializer and I/O errors.
-    pub fn write_json(&self, path: &std::path::Path) -> Result<(), Box<dyn std::error::Error>> {
-        crate::emit::write_atomic(path, &(self.to_json_string()? + "\n"))?;
-        Ok(())
-    }
-}
-
 /// Why a set of shard documents could not be merged.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MergeError {
@@ -401,7 +367,7 @@ mod tests {
         let plan = SweepPlan::new(
             "merge-test",
             test_config(),
-            engine.seed_strategy(),
+            SeedStrategy::Shared,
             shards,
             strategy,
         )
@@ -677,8 +643,8 @@ mod tests {
     #[test]
     fn shard_document_round_trips_through_json() {
         let (parts, _) = parts(2, ShardStrategy::RoundRobin);
-        let json = parts[0].to_json_string().unwrap();
-        let back = ShardDocument::from_json_str(&json).unwrap();
+        let json = serde_json::to_string_pretty(&parts[0]).unwrap();
+        let back: ShardDocument = serde_json::from_str(&json).unwrap();
         assert_eq!(parts[0], back);
     }
 }

@@ -271,37 +271,6 @@ impl SweepPlan {
             seed_strategy: self.seed_strategy,
         }
     }
-
-    /// Serializes to pretty JSON (deterministic bytes).
-    ///
-    /// # Errors
-    ///
-    /// Propagates serializer errors.
-    pub fn to_json_string(&self) -> Result<String, serde_json::Error> {
-        serde_json::to_string_pretty(self)
-    }
-
-    /// Parses a plan previously emitted by [`SweepPlan::to_json_string`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates parse errors.
-    pub fn from_json_str(json: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(json)
-    }
-
-    /// Writes the JSON form to `path` (with a trailing newline),
-    /// atomically — a crash mid-write can orphan a temp file but never leave
-    /// a truncated plan for a later `run-shard` to trip over (see
-    /// [`crate::emit::write_atomic`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates serializer and I/O errors.
-    pub fn write_json(&self, path: &std::path::Path) -> Result<(), Box<dyn std::error::Error>> {
-        crate::emit::write_atomic(path, &(self.to_json_string()? + "\n"))?;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -375,8 +344,8 @@ mod tests {
     #[test]
     fn plan_round_trips_through_json() {
         let plan = quick_plan(3, ShardStrategy::RoundRobin);
-        let json = plan.to_json_string().expect("serialize");
-        let back = SweepPlan::from_json_str(&json).expect("deserialize");
+        let json = serde_json::to_string_pretty(&plan).expect("serialize");
+        let back: SweepPlan = serde_json::from_str(&json).expect("deserialize");
         assert_eq!(plan, back);
     }
 
@@ -421,28 +390,6 @@ mod tests {
         let json = serde_json::to_string(&header).unwrap();
         let back: PlanHeader = serde_json::from_str(&json).unwrap();
         assert_eq!(back, header);
-    }
-
-    #[test]
-    fn plans_write_atomically_with_no_temp_droppings() {
-        let dir =
-            std::env::temp_dir().join(format!("fabric-power-plan-write-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("plan.json");
-        let plan = quick_plan(2, ShardStrategy::Contiguous);
-        plan.write_json(&path).unwrap();
-        // Overwrite with a different plan: readers only ever see a whole one.
-        let replacement = quick_plan(3, ShardStrategy::RoundRobin);
-        replacement.write_json(&path).unwrap();
-        let read = std::fs::read_to_string(&path).unwrap();
-        let back = SweepPlan::from_json_str(read.trim_end()).unwrap();
-        assert_eq!(back, replacement);
-        let entries: Vec<String> = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-            .collect();
-        assert_eq!(entries, vec!["plan.json".to_string()]);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

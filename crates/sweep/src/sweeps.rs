@@ -2,8 +2,11 @@
 //!
 //! `fabric-power report` prints both figures through these lookups.  `run`
 //! evaluates a grid on a default [`SweepEngine`] (every core, shared seed,
-//! canonical order); for threads, seeding or a model provider of your own,
-//! wrap the points that [`SweepEngine::run`] returns on a configured engine.
+//! canonical order).  For threads or a model provider of your own, wrap the
+//! points that [`SweepEngine::run`] returns on a configured engine; seeding
+//! is set on a plan, so for per-cell seeds wrap the points of
+//! [`SweepEngine::run_plan`] on a [`crate::SweepPlan`] built with
+//! [`crate::SeedStrategy::PerCell`].
 
 use serde::{Deserialize, Serialize};
 
@@ -161,5 +164,80 @@ mod tests {
             .points
             .iter()
             .all(|p| (p.offered_load - 0.3).abs() < 1e-12));
+    }
+
+    #[test]
+    fn quick_throughput_sweep_produces_all_points() {
+        let config = ExperimentConfig::quick();
+        let sweep = ThroughputSweep::run(&config).unwrap();
+        assert_eq!(
+            sweep.points.len(),
+            config.port_counts.len() * config.architectures.len() * config.offered_loads.len()
+        );
+        let curve = sweep.curve(Architecture::Banyan, 8);
+        assert_eq!(curve.len(), 3);
+        assert!(curve
+            .windows(2)
+            .all(|w| w[0].offered_load < w[1].offered_load));
+        assert!(sweep.power(Architecture::Crossbar, 8, 0.3).is_some());
+        assert!(sweep.power(Architecture::Crossbar, 64, 0.3).is_none());
+    }
+
+    #[test]
+    fn power_increases_with_load_for_every_architecture() {
+        let config = ExperimentConfig::quick();
+        let sweep = ThroughputSweep::run(&config).unwrap();
+        for &architecture in &config.architectures {
+            let curve = sweep.curve(architecture, 8);
+            assert!(
+                curve.last().unwrap().power > curve.first().unwrap().power,
+                "{architecture}"
+            );
+        }
+    }
+
+    #[test]
+    fn port_sweep_gap_is_computable() {
+        let config = ExperimentConfig::quick();
+        let sweep = PortSweep::run(&config, 0.5).unwrap();
+        let gap = sweep.fully_connected_vs_batcher_gap(8).unwrap();
+        assert!(gap > 0.0 && gap < 1.0, "gap {gap}");
+        assert!(sweep.power(Architecture::Banyan, 8).is_some());
+    }
+
+    #[test]
+    fn cheapest_architecture_at_low_load_is_banyan_or_fully_connected() {
+        let config = ExperimentConfig::quick();
+        let sweep = ThroughputSweep::run(&config).unwrap();
+        let cheapest = sweep.cheapest(8, 0.1).unwrap();
+        assert!(
+            matches!(
+                cheapest,
+                Architecture::Banyan | Architecture::FullyConnected
+            ),
+            "cheapest at low load was {cheapest}"
+        );
+    }
+
+    #[test]
+    fn sweeps_share_models_through_an_explicit_provider() {
+        use fabric_power_fabric::provider::ModelProvider;
+        use std::sync::Arc;
+
+        let provider = Arc::new(ModelProvider::in_memory());
+        let engine = SweepEngine::new()
+            .with_threads(1)
+            .with_provider(Arc::clone(&provider));
+        let mut config = ExperimentConfig::quick();
+        let throughput = engine.run(&config).unwrap();
+        config.offered_loads = vec![0.5];
+        let port = engine.run(&config).unwrap();
+        assert!(!throughput.is_empty());
+        assert!(!port.is_empty());
+        // Both sweeps cover the same two fabric sizes: two builds total, the
+        // rest served from the shared memo.
+        let stats = provider.stats();
+        assert_eq!(stats.builds, 2);
+        assert!(stats.memory_hits >= 2);
     }
 }

@@ -1,8 +1,10 @@
 //! `fabric-power` points at its usage text only when the arguments were
-//! wrong: an unknown command, an unexpected or missing argument, or a
-//! malformed flag value.  An error in the work itself, such as a file that
-//! cannot be read, exits 1 without the pointer.  The log filter is one
-//! level or `off`, from `--log` or, failing that, `FABRIC_POWER_LOG`.
+//! wrong: an unknown command, an unexpected, missing or repeated argument,
+//! or a malformed flag value.  An error in the work itself, such as a file
+//! that cannot be read, exits 1 without the pointer.  The log filter is one
+//! level or `off`, from `--log` or, failing that, `FABRIC_POWER_LOG`; a
+//! malformed variable costs one warning, not the run.  Progress lines on
+//! stderr are best effort: a stderr that cannot be written changes nothing.
 
 use std::process::{Command, Output};
 
@@ -122,4 +124,94 @@ fn the_log_environment_variable_works_on_its_own_and_yields_to_the_flag() {
     // One span per cell of the 24-cell grid, with no `--log` given.
     assert_eq!(run_cell_lines(&[]), 24);
     assert_eq!(run_cell_lines(&["--log", "debug"]), 0);
+}
+
+#[test]
+fn a_repeated_flag_is_a_usage_error() {
+    for (args, flag) in [
+        (
+            &[
+                "sweep",
+                "--scenario",
+                "quick",
+                "--threads",
+                "1",
+                "--threads",
+                "2",
+            ][..],
+            "--threads",
+        ),
+        (&["netlist-stats", "all", "--json", "--json"], "--json"),
+    ] {
+        let output = fabric_power(args);
+        let stderr = stderr(&output);
+        assert_eq!(output.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("`{flag}` is given more than once")),
+            "{args:?}: {stderr}"
+        );
+        assert!(stderr.contains(HINT), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn a_malformed_log_variable_warns_once_and_runs_at_info() {
+    let sweep = |spec: Option<&str>| {
+        let mut command = Command::new(env!("CARGO_BIN_EXE_fabric-power"));
+        command.args(["sweep", "--scenario", "quick", "--threads", "2"]);
+        match spec {
+            Some(spec) => command.env("FABRIC_POWER_LOG", spec),
+            None => command.env_remove("FABRIC_POWER_LOG"),
+        };
+        let output = command.output().expect("run fabric-power");
+        assert!(output.status.success(), "{spec:?}: {}", stderr(&output));
+        output
+    };
+    let plain = sweep(None);
+    let spec = "warn,sweep.engine=trace";
+    let malformed = sweep(Some(spec));
+    // The document is the one a run without the variable prints.
+    assert_eq!(malformed.stdout, plain.stdout);
+    let stderr = stderr(&malformed);
+    let warnings: Vec<&str> = stderr
+        .lines()
+        .filter(|line| line.contains("FABRIC_POWER_LOG"))
+        .collect();
+    assert_eq!(warnings.len(), 1, "{stderr}");
+    assert!(warnings[0].contains(spec), "{stderr}");
+    assert!(warnings[0].contains("unknown log level"), "{stderr}");
+    // `info` reports no span.
+    assert!(!stderr.contains(" done "), "{stderr}");
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn an_unwritable_stderr_changes_neither_the_exit_status_nor_the_output() {
+    let dir = std::env::temp_dir();
+    let sweep = |out: &std::path::Path, stderr: std::process::Stdio| {
+        Command::new(env!("CARGO_BIN_EXE_fabric-power"))
+            .args(["sweep", "--scenario", "quick", "--threads", "1", "--out"])
+            .arg(out)
+            .stderr(stderr)
+            .status()
+            .expect("run fabric-power")
+    };
+    let id = std::process::id();
+    let normal = dir.join(format!("fabric-power-cli-errors-{id}-normal.json"));
+    let full = dir.join(format!("fabric-power-cli-errors-{id}-full.json"));
+    assert!(sweep(&normal, std::process::Stdio::null()).success());
+    let dev_full = std::fs::OpenOptions::new()
+        .write(true)
+        .open("/dev/full")
+        .expect("open /dev/full");
+    let status = sweep(&full, dev_full.into());
+    let bytes = (std::fs::read(&normal), std::fs::read(&full));
+    let _ = std::fs::remove_file(&normal);
+    let _ = std::fs::remove_file(&full);
+    assert_eq!(status.code(), Some(0));
+    let (normal, full) = (
+        bytes.0.expect("normal run output"),
+        bytes.1.expect("output"),
+    );
+    assert_eq!(full, normal);
 }

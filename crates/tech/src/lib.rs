@@ -11,7 +11,7 @@
 //!    power, time and length quantities so the rest of the workspace cannot
 //!    mix them up.
 //! 2. **Technology parameters** ([`params`]): the 0.18 µm / 3.3 V case-study
-//!    process used in the paper, plus a builder for arbitrary processes.
+//!    process used in the paper and a scaled 0.13 µm / 1.2 V variant.
 //! 3. **Wire bit-energy model** ([`wire`]): `E_W_bit = ½·C_W·V²` per polarity
 //!    flip, with wire lengths measured in Thompson grids, reproducing the
 //!    paper's `E_T_bit ≈ 87 fJ`.
@@ -41,7 +41,7 @@ pub mod params;
 pub mod units;
 pub mod wire;
 
-pub use params::{BuildTechnologyError, Technology, TechnologyBuilder};
+pub use params::Technology;
 pub use units::{Capacitance, Energy, Frequency, Length, Power, TimeSpan, Voltage};
 pub use wire::{polarity_flips, WireModel};
 

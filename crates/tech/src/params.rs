@@ -3,43 +3,19 @@
 //! The paper's case study is a 0.18 µm, 3.3 V technology with 32-bit-wide
 //! global buses, a ~1 µm global-wire pitch, ~0.50 fF/µm global-wire
 //! capacitance and a 133 MHz memory/operating clock.  [`Technology::tsmc180`]
-//! captures exactly those numbers; [`TechnologyBuilder`] lets a user describe
-//! any other process so the whole framework re-scales consistently.
+//! captures exactly those numbers and [`Technology::generic130`] a scaled
+//! process; any other process can be loaded from JSON (the type is
+//! `Deserialize`), and the whole framework re-scales consistently.
 
 use serde::{Deserialize, Serialize};
 
 use crate::units::{Capacitance, Frequency, Length, Voltage};
 
-/// Errors produced when validating technology parameters.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum BuildTechnologyError {
-    /// A parameter that must be strictly positive was zero or negative.
-    NonPositive {
-        /// Name of the offending parameter.
-        parameter: &'static str,
-    },
-    /// The bus width was zero; a zero-bit bus cannot carry packets.
-    ZeroBusWidth,
-}
-
-impl std::fmt::Display for BuildTechnologyError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::NonPositive { parameter } => {
-                write!(f, "technology parameter `{parameter}` must be positive")
-            }
-            Self::ZeroBusWidth => write!(f, "bus width must be at least one bit"),
-        }
-    }
-}
-
-impl std::error::Error for BuildTechnologyError {}
-
 /// A complete description of the process technology and router-level bus
 /// parameters that the bit-energy model depends on.
 ///
-/// Construct via [`Technology::tsmc180`] (the paper's case study) or through
-/// [`Technology::builder`].
+/// Construct via [`Technology::tsmc180`] (the paper's case study),
+/// [`Technology::generic130`] or deserialization.
 ///
 /// # Examples
 ///
@@ -112,12 +88,6 @@ impl Technology {
             gate_input_capacitance: Capacitance::from_femtofarads(1.2),
             clock: Frequency::from_megahertz(200.0),
         }
-    }
-
-    /// Starts building a custom technology from the 0.18 µm defaults.
-    #[must_use]
-    pub fn builder() -> TechnologyBuilder {
-        TechnologyBuilder::new()
     }
 
     /// Human-readable technology name.
@@ -195,142 +165,6 @@ impl Default for Technology {
     }
 }
 
-/// Builder for [`Technology`] (C-BUILDER).
-///
-/// Starts from the paper's 0.18 µm parameters; every setter overrides one
-/// field.  [`TechnologyBuilder::build`] validates that all quantities are
-/// physically meaningful.
-///
-/// # Examples
-///
-/// ```
-/// use fabric_power_tech::params::Technology;
-/// use fabric_power_tech::units::Voltage;
-///
-/// let tech = Technology::builder()
-///     .name("low-voltage variant")
-///     .supply_voltage(Voltage::from_volts(1.8))
-///     .build()?;
-/// assert_eq!(tech.name(), "low-voltage variant");
-/// # Ok::<(), fabric_power_tech::params::BuildTechnologyError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct TechnologyBuilder {
-    inner: Technology,
-}
-
-impl TechnologyBuilder {
-    /// Creates a builder pre-populated with the 0.18 µm case-study values.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            inner: Technology::tsmc180(),
-        }
-    }
-
-    /// Sets the human-readable technology name.
-    #[must_use]
-    pub fn name(mut self, name: impl Into<String>) -> Self {
-        self.inner.name = name.into();
-        self
-    }
-
-    /// Sets the drawn feature size.
-    #[must_use]
-    pub fn feature_size(mut self, feature_size: Length) -> Self {
-        self.inner.feature_size = feature_size;
-        self
-    }
-
-    /// Sets the rail-to-rail supply voltage.
-    #[must_use]
-    pub fn supply_voltage(mut self, supply_voltage: Voltage) -> Self {
-        self.inner.supply_voltage = supply_voltage;
-        self
-    }
-
-    /// Sets the wire capacitance per reference length.
-    #[must_use]
-    pub fn wire_capacitance_per_length(
-        mut self,
-        capacitance: Capacitance,
-        reference: Length,
-    ) -> Self {
-        self.inner.wire_capacitance_per_length = capacitance;
-        self.inner.wire_capacitance_reference = reference;
-        self
-    }
-
-    /// Sets the global bus wire pitch.
-    #[must_use]
-    pub fn wire_pitch(mut self, wire_pitch: Length) -> Self {
-        self.inner.wire_pitch = wire_pitch;
-        self
-    }
-
-    /// Sets the data-bus width in bits.
-    #[must_use]
-    pub fn bus_width_bits(mut self, bits: u32) -> Self {
-        self.inner.bus_width_bits = bits;
-        self
-    }
-
-    /// Sets the average gate input capacitance.
-    #[must_use]
-    pub fn gate_input_capacitance(mut self, capacitance: Capacitance) -> Self {
-        self.inner.gate_input_capacitance = capacitance;
-        self
-    }
-
-    /// Sets the operating clock frequency.
-    #[must_use]
-    pub fn clock(mut self, clock: Frequency) -> Self {
-        self.inner.clock = clock;
-        self
-    }
-
-    /// Validates the parameters and returns the finished [`Technology`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BuildTechnologyError`] if any physical quantity is zero or
-    /// negative, or the bus width is zero.
-    pub fn build(self) -> Result<Technology, BuildTechnologyError> {
-        let t = &self.inner;
-        let checks: [(&'static str, f64); 6] = [
-            ("feature_size", t.feature_size.as_meters()),
-            ("supply_voltage", t.supply_voltage.as_volts()),
-            (
-                "wire_capacitance_per_length",
-                t.wire_capacitance_per_length.as_farads(),
-            ),
-            (
-                "wire_capacitance_reference",
-                t.wire_capacitance_reference.as_meters(),
-            ),
-            ("wire_pitch", t.wire_pitch.as_meters()),
-            ("clock", t.clock.as_hertz()),
-        ];
-        for (parameter, value) in checks {
-            // `partial_cmp` keeps NaN on the rejecting side, which a plain
-            // `value <= 0.0` would let through.
-            if value.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-                return Err(BuildTechnologyError::NonPositive { parameter });
-            }
-        }
-        if t.bus_width_bits == 0 {
-            return Err(BuildTechnologyError::ZeroBusWidth);
-        }
-        Ok(self.inner)
-    }
-}
-
-impl Default for TechnologyBuilder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -363,41 +197,6 @@ mod tests {
     #[test]
     fn default_is_the_paper_technology() {
         assert_eq!(Technology::default(), Technology::tsmc180());
-    }
-
-    #[test]
-    fn builder_overrides_fields() {
-        let tech = Technology::builder()
-            .name("test")
-            .bus_width_bits(16)
-            .supply_voltage(Voltage::from_volts(1.0))
-            .wire_pitch(Length::from_micrometers(2.0))
-            .build()
-            .expect("valid technology");
-        assert_eq!(tech.name(), "test");
-        assert_eq!(tech.bus_width_bits(), 16);
-        assert!((tech.thompson_grid_length().as_micrometers() - 32.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn builder_rejects_zero_bus_width() {
-        let err = Technology::builder().bus_width_bits(0).build().unwrap_err();
-        assert_eq!(err, BuildTechnologyError::ZeroBusWidth);
-    }
-
-    #[test]
-    fn builder_rejects_non_positive_voltage() {
-        let err = Technology::builder()
-            .supply_voltage(Voltage::from_volts(0.0))
-            .build()
-            .unwrap_err();
-        assert_eq!(
-            err,
-            BuildTechnologyError::NonPositive {
-                parameter: "supply_voltage"
-            }
-        );
-        assert!(err.to_string().contains("supply_voltage"));
     }
 
     #[test]

@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let document = SweepDocument {
         scenario: scenario.name.clone(),
         config: scenario.config.clone(),
-        seed_strategy: engine.seed_strategy(),
+        seed_strategy: SeedStrategy::Shared,
         points,
     };
 

@@ -25,7 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         scenario: "throughput-sweep".into(),
         points: engine.run(&config)?,
         config,
-        seed_strategy: engine.seed_strategy(),
+        seed_strategy: SeedStrategy::Shared,
     };
     // The text `fabric-power report` prints for the same document.
     println!("{}", format_document(&document));

@@ -19,7 +19,9 @@ use fabric_power_fabric::provider::stable_hash_hex;
 use fabric_power_netlist::{
     characterize_class, CellLibrary, CharacterizationConfig, SwitchClass, Table1,
 };
-use fabric_power_sweep::{ModelProvider, ScenarioRegistry, SweepDocument, SweepEngine};
+use fabric_power_sweep::{
+    ModelProvider, ScenarioRegistry, SeedStrategy, SweepDocument, SweepEngine,
+};
 
 #[test]
 fn characterized_table1_bytes_are_pinned() {
@@ -59,7 +61,7 @@ fn derived_quick_document_digest_is_pinned() {
     let document = SweepDocument {
         scenario: scenario.name,
         config: scenario.config,
-        seed_strategy: engine.seed_strategy(),
+        seed_strategy: SeedStrategy::Shared,
         points,
     };
     let bytes = document.to_json_string().expect("serialize") + "\n";

@@ -7,6 +7,7 @@
 
 use fabric_power_sweep::{
     ExperimentConfig, NetworkSweepConfig, SeedStrategy, ShardStrategy, SweepDocument, SweepEngine,
+    SweepPlan,
 };
 
 /// A small but genuinely multi-hop grid: {2×2, 3×3} meshes of radix-8
@@ -109,12 +110,20 @@ fn sharded_noc_sweeps_merge_byte_identical_to_a_single_process() {
 #[test]
 fn per_cell_seeding_separates_noc_cells_but_stays_thread_invariant() {
     let config = noc_config();
+    let plan = SweepPlan::new(
+        "noc-per-cell",
+        config.clone(),
+        SeedStrategy::PerCell,
+        1,
+        ShardStrategy::Contiguous,
+    )
+    .unwrap();
     let run = |threads| {
         SweepEngine::new()
             .with_threads(threads)
-            .with_seed_strategy(SeedStrategy::PerCell)
-            .run(&config)
+            .run_plan(&plan)
             .expect("sweep")
+            .points
     };
     let reference = run(1);
     assert_eq!(reference, run(4));

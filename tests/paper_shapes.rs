@@ -3,7 +3,6 @@
 //! Absolute numbers are not compared — the substrate is a simulator, not the
 //! authors' testbed — but every published observation must hold.
 
-use fabric_power_core::experiment::{ExperimentConfig, PortSweep, ThroughputSweep};
 use fabric_power_core::prelude::*;
 use fabric_power_tech::constants::{PAPER_FC_VS_BATCHER_GAP_32X32, PAPER_FC_VS_BATCHER_GAP_4X4};
 

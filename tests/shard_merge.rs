@@ -5,8 +5,8 @@
 //! overlapping coverage instead of degrading silently.
 
 use fabric_power_sweep::{
-    merge_documents, ExperimentConfig, MergeError, ScenarioRegistry, ShardDocument, ShardStrategy,
-    SweepDocument, SweepEngine, SweepPlan,
+    merge_documents, ExperimentConfig, MergeError, ScenarioRegistry, SeedStrategy, ShardDocument,
+    ShardStrategy, SweepDocument, SweepEngine, SweepPlan,
 };
 
 /// The paper-fig9 grid (4 architectures × {4, 8, 16, 32} ports × 5 loads)
@@ -29,7 +29,7 @@ fn single_run_document(config: &ExperimentConfig) -> SweepDocument {
     SweepDocument {
         scenario: "paper-fig9".into(),
         config: config.clone(),
-        seed_strategy: engine.seed_strategy(),
+        seed_strategy: SeedStrategy::Shared,
         points: engine.run(config).expect("single-process run"),
     }
 }
@@ -43,7 +43,7 @@ fn paper_fig9_in_three_shards_merges_byte_identically() {
         let plan = SweepPlan::new(
             "paper-fig9",
             config.clone(),
-            fabric_power_sweep::SeedStrategy::Shared,
+            SeedStrategy::Shared,
             3,
             strategy,
         )
@@ -51,13 +51,14 @@ fn paper_fig9_in_three_shards_merges_byte_identically() {
         // Ship the plan through its serialized form, the way real worker
         // processes receive it, and give every worker a different thread
         // count — none of it may show in the bytes.
-        let shipped = SweepPlan::from_json_str(&plan.to_json_string().unwrap()).unwrap();
+        let shipped: SweepPlan =
+            serde_json::from_str(&serde_json::to_string_pretty(&plan).unwrap()).unwrap();
         let parts: Vec<ShardDocument> = (0..3)
             .map(|index| {
                 let engine = SweepEngine::new().with_threads(index + 1);
                 let part = engine.run_shard(&shipped, index).expect("shard run");
                 // Partial documents survive their own JSON round trip.
-                ShardDocument::from_json_str(&part.to_json_string().unwrap()).unwrap()
+                serde_json::from_str(&serde_json::to_string_pretty(&part).unwrap()).unwrap()
             })
             .collect();
         let merged = merge_documents(&parts).expect("merge");
@@ -83,7 +84,7 @@ fn shard_count_does_not_change_the_merged_bytes() {
         SweepDocument {
             scenario: "paper-fig9".into(),
             config: config.clone(),
-            seed_strategy: engine.seed_strategy(),
+            seed_strategy: SeedStrategy::Shared,
             points: engine.run(&config).unwrap(),
         }
         .to_json_string()

@@ -174,11 +174,18 @@ fn golden_single_router_sweep_bytes_are_pinned() {
 #[test]
 fn per_cell_seeding_is_thread_invariant_too() {
     let config = test_config();
+    let plan = SweepPlan::new(
+        "per-cell",
+        config,
+        SeedStrategy::PerCell,
+        1,
+        ShardStrategy::Contiguous,
+    )
+    .unwrap();
     let run = |threads| {
         SweepEngine::new()
             .with_threads(threads)
-            .with_seed_strategy(SeedStrategy::PerCell)
-            .run(&config)
+            .run_plan(&plan)
             .expect("sweep")
     };
     assert_eq!(run(1), run(8));
