@@ -5,12 +5,18 @@
 //! per output transition, and — for sequential cells — the energy burnt by
 //! the clock pin every cycle regardless of data activity.
 //!
-//! The default calibration, [`CellLibrary::calibrated_018um`], is tuned so
-//! that characterizing the paper's node switches lands in the same energy
-//! range as the published Table 1 (hundreds of fJ for a crosspoint, one to
-//! two pJ for the 2×2 switches). The absolute values are not the point —
-//! the downstream analysis only relies on ordering and scaling trends —
-//! but staying in range keeps the regenerated figures comparable.
+//! The default library, [`CellLibrary::calibrated_018um`], stands in for
+//! the paper's Synopsys 0.18 µm flow. Its per-cell capacitances follow the
+//! ratios of typical standard-cell libraries, at a scale chosen so one gate
+//! transition costs roughly 25–90 fJ at 3.3 V. A net's load is only the
+//! input pins it drives: no wiring inside a switch is charged. It is not
+//! fitted to Table 1, and it does not reach it: `conform` reads 28 fJ for
+//! the crosspoint against the paper's 220, and 0.13–0.44× the paper over
+//! all nine Table 1 entries, with a ratio that differs by class. The
+//! ledger's reasons `[1]` (the 2×2 switches and the crosspoint) and `[2]`
+//! (the MUXes) give the suspected cause, the missing wire loads. ROADMAP
+//! item 15 (where each switch's energy goes) and item 8 (a wire-load-aware
+//! library) are the work that would find it.
 
 use std::collections::BTreeMap;
 
@@ -103,8 +109,7 @@ impl CellLibrary {
             Voltage::from_volts(3.3),
             // Effective switched capacitance of a minimum-size 0.18um gate in
             // femtofarads; chosen so one gate transition costs ~25-90 fJ at
-            // 3.3V, which puts multi-hundred-gate switches in the paper's
-            // Table 1 energy range.
+            // 3.3V. Not fitted to Table 1 (see the module doc).
             1.0,
         )
     }

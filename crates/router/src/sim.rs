@@ -21,6 +21,7 @@ use std::sync::Arc;
 use fabric_power_fabric::energy_model::{EnergyModelError, FabricEnergyModel};
 use fabric_power_fabric::provider::{ModelProvider, ModelSpec};
 use fabric_power_fabric::topology::TopologyError;
+use fabric_power_fabric::Architecture;
 
 use crate::config::{SimulationConfig, SimulationReport};
 use crate::metrics::LatencyHistogram;
@@ -96,6 +97,20 @@ impl From<TrafficError> for SimulationError {
 
 /// The bit-level router simulator.
 ///
+/// One simulator steps one [`RouterNode`] per architecture from a single
+/// [`TrafficGenerator`] ([`RouterSimulator::lockstep`]): each cycle's
+/// arrivals are drawn once and every node gets its own copy of each packet.
+/// The generator never looks at a node (input queues are unbounded), so
+/// each node sees exactly the traffic a simulator of its architecture alone
+/// would draw, and its report is the same to the bit.  Stepping the
+/// architectures of one operating point together pays for the ChaCha8
+/// keystream once instead of once per architecture.  [`RouterSimulator::new`]
+/// and its siblings build the one-node case of the same step loop.
+///
+/// The loop draws the arrivals of a batch of cycles at a time and then
+/// steps each node through the whole batch, so a node's state stays in
+/// cache while it steps; the reports do not depend on the batch length.
+///
 /// # Examples
 ///
 /// ```
@@ -114,20 +129,54 @@ impl From<TrafficError> for SimulationError {
 /// ```
 #[derive(Debug)]
 pub struct RouterSimulator {
+    /// The shared configuration; its `architecture` is the first node's.
     config: SimulationConfig,
-    /// The per-tick switching core (queues, arbiter, flows, energy): shared
-    /// with the NoC layer, which drives a whole mesh of them.
+    /// One node per simulated architecture, all fed the same arrivals.
+    nodes: Vec<NodeRun>,
+    traffic: TrafficGenerator,
+    /// The batch of arrivals being replayed, in cycle and port order.
+    arrivals: Vec<Packet>,
+    /// The next cycle to simulate.
+    cycle: u64,
+}
+
+/// One architecture's router inside a [`RouterSimulator`]: the per-tick
+/// switching core (shared with the NoC layer, which drives a whole mesh of
+/// them) and what it has delivered.
+#[derive(Debug)]
+struct NodeRun {
+    architecture: Architecture,
     node: RouterNode,
     /// Packets the node finished this cycle (drained every cycle).
     completed: Vec<Packet>,
-    traffic: TrafficGenerator,
-
-    cycle: u64,
-    measuring: bool,
-    measured_cycles: u64,
+    /// Payload buffers of the node's finished packets, refilled with the
+    /// copies of later arrivals, so steady state allocates nothing.
+    spare_payloads: Vec<Vec<u64>>,
     packets_delivered: u64,
     latency: LatencyHistogram,
 }
+
+impl NodeRun {
+    /// Enqueues this node's own copy of `packet` at its source port.
+    fn inject(&mut self, packet: &Packet) {
+        let mut payload = self.spare_payloads.pop().unwrap_or_default();
+        payload.clone_from(&packet.payload);
+        self.node
+            .inject(packet.source, Packet { payload, ..*packet });
+    }
+
+    /// Starts the measurement window: zeroes what the node has delivered.
+    fn begin_measurement(&mut self) {
+        self.packets_delivered = 0;
+        self.latency = LatencyHistogram::new();
+        self.node.begin_measurement();
+    }
+}
+
+/// Cycles of arrivals a [`RouterSimulator`] draws ahead before replaying
+/// them node by node, so each node's state stays in cache for that many
+/// steps.
+const REPLAY_CYCLES: u64 = 64;
 
 impl RouterSimulator {
     /// Creates a simulator from a configuration and a matching energy model.
@@ -179,9 +228,50 @@ impl RouterSimulator {
         config: SimulationConfig,
         model: Arc<FabricEnergyModel>,
     ) -> Result<Self, SimulationError> {
-        let routes = RouteTable::new(config.architecture, config.ports)?;
-        let fabric = Arc::new(PricedRoutes::new(routes, model)?);
-        let node = RouterNode::new(fabric, config.node_buffer_bits);
+        let architecture = config.architecture;
+        Self::lockstep(config, &[architecture], model)
+    }
+
+    /// Creates a simulator that steps one node per entry of
+    /// `architectures` on the traffic `config` describes, in lockstep.
+    /// Every field of `config` but `architecture` applies to every node;
+    /// [`RouterSimulator::reports`] lists the nodes' reports in
+    /// `architectures` order, and each equals what
+    /// [`RouterSimulator::with_shared_model`] would report for that
+    /// architecture alone.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimulationError`] if the port count is invalid or does not
+    /// match the energy model, or a traffic parameter is out of range.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `architectures` is empty.
+    pub fn lockstep(
+        config: SimulationConfig,
+        architectures: &[Architecture],
+        model: Arc<FabricEnergyModel>,
+    ) -> Result<Self, SimulationError> {
+        assert!(
+            !architectures.is_empty(),
+            "a simulator needs at least one architecture"
+        );
+        let nodes = architectures
+            .iter()
+            .map(|&architecture| {
+                let routes = RouteTable::new(architecture, config.ports)?;
+                let fabric = Arc::new(PricedRoutes::new(routes, Arc::clone(&model))?);
+                Ok(NodeRun {
+                    architecture,
+                    node: RouterNode::new(fabric, config.node_buffer_bits),
+                    completed: Vec::new(),
+                    spare_payloads: Vec::new(),
+                    packets_delivered: 0,
+                    latency: LatencyHistogram::new(),
+                })
+            })
+            .collect::<Result<Vec<_>, SimulationError>>()?;
         let traffic = TrafficGenerator::new(
             config.ports,
             config.offered_load,
@@ -190,93 +280,121 @@ impl RouterSimulator {
             config.seed,
         )?;
         Ok(Self {
-            node,
-            completed: Vec::new(),
+            config: SimulationConfig {
+                architecture: architectures[0],
+                ..config
+            },
+            nodes,
             traffic,
+            arrivals: Vec::new(),
             cycle: 0,
-            measuring: false,
-            measured_cycles: 0,
-            packets_delivered: 0,
-            latency: LatencyHistogram::new(),
-            config,
         })
     }
 
     /// Runs the configured warmup and measurement windows and returns the
-    /// report.
+    /// first node's report.
     #[must_use]
     pub fn run(mut self) -> SimulationReport {
-        let total = self.config.warmup_cycles + self.config.measure_cycles;
-        for _ in 0..total {
-            self.step();
-        }
+        self.advance(self.config.warmup_cycles + self.config.measure_cycles);
         self.report()
+    }
+
+    /// Runs the configured warmup and measurement windows and returns every
+    /// node's report, in the order the architectures were given.
+    #[must_use]
+    pub fn run_all(mut self) -> Vec<SimulationReport> {
+        self.advance(self.config.warmup_cycles + self.config.measure_cycles);
+        self.reports()
     }
 
     /// Simulates a single clock cycle. Exposed so tests and interactive tools
     /// can drive the simulator incrementally; most callers want
     /// [`RouterSimulator::run`].
     pub fn step(&mut self) {
-        if self.cycle == self.config.warmup_cycles {
-            self.begin_measurement();
-        }
-        if self.measuring {
-            self.measured_cycles += 1;
-        }
-
-        for port in 0..self.config.ports {
-            if let Some(packet) = self.traffic.arrivals(port, self.cycle) {
-                self.node.inject(port, packet);
-            }
-        }
-        self.node.step(self.cycle, &mut self.completed);
-        for packet in self.completed.drain(..) {
-            if self.measuring {
-                self.packets_delivered += 1;
-                self.latency.record(self.cycle + 1 - packet.arrival_cycle);
-            }
-            self.traffic.recycle(packet.payload);
-        }
-
-        self.cycle += 1;
+        self.advance(1);
     }
 
-    /// Builds the report for everything measured so far.
+    /// Simulates the next `cycles` clock cycles, [`REPLAY_CYCLES`] at a
+    /// time: the arrivals of a batch are drawn first, then each node steps
+    /// through the whole batch on its own copies of them.
+    fn advance(&mut self, cycles: u64) {
+        let warmup = self.config.warmup_cycles;
+        let end = self.cycle + cycles;
+        while self.cycle < end {
+            let start = self.cycle;
+            let stop = end.min(start + REPLAY_CYCLES);
+            for cycle in start..stop {
+                for port in 0..self.config.ports {
+                    if let Some(packet) = self.traffic.arrivals(port, cycle) {
+                        self.arrivals.push(packet);
+                    }
+                }
+            }
+            for run in &mut self.nodes {
+                let mut arrivals = self.arrivals.iter().peekable();
+                for cycle in start..stop {
+                    if cycle == warmup {
+                        run.begin_measurement();
+                    }
+                    while let Some(packet) = arrivals.next_if(|p| p.arrival_cycle == cycle) {
+                        run.inject(packet);
+                    }
+                    run.node.step(cycle, &mut run.completed);
+                    for packet in run.completed.drain(..) {
+                        if cycle >= warmup {
+                            run.packets_delivered += 1;
+                            run.latency.record(cycle + 1 - packet.arrival_cycle);
+                        }
+                        run.spare_payloads.push(packet.payload);
+                    }
+                }
+            }
+            for packet in self.arrivals.drain(..) {
+                self.traffic.recycle(packet.payload);
+            }
+            self.cycle = stop;
+        }
+    }
+
+    /// Builds the first node's report for everything measured so far.
     #[must_use]
     pub fn report(&self) -> SimulationReport {
-        let [latency_p50, latency_p95, latency_p99] = self.latency.summary();
+        self.report_of(&self.nodes[0])
+    }
+
+    /// Builds every node's report for everything measured so far, in the
+    /// order the architectures were given.
+    #[must_use]
+    pub fn reports(&self) -> Vec<SimulationReport> {
+        self.nodes.iter().map(|run| self.report_of(run)).collect()
+    }
+
+    fn report_of(&self, run: &NodeRun) -> SimulationReport {
+        let [latency_p50, latency_p95, latency_p99] = run.latency.summary();
         SimulationReport {
-            architecture: self.config.architecture,
+            architecture: run.architecture,
             ports: self.config.ports,
             offered_load: self.config.offered_load,
-            measured_cycles: self.measured_cycles,
-            words_delivered: self.node.words_delivered(),
-            packets_delivered: self.packets_delivered,
-            buffered_words: self.node.buffered_words(),
-            buffer_overflow_cycles: self.node.buffer_overflow_cycles(),
-            average_latency_cycles: self.latency.mean(),
+            measured_cycles: self.cycle.saturating_sub(self.config.warmup_cycles),
+            words_delivered: run.node.words_delivered(),
+            packets_delivered: run.packets_delivered,
+            buffered_words: run.node.buffered_words(),
+            buffer_overflow_cycles: run.node.buffer_overflow_cycles(),
+            average_latency_cycles: run.latency.mean(),
             latency_p50,
             latency_p95,
             latency_p99,
-            latency_histogram: self.latency.to_sparse(),
-            energy: self.node.energy(),
+            latency_histogram: run.latency.to_sparse(),
+            energy: run.node.energy(),
             cycle_time: self.config.cycle_time(),
         }
     }
 
-    /// The latency distribution recorded so far (one sample per packet
-    /// delivered during the measurement window).
+    /// The first node's latency distribution recorded so far (one sample
+    /// per packet delivered during the measurement window).
     #[must_use]
     pub fn latency_histogram(&self) -> &LatencyHistogram {
-        &self.latency
-    }
-
-    fn begin_measurement(&mut self) {
-        self.measuring = true;
-        self.measured_cycles = 0;
-        self.packets_delivered = 0;
-        self.latency = LatencyHistogram::new();
-        self.node.begin_measurement();
+        &self.nodes[0].latency
     }
 }
 
@@ -299,7 +417,6 @@ pub fn simulate(
 mod tests {
     use super::*;
     use crate::traffic::TrafficPattern;
-    use fabric_power_fabric::Architecture;
     use proptest::prelude::*;
 
     fn run(architecture: Architecture, ports: usize, load: f64) -> SimulationReport {
@@ -478,6 +595,68 @@ mod tests {
         }
         let report = sim.report();
         assert_eq!(report.measured_cycles, 0, "still inside warmup");
+    }
+
+    /// The four traffic patterns of `tests/router_reports_golden.rs`.
+    const PATTERNS: [TrafficPattern; 4] = [
+        TrafficPattern::UniformRandom,
+        TrafficPattern::Hotspot {
+            port: 0,
+            fraction: 0.5,
+        },
+        TrafficPattern::Tornado,
+        TrafficPattern::Bursty {
+            on_load: 0.9,
+            off_load: 0.1,
+            mean_burst: 25.0,
+        },
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+
+        #[test]
+        fn lockstep_nodes_report_exactly_what_separate_runs_report(
+            ports in prop_oneof![Just(2_usize), Just(8), Just(32)],
+            pattern in 0_usize..PATTERNS.len(),
+            load in 0.01_f64..=1.0,
+            seed in any::<u64>(),
+            packet_words in 1_usize..=32,
+            warmup in 0_u64..=150,
+            measure in 1_u64..=250,
+            rotation in 0_usize..Architecture::ALL.len(),
+        ) {
+            let model = Arc::new(FabricEnergyModel::paper(ports).unwrap());
+            let mut architectures = Architecture::ALL;
+            architectures.rotate_left(rotation);
+            let config = SimulationConfig::quick(architectures[0], ports, load)
+                .with_pattern(PATTERNS[pattern])
+                .with_seed(seed)
+                .with_packet_words(packet_words)
+                .with_cycles(warmup, measure);
+            let separate: Vec<SimulationReport> = architectures
+                .iter()
+                .map(|&architecture| {
+                    let config = SimulationConfig { architecture, ..config.clone() };
+                    RouterSimulator::with_shared_model(config, Arc::clone(&model))
+                        .unwrap()
+                        .run()
+                })
+                .collect();
+            let lockstep =
+                RouterSimulator::lockstep(config.clone(), &architectures, Arc::clone(&model))
+                    .unwrap();
+            prop_assert_eq!(lockstep.run_all(), separate.clone());
+
+            // Stepping one cycle at a time replays the same arrivals.
+            let mut stepped =
+                RouterSimulator::lockstep(config, &architectures, model).unwrap();
+            for _ in 0..warmup + measure {
+                stepped.step();
+            }
+            prop_assert_eq!(stepped.report(), separate[0].clone());
+            prop_assert_eq!(stepped.reports(), separate);
+        }
     }
 
     proptest! {

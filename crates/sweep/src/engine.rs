@@ -7,6 +7,7 @@ use std::sync::Arc;
 
 use fabric_power_fabric::energy_model::FabricEnergyModel;
 use fabric_power_fabric::provider::ModelProvider;
+use fabric_power_fabric::Architecture;
 use fabric_power_noc::{NetworkReport, NetworkSimulator};
 use fabric_power_obs as obs;
 use fabric_power_router::sim::RouterSimulator;
@@ -165,6 +166,10 @@ impl SweepEngine {
     /// fabric sizes the cells actually touch get models built — a shard of a
     /// contiguous split typically needs one or two, not the whole grid's.
     ///
+    /// The cells run in [`traffic_groups`]: single-router cells that draw
+    /// the same traffic run as one lockstep simulation, so the traffic is
+    /// generated once per operating point instead of once per architecture.
+    ///
     /// # Errors
     ///
     /// Propagates model and simulation errors; when several cells fail, the
@@ -175,10 +180,25 @@ impl SweepEngine {
         cells: &[SweepCell],
     ) -> Result<Vec<SweepPoint>, ExperimentError> {
         let models = self.build_models(config, cells)?;
-        let results = executor::parallel_map(cells, self.threads().max(1), |cell| {
-            self.run_cell(config, cell, &models[&cell.ports])
+        let groups = traffic_groups(cells);
+        let results = executor::parallel_map(&groups, self.threads().max(1), |group| {
+            let group: Vec<&SweepCell> = group.iter().map(|&position| &cells[position]).collect();
+            self.run_group(config, &group, &models[&group[0].ports])
         });
-        results.into_iter().collect()
+        let mut points: Vec<Option<SweepPoint>> = vec![None; cells.len()];
+        // A group fails as a whole: construction errors depend on the
+        // traffic and the port count, never on the architecture.  Groups are
+        // in order of their first cell, so the first failing group holds the
+        // lowest-indexed failing cell.
+        for (group, result) in groups.iter().zip(results) {
+            for (&position, point) in group.iter().zip(result?) {
+                points[position] = Some(point);
+            }
+        }
+        Ok(points
+            .into_iter()
+            .map(|point| point.expect("every cell belongs to one group"))
+            .collect())
     }
 
     /// Runs the full grid with the shared base seed
@@ -286,59 +306,120 @@ impl SweepEngine {
         })
     }
 
-    /// Simulates a single cell against a shared energy model.
+    /// Simulates one traffic group against its shared energy model and
+    /// returns a point per cell, in the group's order: a network cell alone,
+    /// or every single-router cell of the group in one lockstep
+    /// [`RouterSimulator`].
     ///
-    /// Every operating parameter comes from the cell itself (a cell is the
-    /// self-describing unit sharding ships around, including its network
+    /// Every operating parameter comes from the cells themselves (a cell is
+    /// the self-describing unit sharding ships around, including its network
     /// coordinate when the sweep has a mesh axis); the config only
     /// contributes the grid-wide knobs (cycle windows, packet length, model
-    /// source).
-    fn run_cell(
+    /// source).  Each cell still gets its own `run_cell` span, which covers
+    /// the group's run.
+    fn run_group(
         &self,
         config: &ExperimentConfig,
-        cell: &SweepCell,
+        group: &[&SweepCell],
         model: &Arc<FabricEnergyModel>,
-    ) -> Result<SweepPoint, ExperimentError> {
-        let span = obs::log::span(TARGET, "run_cell")
-            .with_level(obs::Level::Trace)
-            .field("cell", cell.index)
-            .field("ports", cell.ports);
-        let mut sim_config =
-            config.simulation_config(cell.architecture, cell.ports, cell.offered_load, cell.seed);
-        sim_config.pattern = cell.pattern;
-        let report = match cell.network {
+    ) -> Result<Vec<SweepPoint>, ExperimentError> {
+        let spans: Vec<obs::log::Span> = group
+            .iter()
+            .map(|cell| {
+                obs::log::span(TARGET, "run_cell")
+                    .with_level(obs::Level::Trace)
+                    .field("cell", cell.index)
+                    .field("ports", cell.ports)
+            })
+            .collect();
+        let first = group[0];
+        let mut sim_config = config.simulation_config(
+            first.architecture,
+            first.ports,
+            first.offered_load,
+            first.seed,
+        );
+        sim_config.pattern = first.pattern;
+        let reports = match first.network {
             // A network cell runs the tick-based fabric-of-fabrics; a 1×1
             // network degrades inside the simulator to exactly the
             // single-router path (and reports no network aggregates).
             Some(network) => {
-                NetworkSimulator::with_shared_model(sim_config, network, Arc::clone(model))?.run()
+                vec![
+                    NetworkSimulator::with_shared_model(sim_config, network, Arc::clone(model))?
+                        .run(),
+                ]
             }
-            None => NetworkReport {
-                simulation: RouterSimulator::with_shared_model(sim_config, Arc::clone(model))?
-                    .run(),
-                network: None,
-            },
+            None => {
+                let architectures: Vec<Architecture> =
+                    group.iter().map(|cell| cell.architecture).collect();
+                RouterSimulator::lockstep(sim_config, &architectures, Arc::clone(model))?
+                    .run_all()
+                    .into_iter()
+                    .map(|simulation| NetworkReport {
+                        simulation,
+                        network: None,
+                    })
+                    .collect()
+            }
         };
-        span.finish();
-        let simulation = report.simulation;
-        Ok(SweepPoint {
-            architecture: cell.architecture,
-            ports: cell.ports,
-            offered_load: cell.offered_load,
-            measured_throughput: simulation.measured_throughput(),
-            power: simulation.average_power(),
-            switch_energy: simulation.energy.switches,
-            buffer_energy: simulation.energy.buffers,
-            wire_energy: simulation.energy.wires,
-            buffered_words: simulation.buffered_words,
-            average_latency_cycles: simulation.average_latency_cycles,
-            latency_p50: simulation.latency_p50,
-            latency_p95: simulation.latency_p95,
-            latency_p99: simulation.latency_p99,
-            latency_histogram: simulation.latency_histogram,
-            network: report.network,
-        })
+        drop(spans);
+        Ok(group
+            .iter()
+            .zip(reports)
+            .map(|(cell, report)| {
+                let simulation = report.simulation;
+                SweepPoint {
+                    architecture: cell.architecture,
+                    ports: cell.ports,
+                    offered_load: cell.offered_load,
+                    measured_throughput: simulation.measured_throughput(),
+                    power: simulation.average_power(),
+                    switch_energy: simulation.energy.switches,
+                    buffer_energy: simulation.energy.buffers,
+                    wire_energy: simulation.energy.wires,
+                    buffered_words: simulation.buffered_words,
+                    average_latency_cycles: simulation.average_latency_cycles,
+                    latency_p50: simulation.latency_p50,
+                    latency_p95: simulation.latency_p95,
+                    latency_p99: simulation.latency_p99,
+                    latency_histogram: simulation.latency_histogram,
+                    network: report.network,
+                }
+            })
+            .collect())
     }
+}
+
+/// Splits a cell list into the groups that can share one simulation, as
+/// positions into `cells`, each group in list order and the groups in order
+/// of their first cell.
+///
+/// Single-router cells that share ports, offered load, pattern and seed
+/// draw the same traffic whatever their architecture, so they form one
+/// group: under [`SeedStrategy::Shared`] that is every architecture of one
+/// operating point.  Network cells, and cells whose seeds differ (as
+/// [`SeedStrategy::PerCell`] makes them), are groups of one.
+fn traffic_groups(cells: &[SweepCell]) -> Vec<Vec<usize>> {
+    let same_traffic = |a: &SweepCell, b: &SweepCell| {
+        a.network.is_none()
+            && b.network.is_none()
+            && a.ports == b.ports
+            && a.offered_load.to_bits() == b.offered_load.to_bits()
+            && a.pattern == b.pattern
+            && a.seed == b.seed
+    };
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for (position, cell) in cells.iter().enumerate() {
+        match groups
+            .iter_mut()
+            .find(|group| same_traffic(&cells[group[0]], cell))
+        {
+            Some(group) => group.push(position),
+            None => groups.push(vec![position]),
+        }
+    }
+    groups
 }
 
 #[cfg(test)]
@@ -408,6 +489,42 @@ mod tests {
         };
         let err = SweepEngine::new().run(&config).unwrap_err();
         assert!(err.to_string().contains('3'));
+    }
+
+    #[test]
+    fn the_lowest_indexed_failing_cell_names_the_error() {
+        // Two kinds of group fail: every cell at 150 % load, and the 2-port
+        // cells at 30 %, which have no hot-spot port 5.  The first failing
+        // cell in grid order decides, whichever group it is in.
+        let base = ExperimentConfig {
+            offered_loads: vec![0.3, 1.5],
+            pattern: fabric_power_router::TrafficPattern::Hotspot {
+                port: 5,
+                fraction: 0.5,
+            },
+            warmup_cycles: 10,
+            measure_cycles: 20,
+            ..ExperimentConfig::quick()
+        };
+        for (port_counts, expected) in [
+            (vec![8, 2], "offered load must be in (0, 1], got 1.5"),
+            (
+                vec![2, 8],
+                "hot-spot port must be below the port count 2, got 5",
+            ),
+        ] {
+            let config = ExperimentConfig {
+                port_counts,
+                ..base.clone()
+            };
+            for threads in [1, 2] {
+                let err = SweepEngine::new()
+                    .with_threads(threads)
+                    .run(&config)
+                    .unwrap_err();
+                assert!(err.to_string().contains(expected), "{err}");
+            }
+        }
     }
 
     #[test]

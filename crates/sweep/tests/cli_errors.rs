@@ -97,6 +97,29 @@ fn a_missing_file_is_not_a_usage_error() {
 }
 
 #[test]
+fn a_document_that_is_not_json_names_what_the_parser_found() {
+    let dir = std::env::temp_dir();
+    let id = std::process::id();
+    for (name, contents, expected) in [
+        (
+            "text",
+            "some text\n",
+            "unexpected character 's' at offset 0",
+        ),
+        ("empty", "", "unexpected end of input at offset 0"),
+    ] {
+        let path = dir.join(format!("fabric-power-cli-errors-{id}-{name}.txt"));
+        std::fs::write(&path, contents).expect("write the input file");
+        let output = fabric_power(&["report", "--in", path.to_str().expect("a UTF-8 temp path")]);
+        let _ = std::fs::remove_file(&path);
+        let stderr = stderr(&output);
+        assert_eq!(output.status.code(), Some(1), "{name}: {stderr}");
+        assert!(stderr.contains(expected), "{name}: {stderr}");
+        assert!(!stderr.contains(HINT), "{name}: {stderr}");
+    }
+}
+
+#[test]
 fn a_log_directive_is_a_usage_error() {
     let output = fabric_power(&["sweep", "--log", "warn,sweep.engine=trace"]);
     let stderr = stderr(&output);

@@ -9,7 +9,7 @@
 
 use fabric_power_core::prelude::*;
 use fabric_power_router::sim::RouterSimulator;
-use fabric_power_sweep::{SweepDocument, SweepEngine};
+use fabric_power_sweep::{ShardStrategy, SweepDocument, SweepEngine, SweepPlan};
 
 /// A scenario-sized grid that still finishes quickly in CI.
 fn test_config() -> ExperimentConfig {
@@ -50,17 +50,24 @@ fn json_is_byte_identical_across_thread_counts() {
     }
 }
 
-#[test]
-fn engine_backed_sweep_matches_sequential_reference() {
-    // The original pre-engine implementation, inlined as the reference.
-    let config = test_config();
+/// The original pre-engine implementation, inlined as the reference: one
+/// `RouterSimulator` per cell, in canonical grid order, each seeded as
+/// `strategy` seeds the cell.
+fn sequential_reference(config: &ExperimentConfig, strategy: SeedStrategy) -> Vec<SweepPoint> {
     let mut reference = Vec::new();
     for &ports in &config.port_counts {
         let model = config.energy_model(ports).expect("model");
         for &architecture in &config.architectures {
             for &offered_load in &config.offered_loads {
-                let sim_config =
-                    config.simulation_config(architecture, ports, offered_load, config.seed);
+                let seed = strategy.cell_seed(
+                    config.seed,
+                    architecture,
+                    ports,
+                    offered_load,
+                    config.pattern,
+                    None,
+                );
+                let sim_config = config.simulation_config(architecture, ports, offered_load, seed);
                 let report = RouterSimulator::new(sim_config, model.clone())
                     .expect("simulator")
                     .run();
@@ -84,9 +91,43 @@ fn engine_backed_sweep_matches_sequential_reference() {
             }
         }
     }
+    reference
+}
 
+#[test]
+fn engine_backed_sweep_matches_sequential_reference() {
+    let config = test_config();
     let sweep = ThroughputSweep::run(&config).expect("sweep");
-    assert_eq!(sweep.points, reference);
+    assert_eq!(
+        sweep.points,
+        sequential_reference(&config, SeedStrategy::Shared)
+    );
+}
+
+#[test]
+fn per_cell_seeded_plan_matches_sequential_reference() {
+    // Per-cell seeds give every architecture its own traffic, so the engine
+    // runs each cell as a simulation of its own.
+    let config = test_config();
+    let plan = SweepPlan::new(
+        "per-cell-reference",
+        config.clone(),
+        SeedStrategy::PerCell,
+        1,
+        ShardStrategy::Contiguous,
+    )
+    .expect("plan");
+    let document = SweepEngine::new()
+        .with_threads(2)
+        .run_plan(&plan)
+        .expect("sweep");
+    let reference = sequential_reference(&config, SeedStrategy::PerCell);
+    assert_eq!(document.points, reference);
+    assert_ne!(
+        reference,
+        sequential_reference(&config, SeedStrategy::Shared),
+        "per-cell seeding should change at least one trajectory"
+    );
 }
 
 #[test]
