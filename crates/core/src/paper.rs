@@ -47,7 +47,7 @@ const CLAIM2_REASON: &str = "at 32x32, 50% load the crossbar (1,213-1,254 mW) un
     per bit, 512 grids against the crossbar's 256 (the wire-length table; ROADMAP item 3)";
 
 /// The closed interval, `(low, high)`, that ours must lie in at every seed.
-pub type Band = (f64, f64);
+pub(crate) type Band = (f64, f64);
 
 /// The rows with a fixed label and published value, in [`fixed_values`]
 /// order: source, label, unit, decimals, paper, band, reason. `E_T_bit`'s

@@ -125,7 +125,7 @@ pub fn analytic_table(
 ///
 /// Propagates [`crate::energy_model::EnergyModelError`] for invalid port
 /// counts.
-pub fn analytic_table_with_provider(
+pub(crate) fn analytic_table_with_provider(
     port_counts: &[usize],
     provider: &crate::provider::ModelProvider,
 ) -> Result<Vec<AnalyticRow>, crate::energy_model::EnergyModelError> {

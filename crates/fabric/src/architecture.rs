@@ -31,13 +31,6 @@ impl Architecture {
         Architecture::BatcherBanyan,
     ];
 
-    /// Whether the architecture can suffer interconnect contention (internal
-    /// blocking) and therefore needs internal buffers.
-    #[must_use]
-    pub fn has_interconnect_contention(self) -> bool {
-        matches!(self, Architecture::Banyan)
-    }
-
     /// A short lowercase identifier suitable for file names and CSV columns.
     #[must_use]
     pub fn slug(self) -> &'static str {
@@ -101,10 +94,23 @@ mod tests {
 
     #[test]
     fn only_banyan_has_interconnect_contention() {
-        assert!(Architecture::Banyan.has_interconnect_contention());
-        assert!(!Architecture::Crossbar.has_interconnect_contention());
-        assert!(!Architecture::FullyConnected.has_interconnect_contention());
-        assert!(!Architecture::BatcherBanyan.has_interconnect_contention());
+        for architecture in Architecture::ALL {
+            let fabric = crate::topology::FabricTopology::new(architecture, 8).unwrap();
+            let contended = (0..8).any(|input| {
+                (0..8).any(|output| {
+                    fabric
+                        .route(input, output)
+                        .hops
+                        .iter()
+                        .any(|hop| hop.buffered_on_contention)
+                })
+            });
+            assert_eq!(
+                contended,
+                architecture == Architecture::Banyan,
+                "{architecture}"
+            );
+        }
     }
 
     #[test]

@@ -48,11 +48,10 @@ pub mod energy_model;
 pub mod provider;
 pub mod topology;
 
-pub use analytic::{worst_case_bit_energy, AnalyticRow};
 pub use architecture::Architecture;
-pub use energy_model::{EnergyModelError, FabricEnergyModel};
-pub use provider::{ModelKind, ModelProvider, ModelSpec, ProviderStats};
-pub use topology::{ElementId, FabricTopology, PathHop, RoutePath, TopologyError};
+pub use energy_model::FabricEnergyModel;
+pub use provider::{ModelKind, ModelProvider, ModelSpec};
+pub use topology::{FabricTopology, PathHop, RoutePath, TopologyError};
 
 /// The node-switch class a [`PathHop`] names, re-exported so path consumers
 /// need not depend on the netlist crate.

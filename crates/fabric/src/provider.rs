@@ -46,7 +46,7 @@ const TARGET: &str = "fabric.provider";
 /// Adding or removing a spec field (such as a [`CharacterizationConfig`]
 /// knob) needs no bump: the canonical JSON changes, so every affected key
 /// changes with it, old entries miss and the store heals by re-deriving.
-pub const CACHE_FORMAT_VERSION: u32 = 1;
+pub(crate) const CACHE_FORMAT_VERSION: u32 = 1;
 
 /// Which construction recipe a [`ModelSpec`] describes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -115,7 +115,7 @@ impl ModelSpec {
 
     /// Whether building this spec runs gate-level characterization.
     #[must_use]
-    pub fn is_derived(&self) -> bool {
+    pub(crate) fn is_derived(&self) -> bool {
         matches!(self.kind, ModelKind::Derived { .. })
     }
 
@@ -127,7 +127,7 @@ impl ModelSpec {
     /// order and floats render with shortest-round-trip formatting — so the
     /// key is stable across runs, processes and machines.
     #[must_use]
-    pub fn cache_key(&self) -> String {
+    pub(crate) fn cache_key(&self) -> String {
         let json = serde_json::to_string(self)
             .expect("a ModelSpec always serializes: no maps, no non-finite floats");
         stable_hash_hex(
@@ -549,9 +549,14 @@ mod tests {
         );
         assert_ne!(quick_derived_spec(8).cache_key(), slow.cache_key());
         // So is the technology (and with it the bus width).
+        let json = serde_json::to_string(&Technology::tsmc180()).unwrap();
+        let narrow: Technology =
+            serde_json::from_str(&json.replace("\"bus_width_bits\":32", "\"bus_width_bits\":16"))
+                .unwrap();
+        assert_eq!(narrow.bus_width_bits(), 16);
         let other_tech = ModelSpec::derived(
             8,
-            Technology::generic130(),
+            narrow,
             CellLibrary::calibrated_018um(),
             CharacterizationConfig::quick(),
         );

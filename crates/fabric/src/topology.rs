@@ -62,20 +62,6 @@ pub struct RoutePath {
     pub hops: Vec<PathHop>,
 }
 
-impl RoutePath {
-    /// Total interconnect length of the path in Thompson grids.
-    #[must_use]
-    pub fn total_wire_grids(&self) -> u64 {
-        self.wire_grids_before + self.hops.iter().map(|h| h.wire_grids_after).sum::<u64>()
-    }
-
-    /// Number of node switches on the path.
-    #[must_use]
-    pub fn switch_hops(&self) -> usize {
-        self.hops.len()
-    }
-}
-
 /// Errors raised when building a topology.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TopologyError {
@@ -109,7 +95,7 @@ impl std::error::Error for TopologyError {}
 /// let banyan = FabricTopology::new(Architecture::Banyan, 8)?;
 /// let path = banyan.route(3, 6);
 /// // log2(8) = 3 stages of 2x2 switches.
-/// assert_eq!(path.switch_hops(), 3);
+/// assert_eq!(path.hops.len(), 3);
 /// # Ok::<(), fabric_power_fabric::topology::TopologyError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -152,19 +138,6 @@ impl FabricTopology {
     #[must_use]
     pub fn banyan_stages(&self) -> u32 {
         wirelength::banyan_stages(self.ports)
-    }
-
-    /// Number of switch stages a packet traverses.
-    #[must_use]
-    pub fn stage_count(&self) -> usize {
-        match self.architecture {
-            Architecture::Crossbar | Architecture::FullyConnected => 1,
-            Architecture::Banyan => self.banyan_stages() as usize,
-            Architecture::BatcherBanyan => {
-                wirelength::batcher_sorting_stages(self.ports) as usize
-                    + self.banyan_stages() as usize
-            }
-        }
     }
 
     /// Total number of node-switch elements in the fabric.
@@ -373,6 +346,11 @@ impl FabricTopology {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Interconnect length of a whole path in Thompson grids.
+    fn total_wire_grids(path: &RoutePath) -> u64 {
+        path.wire_grids_before + path.hops.iter().map(|h| h.wire_grids_after).sum::<u64>()
+    }
     use std::collections::{HashMap, HashSet};
 
     #[test]
@@ -389,23 +367,22 @@ mod tests {
     fn crossbar_path_matches_eq3_structure() {
         let fabric = FabricTopology::new(Architecture::Crossbar, 8).unwrap();
         let path = fabric.route(2, 5);
-        assert_eq!(path.switch_hops(), 1);
+        assert_eq!(path.hops.len(), 1);
         assert_eq!(path.hops[0].charged_inputs, 8);
-        assert_eq!(path.total_wire_grids(), 64); // 8N
+        assert_eq!(total_wire_grids(&path), 64); // 8N
         assert!(!path.hops[0].buffered_on_contention);
         assert_eq!(fabric.element_count(), 64);
-        assert_eq!(fabric.stage_count(), 1);
     }
 
     #[test]
     fn fully_connected_path_matches_eq4_structure() {
         let fabric = FabricTopology::new(Architecture::FullyConnected, 16).unwrap();
         let path = fabric.route(7, 11);
-        assert_eq!(path.switch_hops(), 1);
+        assert_eq!(path.hops.len(), 1);
         assert_eq!(path.hops[0].class, SwitchClass::Mux { inputs: 16 });
-        assert_eq!(path.total_wire_grids(), 128); // ½·N² broadcast bus
+        assert_eq!(total_wire_grids(&path), 128); // ½·N² broadcast bus
                                                   // The wire cost is destination-independent: the ingress bus is one net.
-        assert_eq!(fabric.route(7, 15).total_wire_grids(), 128);
+        assert_eq!(total_wire_grids(&fabric.route(7, 15)), 128);
         assert_eq!(fabric.element_count(), 16);
     }
 
@@ -415,9 +392,9 @@ mod tests {
         for input in 0..16 {
             for output in 0..16 {
                 let path = fabric.route(input, output);
-                assert_eq!(path.switch_hops(), 4);
+                assert_eq!(path.hops.len(), 4);
                 assert_eq!(
-                    path.total_wire_grids(),
+                    total_wire_grids(&path),
                     fabric_power_thompson::wirelength::banyan_bit_wire_grids(16)
                 );
                 assert!(path.hops.iter().all(|h| h.buffered_on_contention));
@@ -472,11 +449,10 @@ mod tests {
         let fabric = FabricTopology::new(Architecture::BatcherBanyan, 16).unwrap();
         let path = fabric.route(3, 9);
         // ½·n·(n+1) sorting stages + n banyan stages, n = 4.
-        assert_eq!(path.switch_hops(), 10 + 4);
-        assert_eq!(fabric.stage_count(), 14);
+        assert_eq!(path.hops.len(), 10 + 4);
         assert!(path.hops.iter().all(|h| !h.buffered_on_contention));
         assert_eq!(
-            path.total_wire_grids(),
+            total_wire_grids(&path),
             fabric_power_thompson::wirelength::batcher_banyan_bit_wire_grids(16)
         );
         let sorting_hops = path
@@ -538,8 +514,8 @@ mod tests {
             let banyan = FabricTopology::new(Architecture::Banyan, ports).unwrap();
             let crossbar = FabricTopology::new(Architecture::Crossbar, ports).unwrap();
             assert!(
-                banyan.route(0, ports - 1).total_wire_grids()
-                    < crossbar.route(0, ports - 1).total_wire_grids()
+                total_wire_grids(&banyan.route(0, ports - 1))
+                    < total_wire_grids(&crossbar.route(0, ports - 1))
             );
         }
     }

@@ -35,8 +35,8 @@
 pub mod buffers;
 pub mod sram;
 
-pub use buffers::{banyan_switch_count, BufferConfig, BufferEnergyRow, Table2};
-pub use sram::{MemoryModel, MemoryModelError, MemoryTechnology};
+pub use buffers::{banyan_switch_count, BufferConfig, Table2};
+pub use sram::MemoryModel;
 
 #[cfg(test)]
 mod tests {

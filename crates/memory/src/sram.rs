@@ -59,16 +59,6 @@ pub enum MemoryTechnology {
     },
 }
 
-impl MemoryTechnology {
-    /// A typical embedded DRAM configuration (64 ms refresh).
-    #[must_use]
-    pub fn typical_dram() -> Self {
-        Self::Dram {
-            refresh_interval_s: 64e-3,
-        }
-    }
-}
-
 /// A structural access-energy model of one shared buffer memory.
 ///
 /// # Examples
@@ -141,28 +131,10 @@ impl MemoryModel {
         })
     }
 
-    /// Total capacity in bits.
-    #[must_use]
-    pub fn capacity_bits(&self) -> u64 {
-        self.capacity_bits
-    }
-
-    /// Word width in bits (accesses happen a word at a time).
-    #[must_use]
-    pub fn word_bits(&self) -> u32 {
-        self.word_bits
-    }
-
     /// Number of words stored.
     #[must_use]
     pub fn words(&self) -> u64 {
         self.capacity_bits / u64::from(self.word_bits)
-    }
-
-    /// The storage technology (SRAM or DRAM).
-    #[must_use]
-    pub fn memory_technology(&self) -> MemoryTechnology {
-        self.memory_technology
     }
 
     /// Number of rows of the (square-ish) cell array: the model folds the
@@ -190,7 +162,7 @@ impl MemoryModel {
     ///   accessed columns loads its bit line) times the word width;
     /// * sense amplifiers and I/O: proportional to the word width.
     #[must_use]
-    pub fn access_energy_per_word(&self) -> Energy {
+    pub(crate) fn access_energy_per_word(&self) -> Energy {
         let vdd = self.technology.supply_voltage();
         // Per-unit effective capacitances, calibrated so the shared-buffer
         // sizes of Table 2 land near the paper's 140-222 pJ/bit figures. The
@@ -231,7 +203,7 @@ impl MemoryModel {
     /// Zero for SRAM. For DRAM every cell is rewritten once per refresh
     /// interval; the cost is spread over the cycles in that interval.
     #[must_use]
-    pub fn refresh_energy_per_bit(&self) -> Energy {
+    pub(crate) fn refresh_energy_per_bit(&self) -> Energy {
         match self.memory_technology {
             MemoryTechnology::Sram => Energy::ZERO,
             MemoryTechnology::Dram { refresh_interval_s } => {
@@ -290,10 +262,9 @@ mod tests {
     #[test]
     fn geometry_is_consistent() {
         let sram = MemoryModel::shared_buffer(128 * 1024).unwrap();
-        assert_eq!(sram.capacity_bits(), 128 * 1024);
         assert_eq!(sram.words(), 4096);
         assert_eq!(sram.rows(), 64);
-        assert!(sram.rows() * sram.columns() >= sram.capacity_bits());
+        assert!(sram.rows() * sram.columns() >= 128 * 1024);
     }
 
     #[test]
@@ -348,7 +319,9 @@ mod tests {
             64 * 1024,
             32,
             Technology::tsmc180(),
-            MemoryTechnology::typical_dram(),
+            MemoryTechnology::Dram {
+                refresh_interval_s: 64e-3,
+            },
             Frequency::from_megahertz(133.0),
         )
         .unwrap();

@@ -80,7 +80,7 @@ impl CellKind {
 
     /// Number of input pins the cell expects (excluding the implicit clock).
     #[must_use]
-    pub fn input_count(self) -> usize {
+    pub(crate) fn input_count(self) -> usize {
         match self {
             CellKind::Inv | CellKind::Buf | CellKind::Dff | CellKind::Latch => 1,
             CellKind::Nand2
@@ -97,14 +97,14 @@ impl CellKind {
 
     /// Whether the cell holds state across clock cycles.
     #[must_use]
-    pub fn is_sequential(self) -> bool {
+    pub(crate) fn is_sequential(self) -> bool {
         matches!(self, CellKind::Dff | CellKind::Latch)
     }
 
     /// Whether the cell may keep its previous output when not driven
     /// (tri-state / pass-gate behaviour).
     #[must_use]
-    pub fn holds_output_when_disabled(self) -> bool {
+    pub(crate) fn holds_output_when_disabled(self) -> bool {
         matches!(self, CellKind::TriBuf | CellKind::PassGate)
     }
 
@@ -116,7 +116,7 @@ impl CellKind {
     ///
     /// # Panics
     ///
-    /// Panics if `inputs.len()` differs from [`CellKind::input_count`].
+    /// Panics if `inputs.len()` differs from `CellKind::input_count`.
     #[must_use]
     pub fn evaluate(self, inputs: &[bool], previous_output: bool) -> bool {
         assert_eq!(
@@ -173,9 +173,9 @@ impl CellKind {
     ///
     /// # Panics
     ///
-    /// Panics if `inputs.len()` differs from [`CellKind::input_count`].
+    /// Panics if `inputs.len()` differs from `CellKind::input_count`.
     #[must_use]
-    pub fn evaluate_word(self, inputs: &[u64], previous_output: u64) -> u64 {
+    pub(crate) fn evaluate_word(self, inputs: &[u64], previous_output: u64) -> u64 {
         assert_eq!(
             inputs.len(),
             self.input_count(),
@@ -230,7 +230,7 @@ impl CellKind {
 
     /// A short library-style cell name (e.g. `"NAND2"`).
     #[must_use]
-    pub fn short_name(self) -> &'static str {
+    pub(crate) fn short_name(self) -> &'static str {
         match self {
             CellKind::Inv => "INV",
             CellKind::Buf => "BUF",

@@ -8,7 +8,7 @@
 //!
 //! # Bit-parallel measurement
 //!
-//! Measurements run on the bit-parallel [`PackedSimulator`]: [`LANES`]
+//! Measurements run on the bit-parallel [`PackedSimulator`]: `LANES`
 //! independent Monte-Carlo streams advance simultaneously, one bit per lane
 //! in a `u64` word per net.  The stimulus is drawn *net-major* from one
 //! `StimulusRng` stream per measurement, seeded with
@@ -20,16 +20,15 @@
 //! measurement writes every input (held controls, presence flags, idle
 //! ports at zero, the draws) and each later step writes only the draws,
 //! straight into the net words, payload as runs of consecutive input
-//! positions.  The scalar [`crate::sim::Simulator`] oracle for lane `L`
-//! reads bit `L` of the very same words — that shared-draw decomposition
-//! is what makes the packed measurement equal the sum of the per-lane
-//! scalar measurements bit-exactly (both engines reduce integer per-net
-//! toggle counts through the same [`crate::sim::EnergyTables`]).  The
-//! `measure_cycles` budget is
-//! split across lanes: each lane measures `measure_cycles / LANES` cycles and
-//! the first `measure_cycles % LANES` lanes measure one more in a final
-//! partially-masked step, so exactly `measure_cycles` lane-cycles are
-//! counted.
+//! positions.  In the crate's tests, the scalar oracle for lane `L` reads
+//! bit `L` of the very same words — that shared-draw decomposition is what
+//! makes the packed measurement equal the sum of the per-lane scalar
+//! measurements bit-exactly (both engines reduce integer per-net toggle
+//! counts through the same [`crate::sim::EnergyTables`]).  The
+//! `measure_cycles` budget is split across lanes: each lane measures
+//! `measure_cycles / LANES` cycles and the first `measure_cycles % LANES`
+//! lanes measure one more in a final partially-masked step, so exactly
+//! `measure_cycles` lane-cycles are counted.
 //!
 //! # Warm-up
 //!
@@ -50,7 +49,7 @@
 //! select line at 0 (input 0 selected), for every occupancy.  The Banyan and
 //! Batcher switches draw their controls per cycle, and presence flags follow
 //! the occupancy.  A compiled switch's schedule is compiled against the held
-//! controls ([`crate::schedule::EvalSchedule::compile_held`]): a cell that
+//! controls (`EvalSchedule::compile_held`): a cell that
 //! only forwards an input while they hold is dropped, and its net reports
 //! its source's word and toggle counts.  This is exact, because a held
 //! input keeps one value for the simulator's whole life, so every LUT bit
@@ -90,7 +89,7 @@ pub struct CharacterizationConfig {
     /// are simulated; the result is the same as simulating them all.
     pub warmup_cycles: u64,
     /// Total measured lane-cycles over which energy is averaged (split
-    /// across the [`LANES`] lanes).
+    /// across the `LANES` lanes).
     pub measure_cycles: u64,
     /// Seed of the payload random number generator (reproducible runs).
     pub seed: u64,
@@ -559,7 +558,7 @@ mod tests {
         assert_eq!(lut.ports(), 1);
         assert_eq!(lut.source(), LutSource::Characterized);
         // An active crosspoint costs far more than an idle one.
-        assert!(lut.single_active() > lut.energy_for_active_count(0) * 5.0);
+        assert!(lut.energy_for_active_count(1) > lut.energy_for_active_count(0) * 5.0);
     }
 
     #[test]
@@ -593,7 +592,7 @@ mod tests {
         // With a single packet the two implementations are within the same
         // band (the paper's 1253 fJ vs 1080 fJ gap is ~16 %); we only require
         // that ours does not invert the relation by more than 25 %.
-        assert!(sorting.single_active() > binary.single_active() * 0.75);
+        assert!(sorting.energy_for_active_count(1) > binary.energy_for_active_count(1) * 0.75);
     }
 
     #[test]
@@ -602,7 +601,7 @@ mod tests {
         let crosspoint =
             characterize_class(SwitchClass::CrossbarCrosspoint, 16, 4, &lib, &quick()).unwrap();
         let binary = characterize_class(SwitchClass::BanyanBinary, 16, 4, &lib, &quick()).unwrap();
-        assert!(crosspoint.single_active() < binary.single_active());
+        assert!(crosspoint.energy_for_active_count(1) < binary.energy_for_active_count(1));
     }
 
     #[test]
@@ -826,7 +825,7 @@ mod tests {
             ..quick()
         };
         let lut = characterize_switch(&circuit, &lib, &one).unwrap();
-        assert!(lut.single_active().as_femtojoules().is_finite());
+        assert!(lut.energy_for_active_count(1).as_femtojoules().is_finite());
     }
 
     #[test]
@@ -956,7 +955,7 @@ mod tests {
     fn characterized_energies_are_in_the_paper_order_of_magnitude() {
         let lib = CellLibrary::calibrated_018um();
         let lut = characterize_class(SwitchClass::BanyanBinary, 32, 5, &lib, &quick()).unwrap();
-        let fj = lut.single_active().as_femtojoules();
+        let fj = lut.energy_for_active_count(1).as_femtojoules();
         // Paper: 1080 fJ. Accept a generous band — the point is the scale.
         assert!(
             fj > 100.0,
@@ -972,6 +971,9 @@ mod tests {
     fn paper_table1_structure_is_complete() {
         let table = Table1::paper();
         assert_eq!(table.muxes.len(), 4);
-        assert!(table.batcher_sorting.single_active() > table.banyan_binary.single_active());
+        assert!(
+            table.batcher_sorting.energy_for_active_count(1)
+                > table.banyan_binary.energy_for_active_count(1)
+        );
     }
 }

@@ -32,7 +32,7 @@ use super::{SwitchCircuit, SwitchClass};
 /// let circuit = crossbar_crosspoint(32)?;
 /// assert_eq!(circuit.ports, 1);
 /// assert_eq!(circuit.bus_width, 32);
-/// circuit.validate()?;
+/// circuit.netlist.validate()?;
 /// # Ok::<(), fabric_power_netlist::netlist::NetlistError>(())
 /// ```
 pub fn crossbar_crosspoint(bus_width: usize) -> Result<SwitchCircuit, NetlistError> {

@@ -100,46 +100,10 @@ pub struct SwitchCircuit {
 }
 
 impl SwitchCircuit {
-    /// Validates the embedded netlist (structure and acyclicity).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`NetlistError`] from [`Netlist::validate`].
-    pub fn validate(&self) -> Result<(), NetlistError> {
-        self.netlist.validate().map(|_| ())
-    }
-
     /// Total number of standard-cell instances in the circuit.
     #[must_use]
     pub fn cell_count(&self) -> usize {
         self.netlist.cell_count()
-    }
-
-    /// Builds a primary-input vector of the right length, all `false`.
-    #[must_use]
-    pub fn blank_input_vector(&self) -> Vec<bool> {
-        vec![false; self.netlist.primary_inputs().len()]
-    }
-
-    /// Sets the value of a specific input net inside a primary-input vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `net` is not a primary input of this circuit — that would be
-    /// a bug in a circuit generator, not a user error.
-    pub fn set_input(&self, vector: &mut [bool], net: NetId, value: bool) {
-        let position = self
-            .netlist
-            .primary_input_position(net)
-            .expect("switch circuit interface net must be a primary input");
-        vector[position] = value;
-    }
-
-    /// Sets an entire data bus from the low bits of `word`.
-    pub fn set_bus(&self, vector: &mut [bool], port: usize, word: u64) {
-        for (bit, &net) in self.data_inputs[port].iter().enumerate() {
-            self.set_input(vector, net, (word >> bit) & 1 == 1);
-        }
     }
 }
 
@@ -197,6 +161,37 @@ pub(crate) mod build {
     }
 }
 
+/// Scalar-oracle stimulus helpers for the circuit tests.
+#[cfg(test)]
+impl SwitchCircuit {
+    /// Builds a primary-input vector of the right length, all `false`.
+    #[must_use]
+    pub(crate) fn blank_input_vector(&self) -> Vec<bool> {
+        vec![false; self.netlist.primary_inputs().len()]
+    }
+
+    /// Sets the value of a specific input net inside a primary-input vector.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `net` is not a primary input of this circuit — that would be
+    /// a bug in a circuit generator, not a user error.
+    pub(crate) fn set_input(&self, vector: &mut [bool], net: NetId, value: bool) {
+        let position = self
+            .netlist
+            .primary_input_position(net)
+            .expect("switch circuit interface net must be a primary input");
+        vector[position] = value;
+    }
+
+    /// Sets an entire data bus from the low bits of `word`.
+    pub(crate) fn set_bus(&self, vector: &mut [bool], port: usize, word: u64) {
+        for (bit, &net) in self.data_inputs[port].iter().enumerate() {
+            self.set_input(vector, net, (word >> bit) & 1 == 1);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,7 +214,10 @@ mod tests {
             n_input_mux(4, 8).unwrap(),
         ];
         for circuit in circuits {
-            circuit.validate().expect("generated netlist must validate");
+            circuit
+                .netlist
+                .validate()
+                .expect("generated netlist must validate");
             assert!(circuit.cell_count() > 0);
             assert_eq!(circuit.data_inputs.len(), circuit.ports);
             assert_eq!(circuit.presence_inputs.len(), circuit.ports);

@@ -37,7 +37,7 @@ use super::{SwitchCircuit, SwitchClass};
 ///
 /// let circuit = batcher_sorting_switch(32, 6)?;
 /// assert_eq!(circuit.control_inputs.len(), 12);
-/// circuit.validate()?;
+/// circuit.netlist.validate()?;
 /// # Ok::<(), fabric_power_netlist::netlist::NetlistError>(())
 /// ```
 pub fn batcher_sorting_switch(

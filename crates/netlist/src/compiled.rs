@@ -16,7 +16,7 @@
 //! The schedule is compiled against the routing controls a characterization
 //! holds for its whole run (`held_controls`: the crosspoint's configuration
 //! bit at 1, every MUX select line at 0, none for the Banyan and Batcher
-//! switches), through [`EvalSchedule::compile_held`].  Every cell that only
+//! switches), through `EvalSchedule::compile_held`.  Every cell that only
 //! forwards an input while those controls hold is dropped: on a 32-bit bus
 //! all 992 `Mux2` cells of the 32-input MUX go, the crosspoint keeps its
 //! enable gate and 32 pass gates but loses its 32 input buffers (65 cells to

@@ -23,7 +23,6 @@ use std::collections::BTreeMap;
 use serde::{Deserialize, Serialize};
 
 use fabric_power_tech::units::{Capacitance, Energy, Voltage};
-use fabric_power_tech::Technology;
 
 use crate::cells::CellKind;
 
@@ -114,21 +113,6 @@ impl CellLibrary {
         )
     }
 
-    /// A library scaled for an arbitrary [`Technology`]. The per-cell
-    /// capacitances keep their relative sizes; only the absolute scale and
-    /// supply voltage change.
-    #[must_use]
-    pub fn for_technology(technology: &Technology) -> Self {
-        // Effective capacitance roughly scales with feature size relative to
-        // the 0.18um reference.
-        let scale = technology.feature_size().as_micrometers() / 0.18;
-        Self::scaled_library(
-            format!("derived from {}", technology.name()),
-            technology.supply_voltage(),
-            scale,
-        )
-    }
-
     fn scaled_library(name: impl Into<String>, vdd: Voltage, scale: f64) -> Self {
         // Relative effective switched capacitance per cell, in fF, at the
         // 0.18um reference point. Ratios follow typical standard-cell
@@ -213,7 +197,7 @@ impl CellLibrary {
     /// Energy to charge or discharge `fanout` input pins of cell kind `load`
     /// once (used by the simulator for net-load energy).
     #[must_use]
-    pub fn pin_load_energy(&self, load: CellKind, fanout: usize) -> Energy {
+    pub(crate) fn pin_load_energy(&self, load: CellKind, fanout: usize) -> Energy {
         let pin = self.parameters(load).input_capacitance;
         (pin * fanout as f64).switching_energy(self.supply_voltage)
     }
@@ -275,16 +259,6 @@ mod tests {
         let nand = lib.parameters(CellKind::Nand2).internal_energy;
         assert!(nand.as_femtojoules() > 5.0, "{nand}");
         assert!(nand.as_femtojoules() < 200.0, "{nand}");
-    }
-
-    #[test]
-    fn technology_scaling_reduces_energy() {
-        let lib_180 = CellLibrary::calibrated_018um();
-        let lib_130 = CellLibrary::for_technology(&Technology::generic130());
-        assert!(
-            lib_130.parameters(CellKind::Nand2).internal_energy
-                < lib_180.parameters(CellKind::Nand2).internal_energy
-        );
     }
 
     #[test]

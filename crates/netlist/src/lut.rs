@@ -53,7 +53,7 @@ impl SwitchEnergyLut {
     ///
     /// Panics if the entry count does not match `ports + 1`.
     #[must_use]
-    pub fn from_active_counts(
+    pub(crate) fn from_active_counts(
         class: SwitchClass,
         ports: usize,
         by_active_count: Vec<Energy>,
@@ -105,13 +105,6 @@ impl SwitchEnergyLut {
             self.ports
         );
         self.by_active_count[active]
-    }
-
-    /// Per-bit energy with exactly one packet present — the value used by the
-    /// closed-form worst-case equations (Eq. 3–6).
-    #[must_use]
-    pub fn single_active(&self) -> Energy {
-        self.energy_for_active_count(1.min(self.ports))
     }
 
     /// All stored energies, indexed by active-port count.
@@ -207,11 +200,11 @@ mod tests {
     fn paper_banyan_values_match_table1() {
         let lut = SwitchEnergyLut::paper_banyan_binary();
         assert_eq!(lut.energy_for_active_count(0), Energy::ZERO);
-        assert!((lut.single_active().as_femtojoules() - 1080.0).abs() < 1e-9);
+        assert!((lut.energy_for_active_count(1).as_femtojoules() - 1080.0).abs() < 1e-9);
         let both = lut.energy_for_active_count(2);
         assert!((both.as_femtojoules() - 1821.0).abs() < 1e-9);
         // Economy of scale: two packets cost less than twice one packet.
-        assert!(both < lut.single_active() * 2.0);
+        assert!(both < lut.energy_for_active_count(1) * 2.0);
         assert_eq!(lut.source(), LutSource::PaperTable1);
     }
 
@@ -219,7 +212,7 @@ mod tests {
     fn paper_batcher_is_costlier_than_banyan() {
         let banyan = SwitchEnergyLut::paper_banyan_binary();
         let batcher = SwitchEnergyLut::paper_batcher_sorting();
-        assert!(batcher.single_active() > banyan.single_active());
+        assert!(batcher.energy_for_active_count(1) > banyan.energy_for_active_count(1));
         assert!(batcher.energy_for_active_count(2) > banyan.energy_for_active_count(2));
     }
 
@@ -227,7 +220,7 @@ mod tests {
     fn paper_mux_published_points_and_interpolation() {
         assert!(
             (SwitchEnergyLut::paper_mux(4)
-                .single_active()
+                .energy_for_active_count(1)
                 .as_femtojoules()
                 - 431.0)
                 .abs()
@@ -235,21 +228,21 @@ mod tests {
         );
         assert!(
             (SwitchEnergyLut::paper_mux(32)
-                .single_active()
+                .energy_for_active_count(1)
                 .as_femtojoules()
                 - 2515.0)
                 .abs()
                 < 1e-9
         );
         // Interpolated value lands between the published neighbours.
-        let e64 = SwitchEnergyLut::paper_mux(64).single_active();
+        let e64 = SwitchEnergyLut::paper_mux(64).energy_for_active_count(1);
         assert!(e64.as_femtojoules() > 2515.0);
-        let e2 = SwitchEnergyLut::paper_mux(2).single_active();
+        let e2 = SwitchEnergyLut::paper_mux(2).energy_for_active_count(1);
         assert!(e2.as_femtojoules() > 0.0 && e2.as_femtojoules() < 431.0);
         // Monotone in N.
         let mut previous = Energy::ZERO;
         for n in [2, 4, 8, 16, 32, 64, 128] {
-            let e = SwitchEnergyLut::paper_mux(n).single_active();
+            let e = SwitchEnergyLut::paper_mux(n).energy_for_active_count(1);
             assert!(e > previous, "MUX energy must grow with N");
             previous = e;
         }
@@ -266,7 +259,7 @@ mod tests {
     #[test]
     fn crosspoint_single_active_is_220_femtojoules() {
         let lut = SwitchEnergyLut::paper_crossbar_crosspoint();
-        assert!((lut.single_active().as_femtojoules() - 220.0).abs() < 1e-9);
+        assert!((lut.energy_for_active_count(1).as_femtojoules() - 220.0).abs() < 1e-9);
         assert_eq!(lut.ports(), 1);
     }
 

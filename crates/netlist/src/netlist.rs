@@ -2,8 +2,8 @@
 //!
 //! A [`Netlist`] is a directed graph of standard cells connected by nets.
 //! Circuit generators in [`crate::circuits`] build netlists programmatically;
-//! the [`crate::sim::Simulator`] evaluates them cycle by cycle and accumulates
-//! switching energy.
+//! [`crate::schedule::EvalSchedule`] compiles them for the packed engine,
+//! which evaluates them cycle by cycle and accumulates switching energy.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -39,8 +39,6 @@ impl CellId {
 pub enum Driver {
     /// The net is the `index`-th primary input.
     PrimaryInput(usize),
-    /// The net is tied to a constant logic value.
-    Constant(bool),
     /// The net is driven by the output of a cell.
     Cell(CellId),
 }
@@ -63,7 +61,7 @@ impl Net {
 
     /// The driver of this net, if any has been connected yet.
     #[must_use]
-    pub fn driver(&self) -> Option<Driver> {
+    pub(crate) fn driver(&self) -> Option<Driver> {
         self.driver
     }
 
@@ -245,17 +243,6 @@ impl Netlist {
         id
     }
 
-    /// Adds a net tied to a constant logic value and returns its id.
-    pub fn add_constant(&mut self, name: impl Into<String>, value: bool) -> NetId {
-        let id = NetId(self.nets.len());
-        self.nets.push(Net {
-            name: name.into(),
-            driver: Some(Driver::Constant(value)),
-            loads: Vec::new(),
-        });
-        id
-    }
-
     /// Adds an internal net with no driver yet and returns its id.
     pub fn add_net(&mut self, name: impl Into<String>) -> NetId {
         let id = NetId(self.nets.len());
@@ -330,20 +317,14 @@ impl Netlist {
         &self.primary_inputs
     }
 
-    /// Position of `net` in the primary-input vector expected by
-    /// [`crate::sim::Simulator::step`], if the net is a primary input.
+    /// Position of `net` among [`Netlist::primary_inputs`], if the net is a
+    /// primary input.
     #[must_use]
-    pub fn primary_input_position(&self, net: NetId) -> Option<usize> {
+    pub(crate) fn primary_input_position(&self, net: NetId) -> Option<usize> {
         match self.nets.get(net.index())?.driver {
             Some(Driver::PrimaryInput(position)) => Some(position),
             _ => None,
         }
-    }
-
-    /// All primary-output nets, in declaration order.
-    #[must_use]
-    pub fn primary_outputs(&self) -> &[NetId] {
-        &self.primary_outputs
     }
 
     /// Number of cell instances.
@@ -352,7 +333,7 @@ impl Netlist {
         self.cells.len()
     }
 
-    /// Number of nets (including primary inputs and constants).
+    /// Number of nets (including primary inputs).
     #[must_use]
     pub fn net_count(&self) -> usize {
         self.nets.len()
@@ -436,7 +417,8 @@ impl Netlist {
     ///
     /// Everything [`Netlist::validate`] raises, plus
     /// [`NetlistError::UndrivenNet`] for any driverless net.
-    pub fn validate_strict(&self) -> Result<Vec<CellId>, NetlistError> {
+    #[cfg(any(debug_assertions, test))]
+    pub(crate) fn validate_strict(&self) -> Result<Vec<CellId>, NetlistError> {
         for (net_idx, net) in self.nets.iter().enumerate() {
             if net.driver.is_none() {
                 return Err(NetlistError::UndrivenNet {
@@ -448,7 +430,7 @@ impl Netlist {
     }
 
     /// Assigns a combinational level to every cell: sequential cells and
-    /// cells fed only by primary inputs, constants and sequential outputs
+    /// cells fed only by primary inputs and sequential outputs
     /// are level 0; every other combinational cell is one more than the
     /// deepest combinational cell feeding it.  Sequential cells report
     /// `None` (they evaluate outside the combinational schedule).
@@ -457,7 +439,7 @@ impl Netlist {
     ///
     /// Returns [`NetlistError::CombinationalLoop`] if the combinational logic
     /// contains a cycle.
-    pub fn combinational_levels(&self) -> Result<Vec<Option<u32>>, NetlistError> {
+    pub(crate) fn combinational_levels(&self) -> Result<Vec<Option<u32>>, NetlistError> {
         // in-degree of each combinational cell = number of inputs driven by
         // other combinational cells.  The fanout edges live in one flat
         // array with per-cell ranges (counting pass + prefix sums) instead
@@ -548,7 +530,7 @@ impl Netlist {
     ///
     /// Returns [`NetlistError::CombinationalLoop`] if the combinational logic
     /// contains a cycle.
-    pub fn combinational_order(&self) -> Result<Vec<CellId>, NetlistError> {
+    pub(crate) fn combinational_order(&self) -> Result<Vec<CellId>, NetlistError> {
         let levels = self.combinational_levels()?;
         let mut order: Vec<CellId> = (0..self.cells.len())
             .filter(|&i| !self.cells[i].kind.is_sequential())
@@ -556,6 +538,14 @@ impl Netlist {
             .collect();
         order.sort_by_key(|&c| (levels[c.index()], c.index()));
         Ok(order)
+    }
+}
+
+#[cfg(test)]
+impl Netlist {
+    /// All primary-output nets, in declaration order.
+    pub(crate) fn primary_outputs(&self) -> &[NetId] {
+        &self.primary_outputs
     }
 }
 
@@ -669,17 +659,6 @@ mod tests {
         n.mark_output(q).unwrap();
         let order = n.validate().expect("dff breaks the loop");
         assert_eq!(order.len(), 1); // only the inverter is combinational
-    }
-
-    #[test]
-    fn constants_count_as_drivers() {
-        let mut n = Netlist::new("const");
-        let one = n.add_constant("tie1", true);
-        let y = n.add_net("y");
-        n.add_cell("u", CellKind::Inv, &[one], y).unwrap();
-        n.mark_output(y).unwrap();
-        assert!(n.validate().is_ok());
-        assert_eq!(n.net(one).driver(), Some(Driver::Constant(true)));
     }
 
     #[test]

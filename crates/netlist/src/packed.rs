@@ -19,7 +19,7 @@
 //! Primary inputs persist from step to step: each one is its net's word,
 //! all-zero until first written.  A step takes a drive closure that writes
 //! only the inputs that change, through [`PackedInputs::set`] or, for
-//! consecutive positions, [`PackedInputs::set_run`], straight into the net
+//! consecutive positions, `PackedInputs::set_run`, straight into the net
 //! words.  An input the closure leaves alone keeps its word and costs
 //! nothing.
 //!
@@ -27,18 +27,18 @@
 //!
 //! Each net has one slot holding its lane word and its toggle count, so a
 //! write touches one cache line.  A schedule compiled against held inputs
-//! ([`EvalSchedule::compile_held`]) has no cell for a net it dropped; its
+//! (`EvalSchedule::compile_held`) has no cell for a net it dropped; its
 //! dense source table maps that net to the slot of the net it forwards,
 //! whose word and toggle counts are the dropped net's own.
 //!
-//! Energy accounting goes through the same [`EnergyTables`] as the scalar
-//! [`crate::sim::Simulator`]: integer per-net toggle counts are converted to
-//! energies in one deterministic pass, so a packed run and the sum of the
-//! equivalent per-lane scalar runs produce **bit-identical** energy numbers.
+//! Energy accounting goes through the same [`EnergyTables`] as the tests'
+//! scalar oracle: integer per-net toggle counts are converted to energies
+//! in one deterministic pass, so a packed run and the sum of the equivalent
+//! per-lane scalar runs produce **bit-identical** energy numbers.
 //!
 //! Lanes are numbered from bit 0: lane `L` of net `n` is
 //! `(word(n) >> L) & 1`. A *lane-cycle* is one lane advancing one clock
-//! cycle; a step with the full count mask contributes [`LANES`]
+//! cycle; a step with the full count mask contributes `LANES`
 //! lane-cycles. Per-cycle clock and leakage energy are charged per
 //! lane-cycle, which keeps totals comparable with a scalar run of the same
 //! number of (scalar) cycles.
@@ -48,7 +48,7 @@ use crate::schedule::{EvalSchedule, ScheduledCell};
 use crate::sim::{ActivityReport, EnergyTables};
 
 /// Lanes every [`PackedSimulator`] step advances: one per bit of a `u64`.
-pub const LANES: u32 = 64;
+pub(crate) const LANES: u32 = 64;
 
 /// Bit-parallel simulator holding one `u64` of lane values per net.
 ///
@@ -92,9 +92,6 @@ pub struct PackedSimulator<'a> {
     slots: Vec<Slot>,
     /// Stored per-lane state of sequential cells, by schedule state slot.
     state: Vec<u64>,
-    /// Whether the first step has driven the constant nets.  Not reset by
-    /// [`PackedSimulator::reset_counters`]: the constants keep their words.
-    constants_driven: bool,
     /// Measured lane-cycles since the last counter reset.
     lane_cycles: u64,
 }
@@ -164,7 +161,7 @@ impl PackedInputs<'_> {
     ///
     /// Panics if the run extends past the last primary input.
     #[inline]
-    pub fn set_run<I>(&mut self, first: usize, words: I)
+    pub(crate) fn set_run<I>(&mut self, first: usize, words: I)
     where
         I: IntoIterator<Item = u64>,
         I::IntoIter: ExactSizeIterator,
@@ -191,7 +188,6 @@ impl<'a> PackedSimulator<'a> {
             tables,
             slots: vec![Slot::default(); schedule.net_count()],
             state: vec![0; schedule.state_slots()],
-            constants_driven: false,
             lane_cycles: 0,
         }
     }
@@ -219,19 +215,18 @@ impl<'a> PackedSimulator<'a> {
     /// [`PackedInputs`]).  All lanes still *evolve* (state advances)
     /// regardless of the mask; masking only excludes lanes from the
     /// measurement.  This is how a measurement total that is not a multiple
-    /// of [`LANES`] is realised: a final partial step counts only the
+    /// of `LANES` is realised: a final partial step counts only the
     /// remainder lanes.
     ///
-    /// The first step also drives the constant nets, which never change
-    /// after it.  Every step evaluates every scheduled cell once, in level
-    /// order, so each cell reads inputs already final for this cycle.  A
-    /// cell whose inputs did not change re-evaluates to the word it holds
-    /// and adds no toggle.
+    /// Every step evaluates every scheduled cell once, in level order, so
+    /// each cell reads inputs already final for this cycle.  A cell whose
+    /// inputs did not change re-evaluates to the word it holds and adds no
+    /// toggle.
     ///
     /// # Panics
     ///
     /// Panics if `drive` writes a position that is not a primary input, or
-    /// if, after `drive`, a held input (see [`EvalSchedule::compile_held`])
+    /// if, after `drive`, a held input (see `EvalSchedule::compile_held`)
     /// does not carry its value in every lane: a drive that writes one
     /// with another word, or never writes a held-high one, fails here.
     pub fn step(&mut self, count_mask: u64, drive: impl FnOnce(&mut PackedInputs<'_>)) {
@@ -254,14 +249,7 @@ impl<'a> PackedSimulator<'a> {
             );
         }
 
-        // 2. Drive the constants (first step only) and the sequential
-        //    outputs.
-        if !self.constants_driven {
-            self.constants_driven = true;
-            for &(net, value) in &schedule.constant_drives {
-                write(slots, count_mask, net, if value { !0 } else { 0 });
-            }
-        }
+        // 2. Drive the sequential outputs.
         for &(net, slot) in &schedule.seq_drives {
             write(slots, count_mask, net, self.state[slot as usize]);
         }
@@ -285,18 +273,6 @@ impl<'a> PackedSimulator<'a> {
         self.slots[self.schedule.source[net.index()] as usize].word
     }
 
-    /// Toggle counts per net (summed over counted lanes) since the last
-    /// counter reset, indexed by net; a net whose cell the schedule dropped
-    /// has its source's counts.
-    #[must_use]
-    pub fn net_toggle_counts(&self) -> Vec<u64> {
-        self.schedule
-            .source
-            .iter()
-            .map(|&source| self.slots[source as usize].toggles)
-            .collect()
-    }
-
     /// Snapshot of the accumulated activity and energy.
     ///
     /// `cycles` in the returned report is the number of measured
@@ -314,11 +290,25 @@ impl<'a> PackedSimulator<'a> {
 
     /// Resets activity counters (but keeps the current logic state), so a
     /// warm-up phase can be excluded from measurements.
-    pub fn reset_counters(&mut self) {
+    pub(crate) fn reset_counters(&mut self) {
         self.lane_cycles = 0;
         for slot in &mut self.slots {
             slot.toggles = 0;
         }
+    }
+}
+
+#[cfg(test)]
+impl PackedSimulator<'_> {
+    /// Toggle counts per net (summed over counted lanes) since the last
+    /// counter reset, indexed by net; a net whose cell the schedule dropped
+    /// has its source's counts.
+    pub(crate) fn net_toggle_counts(&self) -> Vec<u64> {
+        self.schedule
+            .source
+            .iter()
+            .map(|&source| self.slots[source as usize].toggles)
+            .collect()
     }
 }
 

@@ -13,7 +13,7 @@
 //! maps each primary-input position to its net, so a step writes an input
 //! straight into that net's word.
 //!
-//! [`EvalSchedule::compile_held`] compiles against primary inputs that keep
+//! `EvalSchedule::compile_held` compiles against primary inputs that keep
 //! one value for the simulator's whole life, and drops every cell that only
 //! forwards an input while they hold (a buffer, a 2:1 mux with a held
 //! select, a tri-state or pass gate with a held-high enable): its consumers
@@ -29,7 +29,7 @@
 //! the warm-up a measurement actually has to simulate.
 
 use crate::cells::CellKind;
-use crate::netlist::{CellId, Driver, Netlist, NetlistError};
+use crate::netlist::{CellId, Netlist, NetlistError};
 
 /// One cell of the flat evaluation array: everything the simulator needs,
 /// with pre-resolved net indices.
@@ -62,8 +62,6 @@ impl ScheduledCell {
 pub struct EvalSchedule {
     /// The net of each primary-input position.
     pub(crate) input_nets: Vec<u32>,
-    /// `(net, value)` for every constant net.
-    pub(crate) constant_drives: Vec<(u32, bool)>,
     /// `(primary-input position, value)` for every held input, in the
     /// order [`EvalSchedule::compile_held`] was given them; empty for
     /// [`EvalSchedule::compile`].
@@ -108,7 +106,7 @@ impl EvalSchedule {
     /// * a `Mux2` with a held select (it forwards `A` or `B`);
     /// * a `TriBuf` or `PassGate` with a held-high enable (it forwards `A`).
     ///
-    /// A net is held when it is a held input or a constant, when every
+    /// A net is held when it is a held input, when every
     /// input of the non-hold combinational cell driving it is held, or when
     /// it is a dropped net whose source is held.  Hold cells and
     /// sequential cells pass nothing on: their outputs start from the reset
@@ -132,7 +130,10 @@ impl EvalSchedule {
     /// # Panics
     ///
     /// Panics if a held position is not a primary-input position.
-    pub fn compile_held(netlist: &Netlist, held: &[(usize, bool)]) -> Result<Self, NetlistError> {
+    pub(crate) fn compile_held(
+        netlist: &Netlist,
+        held: &[(usize, bool)],
+    ) -> Result<Self, NetlistError> {
         Self::compile_with(netlist, Some(held))
     }
 
@@ -155,14 +156,6 @@ impl EvalSchedule {
             .iter()
             .map(|net| net.index() as u32)
             .collect();
-        let mut constant_drives: Vec<(u32, bool)> = netlist
-            .nets()
-            .filter_map(|(net_id, net)| match net.driver() {
-                Some(Driver::Constant(value)) => Some((net_id.index() as u32, value)),
-                _ => None,
-            })
-            .collect();
-        constant_drives.shrink_to_fit();
 
         // Per net: the net whose word it carries (itself unless its cell is
         // dropped), and its held value, if any.
@@ -178,9 +171,6 @@ impl EvalSchedule {
                 );
                 held_value[input_nets[position] as usize] = Some(value);
                 held_inputs.push((position as u32, value));
-            }
-            for &(net, value) in &constant_drives {
-                held_value[net as usize] = Some(value);
             }
         }
 
@@ -240,7 +230,6 @@ impl EvalSchedule {
         let settle_cycles = settle_depth(netlist.net_count(), &cells, &seq_drives, &seq_captures);
         Ok(Self {
             input_nets,
-            constant_drives,
             held_inputs,
             seq_drives,
             seq_captures,
@@ -259,7 +248,7 @@ impl EvalSchedule {
     }
 
     /// Number of scheduled combinational cells (the netlist's, less those
-    /// [`EvalSchedule::compile_held`] dropped).
+    /// `EvalSchedule::compile_held` dropped).
     #[must_use]
     pub fn cell_count(&self) -> usize {
         self.cells.len()
@@ -267,7 +256,7 @@ impl EvalSchedule {
 
     /// Number of sequential state slots.
     #[must_use]
-    pub fn state_slots(&self) -> usize {
+    pub(crate) fn state_slots(&self) -> usize {
         self.seq_drives.len()
     }
 
@@ -308,7 +297,6 @@ impl EvalSchedule {
         }
         sizes!(
             input_nets,
-            constant_drives,
             held_inputs,
             seq_drives,
             seq_captures,
@@ -355,7 +343,7 @@ fn settle_depth(
     // the slot count must visit some slot twice, which is a loop.
     let slots = seq_drives.len() as u64;
     let mut chain = vec![1_u64; seq_drives.len()];
-    // Per net, the longest chain reaching it; primary inputs and constants
+    // Per net, the longest chain reaching it; primary inputs
     // stay 0.
     let mut net_chain = vec![0_u64; net_count];
     loop {
@@ -399,13 +387,12 @@ mod tests {
         let mut n = Netlist::new("sched");
         let a = n.add_input("a");
         let b = n.add_input("b");
-        let tie = n.add_constant("tie1", true);
+        let c = n.add_input("c");
         let ab = n.add_net("ab");
         let gated = n.add_net("gated");
         let q = n.add_net("q");
         n.add_cell("u_and", CellKind::And2, &[a, b], ab).unwrap();
-        n.add_cell("u_or", CellKind::Or2, &[ab, tie], gated)
-            .unwrap();
+        n.add_cell("u_or", CellKind::Or2, &[ab, c], gated).unwrap();
         n.add_cell("u_ff", CellKind::Dff, &[gated], q).unwrap();
         n.mark_output(q).unwrap();
 
@@ -415,9 +402,8 @@ mod tests {
         assert_eq!(schedule.state_slots(), 1);
         assert_eq!(
             schedule.input_nets,
-            vec![a.index() as u32, b.index() as u32]
+            vec![a.index() as u32, b.index() as u32, c.index() as u32]
         );
-        assert_eq!(schedule.constant_drives, vec![(tie.index() as u32, true)]);
         assert_eq!(schedule.seq_drives, vec![(q.index() as u32, 0)]);
         assert_eq!(schedule.seq_captures, vec![(0, gated.index() as u32)]);
     }

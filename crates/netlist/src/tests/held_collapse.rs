@@ -5,26 +5,23 @@
 //! on the energy report, on every net's toggle count and on every net's
 //! word, dropped nets included.
 //!
-//! The random netlists hold constants (which count as held), `Buf`, `Mux2`,
-//! `TriBuf` and `PassGate` cells whose selects and enables are drawn from
-//! the same pool as every other input, so a case drops anything from no cell
-//! to long forwarding chains.  The stimulus drives a random number of low
-//! lanes of the other inputs, counters reset after a warm-up of 0 to 3 steps
-//! (0: before the first step), and the final step counts a random subset of
-//! lanes.
-
-mod common;
+//! The random netlists hold `Buf`, `Mux2`, `TriBuf` and `PassGate` cells
+//! whose selects and enables are drawn from the same pool as every other
+//! input, so a case drops anything from no cell to long forwarding chains.
+//! The stimulus drives a random number of low lanes of the other inputs,
+//! counters reset after a warm-up of 0 to 3 steps (0: before the first
+//! step), and the final step counts a random subset of lanes.
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use common::random_netlist;
-use fabric_power_netlist::cells::CellKind;
-use fabric_power_netlist::library::CellLibrary;
-use fabric_power_netlist::packed::PackedSimulator;
-use fabric_power_netlist::schedule::EvalSchedule;
-use fabric_power_netlist::sim::EnergyTables;
+use super::random_netlist;
+use crate::cells::CellKind;
+use crate::library::CellLibrary;
+use crate::packed::PackedSimulator;
+use crate::schedule::EvalSchedule;
+use crate::sim::EnergyTables;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]

@@ -11,27 +11,24 @@
 //! shows it.
 //!
 //! The netlists are seeded with structure the engine's one level-ordered
-//! pass per step must get right: constant nets (cones that settle on the
-//! first step and never toggle again), duplicate cells, and undriven nets
-//! nothing reads.  Only a random number of low lanes is driven (the rest
+//! pass per step must get right: duplicate cells and undriven nets nothing
+//! reads.  Only a random number of low lanes is driven (the rest
 //! see all-zero inputs), so many cells re-evaluate to the word they already
 //! hold, which must add no toggle.  The packed run counts a random subset
 //! of lanes on its final step; with a single cycle that is a masked *first*
 //! step.
 
-mod common;
-
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use common::random_netlist;
-use fabric_power_netlist::cells::CellKind;
-use fabric_power_netlist::library::CellLibrary;
-use fabric_power_netlist::netlist::NetId;
-use fabric_power_netlist::packed::{PackedSimulator, LANES};
-use fabric_power_netlist::schedule::EvalSchedule;
-use fabric_power_netlist::sim::{EnergyTables, Simulator};
+use super::random_netlist;
+use crate::cells::CellKind;
+use crate::library::CellLibrary;
+use crate::netlist::NetId;
+use crate::packed::{PackedSimulator, LANES};
+use crate::schedule::EvalSchedule;
+use crate::sim::{EnergyTables, Simulator};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]

@@ -15,21 +15,19 @@
 //! Counters reset after a warm-up of 0 to 3 steps (0: before the first
 //! step), and the final step counts a random subset of lanes.
 //!
-//! [`PackedInputs::set_run`]: fabric_power_netlist::packed::PackedInputs::set_run
-//! [`PackedInputs::set`]: fabric_power_netlist::packed::PackedInputs::set
-
-mod common;
+//! [`PackedInputs::set_run`]: crate::packed::PackedInputs::set_run
+//! [`PackedInputs::set`]: crate::packed::PackedInputs::set
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use common::random_netlist;
-use fabric_power_netlist::cells::CellKind;
-use fabric_power_netlist::library::CellLibrary;
-use fabric_power_netlist::packed::PackedSimulator;
-use fabric_power_netlist::schedule::EvalSchedule;
-use fabric_power_netlist::sim::EnergyTables;
+use super::random_netlist;
+use crate::cells::CellKind;
+use crate::library::CellLibrary;
+use crate::packed::PackedSimulator;
+use crate::schedule::EvalSchedule;
+use crate::sim::EnergyTables;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]

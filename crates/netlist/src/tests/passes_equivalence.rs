@@ -3,26 +3,23 @@
 //! [`Simulator`], under the step patterns characterization uses.
 //!
 //! The random netlists are rich in structure a schedule could be tempted to
-//! short-cut — constant cones, duplicate cells, nets nothing drives or
-//! reads — and the packed engine must still account for the *full* net
+//! short-cut — duplicate cells, nets nothing drives or reads — and the packed engine must still account for the *full* net
 //! space: its per-net toggle counts, lane-cycles and energy report equal
 //! the sums of 64 per-lane scalar walks bit for bit.  Covered: a final step
 //! that counts only a prefix of the lanes (the remainder step of a
 //! measurement budget that is not a multiple of [`LANES`]; with one cycle it
 //! is a masked *first* step), and the warm-up / reset / measure protocol.
 
-mod common;
-
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use common::random_netlist;
-use fabric_power_netlist::cells::CellKind;
-use fabric_power_netlist::library::CellLibrary;
-use fabric_power_netlist::packed::{PackedSimulator, LANES};
-use fabric_power_netlist::schedule::EvalSchedule;
-use fabric_power_netlist::sim::{EnergyTables, Simulator};
+use super::random_netlist;
+use crate::cells::CellKind;
+use crate::library::CellLibrary;
+use crate::packed::{PackedSimulator, LANES};
+use crate::schedule::EvalSchedule;
+use crate::sim::{EnergyTables, Simulator};
 
 /// Bit `lane` of every word: lane `lane`'s view of packed input or output
 /// words.

@@ -6,19 +6,17 @@
 //! reached the nets.  This is what lets characterization skip all but the
 //! last `settle` warm-up cycles.
 
-mod common;
-
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use common::random_netlist;
-use fabric_power_netlist::cells::CellKind;
-use fabric_power_netlist::library::CellLibrary;
-use fabric_power_netlist::netlist::Netlist;
-use fabric_power_netlist::packed::PackedSimulator;
-use fabric_power_netlist::schedule::EvalSchedule;
-use fabric_power_netlist::sim::EnergyTables;
+use super::random_netlist;
+use crate::cells::CellKind;
+use crate::library::CellLibrary;
+use crate::netlist::Netlist;
+use crate::packed::PackedSimulator;
+use crate::schedule::EvalSchedule;
+use crate::sim::EnergyTables;
 
 /// One fully counted step that writes every primary input's word.
 fn drive_all(sim: &mut PackedSimulator<'_>, words: &[u64]) {

@@ -14,7 +14,7 @@ use fabric_power_netlist::{
     characterize_class, characterize_switch, compiled_switch, CellLibrary, CharacterizationConfig,
     SwitchClass, SwitchEnergyLut,
 };
-use fabric_power_tech::Technology;
+use fabric_power_tech::units::Voltage;
 
 /// The ten circuits `table1-mc` characterizes on a 32-bit bus, with the
 /// address bits each is requested at: the crosspoint, Banyan and MUXes of
@@ -80,7 +80,15 @@ fn cached_characterization_equals_a_fresh_circuit_for_the_table1_mc_set() {
 fn each_library_gets_its_own_entry() {
     let config = CharacterizationConfig::default();
     let calibrated = CellLibrary::calibrated_018um();
-    let generic = CellLibrary::for_technology(&Technology::generic130());
+    // The same cells at another supply voltage: every pin load costs less.
+    let generic = CellLibrary::new(
+        "calibrated cells at 1.2 V",
+        Voltage::from_volts(1.2),
+        calibrated
+            .iter()
+            .map(|(kind, cell)| (kind, *cell))
+            .collect(),
+    );
     let class = SwitchClass::BanyanBinary;
     let ours = characterize_class(class, 32, 5, &calibrated, &config).unwrap();
     let theirs = characterize_class(class, 32, 5, &generic, &config).unwrap();

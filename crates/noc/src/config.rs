@@ -61,23 +61,9 @@ impl NetworkConfig {
         }
     }
 
-    /// Switches the next-hop policy.
-    #[must_use]
-    pub fn with_routing(mut self, routing: RoutingPolicy) -> Self {
-        self.routing = routing;
-        self
-    }
-
-    /// Sets the link credit depth.
-    #[must_use]
-    pub fn with_link_depth(mut self, link_depth: usize) -> Self {
-        self.link_depth = link_depth;
-        self
-    }
-
     /// The grid shape.
     #[must_use]
-    pub fn shape(&self) -> NetworkShape {
+    pub(crate) fn shape(&self) -> NetworkShape {
         NetworkShape {
             width: self.width,
             height: self.height,

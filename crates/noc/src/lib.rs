@@ -29,5 +29,5 @@ pub mod sim;
 pub mod topology;
 
 pub use config::{NetworkConfig, NetworkReport, NetworkStats};
-pub use sim::{node_seed, NetworkError, NetworkSimulator};
-pub use topology::{Direction, NetworkShape, RoutingPolicy, LOCAL_PORT};
+pub use sim::{NetworkError, NetworkSimulator};
+pub use topology::RoutingPolicy;

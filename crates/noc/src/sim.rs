@@ -112,7 +112,7 @@ impl From<SimulationError> for NetworkError {
 /// rest get SplitMix64-scrambled per-node streams, the same `seed ⊕ index`
 /// idiom the sweep engine uses for per-cell seeds.
 #[must_use]
-pub fn node_seed(base: u64, node: usize) -> u64 {
+pub(crate) fn node_seed(base: u64, node: usize) -> u64 {
     if node == 0 {
         return base;
     }
@@ -216,6 +216,7 @@ impl MeshNetwork {
         net: NetworkConfig,
         model: Arc<FabricEnergyModel>,
     ) -> Result<Self, NetworkError> {
+        config.check_window()?;
         let shape = net.shape();
         let node_count = shape.nodes();
         if node_count == 0 {
@@ -730,7 +731,10 @@ mod tests {
     fn network_runs_are_reproducible_per_seed() {
         let run = |seed: u64| {
             NetworkSimulator::with_shared_model(
-                quick_config(0.25).with_seed(seed),
+                SimulationConfig {
+                    seed,
+                    ..quick_config(0.25)
+                },
                 NetworkConfig::mesh(3, 3),
                 model(8),
             )
@@ -776,7 +780,10 @@ mod tests {
             NetworkSimulator::with_shared_model(
                 SimulationConfig::quick(Architecture::Crossbar, 8, 0.3)
                     .with_pattern(TrafficPattern::Transpose),
-                NetworkConfig::mesh(3, 3).with_routing(routing),
+                NetworkConfig {
+                    routing,
+                    ..NetworkConfig::mesh(3, 3)
+                },
                 model(8),
             )
             .unwrap()
@@ -804,7 +811,10 @@ mod tests {
     fn shallow_links_stall_on_credits() {
         let report = NetworkSimulator::with_shared_model(
             SimulationConfig::quick(Architecture::Crossbar, 8, 0.8),
-            NetworkConfig::mesh(2, 2).with_link_depth(1),
+            NetworkConfig {
+                link_depth: 1,
+                ..NetworkConfig::mesh(2, 2)
+            },
             model(8),
         )
         .unwrap()
@@ -861,7 +871,10 @@ mod tests {
             NetworkSimulator::with_shared_model(quick_config(0.2), net, model(8)),
             Err(NetworkError::ZeroLinkLatency)
         ));
-        let net = NetworkConfig::mesh(2, 2).with_link_depth(0);
+        let net = NetworkConfig {
+            link_depth: 0,
+            ..NetworkConfig::mesh(2, 2)
+        };
         assert!(matches!(
             NetworkSimulator::with_shared_model(quick_config(0.2), net, model(8)),
             Err(NetworkError::ZeroLinkDepth)
@@ -993,11 +1006,14 @@ mod tests {
                 link_latency,
                 ..NetworkConfig::mesh(width, height)
             };
-            let config = SimulationConfig::quick(architecture, 8, load)
-                .with_packet_words(packet_words)
-                .with_pattern(pattern(pattern_index))
-                .with_seed(seed)
-                .with_cycles(0, inject_ticks);
+            let config = SimulationConfig {
+                packet_words,
+                seed,
+                warmup_cycles: 0,
+                measure_cycles: inject_ticks,
+                ..SimulationConfig::quick(architecture, 8, load)
+            }
+            .with_pattern(pattern(pattern_index));
             let mut mesh = MeshNetwork::new(config, net, model(8)).unwrap();
             // The whole run is measured, so every ejection and launch counts.
             mesh.begin_measurement();
@@ -1095,11 +1111,14 @@ mod tests {
             measure in 1_u64..=400,
             seed in any::<u64>(),
         ) {
-            let config = SimulationConfig::quick(architecture, ports, load)
-                .with_packet_words(packet_words)
-                .with_pattern(pattern(pattern_index))
-                .with_seed(seed)
-                .with_cycles(warmup, measure);
+            let config = SimulationConfig {
+                packet_words,
+                seed,
+                warmup_cycles: warmup,
+                measure_cycles: measure,
+                ..SimulationConfig::quick(architecture, ports, load)
+            }
+            .with_pattern(pattern(pattern_index));
             let single = RouterSimulator::with_shared_model(config.clone(), model(ports))
                 .unwrap()
                 .run();

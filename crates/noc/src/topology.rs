@@ -11,11 +11,11 @@
 use serde::{Deserialize, Serialize};
 
 /// Fabric port reserved for local packet injection and ejection.
-pub const LOCAL_PORT: usize = 0;
+pub(crate) const LOCAL_PORT: usize = 0;
 
 /// One of the four grid directions a packet can leave a router on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Direction {
+pub(crate) enum Direction {
     /// Toward larger `x` (fabric port 1).
     XPlus,
     /// Toward smaller `x` (fabric port 2).
@@ -44,7 +44,7 @@ impl Direction {
     /// The direction a packet travelling this way *arrives from* at the
     /// receiving router (its input port there).
     #[must_use]
-    pub fn reverse(self) -> Self {
+    pub(crate) fn reverse(self) -> Self {
         match self {
             Self::XPlus => Self::XMinus,
             Self::XMinus => Self::XPlus,
@@ -88,7 +88,7 @@ impl RoutingPolicy {
 /// A `width × height` grid of routers, optionally with wraparound (torus)
 /// links.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct NetworkShape {
+pub(crate) struct NetworkShape {
     /// Routers along the X axis.
     pub width: usize,
     /// Routers along the Y axis.
@@ -99,26 +99,6 @@ pub struct NetworkShape {
 }
 
 impl NetworkShape {
-    /// A mesh (no wraparound).
-    #[must_use]
-    pub fn mesh(width: usize, height: usize) -> Self {
-        Self {
-            width,
-            height,
-            torus: false,
-        }
-    }
-
-    /// A torus (wraparound on both axes).
-    #[must_use]
-    pub fn torus(width: usize, height: usize) -> Self {
-        Self {
-            width,
-            height,
-            torus: true,
-        }
-    }
-
     /// Total router count.
     #[must_use]
     pub fn nodes(&self) -> usize {
@@ -133,14 +113,14 @@ impl NetworkShape {
 
     /// The node index of `(x, y)`.
     #[must_use]
-    pub fn node_at(&self, x: usize, y: usize) -> usize {
+    pub(crate) fn node_at(&self, x: usize, y: usize) -> usize {
         y * self.width + x
     }
 
     /// The neighbor of `node` in `direction`, or `None` when the mesh edge
     /// has no link that way.  On a torus every direction wraps around.
     #[must_use]
-    pub fn neighbor(&self, node: usize, direction: Direction) -> Option<usize> {
+    pub(crate) fn neighbor(&self, node: usize, direction: Direction) -> Option<usize> {
         let (x, y) = self.coordinates(node);
         let (nx, ny) = match direction {
             Direction::XPlus => {
@@ -210,7 +190,11 @@ impl NetworkShape {
     /// `[X direction, Y direction]`, each `None` when that axis is already
     /// resolved.  Both `None` means the packet is home.
     #[must_use]
-    pub fn productive_directions(&self, node: usize, destination: usize) -> [Option<Direction>; 2] {
+    pub(crate) fn productive_directions(
+        &self,
+        node: usize,
+        destination: usize,
+    ) -> [Option<Direction>; 2] {
         let (x, y) = self.coordinates(node);
         let (dx, dy) = self.coordinates(destination);
         [
@@ -219,28 +203,12 @@ impl NetworkShape {
         ]
     }
 
-    /// Minimal hop distance between two nodes.
-    #[must_use]
-    pub fn distance(&self, a: usize, b: usize) -> usize {
-        let (ax, ay) = self.coordinates(a);
-        let (bx, by) = self.coordinates(b);
-        let axis = |from: usize, to: usize, extent: usize| {
-            let direct = from.abs_diff(to);
-            if self.torus {
-                direct.min(extent - direct)
-            } else {
-                direct
-            }
-        };
-        axis(ax, bx, self.width) + axis(ay, by, self.height)
-    }
-
     /// The largest fabric port index the shape can use, i.e. the minimum
     /// node radix minus one.  A single-row network never touches the Y
     /// ports, so it fits a radix-4 node; anything 2-D needs radix ≥ 5
     /// (radix 8 in practice, since the energy model wants a power of two).
     #[must_use]
-    pub fn max_used_port(&self) -> usize {
+    pub(crate) fn max_used_port(&self) -> usize {
         let needs_y = self.height > 1;
         let needs_x = self.width > 1;
         if needs_y {
@@ -256,10 +224,27 @@ impl NetworkShape {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::NetworkConfig;
+
+    /// Minimal hop distance between two nodes: the oracle the routing
+    /// tests check path lengths against.
+    fn distance(shape: &NetworkShape, a: usize, b: usize) -> usize {
+        let (ax, ay) = shape.coordinates(a);
+        let (bx, by) = shape.coordinates(b);
+        let axis = |from: usize, to: usize, extent: usize| {
+            let direct = from.abs_diff(to);
+            if shape.torus {
+                direct.min(extent - direct)
+            } else {
+                direct
+            }
+        };
+        axis(ax, bx, shape.width) + axis(ay, by, shape.height)
+    }
 
     #[test]
     fn mesh_edges_have_no_neighbors() {
-        let shape = NetworkShape::mesh(3, 2);
+        let shape = NetworkConfig::mesh(3, 2).shape();
         assert_eq!(shape.neighbor(0, Direction::XMinus), None);
         assert_eq!(shape.neighbor(0, Direction::YMinus), None);
         assert_eq!(shape.neighbor(0, Direction::XPlus), Some(1));
@@ -270,7 +255,7 @@ mod tests {
 
     #[test]
     fn torus_wraps_both_axes() {
-        let shape = NetworkShape::torus(3, 2);
+        let shape = NetworkConfig::torus(3, 2).shape();
         assert_eq!(shape.neighbor(0, Direction::XMinus), Some(2));
         assert_eq!(shape.neighbor(2, Direction::XPlus), Some(0));
         assert_eq!(shape.neighbor(0, Direction::YMinus), Some(3));
@@ -279,7 +264,7 @@ mod tests {
 
     #[test]
     fn reverse_direction_round_trips_across_a_link() {
-        let shape = NetworkShape::torus(4, 4);
+        let shape = NetworkConfig::torus(4, 4).shape();
         for node in 0..shape.nodes() {
             for direction in Direction::ALL {
                 let neighbor = shape.neighbor(node, direction).unwrap();
@@ -290,15 +275,18 @@ mod tests {
 
     #[test]
     fn torus_distance_uses_the_shorter_wrap() {
-        let mesh = NetworkShape::mesh(4, 1);
-        let torus = NetworkShape::torus(4, 1);
-        assert_eq!(mesh.distance(0, 3), 3);
-        assert_eq!(torus.distance(0, 3), 1);
+        let mesh = NetworkConfig::mesh(4, 1).shape();
+        let torus = NetworkConfig::torus(4, 1).shape();
+        assert_eq!(distance(&mesh, 0, 3), 3);
+        assert_eq!(distance(&torus, 0, 3), 1);
     }
 
     #[test]
     fn productive_directions_reach_the_destination() {
-        for shape in [NetworkShape::mesh(4, 3), NetworkShape::torus(4, 3)] {
+        for shape in [
+            NetworkConfig::mesh(4, 3).shape(),
+            NetworkConfig::torus(4, 3).shape(),
+        ] {
             for from in 0..shape.nodes() {
                 for to in 0..shape.nodes() {
                     let mut node = from;
@@ -310,7 +298,7 @@ mod tests {
                         steps += 1;
                         assert!(steps <= shape.nodes(), "routing loop {from}->{to}");
                     }
-                    assert_eq!(steps, shape.distance(from, to), "{from}->{to} minimal");
+                    assert_eq!(steps, distance(&shape, from, to), "{from}->{to} minimal");
                 }
             }
         }
@@ -318,8 +306,8 @@ mod tests {
 
     #[test]
     fn single_row_networks_fit_a_radix_four_node() {
-        assert_eq!(NetworkShape::mesh(4, 1).max_used_port(), 2);
-        assert_eq!(NetworkShape::mesh(2, 2).max_used_port(), 4);
-        assert_eq!(NetworkShape::mesh(1, 1).max_used_port(), 0);
+        assert_eq!(NetworkConfig::mesh(4, 1).shape().max_used_port(), 2);
+        assert_eq!(NetworkConfig::mesh(2, 2).shape().max_used_port(), 4);
+        assert_eq!(NetworkConfig::mesh(1, 1).shape().max_used_port(), 0);
     }
 }

@@ -3,7 +3,7 @@
 //! Timed phase spans for the `fabric-power` workspace, implemented on `std`
 //! alone (no `tracing` and no `log` crate).
 //!
-//! A [`Span`] times one pipeline phase (`characterize`, `build_model`,
+//! A [`log::Span`] times one pipeline phase (`characterize`, `build_model`,
 //! `run_cell`): on drop it reports a `<name> done` event with its integer
 //! fields and an `elapsed_us` field, the phase's wall time.  The event goes
 //! to stderr and, optionally, as one JSON object per line (JSONL) to a file
@@ -42,4 +42,4 @@
 
 pub mod log;
 
-pub use log::{Filter, Level, Span};
+pub use log::{Filter, Level};

@@ -9,6 +9,7 @@ use fabric_power_tech::Frequency;
 
 use crate::energy::EnergyAccount;
 use crate::metrics::SparseLatencyHistogram;
+use crate::sim::SimulationError;
 use crate::traffic::TrafficPattern;
 
 /// Configuration of one simulation run.
@@ -76,32 +77,25 @@ impl SimulationConfig {
         self
     }
 
-    /// Overrides the random seed.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Overrides the packet length in words.
-    #[must_use]
-    pub fn with_packet_words(mut self, packet_words: usize) -> Self {
-        self.packet_words = packet_words;
-        self
-    }
-
-    /// Overrides the warmup/measurement window.
-    #[must_use]
-    pub fn with_cycles(mut self, warmup: u64, measure: u64) -> Self {
-        self.warmup_cycles = warmup;
-        self.measure_cycles = measure;
-        self
-    }
-
     /// Duration of one clock cycle.
     #[must_use]
     pub fn cycle_time(&self) -> TimeSpan {
         self.clock.period()
+    }
+
+    /// Checks the measurement window, which every simulator does before it
+    /// builds anything: a run that measures no cycle has no power or
+    /// throughput to report.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimulationError::ZeroMeasureCycles`] when `measure_cycles`
+    /// is 0.
+    pub fn check_window(&self) -> Result<(), SimulationError> {
+        if self.measure_cycles == 0 {
+            return Err(SimulationError::ZeroMeasureCycles);
+        }
+        Ok(())
     }
 }
 
@@ -195,22 +189,15 @@ mod tests {
         let config = SimulationConfig::new(Architecture::Banyan, 16, 0.3);
         assert_eq!(config.packet_words, 16);
         assert_eq!(config.node_buffer_bits, 4096);
-        assert!((config.clock.as_megahertz() - 133.0).abs() < 1e-9);
+        assert!((config.clock.as_hertz() - 133e6).abs() < 1e-3);
         assert_eq!(config.pattern, TrafficPattern::UniformRandom);
-        assert!(config.cycle_time().as_nanoseconds() > 7.0);
+        assert!(config.cycle_time().as_seconds() > 7e-9);
     }
 
     #[test]
     fn builder_style_overrides() {
         let config = SimulationConfig::quick(Architecture::Crossbar, 4, 0.5)
-            .with_seed(7)
-            .with_packet_words(8)
-            .with_cycles(10, 100)
             .with_pattern(TrafficPattern::Permutation { shift: 1 });
-        assert_eq!(config.seed, 7);
-        assert_eq!(config.packet_words, 8);
-        assert_eq!(config.warmup_cycles, 10);
-        assert_eq!(config.measure_cycles, 100);
         assert_eq!(config.pattern, TrafficPattern::Permutation { shift: 1 });
     }
 
@@ -231,11 +218,11 @@ mod tests {
             latency_p99: 31.0,
             latency_histogram: SparseLatencyHistogram::default(),
             energy: EnergyAccount {
-                switches: Energy::from_nanojoules(1.0),
+                switches: Energy::from_joules(1.0e-9),
                 buffers: Energy::ZERO,
-                wires: Energy::from_nanojoules(1.0),
+                wires: Energy::from_joules(1.0e-9),
             },
-            cycle_time: TimeSpan::from_nanoseconds(10.0),
+            cycle_time: TimeSpan::from_seconds(10.0e-9),
         };
         assert!((report.measured_throughput() - 0.25).abs() < 1e-12);
         // 2 nJ over 10 us = 0.2 mW.
@@ -260,7 +247,7 @@ mod tests {
             latency_p99: 0.0,
             latency_histogram: SparseLatencyHistogram::default(),
             energy: EnergyAccount::new(),
-            cycle_time: TimeSpan::from_nanoseconds(10.0),
+            cycle_time: TimeSpan::from_seconds(10.0e-9),
         };
         assert_eq!(report.measured_throughput(), 0.0);
         assert_eq!(report.energy_per_delivered_bit(32), Energy::ZERO);

@@ -101,7 +101,7 @@ mod tests {
             buffers: Energy::ZERO,
             wires: Energy::ZERO,
         };
-        let power = account.average_power(100, TimeSpan::from_nanoseconds(10.0));
+        let power = account.average_power(100, TimeSpan::from_seconds(10.0e-9));
         // 100 pJ over 1 us = 0.1 mW.
         assert!((power.as_milliwatts() - 0.1).abs() < 1e-9);
     }

@@ -58,12 +58,11 @@ pub mod traffic;
 
 pub use config::{SimulationConfig, SimulationReport};
 pub use energy::EnergyAccount;
-pub use metrics::{LatencyHistogram, SparseLatencyHistogram};
 pub use node::RouterNode;
 pub use packet::Packet;
 pub use route_table::{PricedRoutes, RouteTable};
-pub use sim::{simulate, RouterSimulator, SimulationError};
-pub use traffic::{TrafficError, TrafficGenerator, TrafficPattern};
+pub use sim::{simulate, RouterSimulator};
+pub use traffic::TrafficPattern;
 
 #[cfg(test)]
 mod tests {

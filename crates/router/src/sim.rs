@@ -47,6 +47,9 @@ pub enum SimulationError {
     },
     /// A traffic parameter is out of range.
     Traffic(TrafficError),
+    /// The measurement window is empty (see
+    /// [`SimulationConfig::check_window`]).
+    ZeroMeasureCycles,
 }
 
 impl std::fmt::Display for SimulationError {
@@ -62,6 +65,9 @@ impl std::fmt::Display for SimulationError {
                 "configuration requests {config_ports} ports but the energy model was built for {model_ports}"
             ),
             Self::Traffic(e) => write!(f, "traffic: {e}"),
+            Self::ZeroMeasureCycles => {
+                f.write_str("a run needs at least one measure cycle, got 0")
+            }
         }
     }
 }
@@ -72,7 +78,7 @@ impl std::error::Error for SimulationError {
             Self::Topology(e) => Some(e),
             Self::Model(e) => Some(e),
             Self::Traffic(e) => Some(e),
-            Self::PortMismatch { .. } => None,
+            Self::PortMismatch { .. } | Self::ZeroMeasureCycles => None,
         }
     }
 }
@@ -183,8 +189,9 @@ impl RouterSimulator {
     ///
     /// # Errors
     ///
-    /// Returns [`SimulationError`] if the port count is invalid or does not
-    /// match the energy model, or a traffic parameter is out of range.
+    /// Returns [`SimulationError`] if the measurement window is empty, the
+    /// port count is invalid or does not match the energy model, or a
+    /// traffic parameter is out of range.
     pub fn new(
         config: SimulationConfig,
         model: FabricEnergyModel,
@@ -205,7 +212,7 @@ impl RouterSimulator {
     /// Returns [`SimulationError`] if the model cannot be built, the port
     /// count is invalid, the spec's port count does not match the
     /// configuration's, or a traffic parameter is out of range.
-    pub fn from_provider(
+    pub(crate) fn from_provider(
         config: SimulationConfig,
         provider: &ModelProvider,
         spec: &ModelSpec,
@@ -222,8 +229,9 @@ impl RouterSimulator {
     ///
     /// # Errors
     ///
-    /// Returns [`SimulationError`] if the port count is invalid or does not
-    /// match the energy model, or a traffic parameter is out of range.
+    /// Returns [`SimulationError`] if the measurement window is empty, the
+    /// port count is invalid or does not match the energy model, or a
+    /// traffic parameter is out of range.
     pub fn with_shared_model(
         config: SimulationConfig,
         model: Arc<FabricEnergyModel>,
@@ -242,8 +250,9 @@ impl RouterSimulator {
     ///
     /// # Errors
     ///
-    /// Returns [`SimulationError`] if the port count is invalid or does not
-    /// match the energy model, or a traffic parameter is out of range.
+    /// Returns [`SimulationError`] if the measurement window is empty, the
+    /// port count is invalid or does not match the energy model, or a
+    /// traffic parameter is out of range.
     ///
     /// # Panics
     ///
@@ -257,6 +266,7 @@ impl RouterSimulator {
             !architectures.is_empty(),
             "a simulator needs at least one architecture"
         );
+        config.check_window()?;
         let nodes = architectures
             .iter()
             .map(|&architecture| {
@@ -439,8 +449,11 @@ mod tests {
     fn throughput_saturates_near_the_input_buffer_limit() {
         // Offered load far above the 58.6% head-of-line blocking limit: the
         // measured egress throughput must saturate below ~65%.
-        let config =
-            SimulationConfig::quick(Architecture::Crossbar, 8, 0.95).with_cycles(300, 2500);
+        let config = SimulationConfig {
+            warmup_cycles: 300,
+            measure_cycles: 2500,
+            ..SimulationConfig::quick(Architecture::Crossbar, 8, 0.95)
+        };
         let report = simulate(config).unwrap();
         let measured = report.measured_throughput();
         assert!(measured < 0.70, "measured {measured} should saturate");
@@ -508,8 +521,11 @@ mod tests {
         let b = run(Architecture::Banyan, 4, 0.3);
         assert_eq!(a.words_delivered, b.words_delivered);
         assert_eq!(a.energy, b.energy);
-        let c =
-            simulate(SimulationConfig::quick(Architecture::Banyan, 4, 0.3).with_seed(99)).unwrap();
+        let c = simulate(SimulationConfig {
+            seed: 99,
+            ..SimulationConfig::quick(Architecture::Banyan, 4, 0.3)
+        })
+        .unwrap();
         assert_ne!(a.words_delivered, c.words_delivered);
     }
 
@@ -629,11 +645,14 @@ mod tests {
             let model = Arc::new(FabricEnergyModel::paper(ports).unwrap());
             let mut architectures = Architecture::ALL;
             architectures.rotate_left(rotation);
-            let config = SimulationConfig::quick(architectures[0], ports, load)
-                .with_pattern(PATTERNS[pattern])
-                .with_seed(seed)
-                .with_packet_words(packet_words)
-                .with_cycles(warmup, measure);
+            let config = SimulationConfig {
+                seed,
+                packet_words,
+                warmup_cycles: warmup,
+                measure_cycles: measure,
+                ..SimulationConfig::quick(architectures[0], ports, load)
+            }
+            .with_pattern(PATTERNS[pattern]);
             let separate: Vec<SimulationReport> = architectures
                 .iter()
                 .map(|&architecture| {
@@ -678,9 +697,11 @@ mod tests {
             let model = FabricEnergyModel::paper(ports).unwrap();
             let word_energy =
                 model.buffer_bit_energy().as_joules() * f64::from(model.bus_width_bits());
-            let config = SimulationConfig::quick(architecture, ports, load)
-                .with_seed(seed)
-                .with_packet_words(packet_words);
+            let config = SimulationConfig {
+                seed,
+                packet_words,
+                ..SimulationConfig::quick(architecture, ports, load)
+            };
             let report = RouterSimulator::new(config, model).unwrap().run();
             let energy = report.energy;
             for (component, joules) in [

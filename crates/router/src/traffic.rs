@@ -23,7 +23,7 @@
 //!   the caller's per-port loop; only a port that starts a packet makes a
 //!   call.
 //! * **Recycled payloads.**  The single-router driver hands each completed
-//!   packet's payload back ([`TrafficGenerator::recycle`]), and the
+//!   packet's payload back (`TrafficGenerator::recycle`), and the
 //!   generator refills it in place for a later packet, so in steady state
 //!   generating traffic allocates nothing.  A mesh drops its ejected
 //!   packets instead: a node ejects what other nodes injected, so a
@@ -333,7 +333,7 @@ impl TrafficGenerator {
 
     /// Hands back a finished packet's payload buffer, to be refilled for a
     /// later packet instead of allocating a new one.
-    pub fn recycle(&mut self, payload: Vec<u64>) {
+    pub(crate) fn recycle(&mut self, payload: Vec<u64>) {
         self.spare_payloads.push(payload);
     }
 

@@ -503,8 +503,6 @@ fn run_shard(args: &Args) -> Result<(), CliError> {
     let plan: SweepPlan = read_json(plan_path, "")?;
     let engine = engine(args)?;
 
-    // Check the index before printing progress, but keep the engine's error
-    // as the single source of the message.
     let shard = plan.shard(index).ok_or_else(|| {
         ExperimentError::InvalidShard {
             index,
@@ -520,7 +518,9 @@ fn run_shard(args: &Args) -> Result<(), CliError> {
         engine.threads()
     ));
     let started = Instant::now();
-    let document = engine.run_shard(&plan, index).map_err(|e| e.to_string())?;
+    let document = engine
+        .run_shard_detached(&plan.header(), shard)
+        .map_err(|e| e.to_string())?;
     note(&format!(
         "completed {} cell(s) in {:.2?}",
         document.results.len(),

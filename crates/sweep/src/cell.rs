@@ -97,7 +97,7 @@ fn architecture_fingerprint(architecture: Architecture) -> u64 {
 /// A stable 64-bit fingerprint of a traffic pattern (variant tag plus every
 /// parameter), used for per-cell seed derivation.
 #[must_use]
-pub fn pattern_fingerprint(pattern: TrafficPattern) -> u64 {
+pub(crate) fn pattern_fingerprint(pattern: TrafficPattern) -> u64 {
     match pattern {
         TrafficPattern::UniformRandom => fnv1a(b"uniform-random"),
         TrafficPattern::Hotspot { port, fraction } => {
@@ -122,7 +122,7 @@ pub fn pattern_fingerprint(pattern: TrafficPattern) -> u64 {
 /// routing policy and every link knob), used for per-cell seed derivation on
 /// sweeps with a mesh axis.
 #[must_use]
-pub fn network_fingerprint(network: &NetworkConfig) -> u64 {
+pub(crate) fn network_fingerprint(network: &NetworkConfig) -> u64 {
     let mut state = fnv1a(b"network");
     state = mix(state, network.width as u64);
     state = mix(state, network.height as u64);
@@ -327,8 +327,14 @@ mod tests {
             NetworkConfig::mesh(8, 4),
             NetworkConfig::mesh(4, 8),
             NetworkConfig::torus(4, 4),
-            NetworkConfig::mesh(4, 4).with_routing(RoutingPolicy::MinimalAdaptive),
-            NetworkConfig::mesh(4, 4).with_link_depth(2),
+            NetworkConfig {
+                routing: RoutingPolicy::MinimalAdaptive,
+                ..NetworkConfig::mesh(4, 4)
+            },
+            NetworkConfig {
+                link_depth: 2,
+                ..NetworkConfig::mesh(4, 4)
+            },
             NetworkConfig {
                 link_latency: 2,
                 ..NetworkConfig::mesh(4, 4)

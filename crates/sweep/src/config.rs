@@ -141,7 +141,7 @@ impl NetworkSweepConfig {
 
     /// The full per-run network configuration for one mesh size.
     #[must_use]
-    pub fn network_config(&self, mesh: MeshSize) -> NetworkConfig {
+    pub(crate) fn network_config(&self, mesh: MeshSize) -> NetworkConfig {
         NetworkConfig {
             width: mesh.width,
             height: mesh.height,
@@ -330,21 +330,22 @@ mod tests {
 
     #[test]
     fn model_spec_tracks_the_model_source() {
+        use fabric_power_fabric::provider::ModelKind;
         let paper = ExperimentConfig::paper();
-        assert!(!paper.model_spec(8).is_derived());
+        assert!(matches!(paper.model_spec(8).kind, ModelKind::Paper));
         let derived = ExperimentConfig {
             model_source: ModelSource::Derived,
             ..ExperimentConfig::paper()
         };
-        assert!(derived.model_spec(8).is_derived());
+        assert!(matches!(
+            derived.model_spec(8).kind,
+            ModelKind::Derived { .. }
+        ));
         // The spec is the single source of truth: `energy_model` builds it.
         assert_eq!(
             paper.energy_model(8).unwrap(),
             paper.model_spec(8).build().unwrap()
         );
-        assert_ne!(
-            paper.model_spec(8).cache_key(),
-            derived.model_spec(8).cache_key()
-        );
+        assert_ne!(paper.model_spec(8), derived.model_spec(8));
     }
 }

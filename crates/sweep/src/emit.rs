@@ -89,16 +89,6 @@ impl SweepDocument {
         serde_json::to_string_pretty(self)
     }
 
-    /// Parses a document previously emitted by
-    /// [`SweepDocument::to_json_string`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates parse errors.
-    pub fn from_json_str(json: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(json)
-    }
-
     /// Renders the points as CSV (header plus one row per point): the
     /// coordinates `architecture,ports,offered_load`, then the ten values
     /// `diff` compares, `measured_throughput` to `latency_p99`.
@@ -218,7 +208,7 @@ link_words,credit_stalls";
     fn json_round_trips_losslessly() {
         let document = quick_document();
         let json = document.to_json_string().expect("serialize");
-        let back = SweepDocument::from_json_str(&json).expect("deserialize");
+        let back = serde_json::from_str::<SweepDocument>(&json).expect("deserialize");
         assert_eq!(document, back);
     }
 
@@ -274,7 +264,8 @@ link_words,credit_stalls";
         assert_eq!(multi[14], "2", "height column");
         assert_eq!(multi[16], "dimension-order");
         // The JSON form round-trips the aggregates losslessly.
-        let back = SweepDocument::from_json_str(&document.to_json_string().unwrap()).unwrap();
+        let back =
+            serde_json::from_str::<SweepDocument>(&document.to_json_string().unwrap()).unwrap();
         assert_eq!(back, document);
         assert!(back.points[0].network.is_none());
         assert!(back.points[1].network.is_some());

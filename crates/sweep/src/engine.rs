@@ -248,35 +248,13 @@ impl SweepEngine {
     /// the shard id and the cell-index range it covers — what `run-shard`
     /// writes for [`crate::merge::merge_documents`].
     ///
-    /// The cells' seeds were fixed when the plan was built, so the points
-    /// this produces are bit-identical to the same cells evaluated by a
-    /// single-process run, whatever this engine's thread count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExperimentError::InvalidShard`] when `index` is out of
-    /// range; otherwise propagates model and simulation errors.
-    pub fn run_shard(
-        &self,
-        plan: &SweepPlan,
-        index: usize,
-    ) -> Result<ShardDocument, ExperimentError> {
-        let shard: &Shard = plan
-            .shard(index)
-            .ok_or_else(|| ExperimentError::InvalidShard {
-                index,
-                shards: plan.shard_count(),
-            })?;
-        self.run_shard_detached(&plan.header(), shard)
-    }
-
-    /// Runs one shard *detached from its plan*: the [`PlanHeader`] supplies
-    /// the grid-wide context (scenario, configuration, seed strategy) and the
+    /// The run is *detached from its plan*: the [`PlanHeader`] supplies the
+    /// grid-wide context (scenario, configuration, seed strategy) and the
     /// [`Shard`] the cells, so a caller holding one shard needs no other
-    /// shard's cells.
-    ///
-    /// The cells carry their plan-time seeds, so the resulting document is
-    /// bit-identical to [`SweepEngine::run_shard`] on the full plan.
+    /// shard's cells.  The cells' seeds were fixed when the plan was built,
+    /// so the points this produces are bit-identical to the same cells
+    /// evaluated by a single-process run, whatever this engine's thread
+    /// count.
     ///
     /// # Errors
     ///
@@ -566,7 +544,11 @@ mod tests {
         let whole = engine.run_plan(&plan).unwrap();
         assert_eq!(whole.points, direct);
         let parts: Vec<_> = (0..3)
-            .map(|index| engine.run_shard(&plan, index).unwrap())
+            .map(|index| {
+                engine
+                    .run_shard_detached(&plan.header(), plan.shard(index).unwrap())
+                    .unwrap()
+            })
             .collect();
         let merged = crate::merge::merge_documents(&parts).unwrap();
         assert_eq!(merged, whole);
@@ -587,7 +569,9 @@ mod tests {
                 ShardStrategy::Contiguous,
             )
             .unwrap();
-        let document = engine.run_shard(&plan, 0).unwrap();
+        let document = engine
+            .run_shard_detached(&plan.header(), plan.shard(0).unwrap())
+            .unwrap();
         assert!(document.results.iter().all(|r| r.point.ports == 4));
         assert_eq!(
             provider.stats().builds,
@@ -614,9 +598,13 @@ mod tests {
         let plan = engine
             .plan("empty-shards", &config, 3, ShardStrategy::Contiguous)
             .unwrap();
-        let full = engine.run_shard(&plan, 0).unwrap();
+        let full = engine
+            .run_shard_detached(&plan.header(), plan.shard(0).unwrap())
+            .unwrap();
         assert_eq!(full.cell_range, Some((0, 0)));
-        let empty = engine.run_shard(&plan, 1).unwrap();
+        let empty = engine
+            .run_shard_detached(&plan.header(), plan.shard(1).unwrap())
+            .unwrap();
         assert_eq!(empty.cell_range, None);
         assert!(empty.results.is_empty());
         // The distinction survives JSON (null vs an array).
@@ -626,30 +614,9 @@ mod tests {
     }
 
     #[test]
-    fn detached_shard_execution_matches_the_plan_bound_one() {
-        let config = ExperimentConfig {
-            port_counts: vec![4],
-            offered_loads: vec![0.2, 0.4],
-            warmup_cycles: 50,
-            measure_cycles: 200,
-            ..ExperimentConfig::quick()
-        };
-        let engine = SweepEngine::new().with_threads(2);
-        let plan = engine
-            .plan("detached", &config, 2, ShardStrategy::RoundRobin)
-            .unwrap();
-        let header = plan.header();
-        for index in 0..plan.shard_count() {
-            let bound = engine.run_shard(&plan, index).unwrap();
-            let detached = engine
-                .run_shard_detached(&header, plan.shard(index).unwrap())
-                .unwrap();
-            assert_eq!(bound, detached);
-        }
-    }
-
-    #[test]
     fn out_of_range_shard_index_is_an_error() {
+        // The plan has no such shard; `run-shard` names the index and the
+        // shard count with this error.
         let engine = SweepEngine::new().with_threads(1);
         let plan = engine
             .plan(
@@ -659,15 +626,15 @@ mod tests {
                 ShardStrategy::Contiguous,
             )
             .unwrap();
-        let err = engine.run_shard(&plan, 5).unwrap_err();
-        assert!(matches!(
-            err,
-            ExperimentError::InvalidShard {
-                index: 5,
-                shards: 2
-            }
-        ));
-        assert!(err.to_string().contains("out of range"));
+        assert!(plan.shard(5).is_none());
+        let err = ExperimentError::InvalidShard {
+            index: 5,
+            shards: plan.shard_count(),
+        };
+        assert_eq!(
+            err.to_string(),
+            "shard index 5 is out of range: the plan has 2 shard(s)"
+        );
     }
 
     #[test]

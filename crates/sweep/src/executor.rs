@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// # Panics
 ///
 /// Panics if `threads == 0` or if a worker thread panics.
-pub fn parallel_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
+pub(crate) fn parallel_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
@@ -72,7 +72,7 @@ where
 /// The number of worker threads to use when the caller does not specify one:
 /// the machine's available parallelism.
 #[must_use]
-pub fn default_threads() -> usize {
+pub(crate) fn default_threads() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)

@@ -20,7 +20,7 @@
 //!   flat seeded cell list once and splits it into self-describing
 //!   [`Shard`]s (contiguous or round-robin), serializable to JSON so
 //!   separate processes or machines can each run some of them;
-//! * [`executor`] — a self-scheduling parallel map over cells: worker
+//! * `executor` — a self-scheduling parallel map over cells: worker
 //!   threads pull the next unclaimed cell from a shared cursor, so load
 //!   balances dynamically and the result order never depends on scheduling;
 //! * [`engine`] — [`SweepEngine`], the *execute* stage: runs a whole plan or
@@ -81,7 +81,7 @@ pub mod config;
 pub mod diff;
 pub mod emit;
 pub mod engine;
-pub mod executor;
+pub(crate) mod executor;
 pub mod merge;
 pub mod plan;
 pub mod registry;
@@ -90,11 +90,11 @@ pub mod sweeps;
 
 pub use cell::{SeedStrategy, SweepCell, SweepPoint};
 pub use config::{ExperimentConfig, ExperimentError, MeshSize, ModelSource, NetworkSweepConfig};
-pub use diff::{diff_documents, DocumentDiff};
+pub use diff::diff_documents;
 pub use emit::{write_atomic, write_stdout, SweepDocument};
 pub use engine::SweepEngine;
-pub use fabric_power_fabric::provider::{ModelKind, ModelProvider, ModelSpec, ProviderStats};
-pub use merge::{merge_documents, MergeError, ShardCellResult, ShardDocument};
-pub use plan::{expand_cells, PlanError, PlanHeader, Shard, ShardStrategy, SweepPlan};
+pub use fabric_power_fabric::provider::{ModelProvider, ModelSpec};
+pub use merge::{merge_documents, MergeError, ShardDocument};
+pub use plan::{Shard, ShardStrategy, SweepPlan};
 pub use registry::{Scenario, ScenarioRegistry};
 pub use sweeps::{PortSweep, ThroughputSweep};

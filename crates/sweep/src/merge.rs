@@ -373,7 +373,11 @@ mod tests {
         )
         .unwrap();
         let parts: Vec<ShardDocument> = (0..shards)
-            .map(|index| engine.run_shard(&plan, index).unwrap())
+            .map(|index| {
+                engine
+                    .run_shard_detached(&plan.header(), plan.shard(index).unwrap())
+                    .unwrap()
+            })
             .collect();
         let full = engine.run_plan(&plan).unwrap();
         (parts, full)

@@ -32,7 +32,10 @@ use crate::config::ExperimentConfig;
 /// cell indices and seeds can never disagree between a planned run and a
 /// direct one.
 #[must_use]
-pub fn expand_cells(config: &ExperimentConfig, seed_strategy: SeedStrategy) -> Vec<SweepCell> {
+pub(crate) fn expand_cells(
+    config: &ExperimentConfig,
+    seed_strategy: SeedStrategy,
+) -> Vec<SweepCell> {
     // A single-router sweep is a network sweep over the one-element axis
     // `[None]`; a network sweep iterates its mesh sizes outermost.
     let networks = match &config.network {
@@ -146,7 +149,7 @@ impl Shard {
     /// an empty shard.  (Round-robin shards cover a strided set; the range
     /// is still what execution reports tag their output with.)
     #[must_use]
-    pub fn cell_index_range(&self) -> Option<(usize, usize)> {
+    pub(crate) fn cell_index_range(&self) -> Option<(usize, usize)> {
         Some((self.cells.first()?.index, self.cells.last()?.index))
     }
 

@@ -173,7 +173,7 @@ impl ScenarioRegistry {
     }
 
     /// Adds a scenario, replacing any existing scenario with the same name.
-    pub fn register(&mut self, scenario: Scenario) {
+    pub(crate) fn register(&mut self, scenario: Scenario) {
         if let Some(existing) = self.scenarios.iter_mut().find(|s| s.name == scenario.name) {
             *existing = scenario;
         } else {
@@ -197,25 +197,6 @@ impl ScenarioRegistry {
     #[must_use]
     pub fn names(&self) -> Vec<&str> {
         self.scenarios.iter().map(|s| s.name.as_str()).collect()
-    }
-
-    /// Serializes the registry to pretty JSON.
-    ///
-    /// # Errors
-    ///
-    /// Propagates serializer errors.
-    pub fn to_json(&self) -> Result<String, serde_json::Error> {
-        serde_json::to_string_pretty(self)
-    }
-
-    /// Rebuilds a registry from JSON produced by
-    /// [`ScenarioRegistry::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates parse errors.
-    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(json)
     }
 }
 
@@ -266,8 +247,8 @@ mod tests {
     #[test]
     fn registry_round_trips_through_json() {
         let registry = ScenarioRegistry::builtin();
-        let json = registry.to_json().expect("serialize");
-        let back = ScenarioRegistry::from_json(&json).expect("deserialize");
+        let json = serde_json::to_string_pretty(&registry).expect("serialize");
+        let back: ScenarioRegistry = serde_json::from_str(&json).expect("deserialize");
         assert_eq!(registry, back);
     }
 

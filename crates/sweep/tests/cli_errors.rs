@@ -8,6 +8,8 @@
 
 use std::process::{Command, Output};
 
+use fabric_power_sweep::ScenarioRegistry;
+
 const HINT: &str = "run `fabric-power help` for usage";
 
 fn fabric_power(args: &[&str]) -> Output {
@@ -117,6 +119,62 @@ fn a_document_that_is_not_json_names_what_the_parser_found() {
         assert!(stderr.contains(expected), "{name}: {stderr}");
         assert!(!stderr.contains(HINT), "{name}: {stderr}");
     }
+}
+
+#[test]
+fn a_zero_cycle_measurement_window_is_a_named_error() {
+    let dir = std::env::temp_dir();
+    let id = std::process::id();
+    let registry = ScenarioRegistry::builtin();
+    // One single-router scenario and one mesh scenario.
+    for name in ["quick", "noc-quick"] {
+        let mut scenario = registry.get(name).expect("a registered scenario").clone();
+        scenario.config.measure_cycles = 0;
+        let path = dir.join(format!("fabric-power-cli-errors-{id}-{name}-window.json"));
+        let out = dir.join(format!(
+            "fabric-power-cli-errors-{id}-{name}-window-out.json"
+        ));
+        let json = serde_json::to_string(&scenario).expect("serialize the scenario");
+        std::fs::write(&path, json).expect("write the scenario file");
+        let output = fabric_power(&[
+            "sweep",
+            "--scenario-file",
+            path.to_str().expect("a UTF-8 temp path"),
+            "--threads",
+            "1",
+            "--out",
+            out.to_str().expect("a UTF-8 temp path"),
+        ]);
+        let wrote = out.exists();
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&out);
+        let stderr = stderr(&output);
+        assert_eq!(output.status.code(), Some(1), "{name}: {stderr}");
+        assert!(
+            stderr.contains("a run needs at least one measure cycle, got 0"),
+            "{name}: {stderr}"
+        );
+        assert!(!stderr.contains(HINT), "{name}: {stderr}");
+        assert!(!wrote, "{name}: a document was written");
+    }
+}
+
+#[test]
+fn a_shard_index_outside_the_plan_is_a_named_error() {
+    let dir = std::env::temp_dir();
+    let id = std::process::id();
+    let plan = dir.join(format!("fabric-power-cli-errors-{id}-plan.json"));
+    let plan = plan.to_str().expect("a UTF-8 temp path");
+    let planned = fabric_power(&["plan", "quick", "--shards", "2", "--out", plan]);
+    assert!(planned.status.success(), "{}", stderr(&planned));
+    let output = fabric_power(&["run-shard", plan, "--index", "2"]);
+    let _ = std::fs::remove_file(plan);
+    let stderr = stderr(&output);
+    assert_eq!(output.status.code(), Some(1), "{stderr}");
+    assert_eq!(
+        stderr,
+        "error: shard index 2 is out of range: the plan has 2 shard(s)\n"
+    );
 }
 
 #[test]

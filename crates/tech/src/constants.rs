@@ -18,9 +18,6 @@ pub const INPUT_BUFFER_SATURATION_THROUGHPUT: f64 = 0.586;
 /// (paper §5.1: "we use 4K bit buffer queue for each Banyan node switch").
 pub const BANYAN_NODE_BUFFER_BITS: u64 = 4 * 1024;
 
-/// The offered-load range evaluated in Figure 9 (10 % … 50 %).
-pub const FIGURE9_THROUGHPUT_RANGE: (f64, f64) = (0.10, 0.50);
-
 /// The port counts evaluated in the paper (4×4, 8×8, 16×16, 32×32).
 pub const PAPER_PORT_COUNTS: [usize; 4] = [4, 8, 16, 32];
 
@@ -50,7 +47,6 @@ mod tests {
         assert!(INPUT_BUFFER_SATURATION_THROUGHPUT > 0.5);
         assert!(INPUT_BUFFER_SATURATION_THROUGHPUT < 0.6);
         assert_eq!(BANYAN_NODE_BUFFER_BITS, 4096);
-        assert!(FIGURE9_THROUGHPUT_RANGE.0 < FIGURE9_THROUGHPUT_RANGE.1);
         assert!(FIGURE10_THROUGHPUT <= INPUT_BUFFER_SATURATION_THROUGHPUT);
         assert!(PAPER_FC_VS_BATCHER_GAP_32X32 < PAPER_FC_VS_BATCHER_GAP_4X4);
     }

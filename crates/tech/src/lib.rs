@@ -11,7 +11,7 @@
 //!    power, time and length quantities so the rest of the workspace cannot
 //!    mix them up.
 //! 2. **Technology parameters** ([`params`]): the 0.18 µm / 3.3 V case-study
-//!    process used in the paper and a scaled 0.13 µm / 1.2 V variant.
+//!    process used in the paper.
 //! 3. **Wire bit-energy model** ([`wire`]): `E_W_bit = ½·C_W·V²` per polarity
 //!    flip, with wire lengths measured in Thompson grids, reproducing the
 //!    paper's `E_T_bit ≈ 87 fJ`.
@@ -24,12 +24,12 @@
 //!
 //! let tech = Technology::tsmc180();
 //! // One Thompson grid is the width of a full 32-bit bus: 32 um.
-//! assert!((tech.thompson_grid_length().as_micrometers() - 32.0).abs() < 1e-9);
+//! assert!((tech.thompson_grid_length().as_meters() - 32e-6).abs() < 1e-15);
 //!
 //! let wires = WireModel::new(tech);
-//! // A bit that flips polarity on a wire 8 grids long.
-//! let e = wires.grids_bit_energy(8);
-//! assert!(e.as_femtojoules() > 8.0 * 80.0);
+//! // A bit that flips polarity on a wire one grid long: the paper's E_T_bit.
+//! let e = wires.grid_bit_energy();
+//! assert!(e.as_femtojoules() > 80.0);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -42,7 +42,7 @@ pub mod units;
 pub mod wire;
 
 pub use params::Technology;
-pub use units::{Capacitance, Energy, Frequency, Length, Power, TimeSpan, Voltage};
+pub use units::{Energy, Frequency, Power};
 pub use wire::{polarity_flips, WireModel};
 
 #[cfg(test)]

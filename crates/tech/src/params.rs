@@ -3,9 +3,9 @@
 //! The paper's case study is a 0.18 µm, 3.3 V technology with 32-bit-wide
 //! global buses, a ~1 µm global-wire pitch, ~0.50 fF/µm global-wire
 //! capacitance and a 133 MHz memory/operating clock.  [`Technology::tsmc180`]
-//! captures exactly those numbers and [`Technology::generic130`] a scaled
-//! process; any other process can be loaded from JSON (the type is
-//! `Deserialize`), and the whole framework re-scales consistently.
+//! captures exactly those numbers; any other process can be loaded from JSON
+//! (the type is `Deserialize`), and the whole framework re-scales
+//! consistently.
 
 use serde::{Deserialize, Serialize};
 
@@ -14,8 +14,8 @@ use crate::units::{Capacitance, Frequency, Length, Voltage};
 /// A complete description of the process technology and router-level bus
 /// parameters that the bit-energy model depends on.
 ///
-/// Construct via [`Technology::tsmc180`] (the paper's case study),
-/// [`Technology::generic130`] or deserialization.
+/// Construct via [`Technology::tsmc180`] (the paper's case study) or
+/// deserialization.
 ///
 /// # Examples
 ///
@@ -72,46 +72,10 @@ impl Technology {
         }
     }
 
-    /// A scaled 0.13 µm / 1.2 V variant, useful for exploring how the
-    /// architectural conclusions shift with technology (an extension of the
-    /// paper's "different implementations will differ" remark).
-    #[must_use]
-    pub fn generic130() -> Self {
-        Self {
-            name: "0.13um 1.2V generic".to_owned(),
-            feature_size: Length::from_micrometers(0.13),
-            supply_voltage: Voltage::from_volts(1.2),
-            wire_capacitance_per_length: Capacitance::from_femtofarads(0.40),
-            wire_capacitance_reference: Length::from_micrometers(1.0),
-            wire_pitch: Length::from_micrometers(0.8),
-            bus_width_bits: 32,
-            gate_input_capacitance: Capacitance::from_femtofarads(1.2),
-            clock: Frequency::from_megahertz(200.0),
-        }
-    }
-
-    /// Human-readable technology name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Drawn feature size.
-    #[must_use]
-    pub fn feature_size(&self) -> Length {
-        self.feature_size
-    }
-
     /// Rail-to-rail supply voltage.
     #[must_use]
     pub fn supply_voltage(&self) -> Voltage {
         self.supply_voltage
-    }
-
-    /// Pitch between adjacent global bus wires.
-    #[must_use]
-    pub fn wire_pitch(&self) -> Length {
-        self.wire_pitch
     }
 
     /// Width of the parallel data bus in bits.
@@ -122,7 +86,7 @@ impl Technology {
 
     /// Average gate input capacitance loading an interconnect wire.
     #[must_use]
-    pub fn gate_input_capacitance(&self) -> Capacitance {
+    pub(crate) fn gate_input_capacitance(&self) -> Capacitance {
         self.gate_input_capacitance
     }
 
@@ -142,7 +106,7 @@ impl Technology {
     ///
     /// let tech = Technology::tsmc180();
     /// let c = tech.wire_capacitance(Length::from_micrometers(32.0));
-    /// assert!((c.as_femtofarads() - 16.0).abs() < 1e-9);
+    /// assert!((c.as_farads() - 16e-15).abs() < 1e-24);
     /// ```
     #[must_use]
     pub fn wire_capacitance(&self, length: Length) -> Capacitance {
@@ -174,15 +138,13 @@ mod tests {
         let tech = Technology::tsmc180();
         assert_eq!(tech.bus_width_bits(), 32);
         assert!((tech.supply_voltage().as_volts() - 3.3).abs() < 1e-12);
-        assert!((tech.feature_size().as_micrometers() - 0.18).abs() < 1e-12);
-        assert!((tech.wire_pitch().as_micrometers() - 1.0).abs() < 1e-12);
-        assert!((tech.clock().as_megahertz() - 133.0).abs() < 1e-9);
+        assert!((tech.clock().as_hertz() - 133e6).abs() < 1e-3);
     }
 
     #[test]
     fn thompson_grid_is_32_micrometers() {
         let tech = Technology::tsmc180();
-        assert!((tech.thompson_grid_length().as_micrometers() - 32.0).abs() < 1e-9);
+        assert!((tech.thompson_grid_length().as_meters() - 32e-6).abs() < 1e-15);
     }
 
     #[test]
@@ -190,21 +152,13 @@ mod tests {
         let tech = Technology::tsmc180();
         let c1 = tech.wire_capacitance(Length::from_micrometers(10.0));
         let c2 = tech.wire_capacitance(Length::from_micrometers(20.0));
-        assert!((c2.as_femtofarads() / c1.as_femtofarads() - 2.0).abs() < 1e-12);
-        assert!((c1.as_femtofarads() - 5.0).abs() < 1e-9);
+        assert!((c2 / c1 - 2.0).abs() < 1e-12);
+        assert!((c1.as_farads() - 5e-15).abs() < 1e-24);
     }
 
     #[test]
     fn default_is_the_paper_technology() {
         assert_eq!(Technology::default(), Technology::tsmc180());
-    }
-
-    #[test]
-    fn generic130_is_smaller_and_lower_voltage() {
-        let older = Technology::tsmc180();
-        let newer = Technology::generic130();
-        assert!(newer.feature_size() < older.feature_size());
-        assert!(newer.supply_voltage() < older.supply_voltage());
     }
 
     #[test]

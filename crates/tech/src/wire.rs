@@ -50,7 +50,7 @@ impl WireModel {
     /// Total load capacitance of a wire of physical length `length` driving
     /// `fanout` gate inputs: `C_W = C_wire + fanout · C_input`.
     #[must_use]
-    pub fn load_capacitance(&self, length: Length, fanout: u32) -> Capacitance {
+    pub(crate) fn load_capacitance(&self, length: Length, fanout: u32) -> Capacitance {
         self.technology.wire_capacitance(length)
             + self.technology.gate_input_capacitance() * f64::from(fanout)
     }
@@ -68,19 +68,6 @@ impl WireModel {
     #[must_use]
     pub fn grid_bit_energy(&self) -> Energy {
         self.bit_energy(self.technology.thompson_grid_length(), 0)
-    }
-
-    /// Bit energy of a wire spanning `grids` Thompson grids:
-    /// `E_W_bit = m · E_T_bit`.
-    #[must_use]
-    pub fn grids_bit_energy(&self, grids: u64) -> Energy {
-        self.grid_bit_energy() * grids as f64
-    }
-
-    /// Physical length corresponding to `grids` Thompson grids.
-    #[must_use]
-    pub fn grids_to_length(&self, grids: u64) -> Length {
-        Length::from_meters(self.technology.thompson_grid_length().as_meters() * grids as f64)
     }
 }
 
@@ -111,14 +98,6 @@ pub fn polarity_flips(previous: u64, current: u64) -> u32 {
     (previous ^ current).count_ones()
 }
 
-/// Expected number of polarity flips for a random word of `bits` bits
-/// following another independent random word: each bit flips with
-/// probability ½.
-#[must_use]
-pub fn expected_random_flips(bits: u32) -> f64 {
-    f64::from(bits) * 0.5
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,9 +115,10 @@ mod tests {
     fn grid_energy_scales_linearly_with_grid_count() {
         let wires = WireModel::default();
         let one = wires.grid_bit_energy();
-        let eight = wires.grids_bit_energy(8);
+        let grid = wires.technology().thompson_grid_length();
+        let eight = wires.bit_energy(Length::from_meters(8.0 * grid.as_meters()), 0);
         assert!((eight.as_joules() - 8.0 * one.as_joules()).abs() < 1e-24);
-        assert_eq!(wires.grids_bit_energy(0), Energy::ZERO);
+        assert_eq!(wires.bit_energy(Length::ZERO, 0), Energy::ZERO);
     }
 
     #[test]
@@ -152,22 +132,10 @@ mod tests {
     }
 
     #[test]
-    fn grids_to_length_uses_grid_side() {
-        let wires = WireModel::default();
-        assert!((wires.grids_to_length(4).as_micrometers() - 128.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn polarity_flip_counting() {
         assert_eq!(polarity_flips(0, 0), 0);
         assert_eq!(polarity_flips(u64::MAX, u64::MAX), 0);
         assert_eq!(polarity_flips(0, u64::MAX), 64);
         assert_eq!(polarity_flips(0b1100, 0b1010), 2);
-    }
-
-    #[test]
-    fn expected_flips_is_half_the_bus_width() {
-        assert_eq!(expected_random_flips(32), 16.0);
-        assert_eq!(expected_random_flips(0), 0.0);
     }
 }

@@ -18,14 +18,14 @@
 /// Length in Thompson grids of one crossbar **row** interconnect (from an
 /// input port across all `N` crosspoints).
 #[must_use]
-pub fn crossbar_row_grids(ports: usize) -> u64 {
+pub(crate) fn crossbar_row_grids(ports: usize) -> u64 {
     4 * ports as u64
 }
 
 /// Length in Thompson grids of one crossbar **column** interconnect (from a
 /// crosspoint column down to the output port).
 #[must_use]
-pub fn crossbar_column_grids(ports: usize) -> u64 {
+pub(crate) fn crossbar_column_grids(ports: usize) -> u64 {
     4 * ports as u64
 }
 
@@ -76,7 +76,7 @@ pub fn banyan_bit_wire_grids(ports: usize) -> u64 {
 /// Worst-case wire grids contributed by the Batcher sorting network:
 /// `4 · Σ_{j=0}^{n-1} Σ_{i=0}^{j} 2^i` (the first term of Eq. 6).
 #[must_use]
-pub fn batcher_sorter_wire_grids(ports: usize) -> u64 {
+pub(crate) fn batcher_sorter_wire_grids(ports: usize) -> u64 {
     let stages = banyan_stages(ports);
     4 * (0..stages)
         .map(|j| (0..=j).map(|i| 1_u64 << i).sum::<u64>())

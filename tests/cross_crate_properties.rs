@@ -4,11 +4,16 @@
 use proptest::prelude::*;
 
 use fabric_power_core::prelude::*;
-use fabric_power_fabric::topology::FabricTopology;
+use fabric_power_fabric::topology::{FabricTopology, RoutePath};
 use fabric_power_memory::MemoryModel;
 use fabric_power_tech::polarity_flips;
 use fabric_power_tech::units::{Capacitance, Voltage};
 use fabric_power_thompson::wirelength;
+
+/// Interconnect length of a whole path in Thompson grids.
+fn total_wire_grids(path: &RoutePath) -> u64 {
+    path.wire_grids_before + path.hops.iter().map(|h| h.wire_grids_after).sum::<u64>()
+}
 
 /// Strategy: one of the paper's power-of-two port counts.
 fn port_counts() -> impl Strategy<Value = usize> {
@@ -57,8 +62,8 @@ proptest! {
         let output = output_seed % ports;
         let topology = FabricTopology::new(Architecture::Banyan, ports).unwrap();
         let path = topology.route(input, output);
-        prop_assert_eq!(path.switch_hops() as u32, wirelength::banyan_stages(ports));
-        prop_assert_eq!(path.total_wire_grids(), wirelength::banyan_bit_wire_grids(ports));
+        prop_assert_eq!(path.hops.len() as u32, wirelength::banyan_stages(ports));
+        prop_assert_eq!(total_wire_grids(&path), wirelength::banyan_bit_wire_grids(ports));
         for hop in &path.hops {
             prop_assert!(hop.element.index < ports / 2);
             prop_assert!(hop.output_port < 2);
@@ -100,7 +105,7 @@ proptest! {
         let output = output % ports;
         let crossbar = FabricTopology::new(Architecture::Crossbar, ports).unwrap();
         prop_assert_eq!(
-            crossbar.route(input, output).total_wire_grids(),
+            total_wire_grids(&crossbar.route(input, output)),
             wirelength::crossbar_bit_wire_grids(ports)
         );
         // Every bit toggles the whole broadcast ingress bus (Eq. 4), whichever
@@ -108,18 +113,18 @@ proptest! {
         let fully = FabricTopology::new(Architecture::FullyConnected, ports).unwrap();
         let path = fully.route(input, output);
         prop_assert_eq!(
-            path.total_wire_grids(),
+            total_wire_grids(&path),
             wirelength::fully_connected_bit_wire_grids(ports)
         );
-        prop_assert_eq!(path.switch_hops(), 1);
+        prop_assert_eq!(path.hops.len(), 1);
         let batcher = FabricTopology::new(Architecture::BatcherBanyan, ports).unwrap();
         let path = batcher.route(input, output);
         prop_assert_eq!(
-            path.total_wire_grids(),
+            total_wire_grids(&path),
             wirelength::batcher_banyan_bit_wire_grids(ports)
         );
         prop_assert_eq!(
-            path.switch_hops() as u64,
+            path.hops.len() as u64,
             wirelength::batcher_sorting_stages(ports) + u64::from(wirelength::banyan_stages(ports))
         );
     }

@@ -4,11 +4,16 @@
 
 use fabric_power_core::prelude::*;
 use fabric_power_fabric::analytic;
-use fabric_power_fabric::topology::FabricTopology;
+use fabric_power_fabric::topology::{FabricTopology, RoutePath};
 use fabric_power_netlist::characterize::CharacterizationConfig;
 use fabric_power_router::sim::RouterSimulator;
 use fabric_power_tech::constants::PAPER_PORT_COUNTS;
 use fabric_power_thompson::wirelength;
+
+/// Interconnect length of a whole path in Thompson grids.
+fn total_wire_grids(path: &RoutePath) -> u64 {
+    path.wire_grids_before + path.hops.iter().map(|h| h.wire_grids_after).sum::<u64>()
+}
 
 #[test]
 fn derived_energy_model_supports_the_same_pipeline_as_the_paper_model() {
@@ -51,7 +56,7 @@ fn analytic_equations_agree_with_topology_path_structure() {
 
         let crossbar = FabricTopology::new(Architecture::Crossbar, ports).expect("topology");
         let path = crossbar.route(0, ports - 1);
-        let wire_energy = model.wire_bit_energy(path.total_wire_grids());
+        let wire_energy = model.wire_bit_energy(total_wire_grids(&path));
         let switch_energy = model.switch_bit_energy(SwitchClass::CrossbarCrosspoint, 1)
             * path.hops[0].charged_inputs as f64;
         let reconstructed = wire_energy + switch_energy;
@@ -65,11 +70,11 @@ fn analytic_equations_agree_with_topology_path_structure() {
         let banyan = FabricTopology::new(Architecture::Banyan, ports).expect("topology");
         let banyan_path = banyan.route(0, ports - 1);
         assert_eq!(
-            banyan_path.total_wire_grids(),
+            total_wire_grids(&banyan_path),
             wirelength::banyan_bit_wire_grids(ports)
         );
         assert_eq!(
-            banyan_path.switch_hops() as u32,
+            banyan_path.hops.len() as u32,
             wirelength::banyan_stages(ports)
         );
     }
@@ -97,10 +102,14 @@ fn characterized_table1_keeps_the_orderings_the_experiments_rely_on() {
         .expect("characterization");
     // Idle switches cost (almost) nothing compared with busy ones.
     assert!(
-        table.banyan_binary.energy_for_active_count(0) < table.banyan_binary.single_active() * 0.25
+        table.banyan_binary.energy_for_active_count(0)
+            < table.banyan_binary.energy_for_active_count(1) * 0.25
     );
     // The crosspoint is by far the cheapest switch.
-    assert!(table.crosspoint.single_active() < table.banyan_binary.single_active() * 0.5);
+    assert!(
+        table.crosspoint.energy_for_active_count(1)
+            < table.banyan_binary.energy_for_active_count(1) * 0.5
+    );
     // MUX energy grows with the input count.
     let mut previous = Energy::ZERO;
     for mux in &table.muxes {

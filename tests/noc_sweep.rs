@@ -96,7 +96,11 @@ fn sharded_noc_sweeps_merge_byte_identical_to_a_single_process() {
             .plan("noc-shard-test", &config, shards, strategy)
             .unwrap();
         let parts: Vec<_> = (0..shards)
-            .map(|index| engine.run_shard(&plan, index).expect("shard run"))
+            .map(|index| {
+                engine
+                    .run_shard_detached(&plan.header(), plan.shard(index).unwrap())
+                    .expect("shard run")
+            })
             .collect();
         let merged = fabric_power_sweep::merge_documents(&parts).expect("merge");
         assert_eq!(

@@ -77,9 +77,12 @@ fn router_cases() -> Vec<RouterCase> {
         for ports in [2, 8, 32, 64] {
             let model = Arc::new(FabricEnergyModel::paper(ports).expect("paper model"));
             for (name, pattern) in patterns() {
-                let config = SimulationConfig::new(architecture, ports, OFFERED_LOAD)
-                    .with_cycles(WARMUP_CYCLES, MEASURE_CYCLES)
-                    .with_pattern(pattern);
+                let config = SimulationConfig {
+                    warmup_cycles: WARMUP_CYCLES,
+                    measure_cycles: MEASURE_CYCLES,
+                    ..SimulationConfig::new(architecture, ports, OFFERED_LOAD)
+                }
+                .with_pattern(pattern);
                 let report = RouterSimulator::with_shared_model(config, Arc::clone(&model))
                     .expect("router builds")
                     .run();
@@ -110,9 +113,11 @@ fn network_cases() -> Vec<NetworkCase> {
         (
             "banyan-mesh4x4-adaptive-depth1",
             Architecture::Banyan,
-            NetworkConfig::mesh(4, 4)
-                .with_routing(RoutingPolicy::MinimalAdaptive)
-                .with_link_depth(1),
+            NetworkConfig {
+                routing: RoutingPolicy::MinimalAdaptive,
+                link_depth: 1,
+                ..NetworkConfig::mesh(4, 4)
+            },
         ),
         (
             "batcher-banyan-torus3x3",
@@ -123,8 +128,11 @@ fn network_cases() -> Vec<NetworkCase> {
     grids
         .into_iter()
         .map(|(case, architecture, network)| {
-            let config = SimulationConfig::new(architecture, 8, 0.3)
-                .with_cycles(WARMUP_CYCLES, MEASURE_CYCLES);
+            let config = SimulationConfig {
+                warmup_cycles: WARMUP_CYCLES,
+                measure_cycles: MEASURE_CYCLES,
+                ..SimulationConfig::new(architecture, 8, 0.3)
+            };
             let report = NetworkSimulator::with_shared_model(config, network, Arc::clone(&model))
                 .expect("network builds")
                 .run();

@@ -56,7 +56,9 @@ fn paper_fig9_in_three_shards_merges_byte_identically() {
         let parts: Vec<ShardDocument> = (0..3)
             .map(|index| {
                 let engine = SweepEngine::new().with_threads(index + 1);
-                let part = engine.run_shard(&shipped, index).expect("shard run");
+                let part = engine
+                    .run_shard_detached(&shipped.header(), shipped.shard(index).unwrap())
+                    .expect("shard run");
                 // Partial documents survive their own JSON round trip.
                 serde_json::from_str(&serde_json::to_string_pretty(&part).unwrap()).unwrap()
             })
@@ -97,7 +99,11 @@ fn shard_count_does_not_change_the_merged_bytes() {
             .plan("paper-fig9", &config, shards, ShardStrategy::RoundRobin)
             .unwrap();
         let parts: Vec<ShardDocument> = (0..shards)
-            .map(|index| engine.run_shard(&plan, index).unwrap())
+            .map(|index| {
+                engine
+                    .run_shard_detached(&plan.header(), plan.shard(index).unwrap())
+                    .unwrap()
+            })
             .collect();
         let merged = merge_documents(&parts).unwrap();
         assert_eq!(
@@ -122,7 +128,11 @@ fn merge_rejects_overlapping_and_missing_ranges() {
         .plan("reject-test", &config, 2, ShardStrategy::Contiguous)
         .unwrap();
     let parts: Vec<ShardDocument> = (0..2)
-        .map(|index| engine.run_shard(&plan, index).unwrap())
+        .map(|index| {
+            engine
+                .run_shard_detached(&plan.header(), plan.shard(index).unwrap())
+                .unwrap()
+        })
         .collect();
 
     // The untampered parts merge.

@@ -169,7 +169,7 @@ fn every_builtin_scenario_expands_and_a_reduced_version_runs() {
             points,
         };
         let json = document.to_json_string().expect("emit");
-        let back = SweepDocument::from_json_str(&json).expect("parse");
+        let back = serde_json::from_str::<SweepDocument>(&json).expect("parse");
         assert_eq!(document, back, "{}", scenario.name);
     }
 }

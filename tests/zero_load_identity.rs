@@ -9,6 +9,11 @@
 //! worst-case bit energy, term by term: the switch energy the equation's
 //! switch term and the wire energy `E_T_bit` times the equation's grids.
 //! No contention occurs, so this is the Banyan at `qᵢ = 0`.
+//!
+//! With a random payload only the flipping bits cost wire energy, so the
+//! wire energy of a lone packet is `E_T_bit` times the equation's grids
+//! times the bit flips its words make on the bus, counted from the idle
+//! all-zero link.
 
 use std::sync::Arc;
 
@@ -23,18 +28,18 @@ const PACKET_WORDS: usize = 16;
 /// The relative error the identity is held to: a few ulps of the sums.
 const TOLERANCE: f64 = 1e-15;
 
-/// Sends one packet from the first port to the last through an idle node
-/// and returns the energy it was charged.
-fn lone_packet_energy(architecture: Architecture, model: &Arc<FabricEnergyModel>) -> EnergyAccount {
+/// Sends one packet carrying `payload` from the first port to the last
+/// through an idle node and returns the energy it was charged.
+fn lone_packet_energy(
+    architecture: Architecture,
+    model: &Arc<FabricEnergyModel>,
+    payload: Vec<u64>,
+) -> EnergyAccount {
     let ports = model.ports();
     let routes = RouteTable::new(architecture, ports).expect("route table");
     let fabric = Arc::new(PricedRoutes::new(routes, Arc::clone(model)).expect("priced routes"));
     let mut node = RouterNode::new(fabric, BANYAN_NODE_BUFFER_BITS);
     node.begin_measurement();
-    // The transmitter masks each word to the bus width.
-    let payload = (0..PACKET_WORDS)
-        .map(|word| if word % 2 == 0 { u64::MAX } else { 0 })
-        .collect();
     node.inject(
         0,
         Packet {
@@ -107,7 +112,11 @@ fn a_lone_packet_costs_the_worst_case_bit_energy_of_eq_3_to_6() {
         let bits = (PACKET_WORDS as u64 * u64::from(model.bus_width_bits())) as f64;
         for architecture in Architecture::ALL {
             let label = format!("{architecture} {ports}x{ports}");
-            let energy = lone_packet_energy(architecture, &model);
+            // The transmitter masks each word to the bus width.
+            let payload = (0..PACKET_WORDS)
+                .map(|word| if word % 2 == 0 { u64::MAX } else { 0 })
+                .collect();
+            let energy = lone_packet_energy(architecture, &model, payload);
             assert!(energy.buffers.is_zero(), "{label}");
             assert_close(
                 &label,
@@ -124,6 +133,43 @@ fn a_lone_packet_costs_the_worst_case_bit_energy_of_eq_3_to_6() {
                 &format!("{label} wire"),
                 energy.wires.as_joules() / bits,
                 model.wire_bit_energy(grids).as_joules(),
+            );
+        }
+    }
+}
+
+#[test]
+fn a_lone_random_packet_costs_e_t_bit_per_grid_per_flip() {
+    for ports in PAPER_PORT_COUNTS {
+        let model = Arc::new(FabricEnergyModel::paper(ports).expect("paper model"));
+        // A seeded xorshift64 payload, full 64-bit words.
+        let mut state = 0x2002_u64 + ports as u64;
+        let payload: Vec<u64> = (0..PACKET_WORDS)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            })
+            .collect();
+        // Flips on the bus: each word against the previous one, the first
+        // against the idle all-zero link, masked to the bus width.
+        let mask = u64::MAX >> (64 - model.bus_width_bits());
+        let flips: u32 = payload
+            .iter()
+            .scan(0_u64, |previous, &word| {
+                let flips = ((word ^ *previous) & mask).count_ones();
+                *previous = word;
+                Some(flips)
+            })
+            .sum();
+        for architecture in Architecture::ALL {
+            let energy = lone_packet_energy(architecture, &model, payload.clone());
+            let (_, grids) = equation_terms(architecture, &model);
+            assert_close(
+                &format!("{architecture} {ports}x{ports} wire, {flips} flips"),
+                energy.wires.as_joules(),
+                model.wire_bit_energy(grids).as_joules() * f64::from(flips),
             );
         }
     }
