@@ -41,19 +41,6 @@ pub struct CellParameters {
     pub leakage_energy_per_cycle: Energy,
 }
 
-impl CellParameters {
-    /// Convenience constructor for a purely combinational cell.
-    #[must_use]
-    pub fn combinational(input_capacitance: Capacitance, internal_energy: Energy) -> Self {
-        Self {
-            input_capacitance,
-            internal_energy,
-            clock_energy: Energy::ZERO,
-            leakage_energy_per_cycle: Energy::ZERO,
-        }
-    }
-}
-
 /// A complete standard-cell library: parameters for every [`CellKind`].
 ///
 /// # Examples
