@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
-use fabric_power_tech::units::{Energy, Power, TimeSpan};
+use fabric_power_tech::units::Energy;
 
 use crate::cells::CellKind;
 use crate::library::CellLibrary;
@@ -187,14 +187,6 @@ impl ActivityReport {
     #[must_use]
     pub(crate) fn total_energy(&self) -> Energy {
         self.energy.total()
-    }
-
-    /// Average power when the run is clocked at the given period.
-    #[must_use]
-    pub fn average_power(&self, cycle_time: TimeSpan) -> Power {
-        self.total_energy().over(TimeSpan::from_seconds(
-            cycle_time.as_seconds() * self.cycles as f64,
-        ))
     }
 }
 
@@ -514,19 +506,6 @@ mod tests {
     }
 
     #[test]
-    fn average_power_uses_cycle_time() {
-        let n = xor_netlist();
-        let lib = CellLibrary::default();
-        let mut sim = Simulator::new(&n, &lib).unwrap();
-        for i in 0..10_u32 {
-            sim.step(&[i % 2 == 0, i % 3 == 0]);
-        }
-        let report = sim.report();
-        let power = report.average_power(TimeSpan::from_seconds(7.5e-9));
-        assert!(power.as_watts() > 0.0);
-    }
-
-    #[test]
     fn empty_report_is_zero() {
         let report = ActivityReport {
             cycles: 0,
@@ -535,10 +514,6 @@ mod tests {
             toggles_by_kind: BTreeMap::new(),
         };
         assert_eq!(report.total_energy(), Energy::ZERO);
-        assert_eq!(
-            report.average_power(TimeSpan::from_seconds(7.5e-9)),
-            Power::ZERO
-        );
     }
 
     #[test]

@@ -308,16 +308,6 @@ impl Frequency {
         assert!(self.0 > 0.0, "frequency must be positive to have a period");
         TimeSpan::from_seconds(1.0 / self.0)
     }
-
-    /// Duration of `cycles` clock cycles at this frequency.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the frequency is zero or negative.
-    #[must_use]
-    pub fn cycles(self, cycles: u64) -> TimeSpan {
-        TimeSpan::from_seconds(cycles as f64 * self.period().as_seconds())
-    }
 }
 
 impl fmt::Display for Frequency {
@@ -412,10 +402,9 @@ mod tests {
     }
 
     #[test]
-    fn frequency_period_and_cycles() {
+    fn frequency_period_and_hertz() {
         let f = Frequency::from_megahertz(133.0);
         assert!((f.period().as_seconds() - 7.5187e-9).abs() < 1e-12);
-        assert!((f.cycles(133).as_seconds() - 1e-6).abs() < 1e-15);
         assert!((f.as_hertz() - 133e6).abs() < 1e-3);
         assert_eq!(Frequency::default(), Frequency::from_megahertz(133.0));
     }
