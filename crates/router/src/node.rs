@@ -22,21 +22,41 @@
 //! list have grown to their working size, and charging a word is table
 //! reads and additions:
 //!
+//! * **Shared schedule.**  A node is one flow schedule (input queues,
+//!   arbiter, flows, completions) that charges one or more priced fabrics,
+//!   each with its own link polarity state, element occupancy and energy
+//!   account.  Destination contention is resolved at the arbiter, before a
+//!   packet enters the fabric, so on a fabric without interconnect
+//!   contention no flow is ever blocked: grants, words and completions do
+//!   not depend on the fabric, and each fabric still sums its energy flow
+//!   by flow, hop by hop, exactly as on a node of its own.  The single
+//!   router runs the crossbar, fully-connected and Batcher-Banyan fabrics
+//!   of an operating point on one node.  A contendable fabric (the Banyan)
+//!   blocks flows, so it always has a node to itself.
 //! * **Priced route table.**  Paths come from a shared [`RouteTable`],
-//!   lowered once at construction.  A grant copies a small `Copy` route;
-//!   every hop carries dense link and element ids, so the per-link
-//!   polarity state, the per-element occupancy and the node-buffer fill are
-//!   flat arrays.  The table comes inside a [`PricedRoutes`], which holds
-//!   one price row per hop kind: the wire energy per flipped-bit count,
-//!   then the switch energy per element occupancy.  A hop charges two reads
-//!   from its row instead of a LUT lookup, a division and two conversions.
-//!   A mesh shares one.  Transmission binds the price rows, the link
-//!   polarity state and the occupancy as local slices before its flow
-//!   loop, and counts delivered words in a local.
+//!   lowered once at construction.  A grant stores the route's index, the
+//!   same in every fabric's table; every hop carries dense link and element
+//!   ids, so the per-link polarity state, the per-element occupancy and the
+//!   node-buffer fill are flat arrays.  The table comes inside a
+//!   [`PricedRoutes`], which holds one price row per hop kind: the wire
+//!   energy per flipped-bit count, then the switch energy per element
+//!   occupancy.  A hop carries its row's offset, so finding its wire price
+//!   takes no multiply.
+//! * **Element prices.**  Each fabric keeps every element's switch price
+//!   at its current occupancy in one array, which the occupancy events
+//!   rewrite from the element's row.  A hop is then a link load and
+//!   compare, two price loads, two additions and a link store.
 //! * **Flip reuse.**  Each flow remembers the last word it sent, and each
-//!   new word's flips against it are counted once.  A link that still
-//!   holds that last word, because no other flow drove it since, flips
-//!   exactly those bits, so only a link another flow drove counts its own.
+//!   new word's flips against it are counted once per step for every
+//!   fabric.  A link that still holds that last word, because no other flow
+//!   drove it since, flips exactly those bits, so only a link another flow
+//!   drove counts its own.  The ingress segment of a port carries only that
+//!   port's flows, so it always holds the flow's last word: the node keeps
+//!   its polarity per input, and it is charged only where the route's
+//!   ingress run has grids (the fully-connected broadcast bus).
+//! * **Warm-up.**  A step chooses `transmit::<true>` or `transmit::<false>`
+//!   once.  In warm-up the links, backlogs and words still advance, but no
+//!   price is read, no flip counted and nothing added.
 //! * **Event-kept arbiter.**  The arbiter never scans the ports.  Per
 //!   output it keeps a bit set of the free inputs whose head-of-line packet
 //!   targets it, and a set of *pending* outputs: free outputs with at least
@@ -54,7 +74,8 @@
 //!   unblocked, unfinished flows on each element.  It changes only when a
 //!   flow does: a grant adds the flow's hops, a blocked flag flipping in
 //!   contention resolution removes or re-adds them, and completion removes
-//!   them.  Transmission reads it without a pass over the flows' hops.
+//!   them.  Transmission reads the element prices without a pass over the
+//!   flows' hops.
 //! * **Claim stamps.**  Each contention pass has a new number, and a claim
 //!   writes it into the link's slot, so a link is claimed in this pass
 //!   exactly when it holds this pass's number.  The last pass's claims
@@ -68,29 +89,29 @@
 //! Energy is summed in the same per-flow, per-hop order as a direct walk
 //! of [`FabricTopology::route`](fabric_power_fabric::FabricTopology::route)
 //! paths, and every table entry is the product that walk computes, so every
-//! statistic is bit-identical to it.
+//! statistic is bit-identical to it.  The terms left out are exact zeros.
 //!
 //! [`RouteTable`]: crate::route_table::RouteTable
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use fabric_power_fabric::energy_model::FabricEnergyModel;
 use fabric_power_tech::units::Energy;
 use fabric_power_tech::wire::polarity_flips;
 
 use crate::energy::EnergyAccount;
 use crate::packet::Packet;
-use crate::route_table::{Hop, PricedRoutes, Route, FLIP_COUNTS};
+use crate::route_table::{Hop, PricedRoutes, FLIP_COUNTS};
 
 /// One packet currently crossing the fabric.
 #[derive(Debug, Clone)]
 struct ActiveFlow {
     packet: Packet,
-    route: Route,
+    /// Index of the flow's route, the same in every fabric's table.
+    route: u32,
     words_delivered: usize,
     /// The last word the flow sent; before its first, the word its ingress
-    /// link last carried.
+    /// segment last carried.
     last_word: u64,
     /// Words currently parked in a node buffer because of contention.
     backlog: u64,
@@ -105,6 +126,20 @@ impl ActiveFlow {
     fn is_complete(&self) -> bool {
         self.words_delivered >= self.packet.words()
     }
+}
+
+/// One word a flow sends this cycle, as every fabric of the node charges
+/// it.
+#[derive(Debug, Clone, Copy)]
+struct Send {
+    /// Index of the flow's route.
+    route: u32,
+    /// Polarity flips of `word` against `previous` (0 in warm-up, where
+    /// nothing is charged).
+    flips: u32,
+    /// The flow's last word before this one.
+    previous: u64,
+    word: u64,
 }
 
 /// The word holding port `index` in a word-sliced port set, and its bit.
@@ -210,24 +245,154 @@ impl Arbiter {
     }
 }
 
+/// A fabric's element occupancy and the switch prices it selects.
+#[derive(Debug, Clone, PartialEq)]
+struct Occupancy {
+    /// The unblocked, unfinished flows crossing each element, by dense
+    /// element id: the input vector its node-switch LUT is indexed with.
+    counts: Vec<usize>,
+    /// Each element's switch price at its count, by dense element id.
+    prices: Vec<Energy>,
+}
+
+impl Occupancy {
+    fn new(fabric: &PricedRoutes) -> Self {
+        Self {
+            counts: vec![0; fabric.routes().element_count()],
+            prices: fabric.idle_element_prices().to_vec(),
+        }
+    }
+
+    /// Counts a flow's hops into (`enter`) or out of the occupancy and
+    /// reprices their elements from `fabric`'s rows.
+    fn count(&mut self, fabric: &PricedRoutes, hops: &[Hop], enter: bool) {
+        let (rows, row_len) = fabric.price_rows();
+        for hop in hops {
+            let element = hop.element as usize;
+            let occupants = &mut self.counts[element];
+            if enter {
+                *occupants += 1;
+            } else {
+                *occupants -= 1;
+            }
+            // At most one flow per input, so an element never holds more
+            // than `ports`; a larger count would read the next hop kind's
+            // row.
+            debug_assert!(FLIP_COUNTS + *occupants < row_len);
+            self.prices[element] = rows[hop.row as usize + FLIP_COUNTS + *occupants];
+        }
+    }
+}
+
+/// One priced fabric a node charges, with its own link polarity state,
+/// element occupancy and energy.
+#[derive(Debug)]
+struct Fabric {
+    /// Shared immutable route table priced under an energy model (one per
+    /// simulator, [`Arc`]-shared across a mesh's nodes).
+    priced: Arc<PricedRoutes>,
+    /// Last word driven onto each element's output links, by dense link id
+    /// (the ingress segments' ids stay unused: the node keeps those per
+    /// input).
+    link_last_word: Vec<u64>,
+    occupancy: Occupancy,
+    switches: Energy,
+    wires: Energy,
+}
+
+impl Fabric {
+    fn new(priced: Arc<PricedRoutes>) -> Self {
+        Self {
+            link_last_word: vec![0; priced.routes().link_count()],
+            occupancy: Occupancy::new(&priced),
+            priced,
+            switches: Energy::ZERO,
+            wires: Energy::ZERO,
+        }
+    }
+
+    /// Counts the hops of route `route` into or out of the occupancy.
+    fn count_route(&mut self, route: u32, enter: bool) {
+        let table = self.priced.routes();
+        let hops = table.hops(table.route(route));
+        self.occupancy.count(&self.priced, hops, enter);
+    }
+
+    /// Drives this cycle's words onto the fabric's links and, while
+    /// `MEASURING`, charges their wire and switch energy.
+    fn charge<const MEASURING: bool>(&mut self, sends: &[Send]) {
+        let table = self.priced.routes();
+        let links = &mut self.link_last_word[..];
+        if !MEASURING {
+            for send in sends {
+                for hop in table.hops(table.route(send.route)) {
+                    links[hop.link as usize] = send.word;
+                }
+            }
+            return;
+        }
+        let (rows, _) = self.priced.price_rows();
+        let grid_bit_energy = self.priced.model().grid_bit_energy();
+        let element_prices = &self.occupancy.prices[..];
+        let mut switch_energy = Energy::ZERO;
+        let mut wire_energy = Energy::ZERO;
+        for send in sends {
+            let route = table.route(send.route);
+            // Wire energy: only bits that flip polarity on each
+            // interconnect segment dissipate energy (paper Eq. 2).  The
+            // ingress segment holds the flow's last word; only the
+            // fully-connected fabric's has grids.
+            if route.wire_grids_before != 0.0 {
+                wire_energy += grid_bit_energy * (f64::from(send.flips) * route.wire_grids_before);
+            }
+            for hop in table.hops(route) {
+                // A link still holding the flow's last word flips the bits
+                // the word does; only a link another flow drove since
+                // counts its own.
+                let last = &mut links[hop.link as usize];
+                let flips = if *last == send.previous {
+                    send.flips
+                } else {
+                    polarity_flips(*last, send.word)
+                };
+                *last = send.word;
+                wire_energy += rows[hop.row as usize + flips as usize];
+                // Node-switch energy from the input-vector LUT, at the
+                // element's occupancy.
+                switch_energy += element_prices[hop.element as usize];
+            }
+        }
+        self.switches += switch_energy;
+        self.wires += wire_energy;
+    }
+}
+
 /// The per-tick switching core of one router: input queues, the
-/// first-come-first-serve round-robin arbiter, the in-fabric flows with
-/// their per-link polarity state, and the three-component energy account.
+/// first-come-first-serve round-robin arbiter and the in-fabric flows,
+/// charging one or more fabrics, each with its per-link polarity state and
+/// its energy account.
 #[derive(Debug)]
 pub struct RouterNode {
     node_buffer_bits: u64,
-    /// Shared immutable route table priced under the node's energy model
-    /// (one per simulator, [`Arc`]-shared across a mesh's nodes).
-    fabric: Arc<PricedRoutes>,
+    /// The fabrics the schedule charges: one if it is contendable.
+    fabrics: Vec<Fabric>,
+    /// Every fabric's bus width, and the mask that cuts a word to it.
+    bus_width_bits: u32,
+    word_mask: u64,
+    /// The energy of one word parked in a node buffer.
+    word_buffer_energy: Energy,
 
     input_queues: Vec<VecDeque<Packet>>,
     /// The inputs a flow holds.
     input_busy: Vec<bool>,
+    /// The last word each input's ingress segment carried.
+    input_last_word: Vec<u64>,
     arbiter: Arbiter,
     flows: Vec<ActiveFlow>,
-    /// Last word driven onto each fabric link, by dense link id.
-    link_last_word: Vec<u64>,
+    /// The words the flows send this cycle.
+    sends: Vec<Send>,
     /// Words parked in each element's node buffer, by dense element id.
+    /// Empty without contention, where no word is ever parked.
     node_buffer_words: Vec<u64>,
     /// The number of the contention pass that last claimed each link, by
     /// dense link id: a link is claimed in this pass exactly when it holds
@@ -236,17 +401,12 @@ pub struct RouterNode {
     claimed: Vec<u64>,
     /// Contention passes run so far; 0 claims no link.
     contention_pass: u64,
-    /// The unblocked, unfinished flows crossing each element, by dense
-    /// element id: the input vector its node-switch LUT is indexed with.
-    /// Kept up to date as flows are granted, blocked, unblocked and
-    /// completed.
-    occupancy: Vec<usize>,
 
     measuring: bool,
     words_delivered: u64,
     buffered_words: u64,
     buffer_overflow_cycles: u64,
-    energy: EnergyAccount,
+    buffers: Energy,
 }
 
 impl RouterNode {
@@ -254,43 +414,73 @@ impl RouterNode {
     /// energy model.
     #[must_use]
     pub fn new(fabric: Arc<PricedRoutes>, node_buffer_bits: u64) -> Self {
-        let routes = fabric.routes();
+        Self::sharing(vec![fabric], node_buffer_bits)
+    }
+
+    /// Creates a node whose one flow schedule charges every fabric of
+    /// `fabrics`, each exactly as a node of its own would.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fabrics` is empty, if the fabrics differ in port count or
+    /// bus width, or if a contendable fabric would share the node: its
+    /// contention pass blocks flows, which the other fabrics would not.
+    pub(crate) fn sharing(fabrics: Vec<Arc<PricedRoutes>>, node_buffer_bits: u64) -> Self {
+        let first = fabrics.first().expect("a node charges at least one fabric");
+        let routes = first.routes();
+        let model = first.model();
         let ports = routes.ports();
-        let claimable_links = if routes.contendable() {
-            routes.link_count()
+        let bus_width_bits = model.bus_width_bits();
+        assert!(
+            fabrics.len() == 1 || fabrics.iter().all(|fabric| !fabric.routes().contendable()),
+            "a contendable fabric blocks flows, so it cannot share a flow schedule"
+        );
+        assert!(
+            fabrics.iter().all(|fabric| {
+                fabric.routes().ports() == ports
+                    && fabric.model().bus_width_bits() == bus_width_bits
+            }),
+            "the fabrics of a node must agree on ports and bus width"
+        );
+        let (node_buffer_words, claimed) = if routes.contendable() {
+            (
+                vec![0; routes.element_count()],
+                vec![0; routes.link_count()],
+            )
         } else {
-            0
+            (Vec::new(), Vec::new())
         };
         Self {
             node_buffer_bits,
+            bus_width_bits,
+            word_mask: if bus_width_bits >= 64 {
+                u64::MAX
+            } else {
+                (1_u64 << bus_width_bits) - 1
+            },
+            word_buffer_energy: model.buffer_bit_energy() * f64::from(bus_width_bits),
             input_queues: vec![VecDeque::new(); ports],
             input_busy: vec![false; ports],
+            input_last_word: vec![0; ports],
             arbiter: Arbiter::new(ports),
             flows: Vec::with_capacity(ports),
-            link_last_word: vec![0; routes.link_count()],
-            node_buffer_words: vec![0; routes.element_count()],
-            claimed: vec![0; claimable_links],
+            sends: Vec::with_capacity(ports),
+            node_buffer_words,
+            claimed,
             contention_pass: 0,
-            occupancy: vec![0; routes.element_count()],
-            fabric,
+            fabrics: fabrics.into_iter().map(Fabric::new).collect(),
             measuring: false,
             words_delivered: 0,
             buffered_words: 0,
             buffer_overflow_cycles: 0,
-            energy: EnergyAccount::new(),
+            buffers: Energy::ZERO,
         }
     }
 
     /// Number of switch-fabric ports.
     #[must_use]
     pub fn ports(&self) -> usize {
-        self.fabric.routes().ports()
-    }
-
-    /// The energy model this node charges against.
-    #[must_use]
-    pub fn model(&self) -> &FabricEnergyModel {
-        self.fabric.model()
+        self.input_queues.len()
     }
 
     /// Enqueues a packet at an input port.  The packet's `source` and
@@ -329,7 +519,11 @@ impl RouterNode {
         self.words_delivered = 0;
         self.buffered_words = 0;
         self.buffer_overflow_cycles = 0;
-        self.energy = EnergyAccount::new();
+        self.buffers = Energy::ZERO;
+        for fabric in &mut self.fabrics {
+            fabric.switches = Energy::ZERO;
+            fabric.wires = Energy::ZERO;
+        }
     }
 
     /// Payload words that left through egress ports during the measurement
@@ -352,10 +546,22 @@ impl RouterNode {
         self.buffer_overflow_cycles
     }
 
-    /// The switch/buffer/wire energy charged during the measurement window.
+    /// The switch/buffer/wire energy the first fabric was charged during
+    /// the measurement window.
     #[must_use]
     pub fn energy(&self) -> EnergyAccount {
-        self.energy
+        self.fabric_energy(0)
+    }
+
+    /// The switch/buffer/wire energy fabric `fabric` (in the order the
+    /// node was given them) was charged during the measurement window.
+    pub(crate) fn fabric_energy(&self, fabric: usize) -> EnergyAccount {
+        let fabric = &self.fabrics[fabric];
+        EnergyAccount {
+            switches: fabric.switches,
+            buffers: self.buffers,
+            wires: fabric.wires,
+        }
     }
 
     /// Runs one clock cycle — arbitration, contention resolution, word
@@ -375,7 +581,11 @@ impl RouterNode {
     pub fn step(&mut self, cycle: u64, completed: &mut Vec<Packet>) {
         self.arbitrate();
         self.resolve_contention(cycle);
-        self.transmit();
+        if self.measuring {
+            self.transmit::<true>();
+        } else {
+            self.transmit::<false>();
+        }
         self.complete_flows(completed);
     }
 
@@ -383,22 +593,23 @@ impl RouterNode {
     /// egress port: destination contention is resolved here, before packets
     /// enter the fabric (paper §3.2).
     fn arbitrate(&mut self) {
-        let table = self.fabric.routes();
         for &(input, output) in self.arbiter.arbitrate() {
             let packet = self.input_queues[input]
                 .pop_front()
                 .expect("a granted input has a head-of-line packet");
-            let route = table.route(input, output);
+            let route = self.fabrics[0].priced.routes().route_index(input, output);
             // A packet without words completes at once and never occupies
             // its path.
             if !packet.payload.is_empty() {
-                count_occupancy(&mut self.occupancy, table.hops(&route), true);
+                for fabric in &mut self.fabrics {
+                    fabric.count_route(route, true);
+                }
             }
             self.flows.push(ActiveFlow {
                 packet,
                 route,
                 words_delivered: 0,
-                last_word: self.link_last_word[route.ingress_link as usize],
+                last_word: self.input_last_word[input],
                 backlog: 0,
                 backlog_element: 0,
                 blocked: false,
@@ -409,32 +620,32 @@ impl RouterNode {
 
     /// Detects interconnect contention (internal blocking) for fabrics whose
     /// paths can share links — only the Banyan in the paper's set, where
-    /// every hop is contendable.  Flows are examined in a rotating priority
-    /// order, from flow `cycle % flows` to the last and then from the first;
-    /// a flow that cannot claim every link of its path is blocked for this
-    /// cycle and its incoming word is absorbed by the node buffer at the
-    /// first contended hop.  A flow whose blocked flag flips moves its hops
-    /// out of or back into the element occupancy.  On other fabrics no flow
-    /// is ever blocked.
+    /// every hop is contendable, and which is alone on its node.  Flows are
+    /// examined in a rotating priority order, from flow `cycle % flows` to
+    /// the last and then from the first; a flow that cannot claim every
+    /// link of its path is blocked for this cycle and its incoming word is
+    /// absorbed by the node buffer at the first contended hop.  A flow
+    /// whose blocked flag flips moves its hops out of or back into the
+    /// element occupancy.  On other fabrics no flow is ever blocked.
     ///
     /// Each pass has a new number, and a claim stamps the link with it, so
     /// the last pass's claims lapse without being cleared.
     fn resolve_contention(&mut self, cycle: u64) {
-        let table = self.fabric.routes();
+        let fabric = &mut self.fabrics[0];
+        let table = fabric.priced.routes();
         if self.flows.is_empty() || !table.contendable() {
             return;
         }
         self.contention_pass += 1;
         let pass = self.contention_pass;
         let claimed = &mut self.claimed[..];
-        let occupancy = &mut self.occupancy[..];
         let start = (cycle as usize) % self.flows.len();
         let (before, after) = self.flows.split_at_mut(start);
         for flow in after.iter_mut().chain(before) {
             if flow.is_complete() {
                 continue;
             }
-            let hops = table.hops(&flow.route);
+            let hops = table.hops(table.route(flow.route));
             let blocked = if let Some(blocking) =
                 hops.iter().find(|hop| claimed[hop.link as usize] == pass)
             {
@@ -452,123 +663,100 @@ impl RouterNode {
             };
             if blocked != flow.blocked {
                 flow.blocked = blocked;
-                count_occupancy(occupancy, hops, !blocked);
+                fabric.occupancy.count(&fabric.priced, hops, !blocked);
             }
         }
     }
 
-    /// Advances every flow by one word, charging energy as it goes.
-    fn transmit(&mut self) {
-        let fabric = &*self.fabric;
-        let table = fabric.routes();
-        let model = fabric.model();
-        let bus_width = f64::from(model.bus_width_bits());
-        let word_mask = if model.bus_width_bits() >= 64 {
-            u64::MAX
-        } else {
-            (1_u64 << model.bus_width_bits()) - 1
-        };
-        let (prices, row_len) = fabric.price_rows();
-        let links = &mut self.link_last_word[..];
-        let occupancy = &self.occupancy[..];
-
-        let mut switch_energy = Energy::ZERO;
-        let mut wire_energy = Energy::ZERO;
+    /// Advances every flow by one word; while `MEASURING`, charges its
+    /// energy to every fabric as it goes.
+    fn transmit<const MEASURING: bool>(&mut self) {
+        let word_mask = self.word_mask;
+        let sends = &mut self.sends;
+        let node_buffer_words = &mut self.node_buffer_words[..];
         let mut buffer_energy = Energy::ZERO;
+        let mut buffered_words = 0;
+        let mut overflows = 0;
         let mut words_delivered = 0;
-
+        sends.clear();
         for flow in &mut self.flows {
             if flow.is_complete() {
                 continue;
             }
             if flow.blocked {
-                // The word arriving at the contended node this cycle is written
-                // into (and will later be read back from) the node buffer: one
-                // `E_B_bit` per bit pays for both accesses, as in Eq. 5.
-                buffer_energy += model.buffer_bit_energy() * bus_width;
+                // The word arriving at the contended node this cycle is
+                // written into (and will later be read back from) the node
+                // buffer: one `E_B_bit` per bit pays for both accesses, as
+                // in Eq. 5.
                 flow.backlog += 1;
-                if self.measuring {
-                    self.buffered_words += 1;
-                }
-                let entry = &mut self.node_buffer_words[flow.backlog_element as usize];
+                let entry = &mut node_buffer_words[flow.backlog_element as usize];
                 *entry += 1;
-                if *entry * u64::from(model.bus_width_bits()) > self.node_buffer_bits
-                    && self.measuring
-                {
-                    self.buffer_overflow_cycles += 1;
+                if MEASURING {
+                    buffer_energy += self.word_buffer_energy;
+                    buffered_words += 1;
+                    if *entry * u64::from(self.bus_width_bits) > self.node_buffer_bits {
+                        overflows += 1;
+                    }
                 }
                 continue;
             }
 
             let word = flow.packet.payload[flow.words_delivered] & word_mask;
-
-            // Wire energy: only bits that flip polarity on each interconnect
-            // segment dissipate energy (paper Eq. 2).  A link still holding
-            // the flow's last word flips the bits the word does; only a link
-            // another flow drove since counts its own.
             let previous = flow.last_word;
-            let word_flips = polarity_flips(previous, word);
-            let flips = |last: u64| {
-                if last == previous {
-                    word_flips
+            sends.push(Send {
+                route: flow.route,
+                flips: if MEASURING {
+                    polarity_flips(previous, word)
                 } else {
-                    polarity_flips(last, word)
-                }
-            };
-            let ingress = &mut links[flow.route.ingress_link as usize];
-            let ingress_flips = f64::from(flips(*ingress));
-            *ingress = word;
-            wire_energy +=
-                model.grid_bit_energy() * (ingress_flips * flow.route.wire_grids_before as f64);
-            for hop in table.hops(&flow.route) {
-                let row = hop.data as usize * row_len;
-                let last = &mut links[hop.link as usize];
-                wire_energy += prices[row + flips(*last) as usize];
-                *last = word;
-                // Node-switch energy from the input-vector LUT, at the
-                // element's occupancy.  At most one flow per input, so an
-                // element never holds more than `ports`; a larger count
-                // would read the next hop kind's row.
-                let occupants = occupancy[hop.element as usize];
-                debug_assert!(FLIP_COUNTS + occupants < row_len);
-                switch_energy += prices[row + FLIP_COUNTS + occupants];
-            }
+                    0
+                },
+                previous,
+                word,
+            });
             flow.last_word = word;
 
             // A word previously parked in the node buffer drains along with
             // this one (its read access was already charged on the write).
             if flow.backlog > 0 {
                 flow.backlog -= 1;
-                self.node_buffer_words[flow.backlog_element as usize] -= 1;
+                node_buffer_words[flow.backlog_element as usize] -= 1;
             }
 
             flow.words_delivered += 1;
             words_delivered += 1;
         }
 
-        if self.measuring {
+        for fabric in &mut self.fabrics {
+            fabric.charge::<MEASURING>(sends);
+        }
+        if MEASURING {
             self.words_delivered += words_delivered;
-            self.energy.switches += switch_energy;
-            self.energy.wires += wire_energy;
-            self.energy.buffers += buffer_energy;
+            self.buffered_words += buffered_words;
+            self.buffer_overflow_cycles += overflows;
+            self.buffers += buffer_energy;
         }
     }
 
-    /// Removes finished flows, releases their path's occupancy and the
-    /// words they still had parked, frees their input/output ports (the
-    /// freed input's next head-of-line packet requests its output), and
-    /// moves their packets into `completed` in completion order.
+    /// Removes finished flows, releases their path's occupancy in every
+    /// fabric and the words they still had parked, frees their input/output
+    /// ports (the freed input's next head-of-line packet requests its
+    /// output), and moves their packets into `completed` in completion
+    /// order.
     fn complete_flows(&mut self, completed: &mut Vec<Packet>) {
-        let table = self.fabric.routes();
         for flow in self.flows.extract_if(.., |flow| flow.is_complete()) {
             // A flow finishes on a word it sent unblocked, so it still
             // occupies its path, unless it never had a word to send.
             if !flow.packet.payload.is_empty() {
-                count_occupancy(&mut self.occupancy, table.hops(&flow.route), false);
+                for fabric in &mut self.fabrics {
+                    fabric.count_route(flow.route, false);
+                }
             }
-            self.node_buffer_words[flow.backlog_element as usize] -= flow.backlog;
+            if flow.backlog > 0 {
+                self.node_buffer_words[flow.backlog_element as usize] -= flow.backlog;
+            }
             let input = flow.packet.source;
             self.input_busy[input] = false;
+            self.input_last_word[input] = flow.last_word;
             self.arbiter.release(flow.packet.destination);
             if let Some(head) = self.input_queues[input].front() {
                 self.arbiter.request(input, head.destination);
@@ -578,23 +766,11 @@ impl RouterNode {
     }
 }
 
-/// Counts a flow's hops into (`enter`) or out of the element occupancy.
-fn count_occupancy(occupancy: &mut [usize], hops: &[Hop], enter: bool) {
-    for hop in hops {
-        let occupants = &mut occupancy[hop.element as usize];
-        if enter {
-            *occupants += 1;
-        } else {
-            *occupants -= 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::route_table::RouteTable;
-    use fabric_power_fabric::Architecture;
+    use fabric_power_fabric::{Architecture, FabricEnergyModel};
     use fabric_power_tech::constants::BANYAN_NODE_BUFFER_BITS;
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
@@ -744,18 +920,59 @@ mod tests {
         node.flows.is_empty() && node.input_queues.iter().all(VecDeque::is_empty)
     }
 
-    /// The element occupancy recounted from the flows, as a node between
-    /// steps must hold it: every unblocked flow on every element it crosses.
-    fn recounted_occupancy(node: &RouterNode) -> Vec<usize> {
-        let table = node.fabric.routes();
-        let mut occupancy = vec![0; node.occupancy.len()];
-        for flow in node.flows.iter().filter(|flow| !flow.blocked) {
-            for hop in table.hops(&flow.route) {
-                occupancy[hop.element as usize] += 1;
+    /// The price-row offset of each element a fabric's routes cross, by
+    /// dense element id.
+    fn element_rows(fabric: &Fabric) -> Vec<Option<usize>> {
+        let table = fabric.priced.routes();
+        let mut rows = vec![None; table.element_count()];
+        for route in 0..table.ports() * table.ports() {
+            for hop in table.hops(table.route(route as u32)) {
+                rows[hop.element as usize] = Some(hop.row as usize);
             }
         }
-        occupancy
+        rows
     }
+
+    /// A fabric's element occupancy and prices recounted from the node's
+    /// flows, as a node between steps must hold them: every unblocked flow
+    /// on every element it crosses, and each element priced from its row
+    /// (`element_rows`) at that count.
+    fn recounted_occupancy(
+        node: &RouterNode,
+        fabric: &Fabric,
+        element_rows: &[Option<usize>],
+    ) -> Occupancy {
+        let table = fabric.priced.routes();
+        let mut counts = vec![0; table.element_count()];
+        for flow in node.flows.iter().filter(|flow| !flow.blocked) {
+            for hop in table.hops(table.route(flow.route)) {
+                counts[hop.element as usize] += 1;
+            }
+        }
+        let (rows, _) = fabric.priced.price_rows();
+        let idle = fabric.priced.idle_element_prices();
+        let prices = (0..counts.len())
+            .map(|element| {
+                element_rows[element].map_or(idle[element], |row| {
+                    rows[row + FLIP_COUNTS + counts[element]]
+                })
+            })
+            .collect();
+        Occupancy { counts, prices }
+    }
+
+    fn priced(architecture: Architecture, ports: usize) -> Arc<PricedRoutes> {
+        let routes = RouteTable::new(architecture, ports).unwrap();
+        let model = Arc::new(FabricEnergyModel::paper(ports).unwrap());
+        Arc::new(PricedRoutes::new(routes, model).unwrap())
+    }
+
+    /// The contention-free architectures, which share one flow schedule.
+    const SHARED: [Architecture; 3] = [
+        Architecture::Crossbar,
+        Architecture::FullyConnected,
+        Architecture::BatcherBanyan,
+    ];
 
     /// The arbiter's sets recounted from the node's queues and flows, after
     /// checking that the busy inputs are exactly those a flow holds.
@@ -782,20 +999,21 @@ mod tests {
 
         #[test]
         fn router_core_conserves_packets_words_and_buffer_occupancy(
-            architecture in prop_oneof![
-                Just(Architecture::Crossbar),
-                Just(Architecture::FullyConnected),
-                Just(Architecture::Banyan),
-                Just(Architecture::BatcherBanyan),
+            architectures in prop_oneof![
+                Just(&[Architecture::Crossbar][..]),
+                Just(&[Architecture::FullyConnected][..]),
+                Just(&[Architecture::Banyan][..]),
+                Just(&[Architecture::BatcherBanyan][..]),
+                Just(&SHARED[..]),
             ],
             ports in prop_oneof![Just(2_usize), Just(4), Just(8), Just(16), Just(32), Just(128)],
             seed in any::<u64>(),
         ) {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let routes = RouteTable::new(architecture, ports).unwrap();
-            let model = Arc::new(FabricEnergyModel::paper(ports).unwrap());
-            let fabric = Arc::new(PricedRoutes::new(routes, model).unwrap());
-            let mut node = RouterNode::new(fabric, BANYAN_NODE_BUFFER_BITS);
+            let fabrics = architectures.iter().map(|&architecture| priced(architecture, ports));
+            let mut node = RouterNode::sharing(fabrics.collect(), BANYAN_NODE_BUFFER_BITS);
+            let contendable = architectures.contains(&Architecture::Banyan);
+            let element_rows: Vec<_> = node.fabrics.iter().map(element_rows).collect();
             node.begin_measurement();
 
             // Per-case injection rate and schedule length, light to saturating.
@@ -829,7 +1047,12 @@ mod tests {
                     }
                 }
                 node.step(cycle, &mut completed);
-                prop_assert_eq!(&node.occupancy, &recounted_occupancy(&node));
+                for (fabric, element_rows) in node.fabrics.iter().zip(&element_rows) {
+                    prop_assert_eq!(
+                        &fabric.occupancy,
+                        &recounted_occupancy(&node, fabric, element_rows)
+                    );
+                }
                 prop_assert_eq!(arbiter_sets(&node.arbiter), recounted_arbiter_sets(&node));
                 for packet in completed.drain(..) {
                     let injected = outstanding[packet.id as usize].take();
@@ -844,31 +1067,50 @@ mod tests {
             }
             prop_assert!(outstanding.iter().all(Option::is_none), "a packet never completed");
             prop_assert_eq!(completed_words, node.words_delivered());
-            if architecture != Architecture::Banyan {
+            if !contendable {
                 prop_assert_eq!(node.buffered_words(), 0);
-                prop_assert!(node.energy().buffers.is_zero());
+                for fabric in 0..architectures.len() {
+                    prop_assert!(node.fabric_energy(fabric).buffers.is_zero());
+                }
             }
             prop_assert!(
                 node.node_buffer_words.iter().all(|&words| words == 0),
-                "{architecture} {ports}x{ports}: words left parked after draining"
+                "{architectures:?} {ports}x{ports}: words left parked after draining"
             );
-            prop_assert!(
-                node.occupancy.iter().all(|&occupants| occupants == 0),
-                "{architecture} {ports}x{ports}: element occupancy left after draining"
-            );
+            for fabric in &node.fabrics {
+                prop_assert!(
+                    fabric.occupancy.counts.iter().all(|&occupants| occupants == 0),
+                    "{architectures:?} {ports}x{ports}: element occupancy left after draining"
+                );
+            }
         }
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "a contendable fabric blocks flows, so it cannot share a flow schedule"
+    )]
+    fn a_contendable_fabric_cannot_share_a_node() {
+        let _ = RouterNode::sharing(
+            vec![
+                priced(Architecture::Crossbar, 8),
+                priced(Architecture::Banyan, 8),
+            ],
+            BANYAN_NODE_BUFFER_BITS,
+        );
     }
 
     /// The contention pass the claim stamps replaced: flows visited through
     /// a `%` rotation, only contendable hops claimed, as `bool`s, and every
     /// unblocked flow's hops cleared again at the end of the pass.
     fn bool_and_clear_contention(
-        table: &RouteTable,
+        fabric: &PricedRoutes,
         flows: &mut [ActiveFlow],
-        occupancy: &mut [usize],
+        occupancy: &mut Occupancy,
         claimed: &mut [bool],
         cycle: u64,
     ) {
+        let table = fabric.routes();
         if flows.is_empty() || !table.contendable() {
             return;
         }
@@ -879,7 +1121,7 @@ mod tests {
             if flow.is_complete() {
                 continue;
             }
-            let hops = table.hops(&flow.route);
+            let hops = table.hops(table.route(flow.route));
             let contendable = hops.iter().filter(|hop| table.data(hop).contendable);
             let blocked = if let Some(blocking) =
                 contendable.clone().find(|hop| claimed[hop.link as usize])
@@ -896,11 +1138,11 @@ mod tests {
             };
             if blocked != flow.blocked {
                 flow.blocked = blocked;
-                count_occupancy(occupancy, hops, !blocked);
+                occupancy.count(fabric, hops, !blocked);
             }
         }
         for flow in flows.iter().filter(|flow| !flow.blocked) {
-            for hop in table.hops(&flow.route) {
+            for hop in table.hops(table.route(flow.route)) {
                 claimed[hop.link as usize] = false;
             }
         }
@@ -925,12 +1167,9 @@ mod tests {
         ) {
             let ports = 1_usize << address_bits;
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let routes = RouteTable::new(Architecture::Banyan, ports).unwrap();
-            let model = Arc::new(FabricEnergyModel::paper(ports).unwrap());
-            let fabric = Arc::new(PricedRoutes::new(routes, model).unwrap());
-            let table = fabric.routes();
+            let fabric = priced(Architecture::Banyan, ports);
             let mut node = RouterNode::new(Arc::clone(&fabric), BANYAN_NODE_BUFFER_BITS);
-            let mut claimed = vec![false; table.link_count()];
+            let mut claimed = vec![false; fabric.routes().link_count()];
 
             // Per-case injection rate and schedule length, light to saturating.
             let inject_p = rng.gen::<f64>();
@@ -960,13 +1199,13 @@ mod tests {
                 }
                 node.arbitrate();
                 let mut flows = node.flows.clone();
-                let mut occupancy = node.occupancy.clone();
-                bool_and_clear_contention(table, &mut flows, &mut occupancy, &mut claimed, cycle);
+                let mut occupancy = node.fabrics[0].occupancy.clone();
+                bool_and_clear_contention(&fabric, &mut flows, &mut occupancy, &mut claimed, cycle);
                 prop_assert!(!claimed.contains(&true), "a link left claimed after the pass");
                 node.resolve_contention(cycle);
                 prop_assert_eq!(contention_outcome(&node.flows), contention_outcome(&flows));
-                prop_assert_eq!(&node.occupancy, &occupancy);
-                node.transmit();
+                prop_assert_eq!(&node.fabrics[0].occupancy, &occupancy);
+                node.transmit::<true>();
                 node.complete_flows(&mut completed);
                 completed.clear();
                 cycle += 1;

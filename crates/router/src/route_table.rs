@@ -7,11 +7,13 @@
 //! arrays:
 //!
 //! * each hop is 12 bytes: a dense link id (into a node's flat array of
-//!   last-word polarity state), a dense element id (into its occupancy and
-//!   node-buffer arrays), and an index into a small deduplicated table of
+//!   last-word polarity state), a dense element id (into its occupancy,
+//!   element-price and node-buffer arrays), and the offset of its kind's
+//!   price row, where a kind is one entry of a small deduplicated table of
 //!   `HopData`, the route-independent part of a hop;
-//! * each route is a span of hops plus its ingress link and ingress wire
-//!   length.
+//! * each route is a span of hops plus its ingress wire length.  The
+//!   ingress segment of a port carries only that port's flows, so a node
+//!   keeps its polarity per input, not per link.
 //!
 //! The dense ids come from the topology's arithmetic scheme
 //! ([`FabricTopology::element_slot`], [`FabricTopology::hop_link`]), so
@@ -20,8 +22,9 @@
 //! A [`PricedRoutes`] pairs the table with one energy model and prices
 //! every hop kind once, in one row: its wire energy for each possible count
 //! of flipped bits, then its switch energy for each possible occupancy of
-//! its element.  A mesh builds one and [`Arc`]-shares it across all of its
-//! nodes.
+//! its element.  Every hop through one element has the same switch prices,
+//! so a node can keep each element's price at its current occupancy in one
+//! array.  A mesh builds one and [`Arc`]-shares it across all of its nodes.
 //!
 //! [`RouterNode`]: crate::node::RouterNode
 
@@ -58,17 +61,17 @@ pub(crate) struct Hop {
     pub(crate) link: u32,
     /// Dense id of the element.
     pub(crate) element: u32,
-    /// Index into [`RouteTable`]'s hop-data table.
-    pub(crate) data: u32,
+    /// Offset of the hop kind's price row: the kind's index in
+    /// [`RouteTable`]'s hop-data table times the row length.
+    pub(crate) row: u32,
 }
 
 /// One lowered `(input, output)` route.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Route {
-    /// Thompson grids between the ingress port and the first element.
-    pub(crate) wire_grids_before: u64,
-    /// Dense id of the ingress segment.
-    pub(crate) ingress_link: u32,
+    /// Thompson grids between the ingress port and the first element, as
+    /// the factor the ingress wire term multiplies by.
+    pub(crate) wire_grids_before: f64,
     /// The route's hops are `hops[start..end]` of the table.
     start: u32,
     end: u32,
@@ -95,6 +98,8 @@ pub struct RouteTable {
     routes: Vec<Route>,
     hops: Vec<Hop>,
     hop_data: Vec<HopData>,
+    /// Entries per price row: `FLIP_COUNTS + ports + 1`.
+    row_len: usize,
     /// Whether every hop can suffer interconnect contention (no hop can
     /// otherwise).
     contendable: bool,
@@ -115,6 +120,7 @@ impl RouteTable {
     /// all contendable or none.
     pub fn new(architecture: Architecture, ports: usize) -> Result<Self, TopologyError> {
         let topology = FabricTopology::new(architecture, ports)?;
+        let row_len = FLIP_COUNTS + ports + 1;
         let mut routes = Vec::with_capacity(ports * ports);
         let mut hops = Vec::new();
         let mut hop_data: Vec<HopData> = Vec::new();
@@ -138,12 +144,11 @@ impl RouteTable {
                     hops.push(Hop {
                         link: dense(topology.hop_link(hop.element, hop.output_port)),
                         element: dense(topology.element_slot(hop.element)),
-                        data: dense(index),
+                        row: dense(index * row_len),
                     });
                 }
                 routes.push(Route {
-                    wire_grids_before: path.wire_grids_before,
-                    ingress_link: dense(topology.ingress_link(input)),
+                    wire_grids_before: path.wire_grids_before as f64,
                     start,
                     end: dense(hops.len()),
                 });
@@ -162,6 +167,7 @@ impl RouteTable {
             contendable,
             hops,
             hop_data,
+            row_len,
         })
     }
 
@@ -186,9 +192,15 @@ impl RouteTable {
         self.contendable
     }
 
-    /// The route from `input` to `output`.
-    pub(crate) fn route(&self, input: usize, output: usize) -> Route {
-        self.routes[input * self.ports + output]
+    /// The index of the route from `input` to `output`, the same in every
+    /// table with this port count.
+    pub(crate) fn route_index(&self, input: usize, output: usize) -> u32 {
+        dense(input * self.ports + output)
+    }
+
+    /// The route with the given [`route_index`](Self::route_index).
+    pub(crate) fn route(&self, index: u32) -> &Route {
+        &self.routes[index as usize]
     }
 
     /// The hops of a route, in path order.
@@ -199,7 +211,7 @@ impl RouteTable {
     /// The route-independent data of a hop.
     #[cfg(test)]
     pub(crate) fn data(&self, hop: &Hop) -> &HopData {
-        &self.hop_data[hop.data as usize]
+        &self.hop_data[hop.row as usize / self.row_len]
     }
 }
 
@@ -216,10 +228,11 @@ pub(crate) const FLIP_COUNTS: usize = u64::BITS as usize + 1;
 /// Each hop kind has one price row: the wire energy of the hop's outgoing
 /// link for each flipped-bit count `0..=64`, then one packet's share of the
 /// element's switch energy for each occupancy `0..=ports`.  A transmitted
-/// word charges each hop two reads from its row.  Each entry is the
-/// product the per-hop formula would compute, in the same operand order,
-/// so the sums a node accumulates are bit-identical to charging the model
-/// directly.
+/// word reads each hop's wire energy from its row and its switch energy
+/// from the node's element prices, which the node rewrites from the row
+/// whenever an element's occupancy changes.  Each entry is the product the
+/// per-hop formula would compute, in the same operand order, so the sums a
+/// node accumulates are bit-identical to charging the model directly.
 ///
 /// # Examples
 ///
@@ -251,6 +264,8 @@ pub struct PricedRoutes {
     prices: Vec<Energy>,
     /// `FLIP_COUNTS + ports + 1`.
     row_len: usize,
+    /// Each element's switch price at occupancy 0, by dense element id.
+    idle_element_prices: Vec<Energy>,
 }
 
 impl PricedRoutes {
@@ -270,7 +285,7 @@ impl PricedRoutes {
         }
         let grid = model.grid_bit_energy();
         let bus_width = f64::from(model.bus_width_bits());
-        let row_len = FLIP_COUNTS + ports + 1;
+        let row_len = routes.row_len;
         let mut prices = Vec::with_capacity(routes.hop_data.len() * row_len);
         for data in &routes.hop_data {
             prices.extend(
@@ -292,11 +307,16 @@ impl PricedRoutes {
                 }));
             }
         }
+        let mut idle_element_prices = vec![Energy::ZERO; routes.element_count()];
+        for hop in &routes.hops {
+            idle_element_prices[hop.element as usize] = prices[hop.row as usize + FLIP_COUNTS];
+        }
         Ok(Self {
             routes,
             model,
             prices,
             row_len,
+            idle_element_prices,
         })
     }
 
@@ -313,9 +333,15 @@ impl PricedRoutes {
     }
 
     /// Every hop kind's price row, back to back, and the row length: a
-    /// hop's row is `prices[hop.data * row_len..][..row_len]`.
+    /// hop's row is `prices[hop.row..][..row_len]`.
     pub(crate) fn price_rows(&self) -> (&[Energy], usize) {
         (&self.prices, self.row_len)
+    }
+
+    /// Each element's switch price at occupancy 0, by dense element id: the
+    /// element prices of an idle node.
+    pub(crate) fn idle_element_prices(&self) -> &[Energy] {
+        &self.idle_element_prices
     }
 }
 
@@ -332,10 +358,9 @@ mod tests {
                 for input in 0..ports {
                     for output in 0..ports {
                         let path = topology.route(input, output);
-                        let route = table.route(input, output);
-                        assert_eq!(route.wire_grids_before, path.wire_grids_before);
-                        assert_eq!(route.ingress_link as usize, input);
-                        let hops = table.hops(&route);
+                        let route = table.route(table.route_index(input, output));
+                        assert_eq!(route.wire_grids_before, path.wire_grids_before as f64);
+                        let hops = table.hops(route);
                         assert_eq!(hops.len(), path.hops.len());
                         for (hop, expected) in hops.iter().zip(&path.hops) {
                             let data = table.data(hop);
@@ -379,6 +404,11 @@ mod tests {
                 let (prices, row_len) = priced.price_rows();
                 assert_eq!(row_len, FLIP_COUNTS + ports + 1);
                 assert_eq!(prices.len(), table.hop_data.len() * row_len);
+                // A hop's row offset selects its kind's row.
+                for hop in &table.hops {
+                    assert_eq!(hop.row as usize % row_len, 0);
+                    assert!((hop.row as usize) < prices.len());
+                }
                 for (row, data) in prices.chunks_exact(row_len).zip(&table.hop_data) {
                     let (wire, switch) = row.split_at(FLIP_COUNTS);
                     for (flips, &priced) in (0..=64_u32).zip(wire) {
@@ -398,6 +428,37 @@ mod tests {
                         };
                         assert_eq!(priced, expected);
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_hop_through_an_element_has_its_switch_prices() {
+        for architecture in Architecture::ALL {
+            for ports in [2, 8, 32] {
+                let model = Arc::new(FabricEnergyModel::paper(ports).unwrap());
+                let priced =
+                    PricedRoutes::new(RouteTable::new(architecture, ports).unwrap(), model)
+                        .unwrap();
+                let (prices, row_len) = priced.price_rows();
+                let table = priced.routes();
+                let idle = priced.idle_element_prices();
+                assert_eq!(idle.len(), table.element_count());
+                for hop in &table.hops {
+                    let switch = &prices[hop.row as usize + FLIP_COUNTS..][..ports + 1];
+                    // Any hop through the element prices it as the idle
+                    // price's row does, at every occupancy.
+                    let first = table
+                        .hops
+                        .iter()
+                        .find(|other| other.element == hop.element)
+                        .unwrap();
+                    assert_eq!(
+                        switch,
+                        &prices[first.row as usize + FLIP_COUNTS..first.row as usize + row_len]
+                    );
+                    assert_eq!(idle[hop.element as usize], switch[0]);
                 }
             }
         }

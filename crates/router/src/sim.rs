@@ -103,15 +103,22 @@ impl From<TrafficError> for SimulationError {
 
 /// The bit-level router simulator.
 ///
-/// One simulator steps one [`RouterNode`] per architecture from a single
-/// [`TrafficGenerator`] ([`RouterSimulator::lockstep`]): each cycle's
-/// arrivals are drawn once and every node gets its own copy of each packet.
-/// The generator never looks at a node (input queues are unbounded), so
-/// each node sees exactly the traffic a simulator of its architecture alone
-/// would draw, and its report is the same to the bit.  Stepping the
-/// architectures of one operating point together pays for the ChaCha8
-/// keystream once instead of once per architecture.  [`RouterSimulator::new`]
-/// and its siblings build the one-node case of the same step loop.
+/// One simulator steps the architectures of one operating point from a
+/// single [`TrafficGenerator`] ([`RouterSimulator::lockstep`]): each
+/// cycle's arrivals are drawn once and every [`RouterNode`] gets its own
+/// copy of each packet.  The generator never looks at a node (input queues
+/// are unbounded), so each node sees exactly the traffic a simulator of its
+/// architecture alone would draw, and its report is the same to the bit.
+/// Stepping the architectures together pays for the ChaCha8 keystream once
+/// instead of once per architecture.
+///
+/// Every contention-free architecture (crossbar, fully-connected,
+/// Batcher-Banyan) is charged on one node, whose one flow schedule grants,
+/// sends and completes each packet once for all of them: without
+/// interconnect contention no flow is ever blocked, so those do not depend
+/// on the fabric.  Each contendable architecture (the Banyan) has a node of
+/// its own.  [`RouterSimulator::new`] and its siblings build the
+/// one-architecture case of the same step loop.
 ///
 /// The loop draws the arrivals of a batch of cycles at a time and then
 /// steps each node through the whole batch, so a node's state stays in
@@ -135,10 +142,13 @@ impl From<TrafficError> for SimulationError {
 /// ```
 #[derive(Debug)]
 pub struct RouterSimulator {
-    /// The shared configuration; its `architecture` is the first node's.
+    /// The shared configuration; its `architecture` is the first
+    /// architecture's.
     config: SimulationConfig,
-    /// One node per simulated architecture, all fed the same arrivals.
+    /// The nodes that charge the architectures, all fed the same arrivals.
     nodes: Vec<NodeRun>,
+    /// Per architecture, in the order given: where it is charged.
+    fabrics: Vec<FabricSlot>,
     traffic: TrafficGenerator,
     /// The batch of arrivals being replayed, in cycle and port order.
     arrivals: Vec<Packet>,
@@ -146,12 +156,20 @@ pub struct RouterSimulator {
     cycle: u64,
 }
 
-/// One architecture's router inside a [`RouterSimulator`]: the per-tick
-/// switching core (shared with the NoC layer, which drives a whole mesh of
-/// them) and what it has delivered.
+/// One architecture of a [`RouterSimulator`]: the node that charges it and
+/// the index of its fabric on that node.
+#[derive(Debug, Clone, Copy)]
+struct FabricSlot {
+    architecture: Architecture,
+    node: usize,
+    fabric: usize,
+}
+
+/// One node inside a [`RouterSimulator`]: the per-tick switching core
+/// (shared with the NoC layer, which drives a whole mesh of them) and what
+/// it has delivered, the same for every fabric it charges.
 #[derive(Debug)]
 struct NodeRun {
-    architecture: Architecture,
     node: RouterNode,
     /// Packets the node finished this cycle (drained every cycle).
     completed: Vec<Packet>,
@@ -240,13 +258,14 @@ impl RouterSimulator {
         Self::lockstep(config, &[architecture], model)
     }
 
-    /// Creates a simulator that steps one node per entry of
-    /// `architectures` on the traffic `config` describes, in lockstep.
-    /// Every field of `config` but `architecture` applies to every node;
-    /// [`RouterSimulator::reports`] lists the nodes' reports in
-    /// `architectures` order, and each equals what
-    /// [`RouterSimulator::with_shared_model`] would report for that
-    /// architecture alone.
+    /// Creates a simulator that steps every entry of `architectures` on the
+    /// traffic `config` describes, in lockstep: the contention-free ones on
+    /// one shared node and each contendable one on a node of its own
+    /// (grouped by [`RouteTable`]'s contention, not by name).  Every field
+    /// of `config` but `architecture` applies to every architecture;
+    /// [`RouterSimulator::reports`] lists their reports in `architectures`
+    /// order, and each equals what [`RouterSimulator::with_shared_model`]
+    /// would report for that architecture alone.
     ///
     /// # Errors
     ///
@@ -267,21 +286,39 @@ impl RouterSimulator {
             "a simulator needs at least one architecture"
         );
         config.check_window()?;
-        let nodes = architectures
-            .iter()
-            .map(|&architecture| {
-                let routes = RouteTable::new(architecture, config.ports)?;
-                let fabric = Arc::new(PricedRoutes::new(routes, Arc::clone(&model))?);
-                Ok(NodeRun {
-                    architecture,
-                    node: RouterNode::new(fabric, config.node_buffer_bits),
-                    completed: Vec::new(),
-                    spare_payloads: Vec::new(),
-                    packets_delivered: 0,
-                    latency: LatencyHistogram::new(),
-                })
+        let mut node_fabrics: Vec<Vec<Arc<PricedRoutes>>> = Vec::new();
+        let mut shared_node = None;
+        let mut fabrics = Vec::with_capacity(architectures.len());
+        for &architecture in architectures {
+            let routes = RouteTable::new(architecture, config.ports)?;
+            let contendable = routes.contendable();
+            let node = match shared_node {
+                Some(node) if !contendable => node,
+                _ => {
+                    node_fabrics.push(Vec::new());
+                    node_fabrics.len() - 1
+                }
+            };
+            if !contendable {
+                shared_node = Some(node);
+            }
+            fabrics.push(FabricSlot {
+                architecture,
+                node,
+                fabric: node_fabrics[node].len(),
+            });
+            node_fabrics[node].push(Arc::new(PricedRoutes::new(routes, Arc::clone(&model))?));
+        }
+        let nodes = node_fabrics
+            .into_iter()
+            .map(|fabrics| NodeRun {
+                node: RouterNode::sharing(fabrics, config.node_buffer_bits),
+                completed: Vec::new(),
+                spare_payloads: Vec::new(),
+                packets_delivered: 0,
+                latency: LatencyHistogram::new(),
             })
-            .collect::<Result<Vec<_>, SimulationError>>()?;
+            .collect();
         let traffic = TrafficGenerator::new(
             config.ports,
             config.offered_load,
@@ -295,6 +332,7 @@ impl RouterSimulator {
                 ..config
             },
             nodes,
+            fabrics,
             traffic,
             arrivals: Vec::new(),
             cycle: 0,
@@ -302,7 +340,7 @@ impl RouterSimulator {
     }
 
     /// Runs the configured warmup and measurement windows and returns the
-    /// first node's report.
+    /// first architecture's report.
     #[must_use]
     pub fn run(mut self) -> SimulationReport {
         self.advance(self.config.warmup_cycles + self.config.measure_cycles);
@@ -310,7 +348,7 @@ impl RouterSimulator {
     }
 
     /// Runs the configured warmup and measurement windows and returns every
-    /// node's report, in the order the architectures were given.
+    /// architecture's report, in the order the architectures were given.
     #[must_use]
     pub fn run_all(mut self) -> Vec<SimulationReport> {
         self.advance(self.config.warmup_cycles + self.config.measure_cycles);
@@ -366,23 +404,28 @@ impl RouterSimulator {
         }
     }
 
-    /// Builds the first node's report for everything measured so far.
+    /// Builds the first architecture's report for everything measured so
+    /// far.
     #[must_use]
     pub fn report(&self) -> SimulationReport {
-        self.report_of(&self.nodes[0])
+        self.report_of(self.fabrics[0])
     }
 
-    /// Builds every node's report for everything measured so far, in the
-    /// order the architectures were given.
+    /// Builds every architecture's report for everything measured so far,
+    /// in the order the architectures were given.
     #[must_use]
     pub fn reports(&self) -> Vec<SimulationReport> {
-        self.nodes.iter().map(|run| self.report_of(run)).collect()
+        self.fabrics
+            .iter()
+            .map(|&slot| self.report_of(slot))
+            .collect()
     }
 
-    fn report_of(&self, run: &NodeRun) -> SimulationReport {
+    fn report_of(&self, slot: FabricSlot) -> SimulationReport {
+        let run = &self.nodes[slot.node];
         let [latency_p50, latency_p95, latency_p99] = run.latency.summary();
         SimulationReport {
-            architecture: run.architecture,
+            architecture: slot.architecture,
             ports: self.config.ports,
             offered_load: self.config.offered_load,
             measured_cycles: self.cycle.saturating_sub(self.config.warmup_cycles),
@@ -395,16 +438,16 @@ impl RouterSimulator {
             latency_p95,
             latency_p99,
             latency_histogram: run.latency.to_sparse(),
-            energy: run.node.energy(),
+            energy: run.node.fabric_energy(slot.fabric),
             cycle_time: self.config.cycle_time(),
         }
     }
 
-    /// The first node's latency distribution recorded so far (one sample
-    /// per packet delivered during the measurement window).
+    /// The first architecture's latency distribution recorded so far (one
+    /// sample per packet delivered during the measurement window).
     #[must_use]
     pub fn latency_histogram(&self) -> &LatencyHistogram {
-        &self.nodes[0].latency
+        &self.nodes[self.fabrics[0].node].latency
     }
 }
 
