@@ -35,8 +35,11 @@
 //! Energy: every router charges its own switch/buffer/wire energy through
 //! its `FabricEnergyModel` (one spec per distinct node configuration,
 //! `Arc`-shared across the grid); link traversals additionally charge
-//! `polarity flips × grid bit energy × link_grids` per word against the
-//! per-link last-word state, exactly like the intra-fabric wire model.
+//! `grid bit energy × (polarity flips × link_grids)` per word against the
+//! per-link last-word state, read from a row priced once per flip count.
+//! Unlike the intra-fabric wire model, which masks each word to the bus
+//! width, a link counts the flips of the whole 64-bit payload word.  During
+//! warmup a link only takes on each packet's last word.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -208,6 +211,8 @@ struct MeshNetwork {
     link_energy: Energy,
     link_words: u64,
     credit_stalls: u64,
+    /// A link word's wire energy by its flip count `0..=64`.
+    link_prices: Vec<Energy>,
 }
 
 impl MeshNetwork {
@@ -234,6 +239,11 @@ impl MeshNetwork {
         if net.link_depth == 0 {
             return Err(NetworkError::ZeroLinkDepth);
         }
+        let grid_bit_energy = model.grid_bit_energy();
+        let link_grids = f64::from(net.link_grids);
+        let link_prices = (0..=u64::BITS)
+            .map(|flips| grid_bit_energy * (f64::from(flips) * link_grids))
+            .collect();
         // Every node has the same fabric and model, so they share one
         // priced route table.
         let routes =
@@ -294,6 +304,7 @@ impl MeshNetwork {
             link_energy: Energy::ZERO,
             link_words: 0,
             credit_stalls: 0,
+            link_prices,
         })
     }
 
@@ -483,12 +494,7 @@ impl MeshNetwork {
         if staging.is_empty() {
             remove(&mut self.staged, slot);
         }
-        // Wire energy for the serialized word stream on the link.
-        let grid_energy = self.link_word_energy(&packet, slot);
-        if self.measuring {
-            self.link_energy += grid_energy;
-            self.link_words += packet.words() as u64;
-        }
+        self.drive_link(&packet, slot);
         self.meta[packet.id as usize].hops += 1;
         let link = self.links[slot].as_mut().expect("checked above");
         link.in_flight
@@ -496,23 +502,27 @@ impl MeshNetwork {
         insert(&mut self.flying, slot);
     }
 
-    /// Polarity-flip wire energy of one packet crossing one link, updating
-    /// the link's last-word state (state advances even during warmup, like
-    /// the intra-fabric links).
-    fn link_word_energy(&mut self, packet: &Packet, slot: usize) -> Energy {
-        // All nodes share one model, so any node's accessor works.
-        let grid_bit_energy = self.nodes[0].model().grid_bit_energy();
-        let link_grids = f64::from(self.net.link_grids);
+    /// Drives one packet's serialized word stream onto `slot`'s link.
+    /// While measuring, charges its polarity-flip wire energy and counts its
+    /// words; during warmup only the link's last-word state advances, like
+    /// the intra-fabric links.
+    fn drive_link(&mut self, packet: &Packet, slot: usize) {
         let link = self.links[slot]
             .as_mut()
             .expect("caller checked the link exists");
+        if !self.measuring {
+            if let Some(&word) = packet.payload.last() {
+                link.last_word = word;
+            }
+            return;
+        }
         let mut energy = Energy::ZERO;
         for &word in &packet.payload {
-            let flips = f64::from(polarity_flips(link.last_word, word));
-            energy += grid_bit_energy * (flips * link_grids);
+            energy += self.link_prices[polarity_flips(link.last_word, word) as usize];
             link.last_word = word;
         }
-        energy
+        self.link_energy += energy;
+        self.link_words += packet.words() as u64;
     }
 
     fn report(&self) -> NetworkReport {
