@@ -177,27 +177,19 @@ impl FabricTopology {
     /// Dense id of a node switch, in `0..element_count()`:
     /// `stage · elements-per-stage + index`.
     ///
-    /// Together with [`FabricTopology::ingress_link`] and
-    /// [`FabricTopology::hop_link`] this lets a simulator keep per-element
-    /// and per-link state in flat arrays instead of maps keyed by
-    /// [`ElementId`].
+    /// Together with [`FabricTopology::hop_link`] this lets a simulator keep
+    /// per-element and per-link state in flat arrays instead of maps keyed
+    /// by [`ElementId`].
     #[must_use]
     pub fn element_slot(&self, element: ElementId) -> usize {
         element.stage * self.elements_per_stage() + element.index
     }
 
-    /// Number of dense link ids: one ingress segment per port, then one
-    /// link per node-switch output port.
+    /// Number of dense link ids: one ingress segment per port (ids
+    /// `0..ports`, port order), then one link per node-switch output port.
     #[must_use]
     pub fn link_count(&self) -> usize {
         self.ports + self.element_count() * self.links_per_element()
-    }
-
-    /// Dense id of the dedicated ingress segment of port `input`, in
-    /// `0..ports`.
-    #[must_use]
-    pub fn ingress_link(&self, input: usize) -> usize {
-        input
     }
 
     /// Dense id of the link leaving `element` on `output_port`, in
@@ -481,7 +473,6 @@ mod tests {
                 let mut slots = HashMap::new();
                 let mut links = HashMap::new();
                 for input in 0..ports {
-                    assert_eq!(fabric.ingress_link(input), input);
                     for output in 0..ports {
                         for hop in fabric.route(input, output).hops {
                             let slot = fabric.element_slot(hop.element);
