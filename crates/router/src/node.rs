@@ -54,9 +54,11 @@
 //!   port's flows, so it always holds the flow's last word: the node keeps
 //!   its polarity per input, and it is charged only where the route's
 //!   ingress run has grids (the fully-connected broadcast bus).
-//! * **Warm-up.**  A step chooses `transmit::<true>` or `transmit::<false>`
-//!   once.  In warm-up the links, backlogs and words still advance, but no
-//!   price is read, no flip counted and nothing added.
+//! * **Warm-up and idle steps.**  A step chooses `transmit::<true>` or
+//!   `transmit::<false>` once.  In warm-up the links, backlogs and words
+//!   still advance, but no price is read, no flip counted and nothing
+//!   added.  A step that leaves the node without flows ends after
+//!   arbitration.
 //! * **Event-kept arbiter.**  The arbiter never scans the ports.  Per
 //!   output it keeps a bit set of the free inputs whose head-of-line packet
 //!   targets it, and a set of *pending* outputs: free outputs with at least
@@ -580,6 +582,11 @@ impl RouterNode {
     /// priority and is echoed nowhere else.
     pub fn step(&mut self, cycle: u64, completed: &mut Vec<Packet>) {
         self.arbitrate();
+        // Without a flow there is nothing to block, send, charge or
+        // complete.
+        if self.flows.is_empty() {
+            return;
+        }
         self.resolve_contention(cycle);
         if self.measuring {
             self.transmit::<true>();
