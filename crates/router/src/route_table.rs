@@ -86,11 +86,13 @@ pub(crate) struct Route {
 /// use fabric_power_router::RouteTable;
 ///
 /// let table = RouteTable::new(Architecture::Banyan, 8)?;
+/// assert_eq!(table.architecture(), Architecture::Banyan);
 /// assert_eq!(table.ports(), 8);
 /// # Ok::<(), fabric_power_fabric::TopologyError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct RouteTable {
+    architecture: Architecture,
     ports: usize,
     element_count: usize,
     link_count: usize,
@@ -160,6 +162,7 @@ impl RouteTable {
             "{architecture} {ports}x{ports}: hops are either all contendable or none"
         );
         Ok(Self {
+            architecture,
             ports,
             element_count: topology.element_count(),
             link_count: topology.link_count(),
@@ -169,6 +172,12 @@ impl RouteTable {
             hop_data,
             row_len,
         })
+    }
+
+    /// The architecture whose paths the table lowers.
+    #[must_use]
+    pub fn architecture(&self) -> Architecture {
+        self.architecture
     }
 
     /// Number of ingress/egress ports.
@@ -387,6 +396,7 @@ mod tests {
                 // Every path crosses every stage.
                 assert!(table.hop_data.len() <= topology.route(0, 0).hops.len());
                 assert_eq!(table.contendable(), architecture == Architecture::Banyan);
+                assert_eq!(table.architecture(), architecture);
             }
         }
     }

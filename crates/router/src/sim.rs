@@ -37,12 +37,12 @@ pub enum SimulationError {
     Topology(TopologyError),
     /// Acquiring the energy model from a provider failed.
     Model(EnergyModelError),
-    /// The energy model was built for a different port count than the
-    /// configuration requests.
+    /// The energy model, or a priced route table, was built for a
+    /// different port count than the configuration requests.
     PortMismatch {
         /// Ports in the configuration.
         config_ports: usize,
-        /// Ports the energy model was built for.
+        /// Ports the energy model, or the route table, was built for.
         model_ports: usize,
     },
     /// A traffic parameter is out of range.
@@ -104,11 +104,12 @@ impl From<TrafficError> for SimulationError {
 /// The bit-level router simulator.
 ///
 /// One simulator steps the architectures of one operating point from a
-/// single [`TrafficGenerator`] ([`RouterSimulator::lockstep`]): each
-/// cycle's arrivals are drawn once and every [`RouterNode`] gets its own
-/// copy of each packet.  The generator never looks at a node (input queues
-/// are unbounded), so each node sees exactly the traffic a simulator of its
-/// architecture alone would draw, and its report is the same to the bit.
+/// single [`TrafficGenerator`] ([`RouterSimulator::lockstep`], given one
+/// priced route table per architecture): each cycle's arrivals are drawn
+/// once and every [`RouterNode`] gets its own copy of each packet.  The
+/// generator never looks at a node (input queues are unbounded), so each
+/// node sees exactly the traffic a simulator of its architecture alone
+/// would draw, and its report is the same to the bit.
 /// Stepping the architectures together pays for the ChaCha8 keystream once
 /// instead of once per architecture.
 ///
@@ -117,8 +118,11 @@ impl From<TrafficError> for SimulationError {
 /// sends and completes each packet once for all of them: without
 /// interconnect contention no flow is ever blocked, so those do not depend
 /// on the fabric.  Each contendable architecture (the Banyan) has a node of
-/// its own.  [`RouterSimulator::new`] and its siblings build the
-/// one-architecture case of the same step loop.
+/// its own.  [`RouterSimulator::new`] and
+/// [`RouterSimulator::with_shared_model`] lower and price the one table of
+/// `config.architecture` and build the one-architecture case of the same
+/// step loop; a sweep prices each table once and hands it to every
+/// [`lockstep`](RouterSimulator::lockstep) simulator that steps it.
 ///
 /// The loop draws the arrivals of a batch of cycles at a time and then
 /// steps each node through the whole batch, so a node's state stays in
@@ -218,9 +222,8 @@ impl RouterSimulator {
     }
 
     /// Creates a simulator whose energy model is acquired through a
-    /// [`ModelProvider`] — the standard construction path since the
-    /// model-provider layer owns all model acquisition (memoized in memory,
-    /// optionally persisted in a content-addressed on-disk cache).
+    /// [`ModelProvider`]: the path of [`simulate`], which reads the
+    /// process-wide provider.
     ///
     /// The model stays [`Arc`]-shared: repeated simulations of the same spec
     /// reuse one allocation, whether or not they share a thread.
@@ -239,11 +242,12 @@ impl RouterSimulator {
         Self::with_shared_model(config, model)
     }
 
-    /// Creates a simulator from a configuration and a shared energy model.
+    /// Creates a simulator from a configuration and a shared energy model,
+    /// lowering and pricing the route table of `config.architecture`.
     ///
-    /// This is the constructor parameter sweeps use: one immutable model per
-    /// fabric size, shared across every simulation (and worker thread) via
-    /// [`Arc`] instead of being cloned per operating point.
+    /// One immutable model per fabric size is shared across every
+    /// simulation (and worker thread) via [`Arc`] instead of being cloned
+    /// per operating point.
     ///
     /// # Errors
     ///
@@ -254,43 +258,56 @@ impl RouterSimulator {
         config: SimulationConfig,
         model: Arc<FabricEnergyModel>,
     ) -> Result<Self, SimulationError> {
-        let architecture = config.architecture;
-        Self::lockstep(config, &[architecture], model)
+        config.check_window()?;
+        let routes = RouteTable::new(config.architecture, config.ports)?;
+        Self::lockstep(config, &[Arc::new(PricedRoutes::new(routes, model)?)])
     }
 
-    /// Creates a simulator that steps every entry of `architectures` on the
-    /// traffic `config` describes, in lockstep: the contention-free ones on
-    /// one shared node and each contendable one on a node of its own
-    /// (grouped by [`RouteTable`]'s contention, not by name).  Every field
-    /// of `config` but `architecture` applies to every architecture;
-    /// [`RouterSimulator::reports`] lists their reports in `architectures`
-    /// order, and each equals what [`RouterSimulator::with_shared_model`]
-    /// would report for that architecture alone.
+    /// Creates a simulator that steps the architecture of every entry of
+    /// `tables` on the traffic `config` describes, in lockstep: the
+    /// contention-free ones on one shared node and each contendable one on
+    /// a node of its own (grouped by [`RouteTable`]'s contention, not by
+    /// name).  Every field of `config` but `architecture` applies to every
+    /// architecture; [`RouterSimulator::reports`] lists their reports in
+    /// `tables` order, and each equals what
+    /// [`RouterSimulator::with_shared_model`] would report for that
+    /// table's architecture and energy model alone.
+    ///
+    /// The tables are only read, so one priced table can serve every
+    /// simulator that steps its architecture and size: a sweep lowers and
+    /// prices each once.
     ///
     /// # Errors
     ///
-    /// Returns [`SimulationError`] if the measurement window is empty, the
-    /// port count is invalid or does not match the energy model, or a
-    /// traffic parameter is out of range.
+    /// Returns [`SimulationError`] if the measurement window is empty, a
+    /// table was lowered for another port count than `config.ports`
+    /// ([`SimulationError::PortMismatch`]), or a traffic parameter is out
+    /// of range.
     ///
     /// # Panics
     ///
-    /// Panics if `architectures` is empty.
+    /// Panics if `tables` is empty, or if tables that share a node differ
+    /// in bus width.
     pub fn lockstep(
         config: SimulationConfig,
-        architectures: &[Architecture],
-        model: Arc<FabricEnergyModel>,
+        tables: &[Arc<PricedRoutes>],
     ) -> Result<Self, SimulationError> {
         assert!(
-            !architectures.is_empty(),
+            !tables.is_empty(),
             "a simulator needs at least one architecture"
         );
         config.check_window()?;
         let mut node_fabrics: Vec<Vec<Arc<PricedRoutes>>> = Vec::new();
         let mut shared_node = None;
-        let mut fabrics = Vec::with_capacity(architectures.len());
-        for &architecture in architectures {
-            let routes = RouteTable::new(architecture, config.ports)?;
+        let mut fabrics = Vec::with_capacity(tables.len());
+        for table in tables {
+            let routes = table.routes();
+            if routes.ports() != config.ports {
+                return Err(SimulationError::PortMismatch {
+                    config_ports: config.ports,
+                    model_ports: routes.ports(),
+                });
+            }
             let contendable = routes.contendable();
             let node = match shared_node {
                 Some(node) if !contendable => node,
@@ -303,11 +320,11 @@ impl RouterSimulator {
                 shared_node = Some(node);
             }
             fabrics.push(FabricSlot {
-                architecture,
+                architecture: routes.architecture(),
                 node,
                 fabric: node_fabrics[node].len(),
             });
-            node_fabrics[node].push(Arc::new(PricedRoutes::new(routes, Arc::clone(&model))?));
+            node_fabrics[node].push(Arc::clone(table));
         }
         let nodes = node_fabrics
             .into_iter()
@@ -328,7 +345,7 @@ impl RouterSimulator {
         )?;
         Ok(Self {
             config: SimulationConfig {
-                architecture: architectures[0],
+                architecture: fabrics[0].architecture,
                 ..config
             },
             nodes,
@@ -616,6 +633,36 @@ mod tests {
         ));
     }
 
+    fn priced(architecture: Architecture, ports: usize) -> Arc<PricedRoutes> {
+        let routes = RouteTable::new(architecture, ports).unwrap();
+        let model = Arc::new(FabricEnergyModel::paper(ports).unwrap());
+        Arc::new(PricedRoutes::new(routes, model).unwrap())
+    }
+
+    #[test]
+    fn lockstep_rejects_a_table_of_another_port_count() {
+        let config = SimulationConfig::quick(Architecture::Crossbar, 8, 0.2);
+        for tables in [
+            vec![priced(Architecture::Crossbar, 4)],
+            vec![
+                priced(Architecture::Crossbar, 8),
+                priced(Architecture::Banyan, 16),
+            ],
+        ] {
+            let error = RouterSimulator::lockstep(config.clone(), &tables).unwrap_err();
+            assert!(
+                matches!(
+                    error,
+                    SimulationError::PortMismatch {
+                        config_ports: 8,
+                        model_ports: 4 | 16,
+                    }
+                ),
+                "{error}"
+            );
+        }
+    }
+
     #[test]
     fn provider_constructed_simulator_matches_direct_construction() {
         let provider = ModelProvider::in_memory();
@@ -705,14 +752,18 @@ mod tests {
                         .run()
                 })
                 .collect();
-            let lockstep =
-                RouterSimulator::lockstep(config.clone(), &architectures, Arc::clone(&model))
-                    .unwrap();
+            let tables: Vec<Arc<PricedRoutes>> = architectures
+                .iter()
+                .map(|&architecture| {
+                    let routes = RouteTable::new(architecture, ports).unwrap();
+                    Arc::new(PricedRoutes::new(routes, Arc::clone(&model)).unwrap())
+                })
+                .collect();
+            let lockstep = RouterSimulator::lockstep(config.clone(), &tables).unwrap();
             prop_assert_eq!(lockstep.run_all(), separate.clone());
 
             // Stepping one cycle at a time replays the same arrivals.
-            let mut stepped =
-                RouterSimulator::lockstep(config, &architectures, model).unwrap();
+            let mut stepped = RouterSimulator::lockstep(config, &tables).unwrap();
             for _ in 0..warmup + measure {
                 stepped.step();
             }

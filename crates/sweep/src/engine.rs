@@ -10,7 +10,8 @@ use fabric_power_fabric::provider::ModelProvider;
 use fabric_power_fabric::Architecture;
 use fabric_power_noc::{NetworkReport, NetworkSimulator};
 use fabric_power_obs as obs;
-use fabric_power_router::sim::RouterSimulator;
+use fabric_power_router::sim::{RouterSimulator, SimulationError};
+use fabric_power_router::{PricedRoutes, RouteTable};
 
 /// The obs target engine spans are tagged with.
 const TARGET: &str = "sweep.engine";
@@ -169,6 +170,9 @@ impl SweepEngine {
     /// The cells run in [`traffic_groups`]: single-router cells that draw
     /// the same traffic run as one lockstep simulation, so the traffic is
     /// generated once per operating point instead of once per architecture.
+    /// Each distinct (architecture, ports) route table is lowered and priced
+    /// once ([`price_tables`]) and [`Arc`]-shared by every group, and every
+    /// worker thread, that steps it.
     ///
     /// # Errors
     ///
@@ -181,10 +185,20 @@ impl SweepEngine {
     ) -> Result<Vec<SweepPoint>, ExperimentError> {
         let models = self.build_models(config, cells)?;
         let groups = traffic_groups(cells);
-        let results = executor::parallel_map(&groups, self.threads().max(1), |group| {
-            let group: Vec<&SweepCell> = group.iter().map(|&position| &cells[position]).collect();
-            self.run_group(config, &group, &models[&group[0].ports])
-        });
+        let (tables, table_error) = price_tables(cells, &groups, &models);
+        // Only the groups before the first one whose table failed run:
+        // they hold the cells that could fail before it.
+        let runnable: Vec<(&[usize], &[Arc<PricedRoutes>])> = groups
+            .iter()
+            .zip(&tables)
+            .map(|(group, tables)| (group.as_slice(), tables.as_slice()))
+            .collect();
+        let results =
+            executor::parallel_map(&runnable, self.threads().max(1), |&(group, tables)| {
+                let group: Vec<&SweepCell> =
+                    group.iter().map(|&position| &cells[position]).collect();
+                self.run_group(config, &group, &models[&group[0].ports], tables)
+            });
         let mut points: Vec<Option<SweepPoint>> = vec![None; cells.len()];
         // A group fails as a whole: construction errors depend on the
         // traffic and the port count, never on the architecture.  Groups are
@@ -194,6 +208,9 @@ impl SweepEngine {
             for (&position, point) in group.iter().zip(result?) {
                 points[position] = Some(point);
             }
+        }
+        if let Some(error) = table_error {
+            return Err(error.into());
         }
         Ok(points
             .into_iter()
@@ -284,10 +301,11 @@ impl SweepEngine {
         })
     }
 
-    /// Simulates one traffic group against its shared energy model and
-    /// returns a point per cell, in the group's order: a network cell alone,
+    /// Simulates one traffic group and returns a point per cell, in the
+    /// group's order: a network cell alone against its shared energy model,
     /// or every single-router cell of the group in one lockstep
-    /// [`RouterSimulator`].
+    /// [`RouterSimulator`] over `tables`, the cells' priced route tables in
+    /// group order.
     ///
     /// Every operating parameter comes from the cells themselves (a cell is
     /// the self-describing unit sharding ships around, including its network
@@ -300,6 +318,7 @@ impl SweepEngine {
         config: &ExperimentConfig,
         group: &[&SweepCell],
         model: &Arc<FabricEnergyModel>,
+        tables: &[Arc<PricedRoutes>],
     ) -> Result<Vec<SweepPoint>, ExperimentError> {
         let spans: Vec<obs::log::Span> = group
             .iter()
@@ -328,18 +347,14 @@ impl SweepEngine {
                         .run(),
                 ]
             }
-            None => {
-                let architectures: Vec<Architecture> =
-                    group.iter().map(|cell| cell.architecture).collect();
-                RouterSimulator::lockstep(sim_config, &architectures, Arc::clone(model))?
-                    .run_all()
-                    .into_iter()
-                    .map(|simulation| NetworkReport {
-                        simulation,
-                        network: None,
-                    })
-                    .collect()
-            }
+            None => RouterSimulator::lockstep(sim_config, tables)?
+                .run_all()
+                .into_iter()
+                .map(|simulation| NetworkReport {
+                    simulation,
+                    network: None,
+                })
+                .collect(),
         };
         drop(spans);
         Ok(group
@@ -367,6 +382,43 @@ impl SweepEngine {
             })
             .collect())
     }
+}
+
+/// Lowers and prices the route tables of the single-router groups: each
+/// distinct (architecture, ports) table once, under its size's model,
+/// [`Arc`]-shared by every group that steps it.  Returns each group's
+/// tables in group order (none for a network group, whose mesh lowers its
+/// own), up to the first group a table fails for, and that failure.
+fn price_tables(
+    cells: &[SweepCell],
+    groups: &[Vec<usize>],
+    models: &HashMap<usize, Arc<FabricEnergyModel>>,
+) -> (Vec<Vec<Arc<PricedRoutes>>>, Option<SimulationError>) {
+    let mut priced: HashMap<(Architecture, usize), Arc<PricedRoutes>> = HashMap::new();
+    let mut table_for = |cell: &SweepCell| -> Result<Arc<PricedRoutes>, SimulationError> {
+        let key = (cell.architecture, cell.ports);
+        if let Some(table) = priced.get(&key) {
+            return Ok(Arc::clone(table));
+        }
+        let routes = RouteTable::new(cell.architecture, cell.ports)?;
+        let table = Arc::new(PricedRoutes::new(routes, Arc::clone(&models[&cell.ports]))?);
+        priced.insert(key, Arc::clone(&table));
+        Ok(table)
+    };
+    let mut tables = Vec::with_capacity(groups.len());
+    for group in groups {
+        let group_tables = group
+            .iter()
+            .map(|&position| &cells[position])
+            .filter(|cell| cell.network.is_none())
+            .map(&mut table_for)
+            .collect();
+        match group_tables {
+            Ok(group_tables) => tables.push(group_tables),
+            Err(error) => return (tables, Some(error)),
+        }
+    }
+    (tables, None)
 }
 
 /// Splits a cell list into the groups that can share one simulation, as
@@ -635,6 +687,70 @@ mod tests {
             err.to_string(),
             "shard index 5 is out of range: the plan has 2 shard(s)"
         );
+    }
+
+    #[test]
+    fn a_sweep_prices_each_route_table_once() {
+        let config = crate::registry::ScenarioRegistry::builtin()
+            .get("paper-fig9")
+            .unwrap()
+            .config
+            .clone();
+        let engine = SweepEngine::new()
+            .with_threads(1)
+            .with_provider(Arc::new(ModelProvider::in_memory()));
+        for (strategy, group_count) in [(SeedStrategy::Shared, 20), (SeedStrategy::PerCell, 80)] {
+            let cells = crate::plan::expand_cells(&config, strategy);
+            let models = engine.build_models(&config, &cells).unwrap();
+            let groups = traffic_groups(&cells);
+            let (tables, error) = price_tables(&cells, &groups, &models);
+            assert!(error.is_none(), "{strategy:?}");
+            assert_eq!(tables.len(), group_count, "{strategy:?}");
+            // Each group holds its cells' tables in its order, and every
+            // group of one size holds the same table per architecture.
+            let mut shared: HashMap<(Architecture, usize), &Arc<PricedRoutes>> = HashMap::new();
+            for (group, tables) in groups.iter().zip(&tables) {
+                assert_eq!(group.len(), tables.len());
+                for (&position, table) in group.iter().zip(tables) {
+                    let cell = &cells[position];
+                    assert_eq!(table.routes().architecture(), cell.architecture);
+                    assert_eq!(table.routes().ports(), cell.ports);
+                    let first = shared
+                        .entry((cell.architecture, cell.ports))
+                        .or_insert(table);
+                    assert!(Arc::ptr_eq(first, table), "{strategy:?}: {cell:?}");
+                }
+            }
+            // Four architectures at four sizes: 16 tables lowered.
+            let lowered: std::collections::HashSet<*const PricedRoutes> =
+                tables.iter().flatten().map(Arc::as_ptr).collect();
+            assert_eq!(lowered.len(), 16, "{strategy:?}");
+        }
+    }
+
+    #[test]
+    fn the_tables_stop_at_the_first_group_a_table_fails_for() {
+        // A model of the wrong size makes every 8-port table fail to price;
+        // the 4-port groups come first in the quick grid and still get
+        // their tables.
+        let config = ExperimentConfig::quick();
+        let cells = crate::plan::expand_cells(&config, SeedStrategy::Shared);
+        let groups = traffic_groups(&cells);
+        let small = Arc::new(FabricEnergyModel::paper(4).unwrap());
+        let models = HashMap::from([(4, Arc::clone(&small)), (8, small)]);
+        let (tables, error) = price_tables(&cells, &groups, &models);
+        let first_failing = groups
+            .iter()
+            .position(|group| cells[group[0]].ports == 8)
+            .unwrap();
+        assert_eq!(tables.len(), first_failing);
+        assert!(matches!(
+            error,
+            Some(SimulationError::PortMismatch {
+                config_ports: 8,
+                model_ports: 4,
+            })
+        ));
     }
 
     #[test]
