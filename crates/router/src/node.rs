@@ -54,11 +54,19 @@
 //!   port's flows, so it always holds the flow's last word: the node keeps
 //!   its polarity per input, and it is charged only where the route's
 //!   ingress run has grids (the fully-connected broadcast bus).
-//! * **Warm-up and idle steps.**  A step chooses `transmit::<true>` or
-//!   `transmit::<false>` once.  In warm-up the links, backlogs and words
-//!   still advance, but no price is read, no flip counted and nothing
-//!   added.  A step that leaves the node without flows ends after
-//!   arbitration.
+//! * **Warm-up.**  A step chooses `transmit::<true>` or `transmit::<false>`
+//!   once.  In warm-up the links, backlogs and words still advance, but no
+//!   price is read, no flip counted and nothing added.
+//! * **Skipped passes.**  A step runs a pass only when the cycle's events
+//!   give it work, and each skip is exact.  The arbiter's may-be-pending
+//!   flag is set by every event that marks an output pending and cleared
+//!   by the pass, so while it is clear no output is pending and a pass
+//!   would grant nothing.  A step that leaves the node without flows ends
+//!   after arbitration.  Only a contendable node has claim stamps; on any
+//!   other no flow is ever blocked, so the contention pass returns before
+//!   it reads the table.  A flow completes only when it is granted without
+//!   a word or sends its last one; the grant and `transmit` count those,
+//!   and completion runs only when the count is non-zero.
 //! * **Event-kept arbiter.**  The arbiter never scans the ports.  Per
 //!   output it keeps a bit set of the free inputs whose head-of-line packet
 //!   targets it, and a set of *pending* outputs: free outputs with at least
@@ -178,6 +186,9 @@ struct Arbiter {
     busy: Vec<u64>,
     /// The free outputs with at least one request.  Empty between passes.
     pending: Vec<u64>,
+    /// Set whenever an event marks an output pending, cleared by the pass:
+    /// while it is clear, `pending` is empty and a pass would grant nothing.
+    may_be_pending: bool,
     grants: Vec<(usize, usize)>,
 }
 
@@ -190,6 +201,7 @@ impl Arbiter {
             requests: vec![0; ports * words],
             busy: vec![0; words],
             pending: vec![0; words],
+            may_be_pending: false,
             grants: Vec::with_capacity(ports),
         }
     }
@@ -205,6 +217,7 @@ impl Arbiter {
         let (word, mask) = bit(output);
         if self.busy[word] & mask == 0 {
             self.pending[word] |= mask;
+            self.may_be_pending = true;
         }
     }
 
@@ -215,6 +228,7 @@ impl Arbiter {
         self.busy[word] &= !mask;
         if self.requests(output).iter().any(|&requests| requests != 0) {
             self.pending[word] |= mask;
+            self.may_be_pending = true;
         }
     }
 
@@ -226,6 +240,7 @@ impl Arbiter {
     /// requester, so the pass leaves no output pending.
     fn arbitrate(&mut self) -> &[(usize, usize)] {
         let ports = self.grant_pointer.len();
+        self.may_be_pending = false;
         self.grants.clear();
         for word in 0..self.words {
             let mut outputs = std::mem::take(&mut self.pending[word]);
@@ -391,6 +406,9 @@ pub struct RouterNode {
     input_last_word: Vec<u64>,
     arbiter: Arbiter,
     flows: Vec<ActiveFlow>,
+    /// Flows that finished this step: granted without a word, or sent
+    /// their last one.  Completion runs only when it is non-zero.
+    finished: usize,
     /// The words the flows send this cycle.
     sends: Vec<Send>,
     /// Words parked in each element's node buffer, by dense element id.
@@ -466,6 +484,7 @@ impl RouterNode {
             input_last_word: vec![0; ports],
             arbiter: Arbiter::new(ports),
             flows: Vec::with_capacity(ports),
+            finished: 0,
             sends: Vec::with_capacity(ports),
             node_buffer_words,
             claimed,
@@ -576,12 +595,16 @@ impl RouterNode {
     /// capacity is reused across cycles.  Arbitration visits only the
     /// outputs that can grant and every path comes from the node's priced
     /// [`RouteTable`](crate::route_table::RouteTable), so in steady state a
-    /// step neither hashes nor allocates.
+    /// step neither hashes nor allocates.  A pass this cycle's events give
+    /// no work is skipped (see the module docs).
     ///
     /// The caller owns the clock: `cycle` only seeds the rotating contention
     /// priority and is echoed nowhere else.
     pub fn step(&mut self, cycle: u64, completed: &mut Vec<Packet>) {
-        self.arbitrate();
+        // Without a pending output the pass would grant nothing.
+        if self.arbiter.may_be_pending {
+            self.arbitrate();
+        }
         // Without a flow there is nothing to block, send, charge or
         // complete.
         if self.flows.is_empty() {
@@ -593,7 +616,10 @@ impl RouterNode {
         } else {
             self.transmit::<false>();
         }
-        self.complete_flows(completed);
+        // Only a flow that finished this step is complete.
+        if self.finished > 0 {
+            self.complete_flows(completed);
+        }
     }
 
     /// First-come-first-serve arbitration with a round-robin tie-break per
@@ -607,7 +633,9 @@ impl RouterNode {
             let route = self.fabrics[0].priced.routes().route_index(input, output);
             // A packet without words completes at once and never occupies
             // its path.
-            if !packet.payload.is_empty() {
+            if packet.payload.is_empty() {
+                self.finished += 1;
+            } else {
                 for fabric in &mut self.fabrics {
                     fabric.count_route(route, true);
                 }
@@ -638,11 +666,14 @@ impl RouterNode {
     /// Each pass has a new number, and a claim stamps the link with it, so
     /// the last pass's claims lapse without being cleared.
     fn resolve_contention(&mut self, cycle: u64) {
-        let fabric = &mut self.fabrics[0];
-        let table = fabric.priced.routes();
-        if self.flows.is_empty() || !table.contendable() {
+        // Only a contendable node has claim stamps, so a contention-free
+        // one returns before it reads its table.
+        if self.claimed.is_empty() || self.flows.is_empty() {
             return;
         }
+        let fabric = &mut self.fabrics[0];
+        let table = fabric.priced.routes();
+        debug_assert!(table.contendable());
         self.contention_pass += 1;
         let pass = self.contention_pass;
         let claimed = &mut self.claimed[..];
@@ -685,6 +716,7 @@ impl RouterNode {
         let mut buffered_words = 0;
         let mut overflows = 0;
         let mut words_delivered = 0;
+        let mut finished = 0;
         sends.clear();
         for flow in &mut self.flows {
             if flow.is_complete() {
@@ -731,8 +763,12 @@ impl RouterNode {
 
             flow.words_delivered += 1;
             words_delivered += 1;
+            if flow.is_complete() {
+                finished += 1;
+            }
         }
 
+        self.finished += finished;
         for fabric in &mut self.fabrics {
             fabric.charge::<MEASURING>(sends);
         }
@@ -750,6 +786,8 @@ impl RouterNode {
     /// output), and moves their packets into `completed` in completion
     /// order.
     fn complete_flows(&mut self, completed: &mut Vec<Packet>) {
+        let finished = std::mem::take(&mut self.finished);
+        let before = completed.len();
         for flow in self.flows.extract_if(.., |flow| flow.is_complete()) {
             // A flow finishes on a word it sent unblocked, so it still
             // occupies its path, unless it never had a word to send.
@@ -770,6 +808,11 @@ impl RouterNode {
             }
             completed.push(flow.packet);
         }
+        debug_assert_eq!(
+            completed.len() - before,
+            finished,
+            "every completed flow was counted as finished"
+        );
     }
 }
 
@@ -896,10 +939,12 @@ mod tests {
                     Some((input, output))
                 });
                 let held: Vec<usize> = holding.iter().flatten().copied().collect();
-                prop_assert_eq!(
-                    arbiter_sets(&arbiter),
-                    recounted_sets(ports, requested, held.iter().copied())
+                let recounted = recounted_sets(ports, requested, held.iter().copied());
+                prop_assert!(
+                    arbiter.may_be_pending || recounted[2].iter().all(|&w| w == 0),
+                    "an output is pending but the flag is clear"
                 );
+                prop_assert_eq!(arbiter_sets(&arbiter), recounted);
 
                 let grants = arbiter.arbitrate().to_vec();
                 let mut output_busy = vec![false; ports];
@@ -915,6 +960,7 @@ mod tests {
                 prop_assert_eq!(&grants, &expected);
                 prop_assert_eq!(&arbiter.grant_pointer, &reference_pointers);
                 prop_assert!(arbiter.pending.iter().all(|&w| w == 0), "an output left pending");
+                prop_assert!(!arbiter.may_be_pending, "the pass left the flag set");
                 for (input, output) in grants {
                     queues[input].pop_front();
                     holding[input] = Some(output);
@@ -1060,7 +1106,18 @@ mod tests {
                         &recounted_occupancy(&node, fabric, element_rows)
                     );
                 }
-                prop_assert_eq!(arbiter_sets(&node.arbiter), recounted_arbiter_sets(&node));
+                // The skipped passes left no work undone: no finished flow
+                // stays, and a pending output is always flagged.
+                prop_assert!(
+                    !node.flows.iter().any(ActiveFlow::is_complete),
+                    "a finished flow was left in the fabric"
+                );
+                let recounted = recounted_arbiter_sets(&node);
+                prop_assert!(
+                    node.arbiter.may_be_pending || recounted[2].iter().all(|&w| w == 0),
+                    "an output is pending but the flag is clear"
+                );
+                prop_assert_eq!(arbiter_sets(&node.arbiter), recounted);
                 for packet in completed.drain(..) {
                     let injected = outstanding[packet.id as usize].take();
                     prop_assert!(
