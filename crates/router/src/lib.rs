@@ -16,7 +16,7 @@
 //! * [`config`] — simulation configuration and the per-run report;
 //! * [`route_table`] — every fabric path lowered once into dense link and
 //!   element ids, and every hop kind priced once under an energy model,
-//!   shared by the nodes of a mesh;
+//!   shared by the nodes of a mesh and by every simulator of a sweep;
 //! * [`node`] — the reusable per-tick switching core of one router
 //!   (injected traffic, shared with the `fabric-power-noc` network layer);
 //! * [`sim`] — the single-router driver built on it.

@@ -305,8 +305,9 @@ impl Occupancy {
 /// element occupancy and energy.
 #[derive(Debug)]
 struct Fabric {
-    /// Shared immutable route table priced under an energy model (one per
-    /// simulator, [`Arc`]-shared across a mesh's nodes).
+    /// Shared immutable route table priced under an energy model
+    /// ([`Arc`]-shared across a mesh's nodes, and across a sweep's
+    /// simulators).
     priced: Arc<PricedRoutes>,
     /// Last word driven onto each element's output links, by dense link id
     /// (the ingress segments' ids stay unused: the node keeps those per

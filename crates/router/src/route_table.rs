@@ -24,7 +24,9 @@
 //! of flipped bits, then its switch energy for each possible occupancy of
 //! its element.  Every hop through one element has the same switch prices,
 //! so a node can keep each element's price at its current occupancy in one
-//! array.  A mesh builds one and [`Arc`]-shares it across all of its nodes.
+//! array.  A mesh builds one and [`Arc`]-shares it across all of its nodes,
+//! and a sweep builds one per architecture and size and shares it across
+//! every lockstep simulator that steps it.
 //!
 //! [`RouterNode`]: crate::node::RouterNode
 
