@@ -188,11 +188,7 @@ impl SweepEngine {
         let (tables, table_error) = price_tables(cells, &groups, &models);
         // Only the groups before the first one whose table failed run:
         // they hold the cells that could fail before it.
-        let runnable: Vec<(&[usize], &[Arc<PricedRoutes>])> = groups
-            .iter()
-            .zip(&tables)
-            .map(|(group, tables)| (group.as_slice(), tables.as_slice()))
-            .collect();
+        let runnable: Vec<_> = groups.iter().zip(&tables).collect();
         let results =
             executor::parallel_map(&runnable, self.threads().max(1), |&(group, tables)| {
                 let group: Vec<&SweepCell> =
