@@ -8,6 +8,7 @@
 use std::sync::OnceLock;
 
 use fabric_power_core::paper::{published_fc_vs_batcher_gap, Ledger, Row};
+use fabric_power_fabric::provider::stable_hash_hex;
 use fabric_power_sweep::{PortSweep, ScenarioRegistry};
 use fabric_power_tech::constants::FIGURE10_THROUGHPUT;
 
@@ -62,6 +63,35 @@ fn every_row_is_in_its_band_at_every_seed() {
     assert_eq!(seeds("§6 obs. 1"), [5]);
     assert_eq!(seeds("§6 obs. 2"), [5]);
     assert_eq!(seeds("§6"), [5]);
+}
+
+/// `conform`'s stdout is the ledger's `Display`; its digest is pinned in
+/// `tests/golden/scenario_digests.json` next to the scenario documents'.
+#[test]
+fn conform_stdout_is_pinned() {
+    #[derive(serde::Deserialize)]
+    struct Pins {
+        conform_stdout: String,
+    }
+    let golden = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/scenario_digests.json"
+    ))
+    .expect("read the golden");
+    let pinned = serde_json::from_str::<Pins>(&golden)
+        .expect("parse the golden")
+        .conform_stdout;
+    let stdout = ledger().to_string();
+    let digest = stable_hash_hex(stdout.as_bytes());
+    if digest != pinned {
+        let fresh = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("conform_stdout.txt");
+        std::fs::write(&fresh, &stdout).expect("write the fresh stdout");
+        panic!(
+            "conform's stdout drifted: its digest is {digest} (pinned {pinned}); \
+             the fresh stdout is in {}",
+            fresh.display()
+        );
+    }
 }
 
 #[test]
