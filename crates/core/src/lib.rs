@@ -72,12 +72,10 @@ mod tests {
         let model = FabricEnergyModel::paper(4).expect("model");
         assert!(analytic::banyan_bit_energy(&model, 0) < analytic::crossbar_bit_energy(&model));
         // Simulation path.
-        let report = fabric_power_router::simulate(SimulationConfig::quick(
-            Architecture::FullyConnected,
-            4,
-            0.2,
-        ))
-        .expect("simulation");
+        let config = SimulationConfig::quick(Architecture::FullyConnected, 4, 0.2);
+        let report = RouterSimulator::with_shared_model(config, std::sync::Arc::new(model))
+            .expect("simulation")
+            .run();
         assert!(report.measured_throughput() > 0.0);
     }
 }

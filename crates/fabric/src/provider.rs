@@ -342,9 +342,8 @@ impl ModelProvider {
     }
 
     /// The process-wide shared provider (in-memory only): the default model
-    /// source for sweep engines, [`crate::analytic::analytic_table`] and the
-    /// router's `simulate`, so every sweep in a process reuses the same
-    /// characterized models.
+    /// source for sweep engines and [`crate::analytic::analytic_table`], so
+    /// every sweep in a process reuses the same characterized models.
     #[must_use]
     pub fn shared() -> Arc<Self> {
         static SHARED: OnceLock<Arc<ModelProvider>> = OnceLock::new();

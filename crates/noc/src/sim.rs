@@ -614,8 +614,6 @@ impl MeshNetwork {
 #[derive(Debug)]
 pub struct NetworkSimulator {
     inner: Inner,
-    warmup_cycles: u64,
-    measure_cycles: u64,
 }
 
 #[derive(Debug)]
@@ -638,7 +636,6 @@ impl NetworkSimulator {
         network: NetworkConfig,
         model: Arc<FabricEnergyModel>,
     ) -> Result<Self, NetworkError> {
-        let (warmup_cycles, measure_cycles) = (config.warmup_cycles, config.measure_cycles);
         let inner = if network.nodes() == 0 {
             return Err(NetworkError::EmptyNetwork);
         } else if network.nodes() == 1 {
@@ -646,41 +643,24 @@ impl NetworkSimulator {
         } else {
             Inner::Multi(Box::new(MeshNetwork::new(config, network, model)?))
         };
-        Ok(Self {
-            inner,
-            warmup_cycles,
-            measure_cycles,
-        })
-    }
-
-    /// Simulates one global tick.
-    pub fn step(&mut self) {
-        match &mut self.inner {
-            Inner::Single(sim) => sim.step(),
-            Inner::Multi(mesh) => mesh.step(),
-        }
+        Ok(Self { inner })
     }
 
     /// Runs the configured warmup and measurement windows and returns the
     /// report.
     #[must_use]
-    pub fn run(mut self) -> NetworkReport {
-        let total = self.warmup_cycles + self.measure_cycles;
-        for _ in 0..total {
-            self.step();
-        }
-        self.report()
-    }
-
-    /// Builds the report for everything measured so far.
-    #[must_use]
-    pub fn report(&self) -> NetworkReport {
-        match &self.inner {
+    pub fn run(self) -> NetworkReport {
+        match self.inner {
             Inner::Single(sim) => NetworkReport {
-                simulation: sim.report(),
+                simulation: sim.run(),
                 network: None,
             },
-            Inner::Multi(mesh) => mesh.report(),
+            Inner::Multi(mut mesh) => {
+                for _ in 0..mesh.config.warmup_cycles + mesh.config.measure_cycles {
+                    mesh.step();
+                }
+                mesh.report()
+            }
         }
     }
 }

@@ -29,11 +29,12 @@
 //! use fabric_power_fabric::{Architecture, FabricEnergyModel};
 //! use fabric_power_router::config::SimulationConfig;
 //! use fabric_power_router::sim::RouterSimulator;
+//! use std::sync::Arc;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let config = SimulationConfig::quick(Architecture::Banyan, 16, 0.3);
-//! let model = FabricEnergyModel::paper(16)?;
-//! let report = RouterSimulator::new(config, model)?.run();
+//! let model = Arc::new(FabricEnergyModel::paper(16)?);
+//! let report = RouterSimulator::with_shared_model(config, model)?.run();
 //! println!(
 //!     "throughput {:.2}, power {}",
 //!     report.measured_throughput(),
@@ -61,7 +62,7 @@ pub use energy::EnergyAccount;
 pub use node::RouterNode;
 pub use packet::Packet;
 pub use route_table::{PricedRoutes, RouteTable};
-pub use sim::{simulate, RouterSimulator};
+pub use sim::RouterSimulator;
 pub use traffic::TrafficPattern;
 
 #[cfg(test)]

@@ -18,8 +18,7 @@
 
 use std::sync::Arc;
 
-use fabric_power_fabric::energy_model::{EnergyModelError, FabricEnergyModel};
-use fabric_power_fabric::provider::{ModelProvider, ModelSpec};
+use fabric_power_fabric::energy_model::FabricEnergyModel;
 use fabric_power_fabric::topology::TopologyError;
 use fabric_power_fabric::Architecture;
 
@@ -35,8 +34,6 @@ use crate::traffic::{TrafficError, TrafficGenerator};
 pub enum SimulationError {
     /// The topology could not be built (bad port count).
     Topology(TopologyError),
-    /// Acquiring the energy model from a provider failed.
-    Model(EnergyModelError),
     /// The energy model, or a priced route table, was built for a
     /// different port count than the configuration requests.
     PortMismatch {
@@ -56,7 +53,6 @@ impl std::fmt::Display for SimulationError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Self::Topology(e) => write!(f, "topology: {e}"),
-            Self::Model(e) => write!(f, "energy model: {e}"),
             Self::PortMismatch {
                 config_ports,
                 model_ports,
@@ -76,7 +72,6 @@ impl std::error::Error for SimulationError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             Self::Topology(e) => Some(e),
-            Self::Model(e) => Some(e),
             Self::Traffic(e) => Some(e),
             Self::PortMismatch { .. } | Self::ZeroMeasureCycles => None,
         }
@@ -86,12 +81,6 @@ impl std::error::Error for SimulationError {
 impl From<TopologyError> for SimulationError {
     fn from(e: TopologyError) -> Self {
         Self::Topology(e)
-    }
-}
-
-impl From<EnergyModelError> for SimulationError {
-    fn from(e: EnergyModelError) -> Self {
-        Self::Model(e)
     }
 }
 
@@ -118,11 +107,10 @@ impl From<TrafficError> for SimulationError {
 /// sends and completes each packet once for all of them: without
 /// interconnect contention no flow is ever blocked, so those do not depend
 /// on the fabric.  Each contendable architecture (the Banyan) has a node of
-/// its own.  [`RouterSimulator::new`] and
-/// [`RouterSimulator::with_shared_model`] lower and price the one table of
-/// `config.architecture` and build the one-architecture case of the same
-/// step loop; a sweep prices each table once and hands it to every
-/// [`lockstep`](RouterSimulator::lockstep) simulator that steps it.
+/// its own.  [`RouterSimulator::with_shared_model`] lowers and prices the
+/// one table of `config.architecture` and builds the one-architecture case
+/// of the same step loop; a sweep prices each table once and hands it to
+/// every [`lockstep`](RouterSimulator::lockstep) simulator that steps it.
 ///
 /// The loop draws the arrivals of a batch of cycles at a time and then
 /// steps each node through the whole batch, so a node's state stays in
@@ -134,11 +122,12 @@ impl From<TrafficError> for SimulationError {
 /// use fabric_power_fabric::{Architecture, FabricEnergyModel};
 /// use fabric_power_router::config::SimulationConfig;
 /// use fabric_power_router::sim::RouterSimulator;
+/// use std::sync::Arc;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let config = SimulationConfig::quick(Architecture::Banyan, 4, 0.3);
-/// let model = FabricEnergyModel::paper(4)?;
-/// let report = RouterSimulator::new(config, model)?.run();
+/// let model = Arc::new(FabricEnergyModel::paper(4)?);
+/// let report = RouterSimulator::with_shared_model(config, model)?.run();
 /// assert!(report.measured_throughput() > 0.0);
 /// assert!(report.energy.total().as_joules() > 0.0);
 /// # Ok(())
@@ -146,8 +135,8 @@ impl From<TrafficError> for SimulationError {
 /// ```
 #[derive(Debug)]
 pub struct RouterSimulator {
-    /// The shared configuration; its `architecture` is the first
-    /// architecture's.
+    /// The shared configuration; its `architecture` is not read (each
+    /// report names its table's).
     config: SimulationConfig,
     /// The nodes that charge the architectures, all fed the same arrivals.
     nodes: Vec<NodeRun>,
@@ -207,41 +196,6 @@ impl NodeRun {
 const REPLAY_CYCLES: u64 = 64;
 
 impl RouterSimulator {
-    /// Creates a simulator from a configuration and a matching energy model.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimulationError`] if the measurement window is empty, the
-    /// port count is invalid or does not match the energy model, or a
-    /// traffic parameter is out of range.
-    pub fn new(
-        config: SimulationConfig,
-        model: FabricEnergyModel,
-    ) -> Result<Self, SimulationError> {
-        Self::with_shared_model(config, Arc::new(model))
-    }
-
-    /// Creates a simulator whose energy model is acquired through a
-    /// [`ModelProvider`]: the path of [`simulate`], which reads the
-    /// process-wide provider.
-    ///
-    /// The model stays [`Arc`]-shared: repeated simulations of the same spec
-    /// reuse one allocation, whether or not they share a thread.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimulationError`] if the model cannot be built, the port
-    /// count is invalid, the spec's port count does not match the
-    /// configuration's, or a traffic parameter is out of range.
-    pub(crate) fn from_provider(
-        config: SimulationConfig,
-        provider: &ModelProvider,
-        spec: &ModelSpec,
-    ) -> Result<Self, SimulationError> {
-        let model = provider.get(spec)?;
-        Self::with_shared_model(config, model)
-    }
-
     /// Creates a simulator from a configuration and a shared energy model,
     /// lowering and pricing the route table of `config.architecture`.
     ///
@@ -268,7 +222,7 @@ impl RouterSimulator {
     /// contention-free ones on one shared node and each contendable one on
     /// a node of its own (grouped by [`RouteTable`]'s contention, not by
     /// name).  Every field of `config` but `architecture` applies to every
-    /// architecture; [`RouterSimulator::reports`] lists their reports in
+    /// architecture; [`RouterSimulator::run_all`] lists their reports in
     /// `tables` order, and each equals what
     /// [`RouterSimulator::with_shared_model`] would report for that
     /// table's architecture and energy model alone.
@@ -344,10 +298,7 @@ impl RouterSimulator {
             config.seed,
         )?;
         Ok(Self {
-            config: SimulationConfig {
-                architecture: fabrics[0].architecture,
-                ..config
-            },
+            config,
             nodes,
             fabrics,
             traffic,
@@ -361,7 +312,7 @@ impl RouterSimulator {
     #[must_use]
     pub fn run(mut self) -> SimulationReport {
         self.advance(self.config.warmup_cycles + self.config.measure_cycles);
-        self.report()
+        self.report_of(self.fabrics[0])
     }
 
     /// Runs the configured warmup and measurement windows and returns every
@@ -370,13 +321,6 @@ impl RouterSimulator {
     pub fn run_all(mut self) -> Vec<SimulationReport> {
         self.advance(self.config.warmup_cycles + self.config.measure_cycles);
         self.reports()
-    }
-
-    /// Simulates a single clock cycle. Exposed so tests and interactive tools
-    /// can drive the simulator incrementally; most callers want
-    /// [`RouterSimulator::run`].
-    pub fn step(&mut self) {
-        self.advance(1);
     }
 
     /// Simulates the next `cycles` clock cycles, [`REPLAY_CYCLES`] at a
@@ -421,17 +365,9 @@ impl RouterSimulator {
         }
     }
 
-    /// Builds the first architecture's report for everything measured so
-    /// far.
-    #[must_use]
-    pub fn report(&self) -> SimulationReport {
-        self.report_of(self.fabrics[0])
-    }
-
     /// Builds every architecture's report for everything measured so far,
     /// in the order the architectures were given.
-    #[must_use]
-    pub fn reports(&self) -> Vec<SimulationReport> {
+    fn reports(&self) -> Vec<SimulationReport> {
         self.fabrics
             .iter()
             .map(|&slot| self.report_of(slot))
@@ -459,28 +395,6 @@ impl RouterSimulator {
             cycle_time: self.config.cycle_time(),
         }
     }
-
-    /// The first architecture's latency distribution recorded so far (one
-    /// sample per packet delivered during the measurement window).
-    #[must_use]
-    pub fn latency_histogram(&self) -> &LatencyHistogram {
-        &self.nodes[self.fabrics[0].node].latency
-    }
-}
-
-/// Convenience wrapper: obtain the paper-reference energy model for the
-/// configuration's port count from the process-wide shared
-/// [`ModelProvider`], run the simulation and return the report.
-///
-/// # Errors
-///
-/// Propagates energy-model and simulator construction failures.
-pub fn simulate(
-    config: SimulationConfig,
-) -> Result<SimulationReport, Box<dyn std::error::Error + Send + Sync>> {
-    let spec = ModelSpec::paper(config.ports);
-    let simulator = RouterSimulator::from_provider(config, &ModelProvider::shared(), &spec)?;
-    Ok(simulator.run())
 }
 
 #[cfg(test)]
@@ -489,8 +403,16 @@ mod tests {
     use crate::traffic::TrafficPattern;
     use proptest::prelude::*;
 
+    /// Runs `config` on the paper's energy model for its port count.
+    fn simulate(config: SimulationConfig) -> SimulationReport {
+        let model = Arc::new(FabricEnergyModel::paper(config.ports).expect("paper model"));
+        RouterSimulator::with_shared_model(config, model)
+            .expect("simulator builds")
+            .run()
+    }
+
     fn run(architecture: Architecture, ports: usize, load: f64) -> SimulationReport {
-        simulate(SimulationConfig::quick(architecture, ports, load)).expect("simulation runs")
+        simulate(SimulationConfig::quick(architecture, ports, load))
     }
 
     #[test]
@@ -514,7 +436,7 @@ mod tests {
             measure_cycles: 2500,
             ..SimulationConfig::quick(Architecture::Crossbar, 8, 0.95)
         };
-        let report = simulate(config).unwrap();
+        let report = simulate(config);
         let measured = report.measured_throughput();
         assert!(measured < 0.70, "measured {measured} should saturate");
         assert!(measured > 0.40, "measured {measured} suspiciously low");
@@ -569,7 +491,7 @@ mod tests {
     fn permutation_traffic_avoids_destination_contention() {
         let config = SimulationConfig::quick(Architecture::Crossbar, 8, 0.5)
             .with_pattern(TrafficPattern::Permutation { shift: 1 });
-        let report = simulate(config).unwrap();
+        let report = simulate(config);
         // Without head-of-line blocking the measured throughput tracks the
         // offered load closely even at 50%.
         assert!((report.measured_throughput() - 0.5).abs() < 0.07);
@@ -584,8 +506,7 @@ mod tests {
         let c = simulate(SimulationConfig {
             seed: 99,
             ..SimulationConfig::quick(Architecture::Banyan, 4, 0.3)
-        })
-        .unwrap();
+        });
         assert_ne!(a.words_delivered, c.words_delivered);
     }
 
@@ -611,24 +532,22 @@ mod tests {
 
     #[test]
     fn latency_histogram_count_matches_delivered_packets() {
-        let config = SimulationConfig::quick(Architecture::Banyan, 4, 0.4);
-        let model = FabricEnergyModel::paper(4).unwrap();
-        let mut sim = RouterSimulator::new(config.clone(), model).unwrap();
-        let total = config.warmup_cycles + config.measure_cycles;
-        for _ in 0..total {
-            sim.step();
-        }
-        let report = sim.report();
-        assert_eq!(sim.latency_histogram().count(), report.packets_delivered);
-        assert!((sim.latency_histogram().mean() - report.average_latency_cycles).abs() < 1e-12);
+        let report = run(Architecture::Banyan, 4, 0.4);
+        let histogram = &report.latency_histogram;
+        assert!(report.packets_delivered > 0);
+        assert_eq!(histogram.count, report.packets_delivered);
+        let binned: u64 = histogram.bins.iter().map(|&(_, count)| count).sum();
+        assert_eq!(binned + histogram.overflow, histogram.count);
+        let mean = histogram.sum as f64 / histogram.count as f64;
+        assert!((mean - report.average_latency_cycles).abs() < 1e-12);
     }
 
     #[test]
     fn mismatched_model_is_rejected() {
         let config = SimulationConfig::quick(Architecture::Crossbar, 8, 0.2);
-        let model = FabricEnergyModel::paper(4).unwrap();
+        let model = Arc::new(FabricEnergyModel::paper(4).unwrap());
         assert!(matches!(
-            RouterSimulator::new(config, model),
+            RouterSimulator::with_shared_model(config, model),
             Err(SimulationError::PortMismatch { .. })
         ));
     }
@@ -664,43 +583,14 @@ mod tests {
     }
 
     #[test]
-    fn provider_constructed_simulator_matches_direct_construction() {
-        let provider = ModelProvider::in_memory();
-        let spec = ModelSpec::paper(4);
-        let config = SimulationConfig::quick(Architecture::Banyan, 4, 0.3);
-        let via_provider = RouterSimulator::from_provider(config.clone(), &provider, &spec)
-            .unwrap()
-            .run();
-        let direct = RouterSimulator::new(config, FabricEnergyModel::paper(4).unwrap())
-            .unwrap()
-            .run();
-        assert_eq!(via_provider.energy, direct.energy);
-        assert_eq!(via_provider.words_delivered, direct.words_delivered);
-
-        // Model failures surface as SimulationError::Model…
-        let bad = SimulationConfig::quick(Architecture::Crossbar, 6, 0.2);
-        assert!(matches!(
-            RouterSimulator::from_provider(bad, &provider, &ModelSpec::paper(6)),
-            Err(SimulationError::Model(_))
-        ));
-        // …and a spec/config port disagreement stays a PortMismatch.
-        let mismatched = SimulationConfig::quick(Architecture::Crossbar, 8, 0.2);
-        assert!(matches!(
-            RouterSimulator::from_provider(mismatched, &provider, &ModelSpec::paper(4)),
-            Err(SimulationError::PortMismatch { .. })
-        ));
-    }
-
-    #[test]
     fn step_can_be_driven_manually() {
         let config = SimulationConfig::quick(Architecture::Banyan, 4, 0.5);
-        let model = FabricEnergyModel::paper(4).unwrap();
-        let mut sim = RouterSimulator::new(config, model).unwrap();
+        let model = Arc::new(FabricEnergyModel::paper(4).unwrap());
+        let mut sim = RouterSimulator::with_shared_model(config, model).unwrap();
         for _ in 0..50 {
-            sim.step();
+            sim.advance(1);
         }
-        let report = sim.report();
-        assert_eq!(report.measured_cycles, 0, "still inside warmup");
+        assert_eq!(sim.reports()[0].measured_cycles, 0, "still inside warmup");
     }
 
     /// The four traffic patterns of `tests/router_reports_golden.rs`.
@@ -765,9 +655,8 @@ mod tests {
             // Stepping one cycle at a time replays the same arrivals.
             let mut stepped = RouterSimulator::lockstep(config, &tables).unwrap();
             for _ in 0..warmup + measure {
-                stepped.step();
+                stepped.advance(1);
             }
-            prop_assert_eq!(stepped.report(), separate[0].clone());
             prop_assert_eq!(stepped.reports(), separate);
         }
     }
@@ -796,7 +685,9 @@ mod tests {
                 packet_words,
                 ..SimulationConfig::quick(architecture, ports, load)
             };
-            let report = RouterSimulator::new(config, model).unwrap().run();
+            let report = RouterSimulator::with_shared_model(config, Arc::new(model))
+                .unwrap()
+                .run();
             let energy = report.energy;
             for (component, joules) in [
                 ("switches", energy.switches.as_joules()),

@@ -450,7 +450,11 @@ mod tests {
         let config =
             crate::SimulationConfig::quick(fabric_power_fabric::Architecture::Crossbar, 8, 0.3)
                 .with_pattern(pattern);
-        panic_with_error(crate::simulate(config));
+        let model = fabric_power_fabric::FabricEnergyModel::paper(8).expect("paper model");
+        panic_with_error(crate::RouterSimulator::with_shared_model(
+            config,
+            std::sync::Arc::new(model),
+        ));
     }
 
     #[test]

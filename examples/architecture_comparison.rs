@@ -3,12 +3,14 @@
 //!
 //! Run with `cargo run --release --example architecture_comparison`.
 
+use std::sync::Arc;
+
 use fabric_power_core::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ports = 16;
     let offered_load = 0.40;
-    let model = FabricEnergyModel::paper(ports)?;
+    let model = Arc::new(FabricEnergyModel::paper(ports)?);
 
     println!(
         "{ports}x{ports} fabrics at {:.0}% offered load",
@@ -27,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     for architecture in Architecture::ALL {
         let config = SimulationConfig::new(architecture, ports, offered_load);
-        let report = RouterSimulator::new(config, model.clone())?.run();
+        let report = RouterSimulator::with_shared_model(config, Arc::clone(&model))?.run();
         let worst_case = analytic::worst_case_bit_energy(architecture, &model, 1);
         println!(
             "{:<18} {:>12.2} {:>11.1}% {:>13.0}% {:>12.1} {:>14} {:>10.1}pJ",

@@ -5,12 +5,14 @@
 //!
 //! Run with `cargo run --release --example hotspot_traffic`.
 
+use std::sync::Arc;
+
 use fabric_power_core::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ports = 16;
     let offered_load = 0.40;
-    let model = FabricEnergyModel::paper(ports)?;
+    let model = Arc::new(FabricEnergyModel::paper(ports)?);
 
     println!(
         "{ports}x{ports} Banyan at {:.0}% offered load: uniform vs. hot-spot destinations",
@@ -56,7 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (label, pattern) in patterns {
         let config =
             SimulationConfig::new(Architecture::Banyan, ports, offered_load).with_pattern(pattern);
-        let report = RouterSimulator::new(config, model.clone())?.run();
+        let report = RouterSimulator::with_shared_model(config, Arc::clone(&model))?.run();
         println!(
             "{:<28} {:>12.2} {:>11.1}% {:>16} {:>13.0}%",
             label,

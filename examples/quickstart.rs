@@ -3,6 +3,8 @@
 //!
 //! Run with `cargo run --release --example quickstart`.
 
+use std::sync::Arc;
+
 use fabric_power_core::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -11,7 +13,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let architecture = Architecture::Banyan;
 
     // 2. Assemble the bit-energy model (Table 1 + Table 2 + 87 fJ/grid).
-    let model = FabricEnergyModel::paper(ports)?;
+    let model = Arc::new(FabricEnergyModel::paper(ports)?);
     println!(
         "bit-energy components: E_S(banyan,[0,1]) = {}, E_B = {}, E_T = {}",
         model.switch_bit_energy(SwitchClass::BanyanBinary, 1),
@@ -28,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 4. Simulate dynamic traffic at 30 % offered load and read off the power.
     let config = SimulationConfig::new(architecture, ports, 0.30);
-    let report = RouterSimulator::new(config, model)?.run();
+    let report = RouterSimulator::with_shared_model(config, model)?.run();
     println!(
         "simulated {architecture} {ports}x{ports} at 30% load: throughput {:.1}%, power {}, buffer share {:.0}%",
         report.measured_throughput() * 100.0,

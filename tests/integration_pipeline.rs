@@ -2,6 +2,8 @@
 //! characterization → energy-model assembly → topology routing → bit-level
 //! simulation, crossing every crate boundary at least once.
 
+use std::sync::Arc;
+
 use fabric_power_core::prelude::*;
 use fabric_power_fabric::analytic;
 use fabric_power_fabric::topology::{FabricTopology, RoutePath};
@@ -18,18 +20,20 @@ fn total_wire_grids(path: &RoutePath) -> u64 {
 #[test]
 fn derived_energy_model_supports_the_same_pipeline_as_the_paper_model() {
     let ports = 4;
-    let derived = FabricEnergyModel::derived(
-        ports,
-        &Technology::tsmc180(),
-        &CellLibrary::calibrated_018um(),
-        &CharacterizationConfig::quick(),
-    )
-    .expect("derived model");
-    let paper = FabricEnergyModel::paper(ports).expect("paper model");
+    let derived = Arc::new(
+        FabricEnergyModel::derived(
+            ports,
+            &Technology::tsmc180(),
+            &CellLibrary::calibrated_018um(),
+            &CharacterizationConfig::quick(),
+        )
+        .expect("derived model"),
+    );
+    let paper = Arc::new(FabricEnergyModel::paper(ports).expect("paper model"));
 
     for (label, model) in [("derived", &derived), ("paper", &paper)] {
         let config = SimulationConfig::quick(Architecture::Banyan, ports, 0.3);
-        let report = RouterSimulator::new(config, model.clone())
+        let report = RouterSimulator::with_shared_model(config, Arc::clone(model))
             .expect("simulator")
             .run();
         assert!(

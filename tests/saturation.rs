@@ -3,8 +3,17 @@
 //! head-of-line blocking limit of ≈58.6 %, and below saturation the measured
 //! throughput tracks the offered load.
 
+use std::sync::Arc;
+
 use fabric_power_core::prelude::*;
-use fabric_power_router::sim::simulate;
+
+/// Runs `config` on the paper's energy model for its port count.
+fn simulate(config: SimulationConfig) -> SimulationReport {
+    let model = Arc::new(FabricEnergyModel::paper(config.ports).expect("paper model"));
+    RouterSimulator::with_shared_model(config, model)
+        .expect("simulation")
+        .run()
+}
 
 fn run(architecture: Architecture, ports: usize, load: f64, cycles: u64) -> SimulationReport {
     simulate(SimulationConfig {
@@ -13,7 +22,6 @@ fn run(architecture: Architecture, ports: usize, load: f64, cycles: u64) -> Simu
         seed: 0x5A7,
         ..SimulationConfig::new(architecture, ports, load)
     })
-    .expect("simulation")
 }
 
 #[test]
@@ -71,8 +79,7 @@ fn permutation_traffic_is_not_limited_by_destination_contention() {
             ..SimulationConfig::new(Architecture::FullyConnected, 8, 0.8)
         }
         .with_pattern(TrafficPattern::Permutation { shift: 3 }),
-    )
-    .expect("simulation");
+    );
     assert!(
         (report.measured_throughput() - 0.8).abs() < 0.06,
         "measured {}",
@@ -154,7 +161,6 @@ fn one_word_crossbar_saturates_at_the_slotted_hol_limit() {
             measure_cycles: 10_000,
             ..SimulationConfig::new(Architecture::Crossbar, ports, 1.0)
         })
-        .expect("simulation")
         .measured_throughput();
         assert!(
             (measured - slotted).abs() < 0.01,

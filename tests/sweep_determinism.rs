@@ -7,6 +7,8 @@
 //!    sequential nested-loop implementation point for point;
 //! 3. scenario registry entries run end to end through engine and emitters.
 
+use std::sync::Arc;
+
 use fabric_power_core::prelude::*;
 use fabric_power_router::sim::RouterSimulator;
 use fabric_power_sweep::{ShardStrategy, SweepDocument, SweepEngine, SweepPlan};
@@ -56,7 +58,7 @@ fn json_is_byte_identical_across_thread_counts() {
 fn sequential_reference(config: &ExperimentConfig, strategy: SeedStrategy) -> Vec<SweepPoint> {
     let mut reference = Vec::new();
     for &ports in &config.port_counts {
-        let model = config.energy_model(ports).expect("model");
+        let model = Arc::new(config.energy_model(ports).expect("model"));
         for &architecture in &config.architectures {
             for &offered_load in &config.offered_loads {
                 let seed = strategy.cell_seed(
@@ -68,7 +70,7 @@ fn sequential_reference(config: &ExperimentConfig, strategy: SeedStrategy) -> Ve
                     None,
                 );
                 let sim_config = config.simulation_config(architecture, ports, offered_load, seed);
-                let report = RouterSimulator::new(sim_config, model.clone())
+                let report = RouterSimulator::with_shared_model(sim_config, Arc::clone(&model))
                     .expect("simulator")
                     .run();
                 reference.push(SweepPoint {
