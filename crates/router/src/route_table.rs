@@ -476,6 +476,59 @@ mod tests {
         }
     }
 
+    /// Counts the permutations `input -> output` whose routes claim pairwise
+    /// distinct links, the links contention resolution claims: the
+    /// permutations that cross the fabric without an internal conflict.
+    /// Each input in turn takes every free output whose route claims no
+    /// link an earlier input's route claimed.
+    fn conflict_free_permutations(
+        table: &RouteTable,
+        input: usize,
+        outputs_taken: &mut [bool],
+        claimed: &mut [bool],
+    ) -> u64 {
+        if input == table.ports() {
+            return 1;
+        }
+        let mut count = 0;
+        for output in 0..table.ports() {
+            let hops = table.hops(table.route(table.route_index(input, output)));
+            if outputs_taken[output] || hops.iter().any(|hop| claimed[hop.link as usize]) {
+                continue;
+            }
+            outputs_taken[output] = true;
+            for hop in hops {
+                claimed[hop.link as usize] = true;
+            }
+            count += conflict_free_permutations(table, input + 1, outputs_taken, claimed);
+            outputs_taken[output] = false;
+            for hop in hops {
+                claimed[hop.link as usize] = false;
+            }
+        }
+        count
+    }
+
+    #[test]
+    fn a_banyan_passes_one_permutation_per_switch_setting() {
+        // A Banyan of 2x2 switches has one path per (input, output) pair and
+        // (N/2)·log₂N switches of two states each, and distinct settings
+        // route distinct permutations: exactly 2^((N/2)·log₂N) of the N!
+        // permutations cross it without an internal conflict.
+        for (ports, expected) in [(2, 2), (4, 16), (8, 4_096)] {
+            let table = RouteTable::new(Architecture::Banyan, ports).unwrap();
+            let switches = ports / 2 * ports.ilog2() as usize;
+            assert_eq!(expected, 1_u64 << switches);
+            let count = conflict_free_permutations(
+                &table,
+                0,
+                &mut vec![false; ports],
+                &mut vec![false; table.link_count()],
+            );
+            assert_eq!(count, expected, "{ports}x{ports}");
+        }
+    }
+
     #[test]
     fn hops_are_twelve_bytes() {
         assert_eq!(std::mem::size_of::<Hop>(), 12);
