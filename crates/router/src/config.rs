@@ -117,8 +117,10 @@ pub struct SimulationReport {
     /// Words written to (and later read from) internal buffers because of
     /// interconnect contention.
     pub buffered_words: u64,
-    /// Number of cycles in which a node buffer exceeded its configured
-    /// capacity (congestion indicator).
+    /// Parked words that left their element's node buffer over its
+    /// configured capacity, one count per word, not per cycle: two flows
+    /// parking in one cycle count twice.  At most `buffered_words`, and
+    /// equal to it with no node buffer.
     pub buffer_overflow_cycles: u64,
     /// Mean packet latency (arrival to last word delivered), in cycles.
     pub average_latency_cycles: f64,

@@ -562,7 +562,10 @@ impl RouterNode {
         self.buffered_words
     }
 
-    /// Cycles during which a node buffer exceeded its configured capacity.
+    /// Words parked during the measurement window that left their
+    /// element's node buffer over its capacity, one count per word, not per
+    /// cycle: two flows parking in one cycle count twice.  At most
+    /// [`buffered_words`](Self::buffered_words).
     #[must_use]
     pub fn buffer_overflow_cycles(&self) -> u64 {
         self.buffer_overflow_cycles
@@ -1061,11 +1064,13 @@ mod tests {
                 Just(&SHARED[..]),
             ],
             ports in prop_oneof![Just(2_usize), Just(4), Just(8), Just(16), Just(32), Just(128)],
+            // No buffer, one 32-bit word and the paper's 4,096 bits.
+            node_buffer_bits in prop_oneof![Just(0_u64), Just(32), Just(BANYAN_NODE_BUFFER_BITS)],
             seed in any::<u64>(),
         ) {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let fabrics = architectures.iter().map(|&architecture| priced(architecture, ports));
-            let mut node = RouterNode::sharing(fabrics.collect(), BANYAN_NODE_BUFFER_BITS);
+            let mut node = RouterNode::sharing(fabrics.collect(), node_buffer_bits);
             let contendable = architectures.contains(&Architecture::Banyan);
             let element_rows: Vec<_> = node.fabrics.iter().map(element_rows).collect();
             node.begin_measurement();
@@ -1132,6 +1137,12 @@ mod tests {
             }
             prop_assert!(outstanding.iter().all(Option::is_none), "a packet never completed");
             prop_assert_eq!(completed_words, node.words_delivered());
+            // Each parked word that leaves its element's buffer over capacity
+            // counts once; with no buffer, every parked word does.
+            prop_assert!(node.buffer_overflow_cycles() <= node.buffered_words());
+            if node_buffer_bits == 0 {
+                prop_assert_eq!(node.buffer_overflow_cycles(), node.buffered_words());
+            }
             if !contendable {
                 prop_assert_eq!(node.buffered_words(), 0);
                 for fabric in 0..architectures.len() {

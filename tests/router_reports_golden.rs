@@ -93,9 +93,11 @@ fn router_cases() -> Vec<RouterCase> {
             }
         }
     }
-    // Node-buffer occupancy builds up over long runs, so one Banyan cell
-    // runs the paper's full 500 + 4,000-cycle window to pin
-    // `buffer_overflow_cycles` where it is large.
+    // One Banyan cell runs the paper's full 500 + 4,000-cycle window, in
+    // which it parks 28,250 words.  None of them overfills the paper's
+    // 4,096-bit node buffer, so `buffer_overflow_cycles` reads 0 here as in
+    // every other case; the node conservation proptest (`node.rs`) checks
+    // the counter against smaller buffers.
     let config = SimulationConfig::new(Architecture::Banyan, 32, 0.5);
     let model = Arc::new(FabricEnergyModel::paper(32).expect("paper model"));
     cases.push(RouterCase {
