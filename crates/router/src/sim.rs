@@ -310,9 +310,8 @@ impl RouterSimulator {
     /// Runs the configured warmup and measurement windows and returns the
     /// first architecture's report.
     #[must_use]
-    pub fn run(mut self) -> SimulationReport {
-        self.advance(self.config.warmup_cycles + self.config.measure_cycles);
-        self.report_of(self.fabrics[0])
+    pub fn run(self) -> SimulationReport {
+        self.run_all().swap_remove(0)
     }
 
     /// Runs the configured warmup and measurement windows and returns every
