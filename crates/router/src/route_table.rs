@@ -218,12 +218,6 @@ impl RouteTable {
     pub(crate) fn hops(&self, route: &Route) -> &[Hop] {
         &self.hops[route.start as usize..route.end as usize]
     }
-
-    /// The route-independent data of a hop.
-    #[cfg(test)]
-    pub(crate) fn data(&self, hop: &Hop) -> &HopData {
-        &self.hop_data[hop.row as usize / self.row_len]
-    }
 }
 
 fn dense(id: usize) -> u32 {
@@ -353,6 +347,14 @@ impl PricedRoutes {
     /// element prices of an idle node.
     pub(crate) fn idle_element_prices(&self) -> &[Energy] {
         &self.idle_element_prices
+    }
+}
+
+#[cfg(test)]
+impl RouteTable {
+    /// The route-independent data of a hop.
+    pub(crate) fn data(&self, hop: &Hop) -> &HopData {
+        &self.hop_data[hop.row as usize / self.row_len]
     }
 }
 
