@@ -253,10 +253,7 @@ impl MeshNetwork {
         let mut traffic = Vec::with_capacity(node_count);
         let mut links = Vec::with_capacity(node_count * DIRECTIONS);
         for node in 0..node_count {
-            nodes.push(RouterNode::new(
-                Arc::clone(&fabric),
-                config.node_buffer_bits,
-            ));
+            nodes.push(RouterNode::new(Arc::clone(&fabric)));
             // The traffic pattern runs over *node* indices: each node's
             // source draws destinations among the other nodes, one local
             // injection port per node per cycle.
@@ -528,11 +525,9 @@ impl MeshNetwork {
     fn report(&self) -> NetworkReport {
         let mut energy = EnergyAccount::new();
         let mut buffered_words = 0;
-        let mut buffer_overflow_cycles = 0;
         for node in &self.nodes {
             energy.merge(&node.energy());
             buffered_words += node.buffered_words();
-            buffer_overflow_cycles += node.buffer_overflow_cycles();
         }
         energy.wires += self.link_energy;
         let [latency_p50, latency_p95, latency_p99] = self.latency.summary();
@@ -544,7 +539,6 @@ impl MeshNetwork {
             words_delivered: self.words_ejected,
             packets_delivered: self.packets_delivered,
             buffered_words,
-            buffer_overflow_cycles,
             average_latency_cycles: self.latency.mean(),
             latency_p50,
             latency_p95,

@@ -3,9 +3,8 @@
 use serde::{Deserialize, Serialize};
 
 use fabric_power_fabric::Architecture;
-use fabric_power_tech::constants::BANYAN_NODE_BUFFER_BITS;
 use fabric_power_tech::units::{Power, TimeSpan};
-use fabric_power_tech::Frequency;
+use fabric_power_tech::Technology;
 
 use crate::energy::EnergyAccount;
 use crate::metrics::SparseLatencyHistogram;
@@ -15,8 +14,8 @@ use crate::traffic::TrafficPattern;
 /// Configuration of one simulation run.
 ///
 /// Defaults mirror the paper's setup: 32-bit bus words, 16-word packets
-/// (one 64-byte TCP/IP-sized payload), uniform random destinations, a
-/// 4 Kbit buffer per Banyan node switch and a 133 MHz clock.
+/// (one 64-byte TCP/IP-sized payload) and uniform random destinations.
+/// The clock is the technology's ([`Technology::clock`], 133 MHz).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimulationConfig {
     /// The fabric architecture being simulated.
@@ -35,10 +34,6 @@ pub struct SimulationConfig {
     pub seed: u64,
     /// Destination distribution.
     pub pattern: TrafficPattern,
-    /// Buffer capacity per Banyan node switch, in bits.
-    pub node_buffer_bits: u64,
-    /// Fabric clock.
-    pub clock: Frequency,
 }
 
 impl SimulationConfig {
@@ -55,8 +50,6 @@ impl SimulationConfig {
             measure_cycles: 4000,
             seed: 0xDAC_2002,
             pattern: TrafficPattern::UniformRandom,
-            node_buffer_bits: BANYAN_NODE_BUFFER_BITS,
-            clock: Frequency::from_megahertz(133.0),
         }
     }
 
@@ -77,10 +70,10 @@ impl SimulationConfig {
         self
     }
 
-    /// Duration of one clock cycle.
+    /// Duration of one clock cycle of the technology's clock.
     #[must_use]
     pub fn cycle_time(&self) -> TimeSpan {
-        self.clock.period()
+        Technology::tsmc180().clock().period()
     }
 
     /// Checks the measurement window, which every simulator does before it
@@ -117,11 +110,6 @@ pub struct SimulationReport {
     /// Words written to (and later read from) internal buffers because of
     /// interconnect contention.
     pub buffered_words: u64,
-    /// Parked words that left their element's node buffer over its
-    /// configured capacity, one count per word, not per cycle: two flows
-    /// parking in one cycle count twice.  At most `buffered_words`, and
-    /// equal to it with no node buffer.
-    pub buffer_overflow_cycles: u64,
     /// Mean packet latency (arrival to last word delivered), in cycles.
     pub average_latency_cycles: f64,
     /// Median (50th-percentile) packet latency in cycles, from the
@@ -190,10 +178,9 @@ mod tests {
     fn defaults_follow_the_paper() {
         let config = SimulationConfig::new(Architecture::Banyan, 16, 0.3);
         assert_eq!(config.packet_words, 16);
-        assert_eq!(config.node_buffer_bits, 4096);
-        assert!((config.clock.as_hertz() - 133e6).abs() < 1e-3);
         assert_eq!(config.pattern, TrafficPattern::UniformRandom);
-        assert!(config.cycle_time().as_seconds() > 7e-9);
+        // One cycle of the 133 MHz clock.
+        assert!((config.cycle_time().as_seconds() - 1.0 / 133e6).abs() < 1e-21);
     }
 
     #[test]
@@ -213,7 +200,6 @@ mod tests {
             words_delivered: 1000,
             packets_delivered: 62,
             buffered_words: 0,
-            buffer_overflow_cycles: 0,
             average_latency_cycles: 20.0,
             latency_p50: 19.0,
             latency_p95: 28.0,
@@ -242,7 +228,6 @@ mod tests {
             words_delivered: 0,
             packets_delivered: 0,
             buffered_words: 0,
-            buffer_overflow_cycles: 0,
             average_latency_cycles: 0.0,
             latency_p50: 0.0,
             latency_p95: 0.0,

@@ -36,12 +36,11 @@
 //! * **Priced route table.**  Paths come from a shared [`RouteTable`],
 //!   lowered once at construction.  A grant stores the route's index, the
 //!   same in every fabric's table; every hop carries dense link and element
-//!   ids, so the per-link polarity state, the per-element occupancy and the
-//!   node-buffer fill are flat arrays.  The table comes inside a
-//!   [`PricedRoutes`], which holds one price row per hop kind: the wire
-//!   energy per flipped-bit count, then the switch energy per element
-//!   occupancy.  A hop carries its row's offset, so finding its wire price
-//!   takes no multiply.
+//!   ids, so the per-link polarity state and the per-element occupancy are
+//!   flat arrays.  The table comes inside a [`PricedRoutes`], which holds
+//!   one price row per hop kind: the wire energy per flipped-bit count,
+//!   then the switch energy per element occupancy.  A hop carries its
+//!   row's offset, so finding its wire price takes no multiply.
 //! * **Element prices.**  Each fabric keeps every element's switch price
 //!   at its current occupancy in one array, which the occupancy events
 //!   rewrite from the element's row.  A hop is then a link load and
@@ -55,8 +54,8 @@
 //!   its polarity per input, and it is charged only where the route's
 //!   ingress run has grids (the fully-connected broadcast bus).
 //! * **Warm-up.**  A step chooses `transmit::<true>` or `transmit::<false>`
-//!   once.  In warm-up the links, backlogs and words still advance, but no
-//!   price is read, no flip counted and nothing added.
+//!   once.  In warm-up the links and words still advance, but no price is
+//!   read, no flip counted and nothing added.
 //! * **Skipped passes.**  A step runs a pass only when the cycle's events
 //!   give it work, and each skip is exact.  The arbiter's may-be-pending
 //!   flag is set by every event that marks an output pending and cleared
@@ -123,12 +122,6 @@ struct ActiveFlow {
     /// The last word the flow sent; before its first, the word its ingress
     /// segment last carried.
     last_word: u64,
-    /// Words currently parked in a node buffer because of contention.
-    backlog: u64,
-    /// Dense id of the element the backlog is parked at: the first
-    /// contended hop since the backlog was last empty.  Only meaningful
-    /// while `backlog > 0`.
-    backlog_element: u32,
     blocked: bool,
 }
 
@@ -391,11 +384,9 @@ impl Fabric {
 /// its energy account.
 #[derive(Debug)]
 pub struct RouterNode {
-    node_buffer_bits: u64,
     /// The fabrics the schedule charges: one if it is contendable.
     fabrics: Vec<Fabric>,
-    /// Every fabric's bus width, and the mask that cuts a word to it.
-    bus_width_bits: u32,
+    /// The mask that cuts a word to every fabric's bus width.
     word_mask: u64,
     /// The energy of one word parked in a node buffer.
     word_buffer_energy: Energy,
@@ -412,9 +403,6 @@ pub struct RouterNode {
     finished: usize,
     /// The words the flows send this cycle.
     sends: Vec<Send>,
-    /// Words parked in each element's node buffer, by dense element id.
-    /// Empty without contention, where no word is ever parked.
-    node_buffer_words: Vec<u64>,
     /// The number of the contention pass that last claimed each link, by
     /// dense link id: a link is claimed in this pass exactly when it holds
     /// `contention_pass`.  Empty on a fabric without contention, whose
@@ -426,7 +414,6 @@ pub struct RouterNode {
     measuring: bool,
     words_delivered: u64,
     buffered_words: u64,
-    buffer_overflow_cycles: u64,
     buffers: Energy,
 }
 
@@ -434,8 +421,8 @@ impl RouterNode {
     /// Creates a node that routes through `fabric`'s table and charges its
     /// energy model.
     #[must_use]
-    pub fn new(fabric: Arc<PricedRoutes>, node_buffer_bits: u64) -> Self {
-        Self::sharing(vec![fabric], node_buffer_bits)
+    pub fn new(fabric: Arc<PricedRoutes>) -> Self {
+        Self::sharing(vec![fabric])
     }
 
     /// Creates a node whose one flow schedule charges every fabric of
@@ -446,7 +433,7 @@ impl RouterNode {
     /// Panics if `fabrics` is empty, if the fabrics differ in port count or
     /// bus width, or if a contendable fabric would share the node: its
     /// contention pass blocks flows, which the other fabrics would not.
-    pub(crate) fn sharing(fabrics: Vec<Arc<PricedRoutes>>, node_buffer_bits: u64) -> Self {
+    pub(crate) fn sharing(fabrics: Vec<Arc<PricedRoutes>>) -> Self {
         let first = fabrics.first().expect("a node charges at least one fabric");
         let routes = first.routes();
         let model = first.model();
@@ -463,17 +450,12 @@ impl RouterNode {
             }),
             "the fabrics of a node must agree on ports and bus width"
         );
-        let (node_buffer_words, claimed) = if routes.contendable() {
-            (
-                vec![0; routes.element_count()],
-                vec![0; routes.link_count()],
-            )
+        let claimed = if routes.contendable() {
+            vec![0; routes.link_count()]
         } else {
-            (Vec::new(), Vec::new())
+            Vec::new()
         };
         Self {
-            node_buffer_bits,
-            bus_width_bits,
             word_mask: if bus_width_bits >= 64 {
                 u64::MAX
             } else {
@@ -487,14 +469,12 @@ impl RouterNode {
             flows: Vec::with_capacity(ports),
             finished: 0,
             sends: Vec::with_capacity(ports),
-            node_buffer_words,
             claimed,
             contention_pass: 0,
             fabrics: fabrics.into_iter().map(Fabric::new).collect(),
             measuring: false,
             words_delivered: 0,
             buffered_words: 0,
-            buffer_overflow_cycles: 0,
             buffers: Energy::ZERO,
         }
     }
@@ -540,7 +520,6 @@ impl RouterNode {
         self.measuring = true;
         self.words_delivered = 0;
         self.buffered_words = 0;
-        self.buffer_overflow_cycles = 0;
         self.buffers = Energy::ZERO;
         for fabric in &mut self.fabrics {
             fabric.switches = Energy::ZERO;
@@ -560,15 +539,6 @@ impl RouterNode {
     #[must_use]
     pub fn buffered_words(&self) -> u64 {
         self.buffered_words
-    }
-
-    /// Words parked during the measurement window that left their
-    /// element's node buffer over its capacity, one count per word, not per
-    /// cycle: two flows parking in one cycle count twice.  At most
-    /// [`buffered_words`](Self::buffered_words).
-    #[must_use]
-    pub fn buffer_overflow_cycles(&self) -> u64 {
-        self.buffer_overflow_cycles
     }
 
     /// The switch/buffer/wire energy the first fabric was charged during
@@ -649,8 +619,6 @@ impl RouterNode {
                 route,
                 words_delivered: 0,
                 last_word: self.input_last_word[input],
-                backlog: 0,
-                backlog_element: 0,
                 blocked: false,
             });
             self.input_busy[input] = true;
@@ -663,9 +631,9 @@ impl RouterNode {
     /// examined in a rotating priority order, from flow `cycle % flows` to
     /// the last and then from the first; a flow that cannot claim every
     /// link of its path is blocked for this cycle and its incoming word is
-    /// absorbed by the node buffer at the first contended hop.  A flow
-    /// whose blocked flag flips moves its hops out of or back into the
-    /// element occupancy.  On other fabrics no flow is ever blocked.
+    /// parked in a node buffer.  A flow whose blocked flag flips moves its
+    /// hops out of or back into the element occupancy.  On other fabrics no
+    /// flow is ever blocked.
     ///
     /// Each pass has a new number, and a claim stamps the link with it, so
     /// the last pass's claims lapse without being cleared.
@@ -688,21 +656,12 @@ impl RouterNode {
                 continue;
             }
             let hops = table.hops(table.route(flow.route));
-            let blocked = if let Some(blocking) =
-                hops.iter().find(|hop| claimed[hop.link as usize] == pass)
-            {
-                // Parked words stay where they were parked until the
-                // backlog drains, even if the flow later blocks elsewhere.
-                if flow.backlog == 0 {
-                    flow.backlog_element = blocking.element;
-                }
-                true
-            } else {
+            let blocked = hops.iter().any(|hop| claimed[hop.link as usize] == pass);
+            if !blocked {
                 for hop in hops {
                     claimed[hop.link as usize] = pass;
                 }
-                false
-            };
+            }
             if blocked != flow.blocked {
                 flow.blocked = blocked;
                 fabric.occupancy.count(&fabric.priced, hops, !blocked);
@@ -715,10 +674,8 @@ impl RouterNode {
     fn transmit<const MEASURING: bool>(&mut self) {
         let word_mask = self.word_mask;
         let sends = &mut self.sends;
-        let node_buffer_words = &mut self.node_buffer_words[..];
         let mut buffer_energy = Energy::ZERO;
         let mut buffered_words = 0;
-        let mut overflows = 0;
         let mut words_delivered = 0;
         let mut finished = 0;
         sends.clear();
@@ -731,15 +688,9 @@ impl RouterNode {
                 // written into (and will later be read back from) the node
                 // buffer: one `E_B_bit` per bit pays for both accesses, as
                 // in Eq. 5.
-                flow.backlog += 1;
-                let entry = &mut node_buffer_words[flow.backlog_element as usize];
-                *entry += 1;
                 if MEASURING {
                     buffer_energy += self.word_buffer_energy;
                     buffered_words += 1;
-                    if *entry * u64::from(self.bus_width_bits) > self.node_buffer_bits {
-                        overflows += 1;
-                    }
                 }
                 continue;
             }
@@ -757,14 +708,6 @@ impl RouterNode {
                 word,
             });
             flow.last_word = word;
-
-            // A word previously parked in the node buffer drains along with
-            // this one (its read access was already charged on the write).
-            if flow.backlog > 0 {
-                flow.backlog -= 1;
-                node_buffer_words[flow.backlog_element as usize] -= 1;
-            }
-
             flow.words_delivered += 1;
             words_delivered += 1;
             if flow.is_complete() {
@@ -779,16 +722,14 @@ impl RouterNode {
         if MEASURING {
             self.words_delivered += words_delivered;
             self.buffered_words += buffered_words;
-            self.buffer_overflow_cycles += overflows;
             self.buffers += buffer_energy;
         }
     }
 
     /// Removes finished flows, releases their path's occupancy in every
-    /// fabric and the words they still had parked, frees their input/output
-    /// ports (the freed input's next head-of-line packet requests its
-    /// output), and moves their packets into `completed` in completion
-    /// order.
+    /// fabric, frees their input/output ports (the freed input's next
+    /// head-of-line packet requests its output), and moves their packets
+    /// into `completed` in completion order.
     fn complete_flows(&mut self, completed: &mut Vec<Packet>) {
         let finished = std::mem::take(&mut self.finished);
         let before = completed.len();
@@ -799,9 +740,6 @@ impl RouterNode {
                 for fabric in &mut self.fabrics {
                     fabric.count_route(flow.route, false);
                 }
-            }
-            if flow.backlog > 0 {
-                self.node_buffer_words[flow.backlog_element as usize] -= flow.backlog;
             }
             let input = flow.packet.source;
             self.input_busy[input] = false;
@@ -825,7 +763,6 @@ mod tests {
     use super::*;
     use crate::route_table::RouteTable;
     use fabric_power_fabric::{Architecture, FabricEnergyModel};
-    use fabric_power_tech::constants::BANYAN_NODE_BUFFER_BITS;
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
@@ -1064,13 +1001,11 @@ mod tests {
                 Just(&SHARED[..]),
             ],
             ports in prop_oneof![Just(2_usize), Just(4), Just(8), Just(16), Just(32), Just(128)],
-            // No buffer, one 32-bit word and the paper's 4,096 bits.
-            node_buffer_bits in prop_oneof![Just(0_u64), Just(32), Just(BANYAN_NODE_BUFFER_BITS)],
             seed in any::<u64>(),
         ) {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let fabrics = architectures.iter().map(|&architecture| priced(architecture, ports));
-            let mut node = RouterNode::sharing(fabrics.collect(), node_buffer_bits);
+            let mut node = RouterNode::sharing(fabrics.collect());
             let contendable = architectures.contains(&Architecture::Banyan);
             let element_rows: Vec<_> = node.fabrics.iter().map(element_rows).collect();
             node.begin_measurement();
@@ -1081,6 +1016,7 @@ mod tests {
             let mut outstanding: Vec<Option<Vec<u64>>> = Vec::new();
             let mut completed = Vec::new();
             let mut completed_words = 0;
+            let mut parked = 0;
             let mut cycle = 0;
             while cycle < schedule_cycles || !drained(&node) {
                 prop_assert!(cycle < 100_000, "the node never drained");
@@ -1106,6 +1042,9 @@ mod tests {
                     }
                 }
                 node.step(cycle, &mut completed);
+                // Every flow blocked this step parked one word, and a
+                // blocked flow sent none, so it is still in the fabric.
+                parked += node.flows.iter().filter(|flow| flow.blocked).count() as u64;
                 for (fabric, element_rows) in node.fabrics.iter().zip(&element_rows) {
                     prop_assert_eq!(
                         &fabric.occupancy,
@@ -1137,22 +1076,13 @@ mod tests {
             }
             prop_assert!(outstanding.iter().all(Option::is_none), "a packet never completed");
             prop_assert_eq!(completed_words, node.words_delivered());
-            // Each parked word that leaves its element's buffer over capacity
-            // counts once; with no buffer, every parked word does.
-            prop_assert!(node.buffer_overflow_cycles() <= node.buffered_words());
-            if node_buffer_bits == 0 {
-                prop_assert_eq!(node.buffer_overflow_cycles(), node.buffered_words());
-            }
+            prop_assert_eq!(parked, node.buffered_words());
             if !contendable {
                 prop_assert_eq!(node.buffered_words(), 0);
                 for fabric in 0..architectures.len() {
                     prop_assert!(node.fabric_energy(fabric).buffers.is_zero());
                 }
             }
-            prop_assert!(
-                node.node_buffer_words.iter().all(|&words| words == 0),
-                "{architectures:?} {ports}x{ports}: words left parked after draining"
-            );
             for fabric in &node.fabrics {
                 prop_assert!(
                     fabric.occupancy.counts.iter().all(|&occupants| occupants == 0),
@@ -1167,13 +1097,10 @@ mod tests {
         expected = "a contendable fabric blocks flows, so it cannot share a flow schedule"
     )]
     fn a_contendable_fabric_cannot_share_a_node() {
-        let _ = RouterNode::sharing(
-            vec![
-                priced(Architecture::Crossbar, 8),
-                priced(Architecture::Banyan, 8),
-            ],
-            BANYAN_NODE_BUFFER_BITS,
-        );
+        let _ = RouterNode::sharing(vec![
+            priced(Architecture::Crossbar, 8),
+            priced(Architecture::Banyan, 8),
+        ]);
     }
 
     /// The contention pass the claim stamps replaced: flows visited through
@@ -1199,19 +1126,12 @@ mod tests {
             }
             let hops = table.hops(table.route(flow.route));
             let contendable = hops.iter().filter(|hop| table.data(hop).contendable);
-            let blocked = if let Some(blocking) =
-                contendable.clone().find(|hop| claimed[hop.link as usize])
-            {
-                if flow.backlog == 0 {
-                    flow.backlog_element = blocking.element;
-                }
-                true
-            } else {
+            let blocked = contendable.clone().any(|hop| claimed[hop.link as usize]);
+            if !blocked {
                 for hop in contendable {
                     claimed[hop.link as usize] = true;
                 }
-                false
-            };
+            }
             if blocked != flow.blocked {
                 flow.blocked = blocked;
                 occupancy.count(fabric, hops, !blocked);
@@ -1224,13 +1144,9 @@ mod tests {
         }
     }
 
-    /// Each flow's contention outcome: its blocked flag and the element its
-    /// backlog is parked at.
-    fn contention_outcome(flows: &[ActiveFlow]) -> Vec<(bool, u32)> {
-        flows
-            .iter()
-            .map(|flow| (flow.blocked, flow.backlog_element))
-            .collect()
+    /// Each flow's contention outcome: its blocked flag.
+    fn contention_outcome(flows: &[ActiveFlow]) -> Vec<bool> {
+        flows.iter().map(|flow| flow.blocked).collect()
     }
 
     proptest! {
@@ -1244,7 +1160,7 @@ mod tests {
             let ports = 1_usize << address_bits;
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let fabric = priced(Architecture::Banyan, ports);
-            let mut node = RouterNode::new(Arc::clone(&fabric), BANYAN_NODE_BUFFER_BITS);
+            let mut node = RouterNode::new(Arc::clone(&fabric));
             let mut claimed = vec![false; fabric.routes().link_count()];
 
             // Per-case injection rate and schedule length, light to saturating.

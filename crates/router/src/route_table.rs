@@ -7,10 +7,10 @@
 //! arrays:
 //!
 //! * each hop is 12 bytes: a dense link id (into a node's flat array of
-//!   last-word polarity state), a dense element id (into its occupancy,
-//!   element-price and node-buffer arrays), and the offset of its kind's
-//!   price row, where a kind is one entry of a small deduplicated table of
-//!   `HopData`, the route-independent part of a hop;
+//!   last-word polarity state), a dense element id (into its occupancy and
+//!   element-price arrays), and the offset of its kind's price row, where a
+//!   kind is one entry of a small deduplicated table of `HopData`, the
+//!   route-independent part of a hop;
 //! * each route is a span of hops plus its ingress wire length.  The
 //!   ingress segment of a port carries only that port's flows, so a node
 //!   keeps its polarity per input, not per link.
@@ -252,7 +252,7 @@ pub(crate) const FLIP_COUNTS: usize = u64::BITS as usize + 1;
 /// // One priced table, shared by every node of a mesh.
 /// let priced = Arc::new(PricedRoutes::new(routes, model)?);
 /// let nodes: Vec<RouterNode> = (0..4)
-///     .map(|_| RouterNode::new(Arc::clone(&priced), 0))
+///     .map(|_| RouterNode::new(Arc::clone(&priced)))
 ///     .collect();
 /// assert_eq!(nodes[3].ports(), 8);
 /// # Ok(())

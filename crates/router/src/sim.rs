@@ -283,7 +283,7 @@ impl RouterSimulator {
         let nodes = node_fabrics
             .into_iter()
             .map(|fabrics| NodeRun {
-                node: RouterNode::sharing(fabrics, config.node_buffer_bits),
+                node: RouterNode::sharing(fabrics),
                 completed: Vec::new(),
                 spare_payloads: Vec::new(),
                 packets_delivered: 0,
@@ -384,7 +384,6 @@ impl RouterSimulator {
             words_delivered: run.node.words_delivered(),
             packets_delivered: run.packets_delivered,
             buffered_words: run.node.buffered_words(),
-            buffer_overflow_cycles: run.node.buffer_overflow_cycles(),
             average_latency_cycles: run.latency.mean(),
             latency_p50,
             latency_p95,

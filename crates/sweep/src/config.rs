@@ -274,7 +274,6 @@ impl ExperimentConfig {
             measure_cycles: self.measure_cycles,
             seed,
             pattern: self.pattern,
-            ..SimulationConfig::new(architecture, ports, offered_load)
         }
     }
 }

@@ -1,7 +1,8 @@
 //! Byte pin on full router and network reports.
 //!
 //! The sweep goldens carry `SweepPoint`s, which drop some report fields
-//! (`buffer_overflow_cycles` among them) and cover only the scenario grids.
+//! (`words_delivered` and `packets_delivered` among them) and cover only
+//! the scenario grids.
 //! `tests/golden/router_reports.json` holds the pretty JSON of the complete
 //! `SimulationReport` — every counter, the three energies and the latency
 //! histogram — for each architecture × ports {2, 8, 32, 64} × traffic
@@ -94,10 +95,7 @@ fn router_cases() -> Vec<RouterCase> {
         }
     }
     // One Banyan cell runs the paper's full 500 + 4,000-cycle window, in
-    // which it parks 28,250 words.  None of them overfills the paper's
-    // 4,096-bit node buffer, so `buffer_overflow_cycles` reads 0 here as in
-    // every other case; the node conservation proptest (`node.rs`) checks
-    // the counter against smaller buffers.
+    // which it parks 28,250 words.
     let config = SimulationConfig::new(Architecture::Banyan, 32, 0.5);
     let model = Arc::new(FabricEnergyModel::paper(32).expect("paper model"));
     cases.push(RouterCase {

@@ -20,7 +20,7 @@ use std::sync::Arc;
 use fabric_power_fabric::{analytic, Architecture, FabricEnergyModel};
 use fabric_power_netlist::SwitchClass;
 use fabric_power_router::{EnergyAccount, Packet, PricedRoutes, RouteTable, RouterNode};
-use fabric_power_tech::constants::{BANYAN_NODE_BUFFER_BITS, PAPER_PORT_COUNTS};
+use fabric_power_tech::constants::PAPER_PORT_COUNTS;
 use fabric_power_thompson::wirelength;
 
 const PACKET_WORDS: usize = 16;
@@ -38,7 +38,7 @@ fn lone_packet_energy(
     let ports = model.ports();
     let routes = RouteTable::new(architecture, ports).expect("route table");
     let fabric = Arc::new(PricedRoutes::new(routes, Arc::clone(model)).expect("priced routes"));
-    let mut node = RouterNode::new(fabric, BANYAN_NODE_BUFFER_BITS);
+    let mut node = RouterNode::new(fabric);
     node.begin_measurement();
     node.inject(
         0,
