@@ -838,6 +838,22 @@ mod tests {
     }
 
     #[test]
+    fn a_model_of_another_port_count_is_rejected() {
+        let result = NetworkSimulator::with_shared_model(
+            quick_config(0.2),
+            NetworkConfig::mesh(2, 2),
+            model(4),
+        );
+        assert!(matches!(
+            result,
+            Err(NetworkError::Simulation(SimulationError::PortMismatch {
+                config_ports: 8,
+                model_ports: 4,
+            }))
+        ));
+    }
+
+    #[test]
     fn single_row_network_fits_radix_four_nodes() {
         let config = SimulationConfig::quick(Architecture::Crossbar, 4, 0.2);
         let report =

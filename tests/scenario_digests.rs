@@ -12,6 +12,10 @@
 //! `$CARGO_TARGET_TMPDIR/scenario_digests.json`; copy it over the golden
 //! only when a change is meant to alter the documents, and name every
 //! scenario that moved.
+//!
+//! The golden lists exactly the registered scenarios, so the one document
+//! pinned outside the registry, CI's 128-port four-fabric scenario, has its
+//! digest in its own test here.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -81,6 +85,38 @@ fn every_registered_scenario_document_is_pinned() {
             "{}; fresh digests are in {}",
             drifted.join(", "),
             path.display()
+        );
+    }
+}
+
+/// CI's "Wide-fabric" scenario, as `sweep --scenario-file` reads it: all
+/// four 128-port fabrics at one load.  No registered scenario has a fabric
+/// above 64 ports.
+const WIDE_128: &str = r#"{
+  "name": "wide-128",
+  "summary": "All four 128-port fabrics at one load",
+  "config": {
+    "port_counts": [128],
+    "offered_loads": [0.3],
+    "architectures": ["Crossbar", "FullyConnected", "Banyan", "BatcherBanyan"],
+    "packet_words": 16,
+    "warmup_cycles": 50,
+    "measure_cycles": 200,
+    "seed": 229384194,
+    "pattern": "UniformRandom",
+    "model_source": "Paper"
+  }
+}"#;
+
+#[test]
+fn the_128_port_four_fabric_document_is_pinned() {
+    let scenario: Scenario = serde_json::from_str(WIDE_128).expect("parse the scenario");
+    for threads in [1, 2] {
+        let engine = SweepEngine::new().with_threads(threads);
+        assert_eq!(
+            document_digest(&engine, &scenario),
+            "4ef344d1f0d835cdc2e0beedb6282aa2",
+            "{threads} thread(s)"
         );
     }
 }
