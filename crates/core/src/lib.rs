@@ -16,8 +16,9 @@
 //!    (`fabric-power-fabric`) and evaluate either the closed-form worst-case
 //!    equations (Eq. 3–6) or
 //! 4. **Simulate** dynamic traffic bit-by-bit on the router platform
-//!    (`fabric-power-router`) and sweep load and fabric size to regenerate
-//!    Figure 9 and Figure 10 (`fabric-power-sweep`:
+//!    (`fabric-power-router`, whose route tables cross the switches and
+//!    drive the wires Eq. 3–6 count) and sweep load and fabric size to
+//!    regenerate Figure 9 and Figure 10 (`fabric-power-sweep`:
 //!    [`prelude::ThroughputSweep`], [`prelude::PortSweep`]);
 //! 5. **Compare** every published number with ours: the ledger ([`paper`]).
 //!
@@ -45,7 +46,7 @@ pub mod paper;
 /// workspace, so downstream users can `use fabric_power_core::prelude::*`.
 pub mod prelude {
     pub use fabric_power_fabric::analytic;
-    pub use fabric_power_fabric::{Architecture, FabricEnergyModel, FabricTopology};
+    pub use fabric_power_fabric::{Architecture, FabricEnergyModel};
     pub use fabric_power_memory::{BufferConfig, MemoryModel, Table2};
     pub use fabric_power_netlist::{
         CellLibrary, CharacterizationConfig, SwitchClass, SwitchEnergyLut, Table1,

@@ -93,27 +93,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn only_banyan_has_interconnect_contention() {
-        for architecture in Architecture::ALL {
-            let fabric = crate::topology::FabricTopology::new(architecture, 8).unwrap();
-            let contended = (0..8).any(|input| {
-                (0..8).any(|output| {
-                    fabric
-                        .route(input, output)
-                        .hops
-                        .iter()
-                        .any(|hop| hop.buffered_on_contention)
-                })
-            });
-            assert_eq!(
-                contended,
-                architecture == Architecture::Banyan,
-                "{architecture}"
-            );
-        }
-    }
-
-    #[test]
     fn parsing_accepts_common_spellings() {
         assert_eq!(
             "crossbar".parse::<Architecture>().unwrap(),

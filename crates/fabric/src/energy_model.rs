@@ -192,7 +192,7 @@ impl FabricEnergyModel {
         serde_json::to_string(self)
     }
 
-    fn check_ports(ports: usize) -> Result<(), EnergyModelError> {
+    pub(crate) fn check_ports(ports: usize) -> Result<(), EnergyModelError> {
         if ports >= 2 && ports.is_power_of_two() {
             Ok(())
         } else {

@@ -1,6 +1,6 @@
 //! # fabric-power-fabric
 //!
-//! Structural and analytic models of the four switch-fabric architectures the
+//! Energy and analytic models of the four switch-fabric architectures the
 //! DAC 2002 paper analyzes: crossbar, fully-connected (MUX-based), Banyan and
 //! Batcher-Banyan.
 //!
@@ -8,9 +8,10 @@
 //! * [`energy_model`] — the per-fabric bundle of bit-energy components
 //!   (`E_S` LUTs, `E_B` buffer energy, `E_T` wire energy), built either from
 //!   the paper's published values or from the substrate models;
-//! * [`topology`] — per-architecture packet paths: which node switches a
-//!   packet traverses, which interconnects it drives and where interconnect
-//!   contention can occur (consumed by the `fabric-power-router` simulator);
+//! * [`wirelength`] — the closed-form Thompson-grid wire lengths of each
+//!   fabric, re-exported from `fabric-power-thompson` for the
+//!   `fabric-power-router` route tables, which route every packet path from
+//!   them;
 //! * [`analytic`] — the closed-form worst-case bit-energy equations
 //!   (paper Eq. 3–6);
 //! * [`provider`] — the model-provider layer: every energy-model acquisition
@@ -46,16 +47,18 @@ pub mod analytic;
 pub mod architecture;
 pub mod energy_model;
 pub mod provider;
-pub mod topology;
 
 pub use architecture::Architecture;
 pub use energy_model::FabricEnergyModel;
 pub use provider::{ModelKind, ModelProvider, ModelSpec};
-pub use topology::{FabricTopology, PathHop, RoutePath, TopologyError};
 
-/// The node-switch class a [`PathHop`] names, re-exported so path consumers
-/// need not depend on the netlist crate.
+/// The node-switch class of a route hop, re-exported so the router need not
+/// depend on the netlist crate.
 pub use fabric_power_netlist::SwitchClass;
+
+/// The closed-form wire lengths, re-exported so the router need not depend
+/// on the Thompson crate.
+pub use fabric_power_thompson::wirelength;
 
 #[cfg(test)]
 mod tests {
@@ -66,8 +69,6 @@ mod tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Architecture>();
         assert_send_sync::<FabricEnergyModel>();
-        assert_send_sync::<FabricTopology>();
-        assert_send_sync::<RoutePath>();
         assert_send_sync::<ModelProvider>();
         assert_send_sync::<ModelSpec>();
     }

@@ -360,9 +360,13 @@ impl ModelProvider {
     ///
     /// # Errors
     ///
-    /// Propagates [`EnergyModelError`] from the underlying build only
-    /// (invalid port count, characterization or memory-model failures).
+    /// Returns [`EnergyModelError::InvalidPortCount`] unless the spec's port
+    /// count is a power of two ≥ 2, before any layer is read: a router
+    /// lowers its route tables at the model's port count, so no store entry
+    /// may supply another.  Otherwise propagates the build's characterization
+    /// or memory-model failures.
     pub fn get(&self, spec: &ModelSpec) -> Result<Arc<FabricEnergyModel>, EnergyModelError> {
+        FabricEnergyModel::check_ports(spec.ports)?;
         let key = spec.cache_key();
         if let Some(model) = self
             .memory
@@ -673,6 +677,32 @@ mod tests {
         let model = fresh.get(&spec16).unwrap();
         assert_eq!(model.ports(), 16);
         assert_eq!(fresh.stats().disk_rejections, 1);
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_stored_model_with_an_invalid_port_count_is_an_error() {
+        let dir = temp_store("invalid-ports");
+        let provider = ModelProvider::with_disk_cache(&dir).unwrap();
+        let spec8 = ModelSpec::paper(8);
+        provider.get(&spec8).unwrap();
+
+        // An entry consistent in every field that names a 6-port model, which
+        // no constructor builds and no route table can be lowered for.
+        let spec6 = ModelSpec::paper(6);
+        let entry = std::fs::read_to_string(dir.join(format!("{}.json", spec8.cache_key())))
+            .unwrap()
+            .replace(&spec8.cache_key(), &spec6.cache_key())
+            .replace("\"ports\":8", "\"ports\":6");
+        std::fs::write(dir.join(format!("{}.json", spec6.cache_key())), entry).unwrap();
+
+        let fresh = ModelProvider::with_disk_cache(&dir).unwrap();
+        assert!(matches!(
+            fresh.get(&spec6),
+            Err(EnergyModelError::InvalidPortCount { ports: 6 })
+        ));
+        assert_eq!(fresh.stats().disk_hits, 0);
 
         let _ = std::fs::remove_dir_all(&dir);
     }

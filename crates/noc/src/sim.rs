@@ -49,7 +49,7 @@ use fabric_power_router::config::{SimulationConfig, SimulationReport};
 use fabric_power_router::metrics::LatencyHistogram;
 use fabric_power_router::node::RouterNode;
 use fabric_power_router::packet::Packet;
-use fabric_power_router::route_table::{PricedRoutes, RouteTable};
+use fabric_power_router::route_table::PricedRoutes;
 use fabric_power_router::sim::{RouterSimulator, SimulationError};
 use fabric_power_router::traffic::TrafficGenerator;
 use fabric_power_router::EnergyAccount;
@@ -239,6 +239,13 @@ impl MeshNetwork {
         if net.link_depth == 0 {
             return Err(NetworkError::ZeroLinkDepth);
         }
+        if model.ports() != config.ports {
+            return Err(SimulationError::PortMismatch {
+                config_ports: config.ports,
+                model_ports: model.ports(),
+            }
+            .into());
+        }
         let grid_bit_energy = model.grid_bit_energy();
         let link_grids = f64::from(net.link_grids);
         let link_prices = (0..=u64::BITS)
@@ -246,9 +253,7 @@ impl MeshNetwork {
             .collect();
         // Every node has the same fabric and model, so they share one
         // priced route table.
-        let routes =
-            RouteTable::new(config.architecture, config.ports).map_err(SimulationError::from)?;
-        let fabric = Arc::new(PricedRoutes::new(routes, model)?);
+        let fabric = Arc::new(PricedRoutes::new(config.architecture, model));
         let mut nodes = Vec::with_capacity(node_count);
         let mut traffic = Vec::with_capacity(node_count);
         let mut links = Vec::with_capacity(node_count * DIRECTIONS);

@@ -14,9 +14,10 @@
 //! * [`metrics`] — streaming latency-distribution metrics: a deterministic
 //!   fixed-bin histogram behind the report's p50/p95/p99 fields;
 //! * [`config`] — simulation configuration and the per-run report;
-//! * [`route_table`] — every fabric path lowered once into dense link and
-//!   element ids, and every hop kind priced once under an energy model,
-//!   shared by the nodes of a mesh and by every simulator of a sweep;
+//! * [`route_table`] — every fabric path routed once with the paper's
+//!   switch and wire arithmetic, straight into dense link and element ids,
+//!   and every hop kind priced once under an energy model, at its port
+//!   count, shared by the nodes of a mesh and by every simulator of a sweep;
 //! * [`node`] — the reusable per-tick switching core of one router
 //!   (injected traffic, shared with the `fabric-power-noc` network layer);
 //! * [`sim`] — the single-router driver built on it.
@@ -61,7 +62,7 @@ pub use config::{SimulationConfig, SimulationReport};
 pub use energy::EnergyAccount;
 pub use node::RouterNode;
 pub use packet::Packet;
-pub use route_table::{PricedRoutes, RouteTable};
+pub use route_table::PricedRoutes;
 pub use sim::RouterSimulator;
 pub use traffic::TrafficPattern;
 

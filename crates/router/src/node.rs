@@ -33,7 +33,7 @@
 //!   router runs the crossbar, fully-connected and Batcher-Banyan fabrics
 //!   of an operating point on one node.  A contendable fabric (the Banyan)
 //!   blocks flows, so it always has a node to itself.
-//! * **Priced route table.**  Paths come from a shared [`RouteTable`],
+//! * **Priced route table.**  Paths come from a shared route table,
 //!   lowered once at construction.  A grant stores the route's index, the
 //!   same in every fabric's table; every hop carries dense link and element
 //!   ids, so the per-link polarity state and the per-element occupancy are
@@ -95,12 +95,10 @@
 //!   into a buffer the caller owns and drains, instead of returning a new
 //!   `Vec` of clones.
 //!
-//! Energy is summed in the same per-flow, per-hop order as a direct walk
-//! of [`FabricTopology::route`](fabric_power_fabric::FabricTopology::route)
-//! paths, and every table entry is the product that walk computes, so every
-//! statistic is bit-identical to it.  The terms left out are exact zeros.
-//!
-//! [`RouteTable`]: crate::route_table::RouteTable
+//! Energy is summed flow by flow, hop by hop in path order, and every
+//! table entry is the product the per-hop formula computes, so every
+//! statistic is bit-identical to charging the energy model hop by hop.
+//! The terms left out are exact zeros.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -568,9 +566,9 @@ impl RouterNode {
     /// to: the caller owns the buffer and drains it after each step, so its
     /// capacity is reused across cycles.  Arbitration visits only the
     /// outputs that can grant and every path comes from the node's priced
-    /// [`RouteTable`](crate::route_table::RouteTable), so in steady state a
-    /// step neither hashes nor allocates.  A pass this cycle's events give
-    /// no work is skipped (see the module docs).
+    /// route table, so in steady state a step neither hashes nor allocates.
+    /// A pass this cycle's events give no work is skipped (see the module
+    /// docs).
     ///
     /// The caller owns the clock: `cycle` only seeds the rotating contention
     /// priority and is echoed nowhere else.
@@ -761,7 +759,6 @@ impl RouterNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::route_table::RouteTable;
     use fabric_power_fabric::{Architecture, FabricEnergyModel};
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
@@ -956,9 +953,8 @@ mod tests {
     }
 
     fn priced(architecture: Architecture, ports: usize) -> Arc<PricedRoutes> {
-        let routes = RouteTable::new(architecture, ports).unwrap();
         let model = Arc::new(FabricEnergyModel::paper(ports).unwrap());
-        Arc::new(PricedRoutes::new(routes, model).unwrap())
+        Arc::new(PricedRoutes::new(architecture, model))
     }
 
     /// The contention-free architectures, which share one flow schedule.
@@ -1104,8 +1100,8 @@ mod tests {
     }
 
     /// The contention pass the claim stamps replaced: flows visited through
-    /// a `%` rotation, only contendable hops claimed, as `bool`s, and every
-    /// unblocked flow's hops cleared again at the end of the pass.
+    /// a `%` rotation, every hop of a contendable table claimed, as `bool`s,
+    /// and every unblocked flow's hops cleared again at the end of the pass.
     fn bool_and_clear_contention(
         fabric: &PricedRoutes,
         flows: &mut [ActiveFlow],
@@ -1125,10 +1121,9 @@ mod tests {
                 continue;
             }
             let hops = table.hops(table.route(flow.route));
-            let contendable = hops.iter().filter(|hop| table.data(hop).contendable);
-            let blocked = contendable.clone().any(|hop| claimed[hop.link as usize]);
+            let blocked = hops.iter().any(|hop| claimed[hop.link as usize]);
             if !blocked {
-                for hop in contendable {
+                for hop in hops {
                     claimed[hop.link as usize] = true;
                 }
             }

@@ -19,27 +19,24 @@
 use std::sync::Arc;
 
 use fabric_power_fabric::energy_model::FabricEnergyModel;
-use fabric_power_fabric::topology::TopologyError;
 use fabric_power_fabric::Architecture;
 
 use crate::config::{SimulationConfig, SimulationReport};
 use crate::metrics::LatencyHistogram;
 use crate::node::RouterNode;
 use crate::packet::Packet;
-use crate::route_table::{PricedRoutes, RouteTable};
+use crate::route_table::PricedRoutes;
 use crate::traffic::{TrafficError, TrafficGenerator};
 
 /// Errors raised when constructing a [`RouterSimulator`].
 #[derive(Debug)]
 pub enum SimulationError {
-    /// The topology could not be built (bad port count).
-    Topology(TopologyError),
-    /// The energy model, or a priced route table, was built for a
-    /// different port count than the configuration requests.
+    /// A priced route table, lowered at its energy model's port count, has
+    /// another port count than the configuration requests.
     PortMismatch {
         /// Ports in the configuration.
         config_ports: usize,
-        /// Ports the energy model, or the route table, was built for.
+        /// Ports the energy model and its priced route table have.
         model_ports: usize,
     },
     /// A traffic parameter is out of range.
@@ -52,7 +49,6 @@ pub enum SimulationError {
 impl std::fmt::Display for SimulationError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Self::Topology(e) => write!(f, "topology: {e}"),
             Self::PortMismatch {
                 config_ports,
                 model_ports,
@@ -71,16 +67,9 @@ impl std::fmt::Display for SimulationError {
 impl std::error::Error for SimulationError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            Self::Topology(e) => Some(e),
             Self::Traffic(e) => Some(e),
             Self::PortMismatch { .. } | Self::ZeroMeasureCycles => None,
         }
-    }
-}
-
-impl From<TopologyError> for SimulationError {
-    fn from(e: TopologyError) -> Self {
-        Self::Topology(e)
     }
 }
 
@@ -197,7 +186,8 @@ const REPLAY_CYCLES: u64 = 64;
 
 impl RouterSimulator {
     /// Creates a simulator from a configuration and a shared energy model,
-    /// lowering and pricing the route table of `config.architecture`.
+    /// lowering and pricing the route table of `config.architecture` at the
+    /// model's port count.
     ///
     /// One immutable model per fabric size is shared across every
     /// simulation (and worker thread) via [`Arc`] instead of being cloned
@@ -206,21 +196,21 @@ impl RouterSimulator {
     /// # Errors
     ///
     /// Returns [`SimulationError`] if the measurement window is empty, the
-    /// port count is invalid or does not match the energy model, or a
-    /// traffic parameter is out of range.
+    /// configuration's port count is not the energy model's
+    /// ([`SimulationError::PortMismatch`]), or a traffic parameter is out of
+    /// range.
     pub fn with_shared_model(
         config: SimulationConfig,
         model: Arc<FabricEnergyModel>,
     ) -> Result<Self, SimulationError> {
-        config.check_window()?;
-        let routes = RouteTable::new(config.architecture, config.ports)?;
-        Self::lockstep(config, &[Arc::new(PricedRoutes::new(routes, model)?)])
+        let table = PricedRoutes::new(config.architecture, model);
+        Self::lockstep(config, &[Arc::new(table)])
     }
 
     /// Creates a simulator that steps the architecture of every entry of
     /// `tables` on the traffic `config` describes, in lockstep: the
     /// contention-free ones on one shared node and each contendable one on
-    /// a node of its own (grouped by [`RouteTable`]'s contention, not by
+    /// a node of its own (grouped by the route table's contention, not by
     /// name).  Every field of `config` but `architecture` applies to every
     /// architecture; [`RouterSimulator::run_all`] lists their reports in
     /// `tables` order, and each equals what
@@ -551,9 +541,8 @@ mod tests {
     }
 
     fn priced(architecture: Architecture, ports: usize) -> Arc<PricedRoutes> {
-        let routes = RouteTable::new(architecture, ports).unwrap();
         let model = Arc::new(FabricEnergyModel::paper(ports).unwrap());
-        Arc::new(PricedRoutes::new(routes, model).unwrap())
+        Arc::new(PricedRoutes::new(architecture, model))
     }
 
     #[test]
@@ -642,10 +631,7 @@ mod tests {
                 .collect();
             let tables: Vec<Arc<PricedRoutes>> = architectures
                 .iter()
-                .map(|&architecture| {
-                    let routes = RouteTable::new(architecture, ports).unwrap();
-                    Arc::new(PricedRoutes::new(routes, Arc::clone(&model)).unwrap())
-                })
+                .map(|&architecture| Arc::new(PricedRoutes::new(architecture, Arc::clone(&model))))
                 .collect();
             let lockstep = RouterSimulator::lockstep(config.clone(), &tables).unwrap();
             prop_assert_eq!(lockstep.run_all(), separate.clone());

@@ -10,8 +10,8 @@ use fabric_power_fabric::provider::ModelProvider;
 use fabric_power_fabric::Architecture;
 use fabric_power_noc::{NetworkReport, NetworkSimulator};
 use fabric_power_obs as obs;
-use fabric_power_router::sim::{RouterSimulator, SimulationError};
-use fabric_power_router::{PricedRoutes, RouteTable};
+use fabric_power_router::sim::RouterSimulator;
+use fabric_power_router::PricedRoutes;
 
 /// The obs target engine spans are tagged with.
 const TARGET: &str = "sweep.engine";
@@ -185,9 +185,7 @@ impl SweepEngine {
     ) -> Result<Vec<SweepPoint>, ExperimentError> {
         let models = self.build_models(config, cells)?;
         let groups = traffic_groups(cells);
-        let (tables, table_error) = price_tables(cells, &groups, &models);
-        // Only the groups before the first one whose table failed run:
-        // they hold the cells that could fail before it.
+        let tables = price_tables(cells, &groups, &models);
         let runnable: Vec<_> = groups.iter().zip(&tables).collect();
         let results =
             executor::parallel_map(&runnable, self.threads().max(1), |&(group, tables)| {
@@ -204,9 +202,6 @@ impl SweepEngine {
             for (&position, point) in group.iter().zip(result?) {
                 points[position] = Some(point);
             }
-        }
-        if let Some(error) = table_error {
-            return Err(error.into());
         }
         Ok(points
             .into_iter()
@@ -384,37 +379,35 @@ impl SweepEngine {
 /// distinct (architecture, ports) table once, under its size's model,
 /// [`Arc`]-shared by every group that steps it.  Returns each group's
 /// tables in group order (none for a network group, whose mesh lowers its
-/// own), up to the first group a table fails for, and that failure.
+/// own).
 fn price_tables(
     cells: &[SweepCell],
     groups: &[Vec<usize>],
     models: &HashMap<usize, Arc<FabricEnergyModel>>,
-) -> (Vec<Vec<Arc<PricedRoutes>>>, Option<SimulationError>) {
+) -> Vec<Vec<Arc<PricedRoutes>>> {
     let mut priced: HashMap<(Architecture, usize), Arc<PricedRoutes>> = HashMap::new();
-    let mut table_for = |cell: &SweepCell| -> Result<Arc<PricedRoutes>, SimulationError> {
-        let key = (cell.architecture, cell.ports);
-        if let Some(table) = priced.get(&key) {
-            return Ok(Arc::clone(table));
-        }
-        let routes = RouteTable::new(cell.architecture, cell.ports)?;
-        let table = Arc::new(PricedRoutes::new(routes, Arc::clone(&models[&cell.ports]))?);
-        priced.insert(key, Arc::clone(&table));
-        Ok(table)
+    let mut table_for = |cell: &SweepCell| {
+        let table = priced
+            .entry((cell.architecture, cell.ports))
+            .or_insert_with(|| {
+                Arc::new(PricedRoutes::new(
+                    cell.architecture,
+                    Arc::clone(&models[&cell.ports]),
+                ))
+            });
+        Arc::clone(table)
     };
-    let mut tables = Vec::with_capacity(groups.len());
-    for group in groups {
-        let group_tables = group
-            .iter()
-            .map(|&position| &cells[position])
-            .filter(|cell| cell.network.is_none())
-            .map(&mut table_for)
-            .collect();
-        match group_tables {
-            Ok(group_tables) => tables.push(group_tables),
-            Err(error) => return (tables, Some(error)),
-        }
-    }
-    (tables, None)
+    groups
+        .iter()
+        .map(|group| {
+            group
+                .iter()
+                .map(|&position| &cells[position])
+                .filter(|cell| cell.network.is_none())
+                .map(&mut table_for)
+                .collect()
+        })
+        .collect()
 }
 
 /// Splits a cell list into the groups that can share one simulation, as
@@ -699,8 +692,7 @@ mod tests {
             let cells = crate::plan::expand_cells(&config, strategy);
             let models = engine.build_models(&config, &cells).unwrap();
             let groups = traffic_groups(&cells);
-            let (tables, error) = price_tables(&cells, &groups, &models);
-            assert!(error.is_none(), "{strategy:?}");
+            let tables = price_tables(&cells, &groups, &models);
             assert_eq!(tables.len(), group_count, "{strategy:?}");
             // Each group holds its cells' tables in its order, and every
             // group of one size holds the same table per architecture.
@@ -709,8 +701,6 @@ mod tests {
                 assert_eq!(group.len(), tables.len());
                 for (&position, table) in group.iter().zip(tables) {
                     let cell = &cells[position];
-                    assert_eq!(table.routes().architecture(), cell.architecture);
-                    assert_eq!(table.routes().ports(), cell.ports);
                     let first = shared
                         .entry((cell.architecture, cell.ports))
                         .or_insert(table);
@@ -722,31 +712,6 @@ mod tests {
                 tables.iter().flatten().map(Arc::as_ptr).collect();
             assert_eq!(lowered.len(), 16, "{strategy:?}");
         }
-    }
-
-    #[test]
-    fn the_tables_stop_at_the_first_group_a_table_fails_for() {
-        // A model of the wrong size makes every 8-port table fail to price;
-        // the 4-port groups come first in the quick grid and still get
-        // their tables.
-        let config = ExperimentConfig::quick();
-        let cells = crate::plan::expand_cells(&config, SeedStrategy::Shared);
-        let groups = traffic_groups(&cells);
-        let small = Arc::new(FabricEnergyModel::paper(4).unwrap());
-        let models = HashMap::from([(4, Arc::clone(&small)), (8, small)]);
-        let (tables, error) = price_tables(&cells, &groups, &models);
-        let first_failing = groups
-            .iter()
-            .position(|group| cells[group[0]].ports == 8)
-            .unwrap();
-        assert_eq!(tables.len(), first_failing);
-        assert!(matches!(
-            error,
-            Some(SimulationError::PortMismatch {
-                config_ports: 8,
-                model_ports: 4,
-            })
-        ));
     }
 
     #[test]

@@ -1,21 +1,13 @@
 //! End-to-end integration of the whole workspace: gate-level
-//! characterization → energy-model assembly → topology routing → bit-level
+//! characterization → energy-model assembly → route tables → bit-level
 //! simulation, crossing every crate boundary at least once.
 
 use std::sync::Arc;
 
 use fabric_power_core::prelude::*;
-use fabric_power_fabric::analytic;
-use fabric_power_fabric::topology::{FabricTopology, RoutePath};
 use fabric_power_netlist::characterize::CharacterizationConfig;
 use fabric_power_router::sim::RouterSimulator;
 use fabric_power_tech::constants::PAPER_PORT_COUNTS;
-use fabric_power_thompson::wirelength;
-
-/// Interconnect length of a whole path in Thompson grids.
-fn total_wire_grids(path: &RoutePath) -> u64 {
-    path.wire_grids_before + path.hops.iter().map(|h| h.wire_grids_after).sum::<u64>()
-}
 
 #[test]
 fn derived_energy_model_supports_the_same_pipeline_as_the_paper_model() {
@@ -47,39 +39,6 @@ fn derived_energy_model_supports_the_same_pipeline_as_the_paper_model() {
         assert!(
             model.buffer_bit_energy() > model.grid_bit_energy() * 10.0,
             "{label}"
-        );
-    }
-}
-
-#[test]
-fn analytic_equations_agree_with_topology_path_structure() {
-    // The closed-form equations and the routed paths must describe the same
-    // fabric: same wire grids, same switch-hop counts.
-    for &ports in &PAPER_PORT_COUNTS {
-        let model = FabricEnergyModel::paper(ports).expect("model");
-
-        let crossbar = FabricTopology::new(Architecture::Crossbar, ports).expect("topology");
-        let path = crossbar.route(0, ports - 1);
-        let wire_energy = model.wire_bit_energy(total_wire_grids(&path));
-        let switch_energy = model.switch_bit_energy(SwitchClass::CrossbarCrosspoint, 1)
-            * path.hops[0].charged_inputs as f64;
-        let reconstructed = wire_energy + switch_energy;
-        let analytic_value = analytic::crossbar_bit_energy(&model);
-        assert!(
-            (reconstructed.as_joules() - analytic_value.as_joules()).abs()
-                < 1e-6 * analytic_value.as_joules(),
-            "crossbar N={ports}: path-based {reconstructed} vs Eq.3 {analytic_value}"
-        );
-
-        let banyan = FabricTopology::new(Architecture::Banyan, ports).expect("topology");
-        let banyan_path = banyan.route(0, ports - 1);
-        assert_eq!(
-            total_wire_grids(&banyan_path),
-            wirelength::banyan_bit_wire_grids(ports)
-        );
-        assert_eq!(
-            banyan_path.hops.len() as u32,
-            wirelength::banyan_stages(ports)
         );
     }
 }

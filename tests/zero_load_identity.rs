@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use fabric_power_fabric::{analytic, Architecture, FabricEnergyModel};
 use fabric_power_netlist::SwitchClass;
-use fabric_power_router::{EnergyAccount, Packet, PricedRoutes, RouteTable, RouterNode};
+use fabric_power_router::{EnergyAccount, Packet, PricedRoutes, RouterNode};
 use fabric_power_tech::constants::PAPER_PORT_COUNTS;
 use fabric_power_thompson::wirelength;
 
@@ -36,8 +36,7 @@ fn lone_packet_energy(
     payload: Vec<u64>,
 ) -> EnergyAccount {
     let ports = model.ports();
-    let routes = RouteTable::new(architecture, ports).expect("route table");
-    let fabric = Arc::new(PricedRoutes::new(routes, Arc::clone(model)).expect("priced routes"));
+    let fabric = Arc::new(PricedRoutes::new(architecture, Arc::clone(model)));
     let mut node = RouterNode::new(fabric);
     node.begin_measurement();
     node.inject(
