@@ -31,12 +31,12 @@ use crate::traffic::{TrafficError, TrafficGenerator};
 /// Errors raised when constructing a [`RouterSimulator`].
 #[derive(Debug)]
 pub enum SimulationError {
-    /// A priced route table, lowered at its energy model's port count, has
+    /// The energy model, and so every route table priced under it, has
     /// another port count than the configuration requests.
     PortMismatch {
         /// Ports in the configuration.
         config_ports: usize,
-        /// Ports the energy model and its priced route table have.
+        /// Ports of the energy model and its priced route tables.
         model_ports: usize,
     },
     /// A traffic parameter is out of range.
