@@ -653,16 +653,25 @@ mod tests {
 
     #[test]
     fn invalid_port_counts_are_rejected() {
+        let lowered = std::panic::catch_unwind(|| RouteTable::new(Architecture::Crossbar, 6));
+        assert!(lowered.is_err());
+    }
+
+    #[test]
+    fn every_fabric_refuses_the_port_counts_no_model_has() {
         // A table is lowered at its energy model's port count, and no
         // model has one that is not a power of two of at least 2.
         for ports in [0, 3, 6] {
             let error = FabricEnergyModel::paper(ports).unwrap_err();
             assert!(error.to_string().contains(&ports.to_string()), "{error}");
-            let lowered =
-                std::panic::catch_unwind(|| RouteTable::new(Architecture::Crossbar, ports));
-            assert!(lowered.is_err(), "{ports}");
+            for architecture in Architecture::ALL {
+                let lowered = std::panic::catch_unwind(|| RouteTable::new(architecture, ports));
+                assert!(lowered.is_err(), "{architecture:?} {ports}");
+            }
         }
-        assert_eq!(RouteTable::new(Architecture::Crossbar, 16).ports(), 16);
+        for architecture in Architecture::ALL {
+            assert_eq!(RouteTable::new(architecture, 16).ports(), 16);
+        }
     }
 
     #[test]
