@@ -227,4 +227,32 @@ mod tests {
             .buffer_bit_energy();
         assert!(large > small);
     }
+
+    #[test]
+    fn structural_sram_bit_energies_are_pinned() {
+        // `E_B_bit` of the structural SRAM at every size a model can ask
+        // for, as f64 bits: 4 and 8 ports reach documents only through the
+        // `derived-quick` digest, 128 through the 128-port document, and
+        // `conform` prints Table 2 at 0 decimals.
+        let pinned: [(usize, u64); 7] = [
+            (2, 0x3de1_d48d_1ca8_cc5a),
+            (4, 0x3de3_14fd_d838_9db1),
+            (8, 0x3de5_035d_7a79_edca),
+            (16, 0x3de7_be1e_5b74_dc9a),
+            (32, 0x3dec_0eea_0f38_6adc),
+            (64, 0x3df1_2783_afd8_0117),
+            (128, 0x3df5_de67_ff56_de40),
+        ];
+        let ports: Vec<usize> = pinned.iter().map(|&(ports, _)| ports).collect();
+        let computed = Table2::compute(&ports).unwrap();
+        for (row, (ports, bits)) in computed.rows.iter().zip(pinned) {
+            assert_eq!(row.ports, ports);
+            assert_eq!(
+                row.bit_energy.as_joules().to_bits(),
+                bits,
+                "{ports} ports: {}",
+                row.bit_energy
+            );
+        }
+    }
 }
