@@ -224,9 +224,6 @@ impl MeshNetwork {
         config.check_window()?;
         let shape = net.shape();
         let node_count = shape.nodes();
-        if node_count == 0 {
-            return Err(NetworkError::EmptyNetwork);
-        }
         if config.ports <= shape.max_used_port() {
             return Err(NetworkError::RadixTooSmall {
                 radix: config.ports,
@@ -856,6 +853,16 @@ mod tests {
                 model_ports: 4,
             }))
         ));
+    }
+
+    #[test]
+    fn an_empty_grid_is_rejected() {
+        for net in [NetworkConfig::mesh(0, 4), NetworkConfig::mesh(4, 0)] {
+            assert!(matches!(
+                NetworkSimulator::with_shared_model(quick_config(0.2), net, model(8)),
+                Err(NetworkError::EmptyNetwork)
+            ));
+        }
     }
 
     #[test]

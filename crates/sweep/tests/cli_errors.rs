@@ -8,7 +8,7 @@
 
 use std::process::{Command, Output};
 
-use fabric_power_sweep::ScenarioRegistry;
+use fabric_power_sweep::{MeshSize, ScenarioRegistry};
 
 const HINT: &str = "run `fabric-power help` for usage";
 
@@ -157,6 +157,46 @@ fn a_zero_cycle_measurement_window_is_a_named_error() {
         assert!(!stderr.contains(HINT), "{name}: {stderr}");
         assert!(!wrote, "{name}: a document was written");
     }
+}
+
+#[test]
+fn an_empty_mesh_is_a_named_error() {
+    let dir = std::env::temp_dir();
+    let id = std::process::id();
+    let mut scenario = ScenarioRegistry::builtin()
+        .get("noc-quick")
+        .expect("a registered scenario")
+        .clone();
+    scenario
+        .config
+        .network
+        .as_mut()
+        .expect("a mesh scenario")
+        .meshes = vec![MeshSize::new(0, 4)];
+    let path = dir.join(format!("fabric-power-cli-errors-{id}-empty-mesh.json"));
+    let out = dir.join(format!("fabric-power-cli-errors-{id}-empty-mesh-out.json"));
+    let json = serde_json::to_string(&scenario).expect("serialize the scenario");
+    std::fs::write(&path, json).expect("write the scenario file");
+    let output = fabric_power(&[
+        "sweep",
+        "--scenario-file",
+        path.to_str().expect("a UTF-8 temp path"),
+        "--threads",
+        "1",
+        "--out",
+        out.to_str().expect("a UTF-8 temp path"),
+    ]);
+    let wrote = out.exists();
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(&out);
+    let stderr = stderr(&output);
+    assert_eq!(output.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("error: network: network has zero routers"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains(HINT), "{stderr}");
+    assert!(!wrote, "a document was written");
 }
 
 #[test]
