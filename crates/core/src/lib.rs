@@ -47,7 +47,7 @@ pub mod paper;
 pub mod prelude {
     pub use fabric_power_fabric::analytic;
     pub use fabric_power_fabric::{Architecture, FabricEnergyModel};
-    pub use fabric_power_memory::{BufferConfig, MemoryModel, Table2};
+    pub use fabric_power_memory::{MemoryModel, Table2};
     pub use fabric_power_netlist::{
         CellLibrary, CharacterizationConfig, SwitchClass, SwitchEnergyLut, Table1,
     };

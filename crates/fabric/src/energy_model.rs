@@ -15,8 +15,8 @@
 
 use serde::{Deserialize, Serialize};
 
-use fabric_power_memory::buffers::BufferConfig;
-use fabric_power_memory::sram::MemoryModelError;
+use fabric_power_memory::buffers::shared_buffer_bits;
+use fabric_power_memory::sram::{MemoryModel, MemoryModelError};
 use fabric_power_netlist::characterize::CharacterizationConfig;
 use fabric_power_netlist::library::CellLibrary;
 use fabric_power_netlist::lut::SwitchEnergyLut;
@@ -102,9 +102,7 @@ impl FabricEnergyModel {
         Self::check_ports(ports)?;
         let buffer_bit_energy = match fabric_power_memory::Table2::paper().bit_energy(ports) {
             Some(energy) => energy,
-            None => BufferConfig::paper_default(ports)
-                .memory_model()?
-                .buffer_bit_energy(),
+            None => MemoryModel::shared_buffer(shared_buffer_bits(ports))?.buffer_bit_energy(),
         };
         Ok(Self {
             ports,
@@ -141,7 +139,7 @@ impl FabricEnergyModel {
         Self::check_ports(ports)?;
         let bus_width = technology.bus_width_bits() as usize;
         let address_bits = (ports.trailing_zeros() as usize).max(1);
-        let buffer = BufferConfig::paper_default(ports).memory_model()?;
+        let buffer = MemoryModel::shared_buffer(shared_buffer_bits(ports))?;
         Ok(Self {
             ports,
             bus_width_bits: technology.bus_width_bits(),

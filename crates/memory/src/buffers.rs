@@ -28,40 +28,16 @@ pub fn banyan_switch_count(ports: usize) -> usize {
     ports / 2 * ports.trailing_zeros() as usize
 }
 
-/// Configuration of the shared internal buffer of one Banyan fabric.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BufferConfig {
-    /// Number of ingress/egress ports of the fabric.
-    pub ports: usize,
-    /// Buffer capacity provisioned per node switch, in bits.
-    pub bits_per_switch: u64,
-}
-
-impl BufferConfig {
-    /// The paper's configuration: 4 Kbit per node switch.
-    #[must_use]
-    pub fn paper_default(ports: usize) -> Self {
-        Self {
-            ports,
-            bits_per_switch: BANYAN_NODE_BUFFER_BITS,
-        }
-    }
-
-    /// Total shared-SRAM capacity for this fabric.
-    #[must_use]
-    pub fn shared_capacity_bits(&self) -> u64 {
-        banyan_switch_count(self.ports) as u64 * self.bits_per_switch
-    }
-
-    /// Builds the memory model of the shared buffer.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`MemoryModelError`] if the resulting capacity is invalid
-    /// (e.g. `bits_per_switch` not a multiple of the word width).
-    pub fn memory_model(&self) -> Result<MemoryModel, MemoryModelError> {
-        MemoryModel::shared_buffer(self.shared_capacity_bits())
-    }
+/// Shared-SRAM capacity of an `N × N` Banyan fabric, in bits: the paper's
+/// 4 Kbit per node switch ([`BANYAN_NODE_BUFFER_BITS`]) times
+/// [`banyan_switch_count`].
+///
+/// # Panics
+///
+/// Panics if `ports` is not a power of two or is smaller than 2.
+#[must_use]
+pub fn shared_buffer_bits(ports: usize) -> u64 {
+    banyan_switch_count(ports) as u64 * BANYAN_NODE_BUFFER_BITS
 }
 
 /// One row of Table 2: the shared-buffer energy of an `N × N` Banyan fabric.
@@ -95,13 +71,12 @@ impl Table2 {
     pub fn compute(port_counts: &[usize]) -> Result<Self, MemoryModelError> {
         let mut rows = Vec::with_capacity(port_counts.len());
         for &ports in port_counts {
-            let config = BufferConfig::paper_default(ports);
-            let memory = config.memory_model()?;
+            let shared_sram_bits = shared_buffer_bits(ports);
             rows.push(BufferEnergyRow {
                 ports,
                 switches: banyan_switch_count(ports),
-                shared_sram_bits: config.shared_capacity_bits(),
-                bit_energy: memory.buffer_bit_energy(),
+                shared_sram_bits,
+                bit_energy: MemoryModel::shared_buffer(shared_sram_bits)?.buffer_bit_energy(),
             });
         }
         Ok(Self { rows })
@@ -165,22 +140,10 @@ mod tests {
 
     #[test]
     fn shared_capacities_match_paper_table2() {
-        assert_eq!(
-            BufferConfig::paper_default(4).shared_capacity_bits(),
-            16 * 1024
-        );
-        assert_eq!(
-            BufferConfig::paper_default(8).shared_capacity_bits(),
-            48 * 1024
-        );
-        assert_eq!(
-            BufferConfig::paper_default(16).shared_capacity_bits(),
-            128 * 1024
-        );
-        assert_eq!(
-            BufferConfig::paper_default(32).shared_capacity_bits(),
-            320 * 1024
-        );
+        assert_eq!(shared_buffer_bits(4), 16 * 1024);
+        assert_eq!(shared_buffer_bits(8), 48 * 1024);
+        assert_eq!(shared_buffer_bits(16), 128 * 1024);
+        assert_eq!(shared_buffer_bits(32), 320 * 1024);
     }
 
     #[test]
@@ -217,14 +180,12 @@ mod tests {
 
     #[test]
     fn bigger_fabric_has_costlier_buffer_bit() {
-        let small = BufferConfig::paper_default(4)
-            .memory_model()
-            .unwrap()
-            .buffer_bit_energy();
-        let large = BufferConfig::paper_default(32)
-            .memory_model()
-            .unwrap()
-            .buffer_bit_energy();
+        let energy = |ports| {
+            MemoryModel::shared_buffer(shared_buffer_bits(ports))
+                .unwrap()
+                .buffer_bit_energy()
+        };
+        let (small, large) = (energy(4), energy(32));
         assert!(large > small);
     }
 

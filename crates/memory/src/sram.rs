@@ -1,19 +1,27 @@
-//! SRAM / DRAM access-energy models for switch-fabric internal buffers
-//! (paper §3.2 and §5.1).
+//! The structural SRAM model of the fabric's shared internal buffer (paper
+//! §3.2 and §5.1).
 //!
 //! The paper models the buffer bit energy as `E_B_bit = E_access + E_ref`
-//! (Eq. 1): the average per-bit cost of one READ or WRITE access plus, for
-//! DRAM, the amortized refresh cost.  It takes `E_access` from an
-//! off-the-shelf 0.18 µm 3.3 V SRAM datasheet at 133 MHz; we rebuild the same
-//! quantity from a small structural model (decoder + word line + bit lines +
-//! sense amplifiers) calibrated to land in the paper's 140–222 pJ/bit range,
-//! and also ship the paper's exact Table 2 values as a reference dataset
-//! (see [`crate::buffers`]).
+//! (Eq. 1): the average per-bit cost of one READ or WRITE access plus the
+//! amortized refresh cost, which is zero for the SRAM the paper uses.  It
+//! takes `E_access` from an off-the-shelf 0.18 µm 3.3 V SRAM datasheet at
+//! 133 MHz; we rebuild the same quantity from a small structural model
+//! (decoder + word line + bit lines + sense amplifiers) of that part,
+//! calibrated to land in the paper's 140–222 pJ/bit range, and also ship
+//! the paper's exact Table 2 values as a reference dataset (see
+//! [`crate::buffers`]).
+//!
+//! The SRAM is always the paper's datasheet part: 32-bit words at the
+//! 0.18 µm case study's 3.3 V ([`Technology::tsmc180`]), whatever
+//! technology a derived model is built for.  Only its capacity varies.
 
 use serde::{Deserialize, Serialize};
 
-use fabric_power_tech::units::{Capacitance, Energy, Frequency};
+use fabric_power_tech::units::{Capacitance, Energy};
 use fabric_power_tech::Technology;
+
+/// Width of the datasheet SRAM's words, in bits.
+const WORD_BITS: u32 = 32;
 
 /// Errors produced when describing a memory array.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -25,8 +33,6 @@ pub enum MemoryModelError {
         /// Word width in bits.
         word_bits: u32,
     },
-    /// Word width must be positive.
-    ZeroWordWidth,
 }
 
 impl std::fmt::Display for MemoryModelError {
@@ -39,27 +45,13 @@ impl std::fmt::Display for MemoryModelError {
                 f,
                 "capacity of {capacity_bits} bits is not a positive multiple of the {word_bits}-bit word"
             ),
-            Self::ZeroWordWidth => write!(f, "memory word width must be at least one bit"),
         }
     }
 }
 
 impl std::error::Error for MemoryModelError {}
 
-/// The storage technology of the internal buffers.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum MemoryTechnology {
-    /// Static RAM: no refresh energy.
-    Sram,
-    /// Dynamic RAM: cells must be refreshed; `refresh_interval` is the period
-    /// over which every cell is refreshed once.
-    Dram {
-        /// Refresh period (typical parts: 64 ms).
-        refresh_interval_s: f64,
-    },
-}
-
-/// A structural access-energy model of one shared buffer memory.
+/// A structural access-energy model of one shared buffer SRAM.
 ///
 /// # Examples
 ///
@@ -68,7 +60,7 @@ pub enum MemoryTechnology {
 ///
 /// // The 16 Kbit shared buffer of a 4x4 Banyan fabric (paper Table 2).
 /// let sram = MemoryModel::shared_buffer(16 * 1024)?;
-/// let per_bit = sram.access_energy_per_bit();
+/// let per_bit = sram.buffer_bit_energy();
 /// // The paper's value is 140 pJ; the structural model lands in that band.
 /// assert!(per_bit.as_picojoules() > 70.0 && per_bit.as_picojoules() < 300.0);
 /// # Ok::<(), fabric_power_memory::sram::MemoryModelError>(())
@@ -76,65 +68,30 @@ pub enum MemoryTechnology {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MemoryModel {
     capacity_bits: u64,
-    word_bits: u32,
-    technology: Technology,
-    memory_technology: MemoryTechnology,
-    clock: Frequency,
 }
 
 impl MemoryModel {
-    /// Creates a model of a shared buffer SRAM with the paper's defaults:
-    /// 32-bit words, 0.18 µm 3.3 V technology, 133 MHz operation.
+    /// Creates a model of the paper's shared buffer SRAM holding
+    /// `capacity_bits`: 32-bit words, 0.18 µm 3.3 V technology.
     ///
     /// # Errors
     ///
     /// Returns [`MemoryModelError`] if `capacity_bits` is not a positive
     /// multiple of 32.
     pub fn shared_buffer(capacity_bits: u64) -> Result<Self, MemoryModelError> {
-        Self::new(
-            capacity_bits,
-            32,
-            Technology::tsmc180(),
-            MemoryTechnology::Sram,
-            Frequency::from_megahertz(133.0),
-        )
-    }
-
-    /// Creates a fully-specified memory model.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemoryModelError`] if the word width is zero or the capacity
-    /// is not a positive multiple of the word width.
-    pub fn new(
-        capacity_bits: u64,
-        word_bits: u32,
-        technology: Technology,
-        memory_technology: MemoryTechnology,
-        clock: Frequency,
-    ) -> Result<Self, MemoryModelError> {
-        if word_bits == 0 {
-            return Err(MemoryModelError::ZeroWordWidth);
-        }
-        if capacity_bits == 0 || !capacity_bits.is_multiple_of(u64::from(word_bits)) {
+        if capacity_bits == 0 || !capacity_bits.is_multiple_of(u64::from(WORD_BITS)) {
             return Err(MemoryModelError::InvalidCapacity {
                 capacity_bits,
-                word_bits,
+                word_bits: WORD_BITS,
             });
         }
-        Ok(Self {
-            capacity_bits,
-            word_bits,
-            technology,
-            memory_technology,
-            clock,
-        })
+        Ok(Self { capacity_bits })
     }
 
     /// Number of words stored.
     #[must_use]
     pub fn words(&self) -> u64 {
-        self.capacity_bits / u64::from(self.word_bits)
+        self.capacity_bits / u64::from(WORD_BITS)
     }
 
     /// Number of rows of the (square-ish) cell array: the model folds the
@@ -163,7 +120,7 @@ impl MemoryModel {
     /// * sense amplifiers and I/O: proportional to the word width.
     #[must_use]
     pub(crate) fn access_energy_per_word(&self) -> Energy {
-        let vdd = self.technology.supply_voltage();
+        let vdd = Technology::tsmc180().supply_voltage();
         // Per-unit effective capacitances, calibrated so the shared-buffer
         // sizes of Table 2 land near the paper's 140-222 pJ/bit figures. The
         // paper reads its numbers off an *off-the-shelf* 3.3 V SRAM datasheet,
@@ -177,7 +134,7 @@ impl MemoryModel {
 
         let rows = self.rows() as f64;
         let columns = self.columns() as f64;
-        let word = f64::from(self.word_bits);
+        let word = f64::from(WORD_BITS);
         let address_levels = rows.log2().max(1.0);
 
         let decoder = (decoder_cap_per_level * address_levels).switching_energy(vdd);
@@ -187,42 +144,18 @@ impl MemoryModel {
         decoder + wordline + bitlines + sense
     }
 
-    /// Average energy per bit of one access: `E_access` of Eq. 1.
+    /// The buffer bit energy `E_B_bit` of Eq. 1: the average energy of one
+    /// access per bit, `E_access`, plus the refresh term `E_ref`, which is
+    /// zero for an SRAM.
     ///
     /// Memory is accessed a word at a time, so the per-bit figure is the word
     /// access energy divided by the word width — exactly how the paper
     /// defines it ("the `E_access` is actually the average energy consumed
-    /// for one bit").
-    #[must_use]
-    pub fn access_energy_per_bit(&self) -> Energy {
-        self.access_energy_per_word() / f64::from(self.word_bits)
-    }
-
-    /// Amortized refresh energy per bit and per clock cycle: `E_ref` of Eq. 1.
-    ///
-    /// Zero for SRAM. For DRAM every cell is rewritten once per refresh
-    /// interval; the cost is spread over the cycles in that interval.
-    #[must_use]
-    pub(crate) fn refresh_energy_per_bit(&self) -> Energy {
-        match self.memory_technology {
-            MemoryTechnology::Sram => Energy::ZERO,
-            MemoryTechnology::Dram { refresh_interval_s } => {
-                let refresh_cycles = refresh_interval_s * self.clock.as_hertz();
-                if refresh_cycles <= 0.0 {
-                    return Energy::ZERO;
-                }
-                self.access_energy_per_bit() / refresh_cycles * self.words() as f64
-            }
-        }
-    }
-
-    /// Total buffer bit energy `E_B_bit = E_access + E_ref` (paper Eq. 1).
-    ///
-    /// A buffered bit is charged this once, as Eq. 5 charges one `E_B_bit`
-    /// per bit parked at a contended stage.
+    /// for one bit").  A buffered bit is charged this once, as Eq. 5 charges
+    /// one `E_B_bit` per bit parked at a contended stage.
     #[must_use]
     pub fn buffer_bit_energy(&self) -> Energy {
-        self.access_energy_per_bit() + self.refresh_energy_per_bit()
+        self.access_energy_per_word() / f64::from(WORD_BITS)
     }
 }
 
@@ -240,17 +173,6 @@ mod tests {
             MemoryModel::shared_buffer(33),
             Err(MemoryModelError::InvalidCapacity { .. })
         ));
-        assert_eq!(
-            MemoryModel::new(
-                1024,
-                0,
-                Technology::tsmc180(),
-                MemoryTechnology::Sram,
-                Frequency::from_megahertz(133.0)
-            )
-            .unwrap_err(),
-            MemoryModelError::ZeroWordWidth
-        );
         let msg = MemoryModelError::InvalidCapacity {
             capacity_bits: 33,
             word_bits: 32,
@@ -273,7 +195,7 @@ mod tests {
         let mut previous = Energy::ZERO;
         for kbits in sizes {
             let sram = MemoryModel::shared_buffer(kbits * 1024).unwrap();
-            let e = sram.access_energy_per_bit();
+            let e = sram.buffer_bit_energy();
             assert!(
                 e >= previous,
                 "access energy must not decrease with capacity ({kbits} Kbit)"
@@ -288,7 +210,7 @@ mod tests {
             let kbits = row.shared_sram_bits / 1024;
             let paper_pj = row.bit_energy.as_picojoules();
             let sram = MemoryModel::shared_buffer(row.shared_sram_bits).unwrap();
-            let ours = sram.access_energy_per_bit().as_picojoules();
+            let ours = sram.buffer_bit_energy().as_picojoules();
             let ratio = ours / paper_pj;
             assert!(
                 (0.5..=2.0).contains(&ratio),
@@ -307,36 +229,10 @@ mod tests {
     }
 
     #[test]
-    fn sram_has_no_refresh_energy() {
-        let sram = MemoryModel::shared_buffer(64 * 1024).unwrap();
-        assert_eq!(sram.refresh_energy_per_bit(), Energy::ZERO);
-        assert_eq!(sram.buffer_bit_energy(), sram.access_energy_per_bit());
-    }
-
-    #[test]
-    fn dram_adds_refresh_energy() {
-        let dram = MemoryModel::new(
-            64 * 1024,
-            32,
-            Technology::tsmc180(),
-            MemoryTechnology::Dram {
-                refresh_interval_s: 64e-3,
-            },
-            Frequency::from_megahertz(133.0),
-        )
-        .unwrap();
-        assert!(dram.refresh_energy_per_bit() > Energy::ZERO);
-        assert!(dram.buffer_bit_energy() > dram.access_energy_per_bit());
-        // Refresh is amortized over many cycles, so it stays a small fraction
-        // of the access energy.
-        assert!(dram.refresh_energy_per_bit() < dram.access_energy_per_bit());
-    }
-
-    #[test]
     fn word_energy_is_word_width_times_bit_energy() {
         let sram = MemoryModel::shared_buffer(32 * 1024).unwrap();
         let word = sram.access_energy_per_word();
-        let bit = sram.access_energy_per_bit();
+        let bit = sram.buffer_bit_energy();
         assert!((word.as_joules() - bit.as_joules() * 32.0).abs() < 1e-18);
     }
 

@@ -2,9 +2,10 @@
 //!
 //! The paper characterizes its node switches with Synopsys Power Compiler on
 //! a 0.18 µm standard-cell library.  We replace that flow with an explicit,
-//! minimal standard-cell set: enough combinational gates to build crosspoint
-//! switches, 2×2 binary/sorting switches and N-input MUX trees, plus a D
-//! flip-flop for the registered data paths.
+//! minimal standard-cell set: exactly the kinds the circuit generators in
+//! [`crate::circuits`] instantiate for the four Table 1 switches, no more.
+//! A kind comes back together with the generator that needs it, and with
+//! its row in [`crate::library::CellLibrary::calibrated_018um`].
 //!
 //! A cell is purely a *kind*; its electrical properties (input capacitance,
 //! internal switching energy, clock-pin energy) live in
@@ -13,7 +14,7 @@
 
 use serde::{Deserialize, Serialize};
 
-/// The set of standard cells available to circuit generators.
+/// The set of standard cells the circuit generators instantiate.
 ///
 /// Every kind drives exactly one output net. Sequential behaviour exists only
 /// in [`CellKind::Dff`], which samples its `D` input on the (implicit) rising
@@ -24,94 +25,63 @@ pub enum CellKind {
     Inv,
     /// Non-inverting buffer: `Y = A`.
     Buf,
-    /// 2-input NAND: `Y = !(A & B)`.
-    Nand2,
-    /// 2-input NOR: `Y = !(A | B)`.
-    Nor2,
     /// 2-input AND: `Y = A & B`.
     And2,
     /// 2-input OR: `Y = A | B`.
     Or2,
-    /// 3-input AND: `Y = A & B & C`.
-    And3,
-    /// 3-input OR: `Y = A | B | C`.
-    Or3,
-    /// 2-input XOR: `Y = A ^ B`.
-    Xor2,
     /// 2-input XNOR: `Y = !(A ^ B)`.
     Xnor2,
     /// 2:1 multiplexer: `Y = S ? B : A` (inputs ordered `[A, B, S]`).
     Mux2,
-    /// Tri-state buffer: `Y = EN ? A : Y_prev` (inputs ordered `[A, EN]`).
+    /// CMOS pass gate: `Y = EN ? A : Y_prev` (inputs ordered `[A, EN]`).
     ///
     /// When disabled the output holds its previous value, modelling the
     /// charge-retaining behaviour of a bus crosspoint.
-    TriBuf,
-    /// CMOS pass gate: electrically identical behaviour to [`CellKind::TriBuf`]
-    /// in this logic-level model, but with the smaller capacitance/energy of a
-    /// transmission gate (inputs ordered `[A, EN]`).
     PassGate,
     /// Rising-edge D flip-flop: `Q <= D` (input ordered `[D]`).
     Dff,
-    /// Level-sensitive latch used for slowly-changing configuration bits
-    /// (allocation state); modelled as a holding element (input ordered `[D]`).
-    Latch,
 }
 
 impl CellKind {
     /// All cell kinds, useful for exhaustive library definitions and tests.
-    pub const ALL: [CellKind; 15] = [
+    pub const ALL: [CellKind; 8] = [
         CellKind::Inv,
         CellKind::Buf,
-        CellKind::Nand2,
-        CellKind::Nor2,
         CellKind::And2,
         CellKind::Or2,
-        CellKind::And3,
-        CellKind::Or3,
-        CellKind::Xor2,
         CellKind::Xnor2,
         CellKind::Mux2,
-        CellKind::TriBuf,
         CellKind::PassGate,
         CellKind::Dff,
-        CellKind::Latch,
     ];
 
     /// Number of input pins the cell expects (excluding the implicit clock).
     #[must_use]
     pub(crate) fn input_count(self) -> usize {
         match self {
-            CellKind::Inv | CellKind::Buf | CellKind::Dff | CellKind::Latch => 1,
-            CellKind::Nand2
-            | CellKind::Nor2
-            | CellKind::And2
-            | CellKind::Or2
-            | CellKind::Xor2
-            | CellKind::Xnor2
-            | CellKind::TriBuf
-            | CellKind::PassGate => 2,
-            CellKind::And3 | CellKind::Or3 | CellKind::Mux2 => 3,
+            CellKind::Inv | CellKind::Buf | CellKind::Dff => 1,
+            CellKind::And2 | CellKind::Or2 | CellKind::Xnor2 | CellKind::PassGate => 2,
+            CellKind::Mux2 => 3,
         }
     }
 
     /// Whether the cell holds state across clock cycles.
     #[must_use]
     pub(crate) fn is_sequential(self) -> bool {
-        matches!(self, CellKind::Dff | CellKind::Latch)
+        self == CellKind::Dff
     }
 
     /// Whether the cell may keep its previous output when not driven
-    /// (tri-state / pass-gate behaviour).
+    /// (pass-gate behaviour).
     #[must_use]
     pub(crate) fn holds_output_when_disabled(self) -> bool {
-        matches!(self, CellKind::TriBuf | CellKind::PassGate)
+        self == CellKind::PassGate
     }
 
     /// Evaluates the cell's combinational function.
     ///
-    /// `previous_output` supplies the retained value for tri-state cells and
-    /// the stored state for sequential cells (which are *not* updated here —
+    /// `previous_output` supplies the retained value for the pass gate and
+    /// the stored state for the flip-flop (which is *not* updated here —
     /// the simulator commits flip-flop state at clock edges).
     ///
     /// # Panics
@@ -129,13 +99,8 @@ impl CellKind {
         match self {
             CellKind::Inv => !inputs[0],
             CellKind::Buf => inputs[0],
-            CellKind::Nand2 => !(inputs[0] & inputs[1]),
-            CellKind::Nor2 => !(inputs[0] | inputs[1]),
             CellKind::And2 => inputs[0] & inputs[1],
             CellKind::Or2 => inputs[0] | inputs[1],
-            CellKind::And3 => inputs[0] & inputs[1] & inputs[2],
-            CellKind::Or3 => inputs[0] | inputs[1] | inputs[2],
-            CellKind::Xor2 => inputs[0] ^ inputs[1],
             CellKind::Xnor2 => !(inputs[0] ^ inputs[1]),
             CellKind::Mux2 => {
                 if inputs[2] {
@@ -144,21 +109,16 @@ impl CellKind {
                     inputs[0]
                 }
             }
-            CellKind::TriBuf | CellKind::PassGate => {
+            CellKind::PassGate => {
                 if inputs[1] {
                     inputs[0]
                 } else {
                     previous_output
                 }
             }
-            // Combinational view of the sequential cells: the simulator
-            // overrides this at clock edges; between edges they hold.
+            // Combinational view of the flip-flop: the simulator overrides
+            // this at clock edges; between edges it holds.
             CellKind::Dff => previous_output,
-            CellKind::Latch => {
-                // Transparent latch modelled as holding (the generators only
-                // use it for configuration bits that change rarely).
-                previous_output
-            }
         }
     }
 
@@ -166,9 +126,9 @@ impl CellKind {
     /// at once: bit `L` of every word is lane `L`'s logic value, so one call
     /// does the work of 64 [`CellKind::evaluate`] calls.
     ///
-    /// `previous_output` supplies the per-lane retained values for tri-state
-    /// cells and the stored state words for sequential cells, exactly like
-    /// the scalar form.  Bits above the caller's active lane count are
+    /// `previous_output` supplies the per-lane retained values for the pass
+    /// gate and the stored state words for the flip-flop, exactly like the
+    /// scalar form.  Bits above the caller's active lane count are
     /// evaluated too (they're free); callers mask them out when counting.
     ///
     /// # Panics
@@ -186,21 +146,14 @@ impl CellKind {
         match self {
             CellKind::Inv => !inputs[0],
             CellKind::Buf => inputs[0],
-            CellKind::Nand2 => !(inputs[0] & inputs[1]),
-            CellKind::Nor2 => !(inputs[0] | inputs[1]),
             CellKind::And2 => inputs[0] & inputs[1],
             CellKind::Or2 => inputs[0] | inputs[1],
-            CellKind::And3 => inputs[0] & inputs[1] & inputs[2],
-            CellKind::Or3 => inputs[0] | inputs[1] | inputs[2],
-            CellKind::Xor2 => inputs[0] ^ inputs[1],
             CellKind::Xnor2 => !(inputs[0] ^ inputs[1]),
             // Y = S ? B : A, per lane.
             CellKind::Mux2 => (inputs[2] & inputs[1]) | (!inputs[2] & inputs[0]),
             // Y = EN ? A : Y_prev, per lane.
-            CellKind::TriBuf | CellKind::PassGate => {
-                (inputs[1] & inputs[0]) | (!inputs[1] & previous_output)
-            }
-            CellKind::Dff | CellKind::Latch => previous_output,
+            CellKind::PassGate => (inputs[1] & inputs[0]) | (!inputs[1] & previous_output),
+            CellKind::Dff => previous_output,
         }
     }
 
@@ -212,41 +165,27 @@ impl CellKind {
         match self {
             CellKind::Inv => 0,
             CellKind::Buf => 1,
-            CellKind::Nand2 => 2,
-            CellKind::Nor2 => 3,
-            CellKind::And2 => 4,
-            CellKind::Or2 => 5,
-            CellKind::And3 => 6,
-            CellKind::Or3 => 7,
-            CellKind::Xor2 => 8,
-            CellKind::Xnor2 => 9,
-            CellKind::Mux2 => 10,
-            CellKind::TriBuf => 11,
-            CellKind::PassGate => 12,
-            CellKind::Dff => 13,
-            CellKind::Latch => 14,
+            CellKind::And2 => 2,
+            CellKind::Or2 => 3,
+            CellKind::Xnor2 => 4,
+            CellKind::Mux2 => 5,
+            CellKind::PassGate => 6,
+            CellKind::Dff => 7,
         }
     }
 
-    /// A short library-style cell name (e.g. `"NAND2"`).
+    /// A short library-style cell name (e.g. `"AND2"`).
     #[must_use]
     pub(crate) fn short_name(self) -> &'static str {
         match self {
             CellKind::Inv => "INV",
             CellKind::Buf => "BUF",
-            CellKind::Nand2 => "NAND2",
-            CellKind::Nor2 => "NOR2",
             CellKind::And2 => "AND2",
             CellKind::Or2 => "OR2",
-            CellKind::And3 => "AND3",
-            CellKind::Or3 => "OR3",
-            CellKind::Xor2 => "XOR2",
             CellKind::Xnor2 => "XNOR2",
             CellKind::Mux2 => "MUX2",
-            CellKind::TriBuf => "TRIBUF",
             CellKind::PassGate => "PASSGATE",
             CellKind::Dff => "DFF",
-            CellKind::Latch => "LATCH",
         }
     }
 }
@@ -276,19 +215,9 @@ mod tests {
         assert!(Inv.evaluate(&[false], false));
         assert!(!Inv.evaluate(&[true], false));
         assert!(Buf.evaluate(&[true], false));
-        assert!(Nand2.evaluate(&[true, false], false));
-        assert!(!Nand2.evaluate(&[true, true], false));
-        assert!(Nor2.evaluate(&[false, false], false));
-        assert!(!Nor2.evaluate(&[true, false], false));
         assert!(And2.evaluate(&[true, true], false));
         assert!(!And2.evaluate(&[true, false], false));
         assert!(Or2.evaluate(&[false, true], false));
-        assert!(And3.evaluate(&[true, true, true], false));
-        assert!(!And3.evaluate(&[true, true, false], false));
-        assert!(Or3.evaluate(&[false, false, true], false));
-        assert!(!Or3.evaluate(&[false, false, false], false));
-        assert!(Xor2.evaluate(&[true, false], false));
-        assert!(!Xor2.evaluate(&[true, true], false));
         assert!(Xnor2.evaluate(&[true, true], false));
         assert!(!Xnor2.evaluate(&[true, false], false));
     }
@@ -305,10 +234,10 @@ mod tests {
     #[test]
     fn tristate_holds_previous_value_when_disabled() {
         // inputs = [A, EN]
-        assert!(CellKind::TriBuf.evaluate(&[true, true], false));
-        assert!(!CellKind::TriBuf.evaluate(&[false, true], true));
+        assert!(CellKind::PassGate.evaluate(&[true, true], false));
+        assert!(!CellKind::PassGate.evaluate(&[false, true], true));
         // Disabled: keeps previous output.
-        assert!(CellKind::TriBuf.evaluate(&[false, false], true));
+        assert!(CellKind::PassGate.evaluate(&[false, false], true));
         assert!(!CellKind::PassGate.evaluate(&[true, false], false));
     }
 
@@ -316,22 +245,20 @@ mod tests {
     fn sequential_cells_hold_between_edges() {
         assert!(CellKind::Dff.evaluate(&[false], true));
         assert!(!CellKind::Dff.evaluate(&[true], false));
-        assert!(CellKind::Latch.evaluate(&[false], true));
     }
 
     #[test]
     fn sequential_flags() {
         assert!(CellKind::Dff.is_sequential());
-        assert!(CellKind::Latch.is_sequential());
         assert!(!CellKind::Mux2.is_sequential());
-        assert!(CellKind::TriBuf.holds_output_when_disabled());
+        assert!(CellKind::PassGate.holds_output_when_disabled());
         assert!(!CellKind::And2.holds_output_when_disabled());
     }
 
     #[test]
     #[should_panic(expected = "expects 2 inputs")]
     fn wrong_arity_panics() {
-        let _ = CellKind::Nand2.evaluate(&[true], false);
+        let _ = CellKind::And2.evaluate(&[true], false);
     }
 
     #[test]
@@ -373,12 +300,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "expects 2 inputs")]
     fn evaluate_word_wrong_arity_panics() {
-        let _ = CellKind::Xor2.evaluate_word(&[0], 0);
+        let _ = CellKind::Xnor2.evaluate_word(&[0], 0);
     }
 
     #[test]
     fn display_uses_short_names() {
-        assert_eq!(CellKind::Nand2.to_string(), "NAND2");
+        assert_eq!(CellKind::Xnor2.to_string(), "XNOR2");
         assert_eq!(CellKind::Dff.to_string(), "DFF");
         // Every name is unique.
         let mut names: Vec<_> = CellKind::ALL.iter().map(|k| k.short_name()).collect();

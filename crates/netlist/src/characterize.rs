@@ -556,7 +556,14 @@ mod tests {
         let lib = CellLibrary::calibrated_018um();
         let lut = characterize_switch(&circuit, &lib, &quick()).unwrap();
         assert_eq!(lut.ports(), 1);
-        assert_eq!(lut.source(), LutSource::Characterized);
+        // The class and provenance are the characterized crosspoint's.
+        let labelled = SwitchEnergyLut::from_active_counts(
+            SwitchClass::CrossbarCrosspoint,
+            1,
+            lut.entries().to_vec(),
+            LutSource::Characterized,
+        );
+        assert_eq!(lut, labelled);
         // An active crosspoint costs far more than an idle one.
         assert!(lut.energy_for_active_count(1) > lut.energy_for_active_count(0) * 5.0);
     }

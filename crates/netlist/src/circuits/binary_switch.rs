@@ -14,7 +14,7 @@
 use crate::cells::CellKind;
 use crate::netlist::{Netlist, NetlistError};
 
-use super::build::{input_bus, mux_bus, register_bus};
+use super::build::{gate_bus, input_bus, mux_bus, register_bus};
 use super::{SwitchCircuit, SwitchClass};
 
 /// Builds a 2×2 Banyan binary switch with a `bus_width`-bit payload path.
@@ -41,85 +41,65 @@ use super::{SwitchCircuit, SwitchClass};
 /// # Ok::<(), fabric_power_netlist::netlist::NetlistError>(())
 /// ```
 pub fn banyan_binary_switch(bus_width: usize) -> Result<SwitchCircuit, NetlistError> {
-    let mut netlist = Netlist::new(format!("banyan_binary_{bus_width}b"));
+    let mut netlist = Netlist::new();
 
     // --- interface ---------------------------------------------------------
-    let data_in0 = input_bus(&mut netlist, "din0", bus_width);
-    let data_in1 = input_bus(&mut netlist, "din1", bus_width);
-    let present0 = netlist.add_input("present0");
-    let present1 = netlist.add_input("present1");
-    let dest0 = netlist.add_input("dest0");
-    let dest1 = netlist.add_input("dest1");
+    let data_in0 = input_bus(&mut netlist, bus_width);
+    let data_in1 = input_bus(&mut netlist, bus_width);
+    let present0 = netlist.add_input();
+    let present1 = netlist.add_input();
+    let dest0 = netlist.add_input();
+    let dest1 = netlist.add_input();
 
     // --- input registers (payload data path) -------------------------------
-    let reg_in0 = register_bus(&mut netlist, "inreg0", &data_in0)?;
-    let reg_in1 = register_bus(&mut netlist, "inreg1", &data_in1)?;
+    let reg_in0 = register_bus(&mut netlist, &data_in0)?;
+    let reg_in1 = register_bus(&mut netlist, &data_in1)?;
 
     // --- allocator (header data path) ---------------------------------------
     // Requests: port p requests output 0 when its destination bit is 0.
-    let ndest0 = netlist.add_net("ndest0");
-    let ndest1 = netlist.add_net("ndest1");
-    netlist.add_cell("u_ndest0", CellKind::Inv, &[dest0], ndest0)?;
-    netlist.add_cell("u_ndest1", CellKind::Inv, &[dest1], ndest1)?;
+    let ndest0 = netlist.add_net();
+    let ndest1 = netlist.add_net();
+    netlist.add_cell(CellKind::Inv, &[dest0], ndest0)?;
+    netlist.add_cell(CellKind::Inv, &[dest1], ndest1)?;
 
-    let req0_out0 = netlist.add_net("req0_out0");
-    let req1_out0 = netlist.add_net("req1_out0");
-    let req0_out1 = netlist.add_net("req0_out1");
-    let req1_out1 = netlist.add_net("req1_out1");
-    netlist.add_cell("u_req00", CellKind::And2, &[present0, ndest0], req0_out0)?;
-    netlist.add_cell("u_req10", CellKind::And2, &[present1, ndest1], req1_out0)?;
-    netlist.add_cell("u_req01", CellKind::And2, &[present0, dest0], req0_out1)?;
-    netlist.add_cell("u_req11", CellKind::And2, &[present1, dest1], req1_out1)?;
+    let req0_out0 = netlist.add_net();
+    let req1_out0 = netlist.add_net();
+    let req0_out1 = netlist.add_net();
+    let req1_out1 = netlist.add_net();
+    netlist.add_cell(CellKind::And2, &[present0, ndest0], req0_out0)?;
+    netlist.add_cell(CellKind::And2, &[present1, ndest1], req1_out0)?;
+    netlist.add_cell(CellKind::And2, &[present0, dest0], req0_out1)?;
+    netlist.add_cell(CellKind::And2, &[present1, dest1], req1_out1)?;
 
     // Fixed-priority grants: port 0 wins ties (the loser is buffered by the
     // surrounding node-switch buffer, outside this circuit).
-    let nreq0_out0 = netlist.add_net("nreq0_out0");
-    let nreq0_out1 = netlist.add_net("nreq0_out1");
-    netlist.add_cell("u_nreq00", CellKind::Inv, &[req0_out0], nreq0_out0)?;
-    netlist.add_cell("u_nreq01", CellKind::Inv, &[req0_out1], nreq0_out1)?;
+    let nreq0_out0 = netlist.add_net();
+    let nreq0_out1 = netlist.add_net();
+    netlist.add_cell(CellKind::Inv, &[req0_out0], nreq0_out0)?;
+    netlist.add_cell(CellKind::Inv, &[req0_out1], nreq0_out1)?;
 
-    let grant1_out0 = netlist.add_net("grant1_out0");
-    let grant1_out1 = netlist.add_net("grant1_out1");
-    netlist.add_cell(
-        "u_grant10",
-        CellKind::And2,
-        &[req1_out0, nreq0_out0],
-        grant1_out0,
-    )?;
-    netlist.add_cell(
-        "u_grant11",
-        CellKind::And2,
-        &[req1_out1, nreq0_out1],
-        grant1_out1,
-    )?;
+    let grant1_out0 = netlist.add_net();
+    let grant1_out1 = netlist.add_net();
+    netlist.add_cell(CellKind::And2, &[req1_out0, nreq0_out0], grant1_out0)?;
+    netlist.add_cell(CellKind::And2, &[req1_out1, nreq0_out1], grant1_out1)?;
 
     // Output-enable per output port: any grant present.
-    let enable_out0 = netlist.add_net("enable_out0");
-    let enable_out1 = netlist.add_net("enable_out1");
-    netlist.add_cell(
-        "u_en0",
-        CellKind::Or2,
-        &[req0_out0, grant1_out0],
-        enable_out0,
-    )?;
-    netlist.add_cell(
-        "u_en1",
-        CellKind::Or2,
-        &[req0_out1, grant1_out1],
-        enable_out1,
-    )?;
+    let enable_out0 = netlist.add_net();
+    let enable_out1 = netlist.add_net();
+    netlist.add_cell(CellKind::Or2, &[req0_out0, grant1_out0], enable_out0)?;
+    netlist.add_cell(CellKind::Or2, &[req0_out1, grant1_out1], enable_out1)?;
 
     // --- payload data path ---------------------------------------------------
     // select = 1 chooses input port 1.
-    let mux_out0 = mux_bus(&mut netlist, "xbar0", &reg_in0, &reg_in1, grant1_out0)?;
-    let mux_out1 = mux_bus(&mut netlist, "xbar1", &reg_in0, &reg_in1, grant1_out1)?;
+    let mux_out0 = mux_bus(&mut netlist, &reg_in0, &reg_in1, grant1_out0)?;
+    let mux_out1 = mux_bus(&mut netlist, &reg_in0, &reg_in1, grant1_out1)?;
 
     // Gate the payload with the output enable so an idle output does not
     // toggle, then register it.
-    let gated_out0 = gate_bus(&mut netlist, "gate0", &mux_out0, enable_out0)?;
-    let gated_out1 = gate_bus(&mut netlist, "gate1", &mux_out1, enable_out1)?;
-    let data_out0 = register_bus(&mut netlist, "outreg0", &gated_out0)?;
-    let data_out1 = register_bus(&mut netlist, "outreg1", &gated_out1)?;
+    let gated_out0 = gate_bus(&mut netlist, &mux_out0, enable_out0)?;
+    let gated_out1 = gate_bus(&mut netlist, &mux_out1, enable_out1)?;
+    let data_out0 = register_bus(&mut netlist, &gated_out0)?;
+    let data_out1 = register_bus(&mut netlist, &gated_out1)?;
 
     for &net in data_out0.iter().chain(&data_out1) {
         netlist.mark_output(net)?;
@@ -138,25 +118,6 @@ pub fn banyan_binary_switch(bus_width: usize) -> Result<SwitchCircuit, NetlistEr
         control_inputs: vec![dest0, dest1],
         data_outputs: vec![data_out0, data_out1],
     })
-}
-
-/// AND-gates every bit of `data` with `enable`.
-fn gate_bus(
-    netlist: &mut Netlist,
-    prefix: &str,
-    data: &[crate::netlist::NetId],
-    enable: crate::netlist::NetId,
-) -> Result<Vec<crate::netlist::NetId>, NetlistError> {
-    let out = super::build::net_bus(netlist, &format!("{prefix}_g"), data.len());
-    for (i, (&d, &o)) in data.iter().zip(&out).enumerate() {
-        netlist.add_cell(
-            format!("{prefix}_and[{i}]"),
-            CellKind::And2,
-            &[d, enable],
-            o,
-        )?;
-    }
-    Ok(out)
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //!
 //! The node switch at a crossbar crosspoint is "a simple CMOS pass gate, or a
 //! tri-state CMOS buffer" — by far the simplest of the four node switches.
-//! We model it as a bus-wide array of tri-state buffers whose enable is the
+//! We model it as a bus-wide array of pass gates whose enable is the
 //! AND of the packet-presence flag and a stored configuration bit (set by the
 //! arbiter when the crosspoint is part of the selected input/output path).
 
@@ -36,34 +36,24 @@ use super::{SwitchCircuit, SwitchClass};
 /// # Ok::<(), fabric_power_netlist::netlist::NetlistError>(())
 /// ```
 pub fn crossbar_crosspoint(bus_width: usize) -> Result<SwitchCircuit, NetlistError> {
-    let mut netlist = Netlist::new(format!("crosspoint_{bus_width}b"));
+    let mut netlist = Netlist::new();
 
-    let data_in = input_bus(&mut netlist, "din", bus_width);
-    let presence = netlist.add_input("present");
-    let config = netlist.add_input("config");
+    let data_in = input_bus(&mut netlist, bus_width);
+    let presence = netlist.add_input();
+    let config = netlist.add_input();
 
     // The crosspoint drives the column bus only when the arbiter configured it
     // and a packet is actually flowing.
-    let enable = netlist.add_net("enable");
-    netlist.add_cell("u_enable", CellKind::And2, &[presence, config], enable)?;
+    let enable = netlist.add_net();
+    netlist.add_cell(CellKind::And2, &[presence, config], enable)?;
 
     // One small buffer per data bit isolates the row bus from the pass gate,
     // then a pass gate drives the column bus.
-    let buffered = net_bus(&mut netlist, "buf", bus_width);
-    let data_out = net_bus(&mut netlist, "dout", bus_width);
+    let buffered = net_bus(&mut netlist, bus_width);
+    let data_out = net_bus(&mut netlist, bus_width);
     for bit in 0..bus_width {
-        netlist.add_cell(
-            format!("u_inbuf[{bit}]"),
-            CellKind::Buf,
-            &[data_in[bit]],
-            buffered[bit],
-        )?;
-        netlist.add_cell(
-            format!("u_pass[{bit}]"),
-            CellKind::PassGate,
-            &[buffered[bit], enable],
-            data_out[bit],
-        )?;
+        netlist.add_cell(CellKind::Buf, &[data_in[bit]], buffered[bit])?;
+        netlist.add_cell(CellKind::PassGate, &[buffered[bit], enable], data_out[bit])?;
         netlist.mark_output(data_out[bit])?;
     }
 

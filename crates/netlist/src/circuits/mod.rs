@@ -112,29 +112,24 @@ pub(crate) mod build {
     use super::{NetId, Netlist, NetlistError};
     use crate::cells::CellKind;
 
-    /// Adds a bus of `width` primary inputs named `prefix[i]`.
-    pub(crate) fn input_bus(netlist: &mut Netlist, prefix: &str, width: usize) -> Vec<NetId> {
-        (0..width)
-            .map(|i| netlist.add_input(format!("{prefix}[{i}]")))
-            .collect()
+    /// Adds a bus of `width` primary inputs.
+    pub(crate) fn input_bus(netlist: &mut Netlist, width: usize) -> Vec<NetId> {
+        (0..width).map(|_| netlist.add_input()).collect()
     }
 
-    /// Adds a bus of `width` internal nets named `prefix[i]`.
-    pub(crate) fn net_bus(netlist: &mut Netlist, prefix: &str, width: usize) -> Vec<NetId> {
-        (0..width)
-            .map(|i| netlist.add_net(format!("{prefix}[{i}]")))
-            .collect()
+    /// Adds a bus of `width` internal nets.
+    pub(crate) fn net_bus(netlist: &mut Netlist, width: usize) -> Vec<NetId> {
+        (0..width).map(|_| netlist.add_net()).collect()
     }
 
     /// Adds a register (DFF) stage over a whole bus and returns the Q bus.
     pub(crate) fn register_bus(
         netlist: &mut Netlist,
-        prefix: &str,
         data: &[NetId],
     ) -> Result<Vec<NetId>, NetlistError> {
-        let q = net_bus(netlist, &format!("{prefix}_q"), data.len());
-        for (i, (&d, &qn)) in data.iter().zip(&q).enumerate() {
-            netlist.add_cell(format!("{prefix}_ff[{i}]"), CellKind::Dff, &[d], qn)?;
+        let q = net_bus(netlist, data.len());
+        for (&d, &qn) in data.iter().zip(&q) {
+            netlist.add_cell(CellKind::Dff, &[d], qn)?;
         }
         Ok(q)
     }
@@ -142,22 +137,29 @@ pub(crate) mod build {
     /// Adds a bus-wide 2:1 mux selecting between `a` and `b` with `select`.
     pub(crate) fn mux_bus(
         netlist: &mut Netlist,
-        prefix: &str,
         a: &[NetId],
         b: &[NetId],
         select: NetId,
     ) -> Result<Vec<NetId>, NetlistError> {
         assert_eq!(a.len(), b.len(), "mux bus operands must have equal widths");
-        let y = net_bus(netlist, &format!("{prefix}_y"), a.len());
+        let y = net_bus(netlist, a.len());
         for i in 0..a.len() {
-            netlist.add_cell(
-                format!("{prefix}_mux[{i}]"),
-                CellKind::Mux2,
-                &[a[i], b[i], select],
-                y[i],
-            )?;
+            netlist.add_cell(CellKind::Mux2, &[a[i], b[i], select], y[i])?;
         }
         Ok(y)
+    }
+
+    /// AND-gates every bit of `data` with `enable`.
+    pub(crate) fn gate_bus(
+        netlist: &mut Netlist,
+        data: &[NetId],
+        enable: NetId,
+    ) -> Result<Vec<NetId>, NetlistError> {
+        let out = net_bus(netlist, data.len());
+        for (&d, &o) in data.iter().zip(&out) {
+            netlist.add_cell(CellKind::And2, &[d, enable], o)?;
+        }
+        Ok(out)
     }
 }
 
@@ -195,6 +197,7 @@ impl SwitchCircuit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cells::CellKind;
 
     #[test]
     fn switch_class_display() {
@@ -228,6 +231,33 @@ mod tests {
                 assert_eq!(bus.len(), circuit.bus_width);
             }
         }
+    }
+
+    #[test]
+    fn the_cell_set_is_what_the_generators_instantiate() {
+        // The seven `netlist-stats all` classes at its 32-bit bus and 5-bit
+        // sort addresses, and the MUX at both ends of the port range.
+        let classes = [
+            SwitchClass::CrossbarCrosspoint,
+            SwitchClass::BanyanBinary,
+            SwitchClass::BatcherSorting,
+            SwitchClass::Mux { inputs: 2 },
+            SwitchClass::Mux { inputs: 4 },
+            SwitchClass::Mux { inputs: 8 },
+            SwitchClass::Mux { inputs: 16 },
+            SwitchClass::Mux { inputs: 32 },
+            SwitchClass::Mux { inputs: 128 },
+        ];
+        let mut used = std::collections::BTreeSet::new();
+        for class in classes {
+            let circuit = switch_circuit(class, 32, 5).unwrap();
+            used.extend(circuit.netlist.cell_histogram().into_keys());
+        }
+        let all: std::collections::BTreeSet<_> = CellKind::ALL.into_iter().collect();
+        assert_eq!(
+            used, all,
+            "a cell kind no generator instantiates, or one missing"
+        );
     }
 
     #[test]

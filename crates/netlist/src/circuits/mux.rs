@@ -48,35 +48,26 @@ pub fn n_input_mux(inputs: usize, bus_width: usize) -> Result<SwitchCircuit, Net
         "the N-input MUX requires a power-of-two input count >= 2, got {inputs}"
     );
     let select_bits = inputs.trailing_zeros() as usize;
-    let mut netlist = Netlist::new(format!("mux{inputs}_{bus_width}b"));
+    let mut netlist = Netlist::new();
 
     let data_inputs: Vec<Vec<NetId>> = (0..inputs)
-        .map(|p| input_bus(&mut netlist, &format!("din{p}"), bus_width))
+        .map(|_| input_bus(&mut netlist, bus_width))
         .collect();
-    let presence_inputs: Vec<NetId> = (0..inputs)
-        .map(|p| netlist.add_input(format!("present{p}")))
-        .collect();
-    let select: Vec<NetId> = (0..select_bits)
-        .map(|b| netlist.add_input(format!("sel[{b}]")))
-        .collect();
+    let presence_inputs: Vec<NetId> = (0..inputs).map(|_| netlist.add_input()).collect();
+    let select: Vec<NetId> = (0..select_bits).map(|_| netlist.add_input()).collect();
 
     // Binary multiplexer tree, one per payload bit. Level `l` consumes pairs
     // of the previous level and is steered by select bit `l`.
     let mut current: Vec<Vec<NetId>> = data_inputs.clone();
-    for (level, &sel) in select.iter().enumerate() {
+    for &sel in &select {
         let half = current.len() / 2;
         let mut next: Vec<Vec<NetId>> = Vec::with_capacity(half);
         for pair in 0..half {
             let a = &current[2 * pair];
             let b = &current[2 * pair + 1];
-            let y = net_bus(&mut netlist, &format!("l{level}_p{pair}"), bus_width);
+            let y = net_bus(&mut netlist, bus_width);
             for bit in 0..bus_width {
-                netlist.add_cell(
-                    format!("u_mux_l{level}_p{pair}[{bit}]"),
-                    CellKind::Mux2,
-                    &[a[bit], b[bit], sel],
-                    y[bit],
-                )?;
+                netlist.add_cell(CellKind::Mux2, &[a[bit], b[bit], sel], y[bit])?;
             }
             next.push(y);
         }
@@ -85,7 +76,7 @@ pub fn n_input_mux(inputs: usize, bus_width: usize) -> Result<SwitchCircuit, Net
     debug_assert_eq!(current.len(), 1);
 
     // Registered output stage.
-    let data_out = register_bus(&mut netlist, "outreg", &current[0])?;
+    let data_out = register_bus(&mut netlist, &current[0])?;
     for &net in &data_out {
         netlist.mark_output(net)?;
     }

@@ -11,7 +11,7 @@
 use crate::cells::CellKind;
 use crate::netlist::{NetId, Netlist, NetlistError};
 
-use super::build::{input_bus, mux_bus, net_bus, register_bus};
+use super::build::{gate_bus, input_bus, mux_bus, net_bus, register_bus};
 use super::{SwitchCircuit, SwitchClass};
 
 /// Builds a 2×2 Batcher sorting switch.
@@ -48,79 +48,64 @@ pub fn batcher_sorting_switch(
         address_bits > 0,
         "a sorting switch needs at least one address bit"
     );
-    let mut netlist = Netlist::new(format!("batcher_sorting_{bus_width}b_{address_bits}a"));
+    let mut netlist = Netlist::new();
 
     // --- interface ---------------------------------------------------------
-    let data_in0 = input_bus(&mut netlist, "din0", bus_width);
-    let data_in1 = input_bus(&mut netlist, "din1", bus_width);
-    let present0 = netlist.add_input("present0");
-    let present1 = netlist.add_input("present1");
-    let addr0 = input_bus(&mut netlist, "addr0", address_bits);
-    let addr1 = input_bus(&mut netlist, "addr1", address_bits);
+    let data_in0 = input_bus(&mut netlist, bus_width);
+    let data_in1 = input_bus(&mut netlist, bus_width);
+    let present0 = netlist.add_input();
+    let present1 = netlist.add_input();
+    let addr0 = input_bus(&mut netlist, address_bits);
+    let addr1 = input_bus(&mut netlist, address_bits);
 
     // --- input registers -----------------------------------------------------
-    let reg_in0 = register_bus(&mut netlist, "inreg0", &data_in0)?;
-    let reg_in1 = register_bus(&mut netlist, "inreg1", &data_in1)?;
+    let reg_in0 = register_bus(&mut netlist, &data_in0)?;
+    let reg_in1 = register_bus(&mut netlist, &data_in1)?;
 
     // --- magnitude comparator: swap = (addr0 > addr1) -----------------------
     let swap_raw = build_greater_than(&mut netlist, &addr0, &addr1)?;
 
     // Only swap when both packets are present; an idle port must not steal the
     // other packet's slot (an absent packet sorts as "infinitely large").
-    let both_present = netlist.add_net("both_present");
-    netlist.add_cell(
-        "u_both",
-        CellKind::And2,
-        &[present0, present1],
-        both_present,
-    )?;
+    let both_present = netlist.add_net();
+    netlist.add_cell(CellKind::And2, &[present0, present1], both_present)?;
     // If only port 1 has a packet it must exit on output 0 (packets are
     // compacted towards the low output), which is also a "swap".
-    let npresent0 = netlist.add_net("npresent0");
-    netlist.add_cell("u_np0", CellKind::Inv, &[present0], npresent0)?;
-    let only_port1 = netlist.add_net("only_port1");
-    netlist.add_cell(
-        "u_only1",
-        CellKind::And2,
-        &[present1, npresent0],
-        only_port1,
-    )?;
-    let swap_if_both = netlist.add_net("swap_if_both");
-    netlist.add_cell(
-        "u_swapboth",
-        CellKind::And2,
-        &[swap_raw, both_present],
-        swap_if_both,
-    )?;
-    let swap = netlist.add_net("swap");
-    netlist.add_cell("u_swap", CellKind::Or2, &[swap_if_both, only_port1], swap)?;
+    let npresent0 = netlist.add_net();
+    netlist.add_cell(CellKind::Inv, &[present0], npresent0)?;
+    let only_port1 = netlist.add_net();
+    netlist.add_cell(CellKind::And2, &[present1, npresent0], only_port1)?;
+    let swap_if_both = netlist.add_net();
+    netlist.add_cell(CellKind::And2, &[swap_raw, both_present], swap_if_both)?;
+    let swap = netlist.add_net();
+    netlist.add_cell(CellKind::Or2, &[swap_if_both, only_port1], swap)?;
 
     // --- exchange stage ------------------------------------------------------
     // Output 0 takes port1 when swapping, output 1 takes port0 when swapping.
-    let mux_out0 = mux_bus(&mut netlist, "ex0", &reg_in0, &reg_in1, swap)?;
-    let mux_out1 = mux_bus(&mut netlist, "ex1", &reg_in1, &reg_in0, swap)?;
+    let mux_out0 = mux_bus(&mut netlist, &reg_in0, &reg_in1, swap)?;
+    let mux_out1 = mux_bus(&mut netlist, &reg_in1, &reg_in0, swap)?;
 
     // Gate idle outputs so they do not toggle when no packet leaves there.
-    let any_present = netlist.add_net("any_present");
-    netlist.add_cell("u_any", CellKind::Or2, &[present0, present1], any_present)?;
-    let gated_out0 = gate_bus(&mut netlist, "gate0", &mux_out0, any_present)?;
-    let gated_out1 = gate_bus(&mut netlist, "gate1", &mux_out1, both_present)?;
+    let any_present = netlist.add_net();
+    netlist.add_cell(CellKind::Or2, &[present0, present1], any_present)?;
+    let gated_out0 = gate_bus(&mut netlist, &mux_out0, any_present)?;
+    let gated_out1 = gate_bus(&mut netlist, &mux_out1, both_present)?;
 
     // --- header forwarding ---------------------------------------------------
     // A Batcher element forwards the destination address along with the
     // payload so that later sorting stages (and the final Banyan stage) can
     // keep comparing it; the header follows the same exchange decision.
-    let addr_out0_mux = mux_bus(&mut netlist, "hdr_ex0", &addr0, &addr1, swap)?;
-    let addr_out1_mux = mux_bus(&mut netlist, "hdr_ex1", &addr1, &addr0, swap)?;
-    let addr_out0 = register_bus(&mut netlist, "hdrreg0", &addr_out0_mux)?;
-    let addr_out1 = register_bus(&mut netlist, "hdrreg1", &addr_out1_mux)?;
+    let addr_out0_mux = mux_bus(&mut netlist, &addr0, &addr1, swap)?;
+    let addr_out1_mux = mux_bus(&mut netlist, &addr1, &addr0, swap)?;
+    let addr_out0 = register_bus(&mut netlist, &addr_out0_mux)?;
+    let addr_out1 = register_bus(&mut netlist, &addr_out1_mux)?;
     for &net in addr_out0.iter().chain(&addr_out1) {
         netlist.mark_output(net)?;
     }
 
     // --- output registers ----------------------------------------------------
-    let data_out0 = register_bus(&mut netlist, "outreg0", &gated_out0)?;
-    let data_out1 = register_bus(&mut netlist, "outreg1", &gated_out1)?;
+    let data_out0 = register_bus(&mut netlist, &gated_out0)?;
+    let data_out1 = register_bus(&mut netlist, &gated_out1)?;
     for &net in data_out0.iter().chain(&data_out1) {
         netlist.mark_output(net)?;
     }
@@ -153,54 +138,25 @@ fn build_greater_than(
     assert_eq!(a.len(), b.len());
     let width = a.len();
     // Per-bit equality and "a wins at this bit".
-    let eq = net_bus(netlist, "cmp_eq", width);
-    let gt = net_bus(netlist, "cmp_gt", width);
+    let eq = net_bus(netlist, width);
+    let gt = net_bus(netlist, width);
     for i in 0..width {
-        netlist.add_cell(format!("u_eq[{i}]"), CellKind::Xnor2, &[a[i], b[i]], eq[i])?;
-        let nb = netlist.add_net(format!("cmp_nb[{i}]"));
-        netlist.add_cell(format!("u_nb[{i}]"), CellKind::Inv, &[b[i]], nb)?;
-        netlist.add_cell(format!("u_gt[{i}]"), CellKind::And2, &[a[i], nb], gt[i])?;
+        netlist.add_cell(CellKind::Xnor2, &[a[i], b[i]], eq[i])?;
+        let nb = netlist.add_net();
+        netlist.add_cell(CellKind::Inv, &[b[i]], nb)?;
+        netlist.add_cell(CellKind::And2, &[a[i], nb], gt[i])?;
     }
     // Ripple from the LSB up: after bit i, greater = gt[i] | (eq[i] & greater_below).
     // The final value after the MSB gives higher bits priority, as required.
     let mut greater = gt[0];
     for i in 1..width {
-        let lower_and_eq = netlist.add_net(format!("cmp_carry[{i}]"));
-        netlist.add_cell(
-            format!("u_carry[{i}]"),
-            CellKind::And2,
-            &[eq[i], greater],
-            lower_and_eq,
-        )?;
-        let next = netlist.add_net(format!("cmp_greater[{i}]"));
-        netlist.add_cell(
-            format!("u_greater[{i}]"),
-            CellKind::Or2,
-            &[gt[i], lower_and_eq],
-            next,
-        )?;
+        let lower_and_eq = netlist.add_net();
+        netlist.add_cell(CellKind::And2, &[eq[i], greater], lower_and_eq)?;
+        let next = netlist.add_net();
+        netlist.add_cell(CellKind::Or2, &[gt[i], lower_and_eq], next)?;
         greater = next;
     }
     Ok(greater)
-}
-
-/// AND-gates every bit of `data` with `enable`.
-fn gate_bus(
-    netlist: &mut Netlist,
-    prefix: &str,
-    data: &[NetId],
-    enable: NetId,
-) -> Result<Vec<NetId>, NetlistError> {
-    let out = net_bus(netlist, &format!("{prefix}_g"), data.len());
-    for (i, (&d, &o)) in data.iter().zip(&out).enumerate() {
-        netlist.add_cell(
-            format!("{prefix}_and[{i}]"),
-            CellKind::And2,
-            &[d, enable],
-            o,
-        )?;
-    }
-    Ok(out)
 }
 
 #[cfg(test)]

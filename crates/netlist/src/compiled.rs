@@ -8,8 +8,8 @@
 //! with the payload positions as runs of consecutive positions (a generated
 //! switch's whole payload is one run; a caller-built circuit may have any
 //! number).
-//! The generated [`Netlist`](crate::netlist::Netlist), with its named nets
-//! and cells, is dropped once it is compiled: keeping the netlists of the
+//! The generated [`Netlist`](crate::netlist::Netlist), with its nets and
+//! cells, is dropped once it is compiled: keeping the netlists of the
 //! ten Table 1 circuits of a 32-bit bus as well costs about 1.5 MB of peak
 //! memory, against about 0.17 MB of heap for the compiled switches.
 //!
@@ -304,8 +304,8 @@ mod tests {
             let circuit = switch_circuit(class, 32, 5).unwrap();
             let compiled = CompiledSwitch::compile(&circuit, &CellLibrary::default()).unwrap();
             let full = EvalSchedule::compile(&circuit.netlist).unwrap();
-            assert_eq!(compiled.schedule.cell_count(), held, "{class}");
-            assert_eq!(full.cell_count(), plain, "{class}");
+            assert_eq!(compiled.schedule.cells.len(), held, "{class}");
+            assert_eq!(full.cells.len(), plain, "{class}");
             assert_eq!(compiled.schedule.settle_cycles(), settle, "{class}");
             assert_eq!(full.settle_cycles(), settle, "{class}");
         }

@@ -50,12 +50,15 @@ pub struct CellParameters {
 /// use fabric_power_netlist::library::CellLibrary;
 ///
 /// let lib = CellLibrary::calibrated_018um();
-/// let nand = lib.parameters(CellKind::Nand2);
-/// assert!(nand.internal_energy.as_femtojoules() > 0.0);
+/// let and = lib.parameters(CellKind::And2);
+/// assert!(and.internal_energy.as_femtojoules() > 0.0);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CellLibrary {
+    /// Part of the library's canonical JSON, and so of every derived
+    /// model's cache key.
     name: String,
+    /// Rail-to-rail supply voltage the energies were computed at.
     supply_voltage: Voltage,
     cells: BTreeMap<CellKind, CellParameters>,
 }
@@ -90,44 +93,28 @@ impl CellLibrary {
     /// workspace (the stand-in for the paper's Synopsys flow).
     #[must_use]
     pub fn calibrated_018um() -> Self {
-        Self::scaled_library(
-            "calibrated 0.18um 3.3V",
-            Voltage::from_volts(3.3),
-            // Effective switched capacitance of a minimum-size 0.18um gate in
-            // femtofarads; chosen so one gate transition costs ~25-90 fJ at
-            // 3.3V. Not fitted to Table 1 (see the module doc).
-            1.0,
-        )
-    }
-
-    fn scaled_library(name: impl Into<String>, vdd: Voltage, scale: f64) -> Self {
-        // Relative effective switched capacitance per cell, in fF, at the
-        // 0.18um reference point. Ratios follow typical standard-cell
-        // libraries: XOR/MUX cost more than NAND/NOR, flip-flops dominate.
+        let vdd = Voltage::from_volts(3.3);
+        // Effective switched capacitance per cell, in fF, of a minimum-size
+        // 0.18um gate; chosen so one gate transition costs ~25-90 fJ at
+        // 3.3V. Not fitted to Table 1 (see the module doc). Ratios follow
+        // typical standard-cell libraries: XNOR/MUX cost more than AND/OR,
+        // flip-flops dominate.
         let combinational: &[(CellKind, f64, f64)] = &[
             // (kind, input pin cap fF, internal switched cap fF)
             (CellKind::Inv, 1.8, 3.0),
             (CellKind::Buf, 1.8, 4.5),
-            (CellKind::Nand2, 2.0, 4.0),
-            (CellKind::Nor2, 2.0, 4.2),
             (CellKind::And2, 2.0, 5.5),
             (CellKind::Or2, 2.0, 5.7),
-            (CellKind::And3, 2.2, 7.0),
-            (CellKind::Or3, 2.2, 7.4),
-            (CellKind::Xor2, 3.0, 8.5),
             (CellKind::Xnor2, 3.0, 8.5),
             (CellKind::Mux2, 2.4, 7.5),
-            (CellKind::TriBuf, 2.2, 6.0),
             (CellKind::PassGate, 1.5, 2.5),
         ];
         let sequential: &[(CellKind, f64, f64, f64)] = &[
             // (kind, input pin cap fF, internal switched cap fF, clock cap fF)
             (CellKind::Dff, 2.2, 14.0, 3.0),
-            (CellKind::Latch, 2.0, 8.0, 1.5),
         ];
 
-        let energy =
-            |cap_ff: f64| Capacitance::from_femtofarads(cap_ff * scale).switching_energy(vdd);
+        let energy = |cap_ff: f64| Capacitance::from_femtofarads(cap_ff).switching_energy(vdd);
         // Leakage at 0.18um is negligible next to dynamic energy; keep a tiny
         // non-zero value so the accounting path is exercised.
         let leakage = energy(0.002);
@@ -137,7 +124,7 @@ impl CellLibrary {
             cells.insert(
                 kind,
                 CellParameters {
-                    input_capacitance: Capacitance::from_femtofarads(pin * scale),
+                    input_capacitance: Capacitance::from_femtofarads(pin),
                     internal_energy: energy(internal),
                     clock_energy: Energy::ZERO,
                     leakage_energy_per_cycle: leakage,
@@ -148,26 +135,14 @@ impl CellLibrary {
             cells.insert(
                 kind,
                 CellParameters {
-                    input_capacitance: Capacitance::from_femtofarads(pin * scale),
+                    input_capacitance: Capacitance::from_femtofarads(pin),
                     internal_energy: energy(internal),
                     clock_energy: energy(clock),
                     leakage_energy_per_cycle: leakage,
                 },
             );
         }
-        Self::new(name, vdd, cells)
-    }
-
-    /// Library name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Rail-to-rail supply voltage the energies were computed at.
-    #[must_use]
-    pub fn supply_voltage(&self) -> Voltage {
-        self.supply_voltage
+        Self::new("calibrated 0.18um 3.3V", vdd, cells)
     }
 
     /// Parameters of one cell kind.
@@ -187,11 +162,6 @@ impl CellLibrary {
     pub(crate) fn pin_load_energy(&self, load: CellKind, fanout: usize) -> Energy {
         let pin = self.parameters(load).input_capacitance;
         (pin * fanout as f64).switching_energy(self.supply_voltage)
-    }
-
-    /// Iterates over all cells and their parameters in a stable order.
-    pub fn iter(&self) -> impl Iterator<Item = (CellKind, &CellParameters)> + '_ {
-        self.cells.iter().map(|(k, p)| (*k, p))
     }
 }
 
@@ -219,16 +189,15 @@ mod tests {
     fn sequential_cells_have_clock_energy() {
         let lib = CellLibrary::default();
         assert!(lib.parameters(CellKind::Dff).clock_energy > Energy::ZERO);
-        assert!(lib.parameters(CellKind::Latch).clock_energy > Energy::ZERO);
-        assert_eq!(lib.parameters(CellKind::Nand2).clock_energy, Energy::ZERO);
+        assert_eq!(lib.parameters(CellKind::And2).clock_energy, Energy::ZERO);
     }
 
     #[test]
     fn xor_costs_more_than_nand() {
         let lib = CellLibrary::default();
         assert!(
-            lib.parameters(CellKind::Xor2).internal_energy
-                > lib.parameters(CellKind::Nand2).internal_energy
+            lib.parameters(CellKind::Xnor2).internal_energy
+                > lib.parameters(CellKind::And2).internal_energy
         );
         assert!(
             lib.parameters(CellKind::Dff).internal_energy
@@ -236,16 +205,16 @@ mod tests {
         );
         assert!(
             lib.parameters(CellKind::PassGate).internal_energy
-                < lib.parameters(CellKind::TriBuf).internal_energy
+                < lib.parameters(CellKind::Buf).internal_energy
         );
     }
 
     #[test]
     fn energies_are_in_the_tens_of_femtojoule_range() {
         let lib = CellLibrary::default();
-        let nand = lib.parameters(CellKind::Nand2).internal_energy;
-        assert!(nand.as_femtojoules() > 5.0, "{nand}");
-        assert!(nand.as_femtojoules() < 200.0, "{nand}");
+        let and = lib.parameters(CellKind::And2).internal_energy;
+        assert!(and.as_femtojoules() > 5.0, "{and}");
+        assert!(and.as_femtojoules() < 200.0, "{and}");
     }
 
     #[test]
@@ -261,15 +230,5 @@ mod tests {
     #[should_panic(expected = "missing parameters")]
     fn incomplete_library_panics() {
         let _ = CellLibrary::new("broken", Voltage::from_volts(1.0), BTreeMap::new());
-    }
-
-    #[test]
-    fn iter_visits_all_cells_in_order() {
-        let lib = CellLibrary::default();
-        let kinds: Vec<_> = lib.iter().map(|(k, _)| k).collect();
-        assert_eq!(kinds.len(), CellKind::ALL.len());
-        let mut sorted = kinds.clone();
-        sorted.sort();
-        assert_eq!(kinds, sorted);
     }
 }

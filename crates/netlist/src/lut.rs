@@ -74,22 +74,10 @@ impl SwitchEnergyLut {
         }
     }
 
-    /// The switch class this LUT describes.
-    #[must_use]
-    pub fn class(&self) -> SwitchClass {
-        self.class
-    }
-
     /// Number of input ports of the switch.
     #[must_use]
     pub fn ports(&self) -> usize {
         self.ports
-    }
-
-    /// Where the values came from.
-    #[must_use]
-    pub fn source(&self) -> LutSource {
-        self.source
     }
 
     /// Per-bit energy given only the number of active ports.
@@ -205,7 +193,7 @@ mod tests {
         assert!((both.as_femtojoules() - 1821.0).abs() < 1e-9);
         // Economy of scale: two packets cost less than twice one packet.
         assert!(both < lut.energy_for_active_count(1) * 2.0);
-        assert_eq!(lut.source(), LutSource::PaperTable1);
+        assert_eq!(lut.source, LutSource::PaperTable1);
     }
 
     #[test]
@@ -252,8 +240,8 @@ mod tests {
     fn paper_table1_has_seven_rows() {
         let table = crate::characterize::Table1::paper();
         assert_eq!(3 + table.muxes.len(), 7);
-        assert_eq!(table.crosspoint.class(), SwitchClass::CrossbarCrosspoint);
-        assert_eq!(table.muxes[3].class(), SwitchClass::Mux { inputs: 32 });
+        assert_eq!(table.crosspoint.class, SwitchClass::CrossbarCrosspoint);
+        assert_eq!(table.muxes[3].class, SwitchClass::Mux { inputs: 32 });
     }
 
     #[test]

@@ -46,19 +46,12 @@ pub enum Driver {
 /// One net (wire) of the netlist.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Net {
-    name: String,
     driver: Option<Driver>,
     /// `(cell, input-pin index)` pairs loading this net.
     loads: Vec<(CellId, usize)>,
 }
 
 impl Net {
-    /// Net name (unique only by convention, not enforced).
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// The driver of this net, if any has been connected yet.
     #[must_use]
     pub(crate) fn driver(&self) -> Option<Driver> {
@@ -75,19 +68,12 @@ impl Net {
 /// One standard-cell instance.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cell {
-    name: String,
     kind: CellKind,
     inputs: Vec<NetId>,
     output: NetId,
 }
 
 impl Cell {
-    /// Instance name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// The standard-cell kind.
     #[must_use]
     pub fn kind(&self) -> CellKind {
@@ -189,12 +175,12 @@ impl std::error::Error for NetlistError {}
 /// use fabric_power_netlist::netlist::Netlist;
 ///
 /// # fn main() -> Result<(), fabric_power_netlist::netlist::NetlistError> {
-/// let mut n = Netlist::new("tiny");
-/// let a = n.add_input("a");
-/// let b = n.add_input("b");
-/// let sel = n.add_input("sel");
-/// let y = n.add_net("y");
-/// n.add_cell("u_mux", CellKind::Mux2, &[a, b, sel], y)?;
+/// let mut n = Netlist::new();
+/// let a = n.add_input();
+/// let b = n.add_input();
+/// let sel = n.add_input();
+/// let y = n.add_net();
+/// n.add_cell(CellKind::Mux2, &[a, b, sel], y)?;
 /// n.mark_output(y)?;
 /// n.validate()?;
 /// assert_eq!(n.cell_count(), 1);
@@ -202,9 +188,8 @@ impl std::error::Error for NetlistError {}
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Netlist {
-    name: String,
     nets: Vec<Net>,
     cells: Vec<Cell>,
     primary_inputs: Vec<NetId>,
@@ -214,28 +199,15 @@ pub struct Netlist {
 impl Netlist {
     /// Creates an empty netlist.
     #[must_use]
-    pub fn new(name: impl Into<String>) -> Self {
-        Self {
-            name: name.into(),
-            nets: Vec::new(),
-            cells: Vec::new(),
-            primary_inputs: Vec::new(),
-            primary_outputs: Vec::new(),
-        }
-    }
-
-    /// Netlist name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Adds a primary-input net and returns its id.
-    pub fn add_input(&mut self, name: impl Into<String>) -> NetId {
+    pub fn add_input(&mut self) -> NetId {
         let id = NetId(self.nets.len());
         let index = self.primary_inputs.len();
         self.nets.push(Net {
-            name: name.into(),
             driver: Some(Driver::PrimaryInput(index)),
             loads: Vec::new(),
         });
@@ -244,10 +216,9 @@ impl Netlist {
     }
 
     /// Adds an internal net with no driver yet and returns its id.
-    pub fn add_net(&mut self, name: impl Into<String>) -> NetId {
+    pub fn add_net(&mut self) -> NetId {
         let id = NetId(self.nets.len());
         self.nets.push(Net {
-            name: name.into(),
             driver: None,
             loads: Vec::new(),
         });
@@ -264,7 +235,6 @@ impl Netlist {
     /// * [`NetlistError::MultipleDrivers`] if `output` is already driven.
     pub fn add_cell(
         &mut self,
-        name: impl Into<String>,
         kind: CellKind,
         inputs: &[NetId],
         output: NetId,
@@ -290,7 +260,6 @@ impl Netlist {
         }
         self.nets[output.index()].driver = Some(Driver::Cell(id));
         self.cells.push(Cell {
-            name: name.into(),
             kind,
             inputs: inputs.to_vec(),
             output,
@@ -345,12 +314,6 @@ impl Netlist {
         &self.cells[id.index()]
     }
 
-    /// A net by id.
-    #[must_use]
-    pub fn net(&self, id: NetId) -> &Net {
-        &self.nets[id.index()]
-    }
-
     /// Iterates over all cells with their ids.
     pub fn cells(&self) -> impl Iterator<Item = (CellId, &Cell)> + '_ {
         self.cells.iter().enumerate().map(|(i, c)| (CellId(i), c))
@@ -380,7 +343,7 @@ impl Netlist {
     ///
     /// * [`NetlistError::UndrivenNet`] for floating nets used as inputs or outputs.
     /// * [`NetlistError::CombinationalLoop`] if a cycle exists that is not
-    ///   broken by a flip-flop or latch.
+    ///   broken by a flip-flop.
     pub fn validate(&self) -> Result<Vec<CellId>, NetlistError> {
         self.check_structure()?;
         self.combinational_order()
@@ -554,14 +517,14 @@ mod tests {
     use super::*;
 
     fn and_or_netlist() -> (Netlist, NetId, NetId) {
-        let mut n = Netlist::new("test");
-        let a = n.add_input("a");
-        let b = n.add_input("b");
-        let c = n.add_input("c");
-        let ab = n.add_net("ab");
-        let y = n.add_net("y");
-        n.add_cell("u_and", CellKind::And2, &[a, b], ab).unwrap();
-        n.add_cell("u_or", CellKind::Or2, &[ab, c], y).unwrap();
+        let mut n = Netlist::new();
+        let a = n.add_input();
+        let b = n.add_input();
+        let c = n.add_input();
+        let ab = n.add_net();
+        let y = n.add_net();
+        n.add_cell(CellKind::And2, &[a, b], ab).unwrap();
+        n.add_cell(CellKind::Or2, &[ab, c], y).unwrap();
         n.mark_output(y).unwrap();
         (n, ab, y)
     }
@@ -588,35 +551,35 @@ mod tests {
 
     #[test]
     fn wrong_input_count_is_rejected() {
-        let mut n = Netlist::new("bad");
-        let a = n.add_input("a");
-        let y = n.add_net("y");
-        let err = n.add_cell("u", CellKind::Nand2, &[a], y).unwrap_err();
+        let mut n = Netlist::new();
+        let a = n.add_input();
+        let y = n.add_net();
+        let err = n.add_cell(CellKind::And2, &[a], y).unwrap_err();
         assert!(matches!(err, NetlistError::WrongInputCount { .. }));
     }
 
     #[test]
     fn double_driver_is_rejected() {
-        let mut n = Netlist::new("bad");
-        let a = n.add_input("a");
-        let y = n.add_net("y");
-        n.add_cell("u1", CellKind::Inv, &[a], y).unwrap();
-        let err = n.add_cell("u2", CellKind::Buf, &[a], y).unwrap_err();
+        let mut n = Netlist::new();
+        let a = n.add_input();
+        let y = n.add_net();
+        n.add_cell(CellKind::Inv, &[a], y).unwrap();
+        let err = n.add_cell(CellKind::Buf, &[a], y).unwrap_err();
         assert_eq!(err, NetlistError::MultipleDrivers { net: y });
     }
 
     #[test]
     fn unknown_net_is_rejected() {
-        let mut n = Netlist::new("bad");
-        let a = n.add_input("a");
+        let mut n = Netlist::new();
+        let a = n.add_input();
         let bogus = NetId(42);
-        let y = n.add_net("y");
+        let y = n.add_net();
         assert!(matches!(
-            n.add_cell("u", CellKind::Inv, &[bogus], y),
+            n.add_cell(CellKind::Inv, &[bogus], y),
             Err(NetlistError::UnknownNet { .. })
         ));
         assert!(matches!(
-            n.add_cell("u", CellKind::Inv, &[a], bogus),
+            n.add_cell(CellKind::Inv, &[a], bogus),
             Err(NetlistError::UnknownNet { .. })
         ));
         assert!(n.mark_output(bogus).is_err());
@@ -624,10 +587,10 @@ mod tests {
 
     #[test]
     fn undriven_net_fails_validation() {
-        let mut n = Netlist::new("bad");
-        let floating = n.add_net("floating");
-        let y = n.add_net("y");
-        n.add_cell("u", CellKind::Inv, &[floating], y).unwrap();
+        let mut n = Netlist::new();
+        let floating = n.add_net();
+        let y = n.add_net();
+        n.add_cell(CellKind::Inv, &[floating], y).unwrap();
         n.mark_output(y).unwrap();
         assert_eq!(
             n.validate().unwrap_err(),
@@ -637,12 +600,12 @@ mod tests {
 
     #[test]
     fn combinational_loop_is_detected() {
-        let mut n = Netlist::new("loop");
-        let a = n.add_input("a");
-        let x = n.add_net("x");
-        let y = n.add_net("y");
-        n.add_cell("u1", CellKind::And2, &[a, y], x).unwrap();
-        n.add_cell("u2", CellKind::Buf, &[x], y).unwrap();
+        let mut n = Netlist::new();
+        let a = n.add_input();
+        let x = n.add_net();
+        let y = n.add_net();
+        n.add_cell(CellKind::And2, &[a, y], x).unwrap();
+        n.add_cell(CellKind::Buf, &[x], y).unwrap();
         assert!(matches!(
             n.validate(),
             Err(NetlistError::CombinationalLoop { .. })
@@ -651,11 +614,11 @@ mod tests {
 
     #[test]
     fn flip_flop_breaks_cycles() {
-        let mut n = Netlist::new("counter-ish");
-        let q = n.add_net("q");
-        let d = n.add_net("d");
-        n.add_cell("u_inv", CellKind::Inv, &[q], d).unwrap();
-        n.add_cell("u_ff", CellKind::Dff, &[d], q).unwrap();
+        let mut n = Netlist::new();
+        let q = n.add_net();
+        let d = n.add_net();
+        n.add_cell(CellKind::Inv, &[q], d).unwrap();
+        n.add_cell(CellKind::Dff, &[d], q).unwrap();
         n.mark_output(q).unwrap();
         let order = n.validate().expect("dff breaks the loop");
         assert_eq!(order.len(), 1); // only the inverter is combinational
@@ -673,7 +636,8 @@ mod tests {
     #[test]
     fn loads_record_pin_indices() {
         let (n, ab, _) = and_or_netlist();
-        let loads = n.net(ab).loads();
+        let (_, net) = n.nets().find(|&(id, _)| id == ab).unwrap();
+        let loads = net.loads();
         assert_eq!(loads.len(), 1);
         assert_eq!(loads[0].1, 0); // ab feeds pin 0 of the OR gate
     }
@@ -698,12 +662,12 @@ mod tests {
 
     #[test]
     fn sequential_cells_have_no_level_and_reset_depth() {
-        let mut n = Netlist::new("pipe");
-        let d = n.add_input("d");
-        let q = n.add_net("q");
-        let y = n.add_net("y");
-        n.add_cell("u_ff", CellKind::Dff, &[d], q).unwrap();
-        n.add_cell("u_inv", CellKind::Inv, &[q], y).unwrap();
+        let mut n = Netlist::new();
+        let d = n.add_input();
+        let q = n.add_net();
+        let y = n.add_net();
+        n.add_cell(CellKind::Dff, &[d], q).unwrap();
+        n.add_cell(CellKind::Inv, &[q], y).unwrap();
         n.mark_output(y).unwrap();
         let levels = n.combinational_levels().unwrap();
         // The flip-flop has no combinational level; the inverter it feeds
@@ -716,7 +680,7 @@ mod tests {
         let (mut n, _, _) = and_or_netlist();
         assert!(n.validate_strict().is_ok());
         // A floating net nothing reads passes validate() but not strict.
-        let floating = n.add_net("debris");
+        let floating = n.add_net();
         assert!(n.validate().is_ok());
         assert_eq!(
             n.validate_strict().unwrap_err(),

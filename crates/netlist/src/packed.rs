@@ -3,7 +3,7 @@
 //! [`PackedSimulator`] evaluates 64 *independent* simulations of the same
 //! netlist at once by packing one lane per bit of a `u64` word per net.
 //! Every [`CellKind`](crate::cells::CellKind) evaluates as word-wide boolean
-//! operations, tri-state and flip-flop state are held as per-lane words, and
+//! operations, pass-gate and flip-flop state are held as per-lane words, and
 //! toggle activity is accumulated per net with `(prev ^ new).count_ones()`.
 //!
 //! The simulator runs from a compiled [`EvalSchedule`] alone: it borrows the
@@ -63,10 +63,10 @@ pub(crate) const LANES: u32 = 64;
 /// use fabric_power_netlist::sim::EnergyTables;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut n = Netlist::new("inv");
-/// let a = n.add_input("a");
-/// let y = n.add_net("y");
-/// n.add_cell("u_inv", CellKind::Inv, &[a], y)?;
+/// let mut n = Netlist::new();
+/// let a = n.add_input();
+/// let y = n.add_net();
+/// n.add_cell(CellKind::Inv, &[a], y)?;
 /// n.mark_output(y)?;
 ///
 /// let schedule = EvalSchedule::compile(&n)?;
@@ -199,13 +199,6 @@ impl<'a> PackedSimulator<'a> {
         self.schedule.settle_cycles()
     }
 
-    /// Measured lane-cycles since the last counter reset (the sum over
-    /// steps of the number of counted lanes in that step).
-    #[must_use]
-    pub fn lane_cycles(&self) -> u64 {
-        self.lane_cycles
-    }
-
     /// Simulates one clock cycle in every lane after `drive` has written
     /// the primary inputs that change, and counts toggles, lane-cycles,
     /// clock and leakage only for the lanes selected by `count_mask` (`!0`
@@ -326,19 +319,21 @@ mod tests {
         (schedule, EnergyTables::new(n, &CellLibrary::default()))
     }
 
-    fn xor_netlist() -> Netlist {
-        let mut n = Netlist::new("xor");
-        let a = n.add_input("a");
-        let b = n.add_input("b");
-        let y = n.add_net("y");
-        n.add_cell("u_xor", CellKind::Xor2, &[a, b], y).unwrap();
+    /// One two-input `kind` gate `y = kind(a, b)`; with `b` low, an
+    /// `Or2` passes `a`.
+    fn gate_netlist(kind: CellKind) -> Netlist {
+        let mut n = Netlist::new();
+        let a = n.add_input();
+        let b = n.add_input();
+        let y = n.add_net();
+        n.add_cell(kind, &[a, b], y).unwrap();
         n.mark_output(y).unwrap();
         n
     }
 
     #[test]
     fn packed_xor_matches_scalar_lanes() {
-        let n = xor_netlist();
+        let n = gate_netlist(CellKind::Xnor2);
         let lib = CellLibrary::default();
         let (schedule, tables) = compile(&n);
         let mut packed = PackedSimulator::new(&schedule, &tables);
@@ -362,7 +357,7 @@ mod tests {
         }
 
         assert_eq!(packed.net_toggle_counts(), &summed[..]);
-        assert_eq!(packed.lane_cycles(), scalar_cycles);
+        assert_eq!(packed.lane_cycles, scalar_cycles);
         // Identical counts ⇒ bit-identical energies through the shared tables.
         let oracle = packed.tables.report_from_counts(&summed, scalar_cycles);
         assert_eq!(packed.report(), oracle);
@@ -370,10 +365,10 @@ mod tests {
 
     #[test]
     fn dff_state_is_per_lane() {
-        let mut n = Netlist::new("pipe");
-        let d = n.add_input("d");
-        let q = n.add_net("q");
-        n.add_cell("u_ff", CellKind::Dff, &[d], q).unwrap();
+        let mut n = Netlist::new();
+        let d = n.add_input();
+        let q = n.add_net();
+        n.add_cell(CellKind::Dff, &[d], q).unwrap();
         n.mark_output(q).unwrap();
         let (schedule, tables) = compile(&n);
         let mut sim = PackedSimulator::new(&schedule, &tables);
@@ -389,11 +384,11 @@ mod tests {
 
     #[test]
     fn tri_state_holds_per_lane() {
-        let mut n = Netlist::new("bus");
-        let a = n.add_input("a");
-        let en = n.add_input("en");
-        let y = n.add_net("y");
-        n.add_cell("u_tri", CellKind::TriBuf, &[a, en], y).unwrap();
+        let mut n = Netlist::new();
+        let a = n.add_input();
+        let en = n.add_input();
+        let y = n.add_net();
+        n.add_cell(CellKind::PassGate, &[a, en], y).unwrap();
         n.mark_output(y).unwrap();
         let (schedule, tables) = compile(&n);
         let mut sim = PackedSimulator::new(&schedule, &tables);
@@ -407,41 +402,41 @@ mod tests {
 
     #[test]
     fn masked_lanes_evolve_but_do_not_count() {
-        let n = xor_netlist();
+        let n = gate_netlist(CellKind::Or2);
         let (schedule, tables) = compile(&n);
         let mut sim = PackedSimulator::new(&schedule, &tables);
         // Count only lane 0; lane 1 toggles a and y but must not be counted.
         sim.step(0b01, |inputs| inputs.set_run(0, [0b10, 0b00]));
-        assert_eq!(sim.lane_cycles(), 1);
+        assert_eq!(sim.lane_cycles, 1);
         let toggles: u64 = sim.net_toggle_counts().iter().sum();
         assert_eq!(toggles, 0, "lane 1 activity leaked into the counts");
         // Lane 1's state did evolve: its output is high.
         assert_eq!(sim.net_word(n.primary_outputs()[0]), 0b10);
         // A fully counted step that returns lane 1 to 0 counts those toggles.
         sim.step(!0, |inputs| inputs.set_run(0, [0b00, 0b00]));
-        assert_eq!(sim.lane_cycles(), 1 + u64::from(LANES));
+        assert_eq!(sim.lane_cycles, 1 + u64::from(LANES));
         let toggles: u64 = sim.net_toggle_counts().iter().sum();
         assert_eq!(toggles, 2, "a and y fall in lane 1");
     }
 
     #[test]
     fn inputs_keep_their_words_between_steps() {
-        let n = xor_netlist();
+        let n = gate_netlist(CellKind::Or2);
         let (schedule, tables) = compile(&n);
         let mut sim = PackedSimulator::new(&schedule, &tables);
         let y = n.primary_outputs()[0];
         sim.step(!0, |inputs| inputs.set_run(0, [0b0110, 0b0011]));
-        assert_eq!(sim.net_word(y), 0b0101);
+        assert_eq!(sim.net_word(y), 0b0111);
         // Rewriting only `b` leaves `a` at 0b0110.
         sim.step(!0, |inputs| inputs.set(1, 0b1111));
-        assert_eq!(sim.net_word(y), 0b1001);
+        assert_eq!(sim.net_word(y), 0b1111);
         sim.step(!0, |_| {});
-        assert_eq!(sim.net_word(y), 0b1001);
-        // a: 2 rises; b: 2 rises, then 2 more; y: 2 rises, then 2 flips.
+        assert_eq!(sim.net_word(y), 0b1111);
+        // a: 2 rises; b: 2 rises, then 2 more; y: 3 rises, then 1 more.
         assert_eq!(sim.report().toggles, 2 + 4 + 4);
     }
 
-    /// The XOR netlist compiled with input `b` (position 1) held at `value`.
+    /// The OR netlist compiled with input `b` (position 1) held at `value`.
     fn held_b(n: &Netlist, value: bool) -> (EvalSchedule, EnergyTables) {
         let schedule = EvalSchedule::compile_held(n, &[(1, value)]).unwrap();
         (schedule, EnergyTables::new(n, &CellLibrary::default()))
@@ -450,7 +445,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "primary input 1 is held at true")]
     fn driving_a_held_input_with_another_word_panics() {
-        let n = xor_netlist();
+        let n = gate_netlist(CellKind::Or2);
         let (schedule, tables) = held_b(&n, true);
         let mut sim = PackedSimulator::new(&schedule, &tables);
         sim.step(!0, |inputs| inputs.set_run(0, [0b01, !0]));
@@ -460,7 +455,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "primary input 1 is held at true")]
     fn leaving_a_held_high_input_undriven_panics() {
-        let n = xor_netlist();
+        let n = gate_netlist(CellKind::Or2);
         let (schedule, tables) = held_b(&n, true);
         let mut sim = PackedSimulator::new(&schedule, &tables);
         sim.step(!0, |inputs| inputs.set(0, 0b01));
@@ -468,7 +463,7 @@ mod tests {
 
     #[test]
     fn a_held_low_input_may_stay_undriven() {
-        let n = xor_netlist();
+        let n = gate_netlist(CellKind::Or2);
         let (schedule, tables) = held_b(&n, false);
         let mut sim = PackedSimulator::new(&schedule, &tables);
         sim.step(!0, |inputs| inputs.set(0, 0b01));
@@ -478,12 +473,12 @@ mod tests {
 
     #[test]
     fn reset_counters_keeps_state() {
-        let n = xor_netlist();
+        let n = gate_netlist(CellKind::Or2);
         let (schedule, tables) = compile(&n);
         let mut sim = PackedSimulator::new(&schedule, &tables);
         sim.step(!0, |inputs| inputs.set_run(0, [!0_u64, 0]));
         sim.reset_counters();
-        assert_eq!(sim.lane_cycles(), 0);
+        assert_eq!(sim.lane_cycles, 0);
         assert_eq!(sim.report().toggles, 0);
         // State preserved: same vector again causes no toggles.
         sim.step(!0, |inputs| inputs.set_run(0, [!0_u64, 0]));

@@ -16,7 +16,7 @@
 //! `EvalSchedule::compile_held` compiles against primary inputs that keep
 //! one value for the simulator's whole life, and drops every cell that only
 //! forwards an input while they hold (a buffer, a 2:1 mux with a held
-//! select, a tri-state or pass gate with a held-high enable): its consumers
+//! select, a pass gate with a held-high enable): its consumers
 //! read the forwarded net directly.  A dense per-net source table maps each
 //! dropped net to the net it forwards and every other net to itself, which
 //! is where the packed engine reads a net's word and toggle counts.
@@ -104,7 +104,7 @@ impl EvalSchedule {
     ///
     /// * a `Buf`;
     /// * a `Mux2` with a held select (it forwards `A` or `B`);
-    /// * a `TriBuf` or `PassGate` with a held-high enable (it forwards `A`).
+    /// * a `PassGate` with a held-high enable (it forwards `A`).
     ///
     /// A net is held when it is a held input, when every
     /// input of the non-hold combinational cell driving it is held, or when
@@ -247,13 +247,6 @@ impl EvalSchedule {
         self.level_count
     }
 
-    /// Number of scheduled combinational cells (the netlist's, less those
-    /// `EvalSchedule::compile_held` dropped).
-    #[must_use]
-    pub fn cell_count(&self) -> usize {
-        self.cells.len()
-    }
-
     /// Number of sequential state slots.
     #[must_use]
     pub(crate) fn state_slots(&self) -> usize {
@@ -268,15 +261,15 @@ impl EvalSchedule {
     /// Cycles after which the simulation state no longer depends on where
     /// it started, or `None` when no such bound exists.
     ///
-    /// Both engines capture every sequential cell's D input at the end of
-    /// every cycle, so a flip-flop or latch delays its input by exactly one
-    /// cycle and forgets everything older.  With `L` the longest chain of
+    /// Both engines capture every flip-flop's D input at the end of every
+    /// cycle, so a flip-flop delays its input by exactly one cycle and
+    /// forgets everything older.  With `L` the longest chain of
     /// sequential cells, each feeding the next's D input through
     /// combinational logic, every captured state is a function of the last
     /// `L` cycles' inputs and every net word one of the last `1 + L`: two
     /// simulators fed the same `1 + L` input cycles agree on every net and
     /// every state from then on, whatever their histories.  A purely
-    /// combinational netlist settles in one cycle.  A hold cell (`TriBuf`,
+    /// combinational netlist settles in one cycle.  A hold cell (the
     /// `PassGate`) keeps its output for as long as it stays disabled, and a
     /// loop through sequential cells recirculates state, so either makes
     /// the depth unbounded.
@@ -315,9 +308,7 @@ fn forwarded_pin(kind: CellKind, inputs: &[u32; 3], held: &[Option<bool>]) -> Op
         // Y = S ? B : A.
         CellKind::Mux2 => held[inputs[2] as usize].map(usize::from),
         // Y = EN ? A : Y_prev.
-        CellKind::TriBuf | CellKind::PassGate => {
-            (held[inputs[1] as usize] == Some(true)).then_some(0)
-        }
+        CellKind::PassGate => (held[inputs[1] as usize] == Some(true)).then_some(0),
         _ => None,
     }
 }
@@ -384,21 +375,21 @@ mod tests {
 
     #[test]
     fn schedule_levels_and_drives_are_complete() {
-        let mut n = Netlist::new("sched");
-        let a = n.add_input("a");
-        let b = n.add_input("b");
-        let c = n.add_input("c");
-        let ab = n.add_net("ab");
-        let gated = n.add_net("gated");
-        let q = n.add_net("q");
-        n.add_cell("u_and", CellKind::And2, &[a, b], ab).unwrap();
-        n.add_cell("u_or", CellKind::Or2, &[ab, c], gated).unwrap();
-        n.add_cell("u_ff", CellKind::Dff, &[gated], q).unwrap();
+        let mut n = Netlist::new();
+        let a = n.add_input();
+        let b = n.add_input();
+        let c = n.add_input();
+        let ab = n.add_net();
+        let gated = n.add_net();
+        let q = n.add_net();
+        n.add_cell(CellKind::And2, &[a, b], ab).unwrap();
+        n.add_cell(CellKind::Or2, &[ab, c], gated).unwrap();
+        n.add_cell(CellKind::Dff, &[gated], q).unwrap();
         n.mark_output(q).unwrap();
 
         let schedule = EvalSchedule::compile(&n).unwrap();
         assert_eq!(schedule.level_count(), 2);
-        assert_eq!(schedule.cell_count(), 2);
+        assert_eq!(schedule.cells.len(), 2);
         assert_eq!(schedule.state_slots(), 1);
         assert_eq!(
             schedule.input_nets,
@@ -410,12 +401,12 @@ mod tests {
 
     #[test]
     fn cycle_is_rejected() {
-        let mut n = Netlist::new("loop");
-        let a = n.add_input("a");
-        let x = n.add_net("x");
-        let y = n.add_net("y");
-        n.add_cell("u1", CellKind::And2, &[a, y], x).unwrap();
-        n.add_cell("u2", CellKind::Buf, &[x], y).unwrap();
+        let mut n = Netlist::new();
+        let a = n.add_input();
+        let x = n.add_net();
+        let y = n.add_net();
+        n.add_cell(CellKind::And2, &[a, y], x).unwrap();
+        n.add_cell(CellKind::Buf, &[x], y).unwrap();
         assert!(matches!(
             EvalSchedule::compile(&n),
             Err(NetlistError::CombinationalLoop { .. })
@@ -450,25 +441,24 @@ mod tests {
 
     #[test]
     fn combinational_netlist_settles_in_one_cycle() {
-        let mut n = Netlist::new("comb");
-        let a = n.add_input("a");
-        let b = n.add_input("b");
-        let ab = n.add_net("ab");
-        let y = n.add_net("y");
-        n.add_cell("u_nand", CellKind::Nand2, &[a, b], ab).unwrap();
-        n.add_cell("u_xor", CellKind::Xor2, &[ab, a], y).unwrap();
+        let mut n = Netlist::new();
+        let a = n.add_input();
+        let b = n.add_input();
+        let ab = n.add_net();
+        let y = n.add_net();
+        n.add_cell(CellKind::And2, &[a, b], ab).unwrap();
+        n.add_cell(CellKind::Xnor2, &[ab, a], y).unwrap();
         n.mark_output(y).unwrap();
         assert_eq!(settle(&n), Some(1));
     }
 
     #[test]
     fn three_flip_flop_pipeline_settles_in_four_cycles() {
-        let mut n = Netlist::new("pipe");
-        let mut d = n.add_input("d");
-        for stage in 0..3 {
-            let q = n.add_net(format!("q{stage}"));
-            n.add_cell(format!("u_ff{stage}"), CellKind::Dff, &[d], q)
-                .unwrap();
+        let mut n = Netlist::new();
+        let mut d = n.add_input();
+        for _ in 0..3 {
+            let q = n.add_net();
+            n.add_cell(CellKind::Dff, &[d], q).unwrap();
             d = q;
         }
         n.mark_output(d).unwrap();
@@ -478,22 +468,22 @@ mod tests {
     #[test]
     fn flip_flop_loop_never_settles() {
         // A toggle flip-flop: Q feeds its own D through an inverter.
-        let mut n = Netlist::new("toggle");
-        let d = n.add_net("d");
-        let q = n.add_net("q");
-        n.add_cell("u_ff", CellKind::Dff, &[d], q).unwrap();
-        n.add_cell("u_inv", CellKind::Inv, &[q], d).unwrap();
+        let mut n = Netlist::new();
+        let d = n.add_net();
+        let q = n.add_net();
+        n.add_cell(CellKind::Dff, &[d], q).unwrap();
+        n.add_cell(CellKind::Inv, &[q], d).unwrap();
         n.mark_output(q).unwrap();
         assert_eq!(settle(&n), None);
     }
 
     #[test]
     fn lone_tri_state_buffer_never_settles() {
-        let mut n = Netlist::new("bus");
-        let a = n.add_input("a");
-        let en = n.add_input("en");
-        let y = n.add_net("y");
-        n.add_cell("u_tri", CellKind::TriBuf, &[a, en], y).unwrap();
+        let mut n = Netlist::new();
+        let a = n.add_input();
+        let en = n.add_input();
+        let y = n.add_net();
+        n.add_cell(CellKind::PassGate, &[a, en], y).unwrap();
         n.mark_output(y).unwrap();
         assert_eq!(settle(&n), None);
     }
@@ -514,7 +504,7 @@ mod tests {
                 .filter(|(_, cell)| cell.kind().is_sequential())
                 .count();
             assert!(schedule.level_count() > 0);
-            assert_eq!(schedule.cell_count() + sequential, netlist.cell_count());
+            assert_eq!(schedule.cells.len() + sequential, netlist.cell_count());
             assert_eq!(schedule.state_slots(), sequential);
             assert_eq!(schedule.input_nets.len(), netlist.primary_inputs().len());
         }

@@ -389,32 +389,33 @@ mod tests {
     use super::*;
     use crate::cells::CellKind;
 
-    fn xor_netlist() -> Netlist {
-        let mut n = Netlist::new("xor");
-        let a = n.add_input("a");
-        let b = n.add_input("b");
-        let y = n.add_net("y");
-        n.add_cell("u_xor", CellKind::Xor2, &[a, b], y).unwrap();
+    /// One two-input `kind` gate `y = kind(a, b)`.
+    fn gate_netlist(kind: CellKind) -> Netlist {
+        let mut n = Netlist::new();
+        let a = n.add_input();
+        let b = n.add_input();
+        let y = n.add_net();
+        n.add_cell(kind, &[a, b], y).unwrap();
         n.mark_output(y).unwrap();
         n
     }
 
     #[test]
     fn xor_evaluates_correctly_over_cycles() {
-        let n = xor_netlist();
+        let n = gate_netlist(CellKind::Xnor2);
         let lib = CellLibrary::default();
         let mut sim = Simulator::new(&n, &lib).unwrap();
         sim.step(&[false, false]);
-        assert_eq!(sim.output_values(), vec![false]);
-        sim.step(&[true, false]);
         assert_eq!(sim.output_values(), vec![true]);
-        sim.step(&[true, true]);
+        sim.step(&[true, false]);
         assert_eq!(sim.output_values(), vec![false]);
+        sim.step(&[true, true]);
+        assert_eq!(sim.output_values(), vec![true]);
     }
 
     #[test]
     fn constant_inputs_consume_only_clock_and_leakage() {
-        let n = xor_netlist();
+        let n = gate_netlist(CellKind::Or2);
         let lib = CellLibrary::default();
         let mut sim = Simulator::new(&n, &lib).unwrap();
         // Same vector repeatedly: after the first cycle nothing toggles.
@@ -429,7 +430,7 @@ mod tests {
 
     #[test]
     fn toggling_inputs_accumulate_energy() {
-        let n = xor_netlist();
+        let n = gate_netlist(CellKind::Or2);
         let lib = CellLibrary::default();
         let mut sim = Simulator::new(&n, &lib).unwrap();
         for i in 0..100_u32 {
@@ -439,15 +440,15 @@ mod tests {
         assert!(report.energy.internal > Energy::ZERO);
         assert!(report.energy.net_load > Energy::ZERO);
         assert!(report.toggles >= 100);
-        assert!(report.toggles_by_kind[&CellKind::Xor2] > 0);
+        assert!(report.toggles_by_kind[&CellKind::Or2] > 0);
     }
 
     #[test]
     fn dff_delays_data_by_one_cycle() {
-        let mut n = Netlist::new("pipe");
-        let d = n.add_input("d");
-        let q = n.add_net("q");
-        n.add_cell("u_ff", CellKind::Dff, &[d], q).unwrap();
+        let mut n = Netlist::new();
+        let d = n.add_input();
+        let q = n.add_net();
+        n.add_cell(CellKind::Dff, &[d], q).unwrap();
         n.mark_output(q).unwrap();
         let lib = CellLibrary::default();
         let mut sim = Simulator::new(&n, &lib).unwrap();
@@ -463,10 +464,10 @@ mod tests {
 
     #[test]
     fn sequential_cells_burn_clock_energy_every_cycle() {
-        let mut n = Netlist::new("ff");
-        let d = n.add_input("d");
-        let q = n.add_net("q");
-        n.add_cell("u_ff", CellKind::Dff, &[d], q).unwrap();
+        let mut n = Netlist::new();
+        let d = n.add_input();
+        let q = n.add_net();
+        n.add_cell(CellKind::Dff, &[d], q).unwrap();
         n.mark_output(q).unwrap();
         let lib = CellLibrary::default();
         let report = simulate(&n, &lib, std::iter::repeat_n([false], 50)).unwrap();
@@ -476,11 +477,11 @@ mod tests {
 
     #[test]
     fn tri_state_bus_holds_value() {
-        let mut n = Netlist::new("bus");
-        let a = n.add_input("a");
-        let en = n.add_input("en");
-        let y = n.add_net("y");
-        n.add_cell("u_tri", CellKind::TriBuf, &[a, en], y).unwrap();
+        let mut n = Netlist::new();
+        let a = n.add_input();
+        let en = n.add_input();
+        let y = n.add_net();
+        n.add_cell(CellKind::PassGate, &[a, en], y).unwrap();
         n.mark_output(y).unwrap();
         let lib = CellLibrary::default();
         let mut sim = Simulator::new(&n, &lib).unwrap();
@@ -493,7 +494,7 @@ mod tests {
 
     #[test]
     fn reset_counters_keeps_state() {
-        let n = xor_netlist();
+        let n = gate_netlist(CellKind::Or2);
         let lib = CellLibrary::default();
         let mut sim = Simulator::new(&n, &lib).unwrap();
         sim.step(&[true, false]);
@@ -519,7 +520,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "primary-input values")]
     fn wrong_input_vector_length_panics() {
-        let n = xor_netlist();
+        let n = gate_netlist(CellKind::Or2);
         let lib = CellLibrary::default();
         let mut sim = Simulator::new(&n, &lib).unwrap();
         sim.step(&[true]);

@@ -5,7 +5,7 @@
 //! on the energy report, on every net's toggle count and on every net's
 //! word, dropped nets included.
 //!
-//! The random netlists hold `Buf`, `Mux2`, `TriBuf` and `PassGate` cells
+//! The random netlists hold `Buf`, `Mux2` and `PassGate` cells
 //! whose selects and enables are drawn from the same pool as every other
 //! input, so a case drops anything from no cell to long forwarding chains.
 //! The stimulus drives a random number of low lanes of the other inputs,

@@ -37,10 +37,10 @@ fn public_types_are_send_and_sync() {
 /// a DAG.
 pub(crate) fn random_netlist(seed: u64, cells: usize, kinds: &[CellKind]) -> Netlist {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut n = Netlist::new("prop");
-    let mut nets: Vec<NetId> = (0..4).map(|i| n.add_input(format!("pi{i}"))).collect();
-    for i in 0..3 {
-        n.add_net(format!("floating{i}"));
+    let mut n = Netlist::new();
+    let mut nets: Vec<NetId> = (0..4).map(|_| n.add_input()).collect();
+    for _ in 0..3 {
+        n.add_net();
     }
     let mut previous: Option<(CellKind, Vec<NetId>)> = None;
     for i in 0..cells {
@@ -54,8 +54,8 @@ pub(crate) fn random_netlist(seed: u64, cells: usize, kinds: &[CellKind]) -> Net
                 (kind, inputs)
             }
         };
-        let out = n.add_net(format!("n{i}"));
-        n.add_cell(format!("c{i}"), kind, &inputs, out).unwrap();
+        let out = n.add_net();
+        n.add_cell(kind, &inputs, out).unwrap();
         previous = Some((kind, inputs));
         nets.push(out);
     }

@@ -1,6 +1,6 @@
 //! Property-based equivalence between the bit-parallel [`PackedSimulator`]
 //! and the scalar [`Simulator`] oracle: over random small netlists covering
-//! every [`CellKind`] (combinational, DFF/latch state, tri-state hold), a
+//! every [`CellKind`] (combinational, DFF state, pass-gate hold), a
 //! packed run must reproduce the summed per-lane toggle counts of scalar
 //! runs on the per-lane bit streams — and therefore bit-identical energies
 //! through the shared [`EnergyTables`].
@@ -115,7 +115,7 @@ proptest! {
         }
 
         prop_assert_eq!(packed.net_toggle_counts(), &summed[..]);
-        prop_assert_eq!(packed.lane_cycles(), lane_cycles);
+        prop_assert_eq!(packed.report().cycles, lane_cycles);
         // Identical integer counts ⇒ bit-identical energy reports through
         // the shared deterministic count→energy conversion.
         prop_assert_eq!(packed.report(), tables.report_from_counts(&summed, lane_cycles));

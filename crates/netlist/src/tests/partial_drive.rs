@@ -102,7 +102,7 @@ proptest! {
                 }
             });
 
-            prop_assert_eq!(partial.lane_cycles(), full.lane_cycles(), "step {}", step);
+            prop_assert_eq!(partial.report().cycles, full.report().cycles, "step {}", step);
             prop_assert_eq!(partial.report(), full.report(), "step {}", step);
             prop_assert_eq!(
                 partial.net_toggle_counts(),

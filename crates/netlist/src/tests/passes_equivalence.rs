@@ -88,7 +88,7 @@ proptest! {
 
         let lane_cycles = (cycles as u64 - 1) * u64::from(LANES) + u64::from(counted_final);
         prop_assert_eq!(packed.net_toggle_counts(), &summed[..]);
-        prop_assert_eq!(packed.lane_cycles(), lane_cycles);
+        prop_assert_eq!(packed.report().cycles, lane_cycles);
         prop_assert_eq!(packed.report(), tables.report_from_counts(&summed, lane_cycles));
     }
 
@@ -139,7 +139,7 @@ proptest! {
 
         let lane_cycles = measure as u64 * u64::from(LANES);
         prop_assert_eq!(packed.net_toggle_counts(), &summed[..]);
-        prop_assert_eq!(packed.lane_cycles(), lane_cycles);
+        prop_assert_eq!(packed.report().cycles, lane_cycles);
         prop_assert_eq!(packed.report(), tables.report_from_counts(&summed, lane_cycles));
     }
 }

@@ -11,8 +11,8 @@ use std::sync::{Arc, Barrier};
 
 use fabric_power_netlist::circuits::switch_circuit;
 use fabric_power_netlist::{
-    characterize_class, characterize_switch, compiled_switch, CellLibrary, CharacterizationConfig,
-    SwitchClass, SwitchEnergyLut,
+    characterize_class, characterize_switch, compiled_switch, CellKind, CellLibrary,
+    CharacterizationConfig, SwitchClass, SwitchEnergyLut,
 };
 use fabric_power_tech::units::Voltage;
 
@@ -84,9 +84,9 @@ fn each_library_gets_its_own_entry() {
     let generic = CellLibrary::new(
         "calibrated cells at 1.2 V",
         Voltage::from_volts(1.2),
-        calibrated
-            .iter()
-            .map(|(kind, cell)| (kind, *cell))
+        CellKind::ALL
+            .into_iter()
+            .map(|kind| (kind, calibrated.parameters(kind)))
             .collect(),
     );
     let class = SwitchClass::BanyanBinary;

@@ -47,7 +47,7 @@ proptest! {
         let small_model = MemoryModel::shared_buffer(small * 1024).unwrap();
         let large_model = MemoryModel::shared_buffer(large * 1024).unwrap();
         prop_assert!(
-            large_model.access_energy_per_bit() >= small_model.access_energy_per_bit()
+            large_model.buffer_bit_energy() >= small_model.buffer_bit_energy()
         );
     }
 
