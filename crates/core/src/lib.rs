@@ -73,7 +73,11 @@ mod tests {
         let model = FabricEnergyModel::paper(4).expect("model");
         assert!(analytic::banyan_bit_energy(&model, 0) < analytic::crossbar_bit_energy(&model));
         // Simulation path.
-        let config = SimulationConfig::quick(Architecture::FullyConnected, 4, 0.2);
+        let config = SimulationConfig {
+            warmup_cycles: 100,
+            measure_cycles: 800,
+            ..SimulationConfig::new(Architecture::FullyConnected, 4, 0.2)
+        };
         let report = RouterSimulator::with_shared_model(config, std::sync::Arc::new(model))
             .expect("simulation")
             .run();

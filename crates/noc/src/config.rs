@@ -52,15 +52,6 @@ impl NetworkConfig {
         }
     }
 
-    /// The same grid with wraparound links.
-    #[must_use]
-    pub fn torus(width: usize, height: usize) -> Self {
-        Self {
-            torus: true,
-            ..Self::mesh(width, height)
-        }
-    }
-
     /// The grid shape.
     #[must_use]
     pub(crate) fn shape(&self) -> NetworkShape {

@@ -599,7 +599,11 @@ impl MeshNetwork {
 /// use std::sync::Arc;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let config = SimulationConfig::quick(Architecture::Crossbar, 8, 0.2);
+/// let config = SimulationConfig {
+///     warmup_cycles: 100,
+///     measure_cycles: 800,
+///     ..SimulationConfig::new(Architecture::Crossbar, 8, 0.2)
+/// };
 /// let network = NetworkConfig::mesh(2, 2);
 /// let model = Arc::new(FabricEnergyModel::paper(8)?);
 /// let report = NetworkSimulator::with_shared_model(config, network, model)?.run();
@@ -672,13 +676,22 @@ mod tests {
         Arc::new(FabricEnergyModel::paper(ports).expect("paper model"))
     }
 
+    /// A short run: 100 warm-up and 800 measured cycles.
+    fn quick(architecture: Architecture, ports: usize, load: f64) -> SimulationConfig {
+        SimulationConfig {
+            warmup_cycles: 100,
+            measure_cycles: 800,
+            ..SimulationConfig::new(architecture, ports, load)
+        }
+    }
+
     fn quick_config(load: f64) -> SimulationConfig {
-        SimulationConfig::quick(Architecture::Crossbar, 8, load)
+        quick(Architecture::Crossbar, 8, load)
     }
 
     #[test]
     fn one_by_one_network_reports_exactly_like_a_single_router() {
-        let config = SimulationConfig::quick(Architecture::Banyan, 8, 0.3);
+        let config = quick(Architecture::Banyan, 8, 0.3);
         let single = RouterSimulator::with_shared_model(config.clone(), model(8))
             .unwrap()
             .run();
@@ -740,8 +753,7 @@ mod tests {
         // the torus halves them via wraparound.
         let run = |net: NetworkConfig| {
             NetworkSimulator::with_shared_model(
-                SimulationConfig::quick(Architecture::Crossbar, 8, 0.2)
-                    .with_pattern(TrafficPattern::Tornado),
+                quick(Architecture::Crossbar, 8, 0.2).with_pattern(TrafficPattern::Tornado),
                 net,
                 model(8),
             )
@@ -752,11 +764,17 @@ mod tests {
             .average_hops
         };
         let mesh_hops = run(NetworkConfig::mesh(4, 1));
-        let torus_hops = run(NetworkConfig::torus(4, 1));
+        let torus_hops = run(NetworkConfig {
+            torus: true,
+            ..NetworkConfig::mesh(4, 1)
+        });
         assert_eq!(mesh_hops, 2.0, "tornado on a 4-line is always 2 hops");
         assert_eq!(torus_hops, 2.0, "half-way ties route positively");
         let mesh_far = run(NetworkConfig::mesh(5, 1));
-        let torus_far = run(NetworkConfig::torus(5, 1));
+        let torus_far = run(NetworkConfig {
+            torus: true,
+            ..NetworkConfig::mesh(5, 1)
+        });
         assert!(torus_far < mesh_far, "mesh {mesh_far} vs torus {torus_far}");
     }
 
@@ -764,8 +782,7 @@ mod tests {
     fn minimal_adaptive_still_routes_minimally() {
         let run = |routing: RoutingPolicy| {
             NetworkSimulator::with_shared_model(
-                SimulationConfig::quick(Architecture::Crossbar, 8, 0.3)
-                    .with_pattern(TrafficPattern::Transpose),
+                quick(Architecture::Crossbar, 8, 0.3).with_pattern(TrafficPattern::Transpose),
                 NetworkConfig {
                     routing,
                     ..NetworkConfig::mesh(3, 3)
@@ -796,7 +813,7 @@ mod tests {
     #[test]
     fn shallow_links_stall_on_credits() {
         let report = NetworkSimulator::with_shared_model(
-            SimulationConfig::quick(Architecture::Crossbar, 8, 0.8),
+            quick(Architecture::Crossbar, 8, 0.8),
             NetworkConfig {
                 link_depth: 1,
                 ..NetworkConfig::mesh(2, 2)
@@ -811,12 +828,10 @@ mod tests {
     #[test]
     fn hotspot_node_attracts_network_traffic() {
         let report = NetworkSimulator::with_shared_model(
-            SimulationConfig::quick(Architecture::Crossbar, 8, 0.3).with_pattern(
-                TrafficPattern::Hotspot {
-                    port: 0,
-                    fraction: 0.8,
-                },
-            ),
+            quick(Architecture::Crossbar, 8, 0.3).with_pattern(TrafficPattern::Hotspot {
+                port: 0,
+                fraction: 0.8,
+            }),
             NetworkConfig::mesh(2, 2),
             model(8),
         )
@@ -827,7 +842,7 @@ mod tests {
 
     #[test]
     fn too_small_a_radix_is_rejected() {
-        let config = SimulationConfig::quick(Architecture::Crossbar, 4, 0.2);
+        let config = quick(Architecture::Crossbar, 4, 0.2);
         let result =
             NetworkSimulator::with_shared_model(config, NetworkConfig::mesh(2, 2), model(4));
         assert!(matches!(
@@ -867,7 +882,7 @@ mod tests {
 
     #[test]
     fn single_row_network_fits_radix_four_nodes() {
-        let config = SimulationConfig::quick(Architecture::Crossbar, 4, 0.2);
+        let config = quick(Architecture::Crossbar, 4, 0.2);
         let report =
             NetworkSimulator::with_shared_model(config, NetworkConfig::mesh(4, 1), model(4))
                 .unwrap()
@@ -944,7 +959,7 @@ mod tests {
             .nodes
             .iter()
             .map(|node| {
-                (0..node.ports())
+                (0..mesh.config.ports)
                     .map(|port| node.input_queue_len(port))
                     .sum::<usize>()
             })
@@ -1023,7 +1038,7 @@ mod tests {
                 seed,
                 warmup_cycles: 0,
                 measure_cycles: inject_ticks,
-                ..SimulationConfig::quick(architecture, 8, load)
+                ..quick(architecture, 8, load)
             }
             .with_pattern(pattern(pattern_index));
             let mut mesh = MeshNetwork::new(config, net, model(8)).unwrap();
@@ -1128,7 +1143,7 @@ mod tests {
                 seed,
                 warmup_cycles: warmup,
                 measure_cycles: measure,
-                ..SimulationConfig::quick(architecture, ports, load)
+                ..quick(architecture, ports, load)
             }
             .with_pattern(pattern(pattern_index));
             let single = RouterSimulator::with_shared_model(config.clone(), model(ports))

@@ -255,7 +255,11 @@ mod tests {
 
     #[test]
     fn torus_wraps_both_axes() {
-        let shape = NetworkConfig::torus(3, 2).shape();
+        let shape = NetworkConfig {
+            torus: true,
+            ..NetworkConfig::mesh(3, 2)
+        }
+        .shape();
         assert_eq!(shape.neighbor(0, Direction::XMinus), Some(2));
         assert_eq!(shape.neighbor(2, Direction::XPlus), Some(0));
         assert_eq!(shape.neighbor(0, Direction::YMinus), Some(3));
@@ -264,7 +268,11 @@ mod tests {
 
     #[test]
     fn reverse_direction_round_trips_across_a_link() {
-        let shape = NetworkConfig::torus(4, 4).shape();
+        let shape = NetworkConfig {
+            torus: true,
+            ..NetworkConfig::mesh(4, 4)
+        }
+        .shape();
         for node in 0..shape.nodes() {
             for direction in Direction::ALL {
                 let neighbor = shape.neighbor(node, direction).unwrap();
@@ -276,7 +284,11 @@ mod tests {
     #[test]
     fn torus_distance_uses_the_shorter_wrap() {
         let mesh = NetworkConfig::mesh(4, 1).shape();
-        let torus = NetworkConfig::torus(4, 1).shape();
+        let torus = NetworkConfig {
+            torus: true,
+            ..NetworkConfig::mesh(4, 1)
+        }
+        .shape();
         assert_eq!(distance(&mesh, 0, 3), 3);
         assert_eq!(distance(&torus, 0, 3), 1);
     }
@@ -285,7 +297,11 @@ mod tests {
     fn productive_directions_reach_the_destination() {
         for shape in [
             NetworkConfig::mesh(4, 3).shape(),
-            NetworkConfig::torus(4, 3).shape(),
+            NetworkConfig {
+                torus: true,
+                ..NetworkConfig::mesh(4, 3)
+            }
+            .shape(),
         ] {
             for from in 0..shape.nodes() {
                 for to in 0..shape.nodes() {

@@ -53,16 +53,6 @@ impl SimulationConfig {
         }
     }
 
-    /// A shorter run for unit tests and examples.
-    #[must_use]
-    pub fn quick(architecture: Architecture, ports: usize, offered_load: f64) -> Self {
-        Self {
-            warmup_cycles: 100,
-            measure_cycles: 800,
-            ..Self::new(architecture, ports, offered_load)
-        }
-    }
-
     /// Overrides the traffic pattern.
     #[must_use]
     pub fn with_pattern(mut self, pattern: TrafficPattern) -> Self {
@@ -165,6 +155,18 @@ impl SimulationReport {
             fabric_power_tech::units::Energy::ZERO
         } else {
             self.energy.total() / bits as f64
+        }
+    }
+}
+
+#[cfg(test)]
+impl SimulationConfig {
+    /// A shorter run for unit tests: 100 warm-up and 800 measured cycles.
+    pub(crate) fn quick(architecture: Architecture, ports: usize, offered_load: f64) -> Self {
+        Self {
+            warmup_cycles: 100,
+            measure_cycles: 800,
+            ..Self::new(architecture, ports, offered_load)
         }
     }
 }

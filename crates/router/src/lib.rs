@@ -33,7 +33,11 @@
 //! use std::sync::Arc;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let config = SimulationConfig::quick(Architecture::Banyan, 16, 0.3);
+//! let config = SimulationConfig {
+//!     warmup_cycles: 100,
+//!     measure_cycles: 800,
+//!     ..SimulationConfig::new(Architecture::Banyan, 16, 0.3)
+//! };
 //! let model = Arc::new(FabricEnergyModel::paper(16)?);
 //! let report = RouterSimulator::with_shared_model(config, model)?.run();
 //! println!(

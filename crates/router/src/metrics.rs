@@ -41,7 +41,7 @@ pub const LATENCY_BINS: usize = 4096;
 /// for latency in [16, 17, 17, 20, 90] {
 ///     histogram.record(latency);
 /// }
-/// assert_eq!(histogram.count(), 5);
+/// assert_eq!(histogram.to_sparse().count, 5);
 /// assert_eq!(histogram.percentile(50.0), 17.0);
 /// assert_eq!(histogram.percentile(99.0), 90.0);
 /// assert!((histogram.mean() - 32.0).abs() < 1e-12);
@@ -88,30 +88,6 @@ impl LatencyHistogram {
         self.count += 1;
         self.sum += latency_cycles;
         self.max = self.max.max(latency_cycles);
-    }
-
-    /// Total samples recorded.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Exact sum of all recorded latencies.
-    #[must_use]
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Largest latency recorded (0 when empty).
-    #[must_use]
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Samples pooled in the overflow bin (latency ≥ [`LATENCY_BINS`]).
-    #[must_use]
-    pub fn overflow(&self) -> u64 {
-        self.overflow
     }
 
     /// Mean latency in cycles (0 when empty).
@@ -216,15 +192,6 @@ pub struct SparseLatencyHistogram {
     pub max: u64,
 }
 
-impl SparseLatencyHistogram {
-    /// Whether nothing was recorded (also what old documents without the
-    /// field read back as).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,11 +199,11 @@ mod tests {
     #[test]
     fn empty_histogram_is_all_zero() {
         let histogram = LatencyHistogram::new();
-        assert_eq!(histogram.count(), 0);
+        assert_eq!(histogram.count, 0);
         assert_eq!(histogram.mean(), 0.0);
         assert_eq!(histogram.percentile(50.0), 0.0);
         assert_eq!(histogram.percentile(99.0), 0.0);
-        assert_eq!(histogram.max(), 0);
+        assert_eq!(histogram.max, 0);
     }
 
     #[test]
@@ -276,7 +243,7 @@ mod tests {
         let [p50, p95, p99] = histogram.summary();
         assert!(p50 <= p95, "{p50} vs {p95}");
         assert!(p95 <= p99, "{p95} vs {p99}");
-        assert!(p99 <= histogram.max() as f64);
+        assert!(p99 <= histogram.max as f64);
     }
 
     #[test]
@@ -285,7 +252,7 @@ mod tests {
         histogram.record(10);
         histogram.record(LATENCY_BINS as u64 + 500);
         histogram.record(LATENCY_BINS as u64 + 900);
-        assert_eq!(histogram.overflow(), 2);
+        assert_eq!(histogram.overflow, 2);
         assert_eq!(
             histogram.percentile(99.0),
             (LATENCY_BINS as u64 + 900) as f64
@@ -305,7 +272,6 @@ mod tests {
         assert_eq!(sparse.count, 8);
         assert_eq!(sparse.sum, 13_209);
         assert_eq!(sparse.max, 9000);
-        assert!(!sparse.is_empty());
         // And through JSON, which is how documents carry it.
         let json = serde_json::to_string(&sparse).expect("serialize");
         let back: SparseLatencyHistogram = serde_json::from_str(&json).expect("parse");
@@ -315,7 +281,7 @@ mod tests {
     #[test]
     fn empty_sparse_histogram_is_default_and_expands_empty() {
         let sparse = SparseLatencyHistogram::default();
-        assert!(sparse.is_empty());
+        assert_eq!(sparse.count, 0);
         assert_eq!(LatencyHistogram::new().to_sparse(), sparse);
         // `{}` — the serde(default) shape of a pre-field document — parses.
         let back: SparseLatencyHistogram = serde_json::from_str("{}").expect("parse");

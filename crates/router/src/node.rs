@@ -477,12 +477,6 @@ impl RouterNode {
         }
     }
 
-    /// Number of switch-fabric ports.
-    #[must_use]
-    pub fn ports(&self) -> usize {
-        self.input_queues.len()
-    }
-
     /// Enqueues a packet at an input port.  The packet's `source` and
     /// `destination` are *local* port indices on this node, and `source`
     /// must be `port`; a network layer rewrites them per hop.
@@ -967,7 +961,7 @@ mod tests {
     /// The arbiter's sets recounted from the node's queues and flows, after
     /// checking that the busy inputs are exactly those a flow holds.
     fn recounted_arbiter_sets(node: &RouterNode) -> [Vec<u64>; 3] {
-        let mut input_busy = vec![false; node.ports()];
+        let mut input_busy = vec![false; node.input_queues.len()];
         for flow in &node.flows {
             input_busy[flow.packet.source] = true;
         }
@@ -981,7 +975,7 @@ mod tests {
                 Some((input, head.destination))
             });
         let held = node.flows.iter().map(|flow| flow.packet.destination);
-        recounted_sets(node.ports(), requested, held)
+        recounted_sets(node.input_queues.len(), requested, held)
     }
 
     proptest! {

@@ -38,12 +38,6 @@ impl Packet {
         self.payload.len()
     }
 
-    /// Number of payload bits given the bus width.
-    #[must_use]
-    pub fn bits(&self, bus_width: u32) -> u64 {
-        self.words() as u64 * u64::from(bus_width)
-    }
-
     /// Generates a packet with `words` uniformly random payload words,
     /// written into `payload` after clearing it, so a finished packet's
     /// buffer can carry the next one.
@@ -82,7 +76,6 @@ mod tests {
         assert_eq!(packet.source, 1);
         assert_eq!(packet.destination, 3);
         assert_eq!(packet.words(), 16);
-        assert_eq!(packet.bits(32), 512);
         assert_eq!(packet.arrival_cycle, 100);
     }
 

@@ -323,7 +323,7 @@ pub(crate) const FLIP_COUNTS: usize = u64::BITS as usize + 1;
 /// let nodes: Vec<RouterNode> = (0..4)
 ///     .map(|_| RouterNode::new(Arc::clone(&priced)))
 ///     .collect();
-/// assert_eq!(nodes[3].ports(), 8);
+/// assert_eq!(nodes[3].input_queue_len(7), 0);
 /// # Ok(())
 /// # }
 /// ```

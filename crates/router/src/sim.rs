@@ -114,7 +114,11 @@ impl From<TrafficError> for SimulationError {
 /// use std::sync::Arc;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let config = SimulationConfig::quick(Architecture::Banyan, 4, 0.3);
+/// let config = SimulationConfig {
+///     warmup_cycles: 100,
+///     measure_cycles: 800,
+///     ..SimulationConfig::new(Architecture::Banyan, 4, 0.3)
+/// };
 /// let model = Arc::new(FabricEnergyModel::paper(4)?);
 /// let report = RouterSimulator::with_shared_model(config, model)?.run();
 /// assert!(report.measured_throughput() > 0.0);

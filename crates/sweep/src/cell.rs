@@ -326,7 +326,10 @@ mod tests {
         for variant in [
             NetworkConfig::mesh(8, 4),
             NetworkConfig::mesh(4, 8),
-            NetworkConfig::torus(4, 4),
+            NetworkConfig {
+                torus: true,
+                ..NetworkConfig::mesh(4, 4)
+            },
             NetworkConfig {
                 routing: RoutingPolicy::MinimalAdaptive,
                 ..NetworkConfig::mesh(4, 4)

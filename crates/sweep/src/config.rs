@@ -3,7 +3,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use fabric_power_fabric::energy_model::{EnergyModelError, FabricEnergyModel};
+use fabric_power_fabric::energy_model::EnergyModelError;
 use fabric_power_fabric::provider::ModelSpec;
 use fabric_power_fabric::Architecture;
 use fabric_power_netlist::characterize::CharacterizationConfig;
@@ -240,21 +240,6 @@ impl ExperimentConfig {
         }
     }
 
-    /// Builds the energy model for one fabric size according to
-    /// [`ExperimentConfig::model_source`].
-    ///
-    /// Callers that evaluate more than one operating point should go through
-    /// a [`fabric_power_fabric::provider::ModelProvider`] with
-    /// [`ExperimentConfig::model_spec`] instead, so identical models are
-    /// built once and shared.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`EnergyModelError`].
-    pub fn energy_model(&self, ports: usize) -> Result<FabricEnergyModel, EnergyModelError> {
-        self.model_spec(ports).build()
-    }
-
     /// Builds the simulator configuration for one operating point, with an
     /// explicit per-cell seed (see [`crate::SeedStrategy`]).
     #[must_use]
@@ -340,11 +325,6 @@ mod tests {
             derived.model_spec(8).kind,
             ModelKind::Derived { .. }
         ));
-        // The spec is the single source of truth: `energy_model` builds it.
-        assert_eq!(
-            paper.energy_model(8).unwrap(),
-            paper.model_spec(8).build().unwrap()
-        );
         assert_ne!(paper.model_spec(8), derived.model_spec(8));
     }
 }

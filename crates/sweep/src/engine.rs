@@ -89,12 +89,6 @@ impl SweepEngine {
         self
     }
 
-    /// The model provider this engine acquires energy models through.
-    #[must_use]
-    pub fn provider(&self) -> &Arc<ModelProvider> {
-        &self.provider
-    }
-
     /// The resolved worker thread count this engine will run with.
     #[must_use]
     pub fn threads(&self) -> usize {
@@ -562,7 +556,7 @@ mod tests {
         // Results are identical to an engine on the default shared provider.
         let default_engine = SweepEngine::new().with_threads(2);
         assert!(Arc::ptr_eq(
-            default_engine.provider(),
+            &default_engine.provider,
             &ModelProvider::shared()
         ));
         assert_eq!(default_engine.run(&config).unwrap(), first);

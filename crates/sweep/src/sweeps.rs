@@ -102,22 +102,6 @@ pub struct PortSweep {
 }
 
 impl PortSweep {
-    /// Runs the port sweep at `offered_load` over the configured sizes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates model and simulation errors.
-    pub fn run(config: &ExperimentConfig, offered_load: f64) -> Result<Self, ExperimentError> {
-        let single = ExperimentConfig {
-            offered_loads: vec![offered_load],
-            ..config.clone()
-        };
-        Ok(Self {
-            offered_load,
-            points: ThroughputSweep::run(&single)?.points,
-        })
-    }
-
     /// Power of one architecture at one size.
     #[must_use]
     pub fn power(&self, architecture: Architecture, ports: usize) -> Option<Power> {
@@ -152,10 +136,22 @@ mod tests {
     // level in `tests/sweep_determinism.rs`, which keeps the reference loop
     // in exactly one place.
 
+    /// The port sweep of `config`'s sizes at `offered_load` alone.
+    fn port_sweep(config: &ExperimentConfig, offered_load: f64) -> PortSweep {
+        let single = ExperimentConfig {
+            offered_loads: vec![offered_load],
+            ..config.clone()
+        };
+        PortSweep {
+            offered_load,
+            points: ThroughputSweep::run(&single).expect("sweep").points,
+        }
+    }
+
     #[test]
     fn port_sweep_restricts_to_one_load() {
         let config = ExperimentConfig::quick();
-        let sweep = PortSweep::run(&config, 0.3).expect("sweep");
+        let sweep = port_sweep(&config, 0.3);
         assert_eq!(
             sweep.points.len(),
             config.port_counts.len() * config.architectures.len()
@@ -199,7 +195,7 @@ mod tests {
     #[test]
     fn port_sweep_gap_is_computable() {
         let config = ExperimentConfig::quick();
-        let sweep = PortSweep::run(&config, 0.5).unwrap();
+        let sweep = port_sweep(&config, 0.5);
         let gap = sweep.fully_connected_vs_batcher_gap(8).unwrap();
         assert!(gap > 0.0 && gap < 1.0, "gap {gap}");
         assert!(sweep.power(Architecture::Banyan, 8).is_some());

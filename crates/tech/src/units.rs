@@ -82,12 +82,6 @@ macro_rules! quantity {
                 self.0 == 0.0
             }
 
-            /// Returns `true` if the quantity is finite (not NaN or infinite).
-            #[must_use]
-            pub fn is_finite(self) -> bool {
-                self.0.is_finite()
-            }
-
         }
 
         impl Add for $name {
@@ -447,7 +441,6 @@ mod tests {
     fn is_zero_and_is_finite() {
         assert!(Energy::ZERO.is_zero());
         assert!(!Energy::from_joules(1.0).is_zero());
-        assert!(Energy::from_joules(1.0).is_finite());
-        assert!(!Energy::from_joules(f64::NAN).is_finite());
+        assert!(!Energy::from_joules(f64::NAN).is_zero());
     }
 }

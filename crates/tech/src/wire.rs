@@ -41,12 +41,6 @@ impl WireModel {
         Self { technology }
     }
 
-    /// The technology this model was built from.
-    #[must_use]
-    pub fn technology(&self) -> &Technology {
-        &self.technology
-    }
-
     /// Total load capacitance of a wire of physical length `length` driving
     /// `fanout` gate inputs: `C_W = C_wire + fanout · C_input`.
     #[must_use]
@@ -115,7 +109,7 @@ mod tests {
     fn grid_energy_scales_linearly_with_grid_count() {
         let wires = WireModel::default();
         let one = wires.grid_bit_energy();
-        let grid = wires.technology().thompson_grid_length();
+        let grid = wires.technology.thompson_grid_length();
         let eight = wires.bit_energy(Length::from_meters(8.0 * grid.as_meters()), 0);
         assert!((eight.as_joules() - 8.0 * one.as_joules()).abs() < 1e-24);
         assert_eq!(wires.bit_energy(Length::ZERO, 0), Energy::ZERO);

@@ -9,7 +9,7 @@ use std::sync::OnceLock;
 
 use fabric_power_core::paper::{published_fc_vs_batcher_gap, Ledger, Row};
 use fabric_power_fabric::provider::stable_hash_hex;
-use fabric_power_sweep::{PortSweep, ScenarioRegistry};
+use fabric_power_sweep::{PortSweep, ScenarioRegistry, ThroughputSweep};
 use fabric_power_tech::constants::FIGURE10_THROUGHPUT;
 
 fn ledger() -> &'static Ledger {
@@ -195,7 +195,13 @@ Worst-case bit energy per architecture (Eq. 3-6), in pJ/bit
 fn figure10_rows_equal_the_registered_paper_fig10_gaps() {
     let registry = ScenarioRegistry::builtin();
     let scenario = registry.get("paper-fig10").expect("registered");
-    let sweep = PortSweep::run(&scenario.config, FIGURE10_THROUGHPUT).expect("sweep");
+    // The scenario runs the 50% load alone.
+    let sweep = PortSweep {
+        offered_load: FIGURE10_THROUGHPUT,
+        points: ThroughputSweep::run(&scenario.config)
+            .expect("sweep")
+            .points,
+    };
     let figure10 = rows("Fig. 10");
     for (row, ports) in figure10.iter().zip([4, 32]) {
         let gap = sweep.fully_connected_vs_batcher_gap(ports).expect("gap");

@@ -24,7 +24,11 @@ fn derived_energy_model_supports_the_same_pipeline_as_the_paper_model() {
     let paper = Arc::new(FabricEnergyModel::paper(ports).expect("paper model"));
 
     for (label, model) in [("derived", &derived), ("paper", &paper)] {
-        let config = SimulationConfig::quick(Architecture::Banyan, ports, 0.3);
+        let config = SimulationConfig {
+            warmup_cycles: 100,
+            measure_cycles: 800,
+            ..SimulationConfig::new(Architecture::Banyan, ports, 0.3)
+        };
         let report = RouterSimulator::with_shared_model(config, Arc::clone(model))
             .expect("simulator")
             .run();

@@ -98,7 +98,10 @@ fn observation1_banyan_ranking_flips_between_low_and_high_load_at_32x32() {
 #[test]
 fn observation2_fully_connected_wins_and_gap_to_batcher_narrows() {
     let config = shape_config(vec![4, 16], vec![0.50]);
-    let sweep = PortSweep::run(&config, 0.50).expect("sweep");
+    let sweep = PortSweep {
+        offered_load: 0.50,
+        points: ThroughputSweep::run(&config).expect("sweep").points,
+    };
 
     for &ports in &[4, 16] {
         let fully = sweep

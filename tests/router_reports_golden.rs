@@ -122,7 +122,10 @@ fn network_cases() -> Vec<NetworkCase> {
         (
             "batcher-banyan-torus3x3",
             Architecture::BatcherBanyan,
-            NetworkConfig::torus(3, 3),
+            NetworkConfig {
+                torus: true,
+                ..NetworkConfig::mesh(3, 3)
+            },
         ),
     ];
     grids

@@ -58,7 +58,7 @@ fn json_is_byte_identical_across_thread_counts() {
 fn sequential_reference(config: &ExperimentConfig, strategy: SeedStrategy) -> Vec<SweepPoint> {
     let mut reference = Vec::new();
     for &ports in &config.port_counts {
-        let model = Arc::new(config.energy_model(ports).expect("model"));
+        let model = Arc::new(config.model_spec(ports).build().expect("model"));
         for &architecture in &config.architectures {
             for &offered_load in &config.offered_loads {
                 let seed = strategy.cell_seed(
