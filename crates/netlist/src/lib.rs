@@ -8,8 +8,10 @@
 //! The crate is organized bottom-up:
 //!
 //! * [`cells`] / [`library`] — a minimal 0.18 µm standard-cell set with
-//!   calibrated switching energies;
-//! * [`netlist`] — the netlist graph and structural validation;
+//!   calibrated switching energies: exactly the kinds the [`circuits`]
+//!   generators instantiate, so a kind comes back with the generator that
+//!   needs it;
+//! * [`netlist`] — the (unnamed) netlist graph and structural validation;
 //! * [`sim`] — per-toggle energy accounting ([`sim::EnergyTables`]); the
 //!   crate's tests also hold a scalar, bool-per-net reference simulator
 //!   there, the oracle the packed engine is checked against;

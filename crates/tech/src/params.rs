@@ -138,7 +138,7 @@ mod tests {
         let tech = Technology::tsmc180();
         assert_eq!(tech.bus_width_bits(), 32);
         assert!((tech.supply_voltage().as_volts() - 3.3).abs() < 1e-12);
-        assert!((tech.clock().as_hertz() - 133e6).abs() < 1e-3);
+        assert_eq!(tech.clock(), Frequency::from_megahertz(133.0));
     }
 
     #[test]

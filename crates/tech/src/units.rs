@@ -286,12 +286,6 @@ impl Frequency {
         Self(mhz * 1e6)
     }
 
-    /// Returns the frequency in hertz.
-    #[must_use]
-    pub fn as_hertz(self) -> f64 {
-        self.0
-    }
-
     /// The period of one clock cycle.
     ///
     /// # Panics
@@ -399,7 +393,7 @@ mod tests {
     fn frequency_period_and_hertz() {
         let f = Frequency::from_megahertz(133.0);
         assert!((f.period().as_seconds() - 7.5187e-9).abs() < 1e-12);
-        assert!((f.as_hertz() - 133e6).abs() < 1e-3);
+        assert!((f.0 - 133e6).abs() < 1e-3);
         assert_eq!(Frequency::default(), Frequency::from_megahertz(133.0));
     }
 
