@@ -8,7 +8,7 @@
 
 use std::process::{Command, Output};
 
-use fabric_power_sweep::{MeshSize, ScenarioRegistry};
+use fabric_power_sweep::{MeshSize, Scenario, ScenarioRegistry};
 
 const HINT: &str = "run `fabric-power help` for usage";
 
@@ -121,61 +121,15 @@ fn a_document_that_is_not_json_names_what_the_parser_found() {
     }
 }
 
-#[test]
-fn a_zero_cycle_measurement_window_is_a_named_error() {
+/// Runs `sweep --scenario-file` on `scenario`, written to a temporary file
+/// named after `tag`, with `--threads 1` and an `--out` path; returns the
+/// output and whether a document was written.
+fn sweep_scenario_file(scenario: &Scenario, tag: &str) -> (Output, bool) {
     let dir = std::env::temp_dir();
     let id = std::process::id();
-    let registry = ScenarioRegistry::builtin();
-    // One single-router scenario and one mesh scenario.
-    for name in ["quick", "noc-quick"] {
-        let mut scenario = registry.get(name).expect("a registered scenario").clone();
-        scenario.config.measure_cycles = 0;
-        let path = dir.join(format!("fabric-power-cli-errors-{id}-{name}-window.json"));
-        let out = dir.join(format!(
-            "fabric-power-cli-errors-{id}-{name}-window-out.json"
-        ));
-        let json = serde_json::to_string(&scenario).expect("serialize the scenario");
-        std::fs::write(&path, json).expect("write the scenario file");
-        let output = fabric_power(&[
-            "sweep",
-            "--scenario-file",
-            path.to_str().expect("a UTF-8 temp path"),
-            "--threads",
-            "1",
-            "--out",
-            out.to_str().expect("a UTF-8 temp path"),
-        ]);
-        let wrote = out.exists();
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(&out);
-        let stderr = stderr(&output);
-        assert_eq!(output.status.code(), Some(1), "{name}: {stderr}");
-        assert!(
-            stderr.contains("a run needs at least one measure cycle, got 0"),
-            "{name}: {stderr}"
-        );
-        assert!(!stderr.contains(HINT), "{name}: {stderr}");
-        assert!(!wrote, "{name}: a document was written");
-    }
-}
-
-#[test]
-fn an_empty_mesh_is_a_named_error() {
-    let dir = std::env::temp_dir();
-    let id = std::process::id();
-    let mut scenario = ScenarioRegistry::builtin()
-        .get("noc-quick")
-        .expect("a registered scenario")
-        .clone();
-    scenario
-        .config
-        .network
-        .as_mut()
-        .expect("a mesh scenario")
-        .meshes = vec![MeshSize::new(0, 4)];
-    let path = dir.join(format!("fabric-power-cli-errors-{id}-empty-mesh.json"));
-    let out = dir.join(format!("fabric-power-cli-errors-{id}-empty-mesh-out.json"));
-    let json = serde_json::to_string(&scenario).expect("serialize the scenario");
+    let path = dir.join(format!("fabric-power-cli-errors-{id}-{tag}.json"));
+    let out = dir.join(format!("fabric-power-cli-errors-{id}-{tag}-out.json"));
+    let json = serde_json::to_string(scenario).expect("serialize the scenario");
     std::fs::write(&path, json).expect("write the scenario file");
     let output = fabric_power(&[
         "sweep",
@@ -189,6 +143,41 @@ fn an_empty_mesh_is_a_named_error() {
     let wrote = out.exists();
     let _ = std::fs::remove_file(&path);
     let _ = std::fs::remove_file(&out);
+    (output, wrote)
+}
+
+#[test]
+fn a_zero_cycle_measurement_window_is_a_named_error() {
+    let registry = ScenarioRegistry::builtin();
+    // One single-router scenario and one mesh scenario.
+    for name in ["quick", "noc-quick"] {
+        let mut scenario = registry.get(name).expect("a registered scenario").clone();
+        scenario.config.measure_cycles = 0;
+        let (output, wrote) = sweep_scenario_file(&scenario, &format!("{name}-window"));
+        let stderr = stderr(&output);
+        assert_eq!(output.status.code(), Some(1), "{name}: {stderr}");
+        assert!(
+            stderr.contains("a run needs at least one measure cycle, got 0"),
+            "{name}: {stderr}"
+        );
+        assert!(!stderr.contains(HINT), "{name}: {stderr}");
+        assert!(!wrote, "{name}: a document was written");
+    }
+}
+
+#[test]
+fn an_empty_mesh_is_a_named_error() {
+    let mut scenario = ScenarioRegistry::builtin()
+        .get("noc-quick")
+        .expect("a registered scenario")
+        .clone();
+    scenario
+        .config
+        .network
+        .as_mut()
+        .expect("a mesh scenario")
+        .meshes = vec![MeshSize::new(0, 4)];
+    let (output, wrote) = sweep_scenario_file(&scenario, "empty-mesh");
     let stderr = stderr(&output);
     assert_eq!(output.status.code(), Some(1), "{stderr}");
     assert!(
