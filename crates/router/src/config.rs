@@ -66,17 +66,29 @@ impl SimulationConfig {
         Technology::tsmc180().clock().period()
     }
 
-    /// Checks the measurement window, which every simulator does before it
-    /// builds anything: a run that measures no cycle has no power or
-    /// throughput to report.
+    /// Checks the warm-up and measurement windows, which every simulator
+    /// does before it builds anything: a run that measures no cycle has no
+    /// power or throughput to report, and a run must be able to count to
+    /// the end of its last window.
     ///
     /// # Errors
     ///
     /// Returns [`SimulationError::ZeroMeasureCycles`] when `measure_cycles`
-    /// is 0.
+    /// is 0, and [`SimulationError::WindowOverflow`] when `warmup_cycles +
+    /// measure_cycles` does not fit a `u64`.
     pub fn check_window(&self) -> Result<(), SimulationError> {
         if self.measure_cycles == 0 {
             return Err(SimulationError::ZeroMeasureCycles);
+        }
+        if self
+            .warmup_cycles
+            .checked_add(self.measure_cycles)
+            .is_none()
+        {
+            return Err(SimulationError::WindowOverflow {
+                warmup_cycles: self.warmup_cycles,
+                measure_cycles: self.measure_cycles,
+            });
         }
         Ok(())
     }

@@ -44,6 +44,14 @@ pub enum SimulationError {
     /// The measurement window is empty (see
     /// [`SimulationConfig::check_window`]).
     ZeroMeasureCycles,
+    /// The warm-up and measurement windows together overflow a `u64` cycle
+    /// count (see [`SimulationConfig::check_window`]).
+    WindowOverflow {
+        /// Cycles in the warm-up window.
+        warmup_cycles: u64,
+        /// Cycles in the measurement window.
+        measure_cycles: u64,
+    },
 }
 
 impl std::fmt::Display for SimulationError {
@@ -60,6 +68,14 @@ impl std::fmt::Display for SimulationError {
             Self::ZeroMeasureCycles => {
                 f.write_str("a run needs at least one measure cycle, got 0")
             }
+            Self::WindowOverflow {
+                warmup_cycles,
+                measure_cycles,
+            } => write!(
+                f,
+                "a run of {warmup_cycles} warm-up and {measure_cycles} measure cycles \
+                 overflows a 64-bit cycle count"
+            ),
         }
     }
 }
@@ -68,7 +84,9 @@ impl std::error::Error for SimulationError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             Self::Traffic(e) => Some(e),
-            Self::PortMismatch { .. } | Self::ZeroMeasureCycles => None,
+            Self::PortMismatch { .. } | Self::ZeroMeasureCycles | Self::WindowOverflow { .. } => {
+                None
+            }
         }
     }
 }

@@ -149,19 +149,42 @@ fn sweep_scenario_file(scenario: &Scenario, tag: &str) -> (Output, bool) {
 #[test]
 fn a_zero_cycle_measurement_window_is_a_named_error() {
     let registry = ScenarioRegistry::builtin();
-    // One single-router scenario and one mesh scenario.
+    // One single-router scenario and one mesh scenario, each with an empty
+    // window and with one whose end overflows a 64-bit cycle count.
     for name in ["quick", "noc-quick"] {
-        let mut scenario = registry.get(name).expect("a registered scenario").clone();
-        scenario.config.measure_cycles = 0;
-        let (output, wrote) = sweep_scenario_file(&scenario, &format!("{name}-window"));
-        let stderr = stderr(&output);
-        assert_eq!(output.status.code(), Some(1), "{name}: {stderr}");
-        assert!(
-            stderr.contains("a run needs at least one measure cycle, got 0"),
-            "{name}: {stderr}"
-        );
-        assert!(!stderr.contains(HINT), "{name}: {stderr}");
-        assert!(!wrote, "{name}: a document was written");
+        let registered = registry.get(name).expect("a registered scenario");
+        let warmup = registered.config.warmup_cycles;
+        for (measure_cycles, expected) in [
+            (
+                0,
+                "a run needs at least one measure cycle, got 0".to_string(),
+            ),
+            (
+                u64::MAX,
+                format!(
+                    "a run of {warmup} warm-up and {} measure cycles overflows \
+                     a 64-bit cycle count",
+                    u64::MAX
+                ),
+            ),
+        ] {
+            let mut scenario = registered.clone();
+            scenario.config.measure_cycles = measure_cycles;
+            let (output, wrote) =
+                sweep_scenario_file(&scenario, &format!("{name}-window-{measure_cycles}"));
+            let stderr = stderr(&output);
+            assert_eq!(
+                output.status.code(),
+                Some(1),
+                "{name} {measure_cycles}: {stderr}"
+            );
+            assert!(
+                stderr.contains(&expected),
+                "{name} {measure_cycles}: {stderr}"
+            );
+            assert!(!stderr.contains(HINT), "{name} {measure_cycles}: {stderr}");
+            assert!(!wrote, "{name} {measure_cycles}: a document was written");
+        }
     }
 }
 
