@@ -57,9 +57,9 @@ pub mod prelude {
     pub use fabric_power_tech::{Energy, Power, Technology, WireModel};
 
     pub use fabric_power_sweep::{
-        merge_documents, ExperimentConfig, ModelProvider, ModelSource, ModelSpec, PortSweep,
-        Scenario, ScenarioRegistry, SeedStrategy, Shard, ShardDocument, ShardStrategy,
-        SweepDocument, SweepEngine, SweepPlan, SweepPoint, ThroughputSweep,
+        ExperimentConfig, ModelProvider, ModelSource, ModelSpec, PortSweep, Scenario,
+        ScenarioRegistry, SeedStrategy, SweepDocument, SweepEngine, SweepPlan, SweepPoint,
+        ThroughputSweep,
     };
 }
 

@@ -3,9 +3,6 @@
 //! ```text
 //! fabric-power list-scenarios
 //! fabric-power sweep --scenario paper-fig9 --threads 8 --out fig9.json
-//! fabric-power plan paper-fig9 --shards 3 --out plan.json
-//! fabric-power run-shard plan.json --index 0 --out part0.json
-//! fabric-power merge part0.json part1.json part2.json --out fig9.json
 //! fabric-power diff a.json b.json
 //! fabric-power report --in fig9.json
 //! ```
@@ -18,9 +15,8 @@ use std::time::Instant;
 use fabric_power_netlist::SwitchClass;
 use fabric_power_obs as obs;
 use fabric_power_sweep::{
-    diff_documents, merge_documents, report, write_atomic, write_stdout, ExperimentError, Scenario,
-    ScenarioRegistry, SeedStrategy, ShardDocument, ShardStrategy, SweepDocument, SweepEngine,
-    SweepPlan,
+    diff_documents, report, write_atomic, write_stdout, Scenario, ScenarioRegistry, SeedStrategy,
+    ShardStrategy, SweepDocument, SweepEngine, SweepPlan,
 };
 
 const USAGE: &str = "\
@@ -43,23 +39,6 @@ COMMANDS:
         [--seed-strategy <S>]      `shared` (default) or `per-cell`
         [--out <FILE.json>]        Write the JSON document here
         [--csv <FILE.csv>]         Also write a CSV table here
-    plan <SCENARIO> --shards <N>   Expand a scenario once and split it into
-                                   self-describing shards (a JSON plan)
-        [--scenario-file <FILE>]   Plan a scenario loaded from JSON instead
-        [--strategy <S>]           `contiguous` (default) or `round-robin`
-        [--seed <SEED>]            Override the scenario's base RNG seed
-        [--seed-strategy <S>]      `shared` (default) or `per-cell`
-        [--out <FILE.json>]        Write the plan here (default: stdout)
-    run-shard <PLAN.json>          Run one shard of a plan, emitting a
-        --index <I>                partial document for `merge`; shards may
-                                   run as separate processes or on separate
-                                   machines
-        [--threads <N>] [--out <FILE.json>]
-    merge <PART.json>...           Recombine partial shard documents into the
-                                   full sweep document (byte-identical to a
-                                   single-process run; refuses overlapping or
-                                   missing cells)
-        [--out <FILE.json>] [--csv <FILE.csv>]
     diff <A.json> <B.json>         Compare two sweep documents cell by cell
         [--tolerance <REL>]        Accepted relative deviation (default 0 =
                                    byte-exact); exits nonzero on mismatch
@@ -100,7 +79,7 @@ enum CliError {
     /// pointer to the usage text.
     Usage(String),
     /// The arguments were fine, but the work failed: a file could not be
-    /// read or written, a document or plan was refused, a run failed.
+    /// read or written, a document was refused, a run failed.
     Failed(String),
 }
 
@@ -256,24 +235,6 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
             &[],
             0,
         )?)),
-        Some("plan") => done(plan(&parse(
-            &[
-                "--scenario-file",
-                "--shards",
-                "--strategy",
-                "--seed",
-                "--seed-strategy",
-                "--out",
-            ],
-            &[],
-            1,
-        )?)),
-        Some("run-shard") => done(run_shard(&parse(
-            &["--index", "--threads", "--out"],
-            &[],
-            1,
-        )?)),
-        Some("merge") => done(merge(&parse(&["--out", "--csv"], &[], usize::MAX)?)),
         Some("diff") => diff(&parse(&["--tolerance"], &[], 2)?),
         Some("report") => done(report_command(&parse(&["--in"], &[], 0)?)),
         Some("netlist-stats") => done(netlist_stats(&parse(&[], &["--json"], 1)?)),
@@ -281,7 +242,7 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
     }
 }
 
-/// Reads one JSON input: a scenario, plan, shard part or sweep document.
+/// Reads one JSON input: a scenario or a sweep document.
 /// `hint` follows a parse error's message.
 fn read_json<T: serde::Deserialize>(path: &str, hint: &str) -> Result<T, String> {
     let json = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
@@ -304,20 +265,6 @@ fn write_json(value: &impl serde::Serialize, out: Option<&str>) -> Result<(), St
 fn write_file(path: &str, contents: &str) -> Result<(), String> {
     write_atomic(Path::new(path), contents).map_err(|e| format!("writing {path}: {e}"))?;
     note(&format!("wrote {path}"));
-    Ok(())
-}
-
-/// The one output policy of the commands that produce a [`SweepDocument`]
-/// (`sweep`, `merge`): write `--out` and/or `--csv` when given, otherwise
-/// the JSON document to stdout.
-fn write_document(document: &SweepDocument, args: &Args) -> Result<(), String> {
-    let (out, csv) = (args.value("--out"), args.value("--csv"));
-    if out.is_some() || csv.is_none() {
-        write_json(document, out)?;
-    }
-    if let Some(path) = csv {
-        write_file(path, &document.to_csv_string())?;
-    }
     Ok(())
 }
 
@@ -351,18 +298,16 @@ fn unknown_scenario(name: &str) -> String {
     )
 }
 
-/// Loads a scenario from a registry name or a JSON file (exactly one of the
-/// two) — the single resolution path every subcommand shares, so lookup
-/// behavior and error wording cannot drift between them.
-fn load_scenario(
-    name: Option<&str>,
-    file: Option<&str>,
-    neither: &str,
-    both: &str,
-) -> Result<Scenario, CliError> {
+/// Loads a scenario from a registry name (`--scenario`) or a JSON file
+/// (`--scenario-file`), exactly one of the two.
+fn load_scenario(name: Option<&str>, file: Option<&str>) -> Result<Scenario, CliError> {
     match (name, file) {
-        (Some(_), Some(_)) => Err(usage(both)),
-        (None, None) => Err(usage(neither)),
+        (Some(_), Some(_)) => Err(usage(
+            "`--scenario` and `--scenario-file` are mutually exclusive",
+        )),
+        (None, None) => Err(usage(
+            "need `--scenario <NAME>` or `--scenario-file <FILE>`",
+        )),
         (Some(name), None) => Ok(ScenarioRegistry::builtin()
             .get(name)
             .cloned()
@@ -374,14 +319,9 @@ fn load_scenario(
     }
 }
 
-/// Expands a scenario into the plan `sweep` and `plan` run: its grid with
-/// `--seed` and `--seed-strategy` applied, split into `shards`.
-fn seeded_plan(
-    args: &Args,
-    scenario: Scenario,
-    shards: usize,
-    strategy: ShardStrategy,
-) -> Result<SweepPlan, CliError> {
+/// Expands a scenario into the one-shard plan `sweep` runs: its grid with
+/// `--seed` and `--seed-strategy` applied.
+fn seeded_plan(args: &Args, scenario: Scenario) -> Result<SweepPlan, CliError> {
     let Scenario {
         name, mut config, ..
     } = scenario;
@@ -392,30 +332,22 @@ fn seeded_plan(
         Some(value) => SeedStrategy::parse(value).map_err(CliError::Usage)?,
         None => SeedStrategy::Shared,
     };
-    Ok(SweepPlan::new(name, config, seed_strategy, shards, strategy).map_err(|e| e.to_string())?)
+    Ok(
+        SweepPlan::new(name, config, seed_strategy, 1, ShardStrategy::Contiguous)
+            .expect("one shard is always a valid plan"),
+    )
 }
 
-/// Builds the engine every executing subcommand shares: `--threads` sets
-/// the worker count.
-fn engine(args: &Args) -> Result<SweepEngine, CliError> {
+/// `fabric-power sweep`: the whole grid as a one-shard plan, run in this
+/// process.  Writes `--out` and/or `--csv` when given, otherwise the JSON
+/// document to stdout.
+fn sweep(args: &Args) -> Result<(), CliError> {
+    let scenario = load_scenario(args.value("--scenario"), args.value("--scenario-file"))?;
     let mut engine = SweepEngine::new();
     if let Some(threads) = args.value("--threads") {
         engine = engine.with_threads(parse_thread_count(threads)?);
     }
-    Ok(engine)
-}
-
-/// `fabric-power sweep`: the whole grid as a one-shard plan, run in this
-/// process.
-fn sweep(args: &Args) -> Result<(), CliError> {
-    let scenario = load_scenario(
-        args.value("--scenario"),
-        args.value("--scenario-file"),
-        "need `--scenario <NAME>` or `--scenario-file <FILE>`",
-        "`--scenario` and `--scenario-file` are mutually exclusive",
-    )?;
-    let engine = engine(args)?;
-    let plan = seeded_plan(args, scenario, 1, ShardStrategy::Contiguous)?;
+    let plan = seeded_plan(args, scenario)?;
     note(&format!(
         "running scenario `{}`: {} points on {} thread(s)...",
         plan.scenario,
@@ -429,7 +361,14 @@ fn sweep(args: &Args) -> Result<(), CliError> {
         document.points.len(),
         started.elapsed()
     ));
-    Ok(write_document(&document, args)?)
+    let (out, csv) = (args.value("--out"), args.value("--csv"));
+    if out.is_some() || csv.is_none() {
+        write_json(&document, out)?;
+    }
+    if let Some(path) = csv {
+        write_file(path, &document.to_csv_string())?;
+    }
+    Ok(())
 }
 
 /// Compares two documents; a mismatch is a *result* (exit code 1 with the
@@ -455,98 +394,6 @@ fn diff(args: &Args) -> Result<ExitCode, CliError> {
     } else {
         Ok(ExitCode::FAILURE)
     }
-}
-
-/// `fabric-power plan <SCENARIO> --shards N`: expand once, split, serialize.
-fn plan(args: &Args) -> Result<(), CliError> {
-    let shards = args
-        .value("--shards")
-        .ok_or_else(|| usage("plan needs `--shards <N>`"))?;
-    let shards: usize = shards.parse().ok().filter(|&n| n > 0).ok_or_else(|| {
-        usage(format!(
-            "invalid shard count `{shards}` (need a positive integer)"
-        ))
-    })?;
-    let strategy = match args.value("--strategy") {
-        Some(value) => ShardStrategy::parse(value).map_err(CliError::Usage)?,
-        None => ShardStrategy::Contiguous,
-    };
-    // The scenario comes from the positional name or `--scenario-file`.
-    let scenario = load_scenario(
-        args.positionals.first().map(String::as_str),
-        args.value("--scenario-file"),
-        "plan needs a scenario name or `--scenario-file <FILE>`",
-        "give a scenario name or `--scenario-file`, not both",
-    )?;
-    let plan = seeded_plan(args, scenario, shards, strategy)?;
-    note(&format!(
-        "planned scenario `{}`: {} cell(s) over {} {} shard(s)",
-        plan.scenario,
-        plan.total_cells(),
-        plan.shard_count(),
-        plan.strategy.slug(),
-    ));
-    Ok(write_json(&plan, args.value("--out"))?)
-}
-
-/// `fabric-power run-shard <PLAN> --index i`: execute one shard of a plan.
-fn run_shard(args: &Args) -> Result<(), CliError> {
-    let [plan_path] = &args.positionals[..] else {
-        return Err(usage("run-shard needs exactly one plan file"));
-    };
-    let index = args
-        .value("--index")
-        .ok_or_else(|| usage("run-shard needs `--index <I>`"))?;
-    let index: usize = index
-        .parse()
-        .map_err(|_| usage(format!("invalid shard index `{index}`")))?;
-    let plan: SweepPlan = read_json(plan_path, "")?;
-    let engine = engine(args)?;
-
-    let shard = plan.shard(index).ok_or_else(|| {
-        ExperimentError::InvalidShard {
-            index,
-            shards: plan.shard_count(),
-        }
-        .to_string()
-    })?;
-    note(&format!(
-        "running shard {index}/{} of `{}`: {} cell(s) on {} thread(s)...",
-        plan.shard_count(),
-        plan.scenario,
-        shard.cells.len(),
-        engine.threads()
-    ));
-    let started = Instant::now();
-    let document = engine
-        .run_shard_detached(&plan.header(), shard)
-        .map_err(|e| e.to_string())?;
-    note(&format!(
-        "completed {} cell(s) in {:.2?}",
-        document.results.len(),
-        started.elapsed()
-    ));
-    Ok(write_json(&document, args.value("--out"))?)
-}
-
-/// `fabric-power merge <PART>...`: recombine partial documents by cell index.
-fn merge(args: &Args) -> Result<(), CliError> {
-    if args.positionals.is_empty() {
-        return Err(usage("merge needs at least one shard document"));
-    }
-    let parts = args
-        .positionals
-        .iter()
-        .map(|path| read_json::<ShardDocument>(path, ""))
-        .collect::<Result<Vec<_>, _>>()?;
-    let document = merge_documents(&parts).map_err(|e| e.to_string())?;
-    note(&format!(
-        "merged {} shard(s) into {} point(s) of `{}`",
-        parts.len(),
-        document.points.len(),
-        document.scenario
-    ));
-    Ok(write_document(&document, args)?)
 }
 
 fn parse_seed(input: &str) -> Result<u64, CliError> {

@@ -33,13 +33,6 @@ pub enum ExperimentError {
     Simulation(SimulationError),
     /// Building or running the network simulator failed.
     Network(NetworkError),
-    /// A shard index outside the plan was requested.
-    InvalidShard {
-        /// The requested shard index.
-        index: usize,
-        /// How many shards the plan has.
-        shards: usize,
-    },
 }
 
 impl std::fmt::Display for ExperimentError {
@@ -48,10 +41,6 @@ impl std::fmt::Display for ExperimentError {
             Self::Model(e) => write!(f, "energy model: {e}"),
             Self::Simulation(e) => write!(f, "simulation: {e}"),
             Self::Network(e) => write!(f, "network: {e}"),
-            Self::InvalidShard { index, shards } => write!(
-                f,
-                "shard index {index} is out of range: the plan has {shards} shard(s)"
-            ),
         }
     }
 }

@@ -1,6 +1,5 @@
-//! The sweep engine: the *execute* stage of the plan → execute → merge
-//! pipeline.  Evaluates a whole [`SweepPlan`] or a single [`Shard`] of one on
-//! a parallel, deterministic executor.
+//! The sweep engine: evaluates a scenario's grid, a whole [`SweepPlan`] or a
+//! single [`Shard`] of one on a parallel, deterministic executor.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -158,8 +157,8 @@ impl SweepEngine {
 
     /// Evaluates an explicit cell list (already expanded and seeded) and
     /// returns one [`SweepPoint`] per cell, in the list's order.  Only the
-    /// fabric sizes the cells actually touch get models built — a shard of a
-    /// contiguous split typically needs one or two, not the whole grid's.
+    /// fabric sizes the cells actually touch get models built: a shard of a
+    /// few cells needs one or two, not the whole grid's.
     ///
     /// The cells run in [`traffic_groups`]: single-router cells that draw
     /// the same traffic run as one lockstep simulation, so the traffic is
@@ -207,25 +206,22 @@ impl SweepEngine {
     /// ([`SeedStrategy::Shared`]) and returns one [`SweepPoint`] per cell, in
     /// canonical grid order.
     ///
-    /// Internally this is a single-shard plan pushed through the same
-    /// plan → execute path sharded runs use, so a direct `run` can never
-    /// drift from a plan/run-shard/merge round trip.
+    /// The cells come from the same expansion every plan uses, so a direct
+    /// `run` can never drift from a planned one.
     ///
     /// # Errors
     ///
     /// Propagates model and simulation errors; when several cells fail, the
     /// error of the lowest-indexed cell is returned (deterministically).
     pub fn run(&self, config: &ExperimentConfig) -> Result<Vec<SweepPoint>, ExperimentError> {
-        let plan = self
-            .plan("run", config, 1, ShardStrategy::Contiguous)
-            .expect("one shard is always a valid plan");
-        self.run_cells(config, &plan.shards[0].cells)
+        let cells = crate::plan::expand_cells(config, SeedStrategy::Shared);
+        self.run_cells(config, &cells)
     }
 
     /// Runs every shard of a plan in this process and returns the complete
-    /// document — what `fabric-power sweep` does with its one-shard plan,
-    /// and the reference a sharded run's merged output must match byte for
-    /// byte.
+    /// document: what `fabric-power sweep` does with its one-shard plan,
+    /// and the reference that shards merged by
+    /// [`crate::merge::merge_documents`] must match byte for byte.
     ///
     /// # Errors
     ///
@@ -247,8 +243,8 @@ impl SweepEngine {
     }
 
     /// Runs one shard of a plan and returns the partial document tagged with
-    /// the shard id and the cell-index range it covers — what `run-shard`
-    /// writes for [`crate::merge::merge_documents`].
+    /// the shard id and the cell-index range it covers, for
+    /// [`crate::merge::merge_documents`] to recombine.
     ///
     /// The run is *detached from its plan*: the [`PlanHeader`] supplies the
     /// grid-wide context (scenario, configuration, seed strategy) and the
@@ -292,11 +288,10 @@ impl SweepEngine {
     /// [`RouterSimulator`] over `tables`, the cells' priced route tables in
     /// group order.
     ///
-    /// Every operating parameter comes from the cells themselves (a cell is
-    /// the self-describing unit sharding ships around, including its network
-    /// coordinate when the sweep has a mesh axis); the config only
-    /// contributes the grid-wide knobs (cycle windows, packet length, model
-    /// source).  Each cell still gets its own `run_cell` span, which covers
+    /// Every operating parameter comes from the cells themselves (each cell
+    /// carries its coordinates and seed, including its network coordinate
+    /// when the sweep has a mesh axis); the config only contributes the
+    /// grid-wide knobs (cycle windows, packet length, model source).  Each cell still gets its own `run_cell` span, which covers
     /// the group's run.
     fn run_group(
         &self,
@@ -574,16 +569,14 @@ mod tests {
         let engine = SweepEngine::new().with_threads(2);
         let direct = engine.run(&config).unwrap();
         let plan = engine
-            .plan("engine-test", &config, 3, ShardStrategy::RoundRobin)
+            .plan("engine-test", &config, 3, ShardStrategy::Contiguous)
             .unwrap();
         let whole = engine.run_plan(&plan).unwrap();
         assert_eq!(whole.points, direct);
-        let parts: Vec<_> = (0..3)
-            .map(|index| {
-                engine
-                    .run_shard_detached(&plan.header(), plan.shard(index).unwrap())
-                    .unwrap()
-            })
+        let parts: Vec<_> = plan
+            .shards
+            .iter()
+            .map(|shard| engine.run_shard_detached(&plan.header(), shard).unwrap())
             .collect();
         let merged = crate::merge::merge_documents(&parts).unwrap();
         assert_eq!(merged, whole);
@@ -605,7 +598,7 @@ mod tests {
             )
             .unwrap();
         let document = engine
-            .run_shard_detached(&plan.header(), plan.shard(0).unwrap())
+            .run_shard_detached(&plan.header(), &plan.shards[0])
             .unwrap();
         assert!(document.results.iter().all(|r| r.point.ports == 4));
         assert_eq!(
@@ -634,42 +627,14 @@ mod tests {
             .plan("empty-shards", &config, 3, ShardStrategy::Contiguous)
             .unwrap();
         let full = engine
-            .run_shard_detached(&plan.header(), plan.shard(0).unwrap())
+            .run_shard_detached(&plan.header(), &plan.shards[0])
             .unwrap();
         assert_eq!(full.cell_range, Some((0, 0)));
         let empty = engine
-            .run_shard_detached(&plan.header(), plan.shard(1).unwrap())
+            .run_shard_detached(&plan.header(), &plan.shards[1])
             .unwrap();
         assert_eq!(empty.cell_range, None);
         assert!(empty.results.is_empty());
-        // The distinction survives JSON (null vs an array).
-        let round: ShardDocument =
-            serde_json::from_str(&serde_json::to_string_pretty(&empty).unwrap()).unwrap();
-        assert_eq!(round.cell_range, None);
-    }
-
-    #[test]
-    fn out_of_range_shard_index_is_an_error() {
-        // The plan has no such shard; `run-shard` names the index and the
-        // shard count with this error.
-        let engine = SweepEngine::new().with_threads(1);
-        let plan = engine
-            .plan(
-                "bad-index",
-                &ExperimentConfig::quick(),
-                2,
-                ShardStrategy::Contiguous,
-            )
-            .unwrap();
-        assert!(plan.shard(5).is_none());
-        let err = ExperimentError::InvalidShard {
-            index: 5,
-            shards: plan.shard_count(),
-        };
-        assert_eq!(
-            err.to_string(),
-            "shard index 5 is out of range: the plan has 2 shard(s)"
-        );
     }
 
     #[test]

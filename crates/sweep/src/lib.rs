@@ -16,23 +16,21 @@
 //!   deterministic RNG seed, and [`SweepPoint`], the measured result —
 //!   including mean **and p50/p95/p99** latency from the simulator's
 //!   streaming latency histogram;
-//! * [`plan`] — the *plan* stage: [`SweepPlan`] expands a scenario into the
-//!   flat seeded cell list once and splits it into self-describing
-//!   [`Shard`]s (contiguous or round-robin), serializable to JSON so
-//!   separate processes or machines can each run some of them;
+//! * [`plan`] — [`SweepPlan`] expands a scenario into the flat seeded cell
+//!   list once and splits it into contiguous, self-describing [`Shard`]s;
 //! * `executor` — a self-scheduling parallel map over cells: worker
 //!   threads pull the next unclaimed cell from a shared cursor, so load
 //!   balances dynamically and the result order never depends on scheduling;
-//! * [`engine`] — [`SweepEngine`], the *execute* stage: runs a whole plan or
-//!   a single shard, acquiring one immutable
+//! * [`engine`] — [`SweepEngine`]: runs a grid, a whole plan or a single
+//!   shard, acquiring one immutable
 //!   [`fabric_power_fabric::FabricEnergyModel`] per fabric size through a
 //!   [`fabric_power_fabric::ModelProvider`] (by default the process-wide
 //!   in-memory memo) and sharing it across threads via [`std::sync::Arc`].
 //!   Results are **bit-identical regardless of thread count**;
-//! * [`merge`] — the *merge* stage: recombines partial [`ShardDocument`]s by
-//!   cell index into a document byte-identical to a single-process run,
-//!   refusing overlapping or missing cells — and any part whose own
-//!   self-description (shard index, cell range) does not hold up;
+//! * [`merge`] — recombines partial [`ShardDocument`]s by cell index into a
+//!   document byte-identical to a one-shard run, refusing overlapping or
+//!   missing cells — and any part whose own self-description (shard index,
+//!   cell range) does not hold up;
 //! * [`diff`] — cell-oriented comparison of two result documents
 //!   (`fabric-power diff`);
 //! * [`sweeps`] — [`ThroughputSweep`] / [`PortSweep`]: the Figure 9/10
@@ -54,9 +52,6 @@
 //! ```text
 //! fabric-power list-scenarios
 //! fabric-power sweep --scenario paper-fig9 --threads 8 --out fig9.json
-//! fabric-power plan paper-fig9 --shards 3 --out plan.json
-//! fabric-power run-shard plan.json --index 0 --out part0.json
-//! fabric-power merge part0.json part1.json part2.json --out fig9.json
 //! fabric-power diff fig9-a.json fig9-b.json
 //! fabric-power report --in fig9.json
 //! ```

@@ -1,18 +1,16 @@
-//! Shard execution results and their recombination: the *merge* stage of the
-//! plan → execute → merge pipeline.
+//! Shard execution results and their recombination.
 //!
-//! A [`ShardDocument`] is the partial result one worker emits after running a
-//! single [`crate::plan::Shard`]: every measured point rides with its grid
-//! index, and the document is tagged with the shard id, the shard count and
-//! the cell-index range it covers.  [`merge_documents`] recombines partials
-//! by cell index into a [`SweepDocument`] that is byte-identical to what a
-//! single-process run of the same scenario would have emitted — and refuses
-//! anything less: overlapping cells, missing cells, out-of-range cells, a
-//! point placed at another cell's index and metadata that disagrees between
-//! parts are all hard errors, never silent best effort.
+//! A [`ShardDocument`] is the partial result of running a single
+//! [`crate::plan::Shard`]: every measured point rides with its grid index,
+//! and the document is tagged with the shard id, the shard count and the
+//! cell-index range it covers.  [`merge_documents`] recombines partials by
+//! cell index into a [`SweepDocument`] that is byte-identical to what a
+//! one-shard run of the same scenario emits, and refuses anything less:
+//! overlapping cells, missing cells, out-of-range cells, a point placed at
+//! another cell's index and metadata that disagrees between parts are all
+//! hard errors, never silent best effort.
 
 use fabric_power_fabric::Architecture;
-use serde::{Deserialize, Serialize};
 
 use crate::cell::{SeedStrategy, SweepCell, SweepPoint};
 use crate::config::ExperimentConfig;
@@ -21,7 +19,7 @@ use crate::plan::expand_cells;
 
 /// One measured cell inside a [`ShardDocument`]: the point plus the grid
 /// index that places it in the merged document.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardCellResult {
     /// The cell's position in the grid's canonical order.
     pub index: usize,
@@ -31,7 +29,7 @@ pub struct ShardCellResult {
 
 /// The partial sweep result of one shard, self-describing enough to be
 /// merged without access to the plan that produced it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardDocument {
     /// The scenario name the plan was built from.
     pub scenario: String,
@@ -168,7 +166,7 @@ impl std::error::Error for MergeError {}
 /// Recombines partial shard documents into the full sweep document, placing
 /// every point by its grid index.
 ///
-/// The output is byte-identical to the document a single-process run of the
+/// The output is byte-identical to the document a one-shard run of the
 /// same scenario emits (JSON and CSV alike), because points are reassembled
 /// into canonical grid order and each point was computed from the same
 /// plan-time seed either way.
@@ -218,9 +216,9 @@ pub fn merge_documents(parts: &[ShardDocument]) -> Result<SweepDocument, MergeEr
     }
 
     // Every part's *own* self-description must hold up before its cells are
-    // trusted: parts arrive from independent worker processes, so a claimed
-    // shard id or cell range is an assertion to verify, not a fact.  (A set,
-    // not a bitmap: `shard_total` is itself untrusted input, and sizing an
+    // trusted: a caller can hand over any parts, so a claimed shard id or
+    // cell range is an assertion to verify, not a fact.  (A set, not a
+    // bitmap: `shard_total` is itself unchecked input, and sizing an
     // allocation by it would let a forged part crash the merge instead of
     // failing it.)
     let mut claimed = std::collections::HashSet::with_capacity(parts.len());
@@ -362,22 +360,20 @@ mod tests {
         }
     }
 
-    fn parts(shards: usize, strategy: ShardStrategy) -> (Vec<ShardDocument>, SweepDocument) {
+    fn parts(shards: usize) -> (Vec<ShardDocument>, SweepDocument) {
         let engine = SweepEngine::new().with_threads(2);
         let plan = SweepPlan::new(
             "merge-test",
             test_config(),
             SeedStrategy::Shared,
             shards,
-            strategy,
+            ShardStrategy::Contiguous,
         )
         .unwrap();
-        let parts: Vec<ShardDocument> = (0..shards)
-            .map(|index| {
-                engine
-                    .run_shard_detached(&plan.header(), plan.shard(index).unwrap())
-                    .unwrap()
-            })
+        let parts: Vec<ShardDocument> = plan
+            .shards
+            .iter()
+            .map(|shard| engine.run_shard_detached(&plan.header(), shard).unwrap())
             .collect();
         let full = engine.run_plan(&plan).unwrap();
         (parts, full)
@@ -385,18 +381,16 @@ mod tests {
 
     #[test]
     fn merge_reassembles_the_single_run_document() {
-        for strategy in [ShardStrategy::Contiguous, ShardStrategy::RoundRobin] {
-            let (parts, full) = parts(3, strategy);
-            let merged = merge_documents(&parts).unwrap();
-            assert_eq!(merged, full, "{strategy:?}");
-            assert_eq!(
-                merged.to_json_string().unwrap(),
-                full.to_json_string().unwrap()
-            );
-            // Merge order must not matter either.
-            let reversed: Vec<ShardDocument> = parts.iter().rev().cloned().collect();
-            assert_eq!(merge_documents(&reversed).unwrap(), full);
-        }
+        let (parts, full) = parts(3);
+        let merged = merge_documents(&parts).unwrap();
+        assert_eq!(merged, full);
+        assert_eq!(
+            merged.to_json_string().unwrap(),
+            full.to_json_string().unwrap()
+        );
+        // Merge order must not matter either.
+        let reversed: Vec<ShardDocument> = parts.iter().rev().cloned().collect();
+        assert_eq!(merge_documents(&reversed).unwrap(), full);
     }
 
     #[test]
@@ -406,7 +400,7 @@ mod tests {
 
     #[test]
     fn overlapping_cells_are_refused() {
-        let (mut parts, _) = parts(2, ShardStrategy::Contiguous);
+        let (mut parts, _) = parts(2);
         // Duplicate an interior cell of shard 0 without perturbing its
         // declared cell range, so the overlap itself is what gets caught.
         parts[0].results[1].index = parts[0].results[0].index;
@@ -419,7 +413,7 @@ mod tests {
 
     #[test]
     fn missing_cells_are_refused() {
-        let (mut parts, _) = parts(2, ShardStrategy::Contiguous);
+        let (mut parts, _) = parts(2);
         let dropped = parts[1].results.pop().unwrap();
         // Keep the part's self-description truthful about what it now holds,
         // so the *grid-level* gap is what gets reported.
@@ -446,7 +440,7 @@ mod tests {
 
     #[test]
     fn out_of_range_cells_are_refused() {
-        let (mut parts, _) = parts(2, ShardStrategy::Contiguous);
+        let (mut parts, _) = parts(2);
         let grid_size = parts[0].config.grid_size();
         parts[0].results[0].index = grid_size + 7;
         // A self-consistent but out-of-grid claim: the declared range agrees
@@ -467,7 +461,7 @@ mod tests {
 
     #[test]
     fn a_point_at_another_cells_index_is_refused() {
-        let (mut parts, _) = parts(2, ShardStrategy::Contiguous);
+        let (mut parts, _) = parts(2);
         // Swap two results' indices inside one part: its cell range and
         // every other check still hold.
         let results = &mut parts[0].results;
@@ -489,7 +483,7 @@ mod tests {
             .contains("cell 2 is fully_connected 4x4 @0.2 in the configuration's grid"));
 
         // A single-router cell whose point claims a mesh is refused too.
-        let (mut parts, _) = self::parts(2, ShardStrategy::Contiguous);
+        let (mut parts, _) = self::parts(2);
         let stats = fabric_power_noc::NetworkStats {
             width: 2,
             height: 2,
@@ -516,7 +510,7 @@ mod tests {
 
     #[test]
     fn shard_index_beyond_the_shard_count_is_refused() {
-        let (mut parts, _) = parts(2, ShardStrategy::Contiguous);
+        let (mut parts, _) = parts(2);
         parts[1].shard_index = 5;
         let err = merge_documents(&parts).unwrap_err();
         assert_eq!(
@@ -535,7 +529,7 @@ mod tests {
         // anything by that untrusted number — no capacity-overflow panic, no
         // OOM-sized bitmap.  With the cells themselves consistent, the merge
         // simply proceeds on the evidence it can verify.
-        let (mut parts, _) = parts(2, ShardStrategy::Contiguous);
+        let (mut parts, _) = parts(2);
         for part in &mut parts {
             part.shard_total = usize::MAX;
         }
@@ -551,14 +545,14 @@ mod tests {
 
     #[test]
     fn two_parts_claiming_the_same_shard_are_refused() {
-        let (mut parts, _) = parts(2, ShardStrategy::Contiguous);
+        let (mut parts, _) = parts(2);
         parts[1].shard_index = 0;
         let err = merge_documents(&parts).unwrap_err();
         assert_eq!(err, MergeError::DuplicateShard { shard_index: 0 });
         assert!(err.to_string().contains("both claim"));
         // The duplicate-shard check fires even when the duplicated part is
         // empty (no cell overlap to fall back on).
-        let (originals, _) = self::parts(2, ShardStrategy::Contiguous);
+        let (originals, _) = self::parts(2);
         let mut cloned = originals.clone();
         cloned[1] = ShardDocument {
             shard_index: 0,
@@ -575,7 +569,7 @@ mod tests {
     #[test]
     fn declared_cell_range_must_match_the_results_present() {
         // Declared range is None while results exist.
-        let (mut parts, _) = parts(2, ShardStrategy::Contiguous);
+        let (mut parts, _) = parts(2);
         let honest = parts[0].cell_range;
         parts[0].cell_range = None;
         let err = merge_documents(&parts).unwrap_err();
@@ -590,7 +584,7 @@ mod tests {
         assert!(err.to_string().contains("declares cell range"));
 
         // Declared range is wider than the results.
-        let (mut parts, _) = self::parts(2, ShardStrategy::Contiguous);
+        let (mut parts, _) = self::parts(2);
         let honest = parts[1].cell_range;
         parts[1].cell_range = honest.map(|(lo, hi)| (lo, hi + 3));
         assert!(matches!(
@@ -599,7 +593,7 @@ mod tests {
         ));
 
         // A range declared on an empty part is just as inconsistent.
-        let (mut parts, _) = self::parts(2, ShardStrategy::Contiguous);
+        let (mut parts, _) = self::parts(2);
         parts[1].results.clear();
         assert!(matches!(
             merge_documents(&parts),
@@ -613,7 +607,7 @@ mod tests {
 
     #[test]
     fn metadata_disagreements_are_refused() {
-        let (parts, _) = parts(2, ShardStrategy::Contiguous);
+        let (parts, _) = parts(2);
 
         let mut renamed = parts.clone();
         renamed[1].scenario = "other".into();
@@ -642,13 +636,5 @@ mod tests {
             merge_documents(&recounted),
             Err(MergeError::Mismatch(m)) if m.contains("total shard")
         ));
-    }
-
-    #[test]
-    fn shard_document_round_trips_through_json() {
-        let (parts, _) = parts(2, ShardStrategy::RoundRobin);
-        let json = serde_json::to_string_pretty(&parts[0]).unwrap();
-        let back: ShardDocument = serde_json::from_str(&json).unwrap();
-        assert_eq!(parts[0], back);
     }
 }

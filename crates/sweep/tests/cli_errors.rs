@@ -28,6 +28,9 @@ fn an_unknown_command_gets_the_usage_hint() {
     for (args, command) in [
         (&["serve"][..], "serve"),
         (&["cache", "stats", "--model-cache", "DIR"], "cache"),
+        (&["plan", "quick", "--shards", "2"], "plan"),
+        (&["run-shard", "plan.json", "--index", "0"], "run-shard"),
+        (&["merge", "part0.json", "part1.json"], "merge"),
     ] {
         let output = fabric_power(args);
         let stderr = stderr(&output);
@@ -51,10 +54,6 @@ fn an_unexpected_flag_gets_the_usage_hint() {
             &["sweep", "--scenario", "quick", "--model-cache", "DIR"],
             "--model-cache",
         ),
-        (
-            &["run-shard", "plan.json", "--model-cache", "DIR"],
-            "--model-cache",
-        ),
     ] {
         let output = fabric_power(args);
         let stderr = stderr(&output);
@@ -73,7 +72,7 @@ fn missing_and_malformed_flag_values_get_the_usage_hint() {
         &["report"][..],
         &["sweep", "--scenario", "quick", "--threads", "0"],
         &["sweep", "--scenario", "quick", "--seed", "0xZZ"],
-        &["plan", "quick", "--shards"],
+        &["sweep", "--scenario"],
     ] {
         let output = fabric_power(args);
         let stderr = stderr(&output);
@@ -84,9 +83,13 @@ fn missing_and_malformed_flag_values_get_the_usage_hint() {
 
 #[test]
 fn a_missing_file_is_not_a_usage_error() {
-    let missing = std::env::temp_dir().join("fabric-power-cli-errors-no-such-part.json");
+    let missing = std::env::temp_dir().join("fabric-power-cli-errors-no-such-file.json");
     let missing = missing.to_str().expect("a UTF-8 temp path");
-    for args in [&["merge", missing][..], &["report", "--in", missing]] {
+    for args in [
+        &["sweep", "--scenario-file", missing][..],
+        &["diff", missing, missing],
+        &["report", "--in", missing],
+    ] {
         let output = fabric_power(args);
         let stderr = stderr(&output);
         assert_eq!(output.status.code(), Some(1), "{args:?}: {stderr}");
@@ -209,24 +212,6 @@ fn an_empty_mesh_is_a_named_error() {
     );
     assert!(!stderr.contains(HINT), "{stderr}");
     assert!(!wrote, "a document was written");
-}
-
-#[test]
-fn a_shard_index_outside_the_plan_is_a_named_error() {
-    let dir = std::env::temp_dir();
-    let id = std::process::id();
-    let plan = dir.join(format!("fabric-power-cli-errors-{id}-plan.json"));
-    let plan = plan.to_str().expect("a UTF-8 temp path");
-    let planned = fabric_power(&["plan", "quick", "--shards", "2", "--out", plan]);
-    assert!(planned.status.success(), "{}", stderr(&planned));
-    let output = fabric_power(&["run-shard", plan, "--index", "2"]);
-    let _ = std::fs::remove_file(plan);
-    let stderr = stderr(&output);
-    assert_eq!(output.status.code(), Some(1), "{stderr}");
-    assert_eq!(
-        stderr,
-        "error: shard index 2 is out of range: the plan has 2 shard(s)\n"
-    );
 }
 
 #[test]

@@ -26,7 +26,7 @@ fn guard_plan() -> SweepPlan {
         guard_config(),
         SeedStrategy::Shared,
         2,
-        ShardStrategy::RoundRobin,
+        ShardStrategy::Contiguous,
     )
     .expect("plan builds")
 }

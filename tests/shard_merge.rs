@@ -1,8 +1,8 @@
-//! Workspace-level guarantees of the plan → execute → merge pipeline:
-//! splitting a scenario into shards, running each shard independently (at
-//! any thread count) and merging the partial documents is **byte-identical**
-//! to a single-process run — and the merge refuses incomplete or
-//! overlapping coverage instead of degrading silently.
+//! Workspace-level guarantees of the library's shard path: splitting a
+//! scenario into shards, running each shard on its own (at any thread
+//! count) and merging the partial documents is **byte-identical** to a
+//! single run — and the merge refuses incomplete or overlapping coverage
+//! instead of degrading silently.
 
 use fabric_power_sweep::{
     merge_documents, ExperimentConfig, MergeError, ScenarioRegistry, SeedStrategy, ShardDocument,
@@ -39,37 +39,32 @@ fn paper_fig9_in_three_shards_merges_byte_identically() {
     let config = fig9_config();
     let reference = single_run_document(&config).to_json_string().unwrap();
 
-    for strategy in [ShardStrategy::Contiguous, ShardStrategy::RoundRobin] {
-        let plan = SweepPlan::new(
-            "paper-fig9",
-            config.clone(),
-            SeedStrategy::Shared,
-            3,
-            strategy,
-        )
-        .unwrap();
-        // Ship the plan through its serialized form, the way real worker
-        // processes receive it, and give every worker a different thread
-        // count — none of it may show in the bytes.
-        let shipped: SweepPlan =
-            serde_json::from_str(&serde_json::to_string_pretty(&plan).unwrap()).unwrap();
-        let parts: Vec<ShardDocument> = (0..3)
-            .map(|index| {
-                let engine = SweepEngine::new().with_threads(index + 1);
-                let part = engine
-                    .run_shard_detached(&shipped.header(), shipped.shard(index).unwrap())
-                    .expect("shard run");
-                // Partial documents survive their own JSON round trip.
-                serde_json::from_str(&serde_json::to_string_pretty(&part).unwrap()).unwrap()
-            })
-            .collect();
-        let merged = merge_documents(&parts).expect("merge");
-        assert_eq!(
-            merged.to_json_string().unwrap(),
-            reference,
-            "{strategy:?}: merged bytes differ from the single-process run"
-        );
-    }
+    let plan = SweepPlan::new(
+        "paper-fig9",
+        config,
+        SeedStrategy::Shared,
+        3,
+        ShardStrategy::Contiguous,
+    )
+    .unwrap();
+    // Every shard runs at a different thread count; none of it may show in
+    // the bytes.
+    let parts: Vec<ShardDocument> = plan
+        .shards
+        .iter()
+        .map(|shard| {
+            SweepEngine::new()
+                .with_threads(shard.index + 1)
+                .run_shard_detached(&plan.header(), shard)
+                .expect("shard run")
+        })
+        .collect();
+    let merged = merge_documents(&parts).expect("merge");
+    assert_eq!(
+        merged.to_json_string().unwrap(),
+        reference,
+        "merged bytes differ from the single-process run"
+    );
 }
 
 #[test]
@@ -96,14 +91,12 @@ fn shard_count_does_not_change_the_merged_bytes() {
     for shards in [1, 2, 5, grid] {
         let engine = SweepEngine::new().with_threads(3);
         let plan = engine
-            .plan("paper-fig9", &config, shards, ShardStrategy::RoundRobin)
+            .plan("paper-fig9", &config, shards, ShardStrategy::Contiguous)
             .unwrap();
-        let parts: Vec<ShardDocument> = (0..shards)
-            .map(|index| {
-                engine
-                    .run_shard_detached(&plan.header(), plan.shard(index).unwrap())
-                    .unwrap()
-            })
+        let parts: Vec<ShardDocument> = plan
+            .shards
+            .iter()
+            .map(|shard| engine.run_shard_detached(&plan.header(), shard).unwrap())
             .collect();
         let merged = merge_documents(&parts).unwrap();
         assert_eq!(
@@ -127,12 +120,10 @@ fn merge_rejects_overlapping_and_missing_ranges() {
     let plan = engine
         .plan("reject-test", &config, 2, ShardStrategy::Contiguous)
         .unwrap();
-    let parts: Vec<ShardDocument> = (0..2)
-        .map(|index| {
-            engine
-                .run_shard_detached(&plan.header(), plan.shard(index).unwrap())
-                .unwrap()
-        })
+    let parts: Vec<ShardDocument> = plan
+        .shards
+        .iter()
+        .map(|shard| engine.run_shard_detached(&plan.header(), shard).unwrap())
         .collect();
 
     // The untampered parts merge.
