@@ -251,8 +251,7 @@ impl SweepEngine {
     /// [`Shard`] the cells, so a caller holding one shard needs no other
     /// shard's cells.  The cells' seeds were fixed when the plan was built,
     /// so the points this produces are bit-identical to the same cells
-    /// evaluated by a single-process run, whatever this engine's thread
-    /// count.
+    /// evaluated by a one-shard run, whatever this engine's thread count.
     ///
     /// # Errors
     ///
@@ -291,8 +290,8 @@ impl SweepEngine {
     /// Every operating parameter comes from the cells themselves (each cell
     /// carries its coordinates and seed, including its network coordinate
     /// when the sweep has a mesh axis); the config only contributes the
-    /// grid-wide knobs (cycle windows, packet length, model source).  Each cell still gets its own `run_cell` span, which covers
-    /// the group's run.
+    /// grid-wide knobs (cycle windows, packet length, model source).  Each
+    /// cell still gets its own `run_cell` span, which covers the group's run.
     fn run_group(
         &self,
         config: &ExperimentConfig,

@@ -105,7 +105,7 @@ fn sharded_noc_sweeps_merge_byte_identical_to_a_single_process() {
         assert_eq!(
             merged.to_json_string().unwrap(),
             whole.to_json_string().unwrap(),
-            "{shards} shards drifted from the single-process bytes"
+            "{shards} shards drifted from the one-shard bytes"
         );
     }
 }

@@ -30,7 +30,7 @@ fn single_run_document(config: &ExperimentConfig) -> SweepDocument {
         scenario: "paper-fig9".into(),
         config: config.clone(),
         seed_strategy: SeedStrategy::Shared,
-        points: engine.run(config).expect("single-process run"),
+        points: engine.run(config).expect("single run"),
     }
 }
 
@@ -63,7 +63,7 @@ fn paper_fig9_in_three_shards_merges_byte_identically() {
     assert_eq!(
         merged.to_json_string().unwrap(),
         reference,
-        "merged bytes differ from the single-process run"
+        "merged bytes differ from the single run"
     );
 }
 
